@@ -8,10 +8,12 @@ Usage, from the repository root::
 ``--trace 0`` sets the workload up several times (reporting the median
 set-up time), runs its fixed op list once with no wrappers installed,
 checks every output outside the timing, and prints the end-to-end
-metrics.  ``--trace 1`` runs the op list once untraced and once with
-the layer wrappers of :mod:`perfbench.tracing` installed, and prints the
-per-layer metrics.  Every line but the last is a human-readable report;
-the last line is the JSON result.
+metrics; its times are in reference seconds, corrected for the host's
+speed (:mod:`perfbench.hostspeed`).  ``--trace 1`` runs the op list
+once untraced and once with the layer wrappers of
+:mod:`perfbench.tracing` installed, and prints the per-layer metrics.
+Every line but the last is a human-readable report; the last line is
+the JSON result.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from typing import Dict, List, Optional
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
+from perfbench.hostspeed import HostClock  # noqa: E402
 from perfbench.stats import ratio  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
@@ -44,12 +47,18 @@ END_TO_END = (
     ("hpwl_mm", "mm", "lower"),
 )
 
-#: Report-only metrics, printed where a workload has them.
+#: Report-only metrics, printed where a workload has them.  Latencies
+#: are as measured, not in reference seconds.
 REPORT_UNITS = {
     "fail_ratio": "ratio", "op_p50_s": "s", "hit_p50_s": "s",
     "hit_p90_s": "s", "swaps": "count", "fidelity": "ratio",
-    "yield": "ratio",
+    "yield": "ratio", "measured_setup_s": "s", "measured_wall_s": "s",
+    "host_scale": "ratio",
 }
+
+#: Host-speed marks before each set-up and after the last.  Set-ups are
+#: few and some last seconds, so several marks keep their scale steady.
+SETUP_MARKS = 3
 
 WORK_DIR = ROOT / ".perfbench-work"
 
@@ -68,14 +77,17 @@ class OpRun:
         return self.end - self.start
 
 
-def measure(workload, tracer=None) -> List[OpRun]:
+def measure(workload, clock: HostClock, tracer=None) -> List[OpRun]:
     """Run the op list; each output is checked right after its op.
 
     Checks run outside the op's window and, in a traced run, with
-    recording paused.
+    recording paused.  ``clock`` times the host-speed kernel before
+    each op and after its check, so the samples come from twice as many
+    moments of the run as there are ops.
     """
     runs: List[OpRun] = []
     for label, fn in workload.op_list():
+        clock.mark()
         start = time.monotonic()
         try:
             output, problems = fn(), []
@@ -92,6 +104,7 @@ def measure(workload, tracer=None) -> List[OpRun]:
                 traceback.print_exc(file=sys.stderr)
                 problems = [f"check raised {type(exc).__name__}: {exc}"]
         del output
+        clock.mark()
         if tracer is not None:
             tracer.enabled = True
         runs.append(OpRun(label, start, end, problems))
@@ -103,17 +116,17 @@ def measure(workload, tracer=None) -> List[OpRun]:
     return runs
 
 
-def op_list_seconds(runs: List[OpRun], passes: int, stat) -> float:
-    """One pass of the op list, each op kind at ``stat`` of its times.
+def op_list_seconds(runs: List[OpRun], passes: int) -> float:
+    """One pass of the op list, each op kind at the median of its times.
 
     Ops sharing a label are repeats of one kind of work (the same
     placement in every pass, one homogeneous request type); a kind that
-    occurs ``n`` times per pass contributes ``n * stat(times)``.
+    occurs ``n`` times per pass contributes ``n * median(times)``.
     """
     by_label: Dict[str, List[float]] = {}
     for run in runs:
         by_label.setdefault(run.label, []).append(run.seconds)
-    return sum(len(times) / passes * stat(times)
+    return sum(len(times) / passes * statistics.median(times)
                for times in by_label.values())
 
 
@@ -125,33 +138,44 @@ def run_end_to_end(workload, setups: int) -> tuple:
     """Set up ``setups`` times, measure once.
 
     Returns ``(runs, metrics, report)``: the timed ops, the end-to-end
-    metrics, and those plus the workload's report-only metrics.
+    metrics, and those plus the workload's report-only metrics.  The
+    time metrics are in reference seconds (:mod:`perfbench.hostspeed`);
+    the report also gives them as measured.
     """
     setup_s = []
+    setup_clock, op_clock = HostClock(), HostClock()
     try:
         for k in range(setups):
             if k:
                 workload.close()
+            for _ in range(SETUP_MARKS):
+                setup_clock.mark()
             start = time.monotonic()
             workload.setup()
             setup_s.append(time.monotonic() - start)
-        runs = measure(workload)
+        for _ in range(SETUP_MARKS):
+            setup_clock.mark()
+        runs = measure(workload, op_clock)
         quality = workload.quality()
         latencies = (workload.latencies(runs)
                      if hasattr(workload, "latencies") else {})
     finally:
         workload.close()
     failed = sum(1 for r in runs if r.problems)
+    measured_wall_s = op_list_seconds(runs, workload.passes)
     metrics = {
-        "setup_s": statistics.median(setup_s),
-        "wall_s": op_list_seconds(runs, workload.passes, statistics.median),
+        "setup_s": statistics.median(setup_s) * setup_clock.scale(),
+        "wall_s": measured_wall_s * op_clock.scale(),
         "peak_rss_mb": getattr(workload, "peak_rss_mb", None)
         or _own_rss_mb(),
         "area_mm2": quality["area_mm2"],
         "hpwl_mm": quality["hpwl_mm"],
     }
     report = dict(metrics, **quality, **latencies,
-                  fail_ratio=ratio(failed, len(runs)))
+                  fail_ratio=ratio(failed, len(runs)),
+                  measured_setup_s=statistics.median(setup_s),
+                  measured_wall_s=measured_wall_s,
+                  host_scale=op_clock.scale())
     return runs, metrics, report
 
 
@@ -159,17 +183,18 @@ def run_traced(make) -> tuple:
     """Untraced pass, then a traced pass; returns (runs, layer metrics)."""
     from perfbench.tracing import Tracer, covered_share, layer_metrics
 
-    reference = make()
+    reference, untraced_clock = make(), HostClock()
     try:
         reference.setup()
-        untraced_wall = op_list_seconds(measure(reference),
-                                        reference.passes, statistics.median)
+        untraced_wall = op_list_seconds(
+            measure(reference, untraced_clock),
+            reference.passes) * untraced_clock.scale()
     finally:
         reference.close()
 
     tracer = Tracer()
     tracer.install()
-    workload = make()
+    workload, traced_clock = make(), HostClock()
     spans_file = None
     if hasattr(workload, "trace_out"):
         spans_file = workload.workdir / "service-spans.json"
@@ -177,7 +202,7 @@ def run_traced(make) -> tuple:
     try:
         tracer.enabled = True
         workload.setup()
-        runs = measure(workload, tracer)
+        runs = measure(workload, traced_clock, tracer)
     finally:
         tracer.enabled = False
         workload.close()
@@ -193,7 +218,7 @@ def run_traced(make) -> tuple:
     metrics["trace.coverage"] = covered_share(
         windows, [(s[1], s[2]) for s in tracer.spans if s[4]])
     metrics["trace.overhead"] = ratio(
-        op_list_seconds(runs, workload.passes, statistics.median),
+        op_list_seconds(runs, workload.passes) * traced_clock.scale(),
         untraced_wall)
     for line in tracer.unavailable:
         print(f"unavailable layer hook: {line}")

@@ -1,41 +1,8 @@
-"""Small statistics helpers shared by the benchmark and its tools."""
+"""Small statistics helpers shared by the benchmark's modules."""
 
 from __future__ import annotations
-
-import math
-import statistics
-from typing import Sequence
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile (0..100) by linear interpolation.
-
-    Matches ``numpy.percentile``'s default method, so a run's p50/p90
-    read the same as they would through numpy.
-    """
-    if not values:
-        raise ValueError("percentile of an empty sample")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile must lie in [0, 100], got {q}")
-    ordered = sorted(values)
-    rank = (len(ordered) - 1) * q / 100.0
-    lo = math.floor(rank)
-    hi = math.ceil(rank)
-    return ordered[lo] + (ordered[hi] - ordered[lo]) * (rank - lo)
 
 
 def ratio(numerator: float, denominator: float) -> float:
     """``numerator / denominator``, 0.0 when nothing was attempted."""
     return numerator / denominator if denominator else 0.0
-
-
-def quartile_spread(values: Sequence[float]) -> float:
-    """Distance between the first and third quartile, over the median.
-
-    Quartiles as ``statistics.quantiles(values, n=4)`` gives them, the
-    steadiness rule the benchmark's bounds are checked against.
-    """
-    if len(values) < 2:
-        raise ValueError("need at least two values for quartiles")
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return ratio(q3 - q1, statistics.median(values))

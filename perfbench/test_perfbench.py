@@ -17,7 +17,8 @@ import pytest
 
 from perfbench import run
 from perfbench.checks import count_overlaps, off_coupling_gates
-from perfbench.stats import percentile, quartile_spread, ratio
+from perfbench.hostspeed import REFERENCE_S, RUNS_PER_MARK, HostClock
+from perfbench.stats import ratio
 from perfbench.tracing import (LAYERS, Hook, Tracer, covered_share,
                                layer_metrics, per_layer_specs)
 from perfbench.workloads import WORKLOADS, PlaceWorkload
@@ -47,28 +48,9 @@ def _bench(args):
 
 # -- helpers ----------------------------------------------------------------
 
-def test_percentile_matches_numpy():
-    rng = np.random.default_rng(7)
-    for n in (1, 2, 5, 100, 101):
-        values = list(rng.exponential(size=n))
-        for q in (0, 10, 50, 90, 99, 100):
-            assert percentile(values, q) == pytest.approx(
-                np.percentile(values, q), rel=1e-12, abs=1e-15)
-
-
-def test_percentile_rejects_bad_input():
-    with pytest.raises(ValueError):
-        percentile([], 50)
-    with pytest.raises(ValueError):
-        percentile([1.0], 101)
-
-
-def test_ratio_and_spread():
+def test_ratio():
     assert ratio(3, 4) == 0.75
     assert ratio(5, 0) == 0.0
-    # quantiles([1..8], n=4) -> 2.25, 4.5, 6.75 (exclusive method).
-    assert quartile_spread(range(1, 9)) == pytest.approx(4.5 / 4.5)
-    assert quartile_spread([2.0, 2.0, 2.0]) == 0.0
 
 
 # -- checks -----------------------------------------------------------------
@@ -123,11 +105,19 @@ def test_overlapping_layout_raises_fail_ratio():
 
     doctored = Doctored(seed=0, seconds=1, tiny=True)
     doctored.setup()
-    runs = run.measure(doctored)
+    runs = run.measure(doctored, HostClock())
     failed = sum(1 for r in runs if r.problems)
     assert ratio(failed, len(runs)) == 1.0
     assert any("overlapping" in p for r in runs for p in r.problems)
-    assert all(not r.problems for r in run.measure(workload))
+    assert all(not r.problems for r in run.measure(workload, HostClock()))
+
+
+def test_host_clock_scales_by_the_mean_kernel_time():
+    clock = HostClock()
+    clock.mark()
+    assert len(clock.samples) == RUNS_PER_MARK and clock.scale() > 0
+    clock.samples = [1.0, 1.0, 4.0]
+    assert clock.scale() == pytest.approx(REFERENCE_S / 2.0)
 
 
 # -- tracing ----------------------------------------------------------------

@@ -55,9 +55,10 @@ def _legalizer_counts(args, result, before) -> Counts:
 
 def _detailed_counts(args, result, before) -> Counts:
     stats = result[1]
+    # candidates_scored counts swap candidates only, so only swaps are
+    # set against it.
     return {"core.detailed.candidates": stats.candidates_scored,
-            "core.detailed.accepted":
-            stats.swaps_applied + stats.slides_applied}
+            "core.detailed.accepted": stats.swaps_applied}
 
 
 def _mapping_counts(args, result, before) -> Counts:

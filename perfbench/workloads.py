@@ -17,6 +17,7 @@ from pathlib import Path
 from statistics import mean, median
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+import numpy as np
 from repro import PlacerConfig, QPlacer, build_netlist, get_topology
 from repro.circuits import mapping
 from repro.core.preprocess import build_problem
@@ -30,7 +31,6 @@ from repro.workloads.registry import SUITES, build_workload
 
 from .checks import count_overlaps, off_coupling_gates
 from .service_proc import ServiceProcess
-from .stats import percentile
 
 #: Checkout root: holds ``src/`` and ``perfbench/``.
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,9 +57,12 @@ class PlaceWorkload:
     #: Seconds one pass of the op list takes on a 2-core x86 box.
     PASS_S = 12.5
     #: Set-ups per end-to-end run (``setup_s`` is their median); set-up
-    #: is ~0.3 s here, so a few more repeats keep one burst out of it.
-    SETUP_REPEATS = 7
+    #: is ~0.6 s here, so a few more repeats keep one burst out of it.
+    SETUP_REPEATS = 5
     SCALE_TIER = "grid-121"
+    #: Warm-up tier: the smallest paper tier, placed by both strategies
+    #: in every set-up so the set-up window holds real placement work.
+    WARM_TIER = "grid-25"
 
     def __init__(self, seed: int, seconds: float, tiny: bool = False,
                  workdir: Optional[Path] = None) -> None:
@@ -74,7 +77,7 @@ class PlaceWorkload:
                          for t in self.tiers + self.scale}
         self.areas: List[float] = []
         self.wirelengths: List[float] = []
-        warm = build_netlist(get_topology("grid-9"))
+        warm = build_netlist(get_topology(self.WARM_TIER))
         for config in (PlacerConfig(), PlacerConfig.classic()):
             result = QPlacer(config).place(warm)
             hotspot_report(result.layout)
@@ -351,8 +354,9 @@ class EnsembleWorkload:
     def latencies(self, ops) -> Dict[str, float]:
         cold = [op.seconds for op in ops if op.label == "cold"]
         hits = [op.seconds for op in ops if op.label == "hit"]
-        return {"op_p50_s": median(cold), "hit_p50_s": percentile(hits, 50),
-                "hit_p90_s": percentile(hits, 90)}
+        p50, p90 = np.percentile(hits, (50, 90))
+        return {"op_p50_s": median(cold), "hit_p50_s": float(p50),
+                "hit_p90_s": float(p90)}
 
     def layer_extras(self) -> Dict[str, float]:
         """Driver-measured per-layer numbers of the traced run."""
