@@ -10,7 +10,9 @@ push instances apart exactly like like charges repel.
 
 Rasterisation is vectorised by *size groups*: the quantum problem has
 only two footprints (qubits and segments), so each group processes all
-its instances with fixed-size bin windows in pure numpy.
+its instances with fixed-size bin windows in pure numpy.  One
+evaluation computes every window once and uses it both to scatter the
+charge and to gather the field.
 
 The grid optionally maintains the density map *incrementally*
 (:meth:`DensityGrid.evaluate_incremental`): between full-rasterise
@@ -32,6 +34,25 @@ import numpy as np
 from scipy.fft import dctn, idctn
 
 from ..devices.geometry import Rect
+
+#: One size group's bin windows: ``(idxs, flat, weights)``.
+Window = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+class _Group:
+    """Instances rasterised with one ``win_x x win_y`` bin window.
+
+    Holds the per-instance half sizes and sizes as ``(2, g)`` blocks
+    (x row, y row) so both axes of a window compute together.
+    """
+
+    def __init__(self, idxs: np.ndarray, sizes: np.ndarray,
+                 win_x: int, win_y: int) -> None:
+        self.idxs = idxs
+        self.window = (win_x, win_y)
+        self.size = np.ascontiguousarray(sizes[idxs].T)
+        self.half = np.ascontiguousarray((sizes[idxs] / 2.0).T)
+        self.offsets = np.arange(max(win_x, win_y))[None, :, None]
 
 
 @dataclass
@@ -81,15 +102,23 @@ class DensityGrid:
         denom = wx[:, None] + wy[None, :]
         denom[0, 0] = 1.0  # DC mode removed separately
         self._laplace_denom = denom
-        # Group instances by identical footprint for vectorised windows.
-        self._groups: List[Tuple[np.ndarray, int, int]] = []
+        # Group instances by identical footprint for vectorised windows;
+        # consecutive footprints with the same window shape share one
+        # group (the concatenated charge stream keeps its order).
+        self._groups: List[_Group] = []
         seen: Dict[Tuple[float, float], List[int]] = {}
         for i, (w, h) in enumerate(self.sizes):
             seen.setdefault((round(w, 9), round(h, 9)), []).append(i)
         for (w, h), idxs in sorted(seen.items()):
             win_x = int(np.ceil(w / self.bin_w)) + 1
             win_y = int(np.ceil(h / self.bin_h)) + 1
-            self._groups.append((np.array(idxs, dtype=np.int64), win_x, win_y))
+            if self._groups and self._groups[-1].window == (win_x, win_y):
+                idxs = self._groups.pop().idxs.tolist() + idxs
+            self._groups.append(
+                _Group(np.array(idxs, dtype=np.int64), self.sizes,
+                       win_x, win_y))
+        self._origin = np.array([[region.x], [region.y]])
+        self._bin = np.array([[self.bin_w], [self.bin_h]])
         # Incremental-rasterisation state (evaluate_incremental).
         self._inc_rho: Optional[np.ndarray] = None
         self._inc_ref: Optional[np.ndarray] = None
@@ -100,50 +129,71 @@ class DensityGrid:
 
     # -- rasterisation ---------------------------------------------------------
 
-    def _window_overlaps(self, idxs: np.ndarray, positions: np.ndarray,
-                         win_x: int, win_y: int):
-        """Clipped overlap lengths of each instance with its bin window.
+    def _windows(self, positions: np.ndarray,
+                 subset: Optional[np.ndarray] = None) -> List[Window]:
+        """Bin window of every instance (or of the ``subset`` mask).
 
-        Returns ``(ix0, iy0, ox, oy)`` where ``ox`` is ``(g, win_x)`` of
-        x-overlap lengths starting at bin column ``ix0`` (likewise y).
+        Returns one ``(idxs, flat, weights)`` triple per non-empty size
+        group: ``flat`` holds the ``(g, win_x, win_y)`` flat bin indices
+        of each instance's window (clipped to the grid) and ``weights``
+        the matching clipped overlap areas.  The same windows serve the
+        charge scatter and the field gather of one evaluation.
+
+        Both axes run as one ``(2, ., g)`` block with the instance axis
+        innermost, and only the finished windows are transposed to
+        instance-major order; every element is the same single
+        operation as in a per-axis, instance-major evaluation.
         """
-        half = self.sizes[idxs] / 2.0
-        x1 = positions[idxs, 0] - half[:, 0] - self.region.x
-        y1 = positions[idxs, 1] - half[:, 1] - self.region.y
-        x2 = x1 + self.sizes[idxs, 0]
-        y2 = y1 + self.sizes[idxs, 1]
-        ix0 = np.floor(x1 / self.bin_w).astype(np.int64)
-        iy0 = np.floor(y1 / self.bin_h).astype(np.int64)
-        cols = ix0[:, None] + np.arange(win_x)[None, :]
-        rows = iy0[:, None] + np.arange(win_y)[None, :]
-        edge_x = cols * self.bin_w
-        edge_y = rows * self.bin_h
-        ox = np.clip(np.minimum(x2[:, None], edge_x + self.bin_w)
-                     - np.maximum(x1[:, None], edge_x), 0.0, None)
-        oy = np.clip(np.minimum(y2[:, None], edge_y + self.bin_h)
-                     - np.maximum(y1[:, None], edge_y), 0.0, None)
-        cols = np.clip(cols, 0, self.num_bins - 1)
-        rows = np.clip(rows, 0, self.num_bins - 1)
-        return cols, rows, ox, oy
+        nb = self.num_bins
+        windows: List[Window] = []
+        for group in self._groups:
+            idxs, half, size = group.idxs, group.half, group.size
+            if subset is not None:
+                keep = subset[idxs]
+                if not keep.any():
+                    continue
+                idxs, half, size = idxs[keep], half[:, keep], size[:, keep]
+            win_x, win_y = group.window
+            lo = positions.T.take(idxs, axis=1) - half
+            lo -= self._origin
+            hi = lo + size
+            start = np.floor(lo / self._bin).astype(np.int64)
+            cells = start[:, None, :] + group.offsets
+            edge = cells * self._bin[:, :, None]
+            overlap = (np.minimum(hi[:, None, :], edge + self._bin[:, :, None])
+                       - np.maximum(lo[:, None, :], edge))
+            np.maximum(overlap, 0.0, out=overlap)
+            np.clip(cells, 0, nb - 1, out=cells)
+            cols, rows = cells[0, :win_x], cells[1, :win_y]
+            ox, oy = overlap[0, :win_x], overlap[1, :win_y]
+            flat = (cols * nb)[:, None, :] + rows[None, :, :]
+            weights = ox[:, None, :] * oy[None, :, :]
+            windows.append((idxs,
+                            np.ascontiguousarray(flat.transpose(2, 0, 1)),
+                            np.ascontiguousarray(weights.transpose(2, 0, 1))))
+        return windows
+
+    @staticmethod
+    def _stream(windows: List[Window]) -> Tuple[np.ndarray, np.ndarray]:
+        """Concatenated flat bin indices and charge weights."""
+        if not windows:
+            return np.zeros(0, dtype=np.int64), np.zeros(0)
+        return (np.concatenate([flat.ravel() for _, flat, _ in windows]),
+                np.concatenate([w.ravel() for _, _, w in windows]))
+
+    def _scatter(self, windows: List[Window]) -> np.ndarray:
+        """Area-per-bin density map of the given windows."""
+        # One bincount over the concatenated index stream scatter-adds in
+        # the same sequential order as a per-group np.add.at, bit for
+        # bit, while running an order of magnitude faster.
+        flat, weights = self._stream(windows)
+        rho = np.bincount(flat, weights=weights,
+                          minlength=self.num_bins * self.num_bins)
+        return rho.reshape(self.num_bins, self.num_bins)
 
     def rasterize(self, positions: np.ndarray) -> np.ndarray:
         """Area-per-bin density map for the given positions."""
-        nb2 = self.num_bins * self.num_bins
-        flat_parts: List[np.ndarray] = []
-        weight_parts: List[np.ndarray] = []
-        for idxs, win_x, win_y in self._groups:
-            cols, rows, ox, oy = self._window_overlaps(idxs, positions, win_x, win_y)
-            weights = ox[:, :, None] * oy[:, None, :]  # (g, win_x, win_y)
-            flat = (cols[:, :, None] * self.num_bins + rows[:, None, :])
-            flat_parts.append(flat.ravel())
-            weight_parts.append(weights.ravel())
-        # One bincount over the concatenated index stream scatter-adds in
-        # the same sequential order as the former per-group np.add.at,
-        # bit for bit, while running an order of magnitude faster.
-        rho = np.bincount(np.concatenate(flat_parts),
-                          weights=np.concatenate(weight_parts),
-                          minlength=nb2)
-        return rho.reshape(self.num_bins, self.num_bins)
+        return self._scatter(self._windows(positions))
 
     # -- field solve -------------------------------------------------------------
 
@@ -156,24 +206,22 @@ class DensityGrid:
 
     def evaluate(self, positions: np.ndarray) -> DensityResult:
         """Density energy, gradient, and overflow at ``positions``."""
-        return self._evaluate_at(self.rasterize(positions), positions)
+        windows = self._windows(positions)
+        return self._evaluate_at(self._scatter(windows), windows)
 
     def _evaluate_at(self, rho: np.ndarray,
-                     positions: np.ndarray) -> DensityResult:
+                     windows: List[Window]) -> DensityResult:
         """Potential solve + gradient gather for a given density map."""
         psi = self.solve_potential(rho)
         # Electric field E = -grad(psi); np.gradient returns d/drow, d/dcol.
         dpsi_dx, dpsi_dy = np.gradient(psi, self.bin_w, self.bin_h)
         energy = float((rho * psi).sum())
 
-        grad = np.zeros_like(positions)
-        for idxs, win_x, win_y in self._groups:
-            cols, rows, ox, oy = self._window_overlaps(idxs, positions, win_x, win_y)
-            weights = ox[:, :, None] * oy[:, None, :]
-            gx = dpsi_dx[cols[:, :, None], rows[:, None, :]]
-            gy = dpsi_dy[cols[:, :, None], rows[:, None, :]]
-            grad[idxs, 0] = (weights * gx).sum(axis=(1, 2))
-            grad[idxs, 1] = (weights * gy).sum(axis=(1, 2))
+        grad = np.zeros((self.sizes.shape[0], 2))
+        field_x, field_y = dpsi_dx.ravel(), dpsi_dy.ravel()
+        for idxs, flat, weights in windows:
+            grad[idxs, 0] = (weights * field_x.take(flat)).sum(axis=(1, 2))
+            grad[idxs, 1] = (weights * field_y.take(flat)).sum(axis=(1, 2))
 
         capacity = self.bin_area * self.target_density
         total_area = float(self.instance_area.sum())
@@ -182,25 +230,6 @@ class DensityGrid:
                              overflow=overflow, density=rho)
 
     # -- incremental rasterisation ---------------------------------------------
-
-    def _subset_scatter(self, positions: np.ndarray, subset: np.ndarray
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-        """Flat bin indices and charge weights of the masked instances."""
-        flat_parts: List[np.ndarray] = []
-        weight_parts: List[np.ndarray] = []
-        for idxs, win_x, win_y in self._groups:
-            sel = idxs[subset[idxs]]
-            if not sel.size:
-                continue
-            cols, rows, ox, oy = self._window_overlaps(
-                sel, positions, win_x, win_y)
-            weights = ox[:, :, None] * oy[:, None, :]
-            flat = cols[:, :, None] * self.num_bins + rows[:, None, :]
-            flat_parts.append(flat.ravel())
-            weight_parts.append(weights.ravel())
-        if not flat_parts:
-            return (np.zeros(0, dtype=np.int64), np.zeros(0))
-        return np.concatenate(flat_parts), np.concatenate(weight_parts)
 
     def _flush_tolerance(self) -> float:
         """Agreement bound of the flush checkpoint.
@@ -235,12 +264,13 @@ class DensityGrid:
                 beyond the staleness bound — an update bookkeeping bug.
         """
         nb2 = self.num_bins * self.num_bins
+        windows = self._windows(positions)
         if self._inc_rho is None:
-            self._inc_rho = self.rasterize(positions)
+            self._inc_rho = self._scatter(windows)
             self._inc_ref = positions.copy()
             self._stale_bound = 0.0
             self.inc_flushes += 1
-            return self._evaluate_at(self._inc_rho, positions)
+            return self._evaluate_at(self._inc_rho, windows)
         delta = np.abs(positions - self._inc_ref)
         if move_threshold_mm > 0:
             moved = ((delta[:, 0] > move_threshold_mm)
@@ -248,8 +278,8 @@ class DensityGrid:
         else:
             moved = (delta > 0).any(axis=1)
         if moved.any():
-            flat_old, w_old = self._subset_scatter(self._inc_ref, moved)
-            flat_new, w_new = self._subset_scatter(positions, moved)
+            flat_old, w_old = self._stream(self._windows(self._inc_ref, moved))
+            flat_new, w_new = self._stream(self._windows(positions, moved))
             update = np.bincount(
                 np.concatenate([flat_old, flat_new]),
                 weights=np.concatenate([-w_old, w_new]),
@@ -269,7 +299,7 @@ class DensityGrid:
         if flush:
             # Checkpoint: the brought-up-to-date incremental map must
             # agree with a from-scratch rasterise at these positions.
-            rho = self.rasterize(positions)
+            rho = self._scatter(windows)
             error = float(np.abs(rho - self._inc_rho).max())
             self.inc_max_flush_error = max(self.inc_max_flush_error, error)
             tolerance = self._flush_tolerance()
@@ -280,4 +310,4 @@ class DensityGrid:
             self._inc_ref = positions.copy()
             self._stale_bound = 0.0
             self.inc_flushes += 1
-        return self._evaluate_at(self._inc_rho, positions)
+        return self._evaluate_at(self._inc_rho, windows)

@@ -21,7 +21,7 @@ import numpy as np
 from .. import profiling
 from .config import PlacerConfig
 from .density import DensityGrid
-from .frequency_force import frequency_energy_and_grad
+from .frequency_force import FrequencyForce, frequency_energy_and_grad
 from .interactions import BACKEND_SPARSE, PrunedCollisionPairs
 from .optimizer import NesterovOptimizer
 from .preprocess import PlacementProblem
@@ -129,8 +129,8 @@ class GlobalPlacer:
         backend = self.config.resolved_interaction_backend(
             problem.num_instances)
         self._sparse_pairs: Optional[PrunedCollisionPairs] = None
-        self._dense_pairs = problem.collision_pairs
-        self._freq_pair_index: Optional[np.ndarray] = None
+        self._freq_kernel: Optional[FrequencyForce] = None
+        self._kernel_rebuilds = 0
         self._peak_pairs = 0
         if backend == BACKEND_SPARSE and self.config.frequency_aware:
             # Distance-pruned neighbor list instead of the full map.
@@ -140,27 +140,30 @@ class GlobalPlacer:
                 cutoff_mm=self.config.freq_pair_cutoff_mm,
                 skin_mm=self.config.freq_pair_skin_mm,
                 band_pairs=self.config.freq_pair_banding)
-        elif self.config.frequency_aware:
-            # Static pair set with a precomputed scatter index (pairs
-            # never change between iterations).  Materialises the map
-            # when the problem was built sparse but this placer resolves
-            # dense — a free lookup in the ordinary dense-on-dense case.
-            self._dense_pairs = problem.resonant_collision_pairs()
-            pairs = self._dense_pairs
-            self._freq_pair_index = (
-                np.concatenate([pairs[:, 0], pairs[:, 1]])
-                if pairs.size else None)
-            self._peak_pairs = int(pairs.shape[0])
 
-    def _freq_pairs(self, positions: np.ndarray
-                    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Active collision pairs and scatter index for these positions."""
-        if self._sparse_pairs is not None:
-            pairs, index = self._sparse_pairs.pairs(positions)
-            self._peak_pairs = max(self._peak_pairs,
-                                   self._sparse_pairs.peak_pairs)
-            return pairs, index
-        return self._dense_pairs, self._freq_pair_index
+    def _frequency_kernel(self, positions: np.ndarray) -> FrequencyForce:
+        """Force kernel over the collision pairs active at ``positions``.
+
+        The dense backend builds one kernel per run over the static pair
+        set; the sparse backend rebuilds it only when the neighbor list
+        itself was rebuilt.
+        """
+        sparse = self._sparse_pairs
+        if sparse is not None:
+            pairs = sparse.pairs(positions)
+            if self._freq_kernel is None \
+                    or sparse.rebuilds != self._kernel_rebuilds:
+                self._freq_kernel = FrequencyForce(pairs)
+                self._kernel_rebuilds = sparse.rebuilds
+            self._peak_pairs = max(self._peak_pairs, sparse.peak_pairs)
+        elif self._freq_kernel is None:
+            # Materialises the map when the problem was built sparse but
+            # this placer resolves dense — a free lookup in the ordinary
+            # dense-on-dense case.
+            self._freq_kernel = FrequencyForce(
+                self.problem.resonant_collision_pairs())
+            self._peak_pairs = len(self._freq_kernel)
+        return self._freq_kernel
 
     # -- objective ---------------------------------------------------------------
 
@@ -176,21 +179,23 @@ class GlobalPlacer:
 
     def _objective(self, positions: np.ndarray) -> Tuple[float, np.ndarray]:
         cfg = self.config
-        wl, wl_grad = wirelength_and_grad(
-            positions, self.problem.nets, cfg.wirelength_smoothing_mm,
-            pin_index=self._net_pin_index)
-        dens = self._density(positions)
+        with profiling.phase("wirelength"):
+            wl, wl_grad = wirelength_and_grad(
+                positions, self.problem.nets, cfg.wirelength_smoothing_mm,
+                pin_index=self._net_pin_index)
+        with profiling.phase("density"):
+            dens = self._density(positions)
         value = wl + self._lambda_density * dens.energy
         grad = wl_grad + self._lambda_density * dens.grad
         freq_energy = 0.0
         if cfg.frequency_aware:
-            pairs, pair_index = self._freq_pairs(positions)
-            if pairs.size:
-                freq_energy, freq_grad = frequency_energy_and_grad(
-                    positions, pairs, cfg.freq_force_smoothing_mm,
-                    pair_index=pair_index)
-                value += self._lambda_freq * freq_energy
-                grad = grad + self._lambda_freq * freq_grad
+            with profiling.phase("frequency"):
+                kernel = self._frequency_kernel(positions)
+                if len(kernel):
+                    freq_energy, freq_grad = frequency_energy_and_grad(
+                        positions, kernel, cfg.freq_force_smoothing_mm)
+                    value += self._lambda_freq * freq_energy
+                    grad = grad + self._lambda_freq * freq_grad
         self._last_overflow = dens.overflow
         self._last_parts = (wl, dens.energy, freq_energy)
         return value, grad
@@ -215,10 +220,10 @@ class GlobalPlacer:
         dens_norm = float(np.abs(dens.grad).sum())
         self._lambda_density = wl_norm / max(dens_norm, 1e-12) * 0.5
         if cfg.frequency_aware:
-            pairs, _ = self._freq_pairs(positions)
-            if pairs.size:
+            kernel = self._frequency_kernel(positions)
+            if len(kernel):
                 _, freq_grad = frequency_energy_and_grad(
-                    positions, pairs, cfg.freq_force_smoothing_mm)
+                    positions, kernel, cfg.freq_force_smoothing_mm)
                 freq_norm = float(np.abs(freq_grad).sum())
                 self._lambda_freq = (cfg.initial_freq_weight * wl_norm
                                      / max(freq_norm, 1e-12))
@@ -263,6 +268,9 @@ class GlobalPlacer:
             if it >= cfg.min_iterations and self._last_overflow <= cfg.overflow_target:
                 converged = True
                 break
+        # The kernel's index and scratch buffers are dead weight once the
+        # run ends, while callers keep the placer through legalization.
+        self._freq_kernel = None
         sparse = self._sparse_pairs
         return GlobalPlaceResult(
             positions=self._project(optimizer.x),

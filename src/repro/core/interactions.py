@@ -405,7 +405,6 @@ class PrunedCollisionPairs:
         self._bands = (frequency_bands(self._freqs, self._threshold)
                        if band_pairs else None)
         self._pairs: Optional[np.ndarray] = None
-        self._pair_index: Optional[np.ndarray] = None
         self._ref_positions: Optional[np.ndarray] = None
         self.rebuilds = 0
         self.reuses = 0
@@ -418,8 +417,10 @@ class PrunedCollisionPairs:
         # Euclidean per-instance drift: two instances approaching each
         # other diagonally close the gap by at most twice this, so the
         # skin/2 bound keeps every in-cutoff pair inside the list.
-        delta = positions - self._ref_positions
-        drift2 = float((delta * delta).sum(axis=1).max())
+        ref = self._ref_positions
+        dx = positions[:, 0] - ref[:, 0]
+        dy = positions[:, 1] - ref[:, 1]
+        drift2 = float((dx * dx + dy * dy).max())
         return drift2 > (0.5 * self.skin_mm) ** 2
 
     def _rebuild(self, positions: np.ndarray) -> None:
@@ -428,8 +429,12 @@ class PrunedCollisionPairs:
                                     bands=self._bands)
         self.peak_candidates = max(self.peak_candidates, int(a.size))
         if a.size:
-            delta = positions[a] - positions[b]
-            within = (delta * delta).sum(axis=1) <= reach * reach
+            # 1-D column gathers: a row-pair gather plus axis-1 sum
+            # moves several times the memory for the same bits.
+            x, y = positions[:, 0], positions[:, 1]
+            dx = x.take(a) - x.take(b)
+            dy = y.take(a) - y.take(b)
+            within = dx * dx + dy * dy <= reach * reach
             resonant = (np.abs(self._freqs[a] - self._freqs[b])
                         <= self._threshold)
             ra, rb = self._res[a], self._res[b]
@@ -437,17 +442,15 @@ class PrunedCollisionPairs:
             keep = within & resonant & ~sibling
             a, b = sort_pairs(a[keep], b[keep], positions.shape[0])
         self._pairs = np.stack([a, b], axis=1).astype(np.int64)
-        self._pair_index = (np.concatenate([a, b]) if a.size else None)
         self._ref_positions = positions.copy()
         self.rebuilds += 1
         self.peak_pairs = max(self.peak_pairs, int(a.size))
 
-    def pairs(self, positions: np.ndarray
-              ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Current active pair array and its scatter index."""
+    def pairs(self, positions: np.ndarray) -> np.ndarray:
+        """Current active ``(p, 2)`` pair array."""
         if self._needs_rebuild(positions):
             self._rebuild(positions)
         else:
             self.reuses += 1
         assert self._pairs is not None
-        return self._pairs, self._pair_index
+        return self._pairs

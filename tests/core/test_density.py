@@ -129,7 +129,7 @@ class TestIncrementalEvaluate:
             fresh = grid.rasterize(positions)
             assert np.abs(grid._inc_rho - fresh).max() < 1e-10
             assert result.energy == pytest.approx(
-                grid._evaluate_at(fresh, positions).energy, rel=1e-12)
+                grid.evaluate(positions).energy, rel=1e-12)
 
     def test_threshold_keeps_stale_charge_for_small_moves(self):
         grid = make_grid(2, size=0.5)
@@ -176,3 +176,186 @@ class TestIncrementalEvaluate:
         assert grid.inc_flushes == 1
         assert grid.inc_rescattered == 5
         assert grid.inc_max_flush_error >= 0.0
+
+
+# -- reference oracle: the two-window formulation ----------------------------
+#
+# Separate windows for the charge scatter and the field gather, computed
+# per axis in instance-major order with 2-D fancy indexing.  The grid's
+# shared-window kernels must reproduce it bit for bit.
+
+def _ref_groups(grid):
+    seen = {}
+    for i, (w, h) in enumerate(grid.sizes):
+        seen.setdefault((round(w, 9), round(h, 9)), []).append(i)
+    return [(np.array(idxs, dtype=np.int64),
+             int(np.ceil(w / grid.bin_w)) + 1,
+             int(np.ceil(h / grid.bin_h)) + 1)
+            for (w, h), idxs in sorted(seen.items())]
+
+
+def _ref_window(grid, idxs, positions, win_x, win_y):
+    half = grid.sizes[idxs] / 2.0
+    x1 = positions[idxs, 0] - half[:, 0] - grid.region.x
+    y1 = positions[idxs, 1] - half[:, 1] - grid.region.y
+    x2 = x1 + grid.sizes[idxs, 0]
+    y2 = y1 + grid.sizes[idxs, 1]
+    ix0 = np.floor(x1 / grid.bin_w).astype(np.int64)
+    iy0 = np.floor(y1 / grid.bin_h).astype(np.int64)
+    cols = ix0[:, None] + np.arange(win_x)[None, :]
+    rows = iy0[:, None] + np.arange(win_y)[None, :]
+    edge_x = cols * grid.bin_w
+    edge_y = rows * grid.bin_h
+    ox = np.clip(np.minimum(x2[:, None], edge_x + grid.bin_w)
+                 - np.maximum(x1[:, None], edge_x), 0.0, None)
+    oy = np.clip(np.minimum(y2[:, None], edge_y + grid.bin_h)
+                 - np.maximum(y1[:, None], edge_y), 0.0, None)
+    cols = np.clip(cols, 0, grid.num_bins - 1)
+    rows = np.clip(rows, 0, grid.num_bins - 1)
+    return cols, rows, ox, oy
+
+
+def _ref_scatter_stream(grid, positions, subset=None):
+    flat_parts, weight_parts = [], []
+    for idxs, win_x, win_y in _ref_groups(grid):
+        if subset is not None:
+            idxs = idxs[subset[idxs]]
+            if not idxs.size:
+                continue
+        cols, rows, ox, oy = _ref_window(grid, idxs, positions, win_x, win_y)
+        flat_parts.append(
+            (cols[:, :, None] * grid.num_bins + rows[:, None, :]).ravel())
+        weight_parts.append((ox[:, :, None] * oy[:, None, :]).ravel())
+    return np.concatenate(flat_parts), np.concatenate(weight_parts)
+
+
+def _ref_rasterize(grid, positions):
+    flat, weights = _ref_scatter_stream(grid, positions)
+    rho = np.bincount(flat, weights=weights,
+                      minlength=grid.num_bins * grid.num_bins)
+    return rho.reshape(grid.num_bins, grid.num_bins)
+
+
+def _ref_evaluate_at(grid, rho, positions):
+    psi = grid.solve_potential(rho)
+    dpsi_dx, dpsi_dy = np.gradient(psi, grid.bin_w, grid.bin_h)
+    energy = float((rho * psi).sum())
+    grad = np.zeros_like(positions)
+    for idxs, win_x, win_y in _ref_groups(grid):
+        cols, rows, ox, oy = _ref_window(grid, idxs, positions, win_x, win_y)
+        weights = ox[:, :, None] * oy[:, None, :]
+        gx = dpsi_dx[cols[:, :, None], rows[:, None, :]]
+        gy = dpsi_dy[cols[:, :, None], rows[:, None, :]]
+        grad[idxs, 0] = (weights * gx).sum(axis=(1, 2))
+        grad[idxs, 1] = (weights * gy).sum(axis=(1, 2))
+    capacity = grid.bin_area * grid.target_density
+    total_area = float(grid.instance_area.sum())
+    overflow = float(np.clip(rho - capacity, 0.0, None).sum()
+                     / max(total_area, 1e-12))
+    return energy, grad, overflow
+
+
+def _assert_matches_reference(result, rho, grid, positions):
+    energy, grad, overflow = _ref_evaluate_at(grid, rho, positions)
+    assert result.density.tobytes() == rho.tobytes()
+    assert result.energy == energy
+    assert result.overflow == overflow
+    assert result.grad.tobytes() == np.ascontiguousarray(grad).tobytes()
+
+
+def _mixed_grid(rng, n=60, bins=32):
+    """Four footprints, two of them sharing a window shape and two
+    with non-square windows; the region does not start at the origin."""
+    footprints = np.array([[0.5, 0.5], [0.9, 0.4], [0.55, 0.55],
+                           [1.6, 0.7]])
+    sizes = footprints[rng.integers(0, len(footprints), size=n)]
+    region = Rect(-3.0, 1.5, 12.0, 9.0)
+    return DensityGrid(region, bins, sizes, target_density=0.9)
+
+
+def _positions_in(rng, grid, n, overhang=0.6):
+    """Centres spread over (and slightly past) the region."""
+    r = grid.region
+    xs = rng.uniform(r.x - overhang, r.x2 + overhang, size=n)
+    ys = rng.uniform(r.y - overhang, r.y2 + overhang, size=n)
+    return np.stack([xs, ys], axis=1)
+
+
+class TestSharedWindowsMatchReference:
+    """Shared scatter/gather windows against the two-window original."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rasterize_and_evaluate(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = _mixed_grid(rng)
+        for _ in range(3):
+            positions = _positions_in(rng, grid, 60)
+            rho = _ref_rasterize(grid, positions)
+            assert grid.rasterize(positions).tobytes() == rho.tobytes()
+            _assert_matches_reference(grid.evaluate(positions), rho,
+                                      grid, positions)
+
+    def test_stacked_instances(self):
+        grid = make_grid(8, size=0.6)
+        positions = np.tile([[4.0, 4.0]], (8, 1))
+        rho = _ref_rasterize(grid, positions)
+        _assert_matches_reference(grid.evaluate(positions), rho,
+                                  grid, positions)
+
+    def test_non_contiguous_positions(self):
+        rng = np.random.default_rng(3)
+        grid = _mixed_grid(rng, n=40)
+        wide = np.concatenate([_positions_in(rng, grid, 40),
+                               _positions_in(rng, grid, 40)], axis=1)
+        for positions in (wide[:, ::2], np.asfortranarray(wide[:, :2]),
+                          _positions_in(rng, grid, 80)[::2]):
+            assert not positions.flags.c_contiguous
+            rho = _ref_rasterize(grid, positions)
+            _assert_matches_reference(grid.evaluate(positions), rho,
+                                      grid, positions)
+
+    def test_successive_evaluations_return_distinct_grads(self):
+        rng = np.random.default_rng(4)
+        grid = _mixed_grid(rng, n=30)
+        p1 = _positions_in(rng, grid, 30)
+        p2 = _positions_in(rng, grid, 30)
+        first = grid.evaluate(p1)
+        snapshot = first.grad.copy()
+        second = grid.evaluate(p2)
+        assert not np.shares_memory(first.grad, second.grad)
+        assert np.array_equal(first.grad, snapshot)
+
+    def test_incremental_flush_and_updates(self):
+        """Every incremental call (seed, rescatter updates, flushes)
+        matches the original bookkeeping applied to the same moves."""
+        rng = np.random.default_rng(5)
+        grid = _mixed_grid(rng, n=50)
+        threshold = 0.15
+        positions = _positions_in(rng, grid, 50, overhang=0.0)
+        result = grid.evaluate_incremental(positions, threshold)
+        ref_rho = _ref_rasterize(grid, positions)
+        ref_pos = positions.copy()
+        _assert_matches_reference(result, ref_rho, grid, positions)
+        for step in range(1, 9):
+            positions = positions + rng.normal(0.0, 0.2,
+                                               size=positions.shape)
+            flush = step % 3 == 0
+            result = grid.evaluate_incremental(positions, threshold,
+                                               flush=flush)
+            delta = np.abs(positions - ref_pos)
+            moved = (delta[:, 0] > threshold) | (delta[:, 1] > threshold)
+            if moved.any():
+                flat_old, w_old = _ref_scatter_stream(grid, ref_pos, moved)
+                flat_new, w_new = _ref_scatter_stream(grid, positions, moved)
+                update = np.bincount(
+                    np.concatenate([flat_old, flat_new]),
+                    weights=np.concatenate([-w_old, w_new]),
+                    minlength=grid.num_bins ** 2)
+                ref_rho = ref_rho + update.reshape(grid.num_bins,
+                                                   grid.num_bins)
+                ref_pos[moved] = positions[moved]
+            if flush:
+                ref_rho = _ref_rasterize(grid, positions)
+                ref_pos = positions.copy()
+            _assert_matches_reference(result, ref_rho, grid, positions)
+        assert grid.inc_flushes == 3

@@ -159,10 +159,8 @@ class TestPrunedCollisionPairs:
             problem.frequencies, problem.resonator_index,
             problem.config.detuning_threshold_ghz,
             cutoff_mm=1e6, skin_mm=1.0)
-        pairs, index = provider.pairs(problem.initial_positions)
+        pairs = provider.pairs(problem.initial_positions)
         assert np.array_equal(pairs, problem.collision_pairs)
-        assert np.array_equal(
-            index, np.concatenate([pairs[:, 0], pairs[:, 1]]))
 
     def test_rebuild_only_after_drift(self, problem):
         provider = PrunedCollisionPairs(
@@ -203,10 +201,10 @@ class TestPrunedCollisionPairs:
         assert problem.collision_pairs.size == 0
         dense_cfg = PlacerConfig(interaction_backend="dense",
                                  max_iterations=12, min_iterations=2)
-        engine = GlobalPlacer(problem, dense_cfg)
-        assert engine._dense_pairs.size > 0
-        result = engine.run()
-        assert result.peak_collision_pairs == engine._dense_pairs.shape[0]
+        result = GlobalPlacer(problem, dense_cfg).run()
+        assert result.peak_collision_pairs > 0
+        assert result.peak_collision_pairs == \
+            problem.resonant_collision_pairs().shape[0]
         assert any(h.frequency_energy > 0 for h in result.history)
 
     def test_cutoff_prunes_far_pairs(self, problem):
@@ -215,7 +213,7 @@ class TestPrunedCollisionPairs:
             problem.config.detuning_threshold_ghz,
             cutoff_mm=0.5, skin_mm=0.25)
         pos = problem.initial_positions
-        pairs, _ = provider.pairs(pos)
+        pairs = provider.pairs(pos)
         assert pairs.shape[0] < problem.collision_pairs.shape[0]
         if pairs.size:
             delta = pos[pairs[:, 0]] - pos[pairs[:, 1]]
@@ -292,8 +290,7 @@ class TestFrequencyBanding:
                 problem.frequencies, problem.resonator_index,
                 problem.config.detuning_threshold_ghz,
                 cutoff_mm=3.0, skin_mm=1.0, band_pairs=False)
-            pairs_b, index_b = banded.pairs(positions)
-            pairs_p, index_p = plain.pairs(positions)
+            pairs_b = banded.pairs(positions)
+            pairs_p = plain.pairs(positions)
             assert np.array_equal(pairs_b, pairs_p)
-            assert np.array_equal(index_b, index_p)
             assert banded.peak_candidates <= plain.peak_candidates

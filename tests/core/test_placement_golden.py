@@ -1,0 +1,42 @@
+"""Golden digests of final placements (bit-identity gate).
+
+The global placer's objective kernels are rewritten for speed from time
+to time; every such rewrite must leave the optimizer trajectory, and so
+the final layout, bit-for-bit unchanged.  These SHA-256 digests of
+``layout.positions.tobytes()`` were recorded with the straightforward
+kernels (fancy-indexed pair gathers, per-call temporaries, separate
+rasterise/gather windows) and pin both strategies on two paper tiers,
+plus the sparse backend, which exercises the neighbor-list rebuilds
+and the incremental density map with its flush checkpoints.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.core import PlacerConfig, QPlacer
+from repro.devices import build_netlist, get_topology
+
+GOLDEN = [
+    ("grid-25", "qplacer", {},
+     "4bf518cc8646565d97a6b4b3e5174376585bb82340bf2808dd7bc61a1ce72b18"),
+    ("grid-25", "classic", {},
+     "53dc716458276cf1999f40c778afa7b09020c80e51d4445a0eae18084e8b1015"),
+    ("falcon-27", "qplacer", {},
+     "d92fa8d04b101ddc6b74bef152437fa3330778d0c4b58a50cd758f4b1ad4fe26"),
+    ("falcon-27", "classic", {},
+     "79d379653a0286990c74ee1941e4f3c8c716f7486a7ea42d53a4eaaf1cd2dae0"),
+    ("falcon-27", "qplacer", {"interaction_backend": "sparse"},
+     "1900519d48b66a8dca094d99f8a279c65d48baa509b6dee4ecc6d0c68fd98f64"),
+]
+
+
+@pytest.mark.parametrize(
+    "topology,strategy,overrides,digest", GOLDEN,
+    ids=[f"{t}-{s}{'-sparse' if o else ''}" for t, s, o, _ in GOLDEN])
+def test_positions_digest(topology, strategy, overrides, digest):
+    config = (PlacerConfig.classic(**overrides) if strategy == "classic"
+              else PlacerConfig(**overrides))
+    result = QPlacer(config).place(build_netlist(get_topology(topology)))
+    positions = result.layout.positions
+    assert hashlib.sha256(positions.tobytes()).hexdigest() == digest

@@ -51,16 +51,13 @@ class TestFrequencyForceEquivalence:
         rng = np.random.default_rng(seed)
         positions = problem.initial_positions + rng.normal(
             0.0, 0.3, size=problem.initial_positions.shape)
-        sparse_pairs, sparse_index = provider.pairs(positions)
+        sparse_pairs = provider.pairs(positions)
         assert np.array_equal(sparse_pairs, problem.collision_pairs)
         dense_pairs = problem.collision_pairs
-        dense_index = np.concatenate([dense_pairs[:, 0], dense_pairs[:, 1]])
         e_dense, g_dense = frequency_energy_and_grad(
-            positions, dense_pairs, problem.config.freq_force_smoothing_mm,
-            pair_index=dense_index)
+            positions, dense_pairs, problem.config.freq_force_smoothing_mm)
         e_sparse, g_sparse = frequency_energy_and_grad(
-            positions, sparse_pairs, problem.config.freq_force_smoothing_mm,
-            pair_index=sparse_index)
+            positions, sparse_pairs, problem.config.freq_force_smoothing_mm)
         assert e_dense == e_sparse
         assert np.array_equal(g_dense, g_sparse)
 
