@@ -3,14 +3,11 @@
 Gates the PR-7 tentpole — the batched spatial-hash feasibility engine
 and the vectorized detailed placer — against the in-tree references:
 
-* **bit identity** on the paper tiers: the hash-screened legalizer must
-  reproduce the preserved seed legalizer
-  (:mod:`repro.core.legalizer_reference`) *and* the full-array scan
-  screening mode exactly;
-* **bit identity** at condor scale between the ``"hash"`` and ``"scan"``
-  screening modes (same sites, different neighbor search);
+* **bit identity** on the paper tiers and at condor scale: the
+  hash-screened legalizer must reproduce the preserved seed legalizer
+  (:mod:`repro.core.legalizer_reference`) exactly;
 * **combined speedup**: hash-screened legalize + batched detailed
-  placement must beat scan-screened legalize + the scalar reference
+  placement must beat the seed legalizer + the scalar reference
   detailed placer (:mod:`repro.core.detailed_reference`) by at least
   :data:`MIN_COMBINED_SPEEDUP` on the condor tier;
 * **quality parity**: the batched detailed placer's final wirelength
@@ -49,8 +46,8 @@ CONDOR_TOPOLOGY = "condor-1121" if FULL else "condor-sm-433"
 #: Paper tiers pinned to bit-identity against the seed legalizer.
 IDENTITY_TOPOLOGIES = ("grid-25", "eagle-127")
 
-#: Required combined legalize+detailed speedup on the condor tier
-#: (ISSUE 7 acceptance criterion; measured ~7x on condor-sm-433).
+#: Required combined legalize+detailed speedup on the condor tier over
+#: the two preserved references.
 MIN_COMBINED_SPEEDUP = 3.0
 
 #: Batched detailed placement may trail the scalar reference's final
@@ -72,16 +69,13 @@ def _prepare(topology_name: str):
 
 
 def _identity_report(topology_name: str) -> Dict[str, object]:
-    """Seed-reference vs scan vs hash legalization on one paper tier."""
+    """Seed-reference vs hash legalization on one paper tier."""
     config, problem, gp = _prepare(topology_name)
     ref_pos, _ = legalizer_reference.legalize(problem, gp, config)
-    scan_pos, _ = legalizer.legalize(
-        problem, gp, PlacerConfig(legalizer_screening="scan"))
     hash_pos, _ = legalizer.legalize(problem, gp, config)
     return {
         "num_instances": problem.num_instances,
         "hash_matches_reference": bool(np.array_equal(hash_pos, ref_pos)),
-        "scan_matches_reference": bool(np.array_equal(scan_pos, ref_pos)),
     }
 
 
@@ -99,17 +93,16 @@ def test_perf_legalize(results_dir):
                 for name in IDENTITY_TOPOLOGIES}
     report["identity"] = identity
 
-    # -- condor tier: screening identity + combined speedup --------------
+    # -- condor tier: reference identity + combined speedup --------------
     config, problem, gp = _prepare(CONDOR_TOPOLOGY)
-    scan_cfg = PlacerConfig(legalizer_screening="scan")
 
     t0 = time.perf_counter()
-    scan_pos, _ = legalizer.legalize(problem, gp, scan_cfg)
-    scan_s = time.perf_counter() - t0
+    ref_pos, _ = legalizer_reference.legalize(problem, gp, config)
+    ref_legalize_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     ref_det_pos, ref_det_stats = detailed_reference.refine_placement(
-        problem, scan_pos, scan_cfg, max_passes=1)
+        problem, ref_pos, config, max_passes=1)
     ref_detailed_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -121,20 +114,20 @@ def test_perf_legalize(results_dir):
     hash_s = prof.flat_seconds().get("legalize", 0.0)
     new_detailed_s = prof.flat_seconds().get("detailed", 0.0)
 
-    baseline_s = scan_s + ref_detailed_s
+    baseline_s = ref_legalize_s + ref_detailed_s
     speedup = baseline_s / max(new_s, 1e-9)
     hpwl_ratio = new_det_stats.hpwl_after / ref_det_stats.hpwl_after
     phase_top_sum = prof.top_level_seconds()
     report["condor"] = {
         "num_instances": problem.num_instances,
-        "scan_legalize_s": round(scan_s, 4),
+        "reference_legalize_s": round(ref_legalize_s, 4),
         "hash_legalize_s": round(hash_s, 4),
         "reference_detailed_s": round(ref_detailed_s, 4),
         "batched_detailed_s": round(new_detailed_s, 4),
         "baseline_s": round(baseline_s, 4),
         "new_s": round(new_s, 4),
         "combined_speedup": round(speedup, 2),
-        "screening_identical": bool(np.array_equal(hash_pos, scan_pos)),
+        "hash_matches_reference": bool(np.array_equal(hash_pos, ref_pos)),
         "hpwl_reference": round(float(ref_det_stats.hpwl_after), 3),
         "hpwl_batched": round(float(new_det_stats.hpwl_after), 3),
         "hpwl_ratio": round(float(hpwl_ratio), 5),
@@ -156,11 +149,9 @@ def test_perf_legalize(results_dir):
     for name, entry in identity.items():
         assert entry["hash_matches_reference"], \
             f"{name}: hash-screened legalizer diverged from the reference"
-        assert entry["scan_matches_reference"], \
-            f"{name}: scan-screened legalizer diverged from the reference"
     condor = report["condor"]
-    assert condor["screening_identical"], \
-        "condor: hash and scan screening produced different layouts"
+    assert condor["hash_matches_reference"], \
+        "condor: hash-screened legalizer diverged from the reference"
     assert speedup >= MIN_COMBINED_SPEEDUP, \
         (f"combined legalize+detailed speedup {speedup:.2f}x < "
          f"{MIN_COMBINED_SPEEDUP}x on {CONDOR_TOPOLOGY}")

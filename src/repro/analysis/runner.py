@@ -79,6 +79,11 @@ from ..io.serialization import canonical_json
 #:    streams change every disorder realisation, map request digests
 #:    key on the circuit content digest (layer-1 coalescing), and the
 #:    service gained the ``ensemble`` request kind.
+#: Dropping PlacerConfig fields needs no bump: the A/B-only
+#: ``legalizer_screening`` / ``freq_pair_banding`` /
+#: ``incremental_density`` switches (added in 5 and 6) left without
+#: changing any default result, and the smaller field set re-keys every
+#: config-bearing digest, so a stale key can never collide.
 CACHE_SCHEMA_VERSION = 9
 
 #: Environment variable naming the default on-disk cache directory.

@@ -226,8 +226,7 @@ def _protocol_start_order(n: int) -> Tuple[int, ...]:
 
 
 def sample_connected_subset(topology: Topology, size: int,
-                            seed: int = 0,
-                            legacy_start: bool = False) -> List[int]:
+                            seed: int = 0) -> List[int]:
     """Grow a random connected subset of ``size`` physical qubits.
 
     The start node is ``order[seed % n]`` of one fixed protocol
@@ -241,10 +240,6 @@ def sample_connected_subset(topology: Topology, size: int,
         topology: Target device.
         size: Number of qubits to select.
         seed: Deterministic subset seed.
-        legacy_start: Restore the seed repo's behaviour of re-deriving
-            the start permutation from this subset's own rng (which
-            made coverage accidental — kept only for reproducing old
-            recorded artefacts).
 
     Raises:
         ValueError: when ``size`` exceeds the device size.
@@ -253,11 +248,7 @@ def sample_connected_subset(topology: Topology, size: int,
     if size < 1 or size > n:
         raise ValueError(f"subset size {size} out of range 1..{n}")
     rng = np.random.default_rng(seed)
-    if legacy_start:
-        start_order = rng.permutation(n)
-        start = int(start_order[seed % n])
-    else:
-        start = _protocol_start_order(n)[seed % n]
+    start = _protocol_start_order(n)[seed % n]
     subset = {start}
     frontier = set(topology.neighbors(start))
     while len(subset) < size:

@@ -61,6 +61,7 @@ DEFAULT_CLI_BENCHMARKS = ("bv-4", "bv-16", "qaoa-9", "ising-4", "qgan-4")
 from .devices import (PAPER_TOPOLOGY_ORDER, SCALE_TOPOLOGY_ORDER,
                       TOPOLOGY_FACTORIES, build_netlist, get_topology)
 from .io import save_gds, save_layout, save_svg
+from .io.serialization import canonicalize
 
 
 def _add_common_placer_args(parser: argparse.ArgumentParser) -> None:
@@ -127,38 +128,23 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
                         help="spatial interaction strategy: dense pair "
                              "matrices, sparse uniform-grid neighbor "
                              "lists, or auto by problem size (default)")
-    parser.add_argument("--incremental-density",
-                        choices=("auto", "on", "off"), default="auto",
-                        help="incremental density-map updates: on, off "
-                             "(dense recompute), or auto = follow the "
-                             "resolved interaction backend (default)")
     parser.add_argument("--density-flush-interval", type=_positive_int,
                         default=None, metavar="N",
                         help="full density rebuild checkpoint every N "
-                             "incremental evaluations (default 16)")
+                             "incremental evaluations, on problems the "
+                             "sparse backend places (default 16)")
     parser.add_argument("--density-move-threshold", type=_nonnegative_float,
                         default=None, metavar="MM",
                         dest="density_move_threshold_mm",
                         help="re-scatter an instance only once it moved "
                              "more than this per axis, in mm (default "
                              "0.01; 0 = every nonzero move)")
-    parser.add_argument("--freq-pair-banding", choices=("on", "off"),
-                        default="on",
-                        help="frequency-band the sparse neighbor-list "
-                             "grid so non-resonant candidates are never "
-                             "generated (default on)")
     parser.add_argument("--detailed-passes", type=_detailed_passes,
                         default=None, metavar="N|auto",
                         help="detailed-placement sweeps after "
                              "legalization: a count, 0 to disable, or "
                              "auto = 1 on condor-scale topologies and 0 "
                              "on the paper tiers (default auto)")
-    parser.add_argument("--legalizer-screening", choices=("hash", "scan"),
-                        default="hash",
-                        help="legalizer neighbor screening: spatial-hash "
-                             "buckets (default) or the reference "
-                             "full-array scan (identical layouts, for "
-                             "A/B timing)")
 
 
 def _add_runner_args(parser: argparse.ArgumentParser) -> None:
@@ -174,24 +160,22 @@ def _runner_from(args: argparse.Namespace) -> ParallelRunner:
 
 
 def _config_from(args: argparse.Namespace) -> PlacerConfig:
-    extra = {}
-    if getattr(args, "density_flush_interval", None) is not None:
-        extra["density_flush_interval"] = args.density_flush_interval
-    if getattr(args, "density_move_threshold_mm", None) is not None:
-        extra["density_move_threshold_mm"] = args.density_move_threshold_mm
-    return PlacerConfig(segment_size_mm=args.segment_size, seed=args.seed,
-                        placer=getattr(args, "placer", "force"),
-                        interaction_backend=getattr(
-                            args, "interaction_backend", "auto"),
-                        incremental_density=getattr(
-                            args, "incremental_density", "auto"),
-                        freq_pair_banding=getattr(
-                            args, "freq_pair_banding", "on") == "on",
-                        detailed_passes=getattr(
-                            args, "detailed_passes", None),
-                        legalizer_screening=getattr(
-                            args, "legalizer_screening", "hash"),
-                        **extra)
+    """The placer config a command's arguments describe.
+
+    ``--classic`` (``place`` / ``profile``) selects the Classic baseline
+    with the same overrides.
+    """
+    kw = dict(segment_size_mm=args.segment_size, seed=args.seed,
+              placer=getattr(args, "placer", "force"),
+              interaction_backend=getattr(args, "interaction_backend",
+                                          "auto"),
+              detailed_passes=getattr(args, "detailed_passes", None))
+    for key in ("density_flush_interval", "density_move_threshold_mm"):
+        if getattr(args, key, None) is not None:
+            kw[key] = getattr(args, key)
+    if getattr(args, "classic", False):
+        return PlacerConfig.classic(**kw)
+    return PlacerConfig(**kw)
 
 
 def cmd_topologies(_args: argparse.Namespace) -> int:
@@ -215,17 +199,6 @@ def cmd_topologies(_args: argparse.Namespace) -> int:
 
 def cmd_place(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    if args.classic:
-        config = PlacerConfig.classic(
-            segment_size_mm=args.segment_size, seed=args.seed,
-            placer=config.placer,
-            interaction_backend=args.interaction_backend,
-            incremental_density=config.incremental_density,
-            density_flush_interval=config.density_flush_interval,
-            density_move_threshold_mm=config.density_move_threshold_mm,
-            freq_pair_banding=config.freq_pair_banding,
-            detailed_passes=config.detailed_passes,
-            legalizer_screening=config.legalizer_screening)
     from .placers import make_placer
     netlist = build_netlist(get_topology(args.topology))
     result = make_placer(config).place(netlist)
@@ -264,11 +237,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     import json
 
     config = _config_from(args)
-    if args.classic:
-        from dataclasses import replace
-        config = replace(config, frequency_aware=False,
-                         legalize_integration=False,
-                         chain_aware_tetris=False)
     from .placers import make_placer
     netlist = build_netlist(get_topology(args.topology))
     result = make_placer(config).place(netlist)
@@ -445,19 +413,17 @@ def cmd_workloads_build(args: argparse.Namespace) -> int:
 
 
 #: Shard-payload keys that must agree across every shard of a merge —
-#: the full placement + protocol context, so shards produced with
-#: different settings cannot silently combine into a table that matches
-#: no single-process run.
+#: the protocol context plus the canonical placer config, so shards
+#: produced with different settings cannot silently combine into a
+#: table that matches no single-process run.
 SHARD_CONTEXT_KEYS = (
     "topology", "workloads", "shard_count", "num_mappings", "base_seed",
-    "strategies", "placement_seed", "segment_size_mm",
-    "interaction_backend", "incremental_density",
-    "detailed_passes", "legalizer_screening",
+    "strategies", "config",
 )
 
 
 def _shard_payload(args: argparse.Namespace, names: tuple,
-                   fidelity: dict) -> dict:
+                   config: PlacerConfig, fidelity: dict) -> dict:
     return {
         "kind": "workload-shard",
         "topology": args.topology,
@@ -467,12 +433,7 @@ def _shard_payload(args: argparse.Namespace, names: tuple,
         "num_mappings": args.mappings,
         "base_seed": args.base_seed,
         "strategies": args.strategies.split(","),
-        "placement_seed": args.seed,
-        "segment_size_mm": args.segment_size,
-        "interaction_backend": args.interaction_backend,
-        "incremental_density": args.incremental_density,
-        "detailed_passes": args.detailed_passes,
-        "legalizer_screening": args.legalizer_screening,
+        "config": canonicalize(config),
         "fidelity": fidelity,
     }
 
@@ -503,7 +464,7 @@ def cmd_workloads_evaluate(args: argparse.Namespace) -> int:
             suite, benchmarks=names, num_mappings=args.mappings,
             base_seed=args.base_seed, runner=runner,
             shard_index=args.shard_index, shard_count=args.shard_count)
-        payload = _shard_payload(args, names, fidelity)
+        payload = _shard_payload(args, names, config, fidelity)
         if args.json:
             with open(args.json, "w") as fh:
                 json.dump(payload, fh, indent=2)
@@ -541,10 +502,19 @@ def cmd_workloads_merge(args: argparse.Namespace) -> int:
     first = shards[0]
     for shard in shards[1:]:
         for key in SHARD_CONTEXT_KEYS:
-            if shard.get(key) != first.get(key):
+            a, b = shard.get(key), first.get(key)
+            if a == b:
+                continue
+            if key == "config" and isinstance(a, dict) \
+                    and isinstance(b, dict):
+                a, b = a.get("__config__", {}), b.get("__config__", {})
+                fields = sorted(k for k in set(a) | set(b)
+                                if a.get(k) != b.get(k))
                 raise SystemExit(
-                    f"shard files disagree on {key!r}: "
-                    f"{shard.get(key)!r} vs {first.get(key)!r}")
+                    f"shard files disagree on placer config fields "
+                    f"{fields}")
+            raise SystemExit(
+                f"shard files disagree on {key!r}: {a!r} vs {b!r}")
     indices = [shard.get("shard_index") for shard in shards]
     if len(set(indices)) != len(indices):
         raise SystemExit(f"duplicate shard indices: {sorted(indices)}")

@@ -66,8 +66,6 @@ class PlacerConfig:
         spiral_max_radius_sites: Search bound of the greedy spiral.
         detailed_passes: Post-legalization refinement sweeps; ``None``
             resolves per problem size (:meth:`resolved_detailed_passes`).
-        legalizer_screening: ``"hash"`` (spatial-hash candidate screen)
-            or ``"scan"`` (full-array mask baseline).
 
     Spatial interaction backend (:mod:`repro.core.interactions`):
 
@@ -79,14 +77,9 @@ class PlacerConfig:
         freq_pair_cutoff_mm: Sparse-only distance cutoff of the
             frequency repulsive force.
         freq_pair_skin_mm: Sparse-only Verlet skin of the neighbor list.
-        freq_pair_banding: Bucket neighbor-list candidates by frequency
-            band before the spatial grid, so never-resonant pairs are
-            never materialised.  Result-preserving (the exact resonance
-            filter still runs); off reproduces the PR 2 rebuild cost.
-        incremental_density: ``"auto"`` (incremental on sparse-resolved
-            problems, dense recompute elsewhere), ``"on"``, or ``"off"``.
         density_flush_interval: Full-rasterise checkpoint cadence of the
-            incremental density path, in objective evaluations; ``1``
+            incremental density path (taken exactly when the backend
+            resolves sparse), in objective evaluations; ``1``
             flushes every evaluation, which is arithmetically identical
             to the dense recompute (the bench's bit-identity gate).
         density_move_threshold_mm: Instances displaced at most this per
@@ -126,11 +119,6 @@ class PlacerConfig:
     #: problems where the vectorized engine makes it affordable, none on
     #: the dense paper tiers (whose layouts stay bit-identical).
     detailed_passes: Optional[int] = None
-    #: Candidate screening of the legalizer's feasibility checks:
-    #: ``"hash"`` queries the linked-cell spatial hash (superset screen,
-    #: identical verdicts), ``"scan"`` keeps the full-array mask path —
-    #: the pre-hash baseline the perf bench measures against.
-    legalizer_screening: str = "hash"
 
     # spatial interaction backend (see repro.core.interactions)
     #: ``"auto"`` (size-based), ``"dense"``, or ``"sparse"``.
@@ -145,13 +133,9 @@ class PlacerConfig:
     #: neighbor list; the list is rebuilt once any instance drifts more
     #: than half the skin.
     freq_pair_skin_mm: float = 1.5
-    #: Frequency-banded candidate generation during neighbor-list
-    #: rebuilds (result-preserving; the dominant condor-scale win).
-    freq_pair_banding: bool = True
 
-    # incremental density (see repro.core.density)
-    #: ``"auto"`` (on for sparse-resolved problems), ``"on"``, ``"off"``.
-    incremental_density: str = "auto"
+    # incremental density (see repro.core.density), engaged exactly
+    # when the interaction backend resolves sparse
     #: Objective evaluations between full-rasterise checkpoints (>= 1).
     density_flush_interval: int = 16
     #: Per-axis displacement below which an instance's bin charge is
@@ -214,10 +198,6 @@ class PlacerConfig:
         if self.detailed_passes is not None and self.detailed_passes < 0:
             raise ValueError("detailed_passes must be >= 0 (or None for "
                              f"auto), got {self.detailed_passes}")
-        if self.legalizer_screening not in ("hash", "scan"):
-            raise ValueError(
-                f"legalizer_screening must be one of ('hash', 'scan'), "
-                f"got {self.legalizer_screening!r}")
         if self.spiral_max_radius_sites < 0:
             raise ValueError("spiral_max_radius_sites must be >= 0, got "
                              f"{self.spiral_max_radius_sites}")
@@ -230,10 +210,6 @@ class PlacerConfig:
         if self.freq_pair_cutoff_mm <= 0 or self.freq_pair_skin_mm <= 0:
             raise ValueError("frequency pair cutoff and skin must be "
                              "positive")
-        if self.incremental_density not in ("auto", "on", "off"):
-            raise ValueError(
-                f"incremental_density must be one of ('auto', 'on', "
-                f"'off'), got {self.incremental_density!r}")
         if self.density_flush_interval < 1:
             raise ValueError("density_flush_interval must be >= 1, got "
                              f"{self.density_flush_interval}")
@@ -316,19 +292,6 @@ class PlacerConfig:
             return self.detailed_passes
         return 1 if self.resolved_interaction_backend(num_instances) \
             == "sparse" else 0
-
-    def resolved_incremental_density(self, num_instances: int) -> bool:
-        """Whether the density field updates incrementally at this size.
-
-        ``"auto"`` couples the decision to the interaction backend: the
-        six paper topologies resolve dense and keep the bit-exact dense
-        recompute, while condor-class problems go incremental.
-        """
-        if self.incremental_density == "on":
-            return True
-        if self.incremental_density == "off":
-            return False
-        return self.resolved_interaction_backend(num_instances) == "sparse"
 
     def qubit_site_pitch_mm(self, qubit_size_mm: float = constants.QUBIT_SIZE_MM) -> float:
         """Legalization lattice pitch for qubits."""

@@ -116,8 +116,6 @@ class GlobalPlacer:
                     f"({problem.num_instances}, 2), got "
                     f"{initial_positions.shape}")
             self._warm_start = initial_positions
-        self._incremental_density = \
-            self.config.resolved_incremental_density(problem.num_instances)
         self._density_evals = 0
         self._lambda_density = 0.0
         self._lambda_freq = 0.0
@@ -128,6 +126,9 @@ class GlobalPlacer:
             np.concatenate([nets[:, 0], nets[:, 1]]) if nets.size else None)
         backend = self.config.resolved_interaction_backend(
             problem.num_instances)
+        # Condor-class (sparse-resolved) problems update the density map
+        # incrementally; the dense paper tiers keep the exact recompute.
+        self._incremental_density = backend == BACKEND_SPARSE
         self._sparse_pairs: Optional[PrunedCollisionPairs] = None
         self._freq_kernel: Optional[FrequencyForce] = None
         self._kernel_rebuilds = 0
@@ -138,8 +139,7 @@ class GlobalPlacer:
                 problem.frequencies, problem.resonator_index,
                 self.config.detuning_threshold_ghz,
                 cutoff_mm=self.config.freq_pair_cutoff_mm,
-                skin_mm=self.config.freq_pair_skin_mm,
-                band_pairs=self.config.freq_pair_banding)
+                skin_mm=self.config.freq_pair_skin_mm)
 
     def _frequency_kernel(self, positions: np.ndarray) -> FrequencyForce:
         """Force kernel over the collision pairs active at ``positions``.

@@ -316,10 +316,6 @@ class RequiredGapTable:
             self._rows[key] = row
         return row
 
-    def lookup(self, i: int, js: np.ndarray, strict: bool) -> np.ndarray:
-        """Required gaps from instance ``i`` to the instances ``js``."""
-        return self.row(i, strict)[js]
-
     def pairs(self, i: int, js: np.ndarray, strict: bool) -> np.ndarray:
         """Required gaps from ``i`` to ``js`` in O(len(js)).
 
@@ -380,9 +376,9 @@ class PrunedCollisionPairs:
     region the produced pair array is bit-identical (same contents, same
     lex order) to the precomputed dense collision map.
 
-    With ``band_pairs`` (default) candidate generation adds a frequency
-    dimension to the grid (:func:`frequency_bands`): instances more than
-    one detuning-threshold band apart can never be resonant, so their
+    Candidate generation adds a frequency dimension to the grid
+    (:func:`frequency_bands`): instances more than one
+    detuning-threshold band apart can never be resonant, so their
     spatial pairs are never materialised.  Profiling condor-sm-433
     placement showed the rebuild filter — millions of spatially-near
     but non-resonant candidates — at >90% of the run; banding removes
@@ -392,8 +388,7 @@ class PrunedCollisionPairs:
 
     def __init__(self, frequencies: np.ndarray, resonator_index: np.ndarray,
                  detuning_threshold_ghz: float,
-                 cutoff_mm: float, skin_mm: Optional[float] = None,
-                 band_pairs: bool = True) -> None:
+                 cutoff_mm: float, skin_mm: Optional[float] = None) -> None:
         if cutoff_mm <= 0:
             raise ValueError("cutoff must be positive")
         self._freqs = np.asarray(frequencies, dtype=float)
@@ -402,8 +397,7 @@ class PrunedCollisionPairs:
         self.cutoff_mm = float(cutoff_mm)
         self.skin_mm = float(skin_mm) if skin_mm is not None \
             else 0.5 * float(cutoff_mm)
-        self._bands = (frequency_bands(self._freqs, self._threshold)
-                       if band_pairs else None)
+        self._bands = frequency_bands(self._freqs, self._threshold)
         self._pairs: Optional[np.ndarray] = None
         self._ref_positions: Optional[np.ndarray] = None
         self.rebuilds = 0

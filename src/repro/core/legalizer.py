@@ -29,10 +29,11 @@ This module is the *fast path*: pairwise required gaps come from a
 matrices on paper-scale problems, on-demand rows on condor-class ones —
 the strategy follows ``config.interaction_backend``), spiral offsets are
 generated once per radius with numpy, and candidate sites are screened
-ring-by-ring against all placed instances with array arithmetic instead
-of per-pair Python calls.  The seed's scalar implementation is preserved
-verbatim in :mod:`repro.core.legalizer_reference` and the equivalence
-tests pin this implementation to it.
+ring-by-ring, against the placed instances a linked-cell spatial hash
+returns, with array arithmetic instead of per-pair Python calls.  The
+seed's scalar implementation is preserved verbatim in
+:mod:`repro.core.legalizer_reference` and the equivalence tests pin
+this implementation to it.
 """
 
 from __future__ import annotations
@@ -270,10 +271,6 @@ class Legalizer:
         self._interact_radius = 2.0 * max_half + max_gap + 1e-6
         self._hash = _SpatialHash(cell_size=max(self._interact_radius, 0.5),
                                   capacity=p.num_instances)
-        #: "hash" screens candidate neighbourhoods through the spatial
-        #: hash (superset queries — verdicts identical by construction);
-        #: "scan" keeps the pre-hash full-array mask path for A/B runs.
-        self._screening = self.config.legalizer_screening
         self._txn: Optional[List[Tuple[int, Tuple[float, float]]]] = None
         self._segs_by_res: Optional[Dict[int, List[int]]] = None
         self._qubit_pitch = self.config.qubit_site_pitch_mm(
@@ -291,21 +288,7 @@ class Legalizer:
             p.attached_resonators, self.config.detuning_threshold_ghz,
             backend=self.config.resolved_interaction_backend(n))
 
-    @property
-    def _offsets(self) -> List[Tuple[int, int]]:
-        """Seed-compatible spiral offsets as a list of tuples."""
-        return [(int(dx), int(dy)) for dx, dy in self._offsets_arr]
-
     # -- geometric feasibility ---------------------------------------------------
-
-    def _gap(self, i: int, xi: float, yi: float, j: int) -> float:
-        """Edge-to-edge gap between instance i at (xi, yi) and placed j."""
-        p = self.problem
-        xj, yj = self.positions[j]
-        gx = abs(xi - xj) - 0.5 * (p.sizes[i, 0] + p.sizes[j, 0])
-        gy = abs(yi - yj) - 0.5 * (p.sizes[i, 1] + p.sizes[j, 1])
-        return math.hypot(max(gx, 0.0), max(gy, 0.0)) if (gx > 0 or gy > 0) \
-            else max(gx, gy)
 
     def _gaps_to(self, js: np.ndarray, i: int, x: float, y: float) -> np.ndarray:
         """Edge-to-edge gaps from instance ``i`` at ``(x, y)`` to ``js``."""
@@ -340,29 +323,18 @@ class Legalizer:
                    enforce_resonant: Optional[bool] = None) -> bool:
         """Check all spacing rules for instance ``i`` at ``(x, y)``.
 
-        The neighbourhood screen — hash cells or a full-array mask,
-        per ``config.legalizer_screening`` — only decides *which*
-        instances get a gap check; any instance beyond the interaction
-        radius passes trivially (its gap exceeds every possible
-        requirement), so both screens produce identical verdicts.
+        The spatial-hash screen only decides *which* instances get a gap
+        check; any instance beyond the interaction radius passes
+        trivially (its gap exceeds every possible requirement), so the
+        superset query never changes a verdict.
         """
         if enforce_resonant is None:
             enforce_resonant = self.config.frequency_aware
-        if self._screening == "scan":
-            mask = self._neighbor_mask(x, y, self._interact_radius)
-            mask[i] = False
-            for j in ignore:
-                mask[j] = False
-            js = np.flatnonzero(mask)
-            if js.size == 0:
-                return True
-            req = self._req.lookup(i, js, enforce_resonant)
-        else:
-            js = self._screen(
-                self._hash.near_array(x, y, self._interact_radius), i, ignore)
-            if js.size == 0:
-                return True
-            req = self._req.pairs(i, js, enforce_resonant)
+        js = self._screen(
+            self._hash.near_array(x, y, self._interact_radius), i, ignore)
+        if js.size == 0:
+            return True
+        req = self._req.pairs(i, js, enforce_resonant)
         gaps = self._gaps_to(js, i, x, y)
         return bool(np.all(gaps >= req - _TOL))
 
@@ -381,24 +353,12 @@ class Legalizer:
         if enforce_resonant is None:
             enforce_resonant = self.config.frequency_aware
         arr = np.asarray(sites, dtype=float)
-        if self._screening == "scan":
-            cx = 0.5 * (arr[:, 0].min() + arr[:, 0].max())
-            cy = 0.5 * (arr[:, 1].min() + arr[:, 1].max())
-            reach = (max(arr[:, 0].max() - cx, arr[:, 1].max() - cy)
-                     + self._interact_radius)
-            mask = self._neighbor_mask(cx, cy, reach)
-            mask[i] = False
-            for j in ignore:
-                mask[j] = False
-            js = np.flatnonzero(mask)
-            req = self._req.lookup(i, js, enforce_resonant) if js.size else None
-        else:
-            js = self._screen(
-                self._hash.near_many(arr[:, 0], arr[:, 1],
-                                     self._interact_radius), i, ignore)
-            req = self._req.pairs(i, js, enforce_resonant) if js.size else None
+        js = self._screen(
+            self._hash.near_many(arr[:, 0], arr[:, 1],
+                                 self._interact_radius), i, ignore)
         if js.size == 0:
             return (float(arr[0, 0]), float(arr[0, 1]))
+        req = self._req.pairs(i, js, enforce_resonant)
         pos = self.positions[js]
         gx = (np.abs(arr[:, 0][:, None] - pos[None, :, 0])
               - (self._half[i, 0] + self._half[js, 0])[None, :])
@@ -449,33 +409,21 @@ class Legalizer:
             enforce_resonant = self.config.frequency_aware
         base_x = round(target[0] / pitch) * pitch
         base_y = round(target[1] / pitch) * pitch
-        scan = self._screening == "scan"
-        req_row = self._req.row(i, enforce_resonant) if scan else None
         offs = self._offsets_arr
         max_ring = self.config.spiral_max_radius_sites
         for ring in range(max_ring + 1):
             lo, hi = _ring_bounds(ring)
             sx = base_x + offs[lo:hi, 0] * pitch
             sy = base_y + offs[lo:hi, 1] * pitch
-            if scan:
-                mask = self._neighbor_mask(
-                    base_x, base_y, ring * pitch + self._interact_radius)
-                mask[i] = False
-                js = np.flatnonzero(mask)
-                req = req_row[js] if js.size else None
-            else:
-                # Hash screen per ring: the union of each site's
-                # interaction ball covers the ring's perimeter, not the
-                # whole disc the scan mask sweeps — on large rings that
-                # is the difference between O(ring) and O(ring^2) work.
-                js = self._screen(
-                    self._hash.near_many(sx, sy, self._interact_radius),
-                    i, ())
-                req = (self._req.pairs(i, js, enforce_resonant)
-                       if js.size else None)
+            # Hash screen per ring: the union of each site's interaction
+            # ball covers only the ring's perimeter — O(ring) work on
+            # large rings instead of O(ring^2) for the whole disc.
+            js = self._screen(
+                self._hash.near_many(sx, sy, self._interact_radius), i, ())
             if js.size == 0:
                 ok = np.ones(hi - lo, dtype=bool)
             else:
+                req = self._req.pairs(i, js, enforce_resonant)
                 pos = self.positions[js]
                 gx = (np.abs(sx[:, None] - pos[None, :, 0])
                       - (self._half[i, 0] + self._half[js, 0])[None, :])
@@ -954,8 +902,6 @@ class Legalizer:
         A superset screen (hash-cell resolution) — callers needing the
         exact set must distance-filter the result.
         """
-        if self._screening == "scan":
-            return np.flatnonzero(self._neighbor_mask(x, y, radius_mm))
         return self._hash.near_array(x, y, radius_mm)
 
     def try_moves(self, moves: Sequence[Tuple[int, Tuple[float, float]]],

@@ -124,34 +124,23 @@ def apply_frequency_disorder(netlist: QuantumNetlist,
                              sigma_resonator_ghz: float = 0.01,
                              seed: int = 0,
                              qubit_band: Tuple[float, float] = constants.QUBIT_FREQ_BAND_GHZ,
-                             resonator_band: Tuple[float, float] = constants.RESONATOR_FREQ_BAND_GHZ,
-                             legacy_stream: bool = False) -> QuantumNetlist:
+                             resonator_band: Tuple[float, float] = constants.RESONATOR_FREQ_BAND_GHZ
+                             ) -> QuantumNetlist:
     """A new netlist whose component frequencies carry fab scatter.
 
     The original netlist is untouched; the returned one shares the
     topology but owns perturbed component objects and plan.
 
-    By default the qubit and resonator families draw from independent
+    The qubit and resonator families draw from independent
     ``SeedSequence`` child streams, so the realisation of one family is
-    insensitive to the size of the other.  ``legacy_stream=True``
-    restores the historical behaviour of both families sharing a single
-    ``default_rng(seed)`` stream (where adding a qubit silently shifted
-    every resonator's draw) for comparison against old recorded results.
+    insensitive to the size of the other.
     """
     qubit_targets = np.array([q.frequency for q in netlist.qubits])
     resonator_targets = np.array([r.frequency for r in netlist.resonators])
-    if legacy_stream:
-        rng = np.random.default_rng(seed)
-        qubit_real = scatter_frequencies(qubit_targets, sigma_qubit_ghz,
-                                         qubit_band, rng)
-        resonator_real = scatter_frequencies(resonator_targets,
-                                             sigma_resonator_ghz,
-                                             resonator_band, rng)
-    else:
-        qubit_real, resonator_real = sample_disorder_frequencies(
-            qubit_targets, resonator_targets,
-            sigma_qubit_ghz, sigma_resonator_ghz,
-            np.random.SeedSequence(seed), qubit_band, resonator_band)
+    qubit_real, resonator_real = sample_disorder_frequencies(
+        qubit_targets, resonator_targets,
+        sigma_qubit_ghz, sigma_resonator_ghz,
+        np.random.SeedSequence(seed), qubit_band, resonator_band)
     return netlist_with_frequencies(netlist, qubit_real, resonator_real)
 
 

@@ -61,19 +61,6 @@ class TestSubsetSampling:
             covered.update(sample_connected_subset(grid, 1, seed=seed))
         assert covered == set(range(16))
 
-    def test_legacy_start_flag_reproduces_seed_behaviour(self, grid):
-        # Goldens recorded from the seed implementation, where the start
-        # permutation was (incorrectly) re-derived per subset seed.
-        assert sample_connected_subset(grid, 5, seed=3,
-                                       legacy_start=True) == [0, 1, 2, 4, 5]
-        assert sample_connected_subset(grid, 6, seed=7,
-                                       legacy_start=True) == \
-            [3, 5, 6, 7, 10, 14]
-        falcon = get_topology("falcon-27")
-        assert sample_connected_subset(falcon, 9, seed=11,
-                                       legacy_start=True) == \
-            [1, 2, 3, 4, 5, 8, 9, 11, 14]
-
     def test_size_validation(self, grid):
         with pytest.raises(ValueError):
             sample_connected_subset(grid, 0)

@@ -53,16 +53,11 @@ class TestValidation:
         {"num_bins": 4},
         {"max_iterations": 10, "min_iterations": 20},
         {"detailed_passes": -1},
-        {"legalizer_screening": "octree"},
         {"spiral_max_radius_sites": -1},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             PlacerConfig(**kwargs)
-
-    def test_screening_error_lists_choices(self):
-        with pytest.raises(ValueError, match="hash.*scan"):
-            PlacerConfig(legalizer_screening="octree")
 
 
 class TestDetailedPasses:

@@ -1,5 +1,7 @@
 """Unit tests for the global placement engine (Eq. 14 flow)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -85,3 +87,32 @@ class TestFrequencyAwareness:
         d_q = resonant_pair_distances(pos_q, pairs).mean()
         d_c = resonant_pair_distances(pos_c, pairs).mean()
         assert d_q > d_c
+
+
+class TestDensityMode:
+    """The density path follows the resolved interaction backend."""
+
+    def _problem(self, config):
+        return build_problem(build_netlist(grid_topology(2, 2)), config)
+
+    @pytest.mark.parametrize("backend,incremental",
+                             [("dense", False), ("sparse", True)])
+    def test_incremental_exactly_when_sparse(self, fast_config, backend,
+                                             incremental):
+        config = dataclasses.replace(fast_config,
+                                     interaction_backend=backend)
+        result = GlobalPlacer(self._problem(config), config).run()
+        assert (result.density_flushes > 0) is incremental
+
+    def test_flush_every_eval_matches_full_recompute(self, fast_config):
+        config = dataclasses.replace(
+            fast_config, interaction_backend="sparse",
+            density_flush_interval=1, density_move_threshold_mm=0.0)
+        problem = self._problem(config)
+        incremental = GlobalPlacer(problem, config).run()
+        full = GlobalPlacer(problem, config)
+        full._density = full.density.evaluate
+        reference = full.run()
+        assert incremental.density_flushes >= incremental.iterations
+        assert reference.density_flushes == 0
+        assert np.array_equal(incremental.positions, reference.positions)

@@ -128,11 +128,14 @@ class TestRequiredGapTable:
                 assert np.array_equal(dense.row(i, strict),
                                       sparse.row(i, strict))
 
-    def test_lookup_matches_row(self, problem):
-        sparse = RequiredGapTable(*_gap_table_args(problem), backend="sparse")
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_pairs_matches_row(self, problem, backend):
+        table = RequiredGapTable(*_gap_table_args(problem), backend=backend)
         js = np.array([0, 3, 17, 40])
-        got = sparse.lookup(5, js, True)
-        assert np.array_equal(got, sparse.row(5, True)[js])
+        for i in (5, int(np.argmax(problem.resonator_index >= 0))):
+            for strict in (True, False):
+                assert np.array_equal(table.pairs(i, js, strict),
+                                      table.row(i, strict)[js])
 
     def test_intended_pairs_require_no_gap(self, problem):
         table = RequiredGapTable(*_gap_table_args(problem), backend="sparse")
@@ -275,22 +278,31 @@ class TestFrequencyBanding:
         assert a_band.size < a_all.size / 2  # most pairs never generated
 
     def test_banded_provider_matches_unbanded_results(self):
-        """End to end: banding must not change the final pair set."""
+        """End to end: banding must not change the final pair set.
+
+        The oracle is a brute-force scan: every resonant, non-sibling
+        ``i < j`` pair within ``cutoff + skin``, in lex order.
+        """
         problem = build_problem(build_netlist(get_topology("grid-25")),
                                 PlacerConfig())
+        freqs = problem.frequencies
+        res = problem.resonator_index
+        threshold = problem.config.detuning_threshold_ghz
+        reach = 3.0 + 1.0
         rng = np.random.default_rng(4)
         for trial in range(3):
             positions = problem.initial_positions \
                 + rng.normal(0, 1.5, size=(problem.num_instances, 2))
             banded = PrunedCollisionPairs(
-                problem.frequencies, problem.resonator_index,
-                problem.config.detuning_threshold_ghz,
-                cutoff_mm=3.0, skin_mm=1.0, band_pairs=True)
-            plain = PrunedCollisionPairs(
-                problem.frequencies, problem.resonator_index,
-                problem.config.detuning_threshold_ghz,
-                cutoff_mm=3.0, skin_mm=1.0, band_pairs=False)
-            pairs_b = banded.pairs(positions)
-            pairs_p = plain.pairs(positions)
-            assert np.array_equal(pairs_b, pairs_p)
-            assert banded.peak_candidates <= plain.peak_candidates
+                freqs, res, threshold, cutoff_mm=3.0, skin_mm=1.0)
+            expected = [
+                (i, j)
+                for i in range(problem.num_instances)
+                for j in range(i + 1, problem.num_instances)
+                if abs(freqs[i] - freqs[j]) <= threshold
+                and not (res[i] >= 0 and res[i] == res[j])
+                and float(np.sum((positions[i] - positions[j]) ** 2))
+                <= reach * reach]
+            assert expected  # the oracle must see some resonant pairs
+            assert banded.pairs(positions).tolist() == \
+                [list(p) for p in expected]

@@ -189,31 +189,6 @@ class TestStreamIndependence:
         assert [q.frequency for q in a.qubits] \
             != [q.frequency for q in b.qubits]
 
-    def test_legacy_stream_reproduces_the_shared_rng(self, netlist):
-        """legacy_stream=True must replay the historical single-stream
-        draw order (qubits first, then resonators, one rng)."""
-        noisy = apply_frequency_disorder(netlist, sigma_qubit_ghz=0.03,
-                                         sigma_resonator_ghz=0.02, seed=7,
-                                         legacy_stream=True)
-        rng = np.random.default_rng(7)
-        qubit_ref = scatter_frequencies(
-            np.array([q.frequency for q in netlist.qubits]), 0.03,
-            constants.QUBIT_FREQ_BAND_GHZ, rng)
-        resonator_ref = scatter_frequencies(
-            np.array([r.frequency for r in netlist.resonators]), 0.02,
-            constants.RESONATOR_FREQ_BAND_GHZ, rng)
-        assert [q.frequency for q in noisy.qubits] == qubit_ref.tolist()
-        assert [r.frequency for r in noisy.resonators] \
-            == resonator_ref.tolist()
-
-    def test_default_differs_from_legacy(self, netlist):
-        new = apply_frequency_disorder(netlist, sigma_qubit_ghz=0.03,
-                                       seed=7)
-        old = apply_frequency_disorder(netlist, sigma_qubit_ghz=0.03,
-                                       seed=7, legacy_stream=True)
-        assert [q.frequency for q in new.qubits] \
-            != [q.frequency for q in old.qubits]
-
 
 class TestSampleDisorderFrequencies:
     def test_seed_sequence_determinism(self, netlist):

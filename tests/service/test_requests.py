@@ -49,6 +49,8 @@ class TestParsePlace:
         ({"topology": "grid-25", "bogus_field": 1}, "bogus_field"),
         ({"topology": "grid-25", "config": {"bogus": 1}}, "config"),
         ({"topology": "grid-25", "config": {"num_bins": 2}}, "config"),
+        ({"topology": "grid-25", "config": {"legalizer_screening": "hash"}},
+         "config"),
     ])
     def test_rejections(self, payload, fragment):
         with pytest.raises(RequestError) as err:

@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.config import PlacerConfig
+from repro.io.serialization import canonicalize
 
 
 class TestParser:
@@ -47,11 +49,6 @@ class TestBackendArgValidation:
                                       "--interaction-backend", "gpu"])
         assert "'auto', 'dense', 'sparse'" in err
 
-    def test_incremental_density_rejects_unknown(self, capsys):
-        err = self._error_of(capsys, ["place", "grid-25",
-                                      "--incremental-density", "maybe"])
-        assert "'auto', 'on', 'off'" in err
-
     def test_flush_interval_rejects_nonpositive(self, capsys):
         err = self._error_of(capsys, ["place", "grid-25",
                                       "--density-flush-interval", "0"])
@@ -67,30 +64,19 @@ class TestBackendArgValidation:
                                       "--density-move-threshold", "-0.5"])
         assert "non-negative" in err
 
-    def test_freq_pair_banding_rejects_unknown(self, capsys):
-        err = self._error_of(capsys, ["place", "grid-25",
-                                      "--freq-pair-banding", "yes"])
-        assert "'on', 'off'" in err
-
     def test_switches_reach_the_config(self):
         from repro.cli import _config_from
 
         args = build_parser().parse_args(
-            ["place", "grid-25", "--incremental-density", "on",
-             "--density-flush-interval", "4",
-             "--density-move-threshold", "0.02",
-             "--freq-pair-banding", "off"])
+            ["place", "grid-25", "--density-flush-interval", "4",
+             "--density-move-threshold", "0.02"])
         config = _config_from(args)
-        assert config.incremental_density == "on"
         assert config.density_flush_interval == 4
         assert config.density_move_threshold_mm == 0.02
-        assert config.freq_pair_banding is False
 
     def test_config_level_validation_lists_choices(self):
         from repro.core.config import PlacerConfig
 
-        with pytest.raises(ValueError, match=r"'auto', 'on', 'off'"):
-            PlacerConfig(incremental_density="sometimes")
         with pytest.raises(ValueError, match=r"'auto', 'dense', 'sparse'"):
             PlacerConfig(interaction_backend="cuda")
         with pytest.raises(ValueError, match=r">= 1"):
@@ -113,20 +99,23 @@ class TestBackendArgValidation:
                                           "--detailed-passes", bad])
             assert "'auto' or a non-negative integer" in err
 
-    def test_legalizer_screening_rejects_unknown(self, capsys):
-        err = self._error_of(capsys, ["place", "grid-25",
-                                      "--legalizer-screening", "octree"])
-        assert "'hash', 'scan'" in err
-
     def test_legalizer_switches_reach_the_config(self):
         from repro.cli import _config_from
 
         args = build_parser().parse_args(
-            ["place", "grid-25", "--detailed-passes", "2",
-             "--legalizer-screening", "scan"])
+            ["place", "grid-25", "--detailed-passes", "2"])
         config = _config_from(args)
         assert config.detailed_passes == 2
-        assert config.legalizer_screening == "scan"
+
+    @pytest.mark.parametrize("command", ["place", "profile"])
+    def test_classic_builds_the_classic_config(self, command):
+        from repro.cli import _config_from
+
+        args = build_parser().parse_args(
+            [command, "grid-25", "--classic", "--seed", "3",
+             "--segment-size", "0.4"])
+        assert _config_from(args) == PlacerConfig.classic(
+            seed=3, segment_size_mm=0.4)
 
 
 class TestCommands:
@@ -236,6 +225,24 @@ class TestWorkloadCommands:
         payload = json.loads(merged.read_text())
         assert list(payload["fidelity"]) == ["bv-9", "ghz-9", "qaoa-9"]
 
+    def test_merge_refuses_shards_with_other_density_settings(
+            self, capsys, tmp_path):
+        """Every placer-config field is shard context, including the
+        density knobs that change condor-tier layouts."""
+        common = ["workloads", "evaluate", "--topology", "grid-25",
+                  "--workloads", "bv-9,ghz-9", "--mappings", "2",
+                  "--strategies", "qplacer", "--shard-count", "2",
+                  "--jobs", "1"]
+        shard0 = tmp_path / "s0.json"
+        shard1 = tmp_path / "s1.json"
+        assert main(common + ["--shard-index", "0",
+                              "--json", str(shard0)]) == 0
+        assert main(common + ["--shard-index", "1",
+                              "--density-flush-interval", "4",
+                              "--json", str(shard1)]) == 0
+        with pytest.raises(SystemExit, match="density_flush_interval"):
+            main(["workloads", "merge", str(shard0), str(shard1)])
+
     def test_serve_parser_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1"
@@ -245,8 +252,8 @@ class TestWorkloadCommands:
 
     @pytest.mark.parametrize("mismatch", [
         {"topology": "falcon-27"},
-        {"placement_seed": 7},
-        {"segment_size_mm": 0.5},
+        {"config": canonicalize(PlacerConfig(seed=7))},
+        {"config": canonicalize(PlacerConfig(segment_size_mm=0.5))},
         {"strategies": ["qplacer", "classic"]},
     ])
     def test_merge_rejects_mismatched_shards(self, tmp_path, mismatch):
@@ -256,9 +263,8 @@ class TestWorkloadCommands:
         base = {"kind": "workload-shard", "topology": "grid-25",
                 "workloads": ["bv-9"], "shard_count": 2,
                 "num_mappings": 2, "base_seed": 0, "shard_index": 0,
-                "strategies": ["qplacer"], "placement_seed": 0,
-                "segment_size_mm": 0.3, "interaction_backend": "auto",
-                "fidelity": {}}
+                "strategies": ["qplacer"],
+                "config": canonicalize(PlacerConfig()), "fidelity": {}}
         a.write_text(json.dumps(base))
         b.write_text(json.dumps({**base, **mismatch, "shard_index": 1}))
         with pytest.raises(SystemExit):
