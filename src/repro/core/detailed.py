@@ -282,7 +282,11 @@ def refine_placement(problem: PlacementProblem, positions: np.ndarray,
                      max_passes: int = 3,
                      only: Optional[np.ndarray] = None
                      ) -> Tuple[np.ndarray, DetailedPlaceStats]:
-    """Convenience wrapper around :class:`DetailedPlacer`."""
-    return DetailedPlacer(problem, config).refine(positions,
-                                                  max_passes=max_passes,
-                                                  only=only)
+    """Convenience wrapper around :class:`DetailedPlacer`.
+
+    The placer is built inside the ``detailed`` phase too, so the
+    caller's top-level phases account for its set-up.
+    """
+    with profiling.phase("detailed"):
+        placer = DetailedPlacer(problem, config)
+    return placer.refine(positions, max_passes=max_passes, only=only)

@@ -158,7 +158,7 @@ class DetailedPlacer:
                 xi, yi = legalizer.positions[i]
                 best_gain = 1e-9
                 best_partner = None
-                for j in legalizer._hash.near(xi, yi, neighbor_radius_mm):
+                for j in legalizer._grid.near(xi, yi, neighbor_radius_mm):
                     if j == i or kind_id[j] != kind_id[i]:
                         continue
                     gain = self._swap_gain(legalizer.positions, i, j)

@@ -7,9 +7,9 @@ the same primitive: *which instance pairs can interact within a cutoff
 distance?*  This module centralises that primitive behind two
 interchangeable strategies:
 
-* ``dense`` — materialise every pair (``triu`` index arrays, ``(n, n)``
-  gap matrices).  O(n^2) memory/time, bit-identical to the original
-  implementation, and the default for the six paper topologies.
+* ``dense`` — materialise every pair (``triu`` index arrays).  O(n^2)
+  memory/time, bit-identical to the original implementation, and the
+  default for the six paper topologies.
 * ``sparse`` — a uniform-grid neighbor list: instances are bucketed
   into cells of the cutoff size and only pairs in adjacent cells are
   candidates.  O(n x local density) memory/time, which is what makes
@@ -45,11 +45,6 @@ BACKENDS: Tuple[str, ...] = (BACKEND_AUTO, BACKEND_DENSE, BACKEND_SPARSE)
 #: instances) resolves dense — their results stay bit-identical — while
 #: condor-class problems (>6000 instances) go sparse.
 DEFAULT_SPARSE_MIN_INSTANCES = 2048
-
-#: Bound on cached required-gap rows in sparse mode (rows are O(n) each
-#: and cheap to recompute; the cache only smooths repeated probing of
-#: one instance during spiral search and integration repair).
-_ROW_CACHE_MAX = 256
 
 
 def resolve_backend(backend: str, num_instances: int,
@@ -209,149 +204,75 @@ def grid_candidate_pairs(positions: np.ndarray, cutoff: float,
 # required-gap lookups (legalizer)
 # ---------------------------------------------------------------------------
 
+_NO_IDS = np.zeros(0, dtype=np.int64)
+
+
 class RequiredGapTable:
-    """Pairwise required edge-to-edge gaps with pluggable storage.
+    """Pairwise required edge-to-edge gaps, computed on demand.
 
-    ``strict`` rows apply the resonant checker tau (padding sum for
-    resonant non-intended pairs); ``relaxed`` rows use the plain
+    ``strict`` lookups apply the resonant checker tau (padding sum for
+    resonant non-intended pairs); ``relaxed`` ones use the plain
     clearance rule.  Intended pairs (sibling segments; a qubit and the
-    segments of an attached resonator) require no gap in either.
-
-    The ``dense`` strategy materialises both ``(n, n)`` matrices exactly
-    as the original legalizer did — lookups are bit-identical views into
-    them.  The ``sparse`` strategy computes rows on demand (O(n) each,
-    elementwise-identical to the dense rows) behind a small bounded
-    cache, so condor-class problems never allocate n x n floats.
+    segments of an attached resonator) require no gap in either.  The
+    legalizer asks only for the handful of grid-screened neighbours of
+    one instance at a time, so nothing of size ``n x n`` is ever built.
     """
 
     def __init__(self, resonator_index: np.ndarray, frequencies: np.ndarray,
                  clearances: np.ndarray, paddings: np.ndarray,
                  attached_resonators: Mapping[int, Set[int]],
-                 detuning_threshold_ghz: float,
-                 backend: str = BACKEND_DENSE) -> None:
-        if backend not in (BACKEND_DENSE, BACKEND_SPARSE):
-            raise ValueError("RequiredGapTable needs a resolved backend")
-        self.backend = backend
+                 detuning_threshold_ghz: float) -> None:
         self._res = np.asarray(resonator_index, dtype=np.int64)
         self._freqs = np.asarray(frequencies, dtype=float)
-        self._clear = np.asarray(clearances, dtype=float)
+        # Halved once: 0.5 * (a + b) == 0.5 * a + 0.5 * b exactly in
+        # binary floating point (scaling by two commutes with rounding).
+        self._half_clear = 0.5 * np.asarray(clearances, dtype=float)
         self._pads = np.asarray(paddings, dtype=float)
         self._threshold = float(detuning_threshold_ghz)
-        self._attached: Dict[int, np.ndarray] = {
-            qi: np.fromiter(rset, dtype=np.int64)
-            for qi, rset in attached_resonators.items() if rset
-        }
-        # Inverse map: resonator id -> instance indices of the (at most
-        # two) qubits it may legally abut — the attach.T row support.
+        # What each instance may abut: a segment, its siblings and the
+        # (at most two) qubits its resonator attaches to; a qubit, the
+        # segments of its attached resonators.  Siblings share one array.
+        n = self._res.shape[0]
+        segments_of: Dict[int, List[int]] = {}
+        for j, r in enumerate(self._res.tolist()):
+            if r >= 0:
+                segments_of.setdefault(r, []).append(j)
         qubits_of: Dict[int, List[int]] = {}
         for qi, rset in attached_resonators.items():
             for r in rset:
-                qubits_of.setdefault(int(r), []).append(qi)
-        self._qubits_of_resonator = {
-            r: np.asarray(sorted(qs), dtype=np.int64)
-            for r, qs in qubits_of.items()
-        }
-        self._rows: Dict[Tuple[int, bool], np.ndarray] = {}
-        self._strict_matrix: Optional[np.ndarray] = None
-        self._relaxed_matrix: Optional[np.ndarray] = None
-        if backend == BACKEND_DENSE:
-            self._strict_matrix, self._relaxed_matrix = self._build_dense()
-
-    @property
-    def num_instances(self) -> int:
-        """Number of instances covered by the table."""
-        return self._res.shape[0]
-
-    def _build_dense(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Dense ``(n, n)`` matrices (the original legalizer layout)."""
-        n = self.num_instances
-        res = self._res
-        same_res = (res[:, None] == res[None, :]) & (res[:, None] >= 0)
-        attach = np.zeros((n, n), dtype=bool)
-        for qi, rids in self._attached.items():
-            attach[qi] = np.isin(res, rids)
-        intended = same_res | attach | attach.T
-        freqs = self._freqs
-        resonant = (np.abs(freqs[:, None] - freqs[None, :])
-                    <= self._threshold)
-        clear_req = 0.5 * (self._clear[:, None] + self._clear[None, :])
-        pad_req = self._pads[:, None] + self._pads[None, :]
-        strict = np.where(intended, 0.0,
-                          np.where(resonant, pad_req, clear_req))
-        relaxed = np.where(intended, 0.0, clear_req)
-        return strict, relaxed
-
-    def _compute_row(self, i: int, strict: bool) -> np.ndarray:
-        """One required-gap row, elementwise-identical to the dense row."""
-        res = self._res
-        ri = int(res[i])
-        intended = (res == ri) if ri >= 0 \
-            else np.zeros(self.num_instances, dtype=bool)
-        rids = self._attached.get(i)
-        if rids is not None:
-            intended = intended | np.isin(res, rids)
-        if ri >= 0:
-            partners = self._qubits_of_resonator.get(ri)
-            if partners is not None:
-                intended[partners] = True
-        clear_req = 0.5 * (self._clear[i] + self._clear)
-        if not strict:
-            return np.where(intended, 0.0, clear_req)
-        resonant = np.abs(self._freqs[i] - self._freqs) <= self._threshold
-        pad_req = self._pads[i] + self._pads
-        return np.where(intended, 0.0,
-                        np.where(resonant, pad_req, clear_req))
-
-    def row(self, i: int, strict: bool) -> np.ndarray:
-        """Required gaps from instance ``i`` to every instance."""
-        if self._strict_matrix is not None:
-            return (self._strict_matrix if strict
-                    else self._relaxed_matrix)[i]
-        key = (int(i), bool(strict))
-        row = self._rows.get(key)
-        if row is None:
-            row = self._compute_row(int(i), bool(strict))
-            if len(self._rows) >= _ROW_CACHE_MAX:
-                self._rows.pop(next(iter(self._rows)))
-            self._rows[key] = row
-        return row
+                qubits_of.setdefault(int(r), []).append(int(qi))
+        self._abut: List[np.ndarray] = [_NO_IDS] * n
+        for r, segs in segments_of.items():
+            ids = np.asarray(segs + sorted(qubits_of.get(r, ())),
+                             dtype=np.int64)
+            for j in segs:
+                self._abut[j] = ids
+        for qi, rset in attached_resonators.items():
+            own = [j for r in sorted(rset) for j in segments_of.get(r, ())]
+            if own:
+                qi = int(qi)
+                self._abut[qi] = np.concatenate(
+                    (self._abut[qi], np.asarray(own, dtype=np.int64)))
+        # Scratch membership marks, all False between calls.
+        self._mark = np.zeros(n, dtype=bool)
 
     def pairs(self, i: int, js: np.ndarray, strict: bool) -> np.ndarray:
-        """Required gaps from ``i`` to ``js`` in O(len(js)).
-
-        Elementwise identical to ``row(i, strict)[js]`` but never
-        materialises the full row — the sparse backend's answer to
-        hash-screened neighbourhoods, where ``js`` holds a handful of
-        nearby instances out of thousands.
-        """
-        if self._strict_matrix is not None:
-            return (self._strict_matrix if strict
-                    else self._relaxed_matrix)[i, js]
+        """Required gaps from ``i`` to each of ``js`` in O(len(js))."""
         js = np.asarray(js, dtype=np.int64)
-        res = self._res
-        ri = int(res[i])
-        res_js = res[js]
-        intended = ((res_js == ri) if ri >= 0
-                    else np.zeros(js.shape[0], dtype=bool))
-        # Membership sets here hold 1-4 ids; direct comparisons beat
-        # np.isin's sort-based machinery by ~40x at this size.
-        rids = self._attached.get(i)
-        if rids is not None:
-            for r in rids.tolist():
-                intended = intended | (res_js == r)
-        if ri >= 0:
-            partners = self._qubits_of_resonator.get(ri)
-            if partners is not None:
-                for q in partners.tolist():
-                    intended = intended | (js == q)
-        clear_req = 0.5 * (self._clear[i] + self._clear[js])
-        if not strict:
-            return np.where(intended, 0.0, clear_req)
-        resonant = (np.abs(self._freqs[i] - self._freqs[js])
-                    <= self._threshold)
-        pad_req = self._pads[i] + self._pads[js]
-        return np.where(intended, 0.0,
-                        np.where(resonant, pad_req, clear_req))
+        ids = self._abut[i]
+        mark = self._mark
+        mark[ids] = True
+        try:
+            intended = mark[js]
+        finally:
+            mark[ids] = False
+        req = self._half_clear[i] + self._half_clear[js]
+        if strict:
+            resonant = (np.abs(self._freqs[i] - self._freqs[js])
+                        <= self._threshold)
+            req = np.where(resonant, self._pads[i] + self._pads[js], req)
+        req[intended] = 0.0
+        return req
 
 
 # ---------------------------------------------------------------------------

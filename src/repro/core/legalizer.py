@@ -17,21 +17,21 @@ three phases, exactly following Alg. 1:
    sites adjacent to the cluster or swapping them with neighbouring
    instances, subject to the resonant checker ``tau``.
 
-Placement feasibility for a candidate site is a single rule,
-:meth:`Legalizer._can_place`: intended pairs may touch; resonant
-non-intended pairs need the full padding sum (only when the config is
-frequency-aware — the Classic baseline skips this check, which is where
-its frequency hotspots come from); all other pairs need the mean routing
-clearance.
+Placement feasibility for candidate sites is a single rule, evaluated
+by one kernel, :meth:`Legalizer._feasible_mask`: intended pairs may
+touch; resonant non-intended pairs need the full padding sum (only when
+the config is frequency-aware — the Classic baseline skips this check,
+which is where its frequency hotspots come from); all other pairs need
+the mean routing clearance.
 
-This module is the *fast path*: pairwise required gaps come from a
-:class:`~repro.core.interactions.RequiredGapTable` (dense ``(n, n)``
-matrices on paper-scale problems, on-demand rows on condor-class ones —
-the strategy follows ``config.interaction_backend``), spiral offsets are
-generated once per radius with numpy, and candidate sites are screened
-ring-by-ring, against the placed instances a linked-cell spatial hash
-returns, with array arithmetic instead of per-pair Python calls.  The
-seed's scalar implementation is preserved verbatim in
+This module is the *fast path*: pairwise required gaps come on demand
+from a :class:`~repro.core.interactions.RequiredGapTable` for just the
+neighbours in reach, spiral offsets are generated once per radius with
+numpy, and each batch of candidate sites (a spiral ring, a segment's
+ring-1 sites, one move target) is screened in one call against the
+placed instances an array-backed slot grid returns, with array
+arithmetic instead of per-pair Python calls.  The seed's scalar
+implementation is preserved verbatim in
 :mod:`repro.core.legalizer_reference` and the equivalence tests pin
 this implementation to it.
 """
@@ -65,7 +65,7 @@ class SpiralExhaustedError(RuntimeError):
         sites_attempted: Total lattice sites screened.
         neighbors_in_reach: Placed instances inside the outermost ring's
             interaction reach of the target.
-        densest_cell_count: Occupancy of the most crowded hash-cell-
+        densest_cell_count: Occupancy of the most crowded grid-cell-
             sized neighbourhood among those neighbours.
         densest_cell_mm: Centre ``(x, y)`` of that neighbourhood.
     """
@@ -112,110 +112,134 @@ class LegalizeStats:
                                             compare=False)
 
 
-#: Packed cell keys: ``(cx + OFFSET) * STRIDE + (cy + OFFSET)``.  With
-#: cell sizes >= 0.5 mm, |cx| < 2**20 covers coordinates to ~500 km —
-#: far past any chip region — and the packed key fits int64 (< 2**42).
-_KEY_OFFSET = 1 << 20
-_KEY_STRIDE = 1 << 21
-
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
 _EMPTY_IDS.setflags(write=False)
 
+#: Slot depth of a fresh grid; doubled whenever a cell overflows.
+_INITIAL_SLOTS = 4
 
-class _SpatialHash:
-    """Flat linked-cell index of placed instances.
 
-    Cell membership lives in three preallocated int64 arrays — ``_next``
-    / ``_prev`` intrusive list links and ``_cell`` (the packed cell key
-    an instance currently occupies, ``-1`` when absent) — plus one dict
-    from packed cell key to list head.  Adds and removes are O(1)
-    pointer splices with no per-bucket set/list churn, and batched
-    queries (:meth:`near_many`) walk every covered cell exactly once.
+class _SlotGrid:
+    """Array-backed cell index of placed instances.
+
+    Cell ``(cx, cy) = floor((x, y) / cell)`` owns the slot row
+    ``slots[cx - ox, cy - oy]``: its members oldest first, then ``-1``
+    padding, with ``counts`` holding each row's fill.  A query over a
+    block of cells is one slice of ``slots``, reversed along the slot
+    axis, plus a ``>= 0`` filter — no per-member Python walk, no sort.
+    Ids come back cell by cell in ``(cx, cy)`` order, newest first
+    within a cell; the detailed placer's ``argmax`` tie-break depends
+    on that order.  Removal shifts the younger members of the row down
+    one slot, so the order of the survivors is unchanged.
+
+    The grid grows on demand: past its extent in any direction
+    (negative and far-off cells included) and in slot depth when a
+    cell overflows.
     """
 
-    def __init__(self, cell_size: float, capacity: int) -> None:
+    def __init__(self, cell_size: float, capacity: int,
+                 lo: Tuple[float, float] = (0.0, 0.0),
+                 hi: Tuple[float, float] = (0.0, 0.0)) -> None:
         self.cell = float(cell_size)
-        self._next = np.full(capacity, -1, dtype=np.int64)
-        self._prev = np.full(capacity, -1, dtype=np.int64)
-        self._cell = np.full(capacity, -1, dtype=np.int64)
-        self._heads: Dict[int, int] = {}
+        self._where: List[Optional[Tuple[int, int]]] = [None] * capacity
+        self._ox = math.floor(lo[0] / self.cell)
+        self._oy = math.floor(lo[1] / self.cell)
+        shape = (math.floor(hi[0] / self.cell) - self._ox + 1,
+                 math.floor(hi[1] / self.cell) - self._oy + 1)
+        self._slots = np.full(shape + (_INITIAL_SLOTS,), -1, dtype=np.int64)
+        self._counts = np.zeros(shape, dtype=np.int64)
 
-    def _key(self, x: float, y: float) -> int:
-        return ((int(math.floor(x / self.cell)) + _KEY_OFFSET) * _KEY_STRIDE
-                + int(math.floor(y / self.cell)) + _KEY_OFFSET)
+    def _grow(self, cx: int, cy: int) -> None:
+        """Extend the grid to cover cell ``(cx, cy)`` (plus slack)."""
+        nx, ny, depth = self._slots.shape
+        x0, y0 = self._ox, self._oy
+        x1, y1 = x0 + nx, y0 + ny
+        # Half the current extent of slack on the growing side keeps a
+        # run of out-of-range adds from reallocating every time.
+        if cx < x0:
+            x0 = cx - nx // 2
+        elif cx >= x1:
+            x1 = cx + 1 + nx // 2
+        if cy < y0:
+            y0 = cy - ny // 2
+        elif cy >= y1:
+            y1 = cy + 1 + ny // 2
+        slots = np.full((x1 - x0, y1 - y0, depth), -1, dtype=np.int64)
+        counts = np.zeros((x1 - x0, y1 - y0), dtype=np.int64)
+        ax, ay = self._ox - x0, self._oy - y0
+        slots[ax:ax + nx, ay:ay + ny] = self._slots
+        counts[ax:ax + nx, ay:ay + ny] = self._counts
+        self._slots, self._counts = slots, counts
+        self._ox, self._oy = x0, y0
 
     def add(self, idx: int, x: float, y: float) -> None:
-        key = self._key(x, y)
-        head = self._heads.get(key, -1)
-        self._next[idx] = head
-        self._prev[idx] = -1
-        if head >= 0:
-            self._prev[head] = idx
-        self._heads[key] = idx
-        self._cell[idx] = key
+        cx = math.floor(x / self.cell)
+        cy = math.floor(y / self.cell)
+        gx, gy = cx - self._ox, cy - self._oy
+        nx, ny, depth = self._slots.shape
+        if not (0 <= gx < nx and 0 <= gy < ny):
+            self._grow(cx, cy)
+            gx, gy = cx - self._ox, cy - self._oy
+        c = int(self._counts[gx, gy])
+        if c == depth:
+            self._slots = np.concatenate(
+                (self._slots, np.full_like(self._slots, -1)), axis=2)
+        self._slots[gx, gy, c] = idx
+        self._counts[gx, gy] = c + 1
+        self._where[idx] = (cx, cy)
 
     def remove(self, idx: int) -> None:
-        key = int(self._cell[idx])
-        if key < 0:
+        where = self._where[idx]
+        if where is None:
             return
-        nxt = int(self._next[idx])
-        prv = int(self._prev[idx])
-        if prv >= 0:
-            self._next[prv] = nxt
-        elif nxt >= 0:
-            self._heads[key] = nxt
-        else:
-            del self._heads[key]
-        if nxt >= 0:
-            self._prev[nxt] = prv
-        self._cell[idx] = -1
+        self._where[idx] = None
+        gx, gy = where[0] - self._ox, where[1] - self._oy
+        c = int(self._counts[gx, gy])
+        row = self._slots[gx, gy]
+        k = row[:c].tolist().index(idx)
+        row[k:c - 1] = row[k + 1:c]
+        row[c - 1] = -1
+        self._counts[gx, gy] = c - 1
 
     def move(self, idx: int, x: float, y: float) -> None:
         self.remove(idx)
         self.add(idx, x, y)
 
-    def _collect(self, keys: np.ndarray) -> np.ndarray:
-        """All member indices of the given packed cell keys."""
-        out: List[int] = []
-        heads = self._heads
-        nxt = self._next
-        for key in keys.tolist():
-            j = heads.get(key, -1)
-            while j >= 0:
-                out.append(j)
-                j = int(nxt[j])
-        if not out:
+    def _block(self, x0: int, x1: int, y0: int, y1: int) -> np.ndarray:
+        """Members of the cells ``[x0, x1] x [y0, y1]`` (inclusive)."""
+        nx, ny, _ = self._slots.shape
+        a, b = max(x0 - self._ox, 0), min(x1 - self._ox + 1, nx)
+        c, d = max(y0 - self._oy, 0), min(y1 - self._oy + 1, ny)
+        if a >= b or c >= d:
             return _EMPTY_IDS
-        return np.asarray(out, dtype=np.int64)
+        ids = self._slots[a:b, c:d, ::-1].ravel()
+        return ids[ids >= 0]
+
+    def near_box(self, x0: float, x1: float, y0: float, y1: float,
+                 radius: float) -> np.ndarray:
+        """Instances within ``radius`` (per axis) of the box ``[x0, x1] x
+        [y0, y1]``: a superset, each id once, holding the whole cell block
+        that covers the box grown by ``radius``."""
+        span = math.ceil(radius / self.cell)
+        cell = self.cell
+        return self._block(math.floor(x0 / cell) - span,
+                           math.floor(x1 / cell) + span,
+                           math.floor(y0 / cell) - span,
+                           math.floor(y1 / cell) + span)
 
     def near_many(self, xs: np.ndarray, ys: np.ndarray,
                   radius: float) -> np.ndarray:
         """Instances within ``radius`` (per axis) of ANY query point.
 
-        Returns a superset: every placed instance whose centre lies
-        within ``radius`` on both axes of at least one ``(xs, ys)``
-        point is included (each exactly once — an instance occupies one
-        cell), plus whatever else shares the covered cells.
+        A superset, each id once: :meth:`near_box` over the points'
+        bounding box.
         """
-        span = int(math.ceil(radius / self.cell))
-        cx = np.floor(np.asarray(xs, dtype=float) / self.cell).astype(np.int64)
-        cy = np.floor(np.asarray(ys, dtype=float) / self.cell).astype(np.int64)
-        offs = np.arange(-span, span + 1, dtype=np.int64)
-        gx = cx[:, None, None] + offs[None, :, None]
-        gy = cy[:, None, None] + offs[None, None, :]
-        keys = np.unique((gx + _KEY_OFFSET) * _KEY_STRIDE
-                         + (gy + _KEY_OFFSET))
-        return self._collect(keys)
+        return self.near_box(float(np.min(xs)), float(np.max(xs)),
+                             float(np.min(ys)), float(np.max(ys)), radius)
 
     def near_array(self, x: float, y: float, radius: float) -> np.ndarray:
-        """Single-point :meth:`near_many` (superset of true neighbours)."""
-        span = int(math.ceil(radius / self.cell))
-        kx = int(math.floor(x / self.cell))
-        ky = int(math.floor(y / self.cell))
-        offs = np.arange(-span, span + 1, dtype=np.int64)
-        keys = (((kx + offs[:, None] + _KEY_OFFSET) * _KEY_STRIDE)
-                + ky + offs[None, :] + _KEY_OFFSET).ravel()
-        return self._collect(keys)
+        """Single-point :meth:`near_box` (superset of true neighbours)."""
+        return self.near_box(x, x, y, y, radius)
 
     def near(self, x: float, y: float, radius: float) -> Iterable[int]:
         """Indices of instances whose centres may lie within ``radius``."""
@@ -243,6 +267,11 @@ def _spiral_offsets_array(max_radius: int) -> np.ndarray:
     return out
 
 
+#: Ring-1 lattice offsets in ``(dx, dy)`` lexicographic order.
+_RING1_OFFSETS: Tuple[Tuple[int, int], ...] = tuple(
+    (dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0))
+
+
 def _ring_bounds(ring: int) -> Tuple[int, int]:
     """Slice of :func:`_spiral_offsets_array` holding one Chebyshev ring."""
     lo = (2 * ring - 1) ** 2 if ring > 0 else 0
@@ -265,12 +294,15 @@ class Legalizer:
         self.positions = np.zeros_like(p.initial_positions)
         self._placed: Set[int] = set()
         # Interaction radius: the largest possible required gap plus the
-        # largest instance extent — hash queries beyond it are never needed.
+        # largest instance extent — grid queries beyond it are never needed.
         max_half = float(np.max(p.sizes)) / 2.0
         max_gap = float(2.0 * np.max(p.paddings))
         self._interact_radius = 2.0 * max_half + max_gap + 1e-6
-        self._hash = _SpatialHash(cell_size=max(self._interact_radius, 0.5),
-                                  capacity=p.num_instances)
+        region = p.region
+        self._grid = _SlotGrid(cell_size=max(self._interact_radius, 0.5),
+                               capacity=p.num_instances,
+                               lo=(region.x, region.y),
+                               hi=(region.x2, region.y2))
         self._txn: Optional[List[Tuple[int, Tuple[float, float]]]] = None
         self._segs_by_res: Optional[Dict[int, List[int]]] = None
         self._qubit_pitch = self.config.qubit_site_pitch_mm(
@@ -278,28 +310,20 @@ class Legalizer:
         self._segment_pitch = self.config.segment_site_pitch_mm()
         self._offsets_arr = _spiral_offsets_array(
             self.config.spiral_max_radius_sites)
+        #: Spiral offsets times each lattice pitch in use, in mm.
+        self._scaled_offsets: Dict[float, np.ndarray] = {}
         self.stats = LegalizeStats()
 
         n = p.num_instances
         self._placed_mask = np.zeros(n, dtype=bool)
-        self._half = 0.5 * np.asarray(p.sizes, dtype=float)
+        half = 0.5 * np.asarray(p.sizes, dtype=float)
+        self._hx = np.ascontiguousarray(half[:, 0])
+        self._hy = np.ascontiguousarray(half[:, 1])
         self._req = RequiredGapTable(
             p.resonator_index, p.frequencies, p.clearances, p.paddings,
-            p.attached_resonators, self.config.detuning_threshold_ghz,
-            backend=self.config.resolved_interaction_backend(n))
+            p.attached_resonators, self.config.detuning_threshold_ghz)
 
     # -- geometric feasibility ---------------------------------------------------
-
-    def _gaps_to(self, js: np.ndarray, i: int, x: float, y: float) -> np.ndarray:
-        """Edge-to-edge gaps from instance ``i`` at ``(x, y)`` to ``js``."""
-        pos = self.positions[js]
-        gx = np.abs(x - pos[:, 0]) - (self._half[i, 0] + self._half[js, 0])
-        gy = np.abs(y - pos[:, 1]) - (self._half[i, 1] + self._half[js, 1])
-        gxc = np.maximum(gx, 0.0)
-        gyc = np.maximum(gy, 0.0)
-        return np.where((gx > 0.0) | (gy > 0.0),
-                        np.sqrt(gxc * gxc + gyc * gyc),
-                        np.maximum(gx, gy))
 
     def _neighbor_mask(self, x: float, y: float, reach: float) -> np.ndarray:
         """Placed instances whose centre lies within ``reach`` per axis."""
@@ -308,82 +332,92 @@ class Legalizer:
                 & (np.abs(pos[:, 0] - x) <= reach)
                 & (np.abs(pos[:, 1] - y) <= reach))
 
-    def _screen(self, js: np.ndarray, i: int,
-                ignore: Tuple[int, ...]) -> np.ndarray:
-        """Drop ``i`` and ``ignore`` from a hash query result."""
+    def _feasible_mask(self, i: int, sites: np.ndarray,
+                       box: Optional[Tuple[float, float, float, float]] = None,
+                       ignore: Tuple[int, ...] = (),
+                       enforce_resonant: Optional[bool] = None
+                       ) -> np.ndarray:
+        """Per-site verdicts of every spacing rule for ``i`` at ``sites``.
+
+        The one feasibility kernel: ``(sites, neighbours)`` gap
+        matrices against the placed instances the grid returns for the
+        sites' bounding box, minus ``i`` and ``ignore``.  The grid
+        screen only decides *which* instances get a gap check; any
+        instance beyond the interaction radius passes trivially (its gap
+        exceeds every possible requirement), so the superset query never
+        changes a verdict.
+
+        Args:
+            sites: ``(k, 2)`` candidate centres.
+            box: ``(x0, x1, y0, y1)`` enclosing ``sites`` when the
+                caller knows it; computed otherwise.
+        """
+        if enforce_resonant is None:
+            enforce_resonant = self.config.frequency_aware
+        if box is None:
+            (x0, y0), (x1, y1) = sites.min(axis=0), sites.max(axis=0)
+        else:
+            x0, x1, y0, y1 = box
+        js = self._grid.near_box(x0, x1, y0, y1, self._interact_radius)
+        # Only placed instances are in the grid; callers lift movers
+        # first, so this filter is rarely needed.
+        placed = self._placed_mask
+        for j in (i,) + ignore:
+            if placed[j]:
+                js = js[js != j]
         if js.size == 0:
-            return js
-        keep = js != i
-        for j in ignore:
-            keep &= js != j
-        return js[keep]
+            return np.ones(sites.shape[0], dtype=bool)
+        need = self._req.pairs(i, js, enforce_resonant)
+        need -= _TOL
+        # (sites, neighbours) edge gaps per axis.  A pair apart on some
+        # axis is separated by the Euclidean corner distance, an
+        # overlapping one by the (negative) larger axis gap.  Few ufunc
+        # calls matter more than array size at these shapes.
+        pos = self.positions.take(js, axis=0)
+        gx = np.abs(sites[:, 0:1] - pos[:, 0])
+        gx -= self._hx[i] + self._hx.take(js)
+        gy = np.abs(sites[:, 1:2] - pos[:, 1])
+        gy -= self._hy[i] + self._hy.take(js)
+        larger = np.maximum(gx, gy)
+        gaps = np.maximum(gx, 0.0, out=gx)
+        gaps *= gaps
+        gy = np.maximum(gy, 0.0, out=gy)
+        gy *= gy
+        gaps += gy
+        np.sqrt(gaps, out=gaps)
+        np.copyto(gaps, larger, where=larger <= 0.0)
+        return np.logical_and.reduce(gaps >= need, axis=1)
 
     def _can_place(self, i: int, x: float, y: float,
                    ignore: Tuple[int, ...] = (),
                    enforce_resonant: Optional[bool] = None) -> bool:
-        """Check all spacing rules for instance ``i`` at ``(x, y)``.
+        """Check all spacing rules for instance ``i`` at ``(x, y)``."""
+        return bool(self._feasible_mask(i, np.array(((x, y),)), (x, x, y, y),
+                                        ignore, enforce_resonant)[0])
 
-        The spatial-hash screen only decides *which* instances get a gap
-        check; any instance beyond the interaction radius passes
-        trivially (its gap exceeds every possible requirement), so the
-        superset query never changes a verdict.
-        """
-        if enforce_resonant is None:
-            enforce_resonant = self.config.frequency_aware
-        js = self._screen(
-            self._hash.near_array(x, y, self._interact_radius), i, ignore)
-        if js.size == 0:
-            return True
-        req = self._req.pairs(i, js, enforce_resonant)
-        gaps = self._gaps_to(js, i, x, y)
-        return bool(np.all(gaps >= req - _TOL))
-
-    def _first_feasible_site(self, i: int, sites: Sequence[Tuple[float, float]],
-                             ignore: Tuple[int, ...] = (),
+    def _first_feasible_site(self, i: int, sites: np.ndarray,
+                             box: Optional[Tuple[float, float, float, float]]
+                             = None,
                              enforce_resonant: Optional[bool] = None
                              ) -> Optional[Tuple[float, float]]:
-        """First site of ``sites`` where ``i`` can be placed, else None.
-
-        Equivalent to scanning the list with :meth:`_can_place`, but the
-        whole candidate batch is screened against the neighbourhood with
-        one (sites x neighbours) gap matrix.
-        """
-        if not sites:
+        """First row of the ``(k, 2)`` ``sites`` where ``i`` fits, else None."""
+        if sites.shape[0] == 0:
             return None
-        if enforce_resonant is None:
-            enforce_resonant = self.config.frequency_aware
-        arr = np.asarray(sites, dtype=float)
-        js = self._screen(
-            self._hash.near_many(arr[:, 0], arr[:, 1],
-                                 self._interact_radius), i, ignore)
-        if js.size == 0:
-            return (float(arr[0, 0]), float(arr[0, 1]))
-        req = self._req.pairs(i, js, enforce_resonant)
-        pos = self.positions[js]
-        gx = (np.abs(arr[:, 0][:, None] - pos[None, :, 0])
-              - (self._half[i, 0] + self._half[js, 0])[None, :])
-        gy = (np.abs(arr[:, 1][:, None] - pos[None, :, 1])
-              - (self._half[i, 1] + self._half[js, 1])[None, :])
-        gxc = np.maximum(gx, 0.0)
-        gyc = np.maximum(gy, 0.0)
-        gaps = np.where((gx > 0.0) | (gy > 0.0),
-                        np.sqrt(gxc * gxc + gyc * gyc),
-                        np.maximum(gx, gy))
-        ok = np.all(gaps >= req[None, :] - _TOL, axis=1)
-        hits = np.flatnonzero(ok)
-        if hits.size == 0:
+        ok = self._feasible_mask(i, sites, box,
+                                 enforce_resonant=enforce_resonant)
+        k = int(ok.argmax())
+        if not ok[k]:
             return None
-        k = int(hits[0])
-        return (float(arr[k, 0]), float(arr[k, 1]))
+        return (float(sites[k, 0]), float(sites[k, 1]))
 
     def _place(self, i: int, x: float, y: float) -> None:
         self.positions[i] = (x, y)
-        self._hash.add(i, x, y)
+        self._grid.add(i, x, y)
         self._placed.add(i)
         self._placed_mask[i] = True
 
     def _unplace(self, i: int) -> None:
-        self._hash.remove(i)
+        self._grid.remove(i)
         self._placed.discard(i)
         self._placed_mask[i] = False
 
@@ -399,44 +433,33 @@ class Legalizer:
                         ) -> Iterator[Tuple[float, float]]:
         """Feasible lattice sites around ``target`` in spiral order.
 
-        Each Chebyshev ring is screened as one batch: a (sites x
-        neighbours) gap matrix replaces per-site `_can_place` calls.  The
-        generator re-screens nothing after a yield, so callers that
-        mutate placement state between yields must restore it before
-        pulling the next site (as `_rebuild_resonator` does).
+        Each Chebyshev ring is screened as one batch by
+        :meth:`_feasible_mask`.  The generator re-screens nothing after
+        a yield, so callers that mutate placement state between yields
+        must restore it before pulling the next site (as
+        `_rebuild_resonator` does).
         """
-        if enforce_resonant is None:
-            enforce_resonant = self.config.frequency_aware
-        base_x = round(target[0] / pitch) * pitch
-        base_y = round(target[1] / pitch) * pitch
-        offs = self._offsets_arr
+        bx = round(float(target[0]) / pitch) * pitch
+        by = round(float(target[1]) / pitch) * pitch
+        base = np.array((bx, by))
+        offs = self._scaled_offsets.get(pitch)
+        if offs is None:
+            offs = self._scaled_offsets[pitch] = self._offsets_arr * pitch
         max_ring = self.config.spiral_max_radius_sites
-        for ring in range(max_ring + 1):
+        # Rings 0 and 1 go as one batch: ring 0 alone fails often enough
+        # that the saved kernel call outweighs eight extra sites.
+        first = min(1, max_ring)
+        for ring in range(first, max_ring + 1):
             lo, hi = _ring_bounds(ring)
-            sx = base_x + offs[lo:hi, 0] * pitch
-            sy = base_y + offs[lo:hi, 1] * pitch
-            # Hash screen per ring: the union of each site's interaction
-            # ball covers only the ring's perimeter — O(ring) work on
-            # large rings instead of O(ring^2) for the whole disc.
-            js = self._screen(
-                self._hash.near_many(sx, sy, self._interact_radius), i, ())
-            if js.size == 0:
-                ok = np.ones(hi - lo, dtype=bool)
-            else:
-                req = self._req.pairs(i, js, enforce_resonant)
-                pos = self.positions[js]
-                gx = (np.abs(sx[:, None] - pos[None, :, 0])
-                      - (self._half[i, 0] + self._half[js, 0])[None, :])
-                gy = (np.abs(sy[:, None] - pos[None, :, 1])
-                      - (self._half[i, 1] + self._half[js, 1])[None, :])
-                gxc = np.maximum(gx, 0.0)
-                gyc = np.maximum(gy, 0.0)
-                gaps = np.where((gx > 0.0) | (gy > 0.0),
-                                np.sqrt(gxc * gxc + gyc * gyc),
-                                np.maximum(gx, gy))
-                ok = np.all(gaps >= req[None, :] - _TOL, axis=1)
-            for k in np.flatnonzero(ok):
-                yield (float(sx[k]), float(sy[k]))
+            if ring == first:
+                lo = 0
+            sites = base + offs[lo:hi]
+            reach = ring * pitch
+            ok = self._feasible_mask(
+                i, sites, (bx - reach, bx + reach, by - reach, by + reach),
+                enforce_resonant=enforce_resonant)
+            for k in ok.nonzero()[0].tolist():
+                yield (float(sites[k, 0]), float(sites[k, 1]))
 
     def _spiral_place(self, i: int, target: np.ndarray, pitch: float) -> bool:
         """Greedy spiral: nearest feasible lattice site around ``target``.
@@ -467,7 +490,7 @@ class Legalizer:
         mask = self._neighbor_mask(float(target[0]), float(target[1]), reach)
         mask[i] = False
         crowd = int(np.count_nonzero(mask))
-        cell = self._hash.cell
+        cell = self._grid.cell
         densest_count = 0
         densest_xy = (float(target[0]), float(target[1]))
         js = np.flatnonzero(mask)
@@ -524,23 +547,33 @@ class Legalizer:
             rows, cols = linear_sum_assignment(cost)
             for r, c in zip(rows, cols):
                 idx = ids[r]
-                self._hash.remove(idx)
                 self.positions[idx] = sites[c]
-                self._hash.add(idx, sites[c][0], sites[c][1])
+                self._grid.move(idx, sites[c][0], sites[c][1])
 
     # -- phase 2: segments (Tetris) ----------------------------------------------------
 
-    def _adjacent_sites(self, anchor_xy: Tuple[float, float],
-                        target: np.ndarray) -> List[Tuple[float, float]]:
-        """Ring-1 lattice sites around ``anchor``, nearest-to-target first."""
+    def _first_adjacent_site(self, i: int, anchor: int, target: np.ndarray,
+                             enforce_resonant: Optional[bool] = None
+                             ) -> Optional[Tuple[float, float]]:
+        """First feasible ring-1 lattice site around instance ``anchor``.
+
+        Candidates are tried nearest-to-``target`` first.
+        """
         pitch = self._segment_pitch
-        ax = round(anchor_xy[0] / pitch)
-        ay = round(anchor_xy[1] / pitch)
+        px, py = self.positions[anchor].tolist()
+        ax = round(px / pitch)
+        ay = round(py / pitch)
+        tx, ty = float(target[0]), float(target[1])
         sites = [((ax + dx) * pitch, (ay + dy) * pitch)
-                 for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-                 if not (dx == 0 and dy == 0)]
-        sites.sort(key=lambda s: (s[0] - target[0]) ** 2 + (s[1] - target[1]) ** 2)
-        return sites
+                 for dx, dy in _RING1_OFFSETS]
+        # Scalar ``** 2`` (libm pow) on purpose: numpy's squares round
+        # differently in the last bit and would reorder near-ties.
+        d2 = [(x - tx) ** 2 + (y - ty) ** 2 for x, y in sites]
+        order = sorted(range(len(sites)), key=d2.__getitem__)
+        box = ((ax - 1) * pitch, (ax + 1) * pitch,
+               (ay - 1) * pitch, (ay + 1) * pitch)
+        return self._first_feasible_site(
+            i, np.array([sites[k] for k in order]), box, enforce_resonant)
 
     def _legalize_segments(self, global_positions: np.ndarray) -> None:
         """Tetris-like chain placement (T-LG).
@@ -580,9 +613,7 @@ class Legalizer:
                 # sibling, then to any placed sibling.
                 anchors = list(reversed(placed_chain))
                 for anchor in anchors:
-                    site = self._first_feasible_site(
-                        seg, self._adjacent_sites(tuple(self.positions[anchor]),
-                                                  target))
+                    site = self._first_adjacent_site(seg, anchor, target)
                     if site is not None:
                         self._place(seg, site[0], site[1])
                         placed = True
@@ -616,26 +647,23 @@ class Legalizer:
         pts = self.positions[ids]
         diff = pts[:, None, :] - pts[None, :, :]
         adj = (diff[..., 0] ** 2 + diff[..., 1] ** 2) <= prox * prox
-        seen = np.zeros(k, dtype=bool)
-        groups: List[List[int]] = []
-        for s in range(k):
-            if seen[s]:
-                continue
-            comp = np.zeros(k, dtype=bool)
-            comp[s] = True
-            frontier = comp.copy()
-            while True:
-                grown = adj[frontier].any(axis=0) & ~comp
-                if not grown.any():
-                    break
-                comp |= grown
-                frontier = grown
-            seen |= comp
-            groups.append([ids[t] for t in np.flatnonzero(comp)])
-        return sorted(groups, key=len, reverse=True)
+        # Reflexive adjacency squared until it stops growing: row s is
+        # then the component of s, in O(log k) boolean matmuls.
+        reach = adj
+        while not reach[0].all():
+            wider = reach @ reach
+            if np.array_equal(wider, reach):
+                # Components in order of their smallest member, members
+                # ascending (the order a seeded BFS finds them in).
+                label = reach.argmax(axis=1)
+                groups = [[ids[t] for t in np.flatnonzero(label == c)]
+                          for c in np.unique(label)]
+                return sorted(groups, key=len, reverse=True)
+            reach = wider
+        return [ids]
 
     def _sites_adjacent_to_cluster(self, cluster: Sequence[int],
-                                   ring: int = 1) -> List[Tuple[float, float]]:
+                                   ring: int = 1) -> np.ndarray:
         """Candidate lattice sites within ``ring`` cells of the cluster.
 
         Only ring-1 sites keep the mover inside the proximity radius of a
@@ -659,7 +687,7 @@ class Legalizer:
         # equidistant sites, and the repair outcome must not depend on
         # set/sort incidentals (the reference applies the same rule).
         order = np.lexsort((sites[:, 1], sites[:, 0], d2))
-        return [(float(x), float(y)) for x, y in sites[order]]
+        return sites[order]
 
     def _neighbors_of_cluster(self, cluster: Sequence[int]) -> List[int]:
         """Placed non-qubit instances adjacent to the cluster."""
@@ -798,10 +826,8 @@ class Legalizer:
                         placed = True
                 else:
                     for anchor in reversed(placed_chain):
-                        site = self._first_feasible_site(
-                            seg, self._adjacent_sites(
-                                tuple(self.positions[anchor]), coil_centre),
-                            enforce_resonant=enforce_resonant)
+                        site = self._first_adjacent_site(
+                            seg, anchor, coil_centre, enforce_resonant)
                         if site is not None:
                             self._place(seg, site[0], site[1])
                             placed = True
@@ -890,19 +916,27 @@ class Legalizer:
         The entry point for refinement stages: hand the legalizer a
         finished layout, then mutate it through :meth:`try_moves` /
         :meth:`commit` / :meth:`rollback` without touching internals.
+
+        Raises:
+            ValueError: ``positions`` has the wrong shape.
+            RuntimeError: the legalizer already has placed instances.
         """
         if positions.shape != self.positions.shape:
             raise ValueError("position array shape mismatch")
+        if self._placed:
+            raise RuntimeError(
+                "load() needs an empty legalizer; "
+                f"{len(self._placed)} instances are already placed")
         for i in range(self.problem.num_instances):
             self._place(i, float(positions[i, 0]), float(positions[i, 1]))
 
     def neighbors(self, x: float, y: float, radius_mm: float) -> np.ndarray:
         """Placed instances whose centres may lie within ``radius_mm``.
 
-        A superset screen (hash-cell resolution) — callers needing the
+        A superset screen (grid-cell resolution) — callers needing the
         exact set must distance-filter the result.
         """
-        return self._hash.near_array(x, y, radius_mm)
+        return self._grid.near_array(x, y, radius_mm)
 
     def try_moves(self, moves: Sequence[Tuple[int, Tuple[float, float]]],
                   enforce_resonant: Optional[bool] = None) -> bool:
@@ -914,11 +948,19 @@ class Legalizer:
         and the transaction stays open until :meth:`commit` or
         :meth:`rollback`; on failure the layout is untouched and False
         is returned.
+
+        Raises:
+            RuntimeError: a transaction is already open.
+            ValueError: the batch names an instance more than once.
         """
         if self._txn is not None:
             raise RuntimeError(
                 "a batch-move transaction is already open; "
                 "commit() or rollback() it first")
+        ids = [int(i) for i, _ in moves]
+        if len(set(ids)) != len(ids):
+            raise ValueError(
+                f"batch moves name an instance more than once: {ids}")
         originals = [(int(i), (float(self.positions[i, 0]),
                                float(self.positions[i, 1])))
                      for i, _ in moves]
@@ -968,7 +1010,11 @@ class Legalizer:
     # -- entry point ---------------------------------------------------------------------
 
     def run(self, global_positions: np.ndarray) -> Tuple[np.ndarray, LegalizeStats]:
-        """Legalize ``global_positions``; returns (positions, stats)."""
+        """Legalize ``global_positions``; returns (positions, stats).
+
+        ``stats.phase_seconds`` times this call only; the caller's
+        profiler also receives it under its open phase path.
+        """
         if global_positions.shape != self.positions.shape:
             raise ValueError("position array shape mismatch")
         with profiling.PhaseProfiler() as prof:
@@ -987,5 +1033,11 @@ class Legalizer:
 def legalize(problem: PlacementProblem, global_positions: np.ndarray,
              config: Optional[PlacerConfig] = None
              ) -> Tuple[np.ndarray, LegalizeStats]:
-    """Convenience wrapper: run Algorithm 1 on a global-placement result."""
-    return Legalizer(problem, config).run(global_positions)
+    """Convenience wrapper: run Algorithm 1 on a global-placement result.
+
+    The legalizer is built inside the ``legalize`` phase too, so the
+    caller's top-level phases account for its set-up.
+    """
+    with profiling.phase("legalize"):
+        legalizer = Legalizer(problem, config)
+    return legalizer.run(global_positions)

@@ -88,5 +88,5 @@ class TestBatchedRefinement:
 
         source = inspect.getsource(detailed)
         for private in ("_placed", "_unplace(", "_place(", "_can_place",
-                        "_hash", "_segments_by_resonator", "_clusters"):
+                        "_grid", "_segments_by_resonator", "_clusters"):
             assert ("legalizer." + private) not in source, private

@@ -114,41 +114,96 @@ def _gap_table_args(problem):
             problem.config.detuning_threshold_ghz)
 
 
+def _dense_required_gaps(problem, rows):
+    """Oracle: rows of the dense ``(n, n)`` strict/relaxed gap matrices.
+
+    The broadcast construction the legalizer used before it switched to
+    on-demand lookups, restricted to ``rows`` so eagle-127's matrices
+    need not be held whole.
+    """
+    res = np.asarray(problem.resonator_index, dtype=np.int64)
+    n = res.shape[0]
+    rows = np.asarray(rows, dtype=np.int64)
+    same_res = (res[rows, None] == res[None, :]) & (res[rows, None] >= 0)
+    attach = np.zeros((n, n), dtype=bool)
+    for qi, rids in problem.attached_resonators.items():
+        if rids:
+            attach[qi] = np.isin(res, np.fromiter(rids, dtype=np.int64))
+    intended = same_res | attach[rows] | attach.T[rows]
+    freqs = np.asarray(problem.frequencies, dtype=float)
+    resonant = (np.abs(freqs[rows, None] - freqs[None, :])
+                <= problem.config.detuning_threshold_ghz)
+    clear = np.asarray(problem.clearances, dtype=float)
+    pads = np.asarray(problem.paddings, dtype=float)
+    clear_req = 0.5 * (clear[rows, None] + clear[None, :])
+    pad_req = pads[rows, None] + pads[None, :]
+    strict = np.where(intended, 0.0, np.where(resonant, pad_req, clear_req))
+    relaxed = np.where(intended, 0.0, clear_req)
+    return {True: strict, False: relaxed}
+
+
+_GAP_PROBLEMS = {}
+
+
+def _gap_problem(name):
+    if name not in _GAP_PROBLEMS:
+        _GAP_PROBLEMS[name] = build_problem(
+            build_netlist(get_topology(name)), PlacerConfig())
+    return _GAP_PROBLEMS[name]
+
+
 class TestRequiredGapTable:
     @pytest.fixture(scope="class")
     def problem(self):
-        return build_problem(build_netlist(get_topology("falcon-27")),
-                             PlacerConfig())
+        return _gap_problem("falcon-27")
 
-    def test_sparse_rows_match_dense(self, problem):
-        dense = RequiredGapTable(*_gap_table_args(problem), backend="dense")
-        sparse = RequiredGapTable(*_gap_table_args(problem), backend="sparse")
-        for i in range(0, problem.num_instances, 5):
-            for strict in (True, False):
-                assert np.array_equal(dense.row(i, strict),
-                                      sparse.row(i, strict))
+    @pytest.mark.parametrize("topology", ["grid-25", "falcon-27", "eagle-127"])
+    @pytest.mark.parametrize("strict", [True, False],
+                             ids=["strict", "relaxed"])
+    def test_full_rows_match_dense_oracle(self, topology, strict):
+        problem = _gap_problem(topology)
+        table = RequiredGapTable(*_gap_table_args(problem))
+        n = problem.num_instances
+        every = np.arange(n)
+        for start in range(0, n, 256):
+            rows = np.arange(start, min(start + 256, n))
+            dense = _dense_required_gaps(problem, rows)[strict]
+            for k, i in enumerate(rows.tolist()):
+                assert np.array_equal(table.pairs(i, every, strict),
+                                      dense[k]), (topology, i)
 
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_pairs_matches_row(self, problem, backend):
-        table = RequiredGapTable(*_gap_table_args(problem), backend=backend)
-        js = np.array([0, 3, 17, 40])
-        for i in (5, int(np.argmax(problem.resonator_index >= 0))):
+    @pytest.mark.parametrize("topology", ["grid-25", "falcon-27", "eagle-127"])
+    def test_pairs_matches_oracle(self, topology):
+        problem = _gap_problem(topology)
+        table = RequiredGapTable(*_gap_table_args(problem))
+        n = problem.num_instances
+        js = np.array([0, 3, 17, 40, n - 1, 3])  # repeats are allowed
+        first_seg = int(np.argmax(problem.resonator_index >= 0))
+        for i in (5, first_seg):
+            dense = _dense_required_gaps(problem, [i])
             for strict in (True, False):
                 assert np.array_equal(table.pairs(i, js, strict),
-                                      table.row(i, strict)[js])
+                                      dense[strict][0, js])
+        assert table.pairs(5, np.zeros(0, dtype=np.int64), True).size == 0
 
     def test_intended_pairs_require_no_gap(self, problem):
-        table = RequiredGapTable(*_gap_table_args(problem), backend="sparse")
+        table = RequiredGapTable(*_gap_table_args(problem))
         # A segment and its sibling: same resonator index.
         res = problem.resonator_index
         segs = np.flatnonzero(res == res[np.argmax(res >= 0)])
         if segs.size >= 2:
-            row = table.row(int(segs[0]), True)
-            assert row[segs[1]] == 0.0
-
-    def test_requires_resolved_backend(self, problem):
-        with pytest.raises(ValueError):
-            RequiredGapTable(*_gap_table_args(problem), backend="auto")
+            for strict in (True, False):
+                assert np.all(table.pairs(int(segs[0]), segs[1:],
+                                          strict) == 0.0)
+        # A qubit and the segments of a resonator attached to it, both
+        # ways round.
+        qi, rids = next((q, r) for q, r in
+                        problem.attached_resonators.items() if r)
+        attached = np.flatnonzero(np.isin(res, list(rids)))
+        for strict in (True, False):
+            assert np.all(table.pairs(qi, attached, strict) == 0.0)
+            for j in attached.tolist():
+                assert table.pairs(j, np.array([qi]), strict)[0] == 0.0
 
 
 class TestPrunedCollisionPairs:

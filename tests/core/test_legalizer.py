@@ -112,3 +112,51 @@ class TestStats:
         a, _ = legalize(problem, global_positions)
         b, _ = legalize(problem, global_positions)
         assert np.allclose(a, b)
+
+
+def _bfs_clusters(positions, ids, prox):
+    """Oracle: proximity components by seeded BFS, largest first."""
+    ids = list(ids)
+    pts = positions[ids]
+    diff = pts[:, None, :] - pts[None, :, :]
+    adj = (diff[..., 0] ** 2 + diff[..., 1] ** 2) <= prox * prox
+    seen = set()
+    groups = []
+    for s in range(len(ids)):
+        if s in seen:
+            continue
+        comp, frontier = {s}, [s]
+        while frontier:
+            nxt = [t for f in frontier for t in np.flatnonzero(adj[f])
+                   if t not in comp]
+            comp.update(nxt)
+            frontier = nxt
+        seen |= comp
+        groups.append([ids[t] for t in sorted(comp)])
+    return sorted(groups, key=len, reverse=True)
+
+
+class TestClusters:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_bfs_oracle(self, placed_grid9, seed):
+        problem, positions, _ = placed_grid9
+        lg = Legalizer(problem)
+        rng = np.random.default_rng(seed)
+        pitch = lg._segment_pitch
+        for trial in range(40):
+            k = int(rng.integers(1, 25))
+            ids = rng.choice(problem.num_instances, size=k, replace=False)
+            # Lattice random walks with occasional jumps: chains that
+            # are whole, broken once, or shattered.
+            steps = rng.integers(-1, 2, size=(k, 2)) * pitch
+            jumps = rng.random(k) < rng.choice([0.0, 0.1, 0.5])
+            steps[jumps] *= rng.integers(2, 6, size=(int(jumps.sum()), 1))
+            lg.positions[ids] = np.cumsum(steps, axis=0)
+            assert lg._clusters(ids.tolist()) == _bfs_clusters(
+                lg.positions, ids.tolist(), lg._proximity_mm())
+
+    def test_degenerate_inputs(self, placed_grid9):
+        problem, _, _ = placed_grid9
+        lg = Legalizer(problem)
+        assert lg._clusters([]) == []
+        assert lg._clusters([3]) == [[3]]

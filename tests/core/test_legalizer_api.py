@@ -40,12 +40,28 @@ def _swap_pair(problem, lg):
     return i, j, pos_i, pos_j
 
 
+def _reach(positions):
+    """A query radius around the origin covering the whole layout."""
+    return float(np.abs(positions).max()) + 1.0
+
+
 class TestLoad:
     def test_load_rejects_bad_shape(self, legal_grid9, fast_config):
         problem, _ = legal_grid9
         lg = Legalizer(problem, fast_config)
         with pytest.raises(ValueError):
             lg.load(np.zeros((3, 2)))
+
+    def test_load_refuses_a_placed_legalizer(self, loaded):
+        problem, lg, legal = loaded
+        before = lg.neighbors(float(legal[0, 0]), float(legal[0, 1]), 1.0)
+        with pytest.raises(RuntimeError, match="already placed"):
+            lg.load(legal)
+        # Nothing was placed twice: queries see each instance once.
+        after = lg.neighbors(float(legal[0, 0]), float(legal[0, 1]), 1.0)
+        assert np.array_equal(after, before)
+        every = lg.neighbors(0.0, 0.0, _reach(legal))
+        assert sorted(every.tolist()) == list(range(problem.num_instances))
 
     def test_neighbors_is_superset_of_true_neighbors(self, loaded):
         problem, lg, legal = loaded
@@ -109,6 +125,23 @@ class TestTryMoves:
         with pytest.raises(RuntimeError, match="already open"):
             lg.try_moves([(i, pos_i)])
         lg.rollback()
+
+    def test_duplicate_instance_rejected_before_any_change(self, loaded):
+        problem, lg, legal = loaded
+        i, j, pos_i, pos_j = _swap_pair(problem, lg)
+        before = lg.neighbors(0.0, 0.0, _reach(legal))
+        for batch in ([(i, pos_j), (i, pos_j)],
+                      [(i, pos_j), (j, pos_i), (i, pos_i)]):
+            with pytest.raises(ValueError, match="more than once"):
+                lg.try_moves(batch)
+        assert np.array_equal(lg.positions, legal)
+        # No transaction was left open, and the index is intact.
+        with pytest.raises(RuntimeError):
+            lg.commit()
+        assert np.array_equal(lg.neighbors(0.0, 0.0, _reach(legal)), before)
+        assert lg.try_moves([(i, pos_j), (j, pos_i)])
+        lg.rollback()
+        assert np.array_equal(lg.positions, legal)
 
     def test_commit_without_transaction_raises(self, loaded):
         _, lg, _ = loaded

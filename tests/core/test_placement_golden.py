@@ -7,7 +7,10 @@ the final layout, bit-for-bit unchanged.  These SHA-256 digests of
 kernels (fancy-indexed pair gathers, per-call temporaries, separate
 rasterise/gather windows) and pin both strategies on two paper tiers,
 plus the sparse backend, which exercises the neighbor-list rebuilds
-and the incremental density map with its flush checkpoints.
+and the incremental density map with its flush checkpoints.  The
+eagle-127 pair pins the largest dense-backend tier: the biggest
+required-gap table and the most legalizer neighbourhood queries of any
+paper topology.
 """
 
 import hashlib
@@ -28,6 +31,10 @@ GOLDEN = [
      "79d379653a0286990c74ee1941e4f3c8c716f7486a7ea42d53a4eaaf1cd2dae0"),
     ("falcon-27", "qplacer", {"interaction_backend": "sparse"},
      "1900519d48b66a8dca094d99f8a279c65d48baa509b6dee4ecc6d0c68fd98f64"),
+    ("eagle-127", "qplacer", {},
+     "6ec8bb25a8449a078f571a4d5cbcc2972332220ac955daf41a53208f7dd7a8c2"),
+    ("eagle-127", "classic", {},
+     "14f3626c276f652a1564f7bda5f83c645520736b1b6450974d6b350086f5eb86"),
 ]
 
 
