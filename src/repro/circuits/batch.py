@@ -16,10 +16,12 @@ over *column arrays* (gate-code / qubit / parameter vectors):
   IR gate into its full basis decomposition (``np.repeat`` + table
   lookup, no per-gate recursion);
 * :func:`merge_rz_arrays` — the rz-merging peephole as a grouped
-  segment reduction over per-qubit runs;
+  segment reduction over per-qubit runs; angles reduce mod 2pi through
+  an exact in-range fast path, and only the merged rz rows are sorted
+  before being spliced into the kept gates;
 * :func:`cancel_pairs_arrays` — the self-inverse cancellation pass as a
-  vectorized candidate scan plus an exact automaton over the (usually
-  tiny) candidate subset;
+  vectorized candidate scan plus an exact automaton that reads and
+  writes only the (usually tiny) candidate subset;
 * :func:`transpile_batched` — drop-in equivalent of
   :func:`repro.circuits.transpile.transpile`.
 
@@ -513,16 +515,36 @@ def _stream_incidence(circuit: ArrayCircuit
     One row per (gate, qubit) touch, sorted by (qubit, gate index):
     consecutive rows with equal qubit are stream-adjacent gates.
     Returns ``(gate_index, qubit, slot)`` columns, where slot is the
-    qubit's position in the gate's qubit tuple (0 or 1).
+    qubit's position in the gate's qubit tuple as a bool (True for the
+    second qubit of a two-qubit gate).
+
+    One argsort of the packed key ``qubit * n + gate`` gives that
+    order: a gate's two qubits differ, so the keys are distinct, and
+    the slot-1 touches are the ones listed after the first ``n``.
     """
     n = circuit.codes.shape[0]
     second = np.nonzero(circuit.q1 >= 0)[0]
     inc_gate = np.concatenate((np.arange(n), second))
     inc_qubit = np.concatenate((circuit.q0, circuit.q1[second]))
-    inc_slot = np.concatenate((np.zeros(n, dtype=np.int64),
-                               np.ones(second.shape[0], dtype=np.int64)))
-    order = np.lexsort((inc_gate, inc_qubit))
-    return inc_gate[order], inc_qubit[order], inc_slot[order]
+    order = np.argsort(inc_qubit * n + inc_gate)
+    return inc_gate[order], inc_qubit[order], order >= n
+
+
+def _remainder_2pi(values: np.ndarray) -> np.ndarray:
+    """``[math.remainder(v, 2*pi) for v in values]``, byte for byte.
+
+    IEEE remainder returns ``v`` itself whenever ``|v| <= pi`` (the
+    nearest multiple of ``2*pi`` is 0, ties going to the even one),
+    sign of zero included.  Only the rest (and NaN, which fails the
+    test) take the scalar call, which also keeps its ``ValueError`` on
+    infinities.
+    """
+    out = values.copy()
+    outside = np.nonzero(~(np.abs(values) <= _TWO_PI / 2))[0]
+    if outside.shape[0]:
+        out[outside] = [math.remainder(v, _TWO_PI)
+                        for v in values[outside].tolist()]
+    return out
 
 
 def merge_rz_arrays(circuit: ArrayCircuit) -> ArrayCircuit:
@@ -530,10 +552,18 @@ def merge_rz_arrays(circuit: ArrayCircuit) -> ArrayCircuit:
 
     Vectorized restatement of :func:`repro.circuits.transpile.merge_rz`:
     every rz belongs to the group flushed by the next non-rz gate that
-    touches its qubit (or the end of the circuit).  Groups are
-    contiguous runs of the qubit-sorted incidence list, and the angle
-    sums fold left-to-right exactly like the legacy accumulation, so
-    the float results are bit-identical.
+    touches its qubit (or the end of the circuit).  Groups are maximal
+    runs of rz rows in the qubit-sorted incidence list; the row right
+    after a run flushes it when it is on the same qubit.  Angle sums
+    fold left-to-right exactly like the legacy accumulation, and the
+    mod-2pi reduction is :func:`_remainder_2pi`, so the float results
+    are bit-identical.
+
+    Output order: the non-rz gates keep their relative order, each
+    merged rz sits just before its flushing gate (slot 0 before slot
+    1), and end-of-circuit rz's follow every gate in qubit order.  Only
+    the merged rz rows are sorted; they are then spliced into the kept
+    gates with ``searchsorted``.
     """
     codes = circuit.codes
     n = codes.shape[0]
@@ -542,105 +572,71 @@ def merge_rz_arrays(circuit: ArrayCircuit) -> ArrayCircuit:
     rz_mask = codes == RZ
 
     g, qb, sl = _stream_incidence(circuit)
-    flush = ~rz_mask[g]
     m = g.shape[0]
-
-    seg_start = np.empty(m, dtype=bool)
-    seg_start[0] = True
-    seg_start[1:] = qb[1:] != qb[:-1]
-    seg_id = np.cumsum(seg_start) - 1
-
-    # Position (in incidence order) of the next flush at-or-after each
-    # entry within its qubit segment: a reversed running minimum with
-    # per-segment reset via monotone offsets.
-    key = np.where(flush, np.arange(m), m)
-    big = m + 1
-    adjusted = key[::-1] + seg_id[::-1] * big
-    nxt = (np.minimum.accumulate(adjusted) - seg_id[::-1] * big)[::-1]
-
-    rz_pos = np.nonzero(~flush)[0]
-    if rz_pos.shape[0]:
-        trigger = nxt[rz_pos]                      # >= m means end flush
-        ended = trigger >= m
-        group_key = np.where(ended, m + seg_id[rz_pos], trigger)
-        starts_mask = np.empty(rz_pos.shape[0], dtype=bool)
+    rz_pos = np.nonzero(rz_mask[g])[0]
+    r = rz_pos.shape[0]
+    if r:
+        rz_qubit = qb[rz_pos]
+        starts_mask = np.empty(r, dtype=bool)
         starts_mask[0] = True
-        starts_mask[1:] = group_key[1:] != group_key[:-1]
+        starts_mask[1:] = ((rz_pos[1:] != rz_pos[:-1] + 1)
+                           | (rz_qubit[1:] != rz_qubit[:-1]))
         starts = np.nonzero(starts_mask)[0]
+        bounds = np.append(starts, r)
         # Per-group left-to-right fold (NOT reduceat: pairwise summation
         # would round differently than the legacy accumulation).  One
         # vector step per in-group position keeps it exact and fast.
         rz_params = circuit.params[g[rz_pos]]
-        lens = np.diff(np.append(starts, rz_pos.shape[0]))
+        lens = np.diff(bounds)
         sums = rz_params[starts].copy()
         for step in range(1, int(lens.max())):
             sel = lens > step
             sums[sel] = sums[sel] + rz_params[starts[sel] + step]
-        angles = np.array([math.remainder(v, _TWO_PI) for v in sums.tolist()],
-                          dtype=np.float64)
+        angles = _remainder_2pi(sums)
         keep = np.abs(angles) > 1e-12
-        grp_first = rz_pos[starts]
-        grp_qubit = qb[grp_first][keep]
-        grp_trigger = trigger[starts][keep]
+        grp_qubit = rz_qubit[starts][keep]
         grp_angle = angles[keep]
-        grp_end = grp_trigger >= m
-        # Sort keys: before trigger gate (j, slot); end flushes after
-        # every gate (primary n), ordered by qubit.
-        rz_primary = np.where(grp_end, n, g[np.minimum(grp_trigger, m - 1)])
-        rz_secondary = np.where(grp_end, grp_qubit,
-                                sl[np.minimum(grp_trigger, m - 1)])
+        after = rz_pos[bounds[1:] - 1][keep] + 1
+        after_row = np.minimum(after, m - 1)
+        flushed = (after < m) & (qb[after_row] == grp_qubit)
+        # Sort keys: before the flushing gate (j, slot); end flushes
+        # after every gate (primary n), ordered by qubit.  Both are
+        # unique per group, so one packed key orders the new rz rows.
+        rz_primary = np.where(flushed, g[after_row], n)
+        rz_secondary = np.where(flushed, sl[after_row], grp_qubit)
+        span = max(circuit.num_qubits, 2)
+        order = np.argsort(rz_primary * span + rz_secondary)
+        grp_qubit = grp_qubit[order]
+        grp_angle = grp_angle[order]
+        rz_primary = rz_primary[order]
     else:
         grp_qubit = np.empty(0, dtype=np.int64)
         grp_angle = np.empty(0, dtype=np.float64)
         rz_primary = np.empty(0, dtype=np.int64)
-        rz_secondary = np.empty(0, dtype=np.int64)
 
+    # Splice: kept gates stay in order, and each rz row lands just
+    # before its trigger gate (or after every gate for end flushes).
     keep_gates = np.nonzero(~rz_mask)[0]
-    primary = np.concatenate((keep_gates, rz_primary))
-    secondary = np.concatenate((np.full(keep_gates.shape[0], 2,
-                                        dtype=np.int64), rz_secondary))
-    out_codes = np.concatenate((codes[keep_gates],
-                                np.full(grp_qubit.shape[0], RZ,
-                                        dtype=np.int64)))
-    out_q0 = np.concatenate((circuit.q0[keep_gates], grp_qubit))
-    out_q1 = np.concatenate((circuit.q1[keep_gates],
-                             np.full(grp_qubit.shape[0], -1,
-                                     dtype=np.int64)))
-    out_params = np.concatenate((circuit.params[keep_gates], grp_angle))
-    final = np.lexsort((secondary, primary))
-    return ArrayCircuit(num_qubits=circuit.num_qubits,
-                        codes=out_codes[final], q0=out_q0[final],
-                        q1=out_q1[final], params=out_params[final],
+    r = grp_qubit.shape[0]
+    rz_at = np.searchsorted(keep_gates, rz_primary) + np.arange(r)
+    gate_at = np.ones(keep_gates.shape[0] + r, dtype=bool)
+    gate_at[rz_at] = False
+    out_codes = np.full(gate_at.shape[0], RZ, dtype=np.int64)
+    out_q0 = np.empty(gate_at.shape[0], dtype=np.int64)
+    out_q1 = np.full(gate_at.shape[0], -1, dtype=np.int64)
+    out_params = np.empty(gate_at.shape[0], dtype=np.float64)
+    out_codes[gate_at] = codes[keep_gates]
+    out_q0[gate_at] = circuit.q0[keep_gates]
+    out_q0[rz_at] = grp_qubit
+    out_q1[gate_at] = circuit.q1[keep_gates]
+    out_params[gate_at] = circuit.params[keep_gates]
+    out_params[rz_at] = grp_angle
+    return ArrayCircuit(num_qubits=circuit.num_qubits, codes=out_codes,
+                        q0=out_q0, q1=out_q1, params=out_params,
                         name=circuit.name)
 
 
 # -- pair cancellation ---------------------------------------------------------
-
-def _has_cancel_candidates(circuit: ArrayCircuit) -> bool:
-    """Necessary condition for ``cancel_pairs`` to change anything.
-
-    A cancellation (or sx.sx fusion) first requires two gates of the
-    same cancellable name adjacent in some qubit's gate stream, with
-    identical qubit tuples for cz.  The check is conservative: a hit
-    only means the sequential pass must run, not that it will shrink.
-    """
-    codes = circuit.codes
-    if codes.shape[0] < 2:
-        return False
-    g, qb, _ = _stream_incidence(circuit)
-    same_stream = qb[1:] == qb[:-1]
-    a = g[:-1]
-    b = g[1:]
-    ca = codes[a]
-    cb = codes[b]
-    one_qubit = same_stream & ((ca == X) | (ca == SX)) & (cb == ca)
-    if one_qubit.any():
-        return True
-    cz_pair = (same_stream & (ca == CZ) & (cb == CZ)
-               & (circuit.q0[a] == circuit.q0[b])
-               & (circuit.q1[a] == circuit.q1[b]))
-    return bool(cz_pair.any())
-
 
 def cancel_pairs_arrays(circuit: ArrayCircuit) -> ArrayCircuit:
     """Cancel adjacent self-inverse pairs and fuse sx.sx -> x.
@@ -659,55 +655,62 @@ def cancel_pairs_arrays(circuit: ArrayCircuit) -> ArrayCircuit:
     fusion keeps codes inside {x, sx} — so a gate without a compatible
     original neighbour can never match.  Non-candidates still shape the
     automaton as stream barriers, which is what the per-candidate
-    barrier flags encode; the surviving gates are then spliced back in
-    original order with one boolean gather.
+    barrier flags encode.
+
+    The automaton works on candidate-local indices: only the
+    candidates' codes, qubits and barrier flags become Python lists.
+    Fused codes and removals are scattered back into the full columns
+    with array ops, and the surviving gates keep their original order.
     """
     codes = circuit.codes
     n = codes.shape[0]
     if n < 2:
         return circuit
     g, qb, sl = _stream_incidence(circuit)
-    m = g.shape[0]
-
     same = qb[1:] == qb[:-1]
-    ca = codes[g[:-1]]
-    cb = codes[g[1:]]
+    cg = codes[g]
+    ca = cg[:-1]
+    cb = cg[1:]
     xsx = (ca == X) | (ca == SX)
-    cz_pair = (same & (ca == CZ) & (cb == CZ)
-               & (circuit.q0[g[:-1]] == circuit.q0[g[1:]])
-               & (circuit.q1[g[:-1]] == circuit.q1[g[1:]]))
-    # Early exit (the _has_cancel_candidates condition, computed on the
-    # shared incidence list): every cascade starts from two same-name
-    # adjacent gates, so their absence proves the pass is the identity.
+    cz_pair = same & (ca == CZ) & (cb == CZ)
+    both = np.nonzero(cz_pair)[0]
+    ga = g[both]
+    gb = g[both + 1]
+    cz_pair[both] = ((circuit.q0[ga] == circuit.q0[gb])
+                     & (circuit.q1[ga] == circuit.q1[gb]))
+    # Early exit: every cascade starts from two same-name adjacent
+    # gates, so their absence proves the pass is the identity.
     if not ((same & xsx & (cb == ca)) | cz_pair).any():
         return circuit
-    edge = (same & xsx & ((cb == X) | (cb == SX))) | cz_pair
+    edge = np.nonzero((same & xsx & ((cb == X) | (cb == SX))) | cz_pair)[0]
     is_cand = np.zeros(n, dtype=bool)
-    is_cand[g[:-1][edge]] = True
-    is_cand[g[1:][edge]] = True
+    is_cand[g[edge]] = True
+    is_cand[g[edge + 1]] = True
 
     # Per-(gate, qubit) barrier flag: the stream predecessor is absent
     # or a non-candidate, i.e. an appended gate that invalidates
     # ``last`` for that stream exactly like it would in the full scan.
-    pred_cand = np.zeros(m, dtype=bool)
-    pred_cand[1:] = same & is_cand[g[:-1]]
-    cand_rows = is_cand[g]
-    barrier = ~pred_cand
+    rows = np.nonzero(is_cand[g])[0]
+    barrier = np.ones(rows.shape[0], dtype=bool)
+    inner = rows > 0
+    prev = rows[inner] - 1
+    barrier[inner] = ~(same[prev] & is_cand[g[prev]])
+    second = sl[rows]
     bar0 = np.zeros(n, dtype=bool)
     bar1 = np.zeros(n, dtype=bool)
-    sel0 = cand_rows & (sl == 0)
-    sel1 = cand_rows & (sl == 1)
-    bar0[g[sel0]] = barrier[sel0]
-    bar1[g[sel1]] = barrier[sel1]
-
-    cur = codes.tolist()
-    q0 = circuit.q0.tolist()
-    q1 = circuit.q1.tolist()
-    removed = np.zeros(n, dtype=bool)
-    bar0_l = bar0.tolist()
-    bar1_l = bar1.tolist()
+    bar0[g[rows[~second]]] = barrier[~second]
+    bar1[g[rows[second]]] = barrier[second]
+    # The automaton runs on candidate-local indices: short lists of the
+    # candidates' columns and barrier flags, never the whole circuit.
+    cand = np.nonzero(is_cand)[0]
+    cur = codes[cand].tolist()
+    q0 = circuit.q0[cand].tolist()
+    q1 = circuit.q1[cand].tolist()
+    bar0_l = bar0[cand].tolist()
+    bar1_l = bar1[cand].tolist()
+    removed_l = [False] * len(cur)
     last: Dict[int, int] = {}
-    for i in np.nonzero(is_cand)[0].tolist():
+    for i in range(len(cur)):
         a = q0[i]
         if bar0_l[i] and a in last:
             del last[a]
@@ -718,9 +721,9 @@ def cancel_pairs_arrays(circuit: ArrayCircuit) -> ArrayCircuit:
                 if code == SX:
                     cur[prev] = X
                 else:
-                    removed[prev] = True
+                    removed_l[prev] = True
                     del last[a]
-                removed[i] = True
+                removed_l[i] = True
                 continue
             last[a] = i
         else:  # CZ -- candidate codes are only ever x, sx or cz
@@ -730,17 +733,22 @@ def cancel_pairs_arrays(circuit: ArrayCircuit) -> ArrayCircuit:
             prev = last.get(a)
             if (prev is not None and cur[prev] == CZ and q0[prev] == a
                     and q1[prev] == b and last.get(b) == prev):
-                removed[prev] = True
-                removed[i] = True
+                removed_l[prev] = True
+                removed_l[i] = True
                 del last[a]
                 del last[b]
                 continue
             last[a] = i
             last[b] = i
 
-    keep = ~removed
+    cur_codes = np.array(cur, dtype=np.int64)
+    if not np.array_equal(cur_codes, codes[cand]):  # sx.sx fusions
+        codes = codes.copy()
+        codes[cand] = cur_codes
+    keep = np.ones(n, dtype=bool)
+    keep[cand] = ~np.array(removed_l, dtype=bool)
     return ArrayCircuit(num_qubits=circuit.num_qubits,
-                        codes=np.array(cur, dtype=np.int64)[keep],
+                        codes=codes[keep],
                         q0=circuit.q0[keep],
                         q1=circuit.q1[keep],
                         params=circuit.params[keep],

@@ -738,18 +738,27 @@ def map_suite_arrays(circuit: QuantumCircuit, topology: Topology,
         name=circuit.name)
     basis = transpile_arrays(stacked, optimization_level=optimization_level)
 
+    # One stable sort by seed block replaces a boolean mask per seed:
+    # each seed's rows become one contiguous slice, in circuit order.
     seed_of = basis.q0 // n_phys
+    order = np.argsort(seed_of, kind="stable")
+    bounds = np.searchsorted(seed_of[order],
+                             np.arange(num_mappings + 1)).tolist()
+    codes = basis.codes[order]
+    q0 = basis.q0[order]
+    q1 = basis.q1[order]
+    params = basis.params[order]
     out: List[MappedCircuit] = []
     for k in range(num_mappings):
-        rows = seed_of == k
+        rows = slice(bounds[k], bounds[k + 1])
         off = k * n_phys
-        q1_rows = basis.q1[rows]
+        q1_rows = q1[rows]
         per_seed = ArrayCircuit(
             num_qubits=n_phys,
-            codes=basis.codes[rows],
-            q0=basis.q0[rows] - off,
+            codes=codes[rows],
+            q0=q0[rows] - off,
             q1=np.where(q1_rows >= 0, q1_rows - off, -1),
-            params=basis.params[rows],
+            params=params[rows],
             name=circuit.name)
         mapping, final_mapping, swap_count = metas[k]
         out.append(MappedCircuit(

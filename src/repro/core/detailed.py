@@ -40,7 +40,6 @@ class DetailedPlaceStats:
 
     Attributes:
         swaps_applied: Accepted pairwise swaps.
-        slides_applied: Accepted single-instance slides.
         passes: Refinement sweeps executed.
         hpwl_before: Chain wirelength entering refinement.
         hpwl_after: Chain wirelength after refinement.
@@ -48,7 +47,6 @@ class DetailedPlaceStats:
     """
 
     swaps_applied: int = 0
-    slides_applied: int = 0
     passes: int = 0
     hpwl_before: float = 0.0
     hpwl_after: float = 0.0
