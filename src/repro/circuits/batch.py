@@ -465,44 +465,51 @@ _TEMPLATES: Dict[int, List[_Entry]] = {
     SWAP: _SWAP_TMPL,
 }
 
+# Flat template tables: entry ``code * _MAX_TMPL + k`` is step ``k`` of
+# gate ``code``'s template.  Qubit slots index a gate's
+# ``(q0, q1, -1)`` triple, so slot 2 stands for an absent qubit.
 _MAX_TMPL = max(len(t) for t in _TEMPLATES.values())
 _T_LEN = np.zeros(len(_TEMPLATES), dtype=np.int64)
-_T_CODE = np.zeros((len(_TEMPLATES), _MAX_TMPL), dtype=np.int64)
-_T_ASLOT = np.zeros((len(_TEMPLATES), _MAX_TMPL), dtype=np.int64)
-_T_BSLOT = np.full((len(_TEMPLATES), _MAX_TMPL), -1, dtype=np.int64)
-_T_MULT = np.zeros((len(_TEMPLATES), _MAX_TMPL), dtype=np.float64)
-_T_CONST = np.zeros((len(_TEMPLATES), _MAX_TMPL), dtype=np.float64)
+_T_CODE = np.zeros(len(_TEMPLATES) * _MAX_TMPL, dtype=np.int64)
+_T_ASLOT = np.zeros(len(_TEMPLATES) * _MAX_TMPL, dtype=np.int64)
+_T_BSLOT = np.full(len(_TEMPLATES) * _MAX_TMPL, 2, dtype=np.int64)
+_T_MULT = np.zeros(len(_TEMPLATES) * _MAX_TMPL, dtype=np.float64)
+_T_CONST = np.zeros(len(_TEMPLATES) * _MAX_TMPL, dtype=np.float64)
 for _code, _tmpl in _TEMPLATES.items():
     _T_LEN[_code] = len(_tmpl)
     for _k, (_c, _qa, _qb, _mult, _const) in enumerate(_tmpl):
-        _T_CODE[_code, _k] = _c
-        _T_ASLOT[_code, _k] = _qa
-        _T_BSLOT[_code, _k] = _qb
-        _T_MULT[_code, _k] = _mult
-        _T_CONST[_code, _k] = _const
+        _e = _code * _MAX_TMPL + _k
+        _T_CODE[_e] = _c
+        _T_ASLOT[_e] = _qa
+        _T_BSLOT[_e] = 2 if _qb < 0 else _qb
+        _T_MULT[_e] = _mult
+        _T_CONST[_e] = _const
 
 
 def lower_to_basis_arrays(circuit: ArrayCircuit) -> ArrayCircuit:
-    """Expand every gate to the native basis in one vectorized pass."""
+    """Expand every gate to the native basis in one vectorized pass.
+
+    Each output row gathers its template entry from the flat tables
+    and its qubits from the source gate's ``(q0, q1, -1)`` triple, all
+    with 1-D indexing; the param is ``mult * source_param + const`` as
+    in the template.
+    """
     codes = circuit.codes
     lengths = _T_LEN[codes]
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
-    total = int(offsets[-1])
+    starts = np.cumsum(lengths) - lengths
     src = np.repeat(np.arange(codes.shape[0]), lengths)
-    slot = np.arange(total) - offsets[src]
-    src_code = codes[src]
-    out_codes = _T_CODE[src_code, slot]
-    a_slot = _T_ASLOT[src_code, slot]
-    b_slot = _T_BSLOT[src_code, slot]
-    src_q0 = circuit.q0[src]
-    src_q1 = circuit.q1[src]
-    out_q0 = np.where(a_slot == 0, src_q0, src_q1)
-    out_q1 = np.where(b_slot < 0, -1,
-                      np.where(b_slot == 0, src_q0, src_q1))
-    out_params = (_T_MULT[src_code, slot] * circuit.params[src]
-                  + _T_CONST[src_code, slot])
-    return ArrayCircuit(num_qubits=circuit.num_qubits, codes=out_codes,
-                        q0=out_q0, q1=out_q1, params=out_params,
+    entry = (np.arange(src.shape[0])
+             + np.repeat(codes * _MAX_TMPL - starts, lengths))
+    qubits = np.stack((circuit.q0, circuit.q1,
+                       np.full(codes.shape[0], -1, dtype=np.int64)),
+                      axis=1).ravel()
+    triple = 3 * src
+    return ArrayCircuit(num_qubits=circuit.num_qubits,
+                        codes=_T_CODE[entry],
+                        q0=qubits[triple + _T_ASLOT[entry]],
+                        q1=qubits[triple + _T_BSLOT[entry]],
+                        params=(_T_MULT[entry] * circuit.params[src]
+                                + _T_CONST[entry]),
                         name=circuit.name)
 
 
@@ -566,65 +573,61 @@ def merge_rz_arrays(circuit: ArrayCircuit) -> ArrayCircuit:
     gates with ``searchsorted``.
     """
     codes = circuit.codes
-    n = codes.shape[0]
-    if n == 0:
-        return circuit
     rz_mask = codes == RZ
+    if not rz_mask.any():
+        return circuit
+    n = codes.shape[0]
 
     g, qb, sl = _stream_incidence(circuit)
     m = g.shape[0]
     rz_pos = np.nonzero(rz_mask[g])[0]
     r = rz_pos.shape[0]
-    if r:
-        rz_qubit = qb[rz_pos]
-        starts_mask = np.empty(r, dtype=bool)
-        starts_mask[0] = True
-        starts_mask[1:] = ((rz_pos[1:] != rz_pos[:-1] + 1)
-                           | (rz_qubit[1:] != rz_qubit[:-1]))
-        starts = np.nonzero(starts_mask)[0]
-        bounds = np.append(starts, r)
-        # Per-group left-to-right fold (NOT reduceat: pairwise summation
-        # would round differently than the legacy accumulation).  One
-        # vector step per in-group position keeps it exact and fast.
-        rz_params = circuit.params[g[rz_pos]]
-        lens = np.diff(bounds)
-        sums = rz_params[starts].copy()
-        for step in range(1, int(lens.max())):
-            sel = lens > step
-            sums[sel] = sums[sel] + rz_params[starts[sel] + step]
-        angles = _remainder_2pi(sums)
-        keep = np.abs(angles) > 1e-12
-        grp_qubit = rz_qubit[starts][keep]
-        grp_angle = angles[keep]
-        after = rz_pos[bounds[1:] - 1][keep] + 1
-        after_row = np.minimum(after, m - 1)
-        flushed = (after < m) & (qb[after_row] == grp_qubit)
-        # Sort keys: before the flushing gate (j, slot); end flushes
-        # after every gate (primary n), ordered by qubit.  Both are
-        # unique per group, so one packed key orders the new rz rows.
-        rz_primary = np.where(flushed, g[after_row], n)
-        rz_secondary = np.where(flushed, sl[after_row], grp_qubit)
-        span = max(circuit.num_qubits, 2)
-        order = np.argsort(rz_primary * span + rz_secondary)
-        grp_qubit = grp_qubit[order]
-        grp_angle = grp_angle[order]
-        rz_primary = rz_primary[order]
-    else:
-        grp_qubit = np.empty(0, dtype=np.int64)
-        grp_angle = np.empty(0, dtype=np.float64)
-        rz_primary = np.empty(0, dtype=np.int64)
+    rz_qubit = qb[rz_pos]
+    starts_mask = np.empty(r, dtype=bool)
+    starts_mask[0] = True
+    starts_mask[1:] = ((rz_pos[1:] != rz_pos[:-1] + 1)
+                       | (rz_qubit[1:] != rz_qubit[:-1]))
+    starts = np.nonzero(starts_mask)[0]
+    bounds = np.append(starts, r)
+    # Per-group left-to-right fold (NOT reduceat: pairwise summation
+    # would round differently than the legacy accumulation).  One
+    # vector step per in-group position keeps it exact and fast.
+    rz_params = circuit.params[g[rz_pos]]
+    lens = np.diff(bounds)
+    sums = rz_params[starts].copy()
+    for step in range(1, int(lens.max())):
+        sel = lens > step
+        sums[sel] = sums[sel] + rz_params[starts[sel] + step]
+    angles = _remainder_2pi(sums)
+    keep = np.abs(angles) > 1e-12
+    grp_qubit = rz_qubit[starts][keep]
+    grp_angle = angles[keep]
+    after = rz_pos[bounds[1:] - 1][keep] + 1
+    after_row = np.minimum(after, m - 1)
+    flushed = (after < m) & (qb[after_row] == grp_qubit)
+    # Sort keys: before the flushing gate (j, slot); end flushes
+    # after every gate (primary n), ordered by qubit.  Both are
+    # unique per group, so one packed key orders the new rz rows.
+    rz_primary = np.where(flushed, g[after_row], n)
+    rz_secondary = np.where(flushed, sl[after_row], grp_qubit)
+    span = max(circuit.num_qubits, 2)
+    order = np.argsort(rz_primary * span + rz_secondary)
+    grp_qubit = grp_qubit[order]
+    grp_angle = grp_angle[order]
+    rz_primary = rz_primary[order]
 
     # Splice: kept gates stay in order, and each rz row lands just
-    # before its trigger gate (or after every gate for end flushes).
+    # before its flushing gate (or after every gate for end flushes).
     keep_gates = np.nonzero(~rz_mask)[0]
-    r = grp_qubit.shape[0]
-    rz_at = np.searchsorted(keep_gates, rz_primary) + np.arange(r)
-    gate_at = np.ones(keep_gates.shape[0] + r, dtype=bool)
+    size = keep_gates.shape[0] + grp_qubit.shape[0]
+    rz_at = (np.searchsorted(keep_gates, rz_primary)
+             + np.arange(grp_qubit.shape[0]))
+    gate_at = np.ones(size, dtype=bool)
     gate_at[rz_at] = False
-    out_codes = np.full(gate_at.shape[0], RZ, dtype=np.int64)
-    out_q0 = np.empty(gate_at.shape[0], dtype=np.int64)
-    out_q1 = np.full(gate_at.shape[0], -1, dtype=np.int64)
-    out_params = np.empty(gate_at.shape[0], dtype=np.float64)
+    out_codes = np.full(size, RZ, dtype=np.int64)
+    out_q0 = np.empty(size, dtype=np.int64)
+    out_q1 = np.full(size, -1, dtype=np.int64)
+    out_params = np.empty(size, dtype=np.float64)
     out_codes[gate_at] = codes[keep_gates]
     out_q0[gate_at] = circuit.q0[keep_gates]
     out_q0[rz_at] = grp_qubit
