@@ -696,8 +696,8 @@ def cancel_pairs_arrays(circuit: ArrayCircuit) -> ArrayCircuit:
     rows = np.nonzero(is_cand[g])[0]
     barrier = np.ones(rows.shape[0], dtype=bool)
     inner = rows > 0
-    prev = rows[inner] - 1
-    barrier[inner] = ~(same[prev] & is_cand[g[prev]])
+    pred = rows[inner] - 1
+    barrier[inner] = ~(same[pred] & is_cand[g[pred]])
     second = sl[rows]
     bar0 = np.zeros(n, dtype=bool)
     bar1 = np.zeros(n, dtype=bool)
@@ -711,7 +711,7 @@ def cancel_pairs_arrays(circuit: ArrayCircuit) -> ArrayCircuit:
     q1 = circuit.q1[cand].tolist()
     bar0_l = bar0[cand].tolist()
     bar1_l = bar1[cand].tolist()
-    removed_l = [False] * len(cur)
+    removed = [False] * len(cur)
     last: Dict[int, int] = {}
     for i in range(len(cur)):
         a = q0[i]
@@ -724,9 +724,9 @@ def cancel_pairs_arrays(circuit: ArrayCircuit) -> ArrayCircuit:
                 if code == SX:
                     cur[prev] = X
                 else:
-                    removed_l[prev] = True
+                    removed[prev] = True
                     del last[a]
-                removed_l[i] = True
+                removed[i] = True
                 continue
             last[a] = i
         else:  # CZ -- candidate codes are only ever x, sx or cz
@@ -736,8 +736,8 @@ def cancel_pairs_arrays(circuit: ArrayCircuit) -> ArrayCircuit:
             prev = last.get(a)
             if (prev is not None and cur[prev] == CZ and q0[prev] == a
                     and q1[prev] == b and last.get(b) == prev):
-                removed_l[prev] = True
-                removed_l[i] = True
+                removed[prev] = True
+                removed[i] = True
                 del last[a]
                 del last[b]
                 continue
@@ -749,7 +749,7 @@ def cancel_pairs_arrays(circuit: ArrayCircuit) -> ArrayCircuit:
         codes = codes.copy()
         codes[cand] = cur_codes
     keep = np.ones(n, dtype=bool)
-    keep[cand] = ~np.array(removed_l, dtype=bool)
+    keep[cand] = ~np.array(removed, dtype=bool)
     return ArrayCircuit(num_qubits=circuit.num_qubits,
                         codes=codes[keep],
                         q0=circuit.q0[keep],
