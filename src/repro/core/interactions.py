@@ -20,7 +20,9 @@ count crosses :data:`DEFAULT_SPARSE_MIN_INSTANCES`; the six paper
 topologies stay below it, so their results remain bit-identical to the
 dense-only implementation.  Config override via
 :attr:`~repro.core.config.PlacerConfig.interaction_backend` and CLI
-``--interaction-backend``.
+``--interaction-backend``.  The spatial-violation scan returns the same
+pairs under either strategy, so it uses the grid at every size unless
+``dense`` is forced.
 
 Sparse candidate generation is fully vectorized: cell keys are sorted
 once, and for each of the five half-neighborhood offsets the matching

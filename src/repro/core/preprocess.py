@@ -27,6 +27,7 @@ from ..devices.components import Instance, Qubit, ResonatorSegment
 from ..devices.geometry import Rect
 from ..devices.netlist import QuantumNetlist
 from .config import PlacerConfig
+from .interactions import sort_pairs
 
 
 @dataclass
@@ -137,7 +138,11 @@ def _collision_pairs(frequencies: np.ndarray, resonator_index: np.ndarray,
 
     Components were assigned frequencies from a discrete comb, so pairs
     within ``threshold`` are found by sorting: for each instance only a
-    short run of the frequency-sorted order can collide.
+    short run of the frequency-sorted order can collide.  Every sorted
+    position pair ``a < b`` is visited once and ``order`` is a
+    permutation, so the pairs are already distinct: one packed-key sort
+    (:func:`~repro.core.interactions.sort_pairs`) orders them
+    lexicographically, as ``np.unique(axis=0)`` would.
     """
     n = len(frequencies)
     order = np.argsort(frequencies, kind="stable")
@@ -161,8 +166,8 @@ def _collision_pairs(frequencies: np.ndarray, resonator_index: np.ndarray,
     ri, rj = resonator_index[i], resonator_index[j]
     keep = ~((ri >= 0) & (ri == rj))
     i, j = i[keep], j[keep]
-    pairs = np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)
-    return np.unique(pairs, axis=0).astype(np.int64)
+    i, j = sort_pairs(np.minimum(i, j), np.maximum(i, j), n)
+    return np.stack([i, j], axis=1).astype(np.int64)
 
 
 def build_problem(netlist: QuantumNetlist,

@@ -144,17 +144,23 @@ def spatial_candidate_pairs(positions: np.ndarray, half_w: np.ndarray,
                                        np.ndarray, np.ndarray]:
     """``(i, j, |dx|, |dy|)`` of pairs whose padded footprints touch.
 
-    The dense strategy screens every ``triu`` pair; the sparse one
-    buckets instances into a uniform grid sized to the largest possible
-    padded reach, so only nearby pairs are screened.  Both return the
-    same pairs in the same lexicographic order, so every downstream
-    filter produces identical violation lists under either strategy.
-    The per-axis centre distances come back alongside the indices so
-    the violation scan never recomputes them.
+    Candidates come from a uniform grid sized to the largest possible
+    padded reach, so only nearby pairs are screened — at every size,
+    ``auto`` included.  ``backend="dense"`` forces the all-pairs
+    ``triu`` screen instead; both return the same pairs in the same
+    lexicographic order, so every downstream filter produces identical
+    violation lists under either strategy.  The per-axis centre
+    distances come back alongside the indices so the violation scan
+    never recomputes them.  Fewer than two instances yield empty
+    arrays.
     """
     n = positions.shape[0]
-    resolved = resolve_backend(backend, n)
-    if resolved == "dense":
+    resolve_backend(backend, n)  # validates the name
+    if n < 2:
+        no_pairs = np.zeros(0, dtype=np.int64)
+        no_dist = np.zeros(0, dtype=np.float64)
+        return no_pairs, no_pairs, no_dist, no_dist
+    if backend == "dense":
         iu, ju = dense_candidate_pairs(n)
         presorted = True
     else:

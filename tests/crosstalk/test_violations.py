@@ -10,7 +10,9 @@ from repro.crosstalk.violations import (
     KIND_QR,
     KIND_RR,
     count_by_kind,
+    count_candidate_pairs,
     find_spatial_violations,
+    spatial_candidate_pairs,
 )
 
 
@@ -121,3 +123,32 @@ class TestHelpers:
     def test_empty_layout(self):
         lay = layout_of([qubit(0, 5.0)], [(0, 0)])
         assert find_spatial_violations(lay) == []
+
+
+class TestFewerThanTwoInstances:
+    @pytest.mark.parametrize("backend", ["auto", "dense", "sparse"])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_candidate_pairs_empty(self, n, backend):
+        pos = np.zeros((n, 2))
+        half = np.full(n, 0.2)
+        iu, ju, dx, dy = spatial_candidate_pairs(pos, half, half,
+                                                 np.full(n, 0.4),
+                                                 backend=backend)
+        for arr, dtype in ((iu, np.int64), (ju, np.int64),
+                           (dx, np.float64), (dy, np.float64)):
+            assert arr.dtype == dtype
+            assert arr.shape == (0,)
+
+    @pytest.mark.parametrize("backend", ["auto", "dense", "sparse"])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_layout_scans_empty(self, n, backend):
+        lay = Layout(instances=[qubit(0, 5.0)][:n],
+                     positions=np.zeros((n, 2)))
+        assert count_candidate_pairs(lay, backend=backend) == 0
+        assert find_spatial_violations(lay, backend=backend) == []
+
+    def test_unknown_backend_still_rejected(self):
+        with pytest.raises(ValueError):
+            spatial_candidate_pairs(np.zeros((0, 2)), np.zeros(0),
+                                    np.zeros(0), np.zeros(0),
+                                    backend="bogus")

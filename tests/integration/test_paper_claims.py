@@ -2,7 +2,10 @@
 
 These assert the reproduction's numbers against figures the paper states
 explicitly: Table II instance counts, the Sec. III-C TM110 values, the
-Sec. V-C resonator-length band, and the frequency-comb structure.
+Sec. V-C resonator-length band, the frequency-comb structure, and the
+headline contract: QPlacer layouts are hotspot-free, keep every
+resonator contiguous and are legal, while Classic layouts are not
+hotspot-free.
 """
 
 import math
@@ -10,8 +13,11 @@ import math
 import pytest
 
 from repro import constants
-from repro.core import PlacerConfig
+from repro.analysis import resonator_integrity
+from repro.core import PlacerConfig, QPlacer
 from repro.core.preprocess import build_problem
+from repro.ensembles import check_layout_legal
+from repro.ensembles.jobs import hotspot_report
 from repro.devices import build_netlist, get_topology
 from repro.devices.frequency import frequency_levels
 from repro.physics import resonator_length_mm, tm110_frequency_ghz
@@ -80,3 +86,17 @@ class TestSegmentScaling:
             counts[lb] = problem.num_instances
         assert counts[0.2] / counts[0.3] == pytest.approx(2.1, abs=0.2)
         assert counts[0.3] / counts[0.4] == pytest.approx(1.65, abs=0.2)
+
+
+@pytest.mark.parametrize("name", ["grid-25", "falcon-27"])
+class TestPaperContract:
+    def test_qplacer_hotspot_free_intact_and_legal(self, name):
+        result = QPlacer(PlacerConfig()).place(build_netlist(get_topology(name)))
+        assert hotspot_report(result.layout).ph_percent == 0
+        assert resonator_integrity(result.layout) == 1.0
+        assert check_layout_legal(result.problem, result.layout.positions)
+
+    def test_classic_has_hotspots(self, name):
+        result = QPlacer(PlacerConfig.classic()).place(
+            build_netlist(get_topology(name)))
+        assert hotspot_report(result.layout).ph_percent > 0
