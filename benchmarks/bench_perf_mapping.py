@@ -34,7 +34,7 @@ import time
 from typing import Callable, Dict, List, Tuple
 
 from repro.analysis.runner import MappingJob, ParallelRunner, run_mapping_job
-from repro.circuits.batch import transpile_batched
+from repro.circuits.batch import ArrayCircuit, transpile_batched
 from repro.circuits.library import PAPER_BENCHMARKS, get_benchmark
 from repro.circuits.mapping import (MappedCircuit, evaluation_mappings,
                                     initial_placement, route,
@@ -98,7 +98,8 @@ def _reference_evaluation_mappings(circuit, topology, num_mappings: int,
         routed, final, swaps = route_reference(circuit, topology, mapping)
         physical = transpile_batched(routed, optimization_level=3)
         out.append(MappedCircuit(
-            physical_circuit=physical, topology=topology,
+            physical_arrays=ArrayCircuit.from_circuit(physical),
+            topology=topology,
             initial_mapping=mapping, final_mapping=final, swap_count=swaps,
             schedule=physical.asap_schedule()))
     return out

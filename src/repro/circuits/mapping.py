@@ -85,38 +85,29 @@ class MappedCircuit:
     """A benchmark circuit compiled onto physical qubits of a device.
 
     Attributes:
+        physical_arrays: The physical basis circuit as column arrays —
+            the canonical form.  The gate statistics below are bincount
+            scans over the columns, value-identical to ``Gate``-list
+            loops (pinned by ``tests/circuits/test_gate_counts.py``).
         topology: Target topology.
         initial_mapping: logical -> physical assignment before routing.
         final_mapping: logical -> physical assignment after routing.
         swap_count: Number of SWAPs inserted by the router.
         schedule: ASAP schedule of the physical circuit.
-        physical_arrays: The physical basis circuit as column arrays.
-            Present on every :func:`map_circuit` product; the gate
-            statistics below are bincount scans over the columns
-            instead of ``Gate``-list loops — value-identical, pinned by
-            ``tests/circuits/test_gate_counts.py``.  ``None`` only for
-            hand-built instances (e.g. reference-pipeline comparisons),
-            which must then pass ``physical_circuit=`` eagerly.
 
     ``physical_circuit`` is a lazy, memoized compatibility property:
-    the compile pipeline stays fully columnar and the ``Gate``-list
-    decode runs only when a consumer explicitly asks for it.  The memo
-    is dropped on pickling (the column arrays are the canonical form),
-    so runner cache entries stay lean and deterministic.
+    the ``Gate``-list decode runs only when a consumer explicitly asks
+    for it.  The memo is dropped on pickling, so runner cache entries
+    stay lean and deterministic.
     """
 
-    def __init__(self, physical_circuit: Optional[QuantumCircuit] = None,
+    def __init__(self, physical_arrays: ArrayCircuit,
                  topology: Optional[Topology] = None,
                  initial_mapping: Optional[Dict[int, int]] = None,
                  final_mapping: Optional[Dict[int, int]] = None,
                  swap_count: int = 0,
-                 schedule: Optional[Schedule] = None,
-                 physical_arrays: Optional[ArrayCircuit] = None) -> None:
-        if physical_circuit is None and physical_arrays is None:
-            raise ValueError(
-                "MappedCircuit needs physical_arrays (columnar form) or "
-                "an explicit physical_circuit")
-        self._physical_circuit = physical_circuit
+                 schedule: Optional[Schedule] = None) -> None:
+        self._physical_circuit: Optional[QuantumCircuit] = None
         self.topology = topology
         self.initial_mapping = initial_mapping
         self.final_mapping = final_mapping
@@ -133,48 +124,32 @@ class MappedCircuit:
 
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)
-        if self.physical_arrays is not None:
-            state["_physical_circuit"] = None  # re-decode after unpickle
+        state["_physical_circuit"] = None  # re-decode after unpickle
         return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
 
     def __repr__(self) -> str:
         return (f"MappedCircuit(swap_count={self.swap_count}, "
-                f"gates={self.physical_arrays.size if self.physical_arrays is not None else len(self.physical_circuit.gates)}, "
+                f"gates={self.physical_arrays.size}, "
                 f"decoded={self._physical_circuit is not None})")
 
     @property
     def active_qubits(self) -> Set[int]:
         """Physical qubits touched by at least one gate."""
-        if self.physical_arrays is not None:
-            return self.physical_arrays.used_qubits()
-        return self.physical_circuit.used_qubits()
+        return self.physical_arrays.used_qubits()
 
     @property
     def active_edges(self) -> Set[Edge]:
         """Physical coupler edges used by two-qubit gates."""
-        if self.physical_arrays is not None:
-            return self.physical_arrays.used_pairs()
-        return self.physical_circuit.used_pairs()
+        return self.physical_arrays.used_pairs()
 
     @property
-    def active_qubit_mask(self) -> Optional[np.ndarray]:
-        """Boolean per-physical-qubit activity column, or ``None``.
-
-        ``None`` when only a decoded circuit is held — mask consumers
-        (the fidelity model) then fall back to the set-based scan.
-        """
-        if self.physical_arrays is None:
-            return None
+    def active_qubit_mask(self) -> np.ndarray:
+        """Boolean per-physical-qubit activity column."""
         return self.physical_arrays.used_qubit_mask()
 
     @property
-    def active_pair_keys(self) -> Optional[np.ndarray]:
-        """Sorted ``lo * n + hi`` keys of active couplers, or ``None``."""
-        if self.physical_arrays is None:
-            return None
+    def active_pair_keys(self) -> np.ndarray:
+        """Sorted ``lo * n + hi`` keys of active couplers."""
         return self.physical_arrays.used_pair_keys()
 
     @property
@@ -184,27 +159,14 @@ class MappedCircuit:
 
     def two_qubit_counts(self) -> Dict[Edge, int]:
         """Number of two-qubit gates per physical coupler."""
-        if self.physical_arrays is not None:
-            return self.physical_arrays.two_qubit_counts()
-        counts: Counter = Counter()
-        for g in self.physical_circuit.gates:
-            if g.is_two_qubit:
-                a, b = g.qubits
-                counts[(min(a, b), max(a, b))] += 1
-        return dict(counts)
+        return self.physical_arrays.two_qubit_counts()
 
     def single_qubit_counts(self) -> Dict[int, int]:
         """Number of timed single-qubit gates per physical qubit.
 
         Virtual rz gates are free and excluded.
         """
-        if self.physical_arrays is not None:
-            return self.physical_arrays.single_qubit_counts()
-        counts: Counter = Counter()
-        for g in self.physical_circuit.gates:
-            if g.name in ("sx", "x"):
-                counts[g.qubits[0]] += 1
-        return dict(counts)
+        return self.physical_arrays.single_qubit_counts()
 
     def timed_gate_totals(self) -> Tuple[int, int]:
         """``(timed single-qubit gates, two-qubit gates)`` totals.
@@ -212,10 +174,7 @@ class MappedCircuit:
         The Eq. 15 gate-factor inputs, without building the per-qubit
         and per-edge dicts when only the sums are needed.
         """
-        if self.physical_arrays is not None:
-            return self.physical_arrays.timed_gate_totals()
-        return (sum(self.single_qubit_counts().values()),
-                sum(self.two_qubit_counts().values()))
+        return self.physical_arrays.timed_gate_totals()
 
 
 @functools.lru_cache(maxsize=None)

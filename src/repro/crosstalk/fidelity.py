@@ -4,26 +4,23 @@
 
 Only *actively engaged* components count (Sec. V-C): the qubits touched
 by the mapped circuit and the resonators whose couplers carry two-qubit
-gates.  Crosstalk terms apply to spatially violating pairs where both
-members are active; the exposure time is the circuit duration (worst
-case).
+gates.  Crosstalk terms apply to spatially violating pairs with at
+least one active member; the exposure time is the circuit duration
+(worst case).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..circuits.mapping import MappedCircuit
 from ..devices.components import Qubit, ResonatorSegment
 from ..devices.layout import Layout
-from .noise_model import NoiseParams, crosstalk_error, decoherence_error
+from .noise_model import NoiseParams, decoherence_error
 from .violations import KIND_QQ, SpatialViolation, find_spatial_violations
-
-Edge = Tuple[int, int]
 
 
 @dataclass
@@ -51,17 +48,6 @@ class FidelityBreakdown:
     crosstalk_pairs: int
 
 
-def _active_resonator_indices(layout: Layout,
-                              active_edges: Set[Edge]) -> Set[int]:
-    """Resonator indices whose coupler edge carries two-qubit gates."""
-    if layout.netlist is None:
-        return set()
-    return {
-        r.index for r in layout.netlist.resonators
-        if r.endpoints in active_edges
-    }
-
-
 @dataclass(frozen=True)
 class ViolationTable:
     """Columnar view of a layout's spatial violations.
@@ -80,16 +66,13 @@ class ViolationTable:
         g_ghz: Parasitic coupling strength per violation.
         detuning_ghz: Frequency detuning per violation.
         is_qq: True for qubit-qubit violations.
-        res_keys: Per-netlist-resonator endpoint key ``e0 * n + e1`` in
-            the resonator's stored orientation (``None`` when the
-            layout carries no netlist).  Matches the set semantics of
-            :func:`_active_resonator_indices` exactly: a resonator with
-            non-canonical endpoint order never matches a canonical
-            active-pair key, in either representation.
-        res_index: Resonator index aligned with ``res_keys``.
-        num_phys: Topology qubit count the keys were built against.
-        res_mask_size: Length of the resonator activity mask
-            (``max resonator index + 1``).
+        res_e0, res_e1: Endpoint columns of the netlist's resonators in
+            their stored orientation (empty when the layout carries no
+            netlist).
+        res_index: Resonator index aligned with ``res_e0``/``res_e1``.
+        gather_size: Minimum length of the activity gathers: one past
+            every member and resonator index, plus a ``False`` slot that
+            the ``-1`` of a non-member reads.
     """
 
     violations: List[SpatialViolation]
@@ -100,10 +83,10 @@ class ViolationTable:
     g_ghz: np.ndarray
     detuning_ghz: np.ndarray
     is_qq: np.ndarray
-    res_keys: Optional[np.ndarray] = None
-    res_index: Optional[np.ndarray] = None
-    num_phys: int = 0
-    res_mask_size: int = 0
+    res_e0: np.ndarray
+    res_e1: np.ndarray
+    res_index: np.ndarray
+    gather_size: int
 
     @classmethod
     def build(cls, layout: Layout,
@@ -132,19 +115,13 @@ class ViolationTable:
                     qubit_idx[row, col] = inst.index
                 elif isinstance(inst, ResonatorSegment):
                     res_idx[row, col] = inst.resonator_index
-        res_keys = res_index = None
-        num_phys = 0
-        res_mask_size = 0
-        if layout.netlist is not None:
-            resonators = layout.netlist.resonators
-            num_phys = layout.netlist.topology.num_qubits
-            res_keys = np.fromiter(
-                (r.endpoints[0] * num_phys + r.endpoints[1]
-                 for r in resonators),
-                dtype=np.int64, count=len(resonators))
-            res_index = np.fromiter((r.index for r in resonators),
-                                    dtype=np.int64, count=len(resonators))
-            res_mask_size = int(res_index.max()) + 1 if len(resonators) else 0
+        resonators = (layout.netlist.resonators
+                      if layout.netlist is not None else [])
+        res_cols = np.array([(r.endpoints[0], r.endpoints[1], r.index)
+                             for r in resonators],
+                            dtype=np.int64).reshape(-1, 3)
+        top = max(int(qubit_idx.max(initial=-1)), int(res_idx.max(initial=-1)),
+                  int(res_cols[:, 2].max(initial=-1)))
         return cls(
             violations=violations,
             qubit_i=qubit_idx[:, 0], qubit_j=qubit_idx[:, 1],
@@ -154,58 +131,44 @@ class ViolationTable:
                                   dtype=float),
             is_qq=np.array([v.kind == KIND_QQ for v in violations],
                            dtype=bool),
-            res_keys=res_keys,
-            res_index=res_index,
-            num_phys=num_phys,
-            res_mask_size=res_mask_size,
+            res_e0=res_cols[:, 0], res_e1=res_cols[:, 1],
+            res_index=res_cols[:, 2],
+            gather_size=top + 2,
         )
 
     def __len__(self) -> int:
         return len(self.violations)
 
-    def active_mask(self, active_qubits: Set[int],
-                    active_resonators: Set[int]) -> np.ndarray:
-        """Violations with at least one actively engaged member.
+    def activity(self, qubit_mask: np.ndarray,
+                 pair_keys: np.ndarray) -> Tuple[np.ndarray, int]:
+        """Per-violation activity mask and the active-resonator count.
 
-        Mirrors :func:`_violation_is_active`: errors in inactive elements
-        do not compromise the program, but one active member suffices.
+        ``qubit_mask`` and ``pair_keys`` are a mapping's
+        :attr:`~repro.circuits.mapping.MappedCircuit.active_qubit_mask`
+        and canonical ``lo * n + hi`` :attr:`~repro.circuits.mapping.
+        MappedCircuit.active_pair_keys`, with ``n = len(qubit_mask)``.
+        A resonator is active when its stored ``(e0, e1)`` is an active
+        coupler: a non-canonical orientation, or an endpoint the
+        mapping's ``n`` qubits cannot reach, never is.  A violation is
+        active when at least one member is (Sec. V-C): errors in
+        inactive elements do not compromise the program, but an active
+        component resonantly coupled to an inactive neighbour still
+        leaks its excitation into it.
+
+        Both gathers carry a ``False`` slot past every index, so the
+        ``-1`` of a non-qubit / non-resonator member and a layout qubit
+        beyond the mapping's topology read inactive.
         """
-        aq = np.fromiter(active_qubits, dtype=np.int64, count=len(active_qubits))
-        ar = np.fromiter(active_resonators, dtype=np.int64,
-                         count=len(active_resonators))
-        return (np.isin(self.qubit_i, aq) | np.isin(self.qubit_j, aq)
-                | np.isin(self.res_i, ar) | np.isin(self.res_j, ar))
-
-    def active_resonator_mask(self, pair_keys: np.ndarray
-                              ) -> Optional[np.ndarray]:
-        """Resonator activity mask from active coupler pair keys.
-
-        ``pair_keys`` is :meth:`repro.circuits.batch.ArrayCircuit.
-        used_pair_keys` output (canonical ``lo * n + hi`` keys over the
-        same topology the table was built on).  Boolean-identical to
-        ``{r.index for r in resonators if r.endpoints in active_edges}``
-        — the mask form of :func:`_active_resonator_indices`.  Returns
-        ``None`` when the table carries no netlist columns.
-        """
-        if self.res_keys is None:
-            return None
-        mask = np.zeros(self.res_mask_size, dtype=bool)
-        if len(self.res_keys):
-            mask[self.res_index[np.isin(self.res_keys, pair_keys)]] = True
-        return mask
-
-    def active_mask_from_masks(self, qubit_mask: np.ndarray,
-                               resonator_mask: np.ndarray) -> np.ndarray:
-        """Mask-gather form of :meth:`active_mask` (identical booleans).
-
-        Appends a ``False`` sentinel so the ``-1`` slots of non-qubit /
-        non-resonator members gather to inactive, exactly like absence
-        from the active sets.
-        """
-        qm = np.append(qubit_mask, False)
-        rm = np.append(resonator_mask, False)
-        return (qm[self.qubit_i] | qm[self.qubit_j]
-                | rm[self.res_i] | rm[self.res_j])
+        n = qubit_mask.shape[0]
+        keys = np.where((self.res_e0 < n) & (self.res_e1 < n),
+                        self.res_e0 * n + self.res_e1, -1)
+        res_mask = np.zeros(self.gather_size, dtype=bool)
+        res_mask[self.res_index[np.isin(keys, pair_keys)]] = True
+        qm = np.zeros(max(n + 1, self.gather_size), dtype=bool)
+        qm[:n] = qubit_mask
+        active = (qm[self.qubit_i] | qm[self.qubit_j]
+                  | res_mask[self.res_i] | res_mask[self.res_j])
+        return active, int(res_mask.sum())
 
     def crosstalk_errors(self, duration_ns: float) -> np.ndarray:
         """Worst-case swap probability per violation (Eq. 16), vectorized.
@@ -221,26 +184,6 @@ class ViolationTable:
                               out=np.zeros_like(g), where=rabi2 > 0)
         phase = np.pi * np.sqrt(rabi2) * duration_ns
         return amplitude * np.sin(np.minimum(phase, np.pi / 2.0)) ** 2
-
-
-def _violation_is_active(layout: Layout, violation: SpatialViolation,
-                         active_qubits: Set[int],
-                         active_resonators: Set[int]) -> bool:
-    """True when at least one member of the pair is actively engaged.
-
-    Errors in inactive elements do not compromise the program (Sec. V-C),
-    but an *active* component resonantly coupled to an inactive neighbour
-    still leaks its excitation into it — the error belongs to the active
-    member, so one active member suffices.
-    """
-    for idx in (violation.i, violation.j):
-        inst = layout.instances[idx]
-        if isinstance(inst, Qubit) and inst.index in active_qubits:
-            return True
-        if (isinstance(inst, ResonatorSegment)
-                and inst.resonator_index in active_resonators):
-            return True
-    return False
 
 
 def estimate_program_fidelity(layout: Layout, mapped: MappedCircuit,
@@ -270,26 +213,12 @@ def estimate_program_fidelity(layout: Layout, mapped: MappedCircuit,
     duration = mapped.duration_ns
 
     # --- active components ------------------------------------------------
-    # Column masks when the mapping pipeline kept its arrays (zero gate
-    # decode, no Python sets); set scan otherwise.  Both branches yield
-    # the same activity booleans, so every factor below is bit-identical.
     qubit_mask = mapped.active_qubit_mask
-    use_masks = (qubit_mask is not None and table.res_keys is not None
-                 and qubit_mask.shape[0] == table.num_phys)
-    if use_masks:
-        res_mask = table.active_resonator_mask(mapped.active_pair_keys)
-        num_active_qubits = int(qubit_mask.sum())
-        num_active_resonators = int(res_mask.sum())
-    else:
-        active_qubits = mapped.active_qubits
-        active_resonators = _active_resonator_indices(layout,
-                                                      mapped.active_edges)
-        num_active_qubits = len(active_qubits)
-        num_active_resonators = len(active_resonators)
+    active, num_active_resonators = table.activity(qubit_mask,
+                                                   mapped.active_pair_keys)
+    num_active_qubits = int(qubit_mask.sum())
 
     # --- gate errors -----------------------------------------------------
-    # Columnar totals when the mapping pipeline kept its arrays: no
-    # Gate-list scan, no per-qubit/per-edge dicts (identical sums).
     n_single, n_two = mapped.timed_gate_totals()
     gate_factor = ((1.0 - params.single_qubit_gate_error) ** n_single
                    * (1.0 - params.two_qubit_gate_error) ** n_two)
@@ -301,17 +230,11 @@ def estimate_program_fidelity(layout: Layout, mapped: MappedCircuit,
     # --- crosstalk on violating active pairs ------------------------------
     qq_factor = 1.0
     rr_factor = 1.0
-    pair_count = 0
-    if len(table):
-        if use_masks:
-            active = table.active_mask_from_masks(qubit_mask, res_mask)
-        else:
-            active = table.active_mask(active_qubits, active_resonators)
-        pair_count = int(active.sum())
-        if pair_count:
-            eps = table.crosstalk_errors(duration)
-            qq_factor = float(np.prod(1.0 - eps[active & table.is_qq]))
-            rr_factor = float(np.prod(1.0 - eps[active & ~table.is_qq]))
+    pair_count = int(active.sum())
+    if pair_count:
+        eps = table.crosstalk_errors(duration)
+        qq_factor = float(np.prod(1.0 - eps[active & table.is_qq]))
+        rr_factor = float(np.prod(1.0 - eps[active & ~table.is_qq]))
 
     total = gate_factor * decoherence_factor * qq_factor * rr_factor
     return FidelityBreakdown(

@@ -17,7 +17,7 @@ Intended couplings are excluded:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ from ..core.interactions import (
     grid_candidate_pairs,
     resolve_backend,
 )
-from ..devices.components import Instance, Qubit, ResonatorSegment, same_resonator
-from ..devices.geometry import Rect
+from ..devices.components import Qubit, ResonatorSegment
 from ..devices.layout import Layout
 from ..physics.capacitance import (
     qubit_parasitic_capacitance_ff,
@@ -72,38 +71,6 @@ class SpatialViolation:
     resonant: bool
 
 
-def _facing_length(a: Rect, b: Rect) -> float:
-    """Length over which two rectangles face each other (projection overlap)."""
-    return max(a.overlap_x(b), a.overlap_y(b))
-
-
-def _classify(a: Instance, b: Instance) -> str:
-    a_is_q = isinstance(a, Qubit)
-    b_is_q = isinstance(b, Qubit)
-    if a_is_q and b_is_q:
-        return KIND_QQ
-    if not a_is_q and not b_is_q:
-        return KIND_RR
-    return KIND_QR
-
-
-def _is_intended_pair(a: Instance, b: Instance,
-                      attached: Optional[Dict[int, Set[int]]]) -> bool:
-    """True for pairs that are supposed to be adjacent (not crosstalk)."""
-    if same_resonator(a, b):
-        return True
-    if attached is None:
-        return False
-    qubit, segment = None, None
-    if isinstance(a, Qubit) and isinstance(b, ResonatorSegment):
-        qubit, segment = a, b
-    elif isinstance(b, Qubit) and isinstance(a, ResonatorSegment):
-        qubit, segment = b, a
-    if qubit is None:
-        return False
-    return segment.resonator_index in attached.get(qubit.index, set())
-
-
 def attached_resonators_by_qubit(layout: Layout) -> Optional[Dict[int, Set[int]]]:
     """Map qubit index -> indices of resonators attached to it."""
     if layout.netlist is None:
@@ -113,28 +80,6 @@ def attached_resonators_by_qubit(layout: Layout) -> Optional[Dict[int, Set[int]]
         for q in resonator.endpoints:
             attached.setdefault(q, set()).add(resonator.index)
     return attached
-
-
-def _pair_physics(a: Instance, b: Instance, gap_mm: float, facing_mm: float,
-                  detuning_threshold_ghz: float) -> Tuple[float, float, float, bool]:
-    """Compute (detuning, g, g_eff, resonant) for one violating pair."""
-    detuning = abs(a.frequency - b.frequency)
-    kind = _classify(a, b)
-    if kind == KIND_QQ:
-        cp = qubit_parasitic_capacitance_ff(gap_mm)
-        g = qubit_qubit_coupling_ghz(a.frequency, b.frequency, cp)
-    elif kind == KIND_RR:
-        cp = resonator_parasitic_capacitance_ff(gap_mm, max(facing_mm, 1e-3))
-        g = resonator_resonator_coupling_ghz(a.frequency, b.frequency, cp)
-    else:
-        cp = resonator_parasitic_capacitance_ff(gap_mm, max(facing_mm, 1e-3))
-        qubit, other = (a, b) if isinstance(a, Qubit) else (b, a)
-        g = qubit_qubit_coupling_ghz(
-            qubit.frequency, other.frequency, cp,
-            constants.QUBIT_CAPACITANCE_FF, constants.RESONATOR_CAPACITANCE_FF)
-    g_eff = effective_coupling_ghz(g, detuning, detuning_threshold_ghz)
-    resonant = detuning <= detuning_threshold_ghz
-    return detuning, g, g_eff, resonant
 
 
 def spatial_candidate_pairs(positions: np.ndarray, half_w: np.ndarray,
@@ -182,17 +127,93 @@ def spatial_candidate_pairs(positions: np.ndarray, half_w: np.ndarray,
     return iu, ju, dx, dy
 
 
+def _footprints(layout: Layout) -> Tuple[np.ndarray, np.ndarray,
+                                          np.ndarray, np.ndarray]:
+    """``(centres, half widths, half heights, paddings)`` per instance."""
+    insts = layout.instances
+    return (np.asarray(layout.positions, dtype=float),
+            np.array([0.5 * it.width for it in insts]),
+            np.array([0.5 * it.height for it in insts]),
+            np.array([it.padding for it in insts]))
+
+
 def count_candidate_pairs(layout: Layout, backend: str = "auto") -> int:
     """Number of padded-footprint candidate pairs (scaling telemetry)."""
-    insts = layout.instances
-    pos = np.asarray(layout.positions, dtype=float)
-    iu, _, _, _ = spatial_candidate_pairs(
-        pos,
-        np.array([0.5 * it.width for it in insts]),
-        np.array([0.5 * it.height for it in insts]),
-        np.array([it.padding for it in insts]),
-        backend=backend)
+    iu, _, _, _ = spatial_candidate_pairs(*_footprints(layout),
+                                          backend=backend)
     return int(iu.size)
+
+
+class ViolatingPairs(NamedTuple):
+    """Columns of a layout's violating pairs, in lexicographic order.
+
+    ``pos``/``half_w``/``half_h``/``pads``/``is_q`` are per instance;
+    ``i``/``j`` (instance indices, ``i < j``), the centre distances
+    ``dx``/``dy``, the bare edge-to-edge ``gap`` and the bare
+    ``facing`` length are per pair.
+    """
+
+    pos: np.ndarray
+    half_w: np.ndarray
+    half_h: np.ndarray
+    pads: np.ndarray
+    is_q: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
+    gap: np.ndarray
+    facing: np.ndarray
+
+
+def violating_pairs(layout: Layout, backend: str = "auto") -> ViolatingPairs:
+    """The purely geometric half of the violation scan.
+
+    Candidates (padded footprints touching), then the bare-gap filter
+    against the padding sum, then the intended-adjacency exclusion
+    (sibling segments; a qubit against the segments of a resonator
+    attached to it), then the bare facing length of the survivors.
+    :func:`find_spatial_violations` and the frozen-layout ensemble
+    scorer share it; both are frequency-dependent only after it.
+    """
+    insts = layout.instances
+    pos, half_w, half_h, pads = _footprints(layout)
+    is_q = np.array([isinstance(it, Qubit) for it in insts], dtype=bool)
+    res_idx = np.array([
+        it.resonator_index if isinstance(it, ResonatorSegment) else -1
+        for it in insts], dtype=np.int64)
+
+    iu, ju, dx, dy = spatial_candidate_pairs(pos, half_w, half_h, pads,
+                                             backend=backend)
+
+    # Bare edge-to-edge gap versus the padding-sum requirement.
+    bgx = np.maximum(0.0, dx - (half_w[iu] + half_w[ju]))
+    bgy = np.maximum(0.0, dy - (half_h[iu] + half_h[ju]))
+    gaps = np.hypot(bgx, bgy)
+    viol = gaps < (pads[iu] + pads[ju]) - 1e-6
+    iu, ju, dx, dy, gaps = iu[viol], ju[viol], dx[viol], dy[viol], gaps[viol]
+
+    # Intended-adjacency exclusion (checked per surviving qubit-segment
+    # pair — few remain).
+    keep = ~((res_idx[iu] == res_idx[ju]) & (res_idx[iu] >= 0))
+    attached = attached_resonators_by_qubit(layout)
+    if attached is not None:
+        for k in np.flatnonzero((is_q[iu] ^ is_q[ju]) & keep):
+            a, b = int(iu[k]), int(ju[k])
+            q, s = (a, b) if is_q[a] else (b, a)
+            if int(res_idx[s]) in attached.get(insts[q].index, ()):
+                keep[k] = False
+    iu, ju, dx, dy, gaps = iu[keep], ju[keep], dx[keep], dy[keep], gaps[keep]
+
+    ox = np.maximum(0.0,
+                    np.minimum(pos[iu, 0] + half_w[iu], pos[ju, 0] + half_w[ju])
+                    - np.maximum(pos[iu, 0] - half_w[iu], pos[ju, 0] - half_w[ju]))
+    oy = np.maximum(0.0,
+                    np.minimum(pos[iu, 1] + half_h[iu], pos[ju, 1] + half_h[ju])
+                    - np.maximum(pos[iu, 1] - half_h[iu], pos[ju, 1] - half_h[ju]))
+    return ViolatingPairs(pos=pos, half_w=half_w, half_h=half_h, pads=pads,
+                          is_q=is_q, i=iu, j=ju, dx=dx, dy=dy, gap=gaps,
+                          facing=np.maximum(ox, oy))
 
 
 def find_spatial_violations(layout: Layout,
@@ -213,70 +234,17 @@ def find_spatial_violations(layout: Layout,
         backend: Candidate-pair strategy ("auto"/"dense"/"sparse"); the
             resulting violation list is identical under either.
     """
-    n = layout.num_instances
-    if n < 2:
-        return []
-    attached = attached_resonators_by_qubit(layout)
-    insts = layout.instances
-    pos = np.asarray(layout.positions, dtype=float)
-    half_w = np.array([0.5 * it.width for it in insts])
-    half_h = np.array([0.5 * it.height for it in insts])
-    pads = np.array([it.padding for it in insts])
-    freqs = np.array([it.frequency for it in insts])
-    is_q = np.array([isinstance(it, Qubit) for it in insts])
-    res_idx = np.array([
-        it.resonator_index if isinstance(it, ResonatorSegment) else -1
-        for it in insts], dtype=np.int64)
-
-    # Candidate pairs: padded footprints touching or overlapping — the
-    # same pair set the grid-hashed neighbour query used to yield.
-    iu, ju, dx, dy = spatial_candidate_pairs(pos, half_w, half_h, pads,
-                                             backend=backend)
-    if iu.size == 0:
-        return []
-
-    # Bare edge-to-edge gap versus the padding-sum requirement.
-    bgx = np.maximum(0.0, dx - (half_w[iu] + half_w[ju]))
-    bgy = np.maximum(0.0, dy - (half_h[iu] + half_h[ju]))
-    gaps = np.hypot(bgx, bgy)
-    tol = 1e-6
-    viol = gaps < (pads[iu] + pads[ju]) - tol
-    iu, ju, dx, dy, gaps = iu[viol], ju[viol], dx[viol], dy[viol], gaps[viol]
-    if iu.size == 0:
-        return []
-
-    # Intended-adjacency exclusion: sibling segments; qubit + segment of
-    # an attached resonator (checked per surviving pair — few remain).
-    same_res = (res_idx[iu] == res_idx[ju]) & (res_idx[iu] >= 0)
-    keep = ~same_res
-    if attached is not None:
-        qr_mix = (is_q[iu] ^ is_q[ju]) & keep
-        for k in np.flatnonzero(qr_mix):
-            a, b = int(iu[k]), int(ju[k])
-            q, s = (a, b) if is_q[a] else (b, a)
-            if int(res_idx[s]) in attached.get(insts[q].index, ()):
-                keep[k] = False
-    iu, ju, dx, dy, gaps = iu[keep], ju[keep], dx[keep], dy[keep], gaps[keep]
-    if iu.size == 0:
-        return []
-
+    pairs = violating_pairs(layout, backend=backend)
+    is_q = pairs.is_q
+    iu, ju, gaps, facing = pairs.i, pairs.j, pairs.gap, pairs.facing
+    freqs = np.array([it.frequency for it in layout.instances])
     both_q = is_q[iu] & is_q[ju]
     neither_q = ~is_q[iu] & ~is_q[ju]
     if not include_qr:
         keep = both_q | neither_q
-        iu, ju, dx, dy, gaps = (iu[keep], ju[keep], dx[keep], dy[keep],
-                                gaps[keep])
+        iu, ju, gaps, facing = iu[keep], ju[keep], gaps[keep], facing[keep]
         both_q, neither_q = both_q[keep], neither_q[keep]
-        if iu.size == 0:
-            return []
 
-    ox = np.maximum(0.0,
-                    np.minimum(pos[iu, 0] + half_w[iu], pos[ju, 0] + half_w[ju])
-                    - np.maximum(pos[iu, 0] - half_w[iu], pos[ju, 0] - half_w[ju]))
-    oy = np.maximum(0.0,
-                    np.minimum(pos[iu, 1] + half_h[iu], pos[ju, 1] + half_h[ju])
-                    - np.maximum(pos[iu, 1] - half_h[iu], pos[ju, 1] - half_h[ju]))
-    facing = np.maximum(ox, oy)
     detuning = np.abs(freqs[iu] - freqs[ju])
     g = np.empty(iu.size)
     if both_q.any():

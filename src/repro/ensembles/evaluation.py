@@ -4,9 +4,10 @@ The placement is frozen — a fabricated chip cannot be re-placed — so
 across an ensemble only the component *frequencies* move.  Everything
 positional is therefore sample-invariant and computed once:
 
-* the candidate/violating pair set of :func:`repro.crosstalk.
-  violations.find_spatial_violations` (bare gaps vs padding sums, the
-  intended-adjacency exclusions) — purely geometric;
+* the violating pair set (bare gaps vs padding sums, the
+  intended-adjacency exclusions) — purely geometric, from
+  :func:`repro.crosstalk.violations.violating_pairs`, the same kernel
+  :func:`~repro.crosstalk.violations.find_spatial_violations` runs;
 * each violating pair's parasitic capacitance ``cp`` (a function of the
   bare gap and facing length only);
 * each pair's Eq. (18) hotspot weight ``facing(padded) * dc`` and the
@@ -27,13 +28,13 @@ the property the ensemble tests pin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from .. import constants
-from ..crosstalk.violations import spatial_candidate_pairs
-from ..devices.components import Qubit, ResonatorSegment
+from ..crosstalk.violations import violating_pairs
+from ..devices.components import Qubit
 from ..devices.layout import Layout
 from ..physics.capacitance import (
     qubit_parasitic_capacitance_ff,
@@ -84,50 +85,18 @@ class FrozenLayoutScorer:
         self.num_resonators = len(netlist.resonators)
         self._precompute(backend)
 
-    # -- positional precompute (mirrors find_spatial_violations) -------
+    # -- positional precompute (the violation scan's geometric half) ---
 
     def _precompute(self, backend: str) -> None:
         layout = self.layout
         netlist = layout.netlist
         insts = layout.instances
-        n = layout.num_instances
-        pos = np.asarray(layout.positions, dtype=float)
-        half_w = np.array([0.5 * it.width for it in insts])
-        half_h = np.array([0.5 * it.height for it in insts])
-        pads = np.array([it.padding for it in insts])
-        is_q = np.array([isinstance(it, Qubit) for it in insts])
-        res_idx = np.array([
-            it.resonator_index if isinstance(it, ResonatorSegment) else -1
-            for it in insts], dtype=np.int64)
+        pairs = violating_pairs(layout, backend=backend)
+        pos, half_w, half_h, pads, is_q = (pairs.pos, pairs.half_w,
+                                           pairs.half_h, pairs.pads,
+                                           pairs.is_q)
+        iu, ju, gaps, facing = pairs.i, pairs.j, pairs.gap, pairs.facing
         self.apoly = layout.apoly()
-
-        if n < 2:
-            iu = ju = np.zeros(0, dtype=np.int64)
-            dx = dy = gaps = np.zeros(0)
-        else:
-            iu, ju, dx, dy = spatial_candidate_pairs(
-                pos, half_w, half_h, pads, backend=backend)
-            bgx = np.maximum(0.0, dx - (half_w[iu] + half_w[ju]))
-            bgy = np.maximum(0.0, dy - (half_h[iu] + half_h[ju]))
-            gaps = np.hypot(bgx, bgy)
-            viol = gaps < (pads[iu] + pads[ju]) - 1e-6
-            iu, ju, dx, dy, gaps = (iu[viol], ju[viol], dx[viol],
-                                    dy[viol], gaps[viol])
-            # Intended-adjacency exclusion, identical to the scalar scan.
-            same_res = (res_idx[iu] == res_idx[ju]) & (res_idx[iu] >= 0)
-            keep = ~same_res
-            attached: Dict[int, set] = {}
-            for resonator in netlist.resonators:
-                for q in resonator.endpoints:
-                    attached.setdefault(q, set()).add(resonator.index)
-            qr_mix = (is_q[iu] ^ is_q[ju]) & keep
-            for k in np.flatnonzero(qr_mix):
-                a, b = int(iu[k]), int(ju[k])
-                q, s = (a, b) if is_q[a] else (b, a)
-                if int(res_idx[s]) in attached.get(insts[q].index, ()):
-                    keep[k] = False
-            iu, ju, dx, dy, gaps = (iu[keep], ju[keep], dx[keep],
-                                    dy[keep], gaps[keep])
 
         self.pair_i, self.pair_j = iu, ju
         self.num_pairs = int(iu.size)
@@ -138,20 +107,9 @@ class FrozenLayoutScorer:
                                     dtype=bool)
             return
 
-        # Bare facing length (the violation record's facing_mm) feeds
-        # the mixed-pair capacitance; the *padded* facing feeds Eq. (18).
-        ox = np.maximum(0.0,
-                        np.minimum(pos[iu, 0] + half_w[iu],
-                                   pos[ju, 0] + half_w[ju])
-                        - np.maximum(pos[iu, 0] - half_w[iu],
-                                     pos[ju, 0] - half_w[ju]))
-        oy = np.maximum(0.0,
-                        np.minimum(pos[iu, 1] + half_h[iu],
-                                   pos[ju, 1] + half_h[ju])
-                        - np.maximum(pos[iu, 1] - half_h[iu],
-                                     pos[ju, 1] - half_h[ju]))
-        facing = np.maximum(ox, oy)
-
+        # The bare facing length (the violation record's facing_mm)
+        # feeds the mixed-pair capacitance; the *padded* facing feeds
+        # Eq. (18).
         both_q = is_q[iu] & is_q[ju]
         cp = np.where(
             both_q,
@@ -180,7 +138,8 @@ class FrozenLayoutScorer:
                                     pos[ju, 1] + hh_pad[ju])
                          - np.maximum(pos[iu, 1] - hh_pad[iu],
                                       pos[ju, 1] - hh_pad[ju]))
-        self._hotspot_weight = np.maximum(pox, poy) * np.hypot(dx, dy)
+        self._hotspot_weight = np.maximum(pox, poy) * np.hypot(pairs.dx,
+                                                               pairs.dy)
 
         # Column of each pair member in the hstacked (qubit, resonator)
         # frequency matrix.

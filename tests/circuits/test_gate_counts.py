@@ -17,7 +17,7 @@ import pytest
 from repro.circuits.batch import ArrayCircuit, transpile_arrays
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.library import PAPER_BENCHMARKS, get_benchmark
-from repro.circuits.mapping import MappedCircuit, map_circuit
+from repro.circuits.mapping import map_circuit
 from repro.devices.topology import get_topology
 
 
@@ -93,34 +93,5 @@ class TestMappedCircuitCounts:
             mapped.physical_circuit.gates)
 
     def test_array_backed_matches_loop_backed(self, mapped):
-        loop_backed = MappedCircuit(
-            physical_circuit=mapped.physical_circuit,
-            topology=mapped.topology,
-            initial_mapping=mapped.initial_mapping,
-            final_mapping=mapped.final_mapping,
-            swap_count=mapped.swap_count,
-            schedule=mapped.schedule)
-        assert loop_backed.physical_arrays is None
-        assert mapped.active_qubits == loop_backed.active_qubits
-        assert mapped.active_edges == loop_backed.active_edges
-        assert mapped.two_qubit_counts() == loop_backed.two_qubit_counts()
-        assert (mapped.single_qubit_counts()
-                == loop_backed.single_qubit_counts())
-        assert mapped.timed_gate_totals() == loop_backed.timed_gate_totals()
-
-    def test_fidelity_identical_with_and_without_arrays(self, mapped):
-        from repro.analysis.experiments import build_suite
-        from repro.crosstalk.fidelity import estimate_program_fidelity
-
-        suite = build_suite("falcon-27", strategies=("qplacer",))
-        layout = suite.layouts["qplacer"]
-        loop_backed = MappedCircuit(
-            physical_circuit=mapped.physical_circuit,
-            topology=mapped.topology,
-            initial_mapping=mapped.initial_mapping,
-            final_mapping=mapped.final_mapping,
-            swap_count=mapped.swap_count,
-            schedule=mapped.schedule)
-        a = estimate_program_fidelity(layout, mapped)
-        b = estimate_program_fidelity(layout, loop_backed)
-        assert a == b
+        _assert_all_counts_identical(mapped.physical_arrays,
+                                     mapped.physical_circuit)

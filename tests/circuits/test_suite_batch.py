@@ -21,7 +21,6 @@ from repro.circuits.batch import ArrayCircuit
 from repro.circuits.library import get_benchmark
 from repro.circuits.mapping import (
     ROUTER_CHOICES,
-    MappedCircuit,
     evaluation_mappings,
     map_circuit,
     map_suite_arrays,
@@ -98,10 +97,6 @@ class TestZeroEagerDecode:
         back = pickle.loads(pickle.dumps(mapped))
         assert back._physical_circuit is None
         assert back.physical_circuit.gates == gates
-
-    def test_requires_some_circuit_form(self):
-        with pytest.raises(ValueError):
-            MappedCircuit(initial_mapping={}, final_mapping={})
 
 
 class TestRouterValidation:

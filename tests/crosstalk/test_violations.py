@@ -13,6 +13,7 @@ from repro.crosstalk.violations import (
     count_candidate_pairs,
     find_spatial_violations,
     spatial_candidate_pairs,
+    violating_pairs,
 )
 
 
@@ -146,6 +147,20 @@ class TestFewerThanTwoInstances:
                      positions=np.zeros((n, 2)))
         assert count_candidate_pairs(lay, backend=backend) == 0
         assert find_spatial_violations(lay, backend=backend) == []
+
+    @pytest.mark.parametrize("include_qr", [True, False])
+    @pytest.mark.parametrize("backend", ["auto", "dense", "sparse"])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_violation_kernel_empty(self, n, backend, include_qr):
+        """The scan needs no early return: empty pair columns flow
+        through every filter and the physics to an empty list."""
+        lay = Layout(instances=[qubit(0, 5.0)][:n],
+                     positions=np.zeros((n, 2)))
+        assert find_spatial_violations(lay, include_qr=include_qr,
+                                       backend=backend) == []
+        pairs = violating_pairs(lay, backend=backend)
+        assert pairs.i.shape == pairs.gap.shape == pairs.facing.shape == (0,)
+        assert pairs.pos.shape == (n, 2)
 
     def test_unknown_backend_still_rejected(self):
         with pytest.raises(ValueError):
