@@ -29,14 +29,13 @@ from typing import Dict, List
 import numpy as np
 
 from repro.analysis.experiments import _effective_config
-from repro.core import PlacerConfig
+from repro.core import PlacerConfig, QPlacer
 from repro.core.preprocess import build_problem
 from repro.devices import build_netlist, get_topology, \
     netlist_with_frequencies
 from repro.ensembles import (DisorderSpec, check_layout_legal,
                              place_from_scratch, problem_with_frequencies,
                              repair_positions, sample_batch)
-from repro.placers import make_placer
 from repro.service import PlacementService, ServiceClient
 
 from conftest import FULL, emit
@@ -137,7 +136,7 @@ def _repair_race(report_samples: int = REPAIR_RACE_SAMPLES
     """
     effective = _effective_config(PlacerConfig(**RACE_CONFIG), 0, 0.3)
     netlist = build_netlist(get_topology("eagle-127"))
-    design = make_placer(effective).place(netlist).layout
+    design = QPlacer(effective).place(netlist).layout
     design_problem = build_problem(netlist, effective)
 
     disorder = DisorderSpec(RACE_SIGMA, RACE_SIGMA * 0.5)

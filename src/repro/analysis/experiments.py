@@ -97,10 +97,7 @@ def build_suite(topology_name: str,
     results: Dict[str, Optional[PlacementResult]] = {}
     for strategy in strategies:
         if strategy == "qplacer":
-            # Dispatch on config.placer: "force" is the paper's engine,
-            # anything else routes through the repro.placers portfolio.
-            from ..placers import make_placer
-            result = make_placer(base).place(
+            result = QPlacer(base).place(
                 netlist, initial_positions=seeds.get(strategy))
             layouts[strategy] = result.layout
             results[strategy] = result
@@ -542,8 +539,6 @@ def placement_payload(suite: PlacementSuite, segment_size_mm: float,
                                  if result.detailed_stats is not None
                                  else None)
             entry["phases"] = dict(result.phase_profile)
-            if result.portfolio_scores is not None:
-                entry["portfolio_scores"] = dict(result.portfolio_scores)
         if include_layouts:
             entry["layout"] = layout_to_dict(layout, segment_size_mm)
         strategies[name] = entry

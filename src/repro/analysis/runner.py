@@ -84,7 +84,9 @@ from ..io.serialization import canonical_json
 #: ``incremental_density`` switches (added in 5 and 6) left without
 #: changing any default result, and the smaller field set re-keys every
 #: config-bearing digest, so a stale key can never collide.
-CACHE_SCHEMA_VERSION = 9
+#: 10: placer portfolio retired — PlacementResult lost
+#:     ``portfolio_scores`` (pickled suite shape changed again, as at 7).
+CACHE_SCHEMA_VERSION = 10
 
 #: Environment variable naming the default on-disk cache directory.
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"
@@ -412,43 +414,6 @@ def run_workload_shard(job: WorkloadShardJob):
     return fidelity_experiment(suite, benchmarks=names,
                                num_mappings=job.num_mappings,
                                base_seed=job.base_seed)
-
-
-@dataclass(frozen=True)
-class PortfolioMemberJob:
-    """One member placer's run inside a portfolio race.
-
-    Members are independent cached jobs: the token covers the topology,
-    the member name, and the full base config, so re-racing the same
-    portfolio replays every member from the cache and only the argmax
-    scoring repeats.
-
-    Attributes:
-        topology: Registered topology name.
-        member: Member placer name (a non-portfolio
-            :data:`~repro.core.config.PLACER_CHOICES` entry).
-        segment_size_mm: Resonator segment size ``lb``.
-        config: Base placer configuration (``None`` = defaults); the
-            worker replaces its ``placer`` field with ``member``.
-    """
-
-    topology: str
-    member: str
-    segment_size_mm: float = constants.DEFAULT_SEGMENT_SIZE_MM
-    config: Optional[PlacerConfig] = None
-
-
-def run_portfolio_member(job: PortfolioMemberJob):
-    """Worker: run one member placer of a portfolio race."""
-    from ..devices.netlist import build_netlist
-    from ..devices.topology import get_topology
-    from ..placers import make_placer
-
-    config = job.config if job.config is not None else PlacerConfig()
-    config = replace(config.with_segment_size(job.segment_size_mm),
-                     placer=job.member)
-    netlist = build_netlist(get_topology(job.topology))
-    return make_placer(config).place(netlist)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ produces the **same gate sequence** as the legacy one (pinned by
 ``tests/properties/test_workload_props.py`` and
 ``tests/circuits/test_batch.py``), so gate counts, depth, schedules and
 therefore every downstream fidelity number are bit-identical.  Circuits
-containing barriers fall back to the legacy path.
+containing barriers are rejected with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -112,8 +112,7 @@ class ArrayCircuit:
 
         Raises:
             ValueError: if the circuit contains barriers (the columnar
-                layout has no multi-qubit rows; callers fall back to
-                the legacy pipeline).
+                layout has no multi-qubit rows).
         """
         n = len(circuit.gates)
         codes = np.empty(n, dtype=np.int64)
@@ -123,9 +122,8 @@ class ArrayCircuit:
         for i, gate in enumerate(circuit.gates):
             code = CODE_OF.get(gate.name)
             if code is None:
-                raise ValueError(
-                    f"gate {gate.name!r} not supported by the batched "
-                    f"engine (barriers fall back to the legacy path)")
+                raise ValueError(f"gate {gate.name!r} not supported by "
+                                 "the batched engine")
             codes[i] = code
             q0[i] = gate.qubits[0]
             if len(gate.qubits) == 2:
@@ -796,15 +794,12 @@ def transpile_batched(circuit: QuantumCircuit, optimization_level: int = 3,
                       max_passes: int = 8) -> QuantumCircuit:
     """Batched drop-in for :func:`repro.circuits.transpile.transpile`.
 
-    Produces the identical gate sequence on barrier-free circuits;
-    circuits with barriers (or future gates outside the array codes)
-    delegate to the legacy implementation.
+    Produces the identical gate sequence on barrier-free circuits.
+
+    Raises:
+        ValueError: if the circuit contains barriers (or any gate
+            outside the array codes).
     """
-    try:
-        arrays = ArrayCircuit.from_circuit(circuit)
-    except ValueError:
-        from .transpile import transpile
-        return transpile(circuit, optimization_level=optimization_level,
-                         max_passes=max_passes)
-    return transpile_arrays(arrays, optimization_level=optimization_level,
+    return transpile_arrays(ArrayCircuit.from_circuit(circuit),
+                            optimization_level=optimization_level,
                             max_passes=max_passes).to_circuit()

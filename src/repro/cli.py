@@ -22,9 +22,6 @@ Commands:
 * ``serve``     — placement-as-a-service: HTTP API + job queue +
   content-addressed artifact store over the whole pipeline
   (``docs/service.md``)
-* ``refine``    — anytime simulated-annealing refinement of a stored
-  placement artifact through a running service, streaming each
-  published improvement (``docs/placers.md``)
 * ``ensemble``  — Monte-Carlo disorder-ensemble sweep: yield and
   fidelity curves over fabrication sigma, with optional incremental
   re-place repair of failing samples (``docs/ensembles.md``)
@@ -53,8 +50,7 @@ from .analysis import (
 from .analysis.ablation import ablation_experiment
 from .analysis.experiments import run_full_evaluation
 from .analysis.runner import ParallelRunner
-from .core import PlacerConfig
-from .core.config import PLACER_CHOICES
+from .core import PlacerConfig, QPlacer
 
 #: Default benchmark subset for the evaluate commands (5 of the 8).
 DEFAULT_CLI_BENCHMARKS = ("bv-4", "bv-16", "qaoa-9", "ising-4", "qgan-4")
@@ -71,12 +67,6 @@ def _add_common_placer_args(parser: argparse.ArgumentParser) -> None:
                         help="resonator segment size lb in mm (default 0.3)")
     parser.add_argument("--seed", type=int, default=0,
                         help="placement seed (default 0)")
-    parser.add_argument("--placer", choices=PLACER_CHOICES,
-                        default="force",
-                        help="placement algorithm: the force-directed "
-                             "engine, simulated annealing, the trivial/"
-                             "subgraph seed placers, or a racing "
-                             "portfolio of members (default force)")
     _add_backend_arg(parser)
 
 
@@ -166,7 +156,6 @@ def _config_from(args: argparse.Namespace) -> PlacerConfig:
     with the same overrides.
     """
     kw = dict(segment_size_mm=args.segment_size, seed=args.seed,
-              placer=getattr(args, "placer", "force"),
               interaction_backend=getattr(args, "interaction_backend",
                                           "auto"),
               detailed_passes=getattr(args, "detailed_passes", None))
@@ -199,9 +188,8 @@ def cmd_topologies(_args: argparse.Namespace) -> int:
 
 def cmd_place(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    from .placers import make_placer
     netlist = build_netlist(get_topology(args.topology))
-    result = make_placer(config).place(netlist)
+    result = QPlacer(config).place(netlist)
     metrics = compute_layout_metrics(result.layout)
     rows = [
         ["strategy", result.layout.strategy],
@@ -214,9 +202,6 @@ def cmd_place(args: argparse.Namespace) -> int:
         ["impacted qubits", metrics.impacted_qubits],
         ["resonator integrity", f"{resonator_integrity(result.layout):.2f}"],
     ]
-    if result.portfolio_scores is not None:
-        for member, score in sorted(result.portfolio_scores.items()):
-            rows.append([f"portfolio {member}", f"{score:.6f}"])
     print(format_table(["quantity", "value"], rows,
                        title=f"Placement — {args.topology}"))
     if args.svg:
@@ -237,9 +222,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     import json
 
     config = _config_from(args)
-    from .placers import make_placer
     netlist = build_netlist(get_topology(args.topology))
-    result = make_placer(config).place(netlist)
+    result = QPlacer(config).place(netlist)
     phases = result.phase_profile
     top_total = sum(s for path, s in phases.items() if "/" not in path)
     rows = []
@@ -563,59 +547,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_refine(args: argparse.Namespace) -> int:
-    """Submit a refine job and stream its published improvements."""
-    import time as _time
-
-    from .service import ServiceClient, ServiceError
-
-    client = ServiceClient(args.url)
-    try:
-        job = client.submit("refine", {
-            "source_digest": args.source_digest,
-            "strategy": args.strategy,
-            "deadline_s": args.deadline,
-            "rounds": args.rounds,
-            "moves_per_round": args.moves,
-            "seed": args.seed,
-        })
-    except ServiceError as exc:
-        print(f"refine submit failed: {exc}", file=sys.stderr)
-        return 1
-    job_id = job["job_id"]
-    print(f"refine job {job_id} (digest {job['digest'][:12]}…)")
-    last_published = 0
-    while True:
-        try:
-            record = client.job(job_id)
-        except ServiceError as exc:
-            print(f"lost the service: {exc}", file=sys.stderr)
-            return 1
-        progress = record.get("progress") or {}
-        published = progress.get("published", 0)
-        if published > last_published:
-            print(f"  round {published}: best cost "
-                  f"{progress.get('best_cost', float('nan')):.3f}, "
-                  f"fidelity score {progress.get('score', 0.0):.6f}",
-                  flush=True)
-            last_published = published
-        state = record.get("state")
-        if state in ("done", "failed", "cancelled"):
-            break
-        _time.sleep(0.2)
-    if state != "done":
-        error = (record.get("error") or "")[-2000:]
-        print(f"refine job ended {state}: {error}", file=sys.stderr)
-        return 1
-    result = client.artifact(record["artifact"])["result"]
-    costs = result.get("published_costs", [])
-    print(f"done: {result.get('rounds_completed', 0)} round(s), "
-          f"final cost {costs[-1]:.3f}, score {result.get('score', 0.0):.6f}"
-          if costs else "done (no rounds completed before the deadline)")
-    print(f"artifact: {record['artifact']}")
-    return 0
-
-
 def _sigma_list(text: str) -> List[float]:
     """argparse type: comma-separated sigmas, each in [0, 1] GHz."""
     sigmas: List[float] = []
@@ -847,30 +778,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "eviction on write (default unbounded)")
     _add_runner_args(p)
     p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser("refine",
-                       help="anytime SA refinement of a stored placement "
-                            "artifact through a running service")
-    p.add_argument("source_digest",
-                   help="64-hex digest of a place artifact (with "
-                        "layouts) to refine")
-    p.add_argument("--url", default="http://127.0.0.1:8754",
-                   help="service base URL (default "
-                        "http://127.0.0.1:8754)")
-    p.add_argument("--strategy", default="qplacer",
-                   choices=("qplacer", "classic", "human"),
-                   help="which stored layout to refine (default qplacer)")
-    p.add_argument("--deadline", type=float, default=30.0,
-                   help="refinement wall-clock budget in seconds "
-                        "(default 30)")
-    p.add_argument("--rounds", type=_positive_int, default=8,
-                   help="maximum SA rounds; each round republishes the "
-                        "best layout so far (default 8)")
-    p.add_argument("--moves", type=_positive_int, default=200,
-                   help="SA proposals per round (default 200)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="annealing seed (default 0)")
-    p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("ensemble",
                        help="Monte-Carlo disorder-ensemble sweep: "

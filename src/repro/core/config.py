@@ -8,19 +8,10 @@ the *identical* configuration with the frequency-awareness switched off:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from .. import constants
-
-#: The placement algorithms selectable through ``PlacerConfig.placer``
-#: (implemented in :mod:`repro.placers`; defined here so the config —
-#: and its parse-time validation — never imports the placer package).
-PLACER_CHOICES: Tuple[str, ...] = ("force", "sa", "trivial", "subgraph",
-                                   "portfolio")
-
-#: Seed placers usable as simulated-annealing warm starts.
-SEED_PLACER_CHOICES: Tuple[str, ...] = ("trivial", "subgraph")
 
 
 @dataclass(frozen=True)
@@ -142,45 +133,7 @@ class PlacerConfig:
     #: left stale between flushes (mm, >= 0).
     density_move_threshold_mm: float = 0.01
 
-    # placement algorithm selection (see repro.placers)
-    #: Which placement engine runs the engine strategies: ``"force"``
-    #: (the paper's electrostatic flow), ``"sa"`` (simulated annealing
-    #: over the transactional legalizer), the cheap ``"trivial"`` /
-    #: ``"subgraph"`` seed placers, or ``"portfolio"`` (race members and
-    #: keep the best-fidelity layout).
-    placer: str = "force"
-    #: Seed placer annealing warm-starts from (``"trivial"`` or
-    #: ``"subgraph"``) when no explicit initial positions are given.
-    sa_seed_placer: str = "trivial"
-    #: Annealing rounds (temperature steps).
-    sa_rounds: int = 24
-    #: Proposed moves per round.
-    sa_moves_per_round: int = 400
-    #: Random probe moves used to calibrate the initial temperature
-    #: from the mean uphill cost delta (Enola's adaptive-T scheme).
-    sa_probe_moves: int = 64
-    #: Target probability of accepting a mean-uphill move at T0.
-    sa_uphill_probability: float = 0.85
-    #: Exponential cooling factor per round (0 < c < 1).
-    sa_cooling: float = 0.82
-    #: Reheat once a round's acceptance rate drops below this.
-    sa_reheat_threshold: float = 0.02
-    #: Temperature multiplier applied on reheat (>= 1).
-    sa_reheat_factor: float = 1.6
-    #: Relocation radius in lattice sites per proposed move.
-    sa_move_radius_sites: int = 3
-    #: Probability a proposed move is a same-kind swap instead of a
-    #: single relocation.
-    sa_swap_probability: float = 0.3
-    #: Member placers the portfolio races (any non-portfolio choice).
-    portfolio_members: Tuple[str, ...] = ("force", "sa", "subgraph")
-
     def __post_init__(self) -> None:
-        # JSON payloads deliver tuple fields as lists; normalise before
-        # validation so equal configs canonicalise identically.
-        if not isinstance(self.portfolio_members, tuple):
-            object.__setattr__(self, "portfolio_members",
-                               tuple(self.portfolio_members))
         if self.segment_size_mm <= 0:
             raise ValueError("segment size must be positive")
         if self.qubit_padding_mm < 0 or self.resonator_padding_mm < 0:
@@ -216,46 +169,6 @@ class PlacerConfig:
         if self.density_move_threshold_mm < 0:
             raise ValueError("density_move_threshold_mm must be >= 0, "
                              f"got {self.density_move_threshold_mm}")
-        if self.placer not in PLACER_CHOICES:
-            raise ValueError(
-                f"placer must be one of {PLACER_CHOICES}, "
-                f"got {self.placer!r}")
-        if self.sa_seed_placer not in SEED_PLACER_CHOICES:
-            raise ValueError(
-                f"sa_seed_placer must be one of {SEED_PLACER_CHOICES}, "
-                f"got {self.sa_seed_placer!r}")
-        if self.sa_rounds < 1 or self.sa_moves_per_round < 1 \
-                or self.sa_probe_moves < 1:
-            raise ValueError("sa_rounds, sa_moves_per_round and "
-                             "sa_probe_moves must all be >= 1")
-        if not (0.0 < self.sa_uphill_probability < 1.0):
-            raise ValueError("sa_uphill_probability must be in (0, 1), "
-                             f"got {self.sa_uphill_probability}")
-        if not (0.0 < self.sa_cooling < 1.0):
-            raise ValueError("sa_cooling must be in (0, 1), got "
-                             f"{self.sa_cooling}")
-        if not (0.0 <= self.sa_reheat_threshold < 1.0):
-            raise ValueError("sa_reheat_threshold must be in [0, 1), got "
-                             f"{self.sa_reheat_threshold}")
-        if self.sa_reheat_factor < 1.0:
-            raise ValueError("sa_reheat_factor must be >= 1, got "
-                             f"{self.sa_reheat_factor}")
-        if self.sa_move_radius_sites < 1:
-            raise ValueError("sa_move_radius_sites must be >= 1, got "
-                             f"{self.sa_move_radius_sites}")
-        if not (0.0 <= self.sa_swap_probability <= 1.0):
-            raise ValueError("sa_swap_probability must be in [0, 1], got "
-                             f"{self.sa_swap_probability}")
-        if not self.portfolio_members:
-            raise ValueError("portfolio_members must name at least one "
-                             "member placer")
-        bad = [m for m in self.portfolio_members
-               if m not in PLACER_CHOICES or m == "portfolio"]
-        if bad:
-            allowed = tuple(c for c in PLACER_CHOICES if c != "portfolio")
-            raise ValueError(
-                f"portfolio_members must be drawn from {allowed}, "
-                f"got {bad}")
 
     @staticmethod
     def classic(**overrides) -> "PlacerConfig":

@@ -47,8 +47,6 @@ class PlacementResult:
             (:mod:`repro.profiling` paths: ``"preprocess"``,
             ``"global"``, ``"legalize"``, ``"legalize/qubits"``, ...,
             ``"detailed"``); top-level entries sum to ~``runtime_s``.
-        portfolio_scores: Per-member fidelity scores when this result
-            was produced by the portfolio placer (None otherwise).
     """
 
     layout: Layout
@@ -59,7 +57,6 @@ class PlacementResult:
     runtime_s: float
     detailed_stats: Optional[DetailedPlaceStats] = None
     phase_profile: Dict[str, float] = field(default_factory=dict)
-    portfolio_scores: Optional[Dict[str, float]] = None
 
     @property
     def num_cells(self) -> int:

@@ -91,20 +91,14 @@ class ViolationTable:
     @classmethod
     def build(cls, layout: Layout,
               violations: Optional[List[SpatialViolation]] = None,
-              detuning_threshold_ghz: Optional[float] = None,
-              backend: str = "auto") -> "ViolationTable":
-        """Extract the columnar arrays from a violation list.
-
-        ``backend`` selects the candidate-pair strategy of the
-        underlying violation scan (the same spatial interaction source
-        the placer uses); it is ignored when ``violations`` is given.
-        """
+              detuning_threshold_ghz: Optional[float] = None
+              ) -> "ViolationTable":
+        """Extract the columnar arrays from a violation list."""
         if violations is None:
             kwargs = {}
             if detuning_threshold_ghz is not None:
                 kwargs["detuning_threshold_ghz"] = detuning_threshold_ghz
-            violations = find_spatial_violations(layout, backend=backend,
-                                                 **kwargs)
+            violations = find_spatial_violations(layout, **kwargs)
         n = len(violations)
         qubit_idx = np.full((n, 2), -1, dtype=np.int64)
         res_idx = np.full((n, 2), -1, dtype=np.int64)

@@ -73,8 +73,7 @@ class FrozenLayoutScorer:
 
     def __init__(self, layout: Layout,
                  detuning_threshold_ghz: float = constants.DETUNING_THRESHOLD_GHZ,
-                 duration_ns: float = DEFAULT_EXPOSURE_NS,
-                 backend: str = "auto") -> None:
+                 duration_ns: float = DEFAULT_EXPOSURE_NS) -> None:
         if layout.netlist is None:
             raise ValueError("layout must carry its netlist")
         self.layout = layout
@@ -83,15 +82,15 @@ class FrozenLayoutScorer:
         netlist = layout.netlist
         self.num_qubits = len(netlist.qubits)
         self.num_resonators = len(netlist.resonators)
-        self._precompute(backend)
+        self._precompute()
 
     # -- positional precompute (the violation scan's geometric half) ---
 
-    def _precompute(self, backend: str) -> None:
+    def _precompute(self) -> None:
         layout = self.layout
         netlist = layout.netlist
         insts = layout.instances
-        pairs = violating_pairs(layout, backend=backend)
+        pairs = violating_pairs(layout)
         pos, half_w, half_h, pads, is_q = (pairs.pos, pairs.half_w,
                                            pairs.half_h, pairs.pads,
                                            pairs.is_q)

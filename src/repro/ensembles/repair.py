@@ -26,6 +26,7 @@ from ..core.config import PlacerConfig
 from ..core.detailed import refine_placement
 from ..core.interactions import grid_candidate_pairs
 from ..core.legalizer import Legalizer
+from ..core.placer import QPlacer
 from ..core.preprocess import PlacementProblem
 from ..devices.components import ResonatorSegment
 from ..devices.disorder import disorder_strategy_tag
@@ -236,9 +237,7 @@ def place_from_scratch(noisy_netlist: QuantumNetlist,
                        config: PlacerConfig,
                        strategy: str = "qplacer") -> Layout:
     """From-scratch baseline the incremental repair races against."""
-    from ..placers import make_placer
-
-    result = make_placer(config).place(noisy_netlist)
+    result = QPlacer(config).place(noisy_netlist)
     layout = result.layout
     return Layout(instances=layout.instances, positions=layout.positions,
                   netlist=noisy_netlist,

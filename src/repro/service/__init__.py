@@ -41,7 +41,6 @@ from .requests import (
     FidelityRequest,
     MapRequest,
     PlaceRequest,
-    RefineRequest,
     RequestError,
     check_options,
     parse_request,
@@ -69,7 +68,6 @@ __all__ = [
     "QUEUED",
     "REQUEST_TYPES",
     "RUNNING",
-    "RefineRequest",
     "RequestError",
     "Scheduler",
     "ServiceClient",

@@ -123,17 +123,6 @@ class ServiceClient:
                    if self.token is not None else None)
         return self._call("POST", "/shutdown", {}, headers=headers)
 
-    def refine(self, source_digest: str, strategy: str = "qplacer",
-               deadline_s: float = 30.0, rounds: int = 8,
-               moves_per_round: int = 200, seed: int = 0,
-               timeout: float = 600.0) -> Any:
-        """Submit an anytime refine job and return its final payload."""
-        return self.run("refine", {
-            "source_digest": source_digest, "strategy": strategy,
-            "deadline_s": deadline_s, "rounds": rounds,
-            "moves_per_round": moves_per_round, "seed": seed,
-        }, timeout=timeout)
-
     def ensemble(self, topology: str, sigmas, samples: int = 64,
                  repair_samples: int = 0, strategy: str = "qplacer",
                  base_seed: int = 0,

@@ -154,31 +154,6 @@ class EvaluateRequest:
 
 
 @dataclass(frozen=True)
-class RefineRequest:
-    """Anytime SA refinement of a stored placement artifact.
-
-    Loads the layout under ``source_digest`` (a finished ``place``
-    artifact with layouts included), runs bounded simulated-annealing
-    refinement rounds over the transactional legalizer, and republishes
-    the best layout so far under *this* request's digest after every
-    round — ``GET /jobs/<id>`` therefore streams monotone improvement
-    until the deadline, when the run terminates cleanly.
-
-    The deadline is part of the digest on purpose: a 5-second refine
-    and a 60-second refine of the same source are different results.
-    """
-
-    kind: ClassVar[str] = "refine"
-
-    source_digest: str
-    strategy: str = "qplacer"
-    deadline_s: float = 30.0
-    rounds: int = 8
-    moves_per_round: int = 200
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class EnsembleRequest:
     """Monte-Carlo disorder ensemble against one frozen placement.
 
@@ -188,7 +163,7 @@ class EnsembleRequest:
     batch, and incrementally repairs up to ``repair_samples`` failing
     realisations.  The artifact is the yield/fidelity-vs-sigma curve
     with bootstrap intervals; progress streams one point per sigma via
-    ``GET /jobs/<id>`` like a refine.  Samples fan through the runner
+    ``GET /jobs/<id>``.  Samples fan through the runner
     as chunk jobs (``chunk_size`` execution option).
     """
 
@@ -210,13 +185,13 @@ class EnsembleRequest:
 
 
 Request = Union[PlaceRequest, FidelityRequest, MapRequest, EvaluateRequest,
-                RefineRequest, EnsembleRequest]
+                EnsembleRequest]
 
 #: Request kind -> dataclass, the POST /jobs dispatch table.
 REQUEST_TYPES: Dict[str, Type[Request]] = {
     cls.kind: cls
     for cls in (PlaceRequest, FidelityRequest, MapRequest, EvaluateRequest,
-                RefineRequest, EnsembleRequest)
+                EnsembleRequest)
 }
 
 #: Fields normalised from JSON lists to tuples.
@@ -380,23 +355,6 @@ def parse_request(kind: str, payload: Mapping[str, Any]) -> Request:
     if isinstance(request, (FidelityRequest, EvaluateRequest)):
         if request.num_mappings < 1:
             raise RequestError("num_mappings must be >= 1")
-    if isinstance(request, RefineRequest):
-        digest = request.source_digest
-        if (not isinstance(digest, str) or len(digest) != 64
-                or any(c not in "0123456789abcdef" for c in digest)):
-            raise RequestError(
-                "source_digest must be a 64-character lowercase hex "
-                "artifact digest")
-        if request.strategy not in _KNOWN_STRATEGIES:
-            raise RequestError(
-                f"strategy must be one of {sorted(_KNOWN_STRATEGIES)}, "
-                f"got {request.strategy!r}")
-        if not (0.0 < request.deadline_s <= 3600.0):
-            raise RequestError("deadline_s must be in (0, 3600]")
-        if request.rounds < 1 or request.rounds > 10_000:
-            raise RequestError("rounds must be in [1, 10000]")
-        if request.moves_per_round < 1 or request.moves_per_round > 100_000:
-            raise RequestError("moves_per_round must be in [1, 100000]")
     if isinstance(request, EnsembleRequest):
         from dataclasses import replace as _replace
 
@@ -438,7 +396,6 @@ _KNOWN_OPTIONS: Dict[str, Tuple[str, ...]] = {
     "fidelity": ("shard_count",),
     "map": ("chunk_size",),
     "evaluate": (),
-    "refine": (),
     "ensemble": ("chunk_size",),
 }
 

@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, List, Optional
 from ..analysis.runner import ParallelRunner
 from .queue import JobCancelled, JobQueue, JobRecord
 from .requests import (EnsembleRequest, EvaluateRequest, FidelityRequest,
-                       MapRequest, PlaceRequest, RefineRequest, Request)
+                       MapRequest, PlaceRequest, Request)
 from .store import ArtifactStore
 
 
@@ -39,8 +39,8 @@ class ExecutionContext:
 
     runner: ParallelRunner
     store: ArtifactStore
-    #: The job queue, for executors that stream progress (anytime
-    #: refinement publishes its best-so-far artifact every round).
+    #: The job queue, for executors that stream progress (an ensemble
+    #: publishes its partial curve after every sigma point).
     queue: Optional[JobQueue] = None
 
 
@@ -93,113 +93,6 @@ def execute_evaluate(request: EvaluateRequest, ctx: ExecutionContext,
         config=request.config, runner=ctx.runner)
 
 
-def execute_refine(request: RefineRequest, ctx: ExecutionContext,
-                   job: JobRecord) -> Dict[str, Any]:
-    """Anytime SA refinement of a stored placement layout.
-
-    Re-publishes the best layout so far under the *job's* digest after
-    every completed round (monotone by construction: the annealer's
-    best never worsens), so clients polling ``GET /jobs/<id>`` watch
-    the artifact improve long before the job settles.  Terminates
-    cleanly at the request deadline.
-    """
-    import numpy as np
-
-    from .. import constants
-    from ..core.config import PlacerConfig
-    from ..core.legalizer import Legalizer
-    from ..core.preprocess import build_problem
-    from ..devices.layout import Layout
-    from ..io.serialization import layout_from_dict, layout_to_dict
-    from ..placers import Annealer, CostModel, score_layout
-
-    source = ctx.store.get(request.source_digest)
-    if source is None:
-        raise ValueError(
-            f"source artifact {request.source_digest} is not in the "
-            f"store; submit a place request (include_layouts) first")
-    result = source.result if isinstance(source.result, dict) else {}
-    entry = result.get("strategies", {}).get(request.strategy)
-    if not isinstance(entry, dict) or not entry.get("layout"):
-        raise ValueError(
-            f"source artifact has no serialised {request.strategy!r} "
-            f"layout to refine (was it placed with include_layouts?)")
-
-    segment_size_mm = float(result.get(
-        "segment_size_mm", constants.DEFAULT_SEGMENT_SIZE_MM))
-    config = _source_config(source.metadata)
-    config = replace_config(config, segment_size_mm, request.seed)
-    layout = layout_from_dict(entry["layout"])
-    netlist = layout.netlist
-    problem = build_problem(netlist, config)
-
-    legalizer = Legalizer(problem, config)
-    legalizer.load(layout.positions)
-    cost_model = CostModel(problem)
-    cost_model.load(layout.positions)
-    annealer = Annealer(problem, config, legalizer, cost_model,
-                        np.random.default_rng(request.seed))
-
-    started = time.perf_counter()
-    deadline = time.monotonic() + request.deadline_s
-    published_costs: List[float] = []
-    state: Dict[str, Any] = {}
-
-    def publish(round_idx: int, best_cost: float,
-                best_positions: np.ndarray) -> None:
-        if job.cancel_requested:
-            raise JobCancelled(job.job_id)
-        refined = Layout(
-            instances=problem.instances,
-            positions=best_positions.copy(),
-            netlist=netlist,
-            strategy=layout.strategy,
-        ).translated_to_origin()
-        published_costs.append(float(best_cost))
-        state.update({
-            "source_digest": request.source_digest,
-            "strategy": request.strategy,
-            "rounds_completed": round_idx + 1,
-            "best_cost": float(best_cost),
-            "published_costs": list(published_costs),
-            "score": score_layout(refined),
-            "layout": layout_to_dict(refined, segment_size_mm),
-        })
-        ctx.store.put(job.digest, dict(state), metadata={
-            "kind": job.kind,
-            "request": _canonical_request(request),
-            "compute_s": time.perf_counter() - started,
-        })
-        if ctx.queue is not None:
-            ctx.queue.update_progress(job.job_id, {
-                "published": round_idx + 1,
-                "best_cost": float(best_cost),
-                "score": state["score"],
-            })
-
-    # A cold start: the source layout is already good — polish it
-    # instead of re-melting it.
-    temperature = 0.05 * annealer.probe_temperature()
-    _, stats = annealer.run(
-        request.rounds, request.moves_per_round,
-        deadline=deadline, on_round=publish, temperature=temperature)
-    if not state:
-        # Deadline expired before the first round completed: publish
-        # the unmodified source layout so the artifact still exists.
-        publish(-1, cost_model.cost, cost_model.positions)
-        state["rounds_completed"] = 0
-    state["anneal"] = {
-        "rounds": stats.rounds,
-        "attempted": stats.attempted,
-        "accepted": stats.accepted,
-        "legal_rejections": stats.legal_rejections,
-        "reheats": stats.reheats,
-        "initial_cost": stats.initial_cost,
-        "best_cost": stats.best_cost,
-    }
-    return dict(state)
-
-
 def execute_ensemble(request: EnsembleRequest, ctx: ExecutionContext,
                      job: JobRecord) -> Dict[str, Any]:
     """Monte-Carlo disorder ensemble with streamed per-sigma progress.
@@ -207,7 +100,7 @@ def execute_ensemble(request: EnsembleRequest, ctx: ExecutionContext,
     After each completed sigma point the partial curve is published
     under the job's digest and ``JobRecord.progress`` advances, so
     clients polling ``GET /jobs/<id>`` watch the yield curve grow point
-    by point (the refine pattern).  Cancellation is honoured at point
+    by point.  Cancellation is honoured at point
     boundaries.
     """
     from ..ensembles import run_ensemble_request
@@ -253,30 +146,6 @@ def execute_ensemble(request: EnsembleRequest, ctx: ExecutionContext,
     return payload
 
 
-def _source_config(metadata: Dict[str, Any]):
-    """Rebuild the source artifact's PlacerConfig from its metadata."""
-    from ..core.config import PlacerConfig
-
-    request = metadata.get("request")
-    if isinstance(request, dict) and "__dataclass__" in request:
-        request = request.get("fields")
-    if isinstance(request, dict):
-        config = request.get("config")
-        if isinstance(config, dict) and "__config__" in config:
-            try:
-                return PlacerConfig(**config["__config__"])
-            except (TypeError, ValueError):
-                pass
-    return PlacerConfig()
-
-
-def replace_config(config, segment_size_mm: float, seed: int):
-    """Pin the refine run's segment size and seed onto a config."""
-    from dataclasses import replace
-
-    return replace(config.with_segment_size(segment_size_mm), seed=seed)
-
-
 #: Request kind -> executor.  Execution hints (chunk/shard sizes) come
 #: from the job envelope, never the digest-bearing request.
 EXECUTORS: Dict[str, Callable[[Request, ExecutionContext, JobRecord],
@@ -285,7 +154,6 @@ EXECUTORS: Dict[str, Callable[[Request, ExecutionContext, JobRecord],
     "fidelity": execute_fidelity,
     "map": execute_map,
     "evaluate": execute_evaluate,
-    "refine": execute_refine,
     "ensemble": execute_ensemble,
 }
 

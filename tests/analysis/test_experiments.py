@@ -1,5 +1,7 @@
 """Unit tests for the per-figure experiment pipelines."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from repro.analysis.experiments import (
     summary_experiment,
 )
 from repro.core.config import PlacerConfig
+
+from ..core.test_placement_golden import GOLDEN
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +62,16 @@ class TestPlacementPayloadTelemetry:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             build_suite("grid-25", strategies=("qplacer", "alien"))
+
+    @pytest.mark.parametrize("strategy", ["qplacer", "classic"])
+    def test_positions_match_placement_golden(self, strategy):
+        """``place``/``ensemble`` requests place through build_suite;
+        its layouts must be the engine's bit-for-bit."""
+        digest = next(d for t, s, o, d in GOLDEN
+                      if (t, s, o) == ("falcon-27", strategy, {}))
+        suite = build_suite("falcon-27", strategies=(strategy,))
+        positions = suite.layouts[strategy].positions
+        assert hashlib.sha256(positions.tobytes()).hexdigest() == digest
 
 
 class TestFidelityExperiment:

@@ -186,10 +186,11 @@ class TestSemantics:
             assert unitaries_equal_up_to_phase(
                 circuit_unitary(batched), circuit_unitary(circuit))
 
-    def test_barrier_falls_back_to_legacy(self):
+    def test_barrier_rejected(self):
         qc = QuantumCircuit(3)
         qc.h(0).barrier().cx(0, 1).rx(2, 0.4)
-        assert_same_gates(transpile(qc), transpile_batched(qc))
+        with pytest.raises(ValueError, match="'barrier' not supported"):
+            transpile_batched(qc)
 
     def test_invalid_level(self):
         qc = QuantumCircuit(2)

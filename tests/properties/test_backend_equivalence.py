@@ -77,8 +77,12 @@ class TestViolationEquivalence:
         layout = human_layout(
             build_netlist(get_topology(topology_name)),
             PlacerConfig(seed=seed))
-        dense = ViolationTable.build(layout, backend="dense")
-        sparse = ViolationTable.build(layout, backend="sparse")
+        dense = ViolationTable.build(
+            layout, violations=find_spatial_violations(layout,
+                                                       backend="dense"))
+        sparse = ViolationTable.build(
+            layout, violations=find_spatial_violations(layout,
+                                                       backend="sparse"))
         assert dense.violations == sparse.violations
         assert np.array_equal(dense.g_ghz, sparse.g_ghz)
         assert np.array_equal(dense.detuning_ghz, sparse.detuning_ghz)

@@ -123,6 +123,22 @@ class TestRoutes:
             client.submit("place", {"topology": "grid-25", "seed": "7"})
         assert err.value.status == 400
 
+    def test_refine_kind_rejected_with_400(self, client):
+        with pytest.raises(ServiceError) as err:
+            client.submit("refine", {"source_digest": "ab" * 32})
+        assert err.value.status == 400
+
+    @pytest.mark.parametrize("key,value", [("placer", "force"),
+                                           ("sa_rounds", 6),
+                                           ("portfolio_members", ["force"])])
+    def test_retired_config_field_rejected_with_400(self, client, key,
+                                                    value):
+        with pytest.raises(ServiceError) as err:
+            client.submit("place", {"topology": "grid-25",
+                                    "config": {key: value}})
+        assert err.value.status == 400
+        assert key in str(err.value)
+
     def test_non_string_priority_rejected_with_400(self, client):
         with pytest.raises(ServiceError) as err:
             client.submit("place", {"topology": "grid-25"},

@@ -187,41 +187,26 @@ class TestParseEvaluate:
                                        "benchmarks": ["bv-4", "vibes-3"]})
 
 
-class TestRefineRequest:
-    def test_parses_with_defaults(self):
-        request = parse_request("refine", {"source_digest": "ab" * 32})
-        assert request.kind == "refine"
-        assert request.strategy == "qplacer"
-        assert request.deadline_s == 30.0
+class TestRemovedSurface:
+    """The retired refine kind and placer-portfolio config fields are
+    clean 400s, never a queued job that fails."""
 
-    def test_digest_must_be_64_hex(self):
-        for bad in ("", "xyz", "AB" * 32, "ab" * 31):
-            with pytest.raises(RequestError):
-                parse_request("refine", {"source_digest": bad})
-
-    def test_strategy_validated(self):
+    def test_refine_kind_rejected(self):
         with pytest.raises(RequestError) as err:
-            parse_request("refine", {"source_digest": "ab" * 32,
-                                     "strategy": "genetic"})
-        assert "qplacer" in str(err.value)
+            parse_request("refine", {"source_digest": "ab" * 32})
+        assert "unknown request kind" in str(err.value)
 
-    def test_bounds_validated(self):
-        base = {"source_digest": "ab" * 32}
-        for overrides in ({"deadline_s": 0.0}, {"deadline_s": 4000.0},
-                          {"rounds": 0}, {"moves_per_round": 0},
-                          {"rounds": 20_000}):
-            with pytest.raises(RequestError):
-                parse_request("refine", {**base, **overrides})
-
-    def test_deadline_in_digest(self):
-        from repro.service.store import request_digest
-        a = parse_request("refine", {"source_digest": "ab" * 32,
-                                     "deadline_s": 5.0})
-        b = parse_request("refine", {"source_digest": "ab" * 32,
-                                     "deadline_s": 10.0})
-        assert request_digest("refine", a) != request_digest("refine", b)
-
-    def test_refine_accepts_no_options(self):
-        from repro.service.requests import check_options
-        with pytest.raises(RequestError):
-            check_options("refine", {"shard_count": 2})
+    @pytest.mark.parametrize("key,value", [("placer", "force"),
+                                           ("sa_rounds", 6),
+                                           ("portfolio_members", ["force"])])
+    @pytest.mark.parametrize("kind,payload", [
+        ("place", {"topology": "grid-25"}),
+        ("fidelity", {"topology": "grid-25", "workloads": ["bv-4"]}),
+        ("evaluate", {"topologies": ["grid-25"]}),
+        ("ensemble", {"topology": "grid-25"}),
+    ])
+    def test_retired_config_fields_rejected(self, kind, payload, key, value):
+        with pytest.raises(RequestError) as err:
+            parse_request(kind, {**payload, "config": {key: value}})
+        assert "invalid placer config" in str(err.value)
+        assert key in str(err.value)
