@@ -1,5 +1,7 @@
 """Unit tests for the placer configuration."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import PlacerConfig
@@ -85,3 +87,33 @@ class TestDerived:
         cfg = PlacerConfig(qubit_clearance_mm=0.2, segment_clearance_mm=0.1)
         assert cfg.qubit_site_pitch_mm(0.4) == pytest.approx(0.6)
         assert cfg.segment_site_pitch_mm() == pytest.approx(0.4)
+
+
+#: Fields the retired placer portfolio read, with their old defaults.
+RETIRED_FIELDS = {
+    "placer": "force",
+    "sa_seed_placer": "trivial",
+    "sa_rounds": 24,
+    "sa_moves_per_round": 400,
+    "sa_probe_moves": 64,
+    "sa_uphill_probability": 0.85,
+    "sa_cooling": 0.82,
+    "sa_reheat_threshold": 0.02,
+    "sa_reheat_factor": 1.6,
+    "sa_move_radius_sites": 3,
+    "sa_swap_probability": 0.3,
+    "portfolio_members": ("force", "sa", "subgraph"),
+}
+
+
+class TestRetiredFields:
+    def test_field_count(self):
+        names = {f.name for f in dataclasses.fields(PlacerConfig)}
+        assert len(names) == 29
+        assert not names & set(RETIRED_FIELDS)
+
+    @pytest.mark.parametrize("name,value", list(RETIRED_FIELDS.items()),
+                             ids=list(RETIRED_FIELDS))
+    def test_retired_field_is_unknown(self, name, value):
+        with pytest.raises(TypeError, match=name):
+            PlacerConfig(**{name: value})

@@ -6,6 +6,7 @@ import pytest
 from repro.circuits.library import get_benchmark
 from repro.circuits.mapping import evaluation_mappings, map_circuit
 from repro.crosstalk.fidelity import (
+    ViolationTable,
     average_program_fidelity,
     estimate_program_fidelity,
 )
@@ -146,3 +147,11 @@ class TestAverage:
         _, _, layout = grid9_module
         with pytest.raises(ValueError):
             average_program_fidelity(layout, [])
+
+
+class TestViolationTableBuild:
+    def test_backend_knob_removed(self, grid9_module):
+        """The dense/sparse choice lives on find_spatial_violations."""
+        _, _, layout = grid9_module
+        with pytest.raises(TypeError, match="backend"):
+            ViolationTable.build(layout, backend="dense")

@@ -66,6 +66,10 @@ class TestScorerEquivalence:
                                np.zeros((1, scorer.num_resonators)))
 
 
+    def test_backend_knob_removed(self, grid9_placed):
+        with pytest.raises(TypeError, match="backend"):
+            FrozenLayoutScorer(grid9_placed.layout, backend="dense")
+
 class TestScoresAndSummary:
     def _scores(self):
         return EnsembleScores(

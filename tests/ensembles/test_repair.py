@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 
 import numpy as np
@@ -20,7 +21,10 @@ from repro.ensembles import (
     repair_sample,
     sample_batch,
 )
-from repro.ensembles.repair import _intended_mask, _pair_gaps
+from repro.ensembles.repair import (_intended_mask, _pair_gaps,
+                                    place_from_scratch)
+
+from ..core.test_placement_golden import GOLDEN
 
 
 def _oracle_failures(problem, positions, tol=1e-9):
@@ -262,3 +266,21 @@ class TestRepairSample:
         b = repair_sample(design, noisy_netlist,
                           grid9_placed.layout.positions, fast_config)
         assert np.array_equal(a.positions, b.positions)
+
+
+class TestPlaceFromScratch:
+    def test_positions_match_placement_golden(self):
+        """The from-scratch baseline is the engine's layout bit-for-bit."""
+        digest = next(d for t, s, o, d in GOLDEN
+                      if (t, s, o) == ("falcon-27", "qplacer", {}))
+        netlist = build_netlist(get_topology("falcon-27"))
+        layout = place_from_scratch(netlist, PlacerConfig())
+        assert hashlib.sha256(
+            layout.positions.tobytes()).hexdigest() == digest
+
+    def test_layout_carries_noisy_netlist_and_tag(self, noisy_netlist,
+                                                  fast_config):
+        layout = place_from_scratch(noisy_netlist, fast_config)
+        assert layout.netlist is noisy_netlist
+        assert layout.strategy == "qplacer+disorder+scratch"
+        assert layout.num_instances == len(layout.instances)

@@ -245,3 +245,30 @@ class TestShutdown:
         assert svc._stop_done.is_set()
         with pytest.raises(ServiceError):
             ServiceClient(svc.base_url, timeout=1.0).healthz()
+
+
+class TestShutdownAuth:
+    def test_shutdown_requires_token(self, tmp_path):
+        svc = PlacementService(store_dir=tmp_path / "s", port=0,
+                               workers=1, shutdown_token="hunter2")
+        with svc:
+            anonymous = ServiceClient(svc.base_url, timeout=10.0)
+            with pytest.raises(ServiceError) as err:
+                anonymous.shutdown()
+            assert err.value.status == 403
+            wrong = ServiceClient(svc.base_url, timeout=10.0,
+                                  token="wrong")
+            with pytest.raises(ServiceError) as err:
+                wrong.shutdown()
+            assert err.value.status == 403
+            # Still alive after both rejections.
+            assert anonymous.healthz()["status"] == "ok"
+            authed = ServiceClient(svc.base_url, timeout=10.0,
+                                   token="hunter2")
+            assert authed.shutdown()["status"] == "stopping"
+
+    def test_shutdown_open_when_no_token(self, tmp_path):
+        svc = PlacementService(store_dir=tmp_path / "s", port=0, workers=1)
+        with svc:
+            client = ServiceClient(svc.base_url, timeout=10.0)
+            assert client.shutdown()["status"] == "stopping"

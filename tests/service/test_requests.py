@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core import PlacerConfig
-from repro.service.requests import (EvaluateRequest, FidelityRequest,
-                                    MapRequest, PlaceRequest, RequestError,
+from repro.service.requests import (REQUEST_TYPES, EvaluateRequest,
+                                    FidelityRequest, MapRequest,
+                                    PlaceRequest, RequestError,
                                     check_options, parse_request)
 
 
@@ -190,6 +191,10 @@ class TestParseEvaluate:
 class TestRemovedSurface:
     """The retired refine kind and placer-portfolio config fields are
     clean 400s, never a queued job that fails."""
+
+    def test_request_types_are_the_five_kinds(self):
+        assert sorted(REQUEST_TYPES) == ["ensemble", "evaluate", "fidelity",
+                                         "map", "place"]
 
     def test_refine_kind_rejected(self):
         with pytest.raises(RequestError) as err:

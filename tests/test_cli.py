@@ -31,6 +31,20 @@ class TestParser:
         assert args.benchmarks == "bv-4,qgan-4"
 
 
+    def test_refine_command_removed(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(["refine", "ab" * 32])
+        assert err.value.code == 2
+        assert "refine" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["place", "profile"])
+    def test_placer_flag_removed(self, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args([command, "grid-25",
+                                       "--placer", "force"])
+        assert err.value.code == 2
+        assert "--placer" in capsys.readouterr().err
+
 class TestBackendArgValidation:
     """Parse-time validation of the engine switches (ISSUE 6).
 
