@@ -6,7 +6,7 @@ incremental density updates with periodic full-rebuild checkpoints.
 This harness pins the contracts that make them safe:
 
 * **eagle-127 bit-identity**: on a sparse engine with increments
-  flushed every evaluation (``density_flush_interval=1``) the
+  flushed every evaluation (``engine.DENSITY_FLUSH_INTERVAL = 1``) the
   incremental density path must reproduce, bit for bit, the same engine
   with its density term swapped for the full recompute
   (``DensityGrid.evaluate``) — every flush adopts a fresh rasterise, so
@@ -24,7 +24,6 @@ peak pair/candidate high-water marks) goes to
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import platform
 import time
@@ -32,6 +31,7 @@ from typing import Dict
 
 import numpy as np
 
+from repro.core import engine, preprocess
 from repro.core.config import PlacerConfig
 from repro.core.engine import GlobalPlacer
 from repro.core.interactions import frequency_bands, grid_candidate_pairs
@@ -47,28 +47,28 @@ MAX_CONDOR_1121_PLACE_S = 10.0
 
 CONDOR_TOPOLOGY = "condor-1121" if FULL else "condor-sm-433"
 
-#: The identity pair: a sparse engine flushing its incremental density
-#: map on every evaluation (and re-scattering every moved instance).
-FLUSH_EVERY_EVAL = dict(interaction_backend="sparse",
-                        density_flush_interval=1,
-                        density_move_threshold_mm=0.0)
+#: The identity pair: eagle-127 built sparse, flushing its incremental
+#: density map on every evaluation (and re-scattering every moved
+#: instance).  Applied as ``(module, constant, value)`` monkeypatches.
+FLUSH_EVERY_EVAL = ((preprocess, "SPARSE_MIN_INSTANCES", 0),
+                    (engine, "DENSITY_FLUSH_INTERVAL", 1),
+                    (engine, "DENSITY_MOVE_THRESHOLD_MM", 0.0))
 
 
-def _run(topology: str, full_density: bool = False,
-         **overrides) -> Dict[str, object]:
+def _run(topology: str, full_density: bool = False) -> Dict[str, object]:
     """Global placement of ``topology``; ``full_density`` swaps the
     engine's density term for the full recompute."""
-    config = dataclasses.replace(PlacerConfig(), **overrides)
+    config = PlacerConfig()
     problem = build_problem(build_netlist(get_topology(topology)), config)
-    engine = GlobalPlacer(problem, config)
+    placer = GlobalPlacer(problem, config)
     if full_density:
-        engine._density = engine.density.evaluate
+        placer._density = placer.density.evaluate
     t0 = time.perf_counter()
-    result = engine.run()
+    result = placer.run()
     place_s = time.perf_counter() - t0
     return {
         "topology": topology,
-        "overrides": overrides,
+        "backend": problem.interaction_backend,
         "full_density": full_density,
         "num_instances": problem.num_instances,
         "place_s": round(place_s, 3),
@@ -96,10 +96,9 @@ def _candidate_counts(row: Dict[str, object]) -> Dict[str, int]:
     """Neighbor-list candidates at a run's final positions, with and
     without frequency banding (same reach as the engine's rebuilds)."""
     problem = row["problem"]
-    config = problem.config
-    reach = config.freq_pair_cutoff_mm + config.freq_pair_skin_mm
+    reach = engine.FREQ_PAIR_CUTOFF_MM + engine.FREQ_PAIR_SKIN_MM
     bands = frequency_bands(problem.frequencies,
-                            config.detuning_threshold_ghz)
+                            problem.config.detuning_threshold_ghz)
     positions = row["positions"]
     banded, _ = grid_candidate_pairs(positions, reach, sort=False,
                                      bands=bands)
@@ -107,10 +106,13 @@ def _candidate_counts(row: Dict[str, object]) -> Dict[str, int]:
     return {"banded": int(banded.size), "unbanded": int(unbanded.size)}
 
 
-def test_perf_incremental(results_dir):
+def test_perf_incremental(results_dir, monkeypatch):
     # -- gate 1: eagle-127 flush-1 bit-identity -------------------------
-    eagle_inc = _run("eagle-127", **FLUSH_EVERY_EVAL)
-    eagle_ref = _run("eagle-127", full_density=True, **FLUSH_EVERY_EVAL)
+    with monkeypatch.context() as patch:
+        for module, name, value in FLUSH_EVERY_EVAL:
+            patch.setattr(module, name, value)
+        eagle_inc = _run("eagle-127")
+        eagle_ref = _run("eagle-127", full_density=True)
     identical = bool(np.array_equal(eagle_inc["positions"],
                                     eagle_ref["positions"]))
 
@@ -135,6 +137,7 @@ def test_perf_incremental(results_dir):
     (results_dir / "perf_incremental.json").write_text(text + "\n")
 
     # -- gates ----------------------------------------------------------
+    assert eagle_inc["backend"] == eagle_ref["backend"] == "sparse"
     assert identical, \
         "flush-every-iteration incremental density diverged from the " \
         "dense recompute on eagle-127"

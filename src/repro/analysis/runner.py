@@ -86,6 +86,9 @@ from ..io.serialization import canonical_json
 #: config-bearing digest, so a stale key can never collide.
 #: 10: placer portfolio retired — PlacementResult lost
 #:     ``portfolio_scores`` (pickled suite shape changed again, as at 7).
+#: Retiring the interaction-backend override and the sparse tuning knobs
+#: (six fields) needs no bump either: every layout is unchanged and the
+#: smaller field set re-keys every config-bearing digest.
 CACHE_SCHEMA_VERSION = 10
 
 #: Environment variable naming the default on-disk cache directory.

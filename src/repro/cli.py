@@ -67,7 +67,7 @@ def _add_common_placer_args(parser: argparse.ArgumentParser) -> None:
                         help="resonator segment size lb in mm (default 0.3)")
     parser.add_argument("--seed", type=int, default=0,
                         help="placement seed (default 0)")
-    _add_backend_arg(parser)
+    _add_detailed_passes_arg(parser)
 
 
 def _positive_int(text: str) -> int:
@@ -112,23 +112,7 @@ def _detailed_passes(text: str) -> Optional[int]:
     return value
 
 
-def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--interaction-backend",
-                        choices=("auto", "dense", "sparse"), default="auto",
-                        help="spatial interaction strategy: dense pair "
-                             "matrices, sparse uniform-grid neighbor "
-                             "lists, or auto by problem size (default)")
-    parser.add_argument("--density-flush-interval", type=_positive_int,
-                        default=None, metavar="N",
-                        help="full density rebuild checkpoint every N "
-                             "incremental evaluations, on problems the "
-                             "sparse backend places (default 16)")
-    parser.add_argument("--density-move-threshold", type=_nonnegative_float,
-                        default=None, metavar="MM",
-                        dest="density_move_threshold_mm",
-                        help="re-scatter an instance only once it moved "
-                             "more than this per axis, in mm (default "
-                             "0.01; 0 = every nonzero move)")
+def _add_detailed_passes_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--detailed-passes", type=_detailed_passes,
                         default=None, metavar="N|auto",
                         help="detailed-placement sweeps after "
@@ -156,12 +140,7 @@ def _config_from(args: argparse.Namespace) -> PlacerConfig:
     with the same overrides.
     """
     kw = dict(segment_size_mm=args.segment_size, seed=args.seed,
-              interaction_backend=getattr(args, "interaction_backend",
-                                          "auto"),
               detailed_passes=getattr(args, "detailed_passes", None))
-    for key in ("density_flush_interval", "density_move_threshold_mm"):
-        if getattr(args, key, None) is not None:
-            kw[key] = getattr(args, key)
     if getattr(args, "classic", False):
         return PlacerConfig.classic(**kw)
     return PlacerConfig(**kw)
@@ -277,9 +256,7 @@ def cmd_evaluate_all(args: argparse.Namespace) -> int:
         topology_names=topologies, benchmarks=benchmarks,
         num_mappings=args.mappings,
         segment_size_mm=args.segment_size,
-        config=PlacerConfig(segment_size_mm=args.segment_size,
-                            seed=args.seed,
-                            interaction_backend=args.interaction_backend),
+        config=_config_from(args),
         runner=runner)
     for name, entry in results.items():
         print(fidelity_table(entry["fidelity"], name))
@@ -677,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mapping subsets per benchmark (paper: 50)")
     p.add_argument("--benchmarks",
                    help="comma-separated benchmark list (default: 5 of 8)")
-    _add_backend_arg(p)
+    _add_detailed_passes_arg(p)
     _add_runner_args(p)
     p.set_defaults(func=cmd_evaluate_all)
 
@@ -743,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total shards (with --shard-index: the "
                         "cross-machine split; alone: local pool fan-out)")
     w.add_argument("--json", help="write results to this JSON path")
-    _add_backend_arg(w)
+    _add_detailed_passes_arg(w)
     _add_runner_args(w)
     w.set_defaults(func=cmd_workloads_evaluate)
 

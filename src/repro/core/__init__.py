@@ -10,11 +10,9 @@ from .frequency_force import (
     resonant_pair_distances,
 )
 from .interactions import (
-    BACKENDS,
     PrunedCollisionPairs,
     RequiredGapTable,
     grid_candidate_pairs,
-    resolve_backend,
 )
 from .legalizer import (Legalizer, LegalizeStats, SpiralExhaustedError,
                         legalize)
@@ -24,11 +22,9 @@ from .preprocess import PlacementProblem, build_problem
 from .wirelength import hpwl, smooth_wirelength, wirelength_and_grad
 
 __all__ = [
-    "BACKENDS",
     "PrunedCollisionPairs",
     "RequiredGapTable",
     "grid_candidate_pairs",
-    "resolve_backend",
     "DensityGrid",
     "DensityResult",
     "DetailedPlaceStats",

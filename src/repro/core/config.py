@@ -4,6 +4,10 @@ One :class:`PlacerConfig` drives preprocessing, the electrostatic global
 placement, and legalization.  ``Classic`` (the baseline of Sec. V-B) is
 the *identical* configuration with the frequency-awareness switched off:
 ``PlacerConfig.classic()``.
+
+The dense/sparse spatial interaction backend is not a setting:
+:func:`~repro.core.preprocess.build_problem` picks it from problem size
+(see :mod:`repro.core.interactions`).
 """
 
 from __future__ import annotations
@@ -56,26 +60,9 @@ class PlacerConfig:
         legalize_integration: Run the integration-aware repair (Alg. 1).
         spiral_max_radius_sites: Search bound of the greedy spiral.
         detailed_passes: Post-legalization refinement sweeps; ``None``
-            resolves per problem size (:meth:`resolved_detailed_passes`).
+            resolves per interaction backend
+            (:meth:`resolved_detailed_passes`).
 
-    Spatial interaction backend (:mod:`repro.core.interactions`):
-
-    Attributes:
-        interaction_backend: ``"auto"`` (sparse above
-            ``sparse_min_instances`` instances), ``"dense"``, or
-            ``"sparse"``.
-        sparse_min_instances: Problem-size threshold for ``auto``.
-        freq_pair_cutoff_mm: Sparse-only distance cutoff of the
-            frequency repulsive force.
-        freq_pair_skin_mm: Sparse-only Verlet skin of the neighbor list.
-        density_flush_interval: Full-rasterise checkpoint cadence of the
-            incremental density path (taken exactly when the backend
-            resolves sparse), in objective evaluations; ``1``
-            flushes every evaluation, which is arithmetically identical
-            to the dense recompute (the bench's bit-identity gate).
-        density_move_threshold_mm: Instances displaced at most this per
-            axis since their last scatter keep their stale bin charge
-            between flushes (0 = re-scatter every moved instance).
     """
 
     # geometry / preprocessing
@@ -106,32 +93,10 @@ class PlacerConfig:
     chain_aware_tetris: bool = True
     spiral_max_radius_sites: int = 64
     #: Detailed-placement refinement sweeps after legalization.
-    #: ``None`` = auto: one pass on sparse-resolved (condor-class)
+    #: ``None`` = auto: one pass on sparse-built (condor-class)
     #: problems where the vectorized engine makes it affordable, none on
     #: the dense paper tiers (whose layouts stay bit-identical).
     detailed_passes: Optional[int] = None
-
-    # spatial interaction backend (see repro.core.interactions)
-    #: ``"auto"`` (size-based), ``"dense"``, or ``"sparse"``.
-    interaction_backend: str = "auto"
-    #: ``auto`` resolves to sparse above this instance count.
-    sparse_min_instances: int = 2048
-    #: Sparse-only: frequency-force interaction cutoff (mm).  Resonant
-    #: pairs further apart contribute < 1/cutoff each and are dropped
-    #: from the repulsive sum; the dense backend always sums every pair.
-    freq_pair_cutoff_mm: float = 3.0
-    #: Sparse-only: Verlet skin added to the cutoff when building the
-    #: neighbor list; the list is rebuilt once any instance drifts more
-    #: than half the skin.
-    freq_pair_skin_mm: float = 1.5
-
-    # incremental density (see repro.core.density), engaged exactly
-    # when the interaction backend resolves sparse
-    #: Objective evaluations between full-rasterise checkpoints (>= 1).
-    density_flush_interval: int = 16
-    #: Per-axis displacement below which an instance's bin charge is
-    #: left stale between flushes (mm, >= 0).
-    density_move_threshold_mm: float = 0.01
 
     def __post_init__(self) -> None:
         if self.segment_size_mm <= 0:
@@ -154,21 +119,6 @@ class PlacerConfig:
         if self.spiral_max_radius_sites < 0:
             raise ValueError("spiral_max_radius_sites must be >= 0, got "
                              f"{self.spiral_max_radius_sites}")
-        if self.interaction_backend not in ("auto", "dense", "sparse"):
-            raise ValueError(
-                f"interaction_backend must be one of ('auto', 'dense', "
-                f"'sparse'), got {self.interaction_backend!r}")
-        if self.sparse_min_instances < 1:
-            raise ValueError("sparse_min_instances must be positive")
-        if self.freq_pair_cutoff_mm <= 0 or self.freq_pair_skin_mm <= 0:
-            raise ValueError("frequency pair cutoff and skin must be "
-                             "positive")
-        if self.density_flush_interval < 1:
-            raise ValueError("density_flush_interval must be >= 1, got "
-                             f"{self.density_flush_interval}")
-        if self.density_move_threshold_mm < 0:
-            raise ValueError("density_move_threshold_mm must be >= 0, "
-                             f"got {self.density_move_threshold_mm}")
 
     @staticmethod
     def classic(**overrides) -> "PlacerConfig":
@@ -187,24 +137,18 @@ class PlacerConfig:
         """Copy with a different resonator segment size (Fig. 15 sweep)."""
         return replace(self, segment_size_mm=lb_mm)
 
-    def resolved_interaction_backend(self, num_instances: int) -> str:
-        """Concrete backend ("dense"/"sparse") for a problem size."""
-        from .interactions import resolve_backend
-        return resolve_backend(self.interaction_backend, num_instances,
-                               self.sparse_min_instances)
+    def resolved_detailed_passes(self, interaction_backend: str) -> int:
+        """Concrete detailed-placement pass count for a built problem.
 
-    def resolved_detailed_passes(self, num_instances: int) -> int:
-        """Concrete detailed-placement pass count for a problem size.
-
-        ``None`` (auto) follows the interaction backend: condor-class
-        (sparse-resolved) problems get one pass — affordable since the
-        vectorized swap engine — while the dense paper tiers skip
+        ``None`` (auto) follows the problem's
+        :attr:`~repro.core.preprocess.PlacementProblem.interaction_backend`:
+        condor-class (sparse) problems get one pass — affordable since
+        the vectorized swap engine — while the dense paper tiers skip
         refinement and keep their bit-identical legalized layouts.
         """
         if self.detailed_passes is not None:
             return self.detailed_passes
-        return 1 if self.resolved_interaction_backend(num_instances) \
-            == "sparse" else 0
+        return 1 if interaction_backend == "sparse" else 0
 
     def qubit_site_pitch_mm(self, qubit_size_mm: float = constants.QUBIT_SIZE_MM) -> float:
         """Legalization lattice pitch for qubits."""

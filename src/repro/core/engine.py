@@ -27,6 +27,19 @@ from .optimizer import NesterovOptimizer
 from .preprocess import PlacementProblem
 from .wirelength import hpwl, wirelength_and_grad
 
+#: Sparse problems only.  Resonant pairs further apart than the cutoff
+#: (mm) contribute < 1/cutoff each and are dropped from the repulsive
+#: sum (dense problems sum every pair); the neighbor list adds the skin
+#: and is rebuilt once any instance drifts more than half of it.
+FREQ_PAIR_CUTOFF_MM = 3.0
+FREQ_PAIR_SKIN_MM = 1.5
+#: Sparse problems only: objective evaluations between full-rasterise
+#: density checkpoints (1 = every evaluation, arithmetically identical to
+#: the dense recompute), and the per-axis move (mm) below which an
+#: instance's bin charge stays stale between them (0 = every move).
+DENSITY_FLUSH_INTERVAL = 16
+DENSITY_MOVE_THRESHOLD_MM = 0.01
+
 
 @dataclass
 class IterationStats:
@@ -124,22 +137,20 @@ class GlobalPlacer:
         nets = problem.nets
         self._net_pin_index: Optional[np.ndarray] = (
             np.concatenate([nets[:, 0], nets[:, 1]]) if nets.size else None)
-        backend = self.config.resolved_interaction_backend(
-            problem.num_instances)
-        # Condor-class (sparse-resolved) problems update the density map
+        sparse = problem.interaction_backend == BACKEND_SPARSE
+        # Condor-class (sparse-built) problems update the density map
         # incrementally; the dense paper tiers keep the exact recompute.
-        self._incremental_density = backend == BACKEND_SPARSE
+        self._incremental_density = sparse
         self._sparse_pairs: Optional[PrunedCollisionPairs] = None
         self._freq_kernel: Optional[FrequencyForce] = None
         self._kernel_rebuilds = 0
         self._peak_pairs = 0
-        if backend == BACKEND_SPARSE and self.config.frequency_aware:
+        if sparse and self.config.frequency_aware:
             # Distance-pruned neighbor list instead of the full map.
             self._sparse_pairs = PrunedCollisionPairs(
                 problem.frequencies, problem.resonator_index,
                 self.config.detuning_threshold_ghz,
-                cutoff_mm=self.config.freq_pair_cutoff_mm,
-                skin_mm=self.config.freq_pair_skin_mm)
+                cutoff_mm=FREQ_PAIR_CUTOFF_MM, skin_mm=FREQ_PAIR_SKIN_MM)
 
     def _frequency_kernel(self, positions: np.ndarray) -> FrequencyForce:
         """Force kernel over the collision pairs active at ``positions``.
@@ -157,11 +168,7 @@ class GlobalPlacer:
                 self._kernel_rebuilds = sparse.rebuilds
             self._peak_pairs = max(self._peak_pairs, sparse.peak_pairs)
         elif self._freq_kernel is None:
-            # Materialises the map when the problem was built sparse but
-            # this placer resolves dense — a free lookup in the ordinary
-            # dense-on-dense case.
-            self._freq_kernel = FrequencyForce(
-                self.problem.resonant_collision_pairs())
+            self._freq_kernel = FrequencyForce(self.problem.collision_pairs)
             self._peak_pairs = len(self._freq_kernel)
         return self._freq_kernel
 
@@ -171,11 +178,10 @@ class GlobalPlacer:
         """One density evaluation through the configured path."""
         if not self._incremental_density:
             return self.density.evaluate(positions)
-        flush = (self._density_evals
-                 % self.config.density_flush_interval) == 0
+        flush = (self._density_evals % DENSITY_FLUSH_INTERVAL) == 0
         self._density_evals += 1
         return self.density.evaluate_incremental(
-            positions, self.config.density_move_threshold_mm, flush=flush)
+            positions, DENSITY_MOVE_THRESHOLD_MM, flush=flush)
 
     def _objective(self, positions: np.ndarray) -> Tuple[float, np.ndarray]:
         cfg = self.config

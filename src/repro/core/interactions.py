@@ -15,14 +15,15 @@ interchangeable strategies:
   candidates.  O(n x local density) memory/time, which is what makes
   condor-1121-class topologies tractable.
 
-``auto`` (the default everywhere) selects ``sparse`` once the instance
-count crosses :data:`DEFAULT_SPARSE_MIN_INSTANCES`; the six paper
-topologies stay below it, so their results remain bit-identical to the
-dense-only implementation.  Config override via
-:attr:`~repro.core.config.PlacerConfig.interaction_backend` and CLI
-``--interaction-backend``.  The spatial-violation scan returns the same
+:func:`~repro.core.preprocess.build_problem` picks the strategy once,
+from the instance count alone (``sparse`` above
+:data:`~repro.core.preprocess.SPARSE_MIN_INSTANCES`), and records it as
+:attr:`~repro.core.preprocess.PlacementProblem.interaction_backend`;
+every other stage reads it from there.  The six paper topologies stay
+below the threshold, so their results remain bit-identical to the
+dense-only implementation.  The spatial-violation scan returns the same
 pairs under either strategy, so it uses the grid at every size unless
-``dense`` is forced.
+the ``dense`` oracle is asked for.
 
 Sparse candidate generation is fully vectorized: cell keys are sorted
 once, and for each of the five half-neighborhood offsets the matching
@@ -36,34 +37,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-#: Recognised backend names (``auto`` resolves by problem size).
-BACKEND_AUTO = "auto"
+#: The two spatial strategies a problem can be built for.
 BACKEND_DENSE = "dense"
 BACKEND_SPARSE = "sparse"
-BACKENDS: Tuple[str, ...] = (BACKEND_AUTO, BACKEND_DENSE, BACKEND_SPARSE)
-
-#: ``auto`` switches to the sparse strategy above this instance count.
-#: Chosen so every Table I topology (largest: eagle-127 at 1814
-#: instances) resolves dense — their results stay bit-identical — while
-#: condor-class problems (>6000 instances) go sparse.
-DEFAULT_SPARSE_MIN_INSTANCES = 2048
-
-
-def resolve_backend(backend: str, num_instances: int,
-                    sparse_min_instances: int = DEFAULT_SPARSE_MIN_INSTANCES
-                    ) -> str:
-    """Resolve ``auto`` to a concrete strategy for a problem size.
-
-    Raises:
-        ValueError: for unknown backend names.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown interaction backend {backend!r}; known: {BACKENDS}")
-    if backend != BACKEND_AUTO:
-        return backend
-    return (BACKEND_SPARSE if num_instances > sparse_min_instances
-            else BACKEND_DENSE)
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +287,14 @@ class PrunedCollisionPairs:
 
     def __init__(self, frequencies: np.ndarray, resonator_index: np.ndarray,
                  detuning_threshold_ghz: float,
-                 cutoff_mm: float, skin_mm: Optional[float] = None) -> None:
+                 cutoff_mm: float, skin_mm: float) -> None:
         if cutoff_mm <= 0:
             raise ValueError("cutoff must be positive")
         self._freqs = np.asarray(frequencies, dtype=float)
         self._res = np.asarray(resonator_index, dtype=np.int64)
         self._threshold = float(detuning_threshold_ghz)
         self.cutoff_mm = float(cutoff_mm)
-        self.skin_mm = float(skin_mm) if skin_mm is not None \
-            else 0.5 * float(cutoff_mm)
+        self.skin_mm = float(skin_mm)
         self._bands = frequency_bands(self._freqs, self._threshold)
         self._pairs: Optional[np.ndarray] = None
         self._ref_positions: Optional[np.ndarray] = None

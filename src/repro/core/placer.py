@@ -107,7 +107,7 @@ class QPlacer:
             legal_positions, legalize_stats = legalize(
                 problem, global_result.positions, self.config)
             passes = self.config.resolved_detailed_passes(
-                problem.num_instances)
+                problem.interaction_backend)
             if passes > 0:
                 from .detailed import refine_placement
                 legal_positions, detailed_stats = refine_placement(

@@ -27,7 +27,7 @@ from ..devices.components import Instance, Qubit, ResonatorSegment
 from ..devices.geometry import Rect
 from ..devices.netlist import QuantumNetlist
 from .config import PlacerConfig
-from .interactions import sort_pairs
+from .interactions import BACKEND_DENSE, BACKEND_SPARSE, sort_pairs
 
 
 @dataclass
@@ -53,8 +53,8 @@ class PlacementProblem:
         initial_positions: ``(n, 2)`` deterministic starting centres.
         attached_resonators: qubit instance index -> resonator ids whose
             segments may legally abut that qubit.
-        interaction_backend: Resolved spatial backend ("dense"/"sparse")
-            this problem was built for.
+        interaction_backend: Spatial backend ("dense"/"sparse") this
+            problem was built for, picked by :func:`build_problem`.
     """
 
     netlist: QuantumNetlist
@@ -170,6 +170,15 @@ def _collision_pairs(frequencies: np.ndarray, resonator_index: np.ndarray,
     return np.stack([i, j], axis=1).astype(np.int64)
 
 
+#: Problems with more instances than this are built for the sparse
+#: interaction backend; this is the one place it is chosen, and every
+#: later stage reads :attr:`PlacementProblem.interaction_backend`.
+#: Every Table I topology (largest: eagle-127 at 1814 instances) stays
+#: dense and bit-identical to the dense-only implementation; grid-121
+#: (2695) and the condor tiers (>6000) go sparse.
+SPARSE_MIN_INSTANCES = 2048
+
+
 def build_problem(netlist: QuantumNetlist,
                   config: Optional[PlacerConfig] = None) -> PlacementProblem:
     """Run the Sec. IV-B preprocessing and assemble the numeric problem."""
@@ -216,8 +225,8 @@ def build_problem(netlist: QuantumNetlist,
 
     initial = _initial_positions(netlist, instances, qubit_instance_index,
                                  region, config)
-    backend = config.resolved_interaction_backend(n)
-    if backend == "sparse":
+    backend = BACKEND_SPARSE if n > SPARSE_MIN_INSTANCES else BACKEND_DENSE
+    if backend == BACKEND_SPARSE:
         # The engine prunes resonant pairs by distance on sparse
         # problems; materialising the full collision map here would be
         # the very O(n^2) structure the backend exists to avoid.

@@ -22,11 +22,7 @@ from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 import numpy as np
 
 from .. import constants
-from ..core.interactions import (
-    dense_candidate_pairs,
-    grid_candidate_pairs,
-    resolve_backend,
-)
+from ..core.interactions import dense_candidate_pairs, grid_candidate_pairs
 from ..devices.components import Qubit, ResonatorSegment
 from ..devices.layout import Layout
 from ..physics.capacitance import (
@@ -84,23 +80,23 @@ def attached_resonators_by_qubit(layout: Layout) -> Optional[Dict[int, Set[int]]
 
 def spatial_candidate_pairs(positions: np.ndarray, half_w: np.ndarray,
                             half_h: np.ndarray, pads: np.ndarray,
-                            backend: str = "auto"
+                            backend: str = "sparse"
                             ) -> Tuple[np.ndarray, np.ndarray,
                                        np.ndarray, np.ndarray]:
     """``(i, j, |dx|, |dy|)`` of pairs whose padded footprints touch.
 
     Candidates come from a uniform grid sized to the largest possible
-    padded reach, so only nearby pairs are screened — at every size,
-    ``auto`` included.  ``backend="dense"`` forces the all-pairs
-    ``triu`` screen instead; both return the same pairs in the same
-    lexicographic order, so every downstream filter produces identical
-    violation lists under either strategy.  The per-axis centre
-    distances come back alongside the indices so the violation scan
-    never recomputes them.  Fewer than two instances yield empty
-    arrays.
+    padded reach, so only nearby pairs are screened, at every size.
+    ``backend="dense"`` selects the all-pairs ``triu`` oracle instead;
+    both return the same pairs in the same lexicographic order, so every
+    downstream filter produces identical violation lists under either
+    strategy.  The per-axis centre distances come back alongside the
+    indices so the violation scan never recomputes them.  Fewer than two
+    instances yield empty arrays.
     """
+    if backend not in ("dense", "sparse"):
+        raise ValueError(f"unknown violation-scan backend {backend!r}")
     n = positions.shape[0]
-    resolve_backend(backend, n)  # validates the name
     if n < 2:
         no_pairs = np.zeros(0, dtype=np.int64)
         no_dist = np.zeros(0, dtype=np.float64)
@@ -137,7 +133,7 @@ def _footprints(layout: Layout) -> Tuple[np.ndarray, np.ndarray,
             np.array([it.padding for it in insts]))
 
 
-def count_candidate_pairs(layout: Layout, backend: str = "auto") -> int:
+def count_candidate_pairs(layout: Layout, backend: str = "sparse") -> int:
     """Number of padded-footprint candidate pairs (scaling telemetry)."""
     iu, _, _, _ = spatial_candidate_pairs(*_footprints(layout),
                                           backend=backend)
@@ -166,7 +162,7 @@ class ViolatingPairs(NamedTuple):
     facing: np.ndarray
 
 
-def violating_pairs(layout: Layout, backend: str = "auto") -> ViolatingPairs:
+def violating_pairs(layout: Layout, backend: str = "sparse") -> ViolatingPairs:
     """The purely geometric half of the violation scan.
 
     Candidates (padded footprints touching), then the bare-gap filter
@@ -219,7 +215,7 @@ def violating_pairs(layout: Layout, backend: str = "auto") -> ViolatingPairs:
 def find_spatial_violations(layout: Layout,
                             detuning_threshold_ghz: float = constants.DETUNING_THRESHOLD_GHZ,
                             include_qr: bool = True,
-                            backend: str = "auto") -> List[SpatialViolation]:
+                            backend: str = "sparse") -> List[SpatialViolation]:
     """All spatial violations in a layout.
 
     A pair violates when the padded footprints intersect with positive
@@ -231,8 +227,9 @@ def find_spatial_violations(layout: Layout,
         detuning_threshold_ghz: Resonance threshold ``Delta_c``.
         include_qr: Also report qubit-resonator violations (these are
             deeply detuned and mostly informational).
-        backend: Candidate-pair strategy ("auto"/"dense"/"sparse"); the
-            resulting violation list is identical under either.
+        backend: Candidate-pair strategy: ``"sparse"`` (the grid) or
+            the ``"dense"`` all-pairs oracle; the resulting violation
+            list is identical under either.
     """
     pairs = violating_pairs(layout, backend=backend)
     is_q = pairs.is_q

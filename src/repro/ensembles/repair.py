@@ -190,7 +190,8 @@ def repair_positions(problem: PlacementProblem, cached_positions: np.ndarray,
                          positions[:, 1] - cached[:, 1])
     dirty = np.flatnonzero(displaced > max(float(np.median(displaced)),
                                            1e-9))
-    passes = max(1, config.resolved_detailed_passes(problem.num_instances))
+    passes = max(1, config.resolved_detailed_passes(
+        problem.interaction_backend))
     with profiling.phase("repolish"):
         positions, _ = refine_placement(problem, positions, config,
                                         max_passes=passes,

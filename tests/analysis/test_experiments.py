@@ -68,7 +68,7 @@ class TestPlacementPayloadTelemetry:
         """``place``/``ensemble`` requests place through build_suite;
         its layouts must be the engine's bit-for-bit."""
         digest = next(d for t, s, o, d in GOLDEN
-                      if (t, s, o) == ("falcon-27", strategy, {}))
+                      if (t, s, o) == ("falcon-27", strategy, False))
         suite = build_suite("falcon-27", strategies=(strategy,))
         positions = suite.layouts[strategy].positions
         assert hashlib.sha256(positions.tobytes()).hexdigest() == digest

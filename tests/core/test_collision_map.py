@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import preprocess
 from repro.core.config import PlacerConfig
 from repro.core.preprocess import _collision_pairs, build_problem
 from repro.devices import build_netlist, get_topology, netlist_with_frequencies
@@ -68,6 +69,15 @@ def test_sparse_grid_lazy_map():
     problem = build_problem(build_netlist(get_topology("grid-121")),
                             PlacerConfig())
     assert problem.interaction_backend == "sparse"
+    assert _problem_map_matches(problem).shape[0] > 0
+
+
+def test_sparse_small_tier_lazy_map(monkeypatch):
+    monkeypatch.setattr(preprocess, "SPARSE_MIN_INSTANCES", 0)
+    problem = build_problem(build_netlist(get_topology("falcon-27")),
+                            PlacerConfig())
+    assert problem.interaction_backend == "sparse"
+    assert problem.collision_pairs.size == 0
     assert _problem_map_matches(problem).shape[0] > 0
 
 

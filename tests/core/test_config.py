@@ -66,15 +66,14 @@ class TestDetailedPasses:
     def test_auto_follows_backend(self):
         cfg = PlacerConfig()
         assert cfg.detailed_passes is None
-        assert cfg.resolved_detailed_passes(100) == 0  # dense paper tier
-        assert cfg.resolved_detailed_passes(
-            cfg.sparse_min_instances + 1) == 1  # condor tier
+        assert cfg.resolved_detailed_passes("dense") == 0  # paper tiers
+        assert cfg.resolved_detailed_passes("sparse") == 1  # condor tiers
 
     def test_explicit_count_wins(self):
         assert PlacerConfig(detailed_passes=0).resolved_detailed_passes(
-            10_000) == 0
+            "sparse") == 0
         assert PlacerConfig(detailed_passes=3).resolved_detailed_passes(
-            10) == 3
+            "dense") == 3
 
 
 class TestDerived:
@@ -89,7 +88,8 @@ class TestDerived:
         assert cfg.segment_site_pitch_mm() == pytest.approx(0.4)
 
 
-#: Fields the retired placer portfolio read, with their old defaults.
+#: Retired fields, with their old defaults: what the placer portfolio
+#: read, then the interaction-backend override and sparse knobs.
 RETIRED_FIELDS = {
     "placer": "force",
     "sa_seed_placer": "trivial",
@@ -103,14 +103,23 @@ RETIRED_FIELDS = {
     "sa_move_radius_sites": 3,
     "sa_swap_probability": 0.3,
     "portfolio_members": ("force", "sa", "subgraph"),
+    # The interaction backend is picked from problem size; its override
+    # and the sparse tuning knobs are module constants now.
+    "interaction_backend": "auto",
+    "sparse_min_instances": 2048,
+    "freq_pair_cutoff_mm": 3.0,
+    "freq_pair_skin_mm": 1.5,
+    "density_flush_interval": 16,
+    "density_move_threshold_mm": 0.01,
 }
 
 
 class TestRetiredFields:
     def test_field_count(self):
         names = {f.name for f in dataclasses.fields(PlacerConfig)}
-        assert len(names) == 29
+        assert len(names) == 23
         assert not names & set(RETIRED_FIELDS)
+        assert not hasattr(PlacerConfig, "resolved_interaction_backend")
 
     @pytest.mark.parametrize("name,value", list(RETIRED_FIELDS.items()),
                              ids=list(RETIRED_FIELDS))

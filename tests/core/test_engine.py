@@ -1,11 +1,9 @@
 """Unit tests for the global placement engine (Eq. 14 flow)."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from repro.core.config import PlacerConfig
+from repro.core import engine, preprocess
 from repro.core.engine import GlobalPlacer
 from repro.core.frequency_force import resonant_pair_distances
 from repro.core.preprocess import build_problem
@@ -90,27 +88,29 @@ class TestFrequencyAwareness:
 
 
 class TestDensityMode:
-    """The density path follows the resolved interaction backend."""
+    """The density path follows the problem's interaction backend."""
 
-    def _problem(self, config):
+    def _problem(self, config, monkeypatch, backend):
+        if backend == "sparse":
+            monkeypatch.setattr(preprocess, "SPARSE_MIN_INSTANCES", 0)
         return build_problem(build_netlist(grid_topology(2, 2)), config)
 
     @pytest.mark.parametrize("backend,incremental",
                              [("dense", False), ("sparse", True)])
-    def test_incremental_exactly_when_sparse(self, fast_config, backend,
-                                             incremental):
-        config = dataclasses.replace(fast_config,
-                                     interaction_backend=backend)
-        result = GlobalPlacer(self._problem(config), config).run()
+    def test_incremental_exactly_when_sparse(self, fast_config, monkeypatch,
+                                             backend, incremental):
+        problem = self._problem(fast_config, monkeypatch, backend)
+        assert problem.interaction_backend == backend
+        result = GlobalPlacer(problem, fast_config).run()
         assert (result.density_flushes > 0) is incremental
 
-    def test_flush_every_eval_matches_full_recompute(self, fast_config):
-        config = dataclasses.replace(
-            fast_config, interaction_backend="sparse",
-            density_flush_interval=1, density_move_threshold_mm=0.0)
-        problem = self._problem(config)
-        incremental = GlobalPlacer(problem, config).run()
-        full = GlobalPlacer(problem, config)
+    def test_flush_every_eval_matches_full_recompute(self, fast_config,
+                                                     monkeypatch):
+        monkeypatch.setattr(engine, "DENSITY_FLUSH_INTERVAL", 1)
+        monkeypatch.setattr(engine, "DENSITY_MOVE_THRESHOLD_MM", 0.0)
+        problem = self._problem(fast_config, monkeypatch, "sparse")
+        incremental = GlobalPlacer(problem, fast_config).run()
+        full = GlobalPlacer(problem, fast_config)
         full._density = full.density.evaluate
         reference = full.run()
         assert incremental.density_flushes >= incremental.iterations

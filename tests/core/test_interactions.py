@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core import interactions, preprocess
 from repro.core.config import PlacerConfig
 from repro.core.interactions import (
-    DEFAULT_SPARSE_MIN_INSTANCES,
     PrunedCollisionPairs,
     RequiredGapTable,
     dense_candidate_pairs,
     frequency_bands,
     grid_candidate_pairs,
-    resolve_backend,
     sort_pairs,
 )
 from repro.core.preprocess import build_problem
@@ -19,35 +18,54 @@ from repro.devices.netlist import build_netlist
 from repro.devices.topology import get_topology
 
 
-class TestResolveBackend:
-    def test_explicit_names_pass_through(self):
-        assert resolve_backend("dense", 10**9) == "dense"
-        assert resolve_backend("sparse", 2) == "sparse"
+class TestBackendFromSize:
+    """``build_problem`` is the one place the backend is picked."""
 
-    def test_auto_switches_on_problem_size(self):
-        assert resolve_backend("auto", DEFAULT_SPARSE_MIN_INSTANCES) == "dense"
-        assert resolve_backend("auto",
-                               DEFAULT_SPARSE_MIN_INSTANCES + 1) == "sparse"
+    @pytest.fixture(scope="class")
+    def netlist(self):
+        return build_netlist(get_topology("grid-25"))
 
-    def test_auto_respects_custom_threshold(self):
-        assert resolve_backend("auto", 50, sparse_min_instances=10) == "sparse"
-        assert resolve_backend("auto", 50, sparse_min_instances=50) == "dense"
+    def test_dense_at_threshold_sparse_above(self, netlist, monkeypatch):
+        n = build_problem(netlist).num_instances
+        monkeypatch.setattr(preprocess, "SPARSE_MIN_INSTANCES", n)
+        assert build_problem(netlist).interaction_backend == "dense"
+        monkeypatch.setattr(preprocess, "SPARSE_MIN_INSTANCES", n - 1)
+        assert build_problem(netlist).interaction_backend == "sparse"
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("banded", 10)
+    def test_sparse_problem_defers_the_collision_map(self, netlist,
+                                                     monkeypatch):
+        dense = build_problem(netlist)
+        monkeypatch.setattr(preprocess, "SPARSE_MIN_INSTANCES", 0)
+        sparse = build_problem(netlist)
+        assert sparse.collision_pairs.size == 0
+        assert np.array_equal(sparse.resonant_collision_pairs(),
+                              dense.collision_pairs)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PlacerConfig(interaction_backend="banded")
-        with pytest.raises(ValueError):
-            PlacerConfig(freq_pair_cutoff_mm=0.0)
+    def test_paper_tiers_dense_grid_121_sparse(self):
+        assert preprocess.SPARSE_MIN_INSTANCES == 2048
+        eagle = build_problem(build_netlist(get_topology("eagle-127")))
+        assert eagle.num_instances <= preprocess.SPARSE_MIN_INSTANCES
+        assert eagle.interaction_backend == "dense"
+        grid = build_problem(build_netlist(get_topology("grid-121")))
+        assert grid.num_instances > preprocess.SPARSE_MIN_INSTANCES
+        assert grid.interaction_backend == "sparse"
 
-    def test_config_resolution_helper(self):
-        cfg = PlacerConfig(interaction_backend="auto",
-                           sparse_min_instances=100)
-        assert cfg.resolved_interaction_backend(100) == "dense"
-        assert cfg.resolved_interaction_backend(101) == "sparse"
+    def test_detailed_passes_follow_the_built_backend(self, netlist,
+                                                      monkeypatch):
+        from repro.core import QPlacer
+
+        config = PlacerConfig(max_iterations=12, min_iterations=2)
+        assert QPlacer(config).place(netlist).detailed_stats is None
+        monkeypatch.setattr(preprocess, "SPARSE_MIN_INSTANCES", 0)
+        assert QPlacer(config).place(netlist).detailed_stats is not None
+
+    @pytest.mark.parametrize("name", ["resolve_backend", "BACKEND_AUTO",
+                                      "BACKENDS"])
+    def test_resolver_removed(self, name):
+        import repro.core
+
+        assert not hasattr(interactions, name)
+        assert not hasattr(repro.core, name)
 
 
 class TestGridCandidatePairs:
@@ -245,25 +263,6 @@ class TestPrunedCollisionPairs:
         provider.pairs(pos)
         provider.pairs(pos + 0.5)
         assert provider.rebuilds == 2
-
-    def test_dense_engine_on_sparse_built_problem_keeps_force(self):
-        # A problem built under the sparse backend carries no
-        # precomputed collision map; a dense-resolving placer must
-        # materialise it rather than silently running frequency-unaware.
-        from repro.core.engine import GlobalPlacer
-
-        sparse_cfg = PlacerConfig(interaction_backend="sparse",
-                                  max_iterations=12, min_iterations=2)
-        problem = build_problem(
-            build_netlist(get_topology("grid-25")), sparse_cfg)
-        assert problem.collision_pairs.size == 0
-        dense_cfg = PlacerConfig(interaction_backend="dense",
-                                 max_iterations=12, min_iterations=2)
-        result = GlobalPlacer(problem, dense_cfg).run()
-        assert result.peak_collision_pairs > 0
-        assert result.peak_collision_pairs == \
-            problem.resonant_collision_pairs().shape[0]
-        assert any(h.frequency_energy > 0 for h in result.history)
 
     def test_cutoff_prunes_far_pairs(self, problem):
         provider = PrunedCollisionPairs(

@@ -127,7 +127,7 @@ class TestHelpers:
 
 
 class TestFewerThanTwoInstances:
-    @pytest.mark.parametrize("backend", ["auto", "dense", "sparse"])
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
     @pytest.mark.parametrize("n", [0, 1])
     def test_candidate_pairs_empty(self, n, backend):
         pos = np.zeros((n, 2))
@@ -140,7 +140,7 @@ class TestFewerThanTwoInstances:
             assert arr.dtype == dtype
             assert arr.shape == (0,)
 
-    @pytest.mark.parametrize("backend", ["auto", "dense", "sparse"])
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
     @pytest.mark.parametrize("n", [0, 1])
     def test_layout_scans_empty(self, n, backend):
         lay = Layout(instances=[qubit(0, 5.0)][:n],
@@ -149,7 +149,7 @@ class TestFewerThanTwoInstances:
         assert find_spatial_violations(lay, backend=backend) == []
 
     @pytest.mark.parametrize("include_qr", [True, False])
-    @pytest.mark.parametrize("backend", ["auto", "dense", "sparse"])
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
     @pytest.mark.parametrize("n", [0, 1])
     def test_violation_kernel_empty(self, n, backend, include_qr):
         """The scan needs no early return: empty pair columns flow
@@ -162,8 +162,13 @@ class TestFewerThanTwoInstances:
         assert pairs.i.shape == pairs.gap.shape == pairs.facing.shape == (0,)
         assert pairs.pos.shape == (n, 2)
 
-    def test_unknown_backend_still_rejected(self):
-        with pytest.raises(ValueError):
-            spatial_candidate_pairs(np.zeros((0, 2)), np.zeros(0),
-                                    np.zeros(0), np.zeros(0),
-                                    backend="bogus")
+    @pytest.mark.parametrize("backend", ["auto", "bogus"])
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_unknown_backend_rejected(self, n, backend):
+        """Two behaviours only: the grid (``sparse``, the default) and
+        the dense ``triu`` oracle; the retired ``auto`` name is an
+        error like any other."""
+        with pytest.raises(ValueError, match="violation-scan backend"):
+            spatial_candidate_pairs(np.zeros((n, 2)), np.full(n, 0.2),
+                                    np.full(n, 0.2), np.full(n, 0.4),
+                                    backend=backend)

@@ -272,7 +272,7 @@ class TestPlaceFromScratch:
     def test_positions_match_placement_golden(self):
         """The from-scratch baseline is the engine's layout bit-for-bit."""
         digest = next(d for t, s, o, d in GOLDEN
-                      if (t, s, o) == ("falcon-27", "qplacer", {}))
+                      if (t, s, o) == ("falcon-27", "qplacer", False))
         netlist = build_netlist(get_topology("falcon-27"))
         layout = place_from_scratch(netlist, PlacerConfig())
         assert hashlib.sha256(

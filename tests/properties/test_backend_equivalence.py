@@ -2,14 +2,14 @@
 
 The sparse interaction backend must be a pure execution-strategy switch:
 with a cutoff covering the whole placement region it produces exactly
-the same energies, gradients, violation sets, and legalized layouts as
-the dense backend, on every paper topology and across seeds.  (The
+the same energies, gradients and violation sets as the dense backend,
+on every paper topology and across seeds.  The legalizer does not read
+the backend at all; its check here is plain determinism.  (The
 *pruned* production configuration intentionally truncates the frequency
 force — these tests always widen the cutoff past the region diagonal so
 no pair is dropped.)
 """
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -95,17 +95,16 @@ _FAST = dict(max_iterations=60, min_iterations=10)
 
 @pytest.mark.parametrize("topology_name", PAPER_TOPOLOGY_ORDER)
 @pytest.mark.parametrize("seed", SEEDS)
-class TestLegalizedLayoutEquivalence:
-    def test_legalized_layouts_identical(self, topology_name, seed):
+class TestLegalizeDeterminism:
+    """The legalizer never reads the interaction backend (its slot grid
+    computes required gaps on demand), so there is no dense/sparse pair
+    to compare; what holds is that legalizing the same global positions
+    twice gives the same layout and stats."""
+
+    def test_legalize_is_deterministic(self, topology_name, seed):
         problem = _problem(topology_name, seed, **_FAST)
         global_positions = GlobalPlacer(problem, problem.config).run().positions
-        dense_cfg = dataclasses.replace(problem.config,
-                                        interaction_backend="dense")
-        sparse_cfg = dataclasses.replace(problem.config,
-                                         interaction_backend="sparse")
-        pos_dense, stats_dense = legalize(problem, global_positions,
-                                          dense_cfg)
-        pos_sparse, stats_sparse = legalize(problem, global_positions,
-                                            sparse_cfg)
-        assert np.array_equal(pos_dense, pos_sparse)
-        assert stats_dense == stats_sparse
+        pos_a, stats_a = legalize(problem, global_positions, problem.config)
+        pos_b, stats_b = legalize(problem, global_positions, problem.config)
+        assert np.array_equal(pos_a, pos_b), "legalize is not deterministic"
+        assert stats_a == stats_b, "legalize stats are not deterministic"

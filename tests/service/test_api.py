@@ -130,7 +130,9 @@ class TestRoutes:
 
     @pytest.mark.parametrize("key,value", [("placer", "force"),
                                            ("sa_rounds", 6),
-                                           ("portfolio_members", ["force"])])
+                                           ("portfolio_members", ["force"]),
+                                           ("interaction_backend", "sparse"),
+                                           ("density_flush_interval", 4)])
     def test_retired_config_field_rejected_with_400(self, client, key,
                                                     value):
         with pytest.raises(ServiceError) as err:

@@ -189,8 +189,9 @@ class TestParseEvaluate:
 
 
 class TestRemovedSurface:
-    """The retired refine kind and placer-portfolio config fields are
-    clean 400s, never a queued job that fails."""
+    """The retired refine kind, placer-portfolio config fields and
+    interaction-backend knobs are clean 400s, never a queued job that
+    fails."""
 
     def test_request_types_are_the_five_kinds(self):
         assert sorted(REQUEST_TYPES) == ["ensemble", "evaluate", "fidelity",
@@ -203,7 +204,9 @@ class TestRemovedSurface:
 
     @pytest.mark.parametrize("key,value", [("placer", "force"),
                                            ("sa_rounds", 6),
-                                           ("portfolio_members", ["force"])])
+                                           ("portfolio_members", ["force"]),
+                                           ("interaction_backend", "sparse"),
+                                           ("density_flush_interval", 4)])
     @pytest.mark.parametrize("kind,payload", [
         ("place", {"topology": "grid-25"}),
         ("fidelity", {"topology": "grid-25", "workloads": ["bv-4"]}),

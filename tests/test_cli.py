@@ -45,11 +45,13 @@ class TestParser:
         assert err.value.code == 2
         assert "--placer" in capsys.readouterr().err
 
-class TestBackendArgValidation:
-    """Parse-time validation of the engine switches (ISSUE 6).
+class TestEngineArgValidation:
+    """Parse-time validation of the engine switches.
 
     Bad values must die in argparse with the valid choices listed —
-    never reach (and crash inside) the placement engine.
+    never reach (and crash inside) the placement engine.  The
+    interaction backend is picked from problem size, so its override
+    and the sparse tuning flags are argparse errors.
     """
 
     def _error_of(self, capsys, argv):
@@ -58,45 +60,41 @@ class TestBackendArgValidation:
         assert exc.value.code == 2
         return capsys.readouterr().err
 
-    def test_interaction_backend_rejects_unknown(self, capsys):
-        err = self._error_of(capsys, ["place", "grid-25",
-                                      "--interaction-backend", "gpu"])
-        assert "'auto', 'dense', 'sparse'" in err
+    @pytest.mark.parametrize("flag,value", [
+        ("--interaction-backend", "sparse"),
+        ("--density-flush-interval", "4"),
+        ("--density-move-threshold", "0.02"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["place", "grid-25"],
+        ["evaluate", "grid-25"],
+        ["evaluate-all"],
+        ["workloads", "evaluate", "--topology", "grid-25",
+         "--workloads", "bv-9"],
+    ], ids=["place", "evaluate", "evaluate-all", "workloads-evaluate"])
+    def test_removed_backend_flags_rejected(self, capsys, argv, flag,
+                                           value):
+        err = self._error_of(capsys, argv + [flag, value])
+        assert "unrecognized arguments" in err
+        assert flag in err
 
-    def test_flush_interval_rejects_nonpositive(self, capsys):
-        err = self._error_of(capsys, ["place", "grid-25",
-                                      "--density-flush-interval", "0"])
-        assert "positive integer" in err
+    def test_evaluate_all_passes_the_parsed_config(self, monkeypatch):
+        import repro.cli as cli
 
-    def test_flush_interval_rejects_noninteger(self, capsys):
-        err = self._error_of(capsys, ["place", "grid-25",
-                                      "--density-flush-interval", "two"])
-        assert "positive integer" in err
+        captured = {}
 
-    def test_move_threshold_rejects_negative(self, capsys):
-        err = self._error_of(capsys, ["place", "grid-25",
-                                      "--density-move-threshold", "-0.5"])
-        assert "non-negative" in err
+        def fake_run_full_evaluation(**kwargs):
+            captured.update(kwargs)
+            return {}
 
-    def test_switches_reach_the_config(self):
-        from repro.cli import _config_from
-
-        args = build_parser().parse_args(
-            ["place", "grid-25", "--density-flush-interval", "4",
-             "--density-move-threshold", "0.02"])
-        config = _config_from(args)
-        assert config.density_flush_interval == 4
-        assert config.density_move_threshold_mm == 0.02
-
-    def test_config_level_validation_lists_choices(self):
-        from repro.core.config import PlacerConfig
-
-        with pytest.raises(ValueError, match=r"'auto', 'dense', 'sparse'"):
-            PlacerConfig(interaction_backend="cuda")
-        with pytest.raises(ValueError, match=r">= 1"):
-            PlacerConfig(density_flush_interval=0)
-        with pytest.raises(ValueError, match=r">= 0"):
-            PlacerConfig(density_move_threshold_mm=-1.0)
+        monkeypatch.setattr(cli, "run_full_evaluation",
+                            fake_run_full_evaluation)
+        assert main(["evaluate-all", "--topologies", "grid-25",
+                     "--seed", "5", "--segment-size", "0.4",
+                     "--detailed-passes", "2", "--jobs", "1"]) == 0
+        assert captured["config"] == PlacerConfig(
+            segment_size_mm=0.4, seed=5, detailed_passes=2)
+        assert captured["topology_names"] == ("grid-25",)
 
     def test_detailed_passes_accepts_auto_and_counts(self):
         parse = build_parser().parse_args
@@ -239,10 +237,10 @@ class TestWorkloadCommands:
         payload = json.loads(merged.read_text())
         assert list(payload["fidelity"]) == ["bv-9", "ghz-9", "qaoa-9"]
 
-    def test_merge_refuses_shards_with_other_density_settings(
+    def test_merge_refuses_shards_with_other_detailed_passes(
             self, capsys, tmp_path):
         """Every placer-config field is shard context, including the
-        density knobs that change condor-tier layouts."""
+        detailed-pass count that changes legalized layouts."""
         common = ["workloads", "evaluate", "--topology", "grid-25",
                   "--workloads", "bv-9,ghz-9", "--mappings", "2",
                   "--strategies", "qplacer", "--shard-count", "2",
@@ -252,9 +250,9 @@ class TestWorkloadCommands:
         assert main(common + ["--shard-index", "0",
                               "--json", str(shard0)]) == 0
         assert main(common + ["--shard-index", "1",
-                              "--density-flush-interval", "4",
+                              "--detailed-passes", "1",
                               "--json", str(shard1)]) == 0
-        with pytest.raises(SystemExit, match="density_flush_interval"):
+        with pytest.raises(SystemExit, match="detailed_passes"):
             main(["workloads", "merge", str(shard0), str(shard1)])
 
     def test_serve_parser_defaults(self):
