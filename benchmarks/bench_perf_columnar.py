@@ -2,9 +2,10 @@
 
 ISSUE 9's acceptance harness.  The circuit representation became
 columnar end to end — ``map_circuit`` materialises no ``Gate`` objects,
-``evaluation_mappings`` routes and transpiles all seeds in one stacked
-column pass (``map_suite_arrays``), and compile results are
-content-addressed by circuit digest.  Three gates:
+``evaluation_mappings`` routes every seed and transpiles the suite in
+cache-sized chunks of stacked seeds (``map_suite_arrays``; a chunk
+grows while its basis rows stay within ``SUITE_CHUNK_ROWS``), and
+compile results are content-addressed by circuit digest.  Three gates:
 
 * **suite bit-identity + >=2x** — the suite-batched
   ``evaluation_mappings`` must reproduce the per-seed ``map_circuit``
@@ -16,10 +17,14 @@ content-addressed by circuit digest.  Three gates:
   decodes once and memoizes;
 * **circuit-digest cache, live** — two differently-named submissions
   of the same workload content to a real HTTP
-  :class:`~repro.service.api.PlacementService` must compile once: the
-  second request's ``MappingJob`` keys on the shared content digest
-  and replays from the runner cache (``circuit_cache_hits`` in
-  ``/metrics``).
+  :class:`~repro.service.api.PlacementService` share one request
+  digest, so they run as **one** computation: the second is answered
+  from the artifact store (``cache_hit``) with the identical artifact.
+  The runner's circuit-digest cache is proven on a path that cannot
+  coalesce: a second service with a fresh artifact store but the same
+  runner cache directory computes the aliased request, and its
+  ``MappingJob`` replays the first service's compile
+  (``circuit_cache_hits`` in ``/metrics``).
 
 Machine-readable JSON goes to ``benchmarks/results/perf_columnar.json``.
 """
@@ -160,27 +165,47 @@ def _zero_decode_gate() -> Dict[str, object]:
 
 
 def _digest_cache_gate(tmp_path) -> Dict[str, object]:
-    """Live service round trip: aliased submissions compile once."""
+    """Live service round trips: aliased submissions compile once."""
     digests = [circuit_content_digest(get_workload(name))
                for name in ALIAS_BENCHMARKS]
-    with PlacementService(store_dir=tmp_path / "store", port=0, workers=2,
-                          runner_workers=1,
-                          cache_dir=tmp_path / "cache") as service:
-        client = ServiceClient(service.base_url, timeout=60.0)
-        payloads = []
-        for name in ALIAS_BENCHMARKS:
-            payloads.append(client.run("map", {
-                "benchmark": name, "topology": ALIAS_TOPOLOGY,
-                "num_mappings": ALIAS_MAPPINGS}, timeout=600))
+    first, alias = ALIAS_BENCHMARKS
+
+    def request(name: str) -> Dict[str, object]:
+        return {"benchmark": name, "topology": ALIAS_TOPOLOGY,
+                "num_mappings": ALIAS_MAPPINGS}
+
+    def service(store: str) -> PlacementService:
+        return PlacementService(store_dir=tmp_path / store, port=0,
+                                workers=2, runner_workers=1,
+                                cache_dir=tmp_path / "cache")
+
+    with service("store") as live:
+        client = ServiceClient(live.base_url, timeout=60.0)
+        payload = client.run("map", request(first), timeout=600)
+        job = client.submit("map", request(alias))
+        alias_payload = client.result(job["job_id"], timeout=600)
         metrics = client.metrics()
+    # Fresh store, shared runner cache: the aliased request cannot be
+    # answered by the queue or the store, so it computes, and only the
+    # circuit-digest key lets its MappingJob skip the compile.
+    with service("store-fresh") as fresh:
+        client = ServiceClient(fresh.base_url, timeout=60.0)
+        replay = client.run("map", request(alias), timeout=600)
+        fresh_metrics = client.metrics()
     return {
         "benchmarks": list(ALIAS_BENCHMARKS),
         "digests_match": len(set(digests)) == 1,
-        "payload_digests": [p["circuit_digest"] for p in payloads],
-        "identical_mappings": payloads[0]["mappings"] == payloads[1]["mappings"],
-        "circuit_cache_hits": metrics["circuit_cache_hits"],
-        "circuit_cache_misses": metrics["circuit_cache_misses"],
+        "alias_disposition": job["disposition"],
         "computations": metrics["computations"],
+        "identical_artifact": alias_payload == payload,
+        "fresh_store_computations": fresh_metrics["computations"],
+        # /metrics reports process-wide counters; the fresh service's
+        # share is the difference.
+        "circuit_cache_hits": (fresh_metrics["circuit_cache_hits"]
+                               - metrics["circuit_cache_hits"]),
+        "circuit_cache_misses": (fresh_metrics["circuit_cache_misses"]
+                                 - metrics["circuit_cache_misses"]),
+        "identical_replay": replay["mappings"] == payload["mappings"],
     }
 
 
@@ -221,10 +246,18 @@ def test_perf_columnar(results_dir, tmp_path):
     cache = report["digest_cache"]
     assert cache["digests_match"], \
         "alias benchmarks no longer share a content digest"
-    assert cache["identical_mappings"], \
-        "aliased submissions produced different mapping summaries"
+    assert cache["alias_disposition"] == "cache_hit", \
+        (f"second aliased submission was {cache['alias_disposition']!r} "
+         f"(want an artifact-store cache_hit)")
+    assert cache["computations"] == 1, \
+        (f"aliased requests ran {cache['computations']} computations "
+         f"(want 1)")
+    assert cache["identical_artifact"], \
+        "aliased submission answered with a different artifact"
+    assert cache["fresh_store_computations"] == 1
     assert cache["circuit_cache_hits"] >= 1, \
-        (f"second aliased submission missed the circuit-digest cache "
+        (f"fresh-store compile missed the circuit-digest cache "
          f"(hits={cache['circuit_cache_hits']})")
-    assert cache["computations"] == 2, \
-        "aliased requests should be distinct service jobs (2 computations)"
+    assert cache["circuit_cache_misses"] == 0
+    assert cache["identical_replay"], \
+        "circuit-cache replay produced different mapping summaries"

@@ -13,7 +13,10 @@ every placement strategy.  This module reproduces that protocol:
    until every two-qubit gate is executable;
 4. the result is lowered to the native basis by the batched engine
    (:mod:`repro.circuits.batch`, gate-for-gate identical to
-   :mod:`repro.circuits.transpile`) and scheduled ASAP.
+   :mod:`repro.circuits.transpile`) and scheduled ASAP.  A suite
+   compile (:func:`map_suite_arrays`) transpiles consecutive seeds in
+   chunks of stacked qubit blocks, each within
+   :data:`SUITE_CHUNK_ROWS` basis rows unless it holds a single seed.
 
 Steps 2 and 3 are the **vectorized** implementations: the placement
 scores every free candidate node at once against the topology's dense
@@ -35,8 +38,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from .. import profiling
 from ..devices.topology import Topology
-from .batch import CODE_OF, SWAP, ArrayCircuit, transpile_arrays
+from .batch import _T_LEN, CODE_OF, SWAP, ArrayCircuit, transpile_arrays
 from .circuit import QuantumCircuit, Schedule
 
 Edge = Tuple[int, int]
@@ -61,6 +65,15 @@ VECTOR_STREAK = 16
 #: First vectorized scan window; doubles while the run keeps going, so
 #: scan cost stays proportional to the run length, not the circuit.
 VECTOR_WINDOW = 64
+
+
+#: Basis-row budget of one transpile chunk in the suite compile
+#: (:func:`map_suite_arrays`).  Consecutive seeds share a chunk while
+#: its lowered row count stays within the budget, so every pass sorts
+#: and gathers arrays that fit in cache: a 50-seed qft-32 stack on
+#: eagle-127 is 2.41M rows (about 19 MB per int64 column), one seed
+#: about 46k.  Bit-identical at any value; read at call time.
+SUITE_CHUNK_ROWS = 1 << 16
 
 
 #: Valid ``router=`` choices of the mapping pipeline, in doc order.
@@ -592,6 +605,8 @@ def map_circuit(circuit: QuantumCircuit, topology: Topology,
     transpilation and scheduling never materialise a ``Gate``.  The
     decode survives only behind the lazy
     :attr:`MappedCircuit.physical_circuit` compatibility property.
+    Transpile and schedule are the suite compile's tail on a one-seed
+    chunk.
 
     Args:
         circuit: Logical benchmark circuit.
@@ -617,16 +632,108 @@ def map_circuit(circuit: QuantumCircuit, topology: Topology,
         from .sabre import route_sabre_arrays
         routed_arrays, final_mapping, swap_count = route_sabre_arrays(
             circuit, topology, mapping)
-    basis_arrays = transpile_arrays(routed_arrays,
-                                    optimization_level=optimization_level)
-    return MappedCircuit(
-        topology=topology,
-        initial_mapping=mapping,
-        final_mapping=final_mapping,
-        swap_count=swap_count,
-        schedule=basis_arrays.asap_schedule(),
-        physical_arrays=basis_arrays,
-    )
+    return _compile_chunk([routed_arrays],
+                          [(mapping, final_mapping, swap_count)],
+                          topology, circuit.name, optimization_level)[0]
+
+
+def _chunks(routed: Sequence[ArrayCircuit]) -> List[slice]:
+    """Consecutive seed ranges whose basis rows fit :data:`SUITE_CHUNK_ROWS`.
+
+    A seed's basis row count is the lowering's own template-length sum,
+    so the budget bounds the largest arrays every transpile pass sorts
+    and gathers.  Seeds join the open chunk while it stays within the
+    budget; a seed over budget on its own still gets a chunk.
+    """
+    budget = SUITE_CHUNK_ROWS
+    chunks: List[slice] = []
+    start, rows = 0, 0
+    for k, r in enumerate(routed):
+        n = int(_T_LEN[r.codes].sum())
+        if k > start and rows + n > budget:
+            chunks.append(slice(start, k))
+            start, rows = k, 0
+        rows += n
+    chunks.append(slice(start, len(routed)))
+    return chunks
+
+
+def _compile_chunk(routed: Sequence[ArrayCircuit],
+                   metas: Sequence[Tuple[Dict[int, int], Dict[int, int], int]],
+                   topology: Topology, name: str,
+                   optimization_level: int) -> List[MappedCircuit]:
+    """Transpile and schedule one chunk of routed seeds.
+
+    Several seeds are stacked into disjoint qubit blocks (seed ``k`` of
+    the chunk occupies physical indices ``[k*n, (k+1)*n)``), run
+    through :func:`repro.circuits.batch.transpile_arrays` as one column
+    circuit and split back per seed; a one-seed chunk is transpiled as
+    it is.  ``metas`` holds each seed's ``(initial mapping, final
+    mapping, swap count)``.
+    """
+    n_phys = topology.num_qubits
+    num = len(routed)
+    with profiling.phase("transpile"):
+        if num == 1:
+            basis = [transpile_arrays(routed[0],
+                                      optimization_level=optimization_level)]
+        else:
+            basis = _split_blocks(
+                transpile_arrays(_stack_blocks(routed, n_phys, name),
+                                 optimization_level=optimization_level),
+                num, n_phys, name)
+    with profiling.phase("schedule"):
+        return [MappedCircuit(
+                    topology=topology,
+                    initial_mapping=mapping,
+                    final_mapping=final_mapping,
+                    swap_count=swap_count,
+                    schedule=per_seed.asap_schedule(),
+                    physical_arrays=per_seed)
+                for per_seed, (mapping, final_mapping, swap_count)
+                in zip(basis, metas)]
+
+
+def _stack_blocks(routed: Sequence[ArrayCircuit], n_phys: int,
+                  name: str) -> ArrayCircuit:
+    """Seeds side by side: seed ``k``'s qubits shift up by ``k * n_phys``."""
+    offsets = np.repeat(np.arange(len(routed), dtype=np.int64) * n_phys,
+                        [r.size for r in routed])
+    q1_cat = np.concatenate([r.q1 for r in routed])
+    return ArrayCircuit(
+        num_qubits=len(routed) * n_phys,
+        codes=np.concatenate([r.codes for r in routed]),
+        q0=np.concatenate([r.q0 for r in routed]) + offsets,
+        q1=np.where(q1_cat >= 0, q1_cat + offsets, -1),
+        params=np.concatenate([r.params for r in routed]),
+        name=name)
+
+
+def _split_blocks(basis: ArrayCircuit, num: int, n_phys: int,
+                  name: str) -> List[ArrayCircuit]:
+    """Inverse of :func:`_stack_blocks` on the transpiled circuit."""
+    # One stable sort by seed block replaces a boolean mask per seed:
+    # each seed's rows become one contiguous slice, in circuit order.
+    seed_of = basis.q0 // n_phys
+    order = np.argsort(seed_of, kind="stable")
+    bounds = np.searchsorted(seed_of[order], np.arange(num + 1)).tolist()
+    codes = basis.codes[order]
+    q0 = basis.q0[order]
+    q1 = basis.q1[order]
+    params = basis.params[order]
+    out: List[ArrayCircuit] = []
+    for k in range(num):
+        rows = slice(bounds[k], bounds[k + 1])
+        off = k * n_phys
+        q1_rows = q1[rows]
+        out.append(ArrayCircuit(
+            num_qubits=n_phys,
+            codes=codes[rows],
+            q0=q0[rows] - off,
+            q1=np.where(q1_rows >= 0, q1_rows - off, -1),
+            params=params[rows],
+            name=name))
+    return out
 
 
 def map_suite_arrays(circuit: QuantumCircuit, topology: Topology,
@@ -634,15 +741,21 @@ def map_suite_arrays(circuit: QuantumCircuit, topology: Topology,
                      base_seed: int = 0,
                      router: str = "basic",
                      optimization_level: int = 3) -> List[MappedCircuit]:
-    """Suite-batched compile: all seeds transpiled in one stacked pass.
+    """Suite-batched compile: seeds transpiled in cache-sized chunks.
 
     Subset sampling, placement and routing are inherently per-seed
     (each seed owns its mapping state), but they share one logical
     encode and one interaction-weight count.  The routed circuits are
-    then **stacked into disjoint qubit blocks** (seed ``k`` occupies
-    physical indices ``[k*n, (k+1)*n)``) and the whole suite runs
-    through :func:`repro.circuits.batch.transpile_arrays` as a single
-    column-array circuit before being split back per seed.
+    then cut into chunks of consecutive seeds: a seed joins the open
+    chunk while the chunk's basis rows (the lowering's template
+    lengths) stay within :data:`SUITE_CHUNK_ROWS`, and every chunk
+    holds at least one seed.  Each chunk is **stacked into disjoint
+    qubit blocks** (seed ``k`` of the chunk occupies physical indices
+    ``[k*n, (k+1)*n)``), runs through
+    :func:`repro.circuits.batch.transpile_arrays` as one column-array
+    circuit and is split back per seed.  Small circuits still share one
+    chunk for the whole suite, which amortises numpy call overhead;
+    large ones stop at a working set that fits in cache.
 
     Bit-identity with the per-seed path is structural, not luck: every
     transpile pass is per-qubit-stream local (rz merge groups never
@@ -650,8 +763,15 @@ def map_suite_arrays(circuit: QuantumCircuit, topology: Topology,
     rz's sort by qubit so per-seed extraction preserves the standalone
     order), the passes are idempotent on converged seeds (extra global
     convergence iterations are identities), and the pass/shortcut
-    structure is shared.  ``benchmarks/bench_perf_columnar.py`` and
-    ``tests/circuits/test_mapping.py`` pin the equality gate for gate.
+    structure is shared.  So any chunking gives the same circuits.
+    ``benchmarks/bench_perf_columnar.py``,
+    ``tests/circuits/test_mapping.py`` and
+    ``tests/circuits/test_suite_batch.py`` pin the equality gate for
+    gate, the last at several chunk budgets.
+
+    The stages run under :func:`repro.profiling.phase` timers
+    (``subsets``, ``placement``, ``route``, ``transpile``,
+    ``schedule``), which cost nothing without an active profiler.
 
     Raises:
         ValueError: on an unknown ``router``, before any pipeline work.
@@ -659,75 +779,37 @@ def map_suite_arrays(circuit: QuantumCircuit, topology: Topology,
     _require_router(router)
     if num_mappings <= 0:
         return []
-    n_phys = topology.num_qubits
-    weights = interaction_weights(circuit)
-    encoded = _encode_logical(circuit) if router == "basic" else None
     if router == "sabre":
         from .sabre import route_sabre_arrays
 
-    subsets = np.asarray(
-        [sample_connected_subset(topology, circuit.num_qubits, base_seed + k)
-         for k in range(num_mappings)], dtype=np.int64)
-    placements = _initial_placements_batched(circuit, topology, subsets,
-                                             weights)
+    with profiling.phase("subsets"):
+        subsets = np.asarray(
+            [sample_connected_subset(topology, circuit.num_qubits,
+                                     base_seed + k)
+             for k in range(num_mappings)], dtype=np.int64)
+    with profiling.phase("placement"):
+        placements = _initial_placements_batched(
+            circuit, topology, subsets, interaction_weights(circuit))
 
-    routed: List[ArrayCircuit] = []
-    metas: List[Tuple[Dict[int, int], Dict[int, int], int]] = []
-    for k in range(num_mappings):
-        mapping = placements[k]
-        if router == "basic":
-            arrays, final_mapping, swap_count = route_basic_arrays(
-                circuit, topology, mapping, _encoded=encoded)
-        else:
-            arrays, final_mapping, swap_count = route_sabre_arrays(
-                circuit, topology, mapping)
-        routed.append(arrays)
-        metas.append((mapping, final_mapping, swap_count))
+    with profiling.phase("route"):
+        encoded = _encode_logical(circuit) if router == "basic" else None
+        routed: List[ArrayCircuit] = []
+        metas: List[Tuple[Dict[int, int], Dict[int, int], int]] = []
+        for mapping in placements:
+            if router == "basic":
+                arrays, final_mapping, swap_count = route_basic_arrays(
+                    circuit, topology, mapping, _encoded=encoded)
+            else:
+                arrays, final_mapping, swap_count = route_sabre_arrays(
+                    circuit, topology, mapping)
+            routed.append(arrays)
+            metas.append((mapping, final_mapping, swap_count))
+        chunks = _chunks(routed)
 
-    sizes = [r.size for r in routed]
-    offsets = np.repeat(np.arange(num_mappings, dtype=np.int64) * n_phys,
-                        sizes)
-    q1_cat = np.concatenate([r.q1 for r in routed])
-    stacked = ArrayCircuit(
-        num_qubits=num_mappings * n_phys,
-        codes=np.concatenate([r.codes for r in routed]),
-        q0=np.concatenate([r.q0 for r in routed]) + offsets,
-        q1=np.where(q1_cat >= 0, q1_cat + offsets, -1),
-        params=np.concatenate([r.params for r in routed]),
-        name=circuit.name)
-    basis = transpile_arrays(stacked, optimization_level=optimization_level)
-
-    # One stable sort by seed block replaces a boolean mask per seed:
-    # each seed's rows become one contiguous slice, in circuit order.
-    seed_of = basis.q0 // n_phys
-    order = np.argsort(seed_of, kind="stable")
-    bounds = np.searchsorted(seed_of[order],
-                             np.arange(num_mappings + 1)).tolist()
-    codes = basis.codes[order]
-    q0 = basis.q0[order]
-    q1 = basis.q1[order]
-    params = basis.params[order]
     out: List[MappedCircuit] = []
-    for k in range(num_mappings):
-        rows = slice(bounds[k], bounds[k + 1])
-        off = k * n_phys
-        q1_rows = q1[rows]
-        per_seed = ArrayCircuit(
-            num_qubits=n_phys,
-            codes=codes[rows],
-            q0=q0[rows] - off,
-            q1=np.where(q1_rows >= 0, q1_rows - off, -1),
-            params=params[rows],
-            name=circuit.name)
-        mapping, final_mapping, swap_count = metas[k]
-        out.append(MappedCircuit(
-            topology=topology,
-            initial_mapping=mapping,
-            final_mapping=final_mapping,
-            swap_count=swap_count,
-            schedule=per_seed.asap_schedule(),
-            physical_arrays=per_seed,
-        ))
+    for chunk in chunks:
+        out.extend(_compile_chunk(routed[chunk], metas[chunk], topology,
+                                  circuit.name, optimization_level))
     return out
 
 
