@@ -19,6 +19,10 @@ over *column arrays* (gate-code / qubit / parameter vectors):
   segment reduction over per-qubit runs; angles reduce mod 2pi through
   an exact in-range fast path, and only the merged rz rows are sorted
   before being spliced into the kept gates;
+* :func:`lower_to_merged_basis_arrays` — lowering fused with the first
+  rz merge: merge groups are found on the IR circuit's stream
+  incidences through static per-template slot programs, so the lowered
+  circuit is never built or sorted;
 * :func:`cancel_pairs_arrays` — the self-inverse cancellation pass as a
   vectorized candidate scan plus an exact automaton that reads and
   writes only the (usually tiny) candidate subset;
@@ -42,7 +46,7 @@ from typing import Any, Dict, List, Set, Tuple
 
 import numpy as np
 
-from .. import constants
+from .. import constants, profiling
 from .circuit import QuantumCircuit, Schedule
 from .gates import Gate
 
@@ -637,6 +641,280 @@ def merge_rz_arrays(circuit: ArrayCircuit) -> ArrayCircuit:
                         name=circuit.name)
 
 
+# -- fused lowering + first rz merge -------------------------------------------
+#
+# Along one of its qubits, an IR gate's template reads as a *slot
+# program*: the template steps touching that slot, in order.  Its rz
+# steps fall into a leading run (before the first non-rz step),
+# internal runs (each flushed by the non-rz step after it) and a
+# trailing run; the IR ``rz`` is a slot program made only of rz.
+# Every merge group of the lowered circuit is therefore either an
+# internal run of one gate, or a *boundary* group: the trailing run of
+# a gate, the IR rz's after it on that qubit, and the leading run of
+# the next gate, which flushes it (or the end of the circuit does).
+#
+# Per IR code, the *merged template* lists the output items of one
+# gate in order: its non-rz template steps, each preceded by the
+# groups it flushes (slot 0 of the flushing row before slot 1).  A
+# group item is an internal run or the incoming boundary group of a
+# slot.  Non-rz steps carry ``0 * theta + const``, which is ``const``
+# for every finite angle; so is a *static* run, one rz of constant
+# angle in ``(1e-12, pi]`` that the reduction mod 2pi leaves as it is
+# and the keep test keeps.  Items of gates with a non-finite angle, the
+# other internal runs and the boundary groups are folded at run time.
+
+_N_PROG = 2 * len(_TEMPLATES) + 1          # (code, slot) pairs + "none"
+_NO_PROG = _N_PROG - 1
+_P_PURE = np.zeros(_N_PROG, dtype=bool)
+_P_ITEM = np.full(_N_PROG, -1, dtype=np.int64)
+_P_LEAD: List[List[Tuple[float, float]]] = [[] for _ in range(_N_PROG)]
+_P_TRAIL: List[List[Tuple[float, float]]] = [[] for _ in range(_N_PROG)]
+_M_ITEMS: Dict[int, List[_Entry]] = {}
+#: (code, merged-template offset, fold steps) of the internal runs
+#: that are not static.
+_RUNS: List[Tuple[int, int, List[Tuple[float, float]]]] = []
+for _code, _tmpl in _TEMPLATES.items():
+    _slots = (0, 1) if _code in TWO_QUBIT_CODES else (0,)
+    _flushes: Dict[Tuple[int, int], List[Tuple[float, float]]] = {}
+    for _s in _slots:
+        _prog = 2 * _code + _s
+        _steps = [k for k, e in enumerate(_tmpl) if _s in e[1:3]]
+        _fold = [_tmpl[k][3:] for k in _steps]
+        _timed = [i for i, k in enumerate(_steps) if _tmpl[k][0] != RZ]
+        if not _timed:
+            assert _fold == [(1.0, 0.0)], "a pure slot program is one rz"
+            _P_PURE[_prog] = True
+            continue
+        _P_LEAD[_prog] = _fold[:_timed[0]]
+        _P_TRAIL[_prog] = _fold[_timed[-1] + 1:]
+        _flushes[(_steps[_timed[0]], _s)] = []
+        for _a, _b in zip(_timed, _timed[1:]):
+            if _b > _a + 1:
+                _flushes[(_steps[_b], _s)] = _fold[_a + 1:_b]
+    _items: List[_Entry] = []
+    for _k, (_c, _qa, _qb, _mult, _const) in enumerate(_tmpl):
+        if _c == RZ:
+            continue
+        for _s in (_qa, _qb):
+            _run = _flushes.get((_k, _s))
+            if _run is None:
+                continue
+            if not _run:
+                _P_ITEM[2 * _code + _s] = len(_items)
+                _items.append((RZ, _s, -1, 0.0, 0.0))
+            elif (len(_run) == 1 and _run[0][0] == 0.0
+                  and 1e-12 < abs(_run[0][1]) <= _TWO_PI / 2):
+                _items.append((RZ, _s, -1) + _run[0])
+            else:
+                _RUNS.append((_code, len(_items), _run))
+                _items.append((RZ, _s, -1, 0.0, 0.0))
+        assert _mult == 0.0, "non-rz steps carry no angle"
+        _items.append((_c, _qa, _qb, _mult, _const))
+    _M_ITEMS[_code] = _items
+
+
+def _step_table(runs: List[List[Tuple[float, float]]]
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pad per-program rz runs into ``(length, mult, const)`` tables."""
+    width = max(1, max(len(r) for r in runs))
+    length = np.array([len(r) for r in runs], dtype=np.int64)
+    mult = np.zeros((len(runs), width), dtype=np.float64)
+    const = np.zeros((len(runs), width), dtype=np.float64)
+    for p, run in enumerate(runs):
+        for t, (mu, c) in enumerate(run):
+            mult[p, t] = mu
+            const[p, t] = c
+    return length, mult, const
+
+
+_LEAD_N, _LEAD_MULT, _LEAD_CONST = _step_table(_P_LEAD)
+_TRAIL_N, _TRAIL_MULT, _TRAIL_CONST = _step_table(_P_TRAIL)
+_PURE_MULT, _PURE_CONST = _T_MULT[RZ * _MAX_TMPL], _T_CONST[RZ * _MAX_TMPL]
+
+_MAX_ITEMS = max(len(t) for t in _M_ITEMS.values())
+_M_LEN = np.zeros(len(_TEMPLATES), dtype=np.int64)
+_M_CODE = np.zeros(len(_TEMPLATES) * _MAX_ITEMS, dtype=np.int64)
+_M_ASLOT = np.zeros(len(_TEMPLATES) * _MAX_ITEMS, dtype=np.int64)
+_M_BSLOT = np.full(len(_TEMPLATES) * _MAX_ITEMS, 2, dtype=np.int64)
+_M_CONST = np.zeros(len(_TEMPLATES) * _MAX_ITEMS, dtype=np.float64)
+_M_GROUP = np.zeros(len(_TEMPLATES) * _MAX_ITEMS, dtype=bool)
+_M_TWO = np.zeros(len(_TEMPLATES) * _MAX_ITEMS, dtype=bool)
+for _code, _items in _M_ITEMS.items():
+    _M_LEN[_code] = len(_items)
+    for _k, (_c, _qa, _qb, _mult, _const) in enumerate(_items):
+        _e = _code * _MAX_ITEMS + _k
+        _M_CODE[_e] = _c
+        _M_ASLOT[_e] = _qa
+        _M_BSLOT[_e] = 2 if _qb < 0 else _qb
+        _M_CONST[_e] = _const
+        _M_GROUP[_e] = _c == RZ
+        _M_TWO[_e] = _qb >= 0
+
+
+def _fold_runs(sums: np.ndarray, prog: np.ndarray, theta: np.ndarray,
+               length: np.ndarray, mult: np.ndarray, const: np.ndarray
+               ) -> None:
+    """Add each row's program run (``mult * theta + const`` steps) in order."""
+    for t in range(mult.shape[1]):
+        sel = np.nonzero(length[prog] > t)[0]
+        if not sel.shape[0]:
+            break
+        p = prog[sel]
+        sums[sel] = sums[sel] + (mult[p, t] * theta[sel] + const[p, t])
+
+
+def _boundary_groups(circuit: ArrayCircuit
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                np.ndarray, np.ndarray]:
+    """Fold every boundary group from the IR circuit's stream incidences.
+
+    A segment of a qubit stream runs from just after one non-pure
+    incidence (its *opener*, whose trailing run comes first) through
+    the pure rz's up to the next non-pure incidence (the *closer*,
+    whose leading run comes last and whose first non-rz step flushes
+    the group), or to the stream's end.  Sums start from ``-0.0``, the
+    exact additive identity, so an empty segment folds to ``-0.0`` and
+    fails the keep test.
+
+    Returns ``(closer gates, closer programs, incoming sums, end
+    qubits, end sums)``; end groups come in qubit order.
+    """
+    g, qb, sl = _stream_incidence(circuit)
+    m = g.shape[0]
+    prog = 2 * circuit.codes[g] + sl
+    theta = circuit.params[g]
+    closers = np.nonzero(~_P_PURE[prog])[0]
+    k = closers.shape[0]
+    ends = np.nonzero(np.append(qb[1:] != qb[:-1], True))[0]
+    # Closer columns with a sentinel at index -1 for "no opener".
+    cpos = np.append(closers, -1)
+    cqubit = np.append(qb[closers], -1)
+    cprog = np.append(prog[closers], _NO_PROG)
+    ctheta = np.append(theta[closers], 0.0)
+    # Segments: one into each closer, then one to each stream's end.
+    # A segment's opener is the closer before it, if on its stream.
+    opener = np.concatenate((np.arange(-1, k - 1),
+                             np.searchsorted(closers, ends, "right") - 1))
+    has_opener = cqubit[opener] == np.append(cqubit[:k], qb[ends])
+    opener[~has_opener] = -1
+    sums = np.full(opener.shape[0], -0.0)
+    _fold_runs(sums, cprog[opener], ctheta[opener],
+               _TRAIL_N, _TRAIL_MULT, _TRAIL_CONST)
+    if k < m:
+        # The pure rz's of a segment lie between its opener (or its
+        # stream's head) and its closer (or its stream's end).
+        anchor = np.append(closers, ends)
+        seg_to = anchor.copy()
+        seg_to[k:] += 1
+        seg_from = cpos[opener] + 1
+        fresh = np.nonzero(~has_opener)[0]
+        heads = np.append(0, ends[:-1] + 1)
+        seg_from[fresh] = heads[np.searchsorted(ends, anchor[fresh])]
+        seg = np.nonzero(seg_to > seg_from)[0]
+        at = seg_from[seg]
+        count = seg_to[seg] - at
+        step = 0
+        while seg.shape[0]:
+            sums[seg] = sums[seg] + (_PURE_MULT * theta[at + step]
+                                     + _PURE_CONST)
+            step += 1
+            live = count > step
+            seg, at, count = seg[live], at[live], count[live]
+    _fold_runs(sums[:k], cprog[:k], ctheta[:k],
+               _LEAD_N, _LEAD_MULT, _LEAD_CONST)
+    return g[closers], cprog[:k], sums[:k], qb[ends], sums[k:]
+
+
+def lower_to_merged_basis_arrays(circuit: ArrayCircuit) -> ArrayCircuit:
+    """``merge_rz_arrays(lower_to_basis_arrays(circuit))`` in one pass.
+
+    Never materialises the lowered circuit: the merge groups are found
+    on the IR circuit's own stream incidences (about a ninth of the
+    lowered ones) through the static slot programs above, and each
+    output row is written once from the merged templates.  Group sums
+    fold left to right over the lowering's own ``mult * theta +
+    const`` params, then take :func:`_remainder_2pi` and the ``> 1e-12``
+    keep test, so every column is bit-identical to the two-call
+    composition (pinned by ``tests/circuits/test_fused_lowering.py``).
+    Output positions follow from the merged-template lengths by cumsum;
+    dropped groups are masked out and the end-of-circuit groups go last
+    in qubit order.
+    """
+    codes = circuit.codes
+    n = codes.shape[0]
+    if n == 0:
+        return lower_to_basis_arrays(circuit)
+    closer_gate, closer_prog, incoming, end_qubit, end_sums = \
+        _boundary_groups(circuit)
+    end_angles = _remainder_2pi(end_sums)
+    end_keep = np.abs(end_angles) > 1e-12
+    end_qubit = end_qubit[end_keep]
+    tail = end_qubit.shape[0]
+
+    params = circuit.params
+    lengths = _M_LEN[codes]
+    starts = np.cumsum(lengths) - lengths
+    size = int(starts[-1] + lengths[-1])
+    src = np.repeat(np.arange(n), lengths)
+    entry = np.arange(size) + np.repeat(codes * _MAX_ITEMS - starts, lengths)
+    out_params = np.empty(size + tail, dtype=np.float64)
+    body = np.take(_M_CONST, entry, out=out_params[:size])
+    checked = [starts[closer_gate] + _P_ITEM[closer_prog]]
+    bad = np.nonzero(~np.isfinite(params))[0]
+    if bad.shape[0]:
+        # 0 * inf and 0 * nan: every item of these gates takes the
+        # lowering's own param (every merged-template mult is 0), and
+        # their static runs become NaN.
+        span = lengths[bad]
+        at = (np.repeat(starts[bad] - (np.cumsum(span) - span), span)
+              + np.arange(int(span.sum())))
+        e = entry[at]
+        body[at] = 0.0 * params[np.repeat(bad, span)] + _M_CONST[e]
+        checked.append(at[_M_GROUP[e]])
+    for code, offset, run in _RUNS:
+        gates = np.nonzero(codes == code)[0]
+        if not gates.shape[0]:
+            continue
+        theta = params[gates]
+        total = np.full(gates.shape[0], -0.0)
+        for mult, const in run:
+            total = total + (mult * theta + const)
+        at = starts[gates] + offset
+        body[at] = total
+        checked.append(at)
+    body[checked[0]] = incoming
+    groups = np.concatenate(checked)
+    angles = _remainder_2pi(body[groups])
+    body[groups] = angles
+    dropped = groups[~(np.abs(angles) > 1e-12)]
+    if dropped.shape[0]:
+        live = np.ones(size, dtype=bool)
+        live[dropped] = False
+        entry, src = entry[live], src[live]
+        size = entry.shape[0]
+        out_params = np.empty(size + tail, dtype=np.float64)
+        np.compress(live, body, out=out_params[:size])
+    out_params[size:] = end_angles[end_keep]
+
+    # Each column is gathered once into its final buffer; the end
+    # groups fill the tail.
+    qubits = np.stack((circuit.q0, circuit.q1), axis=1).ravel()
+    out_codes = np.full(size + tail, RZ, dtype=np.int64)
+    np.take(_M_CODE, entry, out=out_codes[:size])
+    out_q0 = np.empty(size + tail, dtype=np.int64)
+    pair = np.multiply(src, 2, out=src)
+    slot = _M_ASLOT[entry]
+    slot += pair
+    np.take(qubits, slot, out=out_q0[:size])
+    out_q0[size:] = end_qubit
+    out_q1 = np.full(size + tail, -1, dtype=np.int64)
+    two = np.nonzero(_M_TWO[entry])[0]
+    out_q1[two] = qubits[pair[two] + _M_BSLOT[entry[two]]]
+    return ArrayCircuit(num_qubits=circuit.num_qubits, codes=out_codes,
+                        q0=out_q0, q1=out_q1, params=out_params,
+                        name=circuit.name)
+
+
 # -- pair cancellation ---------------------------------------------------------
 
 def cancel_pairs_arrays(circuit: ArrayCircuit) -> ArrayCircuit:
@@ -762,31 +1040,33 @@ def transpile_arrays(circuit: ArrayCircuit, optimization_level: int = 3,
                      max_passes: int = 8) -> ArrayCircuit:
     """The legacy transpile pipeline over array circuits.
 
-    Output-identical to the legacy pass sequence, with one shortcut:
-    both passes only ever shrink the gate list (cancellation removes
-    two gates, fusion one, merging at least one), so a size-unchanged
-    ``cancel_pairs`` is exactly the identity — and ``merge_rz`` is
-    idempotent — which lets provably no-op passes be skipped.
+    Output-identical to the legacy pass sequence, with two shortcuts.
+    Lowering and the first rz merge run fused
+    (:func:`lower_to_merged_basis_arrays`).  And both passes only ever
+    shrink the gate list (cancellation removes two gates, fusion one,
+    merging at least one), so a size-unchanged ``cancel_pairs`` is
+    exactly the identity — and ``merge_rz`` is idempotent — which lets
+    provably no-op passes be skipped.
+
+    The passes book to :func:`repro.profiling.phase` timers ``lower``,
+    ``cancel`` and ``merge``, free without an active profiler.
     """
     if optimization_level not in (0, 1, 2, 3):
         raise ValueError("optimization_level must be 0..3")
-    out = lower_to_basis_arrays(circuit)
-    if optimization_level == 0:
-        return out
-    out = merge_rz_arrays(out)
+    with profiling.phase("lower"):
+        if optimization_level == 0:
+            return lower_to_basis_arrays(circuit)
+        out = lower_to_merged_basis_arrays(circuit)
     if optimization_level == 1:
         return out
-    cancelled = cancel_pairs_arrays(out)
-    changed = cancelled.size != out.size
-    if changed:
-        out = merge_rz_arrays(cancelled)
-    if optimization_level == 2 or not changed:
-        return out
-    for _ in range(max_passes):
-        cancelled = cancel_pairs_arrays(out)
+    rounds = 1 if optimization_level == 2 else 1 + max(max_passes, 0)
+    for _ in range(rounds):
+        with profiling.phase("cancel"):
+            cancelled = cancel_pairs_arrays(out)
         if cancelled.size == out.size:
             break
-        out = merge_rz_arrays(cancelled)
+        with profiling.phase("merge"):
+            out = merge_rz_arrays(cancelled)
     return out
 
 

@@ -678,10 +678,12 @@ def _compile_chunk(routed: Sequence[ArrayCircuit],
             basis = [transpile_arrays(routed[0],
                                       optimization_level=optimization_level)]
         else:
-            basis = _split_blocks(
-                transpile_arrays(_stack_blocks(routed, n_phys, name),
-                                 optimization_level=optimization_level),
-                num, n_phys, name)
+            with profiling.phase("stack"):
+                stacked = _stack_blocks(routed, n_phys, name)
+            stacked = transpile_arrays(stacked,
+                                       optimization_level=optimization_level)
+            with profiling.phase("split"):
+                basis = _split_blocks(stacked, num, n_phys, name)
     with profiling.phase("schedule"):
         return [MappedCircuit(
                     topology=topology,
@@ -772,6 +774,10 @@ def map_suite_arrays(circuit: QuantumCircuit, topology: Topology,
     The stages run under :func:`repro.profiling.phase` timers
     (``subsets``, ``placement``, ``route``, ``transpile``,
     ``schedule``), which cost nothing without an active profiler.
+    ``transpile`` breaks down further into ``stack`` and ``split``
+    (multi-seed chunks) and the passes of
+    :func:`repro.circuits.batch.transpile_arrays` (``lower``,
+    ``cancel``, ``merge``).
 
     Raises:
         ValueError: on an unknown ``router``, before any pipeline work.

@@ -4,7 +4,9 @@ Commands:
 
 * ``place``     — place a topology and print/export the layout
 * ``profile``   — place a topology and print the per-phase runtime
-  breakdown (preprocess / global / legalize / detailed)
+  breakdown (preprocess / global / legalize / detailed); with
+  ``--pipeline map``, compile one benchmark's mapping suite instead
+  (subsets / placement / route / transpile / schedule)
 * ``evaluate``  — Fig. 11/12/13 evaluation on one topology
 * ``evaluate-all`` — the whole paper evaluation across topologies,
   fanned over a process pool (``--jobs``) with an optional on-disk
@@ -196,14 +198,8 @@ def cmd_place(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    """Place a topology and print its per-phase runtime breakdown."""
-    import json
-
-    config = _config_from(args)
-    netlist = build_netlist(get_topology(args.topology))
-    result = QPlacer(config).place(netlist)
-    phases = result.phase_profile
+def _phase_rows(phases, wall_s: float) -> List[List[str]]:
+    """Phase table rows, top-level shares of their sum, then the wall."""
     top_total = sum(s for path, s in phases.items() if "/" not in path)
     rows = []
     for path in sorted(phases, key=lambda p: (p.split("/")[0], p)):
@@ -211,16 +207,51 @@ def cmd_profile(args: argparse.Namespace) -> int:
         share = (f"{100.0 * seconds / top_total:.1f}%"
                  if "/" not in path and top_total > 0 else "")
         rows.append([path, f"{seconds:.3f}", share])
-    rows.append(["(wall clock)", f"{result.runtime_s:.3f}", "100.0%"])
-    print(format_table(["phase", "seconds", "share"], rows,
-                       title=f"Placement phases — {args.topology} "
-                             f"({result.num_cells} cells)"))
+    rows.append(["(wall clock)", f"{wall_s:.3f}", "100.0%"])
+    return rows
+
+
+def cmd_profile(args: argparse.Namespace) -> int:
+    """Print one pipeline's per-phase runtime breakdown.
+
+    ``--pipeline place`` places the topology; ``--pipeline map``
+    compiles ``--benchmark`` onto it at ``--mappings`` subsets (base
+    seed ``--seed``) with :func:`repro.circuits.mapping.map_suite_arrays`.
+    """
+    import json
+    import time
+
+    if args.pipeline == "map":
+        from . import profiling
+        from .circuits.mapping import map_suite_arrays
+        from .workloads import get_workload
+
+        circuit = get_workload(args.benchmark)
+        topology = get_topology(args.topology)
+        with profiling.PhaseProfiler() as prof:
+            start = time.perf_counter()
+            map_suite_arrays(circuit, topology, num_mappings=args.mappings,
+                             base_seed=args.seed)
+            wall = time.perf_counter() - start
+        phases = prof.flat_seconds()
+        title = (f"Compile phases — {args.benchmark} on {args.topology} "
+                 f"({args.mappings} mappings)")
+        doc = {"pipeline": "map", "topology": args.topology,
+               "benchmark": args.benchmark, "mappings": args.mappings,
+               "runtime_s": wall}
+    else:
+        result = QPlacer(_config_from(args)).place(
+            build_netlist(get_topology(args.topology)))
+        phases, wall = result.phase_profile, result.runtime_s
+        title = (f"Placement phases — {args.topology} "
+                 f"({result.num_cells} cells)")
+        doc = {"topology": args.topology, "num_cells": result.num_cells,
+               "runtime_s": wall}
+    print(format_table(["phase", "seconds", "share"],
+                       _phase_rows(phases, wall), title=title))
     if args.json:
         with open(args.json, "w") as fh:
-            json.dump({"topology": args.topology,
-                       "num_cells": result.num_cells,
-                       "runtime_s": result.runtime_s,
-                       "phases": phases}, fh, indent=2)
+            json.dump({**doc, "phases": phases}, fh, indent=2)
         print(f"wrote {args.json}")
     return 0
 
@@ -625,9 +656,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_place)
 
     p = sub.add_parser("profile",
-                       help="place one topology and print the per-phase "
-                            "runtime breakdown")
+                       help="place one topology (or compile a benchmark "
+                            "onto it) and print the per-phase runtime "
+                            "breakdown")
     _add_common_placer_args(p)
+    p.add_argument("--pipeline", choices=("place", "map"), default="place",
+                   help="place the topology (default), or compile "
+                        "--benchmark onto it at --mappings subsets with "
+                        "--seed as the base subset seed")
+    p.add_argument("--benchmark", default="bv-16",
+                   help="workload to compile with --pipeline map "
+                        "(default bv-16)")
+    p.add_argument("--mappings", type=_positive_int, default=50,
+                   help="mapping subsets for --pipeline map (paper: 50)")
     p.add_argument("--classic", action="store_true",
                    help="profile the frequency-oblivious Classic baseline")
     p.add_argument("--json", help="write the phase breakdown to this path")

@@ -162,6 +162,7 @@ class TestChunkInvariance:
 
 class TestCompilePhases:
     PHASES = ("subsets", "placement", "route", "transpile", "schedule")
+    TRANSPILE = ("stack", "lower", "cancel", "merge", "split")
 
     def test_phases_cover_the_call(self):
         circuit = get_workload("qft-16")
@@ -171,15 +172,26 @@ class TestCompilePhases:
             start = time.perf_counter()
             evaluation_mappings(circuit, topology, num_mappings=20)
             wall = time.perf_counter() - start
-        assert set(prof.seconds) == set(self.PHASES)
+        top = {path for path in prof.seconds if "/" not in path}
+        nested = set(prof.seconds) - top
+        assert top == set(self.PHASES)
+        # qft-16 never cancels a pair, so it runs no later merge round.
+        assert nested == {f"transpile/{name}" for name in self.TRANSPILE
+                          if name != "merge"}
         assert prof.calls["subsets"] == prof.calls["route"] == 1
         assert prof.calls["transpile"] == prof.calls["schedule"] > 1
+        assert prof.calls["transpile/lower"] == prof.calls["transpile"]
         assert prof.top_level_seconds() >= 0.95 * wall
+        inner = sum(prof.seconds[path] for path in nested)
+        assert inner >= 0.95 * prof.seconds["transpile"]
 
     def test_map_circuit_books_its_tail(self):
         with profiling.PhaseProfiler() as prof:
             map_circuit(get_benchmark("bv-9"), get_topology("grid-25"))
-        assert set(prof.seconds) == {"transpile", "schedule"}
+        top = {path for path in prof.seconds if "/" not in path}
+        assert top == {"transpile", "schedule"}
+        assert "transpile/lower" in prof.seconds
+        assert "transpile/stack" not in prof.seconds
 
 
 class TestZeroEagerDecode:

@@ -182,6 +182,28 @@ class TestCommands:
         top = sum(s for path, s in phases.items() if "/" not in path)
         assert 0.5 * doc["runtime_s"] <= top <= 1.05 * doc["runtime_s"]
 
+    def test_profile_map_pipeline(self, capsys, tmp_path):
+        import json
+
+        out_json = tmp_path / "phases.json"
+        assert main(["profile", "grid-25", "--pipeline", "map",
+                     "--benchmark", "bv-4", "--mappings", "4",
+                     "--json", str(out_json)]) == 0
+        out = capsys.readouterr().out
+        assert "Compile phases" in out and "(wall clock)" in out
+        doc = json.loads(out_json.read_text())
+        assert (doc["pipeline"], doc["benchmark"], doc["mappings"]) == (
+            "map", "bv-4", 4)
+        phases = doc["phases"]
+        top = {path for path in phases if "/" not in path}
+        assert top == {"subsets", "placement", "route", "transpile",
+                       "schedule"}
+        assert {"transpile/lower", "transpile/cancel"} <= set(phases)
+        for path in phases:
+            assert path in out
+        covered = sum(phases[path] for path in top)
+        assert 0.95 * doc["runtime_s"] <= covered <= doc["runtime_s"]
+
     def test_profile_forced_detailed_pass(self, capsys):
         # grid-25 resolves dense (0 passes by default); forcing one
         # must surface the "detailed" phase in the table.
