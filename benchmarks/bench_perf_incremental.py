@@ -1,16 +1,18 @@
 """Incremental placement engine: identity + engagement gates.
 
-The sparse backend's condor-scale inner loop has three moving parts —
-frequency-banded neighbor-list candidates, Verlet list reuse, and
-incremental density updates with periodic full-rebuild checkpoints.
+Above the size threshold the engine's inner loop has three moving
+parts — frequency-banded neighbor-list candidates, Verlet list reuse,
+and incremental density updates with periodic full-rebuild checkpoints.
 This harness pins the contracts that make them safe:
 
-* **eagle-127 bit-identity**: on a sparse engine with increments
-  flushed every evaluation (``engine.DENSITY_FLUSH_INTERVAL = 1``) the
-  incremental density path must reproduce, bit for bit, the same engine
+* **eagle-127 bit-identity**: eagle-127 built with the above-threshold
+  numbers (3 mm pair cutoff), its density term swapped for incremental
+  updates flushed on every evaluation
+  (``DensityGrid.evaluate_incremental(..., flush=True)``, every moved
+  instance re-scattered), must reproduce, bit for bit, the same engine
   with its density term swapped for the full recompute
   (``DensityGrid.evaluate``) — every flush adopts a fresh rasterise, so
-  flush-1 *is* the dense path plus a live divergence assertion;
+  flush-1 *is* the exact recompute plus a live divergence assertion;
 * **banding**: at the condor tier's converged positions, frequency-
   banded candidate generation must screen fewer spatial candidates than
   the unbanded grid;
@@ -47,29 +49,28 @@ MAX_CONDOR_1121_PLACE_S = 10.0
 
 CONDOR_TOPOLOGY = "condor-1121" if FULL else "condor-sm-433"
 
-#: The identity pair: eagle-127 built sparse, flushing its incremental
-#: density map on every evaluation (and re-scattering every moved
-#: instance).  Applied as ``(module, constant, value)`` monkeypatches.
-FLUSH_EVERY_EVAL = ((preprocess, "SPARSE_MIN_INSTANCES", 0),
-                    (engine, "DENSITY_FLUSH_INTERVAL", 1),
-                    (engine, "DENSITY_MOVE_THRESHOLD_MM", 0.0))
 
-
-def _run(topology: str, full_density: bool = False) -> Dict[str, object]:
-    """Global placement of ``topology``; ``full_density`` swaps the
-    engine's density term for the full recompute."""
+def _run(topology: str, density: str = "engine") -> Dict[str, object]:
+    """Global placement of ``topology``; ``density`` swaps the engine's
+    density term for the full recompute (``"full"``) or for incremental
+    updates that re-scatter every moved instance and flush (check
+    against a full rasterise) on every evaluation (``"flush1"``)."""
     config = PlacerConfig()
     problem = build_problem(build_netlist(get_topology(topology)), config)
     placer = GlobalPlacer(problem, config)
-    if full_density:
+    if density == "full":
         placer._density = placer.density.evaluate
+    elif density == "flush1":
+        placer._density = lambda positions: \
+            placer.density.evaluate_incremental(positions, 0.0, flush=True)
     t0 = time.perf_counter()
     result = placer.run()
     place_s = time.perf_counter() - t0
     return {
         "topology": topology,
-        "backend": problem.interaction_backend,
-        "full_density": full_density,
+        "freq_pair_cutoff_mm": round(problem.freq_pair_cutoff_mm, 3),
+        "density_flush_interval": problem.density_flush_interval,
+        "density": density,
         "num_instances": problem.num_instances,
         "place_s": round(place_s, 3),
         "iterations": result.iterations,
@@ -96,7 +97,7 @@ def _candidate_counts(row: Dict[str, object]) -> Dict[str, int]:
     """Neighbor-list candidates at a run's final positions, with and
     without frequency banding (same reach as the engine's rebuilds)."""
     problem = row["problem"]
-    reach = engine.FREQ_PAIR_CUTOFF_MM + engine.FREQ_PAIR_SKIN_MM
+    reach = problem.freq_pair_cutoff_mm + engine.FREQ_PAIR_SKIN_MM
     bands = frequency_bands(problem.frequencies,
                             problem.config.detuning_threshold_ghz)
     positions = row["positions"]
@@ -109,10 +110,10 @@ def _candidate_counts(row: Dict[str, object]) -> Dict[str, int]:
 def test_perf_incremental(results_dir, monkeypatch):
     # -- gate 1: eagle-127 flush-1 bit-identity -------------------------
     with monkeypatch.context() as patch:
-        for module, name, value in FLUSH_EVERY_EVAL:
-            patch.setattr(module, name, value)
-        eagle_inc = _run("eagle-127")
-        eagle_ref = _run("eagle-127", full_density=True)
+        # eagle-127 built with the above-threshold numbers.
+        patch.setattr(preprocess, "SPARSE_MIN_INSTANCES", 0)
+        eagle_inc = _run("eagle-127", density="flush1")
+        eagle_ref = _run("eagle-127", density="full")
     identical = bool(np.array_equal(eagle_inc["positions"],
                                     eagle_ref["positions"]))
 
@@ -137,10 +138,11 @@ def test_perf_incremental(results_dir, monkeypatch):
     (results_dir / "perf_incremental.json").write_text(text + "\n")
 
     # -- gates ----------------------------------------------------------
-    assert eagle_inc["backend"] == eagle_ref["backend"] == "sparse"
+    assert eagle_inc["freq_pair_cutoff_mm"] == \
+        eagle_ref["freq_pair_cutoff_mm"] == preprocess.FREQ_PAIR_CUTOFF_MM
     assert identical, \
         "flush-every-iteration incremental density diverged from the " \
-        "dense recompute on eagle-127"
+        "full recompute on eagle-127"
     # flush-1 means every incremental evaluation ran the divergence
     # checkpoint; the recorded worst error stays within float drift.
     assert eagle_inc["density_flushes"] >= eagle_inc["iterations"]
@@ -149,7 +151,7 @@ def test_perf_incremental(results_dir, monkeypatch):
         assert condor["place_s"] <= MAX_CONDOR_1121_PLACE_S, (
             f"condor-1121 global placement took {condor['place_s']}s "
             f"(> {MAX_CONDOR_1121_PLACE_S}s)")
-    # the sparse machinery actually engaged on the condor tier
+    # the above-threshold machinery actually engaged on the condor tier
     assert condor["freq_list_reuses"] > 0, "Verlet list never reused"
     assert condor["density_flushes"] > 0, "incremental density never flushed"
     assert condor["density_rescattered"] > 0

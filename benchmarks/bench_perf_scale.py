@@ -1,23 +1,25 @@
 """Scaling trajectory: topology size vs wall-time vs peak pair count.
 
-The sparse interaction backend exists so condor-class topologies stay
-tractable.  This harness records the scaling curve — for each tier the
-instance count, the resolved backend, the end-to-end stage wall-times
+Pruning the frequency pairs at a 3 mm cutoff above the size threshold
+is what keeps condor-class topologies tractable.  This harness records
+the scaling curve — for each tier the instance count, the size-chosen
+pair cutoff, the end-to-end stage wall-times
 (global place, legalize, violation scan), and the peak candidate-pair
 counts of the engine's frequency neighbor list and the violation scan —
 and emits machine-readable JSON to
 ``benchmarks/results/perf_scale.json``.
 
-Two gates keep the backend honest:
+Two gates keep the size rule honest:
 
-* **no-regression on eagle-127**: the size rule must still build it
-  dense, legalizing the same global positions twice must give the same
-  layout and stats (the legalizer never reads the backend), and the
-  grid violation scan must reproduce the dense ``triu`` oracle
+* **no-regression on eagle-127**: the size rule must still give it a
+  pair cutoff covering the whole region (every resonant pair summed)
+  and the exact density recompute, legalizing the same global
+  positions twice must give the same layout and stats, and the grid
+  violation scan must reproduce the dense ``triu`` oracle
   bit-identically;
-* **subquadratic growth**: the sparse peak pair count must grow with an
-  exponent well below 2 between the largest dense tier (eagle-127) and
-  the condor tiers.
+* **subquadratic growth**: the pruned peak pair count must grow with an
+  exponent well below 2 between the largest exact-sum tier (eagle-127)
+  and the condor tiers.
 
 The default smoke mode covers grid-25, eagle-127, and condor-sm-433;
 ``REPRO_BENCH_FULL=1`` adds the full condor-1121 run (a few minutes on a
@@ -34,7 +36,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.core import legalizer
+from repro.core import legalizer, preprocess
 from repro.core.config import PlacerConfig
 from repro.core.engine import GlobalPlacer
 from repro.core.preprocess import build_problem
@@ -82,11 +84,14 @@ def _scale_point(topology_name: str) -> Dict[str, object]:
     scan_s = time.perf_counter() - t0
 
     n = problem.num_instances
+    region = problem.region
     return {
         "topology": topology_name,
         "qubits": netlist.topology.num_qubits,
         "num_instances": n,
-        "backend": problem.interaction_backend,
+        "freq_pair_cutoff_mm": round(problem.freq_pair_cutoff_mm, 3),
+        "pruned": problem.freq_pair_cutoff_mm < math.hypot(region.w,
+                                                           region.h),
         "build_s": round(build_s, 3),
         "global_place_s": round(place_s, 2),
         "legalize_s": round(legalize_s, 2),
@@ -103,14 +108,19 @@ def _scale_point(topology_name: str) -> Dict[str, object]:
     }
 
 
-def _eagle_dense_identity() -> Dict[str, object]:
-    """Gate: eagle-127 builds dense, legalize is deterministic, and the
-    grid violation scan matches the dense oracle bit-for-bit."""
+def _eagle_exact_identity() -> Dict[str, object]:
+    """Gate: the size rule gives eagle-127 the exact numbers (a pair
+    cutoff covering the region, the exact density recompute), legalize
+    is deterministic, and the grid violation scan matches the dense
+    oracle bit-for-bit."""
     config = PlacerConfig()
     netlist = build_netlist(get_topology("eagle-127"))
     problem = build_problem(netlist, config)
-    assert problem.interaction_backend == "dense", \
-        "the size rule must build eagle-127 dense"
+    region = problem.region
+    assert (problem.freq_pair_cutoff_mm == math.hypot(region.w, region.h)
+            and problem.density_flush_interval == 1), \
+        "the size rule must give eagle-127 the exact numbers"
+    assert problem.num_instances <= preprocess.SPARSE_MIN_INSTANCES
     global_positions = GlobalPlacer(problem, config).run().positions
     first_pos, first_stats = legalizer.legalize(problem, global_positions,
                                                 config)
@@ -139,12 +149,12 @@ def _growth_exponent(p1: Dict[str, object], p2: Dict[str, object]) -> float:
 
 def test_perf_scale(results_dir):
     points = [_scale_point(name) for name in SCALE_TOPOLOGIES]
-    identity = _eagle_dense_identity()
+    identity = _eagle_exact_identity()
 
     exponents = {}
     eagle = next(p for p in points if p["topology"] == "eagle-127")
     for point in points:
-        if point["backend"] != "sparse":
+        if not point["pruned"]:
             continue
         exponents[point["topology"]] = round(
             _growth_exponent(eagle, point), 3)
@@ -155,7 +165,7 @@ def test_perf_scale(results_dir):
         "python": platform.python_version(),
         "machine": platform.machine(),
         "points": points,
-        "eagle_dense_identity": identity,
+        "eagle_exact_identity": identity,
         "pair_growth_exponent_vs_eagle": exponents,
         "max_pair_growth_exponent": MAX_PAIR_GROWTH_EXPONENT,
     }
@@ -173,7 +183,7 @@ def test_perf_scale(results_dir):
     for point in points:
         assert point["integration_failures"] == 0, \
             f"{point['topology']}: resonator integration failed"
-        if point["backend"] == "sparse":
+        if point["pruned"]:
             assert point["peak_freq_pairs"] < point["dense_pair_budget"], \
                 f"{point['topology']}: neighbor list not smaller than dense"
     for name, exponent in exponents.items():

@@ -89,7 +89,13 @@ from ..io.serialization import canonical_json
 #: Retiring the interaction-backend override and the sparse tuning knobs
 #: (six fields) needs no bump either: every layout is unchanged and the
 #: smaller field set re-keys every config-bearing digest.
-CACHE_SCHEMA_VERSION = 10
+#: 11: one global-placement path — PlacementProblem lost its backend
+#:     name and its ``collision_pairs`` field (now a lazily cached
+#:     accessor) and grew the size-chosen
+#:     ``freq_pair_cutoff_mm`` / ``density_flush_interval`` /
+#:     ``auto_detailed_passes`` (pickled suite shape changed, as at 7
+#:     and 10; every layout is unchanged).
+CACHE_SCHEMA_VERSION = 11
 
 #: Environment variable naming the default on-disk cache directory.
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"

@@ -163,7 +163,7 @@ def cmd_topologies(_args: argparse.Namespace) -> int:
                      topo.description])
     print()
     print(format_table(["name", "qubits", "couplers", "description"], rows,
-                       title="Scale tiers (sparse interaction backend)"))
+                       title="Scale tiers (pruned frequency pairs, incremental density)"))
     return 0
 
 

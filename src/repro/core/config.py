@@ -5,9 +5,9 @@ placement, and legalization.  ``Classic`` (the baseline of Sec. V-B) is
 the *identical* configuration with the frequency-awareness switched off:
 ``PlacerConfig.classic()``.
 
-The dense/sparse spatial interaction backend is not a setting:
-:func:`~repro.core.preprocess.build_problem` picks it from problem size
-(see :mod:`repro.core.interactions`).
+The frequency-pair cutoff, density flush interval and auto detailed
+passes are not settings: :func:`~repro.core.preprocess.build_problem`
+picks them from problem size.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class PlacerConfig:
         legalize_integration: Run the integration-aware repair (Alg. 1).
         spiral_max_radius_sites: Search bound of the greedy spiral.
         detailed_passes: Post-legalization refinement sweeps; ``None``
-            resolves per interaction backend
+            resolves from problem size
             (:meth:`resolved_detailed_passes`).
 
     """
@@ -93,9 +93,9 @@ class PlacerConfig:
     chain_aware_tetris: bool = True
     spiral_max_radius_sites: int = 64
     #: Detailed-placement refinement sweeps after legalization.
-    #: ``None`` = auto: one pass on sparse-built (condor-class)
-    #: problems where the vectorized engine makes it affordable, none on
-    #: the dense paper tiers (whose layouts stay bit-identical).
+    #: ``None`` = auto: one pass on condor-class problems (above the
+    #: size threshold) where the vectorized engine makes it affordable,
+    #: none on the paper tiers (whose layouts stay bit-identical).
     detailed_passes: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -137,18 +137,15 @@ class PlacerConfig:
         """Copy with a different resonator segment size (Fig. 15 sweep)."""
         return replace(self, segment_size_mm=lb_mm)
 
-    def resolved_detailed_passes(self, interaction_backend: str) -> int:
+    def resolved_detailed_passes(self, auto_passes: int) -> int:
         """Concrete detailed-placement pass count for a built problem.
 
-        ``None`` (auto) follows the problem's
-        :attr:`~repro.core.preprocess.PlacementProblem.interaction_backend`:
-        condor-class (sparse) problems get one pass — affordable since
-        the vectorized swap engine — while the dense paper tiers skip
-        refinement and keep their bit-identical legalized layouts.
+        ``None`` (auto) takes ``auto_passes``, the problem's size-chosen
+        :attr:`~repro.core.preprocess.PlacementProblem.auto_detailed_passes`.
         """
         if self.detailed_passes is not None:
             return self.detailed_passes
-        return 1 if interaction_backend == "sparse" else 0
+        return auto_passes
 
     def qubit_site_pitch_mm(self, qubit_size_mm: float = constants.QUBIT_SIZE_MM) -> float:
         """Legalization lattice pitch for qubits."""

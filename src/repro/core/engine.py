@@ -22,22 +22,18 @@ from .. import profiling
 from .config import PlacerConfig
 from .density import DensityGrid
 from .frequency_force import FrequencyForce, frequency_energy_and_grad
-from .interactions import BACKEND_SPARSE, PrunedCollisionPairs
+from .interactions import PrunedCollisionPairs
 from .optimizer import NesterovOptimizer
 from .preprocess import PlacementProblem
 from .wirelength import hpwl, wirelength_and_grad
 
-#: Sparse problems only.  Resonant pairs further apart than the cutoff
-#: (mm) contribute < 1/cutoff each and are dropped from the repulsive
-#: sum (dense problems sum every pair); the neighbor list adds the skin
-#: and is rebuilt once any instance drifts more than half of it.
-FREQ_PAIR_CUTOFF_MM = 3.0
+#: Slack (mm) the frequency neighbor list adds to the problem's pair
+#: cutoff; the list is rebuilt once any instance drifts more than half
+#: of it (never, when cutoff plus skin covers the region diagonal).
 FREQ_PAIR_SKIN_MM = 1.5
-#: Sparse problems only: objective evaluations between full-rasterise
-#: density checkpoints (1 = every evaluation, arithmetically identical to
-#: the dense recompute), and the per-axis move (mm) below which an
-#: instance's bin charge stays stale between them (0 = every move).
-DENSITY_FLUSH_INTERVAL = 16
+#: Per-axis move (mm) below which an instance's bin charge stays stale
+#: between incremental density checkpoints (0 = every move).  Unused
+#: when the problem's flush interval is 1.
 DENSITY_MOVE_THRESHOLD_MM = 0.01
 
 
@@ -64,11 +60,11 @@ class GlobalPlaceResult:
         history: Per-iteration statistics.
         converged: True when the overflow target was reached.
         peak_collision_pairs: Largest frequency-pair set evaluated in
-            one objective call (static on the dense backend; the
-            neighbor-list high-water mark on the sparse one).
-        freq_list_rebuilds: Sparse-only: neighbor-list rebuild count.
-        peak_pair_candidates: Sparse-only: largest raw grid candidate
-            set screened during a rebuild.
+            one objective call (the neighbor-list high-water mark).
+        freq_list_rebuilds: Neighbor-list build count (1 when the pair
+            cutoff covers the region).
+        peak_pair_candidates: Largest raw grid candidate set screened
+            during a neighbor-list build.
     """
 
     positions: np.ndarray
@@ -77,9 +73,10 @@ class GlobalPlaceResult:
     peak_collision_pairs: int = 0
     freq_list_rebuilds: int = 0
     peak_pair_candidates: int = 0
-    #: Sparse-only: objective evaluations that reused the neighbor list.
+    #: Objective evaluations that reused the neighbor list.
     freq_list_reuses: int = 0
-    #: Incremental-density telemetry (0 on the dense recompute path).
+    #: Incremental-density telemetry (0 when every evaluation is the
+    #: exact recompute, i.e. a flush interval of 1).
     density_flushes: int = 0
     density_rescattered: int = 0
     density_max_flush_error: float = 0.0
@@ -137,48 +134,42 @@ class GlobalPlacer:
         nets = problem.nets
         self._net_pin_index: Optional[np.ndarray] = (
             np.concatenate([nets[:, 0], nets[:, 1]]) if nets.size else None)
-        sparse = problem.interaction_backend == BACKEND_SPARSE
-        # Condor-class (sparse-built) problems update the density map
-        # incrementally; the dense paper tiers keep the exact recompute.
-        self._incremental_density = sparse
-        self._sparse_pairs: Optional[PrunedCollisionPairs] = None
         self._freq_kernel: Optional[FrequencyForce] = None
         self._kernel_rebuilds = 0
-        self._peak_pairs = 0
-        if sparse and self.config.frequency_aware:
-            # Distance-pruned neighbor list instead of the full map.
-            self._sparse_pairs = PrunedCollisionPairs(
-                problem.frequencies, problem.resonator_index,
-                self.config.detuning_threshold_ghz,
-                cutoff_mm=FREQ_PAIR_CUTOFF_MM, skin_mm=FREQ_PAIR_SKIN_MM)
+        region = problem.region
+        self._pairs = PrunedCollisionPairs(
+            problem.frequencies, problem.resonator_index,
+            problem.config.detuning_threshold_ghz,
+            cutoff_mm=problem.freq_pair_cutoff_mm,
+            skin_mm=FREQ_PAIR_SKIN_MM,
+            span_mm=float(np.hypot(region.w, region.h)))
 
     def _frequency_kernel(self, positions: np.ndarray) -> FrequencyForce:
         """Force kernel over the collision pairs active at ``positions``.
 
-        The dense backend builds one kernel per run over the static pair
-        set; the sparse backend rebuilds it only when the neighbor list
-        itself was rebuilt.
+        Rebuilt only when the neighbor list itself was rebuilt: once per
+        run when the list is static.
         """
-        sparse = self._sparse_pairs
-        if sparse is not None:
-            pairs = sparse.pairs(positions)
-            if self._freq_kernel is None \
-                    or sparse.rebuilds != self._kernel_rebuilds:
-                self._freq_kernel = FrequencyForce(pairs)
-                self._kernel_rebuilds = sparse.rebuilds
-            self._peak_pairs = max(self._peak_pairs, sparse.peak_pairs)
-        elif self._freq_kernel is None:
-            self._freq_kernel = FrequencyForce(self.problem.collision_pairs)
-            self._peak_pairs = len(self._freq_kernel)
+        pairs = self._pairs.pairs(positions)
+        if self._freq_kernel is None \
+                or self._pairs.rebuilds != self._kernel_rebuilds:
+            self._freq_kernel = FrequencyForce(pairs)
+            self._kernel_rebuilds = self._pairs.rebuilds
         return self._freq_kernel
 
     # -- objective ---------------------------------------------------------------
 
     def _density(self, positions: np.ndarray):
-        """One density evaluation through the configured path."""
-        if not self._incremental_density:
+        """One density evaluation at the problem's flush interval.
+
+        An interval of 1 makes every evaluation the exact recompute;
+        a longer one updates the map incrementally and checks it
+        against a full rasterise every ``interval`` evaluations.
+        """
+        interval = self.problem.density_flush_interval
+        if interval == 1:
             return self.density.evaluate(positions)
-        flush = (self._density_evals % DENSITY_FLUSH_INTERVAL) == 0
+        flush = (self._density_evals % interval) == 0
         self._density_evals += 1
         return self.density.evaluate_incremental(
             positions, DENSITY_MOVE_THRESHOLD_MM, flush=flush)
@@ -226,22 +217,24 @@ class GlobalPlacer:
         dens_norm = float(np.abs(dens.grad).sum())
         self._lambda_density = wl_norm / max(dens_norm, 1e-12) * 0.5
         if cfg.frequency_aware:
-            kernel = self._frequency_kernel(positions)
-            if len(kernel):
-                _, freq_grad = frequency_energy_and_grad(
-                    positions, kernel, cfg.freq_force_smoothing_mm)
-                freq_norm = float(np.abs(freq_grad).sum())
-                self._lambda_freq = (cfg.initial_freq_weight * wl_norm
-                                     / max(freq_norm, 1e-12))
+            with profiling.phase("frequency"):
+                kernel = self._frequency_kernel(positions)
+                if len(kernel):
+                    _, freq_grad = frequency_energy_and_grad(
+                        positions, kernel, cfg.freq_force_smoothing_mm)
+                    freq_norm = float(np.abs(freq_grad).sum())
+                    self._lambda_freq = (cfg.initial_freq_weight * wl_norm
+                                         / max(freq_norm, 1e-12))
 
     # -- main loop -------------------------------------------------------------------
 
     def run(self) -> GlobalPlaceResult:
-        """Execute the penalty schedule until the overflow target."""
-        with profiling.phase("global"):
-            return self._run()
+        """Execute the penalty schedule until the overflow target.
 
-    def _run(self) -> GlobalPlaceResult:
+        Its phases (``wirelength``, ``density``, ``frequency``) nest
+        under the caller's; :meth:`~repro.core.placer.QPlacer.place`
+        opens ``global``.
+        """
         cfg = self.config
         start = (self._warm_start if self._warm_start is not None
                  else self.problem.initial_positions)
@@ -277,15 +270,15 @@ class GlobalPlacer:
         # The kernel's index and scratch buffers are dead weight once the
         # run ends, while callers keep the placer through legalization.
         self._freq_kernel = None
-        sparse = self._sparse_pairs
+        pairs = self._pairs
         return GlobalPlaceResult(
             positions=self._project(optimizer.x),
             history=history,
             converged=converged,
-            peak_collision_pairs=self._peak_pairs,
-            freq_list_rebuilds=sparse.rebuilds if sparse else 0,
-            peak_pair_candidates=sparse.peak_candidates if sparse else 0,
-            freq_list_reuses=sparse.reuses if sparse else 0,
+            peak_collision_pairs=pairs.peak_pairs,
+            freq_list_rebuilds=pairs.rebuilds,
+            peak_pair_candidates=pairs.peak_candidates,
+            freq_list_reuses=pairs.reuses,
             density_flushes=self.density.inc_flushes,
             density_rescattered=self.density.inc_rescattered,
             density_max_flush_error=self.density.inc_max_flush_error,

@@ -7,9 +7,10 @@ every colliding pair, i.e. the pairwise potential
 ``U(i, j) = tau(w_i, w_j, Delta_c) * (1 - delta(r_i, r_j)) / d_ij``
 
 softened as ``1/sqrt(d^2 + s^2)`` so coincident points stay finite.  The
-collision map (which already excludes sibling segments and non-resonant
-pairs) is precomputed once in :mod:`repro.core.preprocess`, so each
-evaluation only touches the colliding pairs — never all-to-all.
+pairs (which already exclude sibling segments and non-resonant pairs)
+come from the engine's neighbor list over the collision map of
+:mod:`repro.core.preprocess`, so each evaluation only touches the
+colliding pairs — never all-to-all.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ class FrequencyForce:
     """Eq. (9) repulsion kernel bound to one collision-pair set.
 
     The optimizer evaluates the force every iteration over the same
-    pairs (the whole run on the dense backend, one neighbor-list
-    lifetime on the sparse one), so everything that depends only on the
+    pairs (one neighbor-list lifetime: the whole run when the list is
+    static), so everything that depends only on the
     pairs is built once: the concatenated scatter index ``idx`` (with
     the pair columns ``a``/``b`` as views into it), and one allocation
     split into a ``3 x m`` scratch block and a ``2m`` weight buffer.

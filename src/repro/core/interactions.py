@@ -1,31 +1,31 @@
-"""Spatial interaction backend: candidate-pair generation at scale.
+"""Spatial interactions: candidate-pair generation at scale.
 
 Every pairwise structure of the placement flow — the legalizer's
 required-gap lookups, the engine's frequency-collision force, the
 spatial-violation scan, and the fidelity crosstalk tables — reduces to
 the same primitive: *which instance pairs can interact within a cutoff
-distance?*  This module centralises that primitive behind two
-interchangeable strategies:
+distance?*  This module provides it two ways:
 
-* ``dense`` — materialise every pair (``triu`` index arrays).  O(n^2)
-  memory/time, bit-identical to the original implementation, and the
-  default for the six paper topologies.
-* ``sparse`` — a uniform-grid neighbor list: instances are bucketed
-  into cells of the cutoff size and only pairs in adjacent cells are
-  candidates.  O(n x local density) memory/time, which is what makes
-  condor-1121-class topologies tractable.
+* :func:`dense_candidate_pairs` — every pair (``triu`` index arrays),
+  O(n^2) memory/time; the oracle the grid is tested against.
+* :func:`grid_candidate_pairs` — a uniform-grid neighbor list:
+  instances are bucketed into cells of the cutoff size and only pairs
+  in adjacent cells are candidates.  O(n x local density) memory/time,
+  which is what makes condor-1121-class topologies tractable.
 
-:func:`~repro.core.preprocess.build_problem` picks the strategy once,
-from the instance count alone (``sparse`` above
-:data:`~repro.core.preprocess.SPARSE_MIN_INSTANCES`), and records it as
-:attr:`~repro.core.preprocess.PlacementProblem.interaction_backend`;
-every other stage reads it from there.  The six paper topologies stay
-below the threshold, so their results remain bit-identical to the
-dense-only implementation.  The spatial-violation scan returns the same
-pairs under either strategy, so it uses the grid at every size unless
-the ``dense`` oracle is asked for.
+The engine's frequency force always runs through
+:class:`PrunedCollisionPairs`.  Only its cutoff depends on size:
+:func:`~repro.core.preprocess.build_problem` sets
+:attr:`~repro.core.preprocess.PlacementProblem.freq_pair_cutoff_mm` to
+the region diagonal up to
+:data:`~repro.core.preprocess.SPARSE_MIN_INSTANCES` instances (the list
+is built once and equals the full collision map, so the six paper
+topologies keep their exact all-pairs sum) and to
+:data:`~repro.core.preprocess.FREQ_PAIR_CUTOFF_MM` above.  The
+spatial-violation scan returns the same pairs either way, so it uses the
+grid at every size unless the ``dense`` oracle is asked for.
 
-Sparse candidate generation is fully vectorized: cell keys are sorted
+Grid candidate generation is fully vectorized: cell keys are sorted
 once, and for each of the five half-neighborhood offsets the matching
 key ranges are found with ``searchsorted`` and expanded with one global
 ``arange`` — no per-bucket Python loop.
@@ -37,9 +37,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-#: The two spatial strategies a problem can be built for.
-BACKEND_DENSE = "dense"
-BACKEND_SPARSE = "sparse"
+from .. import profiling
 
 
 # ---------------------------------------------------------------------------
@@ -260,20 +258,19 @@ class RequiredGapTable:
 class PrunedCollisionPairs:
     """Neighbor-list view of the frequency collision map.
 
-    The dense engine precomputes *every* resonant pair once; on
-    condor-class problems that set is O(n^2 / levels) and evaluating the
-    repulsive force over it each iteration dominates the run.  This
-    provider keeps only resonant pairs currently within
-    ``cutoff + skin`` of each other, rebuilding the list (Verlet-style)
-    whenever some instance has drifted more than ``skin / 2`` since the
-    last build — between rebuilds the list provably still contains every
-    pair within ``cutoff``.
+    Keeps only resonant pairs currently within ``cutoff + skin`` of each
+    other, rebuilding the list (Verlet-style) whenever some instance has
+    drifted more than ``skin / 2`` since the last build — between
+    rebuilds the list provably still contains every pair within
+    ``cutoff``.  Far pairs contribute ``< 1/cutoff`` each to the
+    repulsive sum, which is what a finite cutoff truncates.
 
-    The truncated potential differs from the dense sum (far pairs
-    contribute ``< 1/cutoff`` each), which is why this provider is only
-    engaged by the sparse backend; with a cutoff covering the whole
-    region the produced pair array is bit-identical (same contents, same
-    lex order) to the precomputed dense collision map.
+    When ``span_mm`` (the largest centre distance positions can reach,
+    e.g. the region diagonal) is within ``cutoff + skin``, no pair can
+    ever leave the reach: the list is built once, never checks drift
+    and never rebuilds, and its pair array is bit-identical (same
+    contents, same lex order) to the full collision map
+    (:func:`~repro.core.preprocess._collision_pairs`).
 
     Candidate generation adds a frequency dimension to the grid
     (:func:`frequency_bands`): instances more than one
@@ -282,12 +279,14 @@ class PrunedCollisionPairs:
     placement showed the rebuild filter — millions of spatially-near
     but non-resonant candidates — at >90% of the run; banding removes
     them at the source while the exact resonance filter keeps the final
-    pair array bit-identical.
+    pair array bit-identical.  Builds are booked as the ``neighbors``
+    profiling phase.
     """
 
     def __init__(self, frequencies: np.ndarray, resonator_index: np.ndarray,
                  detuning_threshold_ghz: float,
-                 cutoff_mm: float, skin_mm: float) -> None:
+                 cutoff_mm: float, skin_mm: float,
+                 span_mm: Optional[float] = None) -> None:
         if cutoff_mm <= 0:
             raise ValueError("cutoff must be positive")
         self._freqs = np.asarray(frequencies, dtype=float)
@@ -295,6 +294,8 @@ class PrunedCollisionPairs:
         self._threshold = float(detuning_threshold_ghz)
         self.cutoff_mm = float(cutoff_mm)
         self.skin_mm = float(skin_mm)
+        self.static = (span_mm is not None
+                       and self.cutoff_mm + self.skin_mm >= span_mm)
         self._bands = frequency_bands(self._freqs, self._threshold)
         self._pairs: Optional[np.ndarray] = None
         self._ref_positions: Optional[np.ndarray] = None
@@ -306,6 +307,8 @@ class PrunedCollisionPairs:
     def _needs_rebuild(self, positions: np.ndarray) -> bool:
         if self._pairs is None or self._ref_positions is None:
             return True
+        if self.static:
+            return False
         # Euclidean per-instance drift: two instances approaching each
         # other diagonally close the gap by at most twice this, so the
         # skin/2 bound keeps every in-cutoff pair inside the list.
@@ -341,7 +344,8 @@ class PrunedCollisionPairs:
     def pairs(self, positions: np.ndarray) -> np.ndarray:
         """Current active ``(p, 2)`` pair array."""
         if self._needs_rebuild(positions):
-            self._rebuild(positions)
+            with profiling.phase("neighbors"):
+                self._rebuild(positions)
         else:
             self.reuses += 1
         assert self._pairs is not None

@@ -45,8 +45,9 @@ class PlacementResult:
             resolved pass count is 0).
         phase_profile: Per-phase wall-clock of the run
             (:mod:`repro.profiling` paths: ``"preprocess"``,
-            ``"global"``, ``"legalize"``, ``"legalize/qubits"``, ...,
-            ``"detailed"``); top-level entries sum to ~``runtime_s``.
+            ``"global"``, ``"global/frequency/neighbors"``,
+            ``"legalize"``, ``"legalize/qubits"``, ..., ``"detailed"``);
+            top-level entries sum to ~``runtime_s``.
     """
 
     layout: Layout
@@ -101,13 +102,14 @@ class QPlacer:
         with profiling.PhaseProfiler() as prof:
             with profiling.phase("preprocess"):
                 problem = build_problem(netlist, self.config)
-            engine = GlobalPlacer(problem, self.config,
-                                  initial_positions=initial_positions)
-            global_result = engine.run()
+            with profiling.phase("global"):
+                global_result = GlobalPlacer(
+                    problem, self.config,
+                    initial_positions=initial_positions).run()
             legal_positions, legalize_stats = legalize(
                 problem, global_result.positions, self.config)
             passes = self.config.resolved_detailed_passes(
-                problem.interaction_backend)
+                problem.auto_detailed_passes)
             if passes > 0:
                 from .detailed import refine_placement
                 legal_positions, detailed_stats = refine_placement(

@@ -18,7 +18,9 @@ Turns a :class:`~repro.devices.netlist.QuantumNetlist` into a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -27,7 +29,7 @@ from ..devices.components import Instance, Qubit, ResonatorSegment
 from ..devices.geometry import Rect
 from ..devices.netlist import QuantumNetlist
 from .config import PlacerConfig
-from .interactions import BACKEND_DENSE, BACKEND_SPARSE, sort_pairs
+from .interactions import sort_pairs
 
 
 @dataclass
@@ -45,16 +47,17 @@ class PlacementProblem:
         frequencies: ``(n,)`` operating frequencies (GHz).
         resonator_index: ``(n,)`` owner resonator id, -1 for qubits.
         is_qubit: ``(n,)`` bool mask.
-        collision_pairs: ``(p, 2)`` int array of resonant pairs.  Empty
-            on sparse-backend problems, where the engine prunes pairs by
-            distance instead of materialising the full map (use
-            :meth:`resonant_collision_pairs` to force materialisation).
         region: Placement canvas.
         initial_positions: ``(n, 2)`` deterministic starting centres.
         attached_resonators: qubit instance index -> resonator ids whose
             segments may legally abut that qubit.
-        interaction_backend: Spatial backend ("dense"/"sparse") this
-            problem was built for, picked by :func:`build_problem`.
+        freq_pair_cutoff_mm: Reach of the engine's frequency force.
+        density_flush_interval: Objective evaluations between density
+            checkpoints (1: every evaluation is the exact recompute).
+        auto_detailed_passes: Detailed passes when the config leaves
+            ``detailed_passes`` unset.
+
+    The last three come from the size rule (:data:`SPARSE_MIN_INSTANCES`).
     """
 
     netlist: QuantumNetlist
@@ -67,11 +70,12 @@ class PlacementProblem:
     frequencies: np.ndarray
     resonator_index: np.ndarray
     is_qubit: np.ndarray
-    collision_pairs: np.ndarray
     region: Rect
     initial_positions: np.ndarray
     attached_resonators: Dict[int, Set[int]]
-    interaction_backend: str = "dense"
+    freq_pair_cutoff_mm: float
+    density_flush_interval: int
+    auto_detailed_passes: int
 
     @property
     def num_instances(self) -> int:
@@ -113,23 +117,16 @@ class PlacementProblem:
         return (abs(float(self.frequencies[i] - self.frequencies[j]))
                 <= self.config.detuning_threshold_ghz)
 
-    def resonant_collision_pairs(self) -> np.ndarray:
-        """The full frequency collision map, materialised on demand.
+    @cached_property
+    def collision_pairs(self) -> np.ndarray:
+        """``(p, 2)`` int array of resonant pairs, lex-sorted.
 
-        Dense problems precomputed it at build time; sparse problems
-        skipped the O(n^2 / levels) materialisation, so the first call
-        computes and caches it.  Prefer the engine's distance-pruned
-        provider on sparse problems — this accessor exists for
-        diagnostics and the dense/sparse equivalence tests.
+        Computed on first access and cached on the instance; the engine
+        never reads it (its neighbor list yields the same pairs), so a
+        placement run does not materialise it.
         """
-        if self.collision_pairs.size or self.interaction_backend != "sparse":
-            return self.collision_pairs
-        cached = getattr(self, "_lazy_collision_pairs", None)
-        if cached is None:
-            cached = _collision_pairs(self.frequencies, self.resonator_index,
-                                      self.config.detuning_threshold_ghz)
-            self._lazy_collision_pairs = cached
-        return cached
+        return _collision_pairs(self.frequencies, self.resonator_index,
+                                self.config.detuning_threshold_ghz)
 
 
 def _collision_pairs(frequencies: np.ndarray, resonator_index: np.ndarray,
@@ -170,13 +167,17 @@ def _collision_pairs(frequencies: np.ndarray, resonator_index: np.ndarray,
     return np.stack([i, j], axis=1).astype(np.int64)
 
 
-#: Problems with more instances than this are built for the sparse
-#: interaction backend; this is the one place it is chosen, and every
-#: later stage reads :attr:`PlacementProblem.interaction_backend`.
-#: Every Table I topology (largest: eagle-127 at 1814 instances) stays
-#: dense and bit-identical to the dense-only implementation; grid-121
-#: (2695) and the condor tiers (>6000) go sparse.
+#: The size rule, run only by :func:`build_problem`.  Up to this many
+#: instances the engine sums every resonant pair (cutoff: the region
+#: diagonal), recomputes density exactly and skips detailed placement.
+#: Above it, pairs further apart than :data:`FREQ_PAIR_CUTOFF_MM` (mm;
+#: each < 1/cutoff) are dropped, the incremental density map is flushed
+#: every :data:`DENSITY_FLUSH_INTERVAL` evaluations, and one detailed
+#: pass runs.  Every Table I topology (largest: eagle-127, 1814
+#: instances) sits at or below it; grid-121 and the condor tiers above.
 SPARSE_MIN_INSTANCES = 2048
+FREQ_PAIR_CUTOFF_MM = 3.0
+DENSITY_FLUSH_INTERVAL = 16
 
 
 def build_problem(netlist: QuantumNetlist,
@@ -225,15 +226,7 @@ def build_problem(netlist: QuantumNetlist,
 
     initial = _initial_positions(netlist, instances, qubit_instance_index,
                                  region, config)
-    backend = BACKEND_SPARSE if n > SPARSE_MIN_INSTANCES else BACKEND_DENSE
-    if backend == BACKEND_SPARSE:
-        # The engine prunes resonant pairs by distance on sparse
-        # problems; materialising the full collision map here would be
-        # the very O(n^2) structure the backend exists to avoid.
-        collision = np.zeros((0, 2), dtype=np.int64)
-    else:
-        collision = _collision_pairs(frequencies, resonator_index,
-                                     config.detuning_threshold_ghz)
+    large = n > SPARSE_MIN_INSTANCES
     return PlacementProblem(
         netlist=netlist,
         config=config,
@@ -245,11 +238,13 @@ def build_problem(netlist: QuantumNetlist,
         frequencies=frequencies,
         resonator_index=resonator_index,
         is_qubit=is_qubit,
-        collision_pairs=collision,
         region=region,
         initial_positions=initial,
         attached_resonators=attached,
-        interaction_backend=backend,
+        freq_pair_cutoff_mm=(FREQ_PAIR_CUTOFF_MM if large
+                             else math.hypot(region.w, region.h)),
+        density_flush_interval=DENSITY_FLUSH_INTERVAL if large else 1,
+        auto_detailed_passes=1 if large else 0,
     )
 
 

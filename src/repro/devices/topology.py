@@ -19,7 +19,7 @@ the ``Human`` baseline layout and give the placers a deterministic
 initial-position hint.
 
 Beyond Table I, two synthetic *condor-class* heavy-hex tiers exercise
-the sparse interaction backend at production scale:
+the pruned frequency pairs and incremental density at production scale:
 
 ============== ====== =============================================
 name           qubits description
@@ -369,7 +369,7 @@ def condor_topology() -> Topology:
 
     21 long rows of 43 qubits with 11 connectors per connector row:
     ``21 * 43 - 2 + 20 * 11 = 1121`` qubits — the production-scale tier
-    the sparse interaction backend targets (qGDP's condor-1121 scale).
+    the pruned placement numbers target (qGDP's condor-1121 scale).
     """
     topo = heavy_hex_lattice(21, 43)
     if topo.num_qubits != 1121:
@@ -384,7 +384,8 @@ def condor_sm_topology() -> Topology:
     """Condor smoke tier: 433-qubit heavy-hex (13 long rows of 27).
 
     ``13 * 27 - 2 + 12 * 7 = 433`` qubits — large enough to exercise
-    the sparse backend and the scale benches, small enough for CI.
+    the pruned placement numbers and the scale benches, small enough
+    for CI.
     """
     topo = heavy_hex_lattice(13, 27)
     if topo.num_qubits != 433:

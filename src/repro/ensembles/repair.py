@@ -99,7 +99,7 @@ def check_layout_legal(problem: PlacementProblem, positions: np.ndarray,
     if bool((gap[~intended] < required[~intended] - tol).any()):
         return False
 
-    collision_pairs = np.asarray(problem.resonant_collision_pairs())
+    collision_pairs = problem.collision_pairs
     if collision_pairs.size:
         a = collision_pairs[:, 0].astype(np.int64)
         b = collision_pairs[:, 1].astype(np.int64)
@@ -147,8 +147,6 @@ def problem_with_frequencies(design_problem: PlacementProblem,
     """
     from dataclasses import replace
 
-    from ..core.preprocess import _collision_pairs
-
     qubit_freq = {q.index: q.frequency for q in noisy_netlist.qubits}
     res_freq = {r.index: r.frequency for r in noisy_netlist.resonators}
     instances = [
@@ -158,15 +156,10 @@ def problem_with_frequencies(design_problem: PlacementProblem,
         for inst in design_problem.instances
     ]
     frequencies = np.array([inst.frequency for inst in instances])
-    if design_problem.interaction_backend == "sparse":
-        collision = np.zeros((0, 2), dtype=np.int64)
-    else:
-        collision = _collision_pairs(
-            frequencies, design_problem.resonator_index,
-            design_problem.config.detuning_threshold_ghz)
+    # The collision map is a lazy accessor, so the copy recomputes it
+    # from the realised frequencies on first use.
     return replace(design_problem, netlist=noisy_netlist,
-                   instances=instances, frequencies=frequencies,
-                   collision_pairs=collision)
+                   instances=instances, frequencies=frequencies)
 
 
 def repair_positions(problem: PlacementProblem, cached_positions: np.ndarray,
@@ -191,7 +184,7 @@ def repair_positions(problem: PlacementProblem, cached_positions: np.ndarray,
     dirty = np.flatnonzero(displaced > max(float(np.median(displaced)),
                                            1e-9))
     passes = max(1, config.resolved_detailed_passes(
-        problem.interaction_backend))
+        problem.auto_detailed_passes))
     with profiling.phase("repolish"):
         positions, _ = refine_placement(problem, positions, config,
                                         max_passes=passes,

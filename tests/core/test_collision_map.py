@@ -3,9 +3,10 @@
 The map is built by a packed-key sort of the resonant ``(i, j)`` pairs.
 These tests keep a copy of the kernel as it stood before, which sorted
 and deduplicated the stacked pair rows with ``np.unique(axis=0)``, and
-require identical bytes, dtype and shape on the paper tiers, a
-sparse-backend grid, disorder realisations and synthetic frequency
-combs with ties and detunings at exactly the threshold.
+require identical bytes, dtype and shape on the paper tiers, a grid
+above the size threshold, disorder realisations and synthetic frequency
+combs with ties and detunings at exactly the threshold.  The map is a
+lazily cached accessor: building a problem never materialises it.
 """
 
 import numpy as np
@@ -54,7 +55,7 @@ def _problem_map_matches(problem):
     threshold = problem.config.detuning_threshold_ghz
     old = _unique_rows_collision_pairs(problem.frequencies,
                                        problem.resonator_index, threshold)
-    _assert_same(problem.resonant_collision_pairs(), old)
+    _assert_same(problem.collision_pairs, old)
     return old
 
 
@@ -68,7 +69,8 @@ def test_paper_tiers(name):
 def test_sparse_grid_lazy_map():
     problem = build_problem(build_netlist(get_topology("grid-121")),
                             PlacerConfig())
-    assert problem.interaction_backend == "sparse"
+    assert problem.num_instances > preprocess.SPARSE_MIN_INSTANCES
+    assert problem.freq_pair_cutoff_mm == preprocess.FREQ_PAIR_CUTOFF_MM
     assert _problem_map_matches(problem).shape[0] > 0
 
 
@@ -76,9 +78,24 @@ def test_sparse_small_tier_lazy_map(monkeypatch):
     monkeypatch.setattr(preprocess, "SPARSE_MIN_INSTANCES", 0)
     problem = build_problem(build_netlist(get_topology("falcon-27")),
                             PlacerConfig())
-    assert problem.interaction_backend == "sparse"
-    assert problem.collision_pairs.size == 0
+    assert problem.freq_pair_cutoff_mm == preprocess.FREQ_PAIR_CUTOFF_MM
+    assert "collision_pairs" not in vars(problem)
     assert _problem_map_matches(problem).shape[0] > 0
+
+
+def test_paper_tier_lazy_map():
+    # Below the size threshold too, the build defers the map and the
+    # first access computes and caches it.
+    problem = build_problem(build_netlist(get_topology("falcon-27")),
+                            PlacerConfig())
+    assert "collision_pairs" not in vars(problem)
+    assert _problem_map_matches(problem).shape[0] > 0
+    assert problem.collision_pairs is problem.collision_pairs
+
+
+def test_resonant_collision_pairs_twin_removed():
+    assert not hasattr(preprocess.PlacementProblem,
+                       "resonant_collision_pairs")
 
 
 @pytest.mark.parametrize("sigma", (0.005, 0.01, 0.05))

@@ -63,17 +63,18 @@ class TestValidation:
 
 
 class TestDetailedPasses:
-    def test_auto_follows_backend(self):
+    def test_auto_follows_problem_size(self):
+        # The auto count is the problem's size-chosen number.
         cfg = PlacerConfig()
         assert cfg.detailed_passes is None
-        assert cfg.resolved_detailed_passes("dense") == 0  # paper tiers
-        assert cfg.resolved_detailed_passes("sparse") == 1  # condor tiers
+        assert cfg.resolved_detailed_passes(0) == 0  # paper tiers
+        assert cfg.resolved_detailed_passes(1) == 1  # condor tiers
 
     def test_explicit_count_wins(self):
         assert PlacerConfig(detailed_passes=0).resolved_detailed_passes(
-            "sparse") == 0
+            1) == 0
         assert PlacerConfig(detailed_passes=3).resolved_detailed_passes(
-            "dense") == 3
+            0) == 3
 
 
 class TestDerived:
@@ -103,8 +104,8 @@ RETIRED_FIELDS = {
     "sa_move_radius_sites": 3,
     "sa_swap_probability": 0.3,
     "portfolio_members": ("force", "sa", "subgraph"),
-    # The interaction backend is picked from problem size; its override
-    # and the sparse tuning knobs are module constants now.
+    # The interaction-backend override and the sparse tuning knobs are
+    # gone; build_problem picks the cutoff and flush interval from size.
     "interaction_backend": "auto",
     "sparse_min_instances": 2048,
     "freq_pair_cutoff_mm": 3.0,

@@ -1,13 +1,15 @@
 """Unit tests for the global placement engine (Eq. 14 flow)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.core import engine, preprocess
+from repro.core import PlacerConfig, QPlacer, preprocess
 from repro.core.engine import GlobalPlacer
 from repro.core.frequency_force import resonant_pair_distances
 from repro.core.preprocess import build_problem
-from repro.devices import build_netlist, grid_topology
+from repro.devices import build_netlist, get_topology, grid_topology
 
 
 @pytest.fixture(scope="module")
@@ -88,31 +90,71 @@ class TestFrequencyAwareness:
 
 
 class TestDensityMode:
-    """The density path follows the problem's interaction backend."""
+    """The density path follows the problem's size-chosen flush interval."""
 
-    def _problem(self, config, monkeypatch, backend):
-        if backend == "sparse":
+    def _problem(self, config, monkeypatch, pruned):
+        if pruned:
             monkeypatch.setattr(preprocess, "SPARSE_MIN_INSTANCES", 0)
         return build_problem(build_netlist(grid_topology(2, 2)), config)
 
-    @pytest.mark.parametrize("backend,incremental",
-                             [("dense", False), ("sparse", True)])
-    def test_incremental_exactly_when_sparse(self, fast_config, monkeypatch,
-                                             backend, incremental):
-        problem = self._problem(fast_config, monkeypatch, backend)
-        assert problem.interaction_backend == backend
+    @pytest.mark.parametrize("pruned,incremental",
+                             [(False, False), (True, True)])
+    def test_incremental_exactly_above_threshold(self, fast_config,
+                                                 monkeypatch, pruned,
+                                                 incremental):
+        problem = self._problem(fast_config, monkeypatch, pruned)
+        assert problem.density_flush_interval == (
+            preprocess.DENSITY_FLUSH_INTERVAL if pruned else 1)
         result = GlobalPlacer(problem, fast_config).run()
         assert (result.density_flushes > 0) is incremental
 
     def test_flush_every_eval_matches_full_recompute(self, fast_config,
                                                      monkeypatch):
-        monkeypatch.setattr(engine, "DENSITY_FLUSH_INTERVAL", 1)
-        monkeypatch.setattr(engine, "DENSITY_MOVE_THRESHOLD_MM", 0.0)
-        problem = self._problem(fast_config, monkeypatch, "sparse")
-        incremental = GlobalPlacer(problem, fast_config).run()
-        full = GlobalPlacer(problem, fast_config)
-        full._density = full.density.evaluate
-        reference = full.run()
+        # Interval 1 is the exact recompute: the same run with its
+        # density term swapped for incremental updates that re-scatter
+        # every moved instance and flush on every evaluation lands on
+        # the same positions, bit for bit.
+        problem = replace(self._problem(fast_config, monkeypatch, True),
+                          density_flush_interval=1)
+        exact = GlobalPlacer(problem, fast_config).run()
+        placer = GlobalPlacer(problem, fast_config)
+        placer._density = lambda positions: \
+            placer.density.evaluate_incremental(positions, 0.0, flush=True)
+        incremental = placer.run()
         assert incremental.density_flushes >= incremental.iterations
-        assert reference.density_flushes == 0
-        assert np.array_equal(incremental.positions, reference.positions)
+        assert exact.density_flushes == 0
+        assert np.array_equal(incremental.positions, exact.positions)
+
+
+class TestOneFrequencyPath:
+    """Every tier runs the neighbor list; below the size threshold its
+    reach covers the region, so it is built once and never rebuilt."""
+
+    @pytest.fixture(scope="class")
+    def eagle(self):
+        netlist = build_netlist(get_topology("eagle-127"))
+        return QPlacer(PlacerConfig()).place(netlist)
+
+    def test_eagle_builds_the_list_once(self, eagle):
+        assert eagle.global_result.freq_list_rebuilds == 1
+        assert eagle.global_result.freq_list_reuses > 0
+        assert eagle.global_result.peak_collision_pairs == \
+            eagle.problem.collision_pairs.shape[0]
+
+    def test_engine_never_reads_the_collision_map(self, small_problem):
+        problem = replace(small_problem)  # a fresh, uncached copy
+        GlobalPlacer(problem).run()
+        assert "collision_pairs" not in vars(problem)
+
+    def test_eagle_profile_books_the_list_build(self, eagle):
+        phases, wall = eagle.phase_profile, eagle.runtime_s
+        neighbors = phases["global/frequency/neighbors"]
+        assert 0.0 < neighbors <= phases["global/frequency"]
+        assert phases["global/frequency"] <= phases["global"]
+        # Building the engine now books to ``global`` too: the top-level
+        # phases still cover the wall clock, and ``global`` covers all
+        # of it that the other stages do not.
+        top = {p: s for p, s in phases.items() if "/" not in p}
+        assert 0.95 * wall <= sum(top.values()) <= 1.05 * wall
+        others = sum(s for p, s in top.items() if p != "global")
+        assert phases["global"] >= 0.95 * (wall - others)

@@ -1,7 +1,12 @@
-"""Unit tests for the spatial interaction backend."""
+"""Unit tests for the spatial interactions and the size rule."""
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import interactions, preprocess
 from repro.core.config import PlacerConfig
@@ -13,45 +18,62 @@ from repro.core.interactions import (
     grid_candidate_pairs,
     sort_pairs,
 )
-from repro.core.preprocess import build_problem
+from repro.core.preprocess import _collision_pairs, build_problem
 from repro.devices.netlist import build_netlist
 from repro.devices.topology import get_topology
 
 
-class TestBackendFromSize:
-    """``build_problem`` is the one place the backend is picked."""
+class TestSizeRule:
+    """``build_problem`` is the one place the size rule runs; it picks
+    numbers (pair cutoff, density flush interval, auto detailed
+    passes), not a backend."""
 
     @pytest.fixture(scope="class")
     def netlist(self):
         return build_netlist(get_topology("grid-25"))
 
-    def test_dense_at_threshold_sparse_above(self, netlist, monkeypatch):
+    @staticmethod
+    def _exact(problem):
+        region = problem.region
+        return (problem.freq_pair_cutoff_mm == math.hypot(region.w, region.h)
+                and problem.density_flush_interval == 1
+                and problem.auto_detailed_passes == 0)
+
+    @staticmethod
+    def _pruned(problem):
+        return (problem.freq_pair_cutoff_mm == preprocess.FREQ_PAIR_CUTOFF_MM
+                and problem.density_flush_interval
+                == preprocess.DENSITY_FLUSH_INTERVAL
+                and problem.auto_detailed_passes == 1)
+
+    def test_exact_at_threshold_pruned_above(self, netlist, monkeypatch):
         n = build_problem(netlist).num_instances
         monkeypatch.setattr(preprocess, "SPARSE_MIN_INSTANCES", n)
-        assert build_problem(netlist).interaction_backend == "dense"
+        assert self._exact(build_problem(netlist))
         monkeypatch.setattr(preprocess, "SPARSE_MIN_INSTANCES", n - 1)
-        assert build_problem(netlist).interaction_backend == "sparse"
+        assert self._pruned(build_problem(netlist))
 
-    def test_sparse_problem_defers_the_collision_map(self, netlist,
-                                                     monkeypatch):
-        dense = build_problem(netlist)
+    def test_build_defers_the_collision_map(self, netlist, monkeypatch):
+        exact = build_problem(netlist)
         monkeypatch.setattr(preprocess, "SPARSE_MIN_INSTANCES", 0)
-        sparse = build_problem(netlist)
-        assert sparse.collision_pairs.size == 0
-        assert np.array_equal(sparse.resonant_collision_pairs(),
-                              dense.collision_pairs)
+        pruned = build_problem(netlist)
+        for problem in (exact, pruned):
+            assert "collision_pairs" not in vars(problem)
+        assert np.array_equal(pruned.collision_pairs, exact.collision_pairs)
 
-    def test_paper_tiers_dense_grid_121_sparse(self):
+    def test_paper_tiers_exact_grid_121_pruned(self):
         assert preprocess.SPARSE_MIN_INSTANCES == 2048
+        assert preprocess.FREQ_PAIR_CUTOFF_MM == 3.0
+        assert preprocess.DENSITY_FLUSH_INTERVAL == 16
         eagle = build_problem(build_netlist(get_topology("eagle-127")))
         assert eagle.num_instances <= preprocess.SPARSE_MIN_INSTANCES
-        assert eagle.interaction_backend == "dense"
+        assert self._exact(eagle)
         grid = build_problem(build_netlist(get_topology("grid-121")))
         assert grid.num_instances > preprocess.SPARSE_MIN_INSTANCES
-        assert grid.interaction_backend == "sparse"
+        assert self._pruned(grid)
 
-    def test_detailed_passes_follow_the_built_backend(self, netlist,
-                                                      monkeypatch):
+    def test_detailed_passes_follow_the_size_rule(self, netlist,
+                                                  monkeypatch):
         from repro.core import QPlacer
 
         config = PlacerConfig(max_iterations=12, min_iterations=2)
@@ -60,12 +82,19 @@ class TestBackendFromSize:
         assert QPlacer(config).place(netlist).detailed_stats is not None
 
     @pytest.mark.parametrize("name", ["resolve_backend", "BACKEND_AUTO",
-                                      "BACKENDS"])
+                                      "BACKENDS", "BACKEND_DENSE",
+                                      "BACKEND_SPARSE"])
     def test_resolver_removed(self, name):
         import repro.core
 
         assert not hasattr(interactions, name)
         assert not hasattr(repro.core, name)
+
+    def test_backend_name_removed(self):
+        names = {f.name for f in
+                 dataclasses.fields(preprocess.PlacementProblem)}
+        assert "interaction_backend" not in names
+        assert "collision_pairs" not in names  # a cached accessor now
 
 
 class TestGridCandidatePairs:
@@ -264,6 +293,25 @@ class TestPrunedCollisionPairs:
         provider.pairs(pos + 0.5)
         assert provider.rebuilds == 2
 
+    def test_region_reach_is_static(self, problem):
+        region = problem.region
+        provider = PrunedCollisionPairs(
+            problem.frequencies, problem.resonator_index,
+            problem.config.detuning_threshold_ghz,
+            cutoff_mm=problem.freq_pair_cutoff_mm, skin_mm=1.0,
+            span_mm=math.hypot(region.w, region.h))
+        assert provider.static
+        pos = problem.initial_positions.copy()
+        provider.pairs(pos)
+        provider.pairs(pos + 5.0)  # far past skin/2: still no rebuild
+        assert (provider.rebuilds, provider.reuses) == (1, 1)
+        short = PrunedCollisionPairs(
+            problem.frequencies, problem.resonator_index,
+            problem.config.detuning_threshold_ghz,
+            cutoff_mm=2.0, skin_mm=1.0,
+            span_mm=math.hypot(region.w, region.h))
+        assert not short.static
+
     def test_cutoff_prunes_far_pairs(self, problem):
         provider = PrunedCollisionPairs(
             problem.frequencies, problem.resonator_index,
@@ -276,6 +324,64 @@ class TestPrunedCollisionPairs:
             delta = pos[pairs[:, 0]] - pos[pairs[:, 1]]
             dist = np.sqrt((delta * delta).sum(axis=1))
             assert float(dist.max()) <= 0.75 + 1e-9
+
+
+_REGION_PROBLEMS = {}
+
+
+def _region_problem(name):
+    if name not in _REGION_PROBLEMS:
+        _REGION_PROBLEMS[name] = build_problem(
+            build_netlist(get_topology(name)), PlacerConfig())
+    return _REGION_PROBLEMS[name]
+
+
+@st.composite
+def positions_in_region(draw):
+    """A paper-tier problem and 1-3 position sets with every centre
+    inside the region (where the engine's projection keeps them):
+    uniform, each at a corner of its allowed box, or all clustered."""
+    problem = _region_problem(draw(st.sampled_from(("grid-25",
+                                                    "falcon-27"))))
+    region = problem.region
+    half = problem.sizes / 2.0
+    lo = np.array([region.x, region.y]) + half
+    hi = np.array([region.x2, region.y2]) - half
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sets = []
+    for shape in draw(st.lists(st.sampled_from(("uniform", "corners",
+                                                "cluster")),
+                               min_size=1, max_size=3)):
+        t = rng.uniform(size=lo.shape)
+        if shape == "corners":
+            t = np.round(t)
+        elif shape == "cluster":
+            t = np.broadcast_to(rng.uniform(size=(1, 2)), lo.shape)
+        sets.append(lo + t * (hi - lo))
+    return problem, sets
+
+
+@given(positions_in_region())
+@settings(max_examples=40, deadline=None)
+def test_region_reach_list_is_the_collision_map(case):
+    """A neighbor list whose reach covers the region diagonal returns
+    exactly the collision map (same rows, same lex order) wherever the
+    instances sit, and is built once."""
+    problem, sets = case
+    region = problem.region
+    threshold = problem.config.detuning_threshold_ghz
+    expected = _collision_pairs(problem.frequencies,
+                                problem.resonator_index, threshold)
+    provider = PrunedCollisionPairs(
+        problem.frequencies, problem.resonator_index, threshold,
+        cutoff_mm=problem.freq_pair_cutoff_mm, skin_mm=1.5,
+        span_mm=math.hypot(region.w, region.h))
+    for positions in sets:
+        pairs = provider.pairs(positions)
+        assert pairs.dtype == expected.dtype
+        assert pairs.shape == expected.shape
+        assert pairs.tobytes() == expected.tobytes()
+    assert provider.rebuilds == 1
 
 
 class TestFrequencyBanding:

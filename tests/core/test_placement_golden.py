@@ -6,11 +6,12 @@ the final layout, bit-for-bit unchanged.  These SHA-256 digests of
 ``layout.positions.tobytes()`` were recorded with the straightforward
 kernels (fancy-indexed pair gathers, per-call temporaries, separate
 rasterise/gather windows) and pin both strategies on two paper tiers,
-plus the sparse backend, which exercises the neighbor-list rebuilds
-and the incremental density map with its flush checkpoints (selected on
-falcon-27 by lowering ``preprocess.SPARSE_MIN_INSTANCES``; the backend
-is picked from problem size, not configured).  The
-eagle-127 pair pins the largest dense-backend tier: the biggest
+plus the above-threshold numbers (3 mm pair cutoff, incremental density
+flushed every 16 evaluations), which exercise the neighbor-list
+rebuilds and the incremental density map with its flush checkpoints
+(selected on falcon-27 by lowering ``preprocess.SPARSE_MIN_INSTANCES``;
+the numbers are picked from problem size, not configured).  The
+eagle-127 pair pins the largest exact-sum tier: the biggest
 required-gap table and the most legalizer neighbourhood queries of any
 paper topology.
 """
@@ -49,7 +50,7 @@ def test_positions_digest(topology, strategy, sparse, digest, monkeypatch):
     config = (PlacerConfig.classic() if strategy == "classic"
               else PlacerConfig())
     result = QPlacer(config).place(build_netlist(get_topology(topology)))
-    assert result.problem.interaction_backend == (
-        "sparse" if sparse else "dense")
+    assert result.problem.density_flush_interval == (
+        preprocess.DENSITY_FLUSH_INTERVAL if sparse else 1)
     positions = result.layout.positions
     assert hashlib.sha256(positions.tobytes()).hexdigest() == digest

@@ -45,7 +45,7 @@ def _oracle_failures(problem, positions, tol=1e-9):
     required = 0.5 * (problem.clearances[iu] + problem.clearances[ju])
     if (gap[~intended] < required[~intended] - tol).any():
         failures.add("clearance")
-    pairs = np.asarray(problem.resonant_collision_pairs(), dtype=np.int64)
+    pairs = np.asarray(problem.collision_pairs, dtype=np.int64)
     if pairs.size:
         a, b = pairs[:, 0], pairs[:, 1]
         unintended = ~_intended_mask(problem, a, b)

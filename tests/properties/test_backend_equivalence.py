@@ -1,13 +1,13 @@
-"""Dense/sparse backend equivalence on all six paper topologies.
+"""All-pairs vs neighbor-list equivalence on all six paper topologies.
 
-The sparse interaction backend must be a pure execution-strategy switch:
-with a cutoff covering the whole placement region it produces exactly
-the same energies, gradients and violation sets as the dense backend,
-on every paper topology and across seeds.  The legalizer does not read
-the backend at all; its check here is plain determinism.  (The
-*pruned* production configuration intentionally truncates the frequency
-force — these tests always widen the cutoff past the region diagonal so
-no pair is dropped.)
+With a cutoff covering the whole placement region the engine's neighbor
+list produces exactly the collision map's pairs, and so the same
+energies and gradients, and the grid violation scan the same violation
+sets as the ``triu`` oracle, on every paper topology and across seeds.
+The legalizer does not depend on problem size at all; its check here
+is plain determinism.  (The *pruned* cutoff above the size threshold
+intentionally truncates the frequency force — these tests always widen
+the cutoff past the region diagonal so no pair is dropped.)
 """
 
 
@@ -96,10 +96,10 @@ _FAST = dict(max_iterations=60, min_iterations=10)
 @pytest.mark.parametrize("topology_name", PAPER_TOPOLOGY_ORDER)
 @pytest.mark.parametrize("seed", SEEDS)
 class TestLegalizeDeterminism:
-    """The legalizer never reads the interaction backend (its slot grid
-    computes required gaps on demand), so there is no dense/sparse pair
-    to compare; what holds is that legalizing the same global positions
-    twice gives the same layout and stats."""
+    """The legalizer reads none of the size-chosen numbers (its slot
+    grid computes required gaps on demand), so there is no pair of
+    paths to compare; what holds is that legalizing the same global
+    positions twice gives the same layout and stats."""
 
     def test_legalize_is_deterministic(self, topology_name, seed):
         problem = _problem(topology_name, seed, **_FAST)
