@@ -9,7 +9,7 @@ implementations survive in :mod:`repro.circuits.mapping_reference`.
 This harness records the trajectory and enforces the contract:
 
 * **placement/router identity**: on the Table I benchmarks the
-  vectorized ``initial_placement`` and array ``route`` must reproduce
+  vectorized ``initial_placement`` and ``route_basic_arrays`` must reproduce
   the reference mapping, routed gate sequence, final mapping, and swap
   count exactly;
 * **>=3x on wide workloads**: ``evaluation_mappings`` (the paper's
@@ -34,10 +34,10 @@ import time
 from typing import Callable, Dict, List, Tuple
 
 from repro.analysis.runner import MappingJob, ParallelRunner, run_mapping_job
-from repro.circuits.batch import ArrayCircuit, transpile_batched
+from repro.circuits.batch import ArrayCircuit, transpile_arrays
 from repro.circuits.library import PAPER_BENCHMARKS, get_benchmark
 from repro.circuits.mapping import (MappedCircuit, evaluation_mappings,
-                                    initial_placement, route,
+                                    initial_placement, route_basic_arrays,
                                     sample_connected_subset)
 from repro.circuits.mapping_reference import (initial_placement_reference,
                                               route_reference)
@@ -81,6 +81,13 @@ def _time(fn: Callable[[], object], repeats: int) -> Tuple[float, object]:
     return best, result
 
 
+def _route_decoded(circuit, topology, mapping):
+    """Array basic routing decoded to a ``Gate`` list, as the reference
+    router returns it."""
+    arrays, final, swaps = route_basic_arrays(circuit, topology, mapping)
+    return arrays.to_circuit(), final, swaps
+
+
 def _reference_evaluation_mappings(circuit, topology, num_mappings: int,
                                    base_seed: int = 0) -> List[MappedCircuit]:
     """The seed mapping pipeline: per-candidate scan + per-gate walker.
@@ -96,7 +103,8 @@ def _reference_evaluation_mappings(circuit, topology, num_mappings: int,
                                          base_seed + k)
         mapping = initial_placement_reference(circuit, topology, subset)
         routed, final, swaps = route_reference(circuit, topology, mapping)
-        physical = transpile_batched(routed, optimization_level=3)
+        physical = transpile_arrays(ArrayCircuit.from_circuit(routed),
+                                    optimization_level=3).to_circuit()
         out.append(MappedCircuit(
             physical_arrays=ArrayCircuit.from_circuit(physical),
             topology=topology,
@@ -132,7 +140,8 @@ def _kernel_identity(repeats: int) -> List[Dict[str, object]]:
             lambda: route_reference(circuit, topology, dict(ref_mapping)),
             repeats)
         vec_route_s, vec_routed = _time(
-            lambda: route(circuit, topology, dict(ref_mapping)), repeats)
+            lambda: _route_decoded(circuit, topology, dict(ref_mapping)),
+            repeats)
         rows.append({
             "benchmark": bench,
             "topology": topo_name,

@@ -34,11 +34,11 @@ from typing import Callable, Dict, List, Tuple
 from repro.analysis.experiments import (build_suite, fidelity_experiment,
                                         sharded_fidelity_experiment)
 from repro.analysis.runner import ParallelRunner
-from repro.circuits.batch import transpile_batched
+from repro.circuits.batch import ArrayCircuit, transpile_arrays
 from repro.circuits.library import PAPER_BENCHMARKS, get_benchmark
 from repro.circuits.mapping import (initial_placement,
                                     sample_connected_subset)
-from repro.circuits.sabre import route_sabre
+from repro.circuits.sabre import route_sabre_arrays
 from repro.circuits.sabre_reference import route_sabre_reference
 from repro.circuits.transpile import transpile
 from repro.devices.topology import get_topology
@@ -75,6 +75,18 @@ def _time(fn: Callable[[], object], repeats: int) -> Tuple[float, object]:
     return best, result
 
 
+def _transpile_decoded(circuit):
+    """The batched transpiler on a ``Gate``-list circuit, decoded back."""
+    return transpile_arrays(ArrayCircuit.from_circuit(circuit)).to_circuit()
+
+
+def _sabre_decoded(circuit, topology, mapping):
+    """Vectorized SABRE decoded to a ``Gate`` list, as the reference
+    router returns it."""
+    arrays, final, swaps = route_sabre_arrays(circuit, topology, mapping)
+    return arrays.to_circuit(), final, swaps
+
+
 def _paper8_identity(repeats: int) -> Dict[str, Dict[str, object]]:
     """Legacy vs batched transpile on the eight Table I benchmarks."""
     rows: Dict[str, Dict[str, object]] = {}
@@ -82,7 +94,7 @@ def _paper8_identity(repeats: int) -> Dict[str, Dict[str, object]]:
         circuit = get_benchmark(name)
         legacy_s, legacy = _time(lambda c=circuit: transpile(c), repeats)
         batched_s, batched = _time(
-            lambda c=circuit: transpile_batched(c), repeats)
+            lambda c=circuit: _transpile_decoded(c), repeats)
         rows[name] = {
             "gates": batched.size,
             "depth": batched.depth(),
@@ -101,7 +113,7 @@ def _routed(workload: str, topology_name: str, seed: int):
     topology = get_topology(topology_name)
     subset = sample_connected_subset(topology, circuit.num_qubits, seed)
     mapping = initial_placement(circuit, topology, subset)
-    routed, _, swaps = route_sabre(circuit, topology, mapping)
+    routed, _, swaps = _sabre_decoded(circuit, topology, mapping)
     return circuit, routed, swaps
 
 
@@ -113,7 +125,7 @@ def _wide_transpile(repeats: int) -> List[Dict[str, object]]:
         circuit, routed, swaps = _routed(workload, topology_name, seed)
         legacy_s, legacy = _time(lambda c=routed: transpile(c), repeats)
         batched_s, batched = _time(
-            lambda c=routed: transpile_batched(c), repeats)
+            lambda c=routed: _transpile_decoded(c), repeats)
         rows.append({
             "workload": workload,
             "topology": topology_name,
@@ -142,7 +154,8 @@ def _sabre_comparison(repeats: int) -> List[Dict[str, object]]:
             lambda: route_sabre_reference(circuit, topology, dict(mapping)),
             repeats)
         vec_s, vec = _time(
-            lambda: route_sabre(circuit, topology, dict(mapping)), repeats)
+            lambda: _sabre_decoded(circuit, topology, dict(mapping)),
+            repeats)
         rows.append({
             "workload": workload,
             "topology": topology_name,

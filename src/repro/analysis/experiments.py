@@ -705,7 +705,7 @@ def run_map_request(benchmark: str, topology: str, num_mappings: int,
             "seed": base_seed + k,
             "swap_count": mapped.swap_count,
             "duration_ns": mapped.duration_ns,
-            "active_qubits": len(mapped.active_qubits),
+            "active_qubits": int(mapped.active_qubit_mask.sum()),
             "two_qubit_gates": n_two,
             "timed_single_qubit_gates": n_single,
         })

@@ -25,19 +25,16 @@ from .mapping import (
     interaction_weights,
     map_circuit,
     map_suite_arrays,
-    route,
     route_basic_arrays,
     sample_connected_subset,
 )
 from .mapping_reference import initial_placement_reference, route_reference
-from .batch import ArrayCircuit, FrozenArrayCircuit, transpile_batched
-from .sabre import route_sabre
+from .batch import ArrayCircuit
 from .transpile import cancel_pairs, lower_to_basis, merge_rz, transpile
 
 __all__ = [
     "ArrayCircuit",
     "BASIS_GATES",
-    "FrozenArrayCircuit",
     "Gate",
     "KNOWN_GATES",
     "MappedCircuit",
@@ -62,11 +59,8 @@ __all__ = [
     "merge_rz",
     "qaoa",
     "qgan",
-    "route",
     "route_basic_arrays",
     "route_reference",
-    "route_sabre",
     "sample_connected_subset",
     "transpile",
-    "transpile_batched",
 ]

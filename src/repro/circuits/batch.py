@@ -7,11 +7,8 @@ circuits past 10^5 gates.  This module re-implements the same pipeline
 over *column arrays* (gate-code / qubit / parameter vectors):
 
 * :class:`ArrayCircuit` — a columnar circuit representation convertible
-  to and from :class:`~repro.circuits.circuit.QuantumCircuit`;
-* :class:`FrozenArrayCircuit` — its immutable, hashable variant with a
-  cached canonical content digest (the Cirq ``FrozenCircuit`` idiom),
-  which is what makes circuits content-addressed artifacts in the
-  runner cache and the service store;
+  to and from :class:`~repro.circuits.circuit.QuantumCircuit`, with the
+  ASAP schedule and the activity and gate-total scans of Eq. 15;
 * :func:`lower_to_basis_arrays` — one-shot template expansion of every
   IR gate into its full basis decomposition (``np.repeat`` + table
   lookup, no per-gate recursion);
@@ -26,8 +23,10 @@ over *column arrays* (gate-code / qubit / parameter vectors):
 * :func:`cancel_pairs_arrays` — the self-inverse cancellation pass as a
   vectorized candidate scan plus an exact automaton that reads and
   writes only the (usually tiny) candidate subset;
-* :func:`transpile_batched` — drop-in equivalent of
-  :func:`repro.circuits.transpile.transpile`.
+* :func:`transpile_arrays` — the full pass pipeline; on
+  ``ArrayCircuit.from_circuit(c)`` it equals
+  :func:`repro.circuits.transpile.transpile` on ``c`` (``to_circuit()``
+  decodes the result).
 
 Equivalence contract: for barrier-free circuits the batched pipeline
 produces the **same gate sequence** as the legacy one (pinned by
@@ -40,9 +39,8 @@ containing barriers are rejected with ``ValueError``.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -229,18 +227,18 @@ class ArrayCircuit:
 
     # -- gate statistics (bincount over columns) ----------------------------
     #
-    # Column restatements of the ``QuantumCircuit`` per-gate scans, so
-    # fidelity-model consumers of a mapped circuit never materialise
-    # ``Gate`` lists (ROADMAP open item).  Each is value-identical to
-    # the loop version on the decoded circuit (barrier-free by
-    # construction), pinned by ``tests/circuits/test_gate_counts.py``.
+    # Column restatements of the ``QuantumCircuit`` per-gate scans the
+    # fidelity model (Eq. 15) needs, so it never materialises ``Gate``
+    # lists.  Each is value-identical to the loop version on the
+    # decoded circuit (barrier-free by construction), pinned by
+    # ``tests/circuits/test_gate_counts.py``.
 
     def used_qubit_mask(self) -> np.ndarray:
         """Boolean column (length ``num_qubits``): qubit touched by a gate.
 
-        ``mask.nonzero()`` equals :meth:`used_qubits` — fidelity-model
-        consumers gather against the mask directly instead of building
-        Python sets.
+        ``mask.nonzero()`` equals ``QuantumCircuit.used_qubits()`` —
+        fidelity-model consumers gather against the mask directly
+        instead of building Python sets.
         """
         touched = np.zeros(self.num_qubits, dtype=bool)
         touched[self.q0] = True
@@ -250,8 +248,9 @@ class ArrayCircuit:
     def used_pair_keys(self) -> np.ndarray:
         """Sorted unique ``lo * num_qubits + hi`` keys of touched pairs.
 
-        The packed-integer form of :meth:`used_pairs`, suitable for
-        ``np.isin`` against precomputed edge/resonator key columns.
+        The packed-integer form of ``QuantumCircuit.used_pairs()``,
+        suitable for ``np.isin`` against precomputed edge/resonator key
+        columns.
         """
         two = self.q1 >= 0
         a = self.q0[two]
@@ -259,157 +258,15 @@ class ArrayCircuit:
         return np.unique(np.minimum(a, b) * self.num_qubits
                          + np.maximum(a, b))
 
-    def used_qubits(self) -> Set[int]:
-        """Qubits touched by at least one gate (= active qubits)."""
-        return set(np.nonzero(self.used_qubit_mask())[0].tolist())
-
-    def used_pairs(self) -> Set[Tuple[int, int]]:
-        """Canonical ``(lo, hi)`` pairs touched by two-qubit gates."""
-        n = self.num_qubits
-        return {(int(k) // n, int(k) % n)
-                for k in self.used_pair_keys().tolist()}
-
-    def two_qubit_counts(self) -> Dict[Tuple[int, int], int]:
-        """Number of two-qubit gates per canonical qubit pair."""
-        two = self.q1 >= 0
-        a = self.q0[two]
-        b = self.q1[two]
-        keys, counts = np.unique(np.minimum(a, b) * self.num_qubits
-                                 + np.maximum(a, b), return_counts=True)
-        n = self.num_qubits
-        return {(int(k) // n, int(k) % n): int(c)
-                for k, c in zip(keys.tolist(), counts.tolist())}
-
-    def single_qubit_counts(self) -> Dict[int, int]:
-        """Timed single-qubit gates (sx/x) per qubit; virtual rz excluded."""
-        timed = (self.codes == SX) | (self.codes == X)
-        counts = np.bincount(self.q0[timed], minlength=self.num_qubits)
-        return {q: int(c) for q, c in enumerate(counts.tolist()) if c}
-
     def timed_gate_totals(self) -> Tuple[int, int]:
         """``(timed single-qubit gates, two-qubit gates)`` in one pass.
 
-        Exactly ``(sum(single_qubit_counts().values()),
-        sum(two_qubit_counts().values()))`` — the quantities the gate
+        Timed single-qubit gates are sx/x (virtual rz is free); every
+        two-qubit row counts once.  These are the quantities the gate
         factor of Eq. 15 needs.
         """
         timed = (self.codes == SX) | (self.codes == X)
         return int(timed.sum()), int((self.q1 >= 0).sum())
-
-    def gate_counts_per_qubit(self) -> Dict[int, Counter]:
-        """Per-qubit histogram of gate names (both qubits of 2q gates)."""
-        ncodes = len(NAME_OF)
-        two = self.q1 >= 0
-        keys, counts = np.unique(
-            np.concatenate((self.q0 * ncodes + self.codes,
-                            self.q1[two] * ncodes + self.codes[two])),
-            return_counts=True)
-        out: Dict[int, Counter] = {}
-        for k, c in zip(keys.tolist(), counts.tolist()):
-            out.setdefault(k // ncodes, Counter())[NAME_OF[k % ncodes]] = c
-        return out
-
-    def freeze(self) -> "FrozenArrayCircuit":
-        """An immutable, content-addressed snapshot of this circuit.
-
-        Columns are copied and locked, so later mutation of this
-        (mutable) circuit never leaks into the frozen snapshot.
-        """
-        if isinstance(self, FrozenArrayCircuit):
-            return self
-        return FrozenArrayCircuit(self.num_qubits, self.codes, self.q0,
-                                  self.q1, self.params, self.name)
-
-
-def _frozen_column(values: Any, dtype: type) -> np.ndarray:
-    """A locked private copy of one column array."""
-    column = np.array(values, dtype=dtype, copy=True)
-    column.setflags(write=False)
-    return column
-
-
-class FrozenArrayCircuit(ArrayCircuit):
-    """An immutable, hashable, content-addressed :class:`ArrayCircuit`.
-
-    The Cirq ``FrozenCircuit`` idiom applied to the columnar layout:
-
-    * the column arrays are private read-only copies and attribute
-      assignment raises, so instances are safe dictionary keys and
-      cache tokens;
-    * ``__hash__`` is computed once and cached;
-    * :attr:`content_digest` is a canonical sha256 over the circuit
-      *content* (``num_qubits`` plus the four columns, via the
-      :func:`repro.io.serialization.circuit_content` canonical-JSON
-      document).  The ``name`` is deliberately **excluded** — it is a
-      label, not content — and ``__eq__`` matches: two frozen circuits
-      with identical columns but different names are equal and share a
-      digest, which is exactly what lets differently-named aliases of
-      one workload suite share a single compiled artifact fleet-wide.
-
-    All read-only behaviour (stats, scheduling, decode) is inherited
-    unchanged; :meth:`thaw` returns a mutable copy.
-    """
-
-    def __init__(self, num_qubits: int, codes: Any, q0: Any, q1: Any,
-                 params: Any, name: str = "circuit") -> None:
-        d = self.__dict__
-        d["num_qubits"] = int(num_qubits)
-        d["codes"] = _frozen_column(codes, np.int64)
-        d["q0"] = _frozen_column(q0, np.int64)
-        d["q1"] = _frozen_column(q1, np.int64)
-        d["params"] = _frozen_column(params, np.float64)
-        d["name"] = str(name)
-        d["_digest"] = None
-        d["_hash"] = None
-
-    def __setattr__(self, attr: str, value: Any) -> None:
-        raise AttributeError(
-            f"FrozenArrayCircuit is immutable (cannot set {attr!r}); "
-            f"thaw() first")
-
-    def __delattr__(self, attr: str) -> None:
-        raise AttributeError(
-            f"FrozenArrayCircuit is immutable (cannot delete {attr!r}); "
-            f"thaw() first")
-
-    def __reduce__(self):
-        # Re-run __init__ on unpickle so the columns come back locked.
-        return (FrozenArrayCircuit,
-                (self.num_qubits, self.codes, self.q0, self.q1,
-                 self.params, self.name))
-
-    @property
-    def content_digest(self) -> str:
-        """Cached canonical sha256 content digest (name excluded)."""
-        if self.__dict__["_digest"] is None:
-            from ..io.serialization import circuit_content_digest
-            self.__dict__["_digest"] = circuit_content_digest(self)
-        return self.__dict__["_digest"]
-
-    def __hash__(self) -> int:
-        if self.__dict__["_hash"] is None:
-            self.__dict__["_hash"] = hash(
-                (self.num_qubits, self.content_digest))
-        return self.__dict__["_hash"]
-
-    def __eq__(self, other: Any) -> Any:
-        if not isinstance(other, ArrayCircuit):
-            return NotImplemented
-        # Content equality, bit-exact on params (matches the digest
-        # granularity: -0.0 != 0.0, NaN == NaN) and name-blind.
-        return (self.num_qubits == other.num_qubits
-                and np.array_equal(self.codes, other.codes)
-                and np.array_equal(self.q0, other.q0)
-                and np.array_equal(self.q1, other.q1)
-                and self.params.shape == other.params.shape
-                and self.params.tobytes() == other.params.tobytes())
-
-    def thaw(self) -> ArrayCircuit:
-        """A mutable copy with freshly writable columns."""
-        return ArrayCircuit(num_qubits=self.num_qubits,
-                            codes=self.codes.copy(), q0=self.q0.copy(),
-                            q1=self.q1.copy(), params=self.params.copy(),
-                            name=self.name)
 
 
 # -- lowering templates --------------------------------------------------------
@@ -1068,18 +925,3 @@ def transpile_arrays(circuit: ArrayCircuit, optimization_level: int = 3,
         with profiling.phase("merge"):
             out = merge_rz_arrays(cancelled)
     return out
-
-
-def transpile_batched(circuit: QuantumCircuit, optimization_level: int = 3,
-                      max_passes: int = 8) -> QuantumCircuit:
-    """Batched drop-in for :func:`repro.circuits.transpile.transpile`.
-
-    Produces the identical gate sequence on barrier-free circuits.
-
-    Raises:
-        ValueError: if the circuit contains barriers (or any gate
-            outside the array codes).
-    """
-    return transpile_arrays(ArrayCircuit.from_circuit(circuit),
-                            optimization_level=optimization_level,
-                            max_passes=max_passes).to_circuit()

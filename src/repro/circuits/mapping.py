@@ -2,29 +2,32 @@
 
 The paper evaluates each layout on **50 different subsets of physical
 qubits** chosen to cover the whole chip, reusing the *same* mappings for
-every placement strategy.  This module reproduces that protocol:
+every placement strategy.  This module reproduces that protocol on one
+columnar compile path:
 
 1. :func:`sample_connected_subset` grows a random connected region of the
    coupling graph from a start node cycling through a fixed chip-wide
    permutation (so a 0..49 seed batch provably covers the chip);
-2. :func:`initial_placement` assigns logical qubits to subset nodes,
-   keeping strongly interacting logical pairs physically close;
-3. :func:`route` inserts SWAPs along canonical shortest coupler paths
-   until every two-qubit gate is executable;
+2. greedy placement assigns logical qubits to subset nodes, keeping
+   strongly interacting logical pairs physically close, for every seed
+   in lock-step (:func:`initial_placement` is its one-row case);
+3. :func:`route_basic_arrays` (or the SABRE router,
+   :func:`repro.circuits.sabre.route_sabre_arrays`) inserts SWAPs until
+   every two-qubit gate is executable;
 4. the result is lowered to the native basis by the batched engine
    (:mod:`repro.circuits.batch`, gate-for-gate identical to
-   :mod:`repro.circuits.transpile`) and scheduled ASAP.  A suite
-   compile (:func:`map_suite_arrays`) transpiles consecutive seeds in
-   chunks of stacked qubit blocks, each within
+   :mod:`repro.circuits.transpile`) and scheduled ASAP.  Consecutive
+   seeds are transpiled in chunks of stacked qubit blocks, each within
    :data:`SUITE_CHUNK_ROWS` basis rows unless it holds a single seed.
 
-Steps 2 and 3 are the **vectorized** implementations: the placement
-scores every free candidate node at once against the topology's dense
-hop-distance matrix, and the basic router scans gate adjacency in
-column-array chunks with batched emission (per-gate Python touched only
-for blocked gates), mirroring the
-:mod:`repro.circuits.batch`/:mod:`repro.circuits.sabre` playbook.  The
-seed per-gate implementations survive in
+:func:`map_suite_arrays` runs steps 1-4 for a seed batch and
+:func:`map_circuit` for one seed or one explicit subset; both go through
+the same private pipeline, so a one-seed suite and a :func:`map_circuit`
+call compile the same circuit.  Placement scores every free candidate
+node at once against the topology's dense hop-distance matrix, and the
+basic router scans gate adjacency in column-array chunks with batched
+emission (per-gate Python touched only for blocked gates).  The seed
+per-gate implementations survive in
 :mod:`repro.circuits.mapping_reference`; the pairs are output-identical
 (pinned by ``tests/properties/test_mapping_props.py`` and the
 ``benchmarks/bench_perf_mapping.py`` gate).
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +45,7 @@ from .. import profiling
 from ..devices.topology import Topology
 from .batch import _T_LEN, CODE_OF, SWAP, ArrayCircuit, transpile_arrays
 from .circuit import QuantumCircuit, Schedule
+from .sabre import route_sabre_arrays
 
 Edge = Tuple[int, int]
 
@@ -99,9 +103,10 @@ class MappedCircuit:
 
     Attributes:
         physical_arrays: The physical basis circuit as column arrays —
-            the canonical form.  The gate statistics below are bincount
-            scans over the columns, value-identical to ``Gate``-list
-            loops (pinned by ``tests/circuits/test_gate_counts.py``).
+            the canonical form.  The activity and gate-total views below
+            (the Eq. 15 inputs) are scans over the columns,
+            value-identical to ``Gate``-list loops (pinned by
+            ``tests/circuits/test_gate_counts.py``).
         topology: Target topology.
         initial_mapping: logical -> physical assignment before routing.
         final_mapping: logical -> physical assignment after routing.
@@ -146,16 +151,6 @@ class MappedCircuit:
                 f"decoded={self._physical_circuit is not None})")
 
     @property
-    def active_qubits(self) -> Set[int]:
-        """Physical qubits touched by at least one gate."""
-        return self.physical_arrays.used_qubits()
-
-    @property
-    def active_edges(self) -> Set[Edge]:
-        """Physical coupler edges used by two-qubit gates."""
-        return self.physical_arrays.used_pairs()
-
-    @property
     def active_qubit_mask(self) -> np.ndarray:
         """Boolean per-physical-qubit activity column."""
         return self.physical_arrays.used_qubit_mask()
@@ -170,22 +165,10 @@ class MappedCircuit:
         """Total circuit duration."""
         return self.schedule.total_ns
 
-    def two_qubit_counts(self) -> Dict[Edge, int]:
-        """Number of two-qubit gates per physical coupler."""
-        return self.physical_arrays.two_qubit_counts()
-
-    def single_qubit_counts(self) -> Dict[int, int]:
-        """Number of timed single-qubit gates per physical qubit.
-
-        Virtual rz gates are free and excluded.
-        """
-        return self.physical_arrays.single_qubit_counts()
-
     def timed_gate_totals(self) -> Tuple[int, int]:
         """``(timed single-qubit gates, two-qubit gates)`` totals.
 
-        The Eq. 15 gate-factor inputs, without building the per-qubit
-        and per-edge dicts when only the sums are needed.
+        The Eq. 15 gate-factor inputs.
         """
         return self.physical_arrays.timed_gate_totals()
 
@@ -252,56 +235,35 @@ def initial_placement(circuit: QuantumCircuit, topology: Topology,
 
     The most-interacting logical qubit lands on the subset's most
     central node; every following qubit takes the free node minimising
-    the weighted distance to its already-placed interaction partners.
+    the weighted distance to its already-placed interaction partners
+    (ties to the lowest node index).  This is the one-row case of the
+    lock-step suite placement, bit-identical to
+    :func:`repro.circuits.mapping_reference.initial_placement_reference`.
 
-    This is the vectorized scan: per logical qubit, one gather of the
-    free-candidate x placed-partner block from the topology's dense hop
-    matrix and one integer matvec replace the seed implementation's
-    re-walk of every weight pair per candidate.  All scores are exact
-    integers, so the argmin (ties to the lowest node index, like the
-    scalar ``min`` over ``(cost, node)`` keys) reproduces
-    :func:`repro.circuits.mapping_reference.initial_placement_reference`
-    bit for bit.
+    ``subset`` may be unsorted, repeat nodes or be wider than the
+    circuit; its distinct nodes are the candidates.  ``weights`` may
+    carry a precomputed :func:`interaction_weights` result.
 
-    ``weights`` may carry a precomputed :func:`interaction_weights`
-    result — the suite-batched compile places 50 seeds of one circuit
-    and counts the interactions once.
+    Raises:
+        ValueError: when the subset has fewer distinct nodes than the
+            circuit has qubits.
+        KeyError: on a subset node outside the device.
     """
-    subset = list(subset)
-    if circuit.num_qubits > len(subset):
-        raise ValueError("subset smaller than circuit width")
-    nodes = np.unique(np.asarray(subset, dtype=np.int64))
-    # Validates subset membership (KeyError on bad nodes) and gathers
-    # the subset-vs-subset block for the eccentricity seed choice.
-    sub_dist = topology.hop_distance_submatrix(nodes)
-    dist = topology.hop_distance_matrix()
+    nodes = _subset_row(circuit, topology, subset)
     if weights is None:
         weights = interaction_weights(circuit)
-    order, partners = _interaction_structure(circuit.num_qubits, weights)
-    free = nodes  # sorted ascending: argmin ties break to lowest node
-    placed_at = np.full(circuit.num_qubits, -1, dtype=np.int64)
-    mapping: Dict[int, int] = {}
-    for logical in order:
-        if not mapping:
-            # Most central free node: minimise eccentricity within subset.
-            k = int(np.argmin(sub_dist.max(axis=1)))
-        else:
-            inc = partners[logical]
-            part = np.fromiter((placed_at[o] for o, _ in inc),
-                               dtype=np.int64, count=len(inc))
-            wgt = np.fromiter((w for _, w in inc),
-                              dtype=np.int64, count=len(inc))
-            placed = part >= 0
-            if placed.any():
-                cost = dist[free[:, None], part[placed][None, :]] @ wgt[placed]
-                k = int(np.argmin(cost))
-            else:
-                k = 0  # all costs zero: lowest free node wins
-        choice = int(free[k])
-        mapping[logical] = choice
-        placed_at[logical] = choice
-        free = np.delete(free, k)
-    return mapping
+    return _initial_placements_batched(circuit, topology, nodes[None, :],
+                                       weights)[0]
+
+
+def _subset_row(circuit: QuantumCircuit, topology: Topology,
+                subset: Sequence[int]) -> np.ndarray:
+    """A validated explicit subset as one sorted placement row."""
+    nodes = np.unique(np.asarray(list(subset), dtype=np.int64))
+    if circuit.num_qubits > nodes.size:
+        raise ValueError("subset smaller than circuit width")
+    topology.hop_distance_submatrix(nodes)  # KeyError on a bad node
+    return nodes
 
 
 def _interaction_structure(num_qubits: int, weights: Dict[Edge, int]
@@ -327,23 +289,20 @@ def _initial_placements_batched(circuit: QuantumCircuit, topology: Topology,
                                 subsets: np.ndarray,
                                 weights: Dict[Edge, int]
                                 ) -> List[Dict[int, int]]:
-    """Greedy placement of many seeds in lock-step (suite compile).
+    """Greedy placement of many seeds in lock-step.
 
-    ``subsets`` holds one sorted subset row per seed, all of the
-    circuit's width.  The greedy visit order depends only on the shared
-    interaction weights — so at every step the *same* logical qubit
-    places across all seeds, and the per-seed argmin scans collapse
-    into one masked gather + integer matvec + row-wise argmin over the
-    ``(seeds, subset)`` block.  Bit-identical to calling
-    :func:`initial_placement` per row: rows stay ascending, dead slots
-    score ``int64 max`` (unreachable by any real cost), and row argmin
-    keeps the first minimum — the same lowest-node tie-break
-    (pinned by ``tests/properties/test_mapping_props.py``).
+    ``subsets`` holds one sorted row of distinct nodes per seed, at
+    least as wide as the circuit.  The greedy visit order depends only
+    on the shared interaction weights — so at every step the *same*
+    logical qubit places across all seeds, and the per-seed argmin
+    scans collapse into one masked gather + integer matvec + row-wise
+    argmin over the ``(seeds, subset)`` block.  Rows stay ascending,
+    dead slots score ``int64 max`` (unreachable by any real cost), and
+    row argmin keeps the first minimum — the reference's lowest-node
+    tie-break (pinned by ``tests/properties/test_mapping_props.py``).
     """
     num_seeds, m = subsets.shape
     num_logical = circuit.num_qubits
-    if num_logical > m:
-        raise ValueError("subset smaller than circuit width")
     dist = topology.hop_distance_matrix()
     order, partners = _interaction_structure(num_logical, weights)
     alive = np.ones((num_seeds, m), dtype=bool)
@@ -576,24 +535,6 @@ def route_basic_arrays(circuit: QuantumCircuit, topology: Topology,
     return physical, final_mapping, swap_count
 
 
-def route(circuit: QuantumCircuit, topology: Topology,
-          mapping: Dict[int, int]) -> Tuple[QuantumCircuit, Dict[int, int], int]:
-    """Insert SWAPs so every two-qubit gate acts on coupled qubits.
-
-    Decoding wrapper over :func:`route_basic_arrays` (one ``Gate``
-    materialisation at the very end), output-identical to the preserved
-    :func:`repro.circuits.mapping_reference.route_reference`.
-
-    Returns:
-        ``(physical_circuit, final_mapping, swap_count)`` where the
-        physical circuit is still in IR gates (swap/cx/... not yet
-        lowered) over physical indices.
-    """
-    arrays, final_mapping, swap_count = route_basic_arrays(
-        circuit, topology, mapping)
-    return arrays.to_circuit(), final_mapping, swap_count
-
-
 def map_circuit(circuit: QuantumCircuit, topology: Topology,
                 seed: int = 0,
                 subset: Optional[Sequence[int]] = None,
@@ -601,12 +542,13 @@ def map_circuit(circuit: QuantumCircuit, topology: Topology,
                 router: str = "basic") -> MappedCircuit:
     """Full pipeline: subset -> placement -> routing -> transpile -> schedule.
 
-    The pipeline stays in column arrays end to end: routing,
-    transpilation and scheduling never materialise a ``Gate``.  The
-    decode survives only behind the lazy
-    :attr:`MappedCircuit.physical_circuit` compatibility property.
-    Transpile and schedule are the suite compile's tail on a one-seed
-    chunk.
+    The one-seed case of :func:`map_suite_arrays`:
+    ``map_circuit(c, t, seed=s)`` is
+    ``map_suite_arrays(c, t, num_mappings=1, base_seed=s)[0]``.  An
+    explicit ``subset`` replaces the sampled one and is validated like
+    :func:`initial_placement`'s.  The pipeline stays in column arrays
+    end to end; the ``Gate``-list decode survives only behind the lazy
+    :attr:`MappedCircuit.physical_circuit` property.
 
     Args:
         circuit: Logical benchmark circuit.
@@ -619,22 +561,20 @@ def map_circuit(circuit: QuantumCircuit, topology: Topology,
             heuristic, usually fewer SWAPs).
 
     Raises:
-        ValueError: on an unknown ``router``, before any pipeline work.
+        ValueError: on an unknown ``router``, before any pipeline work,
+            or on a subset with fewer distinct nodes than the circuit
+            has qubits.
+        KeyError: on an explicit subset node outside the device.
     """
     _require_router(router)
     if subset is None:
-        subset = sample_connected_subset(topology, circuit.num_qubits, seed)
-    mapping = initial_placement(circuit, topology, subset)
-    if router == "basic":
-        routed_arrays, final_mapping, swap_count = route_basic_arrays(
-            circuit, topology, mapping)
+        with profiling.phase("subsets"):
+            row = np.asarray(sample_connected_subset(
+                topology, circuit.num_qubits, seed), dtype=np.int64)
     else:
-        from .sabre import route_sabre_arrays
-        routed_arrays, final_mapping, swap_count = route_sabre_arrays(
-            circuit, topology, mapping)
-    return _compile_chunk([routed_arrays],
-                          [(mapping, final_mapping, swap_count)],
-                          topology, circuit.name, optimization_level)[0]
+        row = _subset_row(circuit, topology, subset)
+    return _compile_subsets(circuit, topology, row[None, :], router,
+                            optimization_level)[0]
 
 
 def _chunks(routed: Sequence[ArrayCircuit]) -> List[slice]:
@@ -759,7 +699,7 @@ def map_suite_arrays(circuit: QuantumCircuit, topology: Topology,
     chunk for the whole suite, which amortises numpy call overhead;
     large ones stop at a working set that fits in cache.
 
-    Bit-identity with the per-seed path is structural, not luck: every
+    Bit-identity with a seed compiled alone is structural, not luck: every
     transpile pass is per-qubit-stream local (rz merge groups never
     cross qubits, cancellation chains never cross streams, end-flush
     rz's sort by qubit so per-seed extraction preserves the standalone
@@ -785,14 +725,24 @@ def map_suite_arrays(circuit: QuantumCircuit, topology: Topology,
     _require_router(router)
     if num_mappings <= 0:
         return []
-    if router == "sabre":
-        from .sabre import route_sabre_arrays
-
     with profiling.phase("subsets"):
         subsets = np.asarray(
             [sample_connected_subset(topology, circuit.num_qubits,
                                      base_seed + k)
              for k in range(num_mappings)], dtype=np.int64)
+    return _compile_subsets(circuit, topology, subsets, router,
+                            optimization_level)
+
+
+def _compile_subsets(circuit: QuantumCircuit, topology: Topology,
+                     subsets: np.ndarray, router: str,
+                     optimization_level: int) -> List[MappedCircuit]:
+    """Place, route and compile one seed per sorted ``subsets`` row.
+
+    The one compile path behind :func:`map_suite_arrays` and
+    :func:`map_circuit`: lock-step placement, the router dispatch, then
+    the chunked transpile + schedule tail.
+    """
     with profiling.phase("placement"):
         placements = _initial_placements_batched(
             circuit, topology, subsets, interaction_weights(circuit))

@@ -2,8 +2,8 @@
 
 These are the pre-vectorization per-gate implementations of
 :func:`repro.circuits.mapping.initial_placement` and
-:func:`repro.circuits.mapping.route`, preserved so the array kernels
-can be pinned against them — the same pattern as
+:func:`repro.circuits.mapping.route_basic_arrays`, preserved so the
+array kernels can be pinned against them — the same pattern as
 ``core/legalizer_reference.py`` (legalizer) and
 ``circuits/sabre_reference.py`` (SABRE router).  Bit-identity is
 enforced by ``tests/properties/test_mapping_props.py`` and the
@@ -85,9 +85,9 @@ def route_reference(circuit: QuantumCircuit, topology: Topology,
     """Insert SWAPs along shortest paths (seed per-gate walker).
 
     Returns ``(physical_circuit, final_mapping, swap_count)`` with the
-    physical circuit still in IR gates over physical indices — the same
-    contract as :func:`repro.circuits.mapping.route`, which must emit
-    the identical gate sequence.
+    physical circuit still in IR gates over physical indices.
+    :func:`repro.circuits.mapping.route_basic_arrays` must emit the
+    identical gate sequence (decoded with ``to_circuit()``).
     """
     logical_at: Dict[int, int] = dict(mapping)  # logical -> physical
     physical_of: Dict[int, int] = {p: l for l, p in mapping.items()}

@@ -19,8 +19,9 @@ per-gate implementation survives as
 ``tests/circuits/test_sabre_batch.py``), but the vectorized kernel is
 orders of magnitude faster on routing-heavy ≥100-qubit workloads.
 
-The public entry point mirrors ``route()`` so callers can switch
-strategies with one argument.
+:func:`route_sabre_arrays` has the signature and return shape of
+:func:`repro.circuits.mapping.route_basic_arrays`, so the mapping
+pipeline switches strategies on its ``router`` argument alone.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ DECAY = 0.001
 MAX_SWAPS_PER_GATE = 64
 
 
-def route_sabre(circuit: QuantumCircuit, topology: Topology,
-                mapping: Dict[int, int]
-                ) -> Tuple[QuantumCircuit, Dict[int, int], int]:
-    """SABRE-style routing; same signature as ``mapping.route``.
+def route_sabre_arrays(circuit: QuantumCircuit, topology: Topology,
+                       mapping: Dict[int, int]
+                       ) -> Tuple[ArrayCircuit, Dict[int, int], int]:
+    """SABRE-style routing of ``circuit`` from ``mapping``.
 
     Args:
         circuit: Logical circuit.
@@ -55,21 +56,11 @@ def route_sabre(circuit: QuantumCircuit, topology: Topology,
         mapping: Initial logical -> physical assignment.
 
     Returns:
-        ``(physical_circuit, final_mapping, swap_count)``.
-    """
-    arrays, final_mapping, swap_count = route_sabre_arrays(
-        circuit, topology, mapping)
-    return arrays.to_circuit(), final_mapping, swap_count
-
-
-def route_sabre_arrays(circuit: QuantumCircuit, topology: Topology,
-                       mapping: Dict[int, int]
-                       ) -> Tuple[ArrayCircuit, Dict[int, int], int]:
-    """Route and return the physical circuit in column-array form.
-
-    The batched mapping pipeline feeds this straight into
-    :func:`repro.circuits.batch.transpile_arrays` without materialising
-    intermediate ``Gate`` objects.
+        ``(physical_arrays, final_mapping, swap_count)`` with the
+        physical circuit in IR gate codes over physical indices; the
+        mapping pipeline feeds it straight into
+        :func:`repro.circuits.batch.transpile_arrays`, and
+        ``to_circuit()`` decodes it.
     """
     dist = topology.hop_distance_matrix()
     graph = topology.graph

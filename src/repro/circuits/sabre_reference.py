@@ -1,7 +1,7 @@
 """Reference (seed) SABRE router, kept for equivalence testing.
 
 This is the pre-batching per-gate implementation of
-:func:`repro.circuits.sabre.route_sabre`, preserved verbatim — the
+:func:`repro.circuits.sabre.route_sabre_arrays`, preserved verbatim — the
 vectorized router must reproduce its output gate for gate
 (``tests/circuits/test_sabre_batch.py`` pins the equivalence, the same
 way ``core/legalizer_reference.py`` pins the vectorized legalizer).
@@ -74,7 +74,7 @@ class _DependencyDag:
 def route_sabre_reference(circuit: QuantumCircuit, topology: Topology,
                           mapping: Dict[int, int]
                           ) -> Tuple[QuantumCircuit, Dict[int, int], int]:
-    """Seed SABRE routing; same signature as ``mapping.route``.
+    """Seed SABRE routing over ``Gate`` lists.
 
     Args:
         circuit: Logical circuit.

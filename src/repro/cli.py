@@ -375,7 +375,7 @@ def cmd_workloads_list(_args: argparse.Namespace) -> int:
 def cmd_workloads_build(args: argparse.Namespace) -> int:
     import time
 
-    from .circuits.batch import transpile_batched
+    from .circuits.batch import ArrayCircuit, transpile_arrays
     from .io.serialization import circuit_content_digest
     from .workloads import resolve_workload_names, get_workload
 
@@ -396,7 +396,8 @@ def cmd_workloads_build(args: argparse.Namespace) -> int:
             row += [circuit_content_digest(circuit)[:16]]
         if args.transpile:
             start = time.perf_counter()
-            basis = transpile_batched(circuit)
+            basis = transpile_arrays(
+                ArrayCircuit.from_circuit(circuit)).to_circuit()
             elapsed = time.perf_counter() - start
             row += [basis.size, basis.depth(), f"{elapsed:.3f}"]
         rows.append(row)

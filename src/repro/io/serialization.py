@@ -126,9 +126,10 @@ def circuit_content_digest(circuit: Any) -> str:
     The circuit-level analogue of the runner's job tokens and the
     service's request digests: equal digests mean identical compile
     input, so a suite digest is a licence to reuse a compiled artifact
-    (see :attr:`repro.circuits.batch.FrozenArrayCircuit.content_digest`
-    and the ``circuit_digest`` keying of
-    :class:`repro.analysis.runner.MappingJob`).
+    (the ``circuit_digest`` keying of
+    :class:`repro.analysis.runner.MappingJob`).  Takes a plain
+    ``QuantumCircuit`` or ``ArrayCircuit``; see :func:`circuit_content`
+    for what the digest covers.
     """
     payload = canonical_json(circuit_content(circuit))
     return hashlib.sha256(payload.encode()).hexdigest()

@@ -36,7 +36,7 @@ _KNOWN_STRATEGIES = frozenset({"qplacer", "classic", "human"})
 
 #: Routers understood by the mapping pipeline — the single source of
 #: truth is :data:`repro.circuits.mapping.ROUTER_CHOICES`, so the
-#: service 400s exactly the names ``map_circuit`` would reject.
+#: service 400s exactly the names ``map_suite_arrays`` would reject.
 _KNOWN_ROUTERS = frozenset(ROUTER_CHOICES)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.circuits.batch import (ArrayCircuit, cancel_pairs_arrays,
                                   lower_to_basis_arrays, merge_rz_arrays,
-                                  transpile_arrays, transpile_batched)
+                                  transpile_arrays)
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate
 from repro.circuits.library import all_paper_benchmarks
@@ -15,6 +15,12 @@ from repro.circuits.transpile import (cancel_pairs, lower_to_basis, merge_rz,
                                       transpile)
 
 from .util_sim import circuit_unitary, unitaries_equal_up_to_phase
+
+
+def transpile_decoded(qc: QuantumCircuit, level: int = 3) -> QuantumCircuit:
+    """The batched pipeline on a ``Gate``-list circuit, decoded back."""
+    return transpile_arrays(ArrayCircuit.from_circuit(qc),
+                            optimization_level=level).to_circuit()
 
 
 def assert_same_gates(a: QuantumCircuit, b: QuantumCircuit) -> None:
@@ -98,7 +104,7 @@ class TestPassEquivalence:
         for _ in range(10):
             qc = self._random_circuit(rng)
             assert_same_gates(transpile(qc, level),
-                              transpile_batched(qc, level))
+                              transpile_decoded(qc, level))
 
 
 class TestCancellationSemantics:
@@ -182,7 +188,7 @@ class TestSemantics:
         for circuit in all_paper_benchmarks():
             if circuit.num_qubits > 4:
                 continue
-            batched = transpile_batched(circuit)
+            batched = transpile_decoded(circuit)
             assert unitaries_equal_up_to_phase(
                 circuit_unitary(batched), circuit_unitary(circuit))
 
@@ -190,13 +196,13 @@ class TestSemantics:
         qc = QuantumCircuit(3)
         qc.h(0).barrier().cx(0, 1).rx(2, 0.4)
         with pytest.raises(ValueError, match="'barrier' not supported"):
-            transpile_batched(qc)
+            transpile_decoded(qc)
 
     def test_invalid_level(self):
         qc = QuantumCircuit(2)
         qc.h(0)
         with pytest.raises(ValueError):
-            transpile_batched(qc, optimization_level=5)
+            transpile_decoded(qc, 5)
         with pytest.raises(ValueError):
             transpile_arrays(ArrayCircuit.from_circuit(qc),
                              optimization_level=-1)

@@ -27,6 +27,7 @@ import pytest
 
 from repro.circuits.mapping import map_suite_arrays
 from repro.devices.topology import get_topology
+from repro.io.serialization import circuit_content_digest
 from repro.workloads.registry import SUITES, build_workload
 
 TOPOLOGY = "eagle-127"
@@ -45,7 +46,7 @@ def _compile(suite: str, name: str):
     spec = next(s for s in SUITES[suite] if s.name == name)
     maps = map_suite_arrays(build_workload(spec), get_topology(TOPOLOGY),
                             num_mappings=NUM_MAPPINGS, base_seed=BASE_SEED)
-    return [(m.physical_arrays.freeze().content_digest[:16],
+    return [(circuit_content_digest(m.physical_arrays)[:16],
              m.schedule.total_ns, m.swap_count,
              _mapping_digest(m.final_mapping))
             for m in maps]

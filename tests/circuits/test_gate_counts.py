@@ -1,10 +1,10 @@
-"""Identity of the bincount gate statistics vs the Gate-list loops.
+"""Identity of the columnar gate statistics vs the Gate-list loops.
 
-The columnar scans (``ArrayCircuit.used_qubits/used_pairs/
-two_qubit_counts/single_qubit_counts/gate_counts_per_qubit``) must be
-value-identical to iterating the decoded circuit's ``Gate`` objects —
-that is what lets :class:`~repro.circuits.mapping.MappedCircuit`
-consumers (the Eq. 15 gate factor) never materialise gate lists.
+The columnar scans (``ArrayCircuit.used_qubit_mask/used_pair_keys/
+timed_gate_totals``) must be value-identical to iterating the decoded
+circuit's ``Gate`` objects — that is what lets
+:class:`~repro.circuits.mapping.MappedCircuit` consumers (the Eq. 15
+gate factor) never materialise gate lists.
 """
 
 from __future__ import annotations
@@ -40,11 +40,12 @@ def _loop_single_qubit_counts(circuit: QuantumCircuit):
 
 def _assert_all_counts_identical(arrays: ArrayCircuit,
                                  circuit: QuantumCircuit) -> None:
-    assert arrays.used_qubits() == circuit.used_qubits()
-    assert arrays.used_pairs() == circuit.used_pairs()
-    assert arrays.two_qubit_counts() == _loop_two_qubit_counts(circuit)
-    assert arrays.single_qubit_counts() == _loop_single_qubit_counts(circuit)
-    assert arrays.gate_counts_per_qubit() == circuit.gate_counts_per_qubit()
+    n = arrays.num_qubits
+    mask = arrays.used_qubit_mask()
+    assert mask.shape == (n,)
+    assert set(np.nonzero(mask)[0].tolist()) == circuit.used_qubits()
+    keys = arrays.used_pair_keys()
+    assert keys.tolist() == sorted(a * n + b for a, b in circuit.used_pairs())
     assert arrays.timed_gate_totals() == (
         sum(_loop_single_qubit_counts(circuit).values()),
         sum(_loop_two_qubit_counts(circuit).values()))
@@ -65,11 +66,8 @@ class TestArrayCircuitCounts:
 
     def test_empty_circuit(self):
         arrays = ArrayCircuit.empty(5)
-        assert arrays.used_qubits() == set()
-        assert arrays.used_pairs() == set()
-        assert arrays.two_qubit_counts() == {}
-        assert arrays.single_qubit_counts() == {}
-        assert arrays.gate_counts_per_qubit() == {}
+        assert not arrays.used_qubit_mask().any()
+        assert arrays.used_pair_keys().size == 0
         assert arrays.timed_gate_totals() == (0, 0)
 
     def test_ir_gates_with_every_code(self):
@@ -95,3 +93,11 @@ class TestMappedCircuitCounts:
     def test_array_backed_matches_loop_backed(self, mapped):
         _assert_all_counts_identical(mapped.physical_arrays,
                                      mapped.physical_circuit)
+
+    def test_mapped_views_match_arrays(self, mapped):
+        arrays = mapped.physical_arrays
+        assert np.array_equal(mapped.active_qubit_mask,
+                              arrays.used_qubit_mask())
+        assert np.array_equal(mapped.active_pair_keys,
+                              arrays.used_pair_keys())
+        assert mapped.timed_gate_totals() == arrays.timed_gate_totals()

@@ -11,12 +11,19 @@ from repro.circuits.mapping import (
     initial_placement,
     interaction_weights,
     map_circuit,
-    route,
+    map_suite_arrays,
+    route_basic_arrays,
     sample_connected_subset,
 )
 from repro.devices.topology import get_topology, grid_topology
 
 from .util_sim import circuit_unitary, unitaries_equal_up_to_phase
+
+
+def _routed(circuit, topology, mapping):
+    """Basic routing with the physical circuit decoded to ``Gate`` s."""
+    arrays, final, swaps = route_basic_arrays(circuit, topology, mapping)
+    return arrays.to_circuit(), final, swaps
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +95,25 @@ class TestInitialPlacement:
         with pytest.raises(ValueError):
             initial_placement(get_benchmark("bv-9"), grid, [0, 1, 2])
 
+    def test_repeated_nodes_count_once(self, grid):
+        # Three entries but two distinct nodes cannot host three qubits.
+        circuit = QuantumCircuit(3).cx(0, 1).cx(1, 2)
+        with pytest.raises(ValueError, match="subset smaller than circuit"):
+            initial_placement(circuit, grid, [0, 0, 1])
+        with pytest.raises(ValueError, match="subset smaller than circuit"):
+            map_circuit(circuit, grid, subset=[0, 0, 1])
+
+    def test_repeated_nodes_with_enough_distinct(self, grid):
+        circuit = QuantumCircuit(3).cx(0, 1).cx(1, 2)
+        assert initial_placement(circuit, grid, [5, 1, 1, 0, 5]) == \
+            initial_placement(circuit, grid, [0, 1, 5])
+
+    def test_node_outside_device(self, grid):
+        with pytest.raises(KeyError):
+            initial_placement(get_benchmark("bv-4"), grid, [0, 1, 2, 16])
+        with pytest.raises(KeyError):
+            map_circuit(get_benchmark("bv-4"), grid, subset=[0, 1, 2, 16])
+
     def test_interaction_weights(self):
         circuit = QuantumCircuit(3).cx(0, 1).cz(1, 0).rzz(1, 2, 0.5)
         weights = interaction_weights(circuit)
@@ -99,7 +125,7 @@ class TestRouting:
         circuit = get_benchmark("qaoa-9")
         subset = sample_connected_subset(grid, 9, seed=2)
         mapping = initial_placement(circuit, grid, subset)
-        routed, _, _ = route(circuit, grid, mapping)
+        routed, _, _ = _routed(circuit, grid, mapping)
         for g in routed.gates:
             if g.is_two_qubit:
                 a, b = g.qubits
@@ -109,20 +135,20 @@ class TestRouting:
         circuit = get_benchmark("bv-4")
         subset = sample_connected_subset(grid, 4, seed=0)
         mapping = initial_placement(circuit, grid, subset)
-        _, final, _ = route(circuit, grid, mapping)
+        _, final, _ = _routed(circuit, grid, mapping)
         assert sorted(final) == sorted(mapping)
         assert len(set(final.values())) == len(final)
 
     def test_no_swaps_when_adjacent(self):
         line = grid_topology(1, 4)
         circuit = QuantumCircuit(2).cx(0, 1)
-        _, _, swaps = route(circuit, line, {0: 0, 1: 1})
+        _, _, swaps = _routed(circuit, line, {0: 0, 1: 1})
         assert swaps == 0
 
     def test_swaps_inserted_when_distant(self):
         line = grid_topology(1, 4)
         circuit = QuantumCircuit(2).cx(0, 1)
-        routed, _, swaps = route(circuit, line, {0: 0, 1: 3})
+        routed, _, swaps = _routed(circuit, line, {0: 0, 1: 3})
         assert swaps == 2
         assert routed.count_ops().get("swap", 0) == 2
 
@@ -135,7 +161,7 @@ class TestRouting:
         line = grid_topology(1, 4)
         circuit = QuantumCircuit(2).cx(0, 1)
         mapping = {0: 0, 1: 3}  # physical 1 and 2 are unoccupied
-        routed, final, swaps = route(circuit, line, mapping)
+        routed, final, swaps = _routed(circuit, line, mapping)
         assert swaps == 2
         assert final == {0: 2, 1: 3}
         assert len(set(final.values())) == len(final)
@@ -152,7 +178,7 @@ class TestRouting:
         grid3 = grid_topology(3, 3)
         circuit = QuantumCircuit(2).cx(0, 1).cx(0, 1)
         mapping = {0: 0, 1: 8}
-        routed, final, swaps = route(circuit, grid3, mapping)
+        routed, final, swaps = _routed(circuit, grid3, mapping)
         assert sorted(final) == [0, 1]
         assert len(set(final.values())) == 2
         for g in routed.gates:
@@ -168,7 +194,7 @@ class TestRouting:
         line = grid_topology(1, 3)
         circuit = QuantumCircuit(3).h(0).cx(0, 2).cx(1, 2)
         mapping = {0: 0, 1: 1, 2: 2}
-        routed, final, _ = route(circuit, line, mapping)
+        routed, final, _ = _routed(circuit, line, mapping)
         u_routed = circuit_unitary(routed)
 
         # Build the expected unitary: original circuit with wires renamed
@@ -197,8 +223,8 @@ class TestMapCircuit:
         mapped = map_circuit(get_benchmark("bv-4"), grid, seed=0)
         assert mapped.physical_circuit.num_qubits == grid.num_qubits
         assert mapped.duration_ns > 0
-        assert mapped.active_qubits
-        assert mapped.active_edges <= set(grid.coupling_map)
+        assert mapped.active_qubit_mask.any()
+        assert mapped.physical_circuit.used_pairs() <= set(grid.coupling_map)
 
     def test_basis_only_output(self, grid):
         mapped = map_circuit(get_benchmark("qgan-4"), grid, seed=1)
@@ -207,9 +233,11 @@ class TestMapCircuit:
 
     def test_counts(self, grid):
         mapped = map_circuit(get_benchmark("bv-4"), grid, seed=0)
-        two_q = sum(mapped.two_qubit_counts().values())
+        _, two_q = mapped.timed_gate_totals()
         assert two_q == mapped.physical_circuit.two_qubit_gate_count
-        assert all(e in set(grid.coupling_map) for e in mapped.two_qubit_counts())
+        n = grid.num_qubits
+        couplers = {a * n + b for a, b in grid.coupling_map}
+        assert set(mapped.active_pair_keys.tolist()) <= couplers
 
     def test_explicit_subset(self, grid):
         subset = [0, 1, 2, 5]
@@ -224,5 +252,59 @@ class TestMapCircuit:
     def test_larger_device(self):
         topo = get_topology("falcon-27")
         mapped = map_circuit(get_benchmark("bv-9"), topo, seed=0)
-        for (a, b) in mapped.active_edges:
+        for (a, b) in mapped.physical_circuit.used_pairs():
             assert topo.graph.has_edge(a, b)
+
+    @pytest.mark.parametrize("router", ["basic", "sabre"])
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_one_seed_suite(self, router, seed):
+        # map_circuit is the one-seed case of the suite compile.
+        topo = get_topology("falcon-27")
+        circuit = get_benchmark("qaoa-9")
+        single = map_circuit(circuit, topo, seed=seed, router=router)
+        (suite,) = map_suite_arrays(circuit, topo, num_mappings=1,
+                                    base_seed=seed, router=router)
+        for col in ("codes", "q0", "q1", "params"):
+            assert np.array_equal(getattr(single.physical_arrays, col),
+                                  getattr(suite.physical_arrays, col))
+        assert single.initial_mapping == suite.initial_mapping
+        assert single.final_mapping == suite.final_mapping
+        assert single.swap_count == suite.swap_count
+        assert single.duration_ns == suite.duration_ns
+
+
+class TestRemovedSurface:
+    """The Gate-list, set-valued and frozen twins of the columnar path."""
+
+    @pytest.mark.parametrize("module,name", [
+        ("repro.circuits.mapping", "route"),
+        ("repro.circuits.sabre", "route_sabre"),
+        ("repro.circuits.batch", "transpile_batched"),
+        ("repro.circuits.batch", "FrozenArrayCircuit"),
+        ("repro.circuits.batch", "_frozen_column"),
+        ("repro.circuits", "route"),
+        ("repro.circuits", "route_sabre"),
+        ("repro.circuits", "transpile_batched"),
+        ("repro.circuits", "FrozenArrayCircuit"),
+    ])
+    def test_module_name_removed(self, module, name):
+        import importlib
+
+        assert not hasattr(importlib.import_module(module), name)
+
+    @pytest.mark.parametrize("name", ["used_qubits", "used_pairs",
+                                      "two_qubit_counts",
+                                      "single_qubit_counts",
+                                      "gate_counts_per_qubit", "freeze"])
+    def test_array_circuit_method_removed(self, name):
+        from repro.circuits.batch import ArrayCircuit
+
+        assert not hasattr(ArrayCircuit, name)
+
+    @pytest.mark.parametrize("name", ["active_qubits", "active_edges",
+                                      "two_qubit_counts",
+                                      "single_qubit_counts"])
+    def test_mapped_circuit_view_removed(self, name):
+        from repro.circuits.mapping import MappedCircuit
+
+        assert not hasattr(MappedCircuit, name)

@@ -1,13 +1,14 @@
 """Every compiled mapping is a legal placement of the circuit.
 
 Over the eagle-127 and paper-8 suites compiled onto eagle-127 at 8
-mappings (the Sec. VI-A protocol at reduced count):
+mappings (the Sec. VI-A protocol at reduced count), with every router
+of :data:`~repro.circuits.mapping.ROUTER_CHOICES`:
 
 * the initial mapping sends distinct logical qubits to distinct
   physical qubits of the seed's sampled subset;
-* the final mapping is injective too, into the device: the basic
-  router walks canonical chip-wide shortest paths, so SWAPs may carry
-  a logical qubit off the subset (qft-32 does on all 8 seeds here);
+* the final mapping is injective too, into the device: both routers
+  swap over the whole chip, so SWAPs may carry a logical qubit off the
+  subset (the basic router does for qft-32 on all 8 seeds here);
 * every two-qubit gate of ``physical_arrays`` acts on a coupler of
   ``Topology.coupling_map``, checked as packed ``lo * n + hi`` keys.
 """
@@ -15,7 +16,8 @@ mappings (the Sec. VI-A protocol at reduced count):
 import numpy as np
 import pytest
 
-from repro.circuits.mapping import evaluation_mappings, sample_connected_subset
+from repro.circuits.mapping import (ROUTER_CHOICES, evaluation_mappings,
+                                    sample_connected_subset)
 from repro.devices.topology import get_topology
 from repro.workloads import SUITES, build_workload
 
@@ -39,11 +41,12 @@ def coupler_keys(topology):
 SPECS = [spec for suite in ("eagle-127", "paper-8") for spec in SUITES[suite]]
 
 
+@pytest.mark.parametrize("router", ROUTER_CHOICES)
 @pytest.mark.parametrize("spec", SPECS, ids=[s.name for s in SPECS])
-def test_mappings_are_legal(spec, topology, coupler_keys):
+def test_mappings_are_legal(spec, router, topology, coupler_keys):
     circuit = build_workload(spec)
     maps = evaluation_mappings(circuit, topology, num_mappings=MAPPINGS,
-                               base_seed=BASE_SEED)
+                               base_seed=BASE_SEED, router=router)
     assert len(maps) == MAPPINGS
     n = topology.num_qubits
     logical = set(range(circuit.num_qubits))

@@ -4,12 +4,18 @@ import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.library import get_benchmark
-from repro.circuits.mapping import initial_placement, map_circuit, route, \
+from repro.circuits.mapping import initial_placement, map_circuit, \
     sample_connected_subset
-from repro.circuits.sabre import route_sabre
+from repro.circuits.sabre import route_sabre_arrays
 from repro.devices.topology import get_topology, grid_topology
 
 from .util_sim import circuit_unitary, unitaries_equal_up_to_phase
+
+
+def _routed(circuit, topology, mapping):
+    """SABRE routing with the physical circuit decoded to ``Gate`` s."""
+    arrays, final, swaps = route_sabre_arrays(circuit, topology, mapping)
+    return arrays.to_circuit(), final, swaps
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +29,7 @@ class TestRoutingValidity:
         circuit = get_benchmark(bench)
         subset = sample_connected_subset(grid, circuit.num_qubits, seed=1)
         mapping = initial_placement(circuit, grid, subset)
-        routed, _, _ = route_sabre(circuit, grid, mapping)
+        routed, _, _ = _routed(circuit, grid, mapping)
         for g in routed.gates:
             if g.is_two_qubit:
                 assert grid.graph.has_edge(*g.qubits)
@@ -32,20 +38,20 @@ class TestRoutingValidity:
         circuit = get_benchmark("qaoa-9")
         subset = sample_connected_subset(grid, 9, seed=0)
         mapping = initial_placement(circuit, grid, subset)
-        _, final, _ = route_sabre(circuit, grid, mapping)
+        _, final, _ = _routed(circuit, grid, mapping)
         assert sorted(final) == sorted(mapping)
         assert len(set(final.values())) == len(final)
 
     def test_no_swaps_when_all_adjacent(self):
         line = grid_topology(1, 3)
         circuit = QuantumCircuit(3).cx(0, 1).cx(1, 2)
-        _, _, swaps = route_sabre(circuit, line, {0: 0, 1: 1, 2: 2})
+        _, _, swaps = _routed(circuit, line, {0: 0, 1: 1, 2: 2})
         assert swaps == 0
 
     def test_single_qubit_gates_pass_through(self):
         line = grid_topology(1, 2)
         circuit = QuantumCircuit(2).h(0).x(1).rz(0, 0.5)
-        routed, _, swaps = route_sabre(circuit, line, {0: 0, 1: 1})
+        routed, _, swaps = _routed(circuit, line, {0: 0, 1: 1})
         assert swaps == 0
         assert routed.count_ops() == {"h": 1, "x": 1, "rz": 1}
 
@@ -54,7 +60,7 @@ class TestRoutingValidity:
         line = grid_topology(1, 3)
         circuit = QuantumCircuit(3).h(0).cx(0, 2).cz(1, 2)
         mapping = {0: 0, 1: 1, 2: 2}
-        routed, final, _ = route_sabre(circuit, line, mapping)
+        routed, final, _ = _routed(circuit, line, mapping)
         u_routed = circuit_unitary(routed)
 
         renamed = circuit.remapped(mapping, 3)
@@ -90,7 +96,7 @@ class TestEfficiency:
         circuit = get_benchmark("bv-9")
         subset = sample_connected_subset(grid, 9, seed=3)
         mapping = initial_placement(circuit, grid, subset)
-        routed, _, swaps = route_sabre(circuit, grid, mapping)
+        routed, _, swaps = _routed(circuit, grid, mapping)
         ops = routed.count_ops()
         original_ops = QuantumCircuit(9).extend(circuit.gates).count_ops()
         assert ops.get("swap", 0) == swaps

@@ -5,7 +5,7 @@ import pytest
 from repro.circuits.library import get_benchmark
 from repro.circuits.mapping import (initial_placement, map_circuit,
                                     sample_connected_subset)
-from repro.circuits.sabre import route_sabre, route_sabre_arrays
+from repro.circuits.sabre import route_sabre_arrays
 from repro.circuits.sabre_reference import route_sabre_reference
 from repro.devices.topology import get_topology
 from repro.workloads import get_workload
@@ -17,8 +17,9 @@ def _compare(circuit, topology_name, seed):
     mapping = initial_placement(circuit, topology, subset)
     ref_circ, ref_map, ref_swaps = route_sabre_reference(
         circuit, topology, dict(mapping))
-    vec_circ, vec_map, vec_swaps = route_sabre(
+    vec_arrays, vec_map, vec_swaps = route_sabre_arrays(
         circuit, topology, dict(mapping))
+    vec_circ = vec_arrays.to_circuit()
     assert vec_swaps == ref_swaps
     assert vec_map == ref_map
     assert vec_circ.num_qubits == ref_circ.num_qubits
@@ -50,23 +51,27 @@ class TestEquivalence:
 
 
 class TestArraysPath:
-    def test_arrays_decode_matches_public_entry(self):
+    def test_arrays_contract(self):
+        # Physical IR columns over the whole device, the circuit's name,
+        # one row per logical gate plus one per SWAP, and the caller's
+        # mapping left untouched.
         circuit = get_benchmark("qaoa-9")
         topology = get_topology("grid-25")
         subset = sample_connected_subset(topology, 9, 0)
         mapping = initial_placement(circuit, topology, subset)
-        arrays, arr_map, arr_swaps = route_sabre_arrays(
-            circuit, topology, dict(mapping))
-        circ, circ_map, circ_swaps = route_sabre(
-            circuit, topology, dict(mapping))
-        assert arrays.to_circuit().gates == circ.gates
-        assert arr_map == circ_map and arr_swaps == circ_swaps
+        before = dict(mapping)
+        arrays, final, swaps = route_sabre_arrays(circuit, topology, mapping)
+        assert mapping == before
+        assert arrays.num_qubits == topology.num_qubits
+        assert arrays.name == circuit.name
+        assert arrays.size == circuit.size + swaps
+        assert sorted(final) == sorted(mapping)
 
     def test_unmapped_qubit_raises(self):
         circuit = get_benchmark("bv-4")
         topology = get_topology("grid-25")
         with pytest.raises(KeyError):
-            route_sabre(circuit, topology, {0: 0, 1: 1})
+            route_sabre_arrays(circuit, topology, {0: 0, 1: 1})
 
 
 class TestMapCircuitPipeline:
@@ -88,14 +93,14 @@ class TestMapCircuitPipeline:
         assert mapped.swap_count == swaps
 
     def test_basic_router_matches_legacy_transpile(self):
-        from repro.circuits.mapping import route
+        from repro.circuits.mapping import route_basic_arrays
         from repro.circuits.transpile import transpile
 
         circuit = get_benchmark("bv-9")
         topology = get_topology("grid-25")
         subset = sample_connected_subset(topology, 9, 1)
         mapping = initial_placement(circuit, topology, subset)
-        routed, _, _ = route(circuit, topology, mapping)
-        expected = transpile(routed)
+        routed, _, _ = route_basic_arrays(circuit, topology, mapping)
+        expected = transpile(routed.to_circuit())
         mapped = map_circuit(circuit, topology, seed=1, router="basic")
         assert mapped.physical_circuit.gates == expected.gates

@@ -185,13 +185,21 @@ class TestCompilePhases:
         inner = sum(prof.seconds[path] for path in nested)
         assert inner >= 0.95 * prof.seconds["transpile"]
 
-    def test_map_circuit_books_its_tail(self):
+    def test_map_circuit_books_every_stage(self):
+        # map_circuit runs the suite pipeline on one seed: the same
+        # stages, and a one-seed chunk is never stacked.
+        circuit = get_benchmark("bv-9")
+        topology = get_topology("grid-25")
         with profiling.PhaseProfiler() as prof:
-            map_circuit(get_benchmark("bv-9"), get_topology("grid-25"))
+            map_circuit(circuit, topology)
         top = {path for path in prof.seconds if "/" not in path}
-        assert top == {"transpile", "schedule"}
+        assert top == set(self.PHASES)
         assert "transpile/lower" in prof.seconds
         assert "transpile/stack" not in prof.seconds
+        with profiling.PhaseProfiler() as prof:
+            map_circuit(circuit, topology, subset=range(9))
+        top = {path for path in prof.seconds if "/" not in path}
+        assert top == set(self.PHASES) - {"subsets"}
 
 
 class TestZeroEagerDecode:
@@ -204,7 +212,7 @@ class TestZeroEagerDecode:
         assert mapped._physical_circuit is None
         # columnar consumers stay decode-free too
         mapped.timed_gate_totals()
-        mapped.two_qubit_counts()
+        assert mapped.active_pair_keys is not None
         assert mapped.active_qubit_mask is not None
 
     def test_decode_is_lazy_and_memoized(self):

@@ -66,10 +66,15 @@ def _violation_is_active(layout: Layout, violation: SpatialViolation,
 
 def _oracle(layout: Layout, mapped, table: ViolationTable,
             params: NoiseParams = NoiseParams()) -> FidelityBreakdown:
-    """Eq. 15 with set-scanned activity and the production float path."""
-    active_qubits = mapped.active_qubits
+    """Eq. 15 with set-scanned activity and the production float path.
+
+    The activity sets come from the decoded ``Gate`` list, not from the
+    columns the production path scans.
+    """
+    physical = mapped.physical_circuit
+    active_qubits = physical.used_qubits()
     active_resonators = _active_resonator_indices(layout,
-                                                  mapped.active_edges)
+                                                  physical.used_pairs())
     duration = mapped.duration_ns
     n_single, n_two = mapped.timed_gate_totals()
     gate_factor = ((1.0 - params.single_qubit_gate_error) ** n_single
@@ -149,7 +154,7 @@ def test_reversed_resonator_endpoints(strategy):
     # Reverse the active resonator whose segments sit in the most
     # violations, so the orientation visibly changes the breakdown.
     table = ViolationTable.build(layout)
-    edges = mappings[0].active_edges
+    edges = mappings[0].physical_circuit.used_pairs()
     members = np.concatenate([table.res_i, table.res_j])
     candidates = [r for r in layout.netlist.resonators if r.endpoints in edges]
     target = max(candidates,

@@ -52,8 +52,9 @@ class TestCleanLayout:
         topo, _, layout = grid9_module
         mapped = map_circuit(get_benchmark("bv-4"), topo, seed=0)
         fb = estimate_program_fidelity(layout, mapped)
-        assert fb.active_qubits == len(mapped.active_qubits)
-        assert fb.active_resonators == len(mapped.active_edges)
+        physical = mapped.physical_circuit
+        assert fb.active_qubits == len(physical.used_qubits())
+        assert fb.active_resonators == len(physical.used_pairs())
 
     def test_bigger_circuit_lower_fidelity(self, grid9_module):
         topo, _, layout = grid9_module
@@ -99,7 +100,7 @@ class TestCrosstalkImpact:
             if extra not in subset:
                 subset.append(extra)
         mapped = map_circuit(get_benchmark("bv-4"), topo, subset=sorted(subset))
-        assert set(pair) <= mapped.active_qubits
+        assert set(pair) <= mapped.physical_circuit.used_qubits()
         clean = estimate_program_fidelity(layout, mapped).total
         dirty = estimate_program_fidelity(polluted, mapped).total
         assert dirty < 0.05 * clean
@@ -126,7 +127,7 @@ class TestCrosstalkImpact:
         if not nx.is_connected(topo.graph.subgraph(sub)):
             pytest.skip("no connected clean subset on this plan")
         mapped = map_circuit(get_benchmark("bv-4"), topo, subset=sub)
-        if set(mapped.active_qubits) & avoid:
+        if mapped.physical_circuit.used_qubits() & avoid:
             pytest.skip("routing touched the polluted qubits")
         clean = estimate_program_fidelity(layout, mapped).total
         dirty = estimate_program_fidelity(polluted, mapped).total

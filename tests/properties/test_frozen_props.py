@@ -1,17 +1,16 @@
-"""Property tests: FrozenArrayCircuit immutability and content digests.
+"""Property tests: circuit content digests.
 
-Four contracts:
+``circuit_content_digest`` keys compiled artifacts in the runner cache
+and the service store.  Four contracts:
 
-* freezing is loss-free — ``freeze()`` → ``thaw()`` round-trips every
-  column and the name bit-exactly, for arbitrary workload circuits;
-* frozen circuits are genuinely immutable: attribute writes, attribute
-  deletes, and direct column writes all raise, including after a pickle
-  round-trip;
-* hashing is consistent with content equality (equal content → equal
-  hash; names do not participate) and the digest is stable across
-  processes (the fleet-wide cache-identity requirement);
-* a circuit and its frozen copy produce the same content digest, and
-  any gate edit changes it.
+* the digest is name-blind: differently named copies of one circuit
+  share it (aliases of one workload share one compiled artifact);
+* any content edit changes it — a gate code, a qubit, one ulp of a
+  param, the wire count;
+* a ``QuantumCircuit`` and its ``ArrayCircuit`` encoding share it, and
+  a mapped circuit keeps it through a pickle round-trip;
+* it is stable across processes (the fleet-wide cache-identity
+  requirement).
 """
 
 import os
@@ -20,11 +19,10 @@ import subprocess
 import sys
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits.batch import ArrayCircuit, FrozenArrayCircuit
+from repro.circuits.batch import ArrayCircuit
 from repro.io.serialization import circuit_content_digest
 from repro.workloads import WORKLOAD_FAMILIES, WorkloadSpec, build_workload
 
@@ -35,98 +33,69 @@ seeds = st.integers(min_value=0, max_value=2 ** 31)
 
 
 @st.composite
-def workload_arrays(draw):
+def workload_specs(draw):
     family = draw(families)
     meta = WORKLOAD_FAMILIES[family]
-    spec = WorkloadSpec(family=family, width=draw(widths),
+    return WorkloadSpec(family=family, width=draw(widths),
                         depth=draw(depths) if meta.supports_depth else None,
                         seed=draw(seeds) if meta.randomized else 0)
-    return ArrayCircuit.from_circuit(build_workload(spec))
 
 
-class TestFreezeThawRoundTrip:
-    @given(workload_arrays())
-    @settings(max_examples=40, deadline=None)
-    def test_round_trip_is_identity(self, arrays):
-        frozen = arrays.freeze()
-        thawed = frozen.thaw()
-        assert type(thawed) is ArrayCircuit
-        assert thawed.num_qubits == arrays.num_qubits
-        assert thawed.name == arrays.name
-        np.testing.assert_array_equal(thawed.codes, arrays.codes)
-        np.testing.assert_array_equal(thawed.q0, arrays.q0)
-        np.testing.assert_array_equal(thawed.q1, arrays.q1)
-        assert thawed.params.tobytes() == arrays.params.tobytes()
-        # thawed columns are fresh and writable — not views of the
-        # frozen ones
-        if len(thawed.codes):
-            thawed.codes[0] = -7
-            assert frozen.codes[0] != -7
-
-    @given(workload_arrays())
-    @settings(max_examples=20, deadline=None)
-    def test_freeze_of_frozen_is_self(self, arrays):
-        frozen = arrays.freeze()
-        assert frozen.freeze() is frozen
-
-
-class TestImmutability:
-    @given(workload_arrays())
-    @settings(max_examples=20, deadline=None)
-    def test_mutation_attempts_raise(self, arrays):
-        frozen = arrays.freeze()
-        with pytest.raises(AttributeError):
-            frozen.num_qubits = 99
-        with pytest.raises(AttributeError):
-            frozen.name = "other"
-        with pytest.raises(AttributeError):
-            del frozen.codes
-        if len(frozen.codes):
-            with pytest.raises(ValueError):
-                frozen.codes[0] = 0
-            with pytest.raises(ValueError):
-                frozen.params[0] = 1.0
-
-    @given(workload_arrays())
-    @settings(max_examples=10, deadline=None)
-    def test_pickle_round_trip_stays_frozen(self, arrays):
-        frozen = arrays.freeze()
-        back = pickle.loads(pickle.dumps(frozen))
-        assert isinstance(back, FrozenArrayCircuit)
-        assert back == frozen
-        assert hash(back) == hash(frozen)
-        with pytest.raises(AttributeError):
-            back.num_qubits = 99
-        if len(back.codes):
-            with pytest.raises(ValueError):
-                back.codes[0] = 0
-
-
-class TestHashAndDigest:
-    @given(workload_arrays())
-    @settings(max_examples=30, deadline=None)
-    def test_hash_consistent_with_equality(self, arrays):
-        a = arrays.freeze()
-        b = ArrayCircuit(num_qubits=arrays.num_qubits,
-                         codes=arrays.codes.copy(), q0=arrays.q0.copy(),
-                         q1=arrays.q1.copy(), params=arrays.params.copy(),
-                         name="renamed-alias").freeze()
-        assert a == b          # equality is content-only, name-blind
-        assert hash(a) == hash(b)
-        assert a.content_digest == b.content_digest
-
-    @given(workload_arrays())
-    @settings(max_examples=20, deadline=None)
-    def test_digest_matches_unfrozen_and_tracks_content(self, arrays):
-        frozen = arrays.freeze()
-        assert frozen.content_digest == circuit_content_digest(arrays)
-        if len(arrays.codes):
-            edited = ArrayCircuit(
-                num_qubits=arrays.num_qubits, codes=arrays.codes.copy(),
+def _copy(arrays, **changes):
+    cols = dict(num_qubits=arrays.num_qubits, codes=arrays.codes.copy(),
                 q0=arrays.q0.copy(), q1=arrays.q1.copy(),
                 params=arrays.params.copy(), name=arrays.name)
-            edited.codes[0] = (edited.codes[0] + 1) % 4
-            assert circuit_content_digest(edited) != frozen.content_digest
+    cols.update(changes)
+    return ArrayCircuit(**cols)
+
+
+class TestContentDigest:
+    @given(workload_specs())
+    @settings(max_examples=30, deadline=None)
+    def test_name_blind(self, spec):
+        arrays = ArrayCircuit.from_circuit(build_workload(spec))
+        alias = _copy(arrays, name="renamed-alias")
+        assert circuit_content_digest(alias) == \
+            circuit_content_digest(arrays)
+
+    @given(workload_specs())
+    @settings(max_examples=20, deadline=None)
+    def test_any_edit_changes_digest(self, spec):
+        arrays = ArrayCircuit.from_circuit(build_workload(spec))
+        digest = circuit_content_digest(arrays)
+        wider = _copy(arrays, num_qubits=arrays.num_qubits + 1)
+        assert circuit_content_digest(wider) != digest
+        if not len(arrays.codes):
+            return
+        edited = _copy(arrays)
+        edited.codes[0] = (edited.codes[0] + 1) % 4
+        assert circuit_content_digest(edited) != digest
+        moved = _copy(arrays)
+        moved.q0[0] = (moved.q0[0] + 1) % arrays.num_qubits
+        if moved.q0[0] == moved.q1[0]:
+            moved.q0[0] = (moved.q0[0] + 1) % arrays.num_qubits
+        assert circuit_content_digest(moved) != digest
+        nudged = _copy(arrays)  # one ulp of one param
+        nudged.params[0] = np.nextafter(nudged.params[0], np.inf)
+        assert circuit_content_digest(nudged) != digest
+
+    @given(workload_specs())
+    @settings(max_examples=20, deadline=None)
+    def test_circuit_matches_array_encoding(self, spec):
+        circuit = build_workload(spec)
+        assert circuit_content_digest(circuit) == \
+            circuit_content_digest(ArrayCircuit.from_circuit(circuit))
+
+    def test_mapped_pickle_round_trip_keeps_digest(self):
+        from repro.circuits.library import get_benchmark
+        from repro.circuits.mapping import map_circuit
+        from repro.devices.topology import get_topology
+
+        mapped = map_circuit(get_benchmark("qaoa-9"),
+                             get_topology("grid-25"), seed=4)
+        back = pickle.loads(pickle.dumps(mapped))
+        assert circuit_content_digest(back.physical_arrays) == \
+            circuit_content_digest(mapped.physical_arrays)
 
     def test_digest_stable_across_processes(self):
         spec = WorkloadSpec(family="qaoa", width=9, depth=2, seed=7)

@@ -2,9 +2,11 @@
 
 Three contracts:
 
-* the vectorized ``initial_placement`` reproduces the seed greedy scan
+* ``initial_placement`` (the one-row case of the lock-step suite
+  placement) reproduces the seed greedy scan
   (``mapping_reference.initial_placement_reference``) exactly, for
-  arbitrary circuits, subsets, and topologies;
+  arbitrary circuits and topologies and for sampled, unsorted and
+  oversized subsets;
 * the array basic router emits the identical gate sequence, final
   mapping, and swap count as the seed per-gate walker
   (``mapping_reference.route_reference``);
@@ -20,7 +22,6 @@ from hypothesis import strategies as st
 from repro.circuits.batch import transpile_arrays
 from repro.circuits.mapping import (
     initial_placement,
-    route,
     route_basic_arrays,
     sample_connected_subset,
 )
@@ -65,6 +66,21 @@ class TestPlacementIdentity:
         assert initial_placement(circuit, topology, subset) == \
             initial_placement_reference(circuit, topology, subset)
 
+    @given(random_circuits(max_qubits=5, max_gates=24), topology_names,
+           seeds, st.integers(min_value=0, max_value=6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_on_unsorted_subsets(self, circuit, name,
+                                                   seed, extra):
+        # Arbitrary distinct nodes in arbitrary order, not necessarily
+        # connected, up to ``extra`` wider than the circuit.
+        topology = _topology(name)
+        rng = np.random.default_rng(seed)
+        subset = rng.choice(topology.num_qubits,
+                            size=circuit.num_qubits + extra,
+                            replace=False).tolist()
+        assert initial_placement(circuit, topology, subset) == \
+            initial_placement_reference(circuit, topology, subset)
+
 
 class TestRouterIdentity:
     @given(random_circuits(max_qubits=5, max_gates=24), topology_names, seeds)
@@ -75,11 +91,11 @@ class TestRouterIdentity:
         mapping = initial_placement(circuit, topology, subset)
         ref_circ, ref_final, ref_swaps = route_reference(
             circuit, topology, dict(mapping))
-        vec_circ, vec_final, vec_swaps = route(circuit, topology,
-                                               dict(mapping))
+        vec_arrays, vec_final, vec_swaps = route_basic_arrays(
+            circuit, topology, dict(mapping))
         assert vec_swaps == ref_swaps
         assert vec_final == ref_final
-        assert vec_circ.gates == ref_circ.gates
+        assert vec_arrays.to_circuit().gates == ref_circ.gates
 
     @given(random_circuits(max_qubits=5, max_gates=24), seeds)
     @settings(max_examples=30, deadline=None)

@@ -14,13 +14,20 @@ Three contracts:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits.batch import transpile_batched
+from repro.circuits.batch import ArrayCircuit, transpile_arrays
 from repro.circuits.gates import BASIS_GATES, TWO_QUBIT_GATES
 from repro.circuits.transpile import transpile
 from repro.workloads import (SUITES, WORKLOAD_FAMILIES, WorkloadSpec,
                              build_workload)
 
 from .test_transpile_props import random_circuits
+
+
+def transpile_columnar(circuit, optimization_level=3):
+    """The columnar pipeline on a ``Gate``-list circuit, decoded back."""
+    return transpile_arrays(ArrayCircuit.from_circuit(circuit),
+                            optimization_level=optimization_level
+                            ).to_circuit()
 
 #: Families with a depth knob whose value lower-bounds circuit depth
 #: (each declared layer contributes at least one gate level per wire).
@@ -76,7 +83,7 @@ def test_declared_depth_is_honored(family, width, depth):
 @settings(max_examples=80, deadline=None)
 def test_batched_transpiler_matches_legacy(circuit, level):
     legacy = transpile(circuit, optimization_level=level)
-    batched = transpile_batched(circuit, optimization_level=level)
+    batched = transpile_columnar(circuit, optimization_level=level)
     assert batched.gates == legacy.gates
     assert batched.count_ops() == legacy.count_ops()
     assert batched.depth() == legacy.depth()
@@ -88,7 +95,7 @@ def test_batched_transpiler_matches_legacy_on_paper8():
 
     for circuit in all_paper_benchmarks():
         legacy = transpile(circuit)
-        batched = transpile_batched(circuit)
+        batched = transpile_columnar(circuit)
         assert batched.gates == legacy.gates
         assert batched.count_ops() == legacy.count_ops()
         assert batched.depth() == legacy.depth()
@@ -99,5 +106,5 @@ def test_batched_transpiler_matches_legacy_on_scaled_suite():
     for spec in SUITES["eagle-127"]:
         circuit = build_workload(spec)
         legacy = transpile(circuit)
-        batched = transpile_batched(circuit)
+        batched = transpile_columnar(circuit)
         assert batched.gates == legacy.gates

@@ -89,7 +89,8 @@ class TestMapPipeline:
         for row, mapped in zip(result["mappings"], direct):
             assert row["swap_count"] == mapped.swap_count
             assert row["duration_ns"] == mapped.duration_ns
-            assert row["active_qubits"] == len(mapped.active_qubits)
+            assert row["active_qubits"] == len(
+                mapped.physical_circuit.used_qubits())
         assert result["total_swaps"] == sum(m.swap_count for m in direct)
 
     def test_chunked_map_has_same_digest_and_result(self, client, service):
