@@ -95,7 +95,11 @@ from ..io.serialization import canonical_json
 #:     ``freq_pair_cutoff_mm`` / ``density_flush_interval`` /
 #:     ``auto_detailed_passes`` (pickled suite shape changed, as at 7
 #:     and 10; every layout is unchanged).
-CACHE_SCHEMA_VERSION = 11
+#: 12: MappedCircuit stores its Eq. 15 inputs (read-only activity mask,
+#:     coupler keys, timed gate totals) beside ``physical_arrays``
+#:     (pickled mapping shape changed; every mapping and fidelity is
+#:     unchanged).
+CACHE_SCHEMA_VERSION = 12
 
 #: Environment variable naming the default on-disk cache directory.
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"

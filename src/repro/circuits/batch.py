@@ -248,9 +248,9 @@ class ArrayCircuit:
     def used_pair_keys(self) -> np.ndarray:
         """Sorted unique ``lo * num_qubits + hi`` keys of touched pairs.
 
-        The packed-integer form of ``QuantumCircuit.used_pairs()``,
-        suitable for ``np.isin`` against precomputed edge/resonator key
-        columns.
+        The packed-integer form of ``QuantumCircuit.used_pairs()``;
+        sorted, so membership of precomputed edge/resonator key
+        columns is one ``searchsorted``.
         """
         two = self.q1 >= 0
         a = self.q0[two]
@@ -384,16 +384,21 @@ def _stream_incidence(circuit: ArrayCircuit
     qubit's position in the gate's qubit tuple as a bool (True for the
     second qubit of a two-qubit gate).
 
-    One argsort of the packed key ``qubit * n + gate`` gives that
-    order: a gate's two qubits differ, so the keys are distinct, and
-    the slot-1 touches are the ones listed after the first ``n``.
+    Touches are listed in gate order (slot 0, then slot 1 of each
+    gate) as flat ``2 * gate + slot`` positions, so one stable sort on
+    the qubit alone gives that order; a gate's two qubits differ, so
+    no gate appears twice in a stream.  The qubit column is sorted in
+    the narrowest integer dtype that holds ``num_qubits``, where
+    numpy's stable sort of 8- and 16-bit keys is a radix sort.
     """
-    n = circuit.codes.shape[0]
-    second = np.nonzero(circuit.q1 >= 0)[0]
-    inc_gate = np.concatenate((np.arange(n), second))
-    inc_qubit = np.concatenate((circuit.q0, circuit.q1[second]))
-    order = np.argsort(inc_qubit * n + inc_gate)
-    return inc_gate[order], inc_qubit[order], order >= n
+    touches = np.stack((circuit.q0, circuit.q1), axis=1).ravel()
+    flat = np.flatnonzero(touches >= 0)
+    inc_qubit = touches[flat]
+    order = np.argsort(
+        inc_qubit.astype(np.min_scalar_type(circuit.num_qubits)),
+        kind="stable")
+    flat = flat[order]
+    return flat >> 1, inc_qubit[order], (flat & 1).astype(bool)
 
 
 def _remainder_2pi(values: np.ndarray) -> np.ndarray:

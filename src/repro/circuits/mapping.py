@@ -103,15 +103,20 @@ class MappedCircuit:
 
     Attributes:
         physical_arrays: The physical basis circuit as column arrays —
-            the canonical form.  The activity and gate-total views below
-            (the Eq. 15 inputs) are scans over the columns,
-            value-identical to ``Gate``-list loops (pinned by
-            ``tests/circuits/test_gate_counts.py``).
+            the canonical form.
         topology: Target topology.
         initial_mapping: logical -> physical assignment before routing.
         final_mapping: logical -> physical assignment after routing.
         swap_count: Number of SWAPs inserted by the router.
         schedule: ASAP schedule of the physical circuit.
+
+    The Eq. 15 inputs — :attr:`active_qubit_mask`,
+    :attr:`active_pair_keys` and :meth:`timed_gate_totals` — are
+    scanned from ``physical_arrays`` once, at construction, and stored
+    as plain data (the arrays read-only), so scoring one mapping on
+    many layouts never rescans the columns.  The scans are
+    value-identical to ``Gate``-list loops (pinned by
+    ``tests/circuits/test_gate_counts.py``).
 
     ``physical_circuit`` is a lazy, memoized compatibility property:
     the ``Gate``-list decode runs only when a consumer explicitly asks
@@ -132,6 +137,14 @@ class MappedCircuit:
         self.swap_count = swap_count
         self.schedule = schedule
         self.physical_arrays = physical_arrays
+        self._active_qubit_mask = physical_arrays.used_qubit_mask()
+        self._active_pair_keys = physical_arrays.used_pair_keys()
+        self._timed_gate_totals = physical_arrays.timed_gate_totals()
+        self._freeze()
+
+    def _freeze(self) -> None:
+        self._active_qubit_mask.flags.writeable = False
+        self._active_pair_keys.flags.writeable = False
 
     @property
     def physical_circuit(self) -> QuantumCircuit:
@@ -145,6 +158,10 @@ class MappedCircuit:
         state["_physical_circuit"] = None  # re-decode after unpickle
         return state
 
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._freeze()  # pickle protocols below 5 load arrays writeable
+
     def __repr__(self) -> str:
         return (f"MappedCircuit(swap_count={self.swap_count}, "
                 f"gates={self.physical_arrays.size}, "
@@ -152,13 +169,13 @@ class MappedCircuit:
 
     @property
     def active_qubit_mask(self) -> np.ndarray:
-        """Boolean per-physical-qubit activity column."""
-        return self.physical_arrays.used_qubit_mask()
+        """Boolean per-physical-qubit activity column (read-only)."""
+        return self._active_qubit_mask
 
     @property
     def active_pair_keys(self) -> np.ndarray:
-        """Sorted ``lo * n + hi`` keys of active couplers."""
-        return self.physical_arrays.used_pair_keys()
+        """Sorted ``lo * n + hi`` keys of active couplers (read-only)."""
+        return self._active_pair_keys
 
     @property
     def duration_ns(self) -> float:
@@ -170,7 +187,7 @@ class MappedCircuit:
 
         The Eq. 15 gate-factor inputs.
         """
-        return self.physical_arrays.timed_gate_totals()
+        return self._timed_gate_totals
 
 
 @functools.lru_cache(maxsize=None)
@@ -656,6 +673,9 @@ def _split_blocks(basis: ArrayCircuit, num: int, n_phys: int,
     """Inverse of :func:`_stack_blocks` on the transpiled circuit."""
     # One stable sort by seed block replaces a boolean mask per seed:
     # each seed's rows become one contiguous slice, in circuit order.
+    # The blocks come out in seed order but for the trailing end-of-
+    # circuit rz rows, so the int64 stable sort (timsort) finds two
+    # runs; narrowed keys would take the slower full radix sort.
     seed_of = basis.q0 // n_phys
     order = np.argsort(seed_of, kind="stable")
     bounds = np.searchsorted(seed_of[order], np.arange(num + 1)).tolist()

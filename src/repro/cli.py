@@ -6,7 +6,9 @@ Commands:
 * ``profile``   — place a topology and print the per-phase runtime
   breakdown (preprocess / global / legalize / detailed); with
   ``--pipeline map``, compile one benchmark's mapping suite instead
-  (subsets / placement / route / transpile / schedule)
+  (subsets / placement / route / transpile / schedule); with
+  ``--pipeline evaluate``, compile it and score every mapping's Eq. 15
+  fidelity on the placed layout (the same stages, then score)
 * ``evaluate``  — Fig. 11/12/13 evaluation on one topology
 * ``evaluate-all`` — the whole paper evaluation across topologies,
   fanned over a process pool (``--jobs``) with an optional on-disk
@@ -217,26 +219,43 @@ def cmd_profile(args: argparse.Namespace) -> int:
     ``--pipeline place`` places the topology; ``--pipeline map``
     compiles ``--benchmark`` onto it at ``--mappings`` subsets (base
     seed ``--seed``) with :func:`repro.circuits.mapping.map_suite_arrays`.
+    ``--pipeline evaluate`` places the topology (QPlacer, or Classic
+    with ``--classic``) and builds its violation table first,
+    unprofiled, then profiles the same compile followed by the Eq. 15
+    fidelity of every mapping on that layout (the ``score`` phase).
     """
     import json
     import time
 
-    if args.pipeline == "map":
+    if args.pipeline in ("map", "evaluate"):
         from . import profiling
         from .circuits.mapping import map_suite_arrays
+        from .crosstalk.fidelity import (ViolationTable,
+                                         estimate_program_fidelity)
         from .workloads import get_workload
 
         circuit = get_workload(args.benchmark)
         topology = get_topology(args.topology)
+        if args.pipeline == "evaluate":
+            layout = QPlacer(_config_from(args)).place(
+                build_netlist(topology)).layout
+            table = ViolationTable.build(layout)
         with profiling.PhaseProfiler() as prof:
             start = time.perf_counter()
-            map_suite_arrays(circuit, topology, num_mappings=args.mappings,
-                             base_seed=args.seed)
+            maps = map_suite_arrays(circuit, topology,
+                                    num_mappings=args.mappings,
+                                    base_seed=args.seed)
+            if args.pipeline == "evaluate":
+                with profiling.phase("score"):
+                    for mapped in maps:
+                        estimate_program_fidelity(layout, mapped,
+                                                  violations=table)
             wall = time.perf_counter() - start
         phases = prof.flat_seconds()
-        title = (f"Compile phases — {args.benchmark} on {args.topology} "
+        stage = "Compile" if args.pipeline == "map" else "Evaluate"
+        title = (f"{stage} phases — {args.benchmark} on {args.topology} "
                  f"({args.mappings} mappings)")
-        doc = {"pipeline": "map", "topology": args.topology,
+        doc = {"pipeline": args.pipeline, "topology": args.topology,
                "benchmark": args.benchmark, "mappings": args.mappings,
                "runtime_s": wall}
     else:
@@ -661,15 +680,20 @@ def build_parser() -> argparse.ArgumentParser:
                             "onto it) and print the per-phase runtime "
                             "breakdown")
     _add_common_placer_args(p)
-    p.add_argument("--pipeline", choices=("place", "map"), default="place",
-                   help="place the topology (default), or compile "
+    p.add_argument("--pipeline", choices=("place", "map", "evaluate"),
+                   default="place",
+                   help="place the topology (default), compile "
                         "--benchmark onto it at --mappings subsets with "
-                        "--seed as the base subset seed")
+                        "--seed as the base subset seed (map), or compile "
+                        "it and score every mapping on the topology's "
+                        "layout (evaluate; QPlacer, or Classic with "
+                        "--classic)")
     p.add_argument("--benchmark", default="bv-16",
-                   help="workload to compile with --pipeline map "
-                        "(default bv-16)")
+                   help="workload to compile with --pipeline map or "
+                        "evaluate (default bv-16)")
     p.add_argument("--mappings", type=_positive_int, default=50,
-                   help="mapping subsets for --pipeline map (paper: 50)")
+                   help="mapping subsets for --pipeline map or evaluate "
+                        "(paper: 50)")
     p.add_argument("--classic", action="store_true",
                    help="profile the frequency-oblivious Classic baseline")
     p.add_argument("--json", help="write the phase breakdown to this path")

@@ -156,23 +156,30 @@ class ViolationTable:
         n = qubit_mask.shape[0]
         keys = np.where((self.res_e0 < n) & (self.res_e1 < n),
                         self.res_e0 * n + self.res_e1, -1)
+        # Membership by binary search in the sorted unique pair keys;
+        # the -2 slot past the end matches no key, not even the -1.
+        at = np.searchsorted(pair_keys, keys)
+        member = np.append(pair_keys, -2)[at] == keys
         res_mask = np.zeros(self.gather_size, dtype=bool)
-        res_mask[self.res_index[np.isin(keys, pair_keys)]] = True
+        res_mask[self.res_index[member]] = True
         qm = np.zeros(max(n + 1, self.gather_size), dtype=bool)
         qm[:n] = qubit_mask
         active = (qm[self.qubit_i] | qm[self.qubit_j]
                   | res_mask[self.res_i] | res_mask[self.res_j])
         return active, int(res_mask.sum())
 
-    def crosstalk_errors(self, duration_ns: float) -> np.ndarray:
+    def crosstalk_errors(self, duration_ns: float,
+                         rows: Union[slice, np.ndarray] = slice(None)
+                         ) -> np.ndarray:
         """Worst-case swap probability per violation (Eq. 16), vectorized.
 
         Identical to calling :func:`~repro.crosstalk.noise_model.
         crosstalk_error` per violation with the bare ``g`` and the pair
-        detuning.
+        detuning.  ``rows`` selects the violations (all by default);
+        each element goes through the same arithmetic either way.
         """
-        g = self.g_ghz
-        delta = self.detuning_ghz
+        g = self.g_ghz[rows]
+        delta = self.detuning_ghz[rows]
         rabi2 = delta * delta + 4.0 * g * g
         amplitude = np.divide(4.0 * g * g, rabi2,
                               out=np.zeros_like(g), where=rabi2 > 0)
@@ -222,13 +229,17 @@ def estimate_program_fidelity(layout: Layout, mapped: MappedCircuit,
     decoherence_factor = (1.0 - eps_dec) ** num_active_qubits
 
     # --- crosstalk on violating active pairs ------------------------------
+    # Errors only for the active violations: the products run over the
+    # same compressed sequences, in index order, as masking all of them.
     qq_factor = 1.0
     rr_factor = 1.0
-    pair_count = int(active.sum())
+    rows = np.flatnonzero(active)
+    pair_count = rows.shape[0]
     if pair_count:
-        eps = table.crosstalk_errors(duration)
-        qq_factor = float(np.prod(1.0 - eps[active & table.is_qq]))
-        rr_factor = float(np.prod(1.0 - eps[active & ~table.is_qq]))
+        eps = table.crosstalk_errors(duration, rows)
+        qq = table.is_qq[rows]
+        qq_factor = float(np.prod(1.0 - eps[qq]))
+        rr_factor = float(np.prod(1.0 - eps[~qq]))
 
     total = gate_factor * decoherence_factor * qq_factor * rr_factor
     return FidelityBreakdown(

@@ -176,12 +176,17 @@ class JobQueue:
         # probe gates the read, and a digest the store already
         # validated (or wrote) this process skips the re-parse — so a
         # duplicate cache-hit submit costs one stat, not one
-        # O(artifact-size) JSON parse.  The harmless race — another
-        # thread finishing this digest between the read and the lock —
-        # only means a duplicate deterministic computation.
+        # O(artifact-size) JSON parse.  A job that finishes this digest
+        # between the probe and the lock has stored it already (the
+        # store write precedes ``finish``), so the locked path asks the
+        # store's in-memory record once more before queueing a
+        # duplicate.  Only a digest the store did not know before the
+        # probe counts there: a known digest whose file is gone was
+        # deleted, and still reads as a miss.
+        known = self.store.remembers(digest)
         cached_ok = False
         if self.store.contains(digest):
-            if self.store.remembers(digest):
+            if known:
                 cached_ok = True
                 self.store.note_hit()  # keep the hit-rate metric honest
             else:
@@ -206,6 +211,9 @@ class JobQueue:
                                     active.job_id))
                     self._cond.notify()
                 return active, "coalesced"
+            if not (cached_ok or known) and self.store.remembers(digest):
+                cached_ok = True
+                self.store.note_hit()
             if cached_ok:
                 job = JobRecord(job_id=f"job-{next(self._ids):06d}",
                                 kind=kind, digest=digest,

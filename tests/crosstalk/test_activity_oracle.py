@@ -20,8 +20,11 @@ from typing import Set, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.experiments import build_suite
+from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.library import get_benchmark
 from repro.circuits.mapping import evaluation_mappings
 from repro.crosstalk.fidelity import (
@@ -189,3 +192,68 @@ def test_endpoints_beyond_mapping_never_alias():
                                         np.array([1 * n + 3]))
     assert not active.any()
     assert num_active == 0
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_mapping_without_couplers(strategy):
+    """Single-qubit circuits leave the pair keys empty: no resonator is
+    active, yet the qubit members still activate their violations."""
+    circuit = QuantumCircuit(4, name="single-qubit")
+    for q in range(4):
+        circuit.h(q).rz(q, 0.3).sx(q)
+    mappings = evaluation_mappings(circuit, get_topology("grid-25"),
+                                   num_mappings=4, base_seed=5)
+    assert all(m.active_pair_keys.size == 0 for m in mappings)
+    layout = _layouts("grid-25")[strategy]
+    _assert_matches_oracle(layout, mappings)
+    fb = estimate_program_fidelity(layout, mappings[0])
+    assert fb.active_resonators == 0 and fb.active_qubits == 4
+
+
+@st.composite
+def _activity_cases(draw):
+    """A synthetic table and a mapping of width ``n``, which may be
+    narrower than the table's qubit and resonator endpoint indices."""
+    top = draw(st.integers(min_value=1, max_value=12))
+    n = draw(st.integers(min_value=1, max_value=top + 3))
+    num_res = draw(st.integers(min_value=0, max_value=8))
+    ends = st.integers(min_value=0, max_value=top)
+    res = [(draw(ends), draw(ends)) for _ in range(num_res)]
+    member = st.integers(min_value=-1, max_value=top)
+    res_member = st.integers(min_value=-1, max_value=max(num_res - 1, -1))
+    num_v = draw(st.integers(min_value=0, max_value=10))
+    cols = {name: np.array([draw(strat) for _ in range(num_v)],
+                           dtype=np.int64)
+            for name, strat in (("qubit_i", member), ("qubit_j", member),
+                                ("res_i", res_member),
+                                ("res_j", res_member))}
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                   st.integers(0, n - 1)).filter(
+                                       lambda p: p[0] < p[1]),
+                         max_size=6))
+    keys = np.array(sorted(a * n + b for a, b in pairs), dtype=np.int64)
+    return top, res, cols, mask, pairs, keys
+
+
+@given(_activity_cases())
+@settings(max_examples=200, deadline=None)
+def test_activity_matches_set_scan(case):
+    top, res, cols, mask, pairs, keys = case
+    num_v = cols["qubit_i"].shape[0]
+    table = ViolationTable(
+        violations=[None] * num_v, g_ghz=np.zeros(num_v),
+        detuning_ghz=np.zeros(num_v), is_qq=np.zeros(num_v, dtype=bool),
+        res_e0=np.array([e0 for e0, _ in res], dtype=np.int64),
+        res_e1=np.array([e1 for _, e1 in res], dtype=np.int64),
+        res_index=np.arange(len(res), dtype=np.int64),
+        gather_size=max(top, len(res) - 1) + 2, **cols)
+    active, num_active = table.activity(mask, keys)
+    qubits = {q for q in range(mask.shape[0]) if mask[q]}
+    resonators = {r for r, e in enumerate(res) if e in pairs}
+    want = [int(qi) in qubits or int(qj) in qubits
+            or int(ri) in resonators or int(rj) in resonators
+            for qi, qj, ri, rj in zip(cols["qubit_i"], cols["qubit_j"],
+                                      cols["res_i"], cols["res_j"])]
+    assert active.tolist() == want
+    assert num_active == len(resonators)

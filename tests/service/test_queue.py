@@ -62,6 +62,40 @@ class TestDedup:
         again, disp = queue.submit("place", _place())
         assert disp == "queued" and again.job_id != job.job_id
 
+    def test_job_finishing_during_the_probe_is_a_cache_hit(
+            self, queue, monkeypatch):
+        # The worker stores and finishes the digest after the submit's
+        # unlocked existence probe missed, but before the submit takes
+        # the queue lock: the submit must not queue a second computation.
+        first, _ = queue.submit("place", _place())
+        job = queue.claim(timeout=0.1)
+        probe = queue.store.contains
+
+        def probe_then_finish(digest):
+            found = probe(digest)
+            queue.store.put(job.digest, {"ok": True})
+            queue.finish(job.job_id)
+            return found
+
+        monkeypatch.setattr(queue.store, "contains", probe_then_finish)
+        hits = queue.store.hits
+        record, disp = queue.submit("place", _place())
+        assert disp == "cache_hit"
+        assert record.state == DONE and record.cache_hit
+        assert record.job_id != first.job_id
+        assert queue.depth() == 0
+        assert queue.claim(timeout=0.01) is None
+        assert queue.store.hits == hits + 1
+
+    def test_deleted_artifact_recomputes(self, queue):
+        queue.submit("place", _place())
+        job = queue.claim(timeout=0.1)
+        queue.store.put(job.digest, {"ok": True})
+        queue.finish(job.job_id)
+        queue.store.path(job.digest).unlink()
+        again, disp = queue.submit("place", _place())
+        assert disp == "queued" and again.job_id != job.job_id
+
 
 class TestPriorities:
     def test_pop_order_by_tier_then_fifo(self, queue):

@@ -204,6 +204,27 @@ class TestCommands:
         covered = sum(phases[path] for path in top)
         assert 0.95 * doc["runtime_s"] <= covered <= doc["runtime_s"]
 
+    def test_profile_evaluate_pipeline(self, capsys, tmp_path):
+        import json
+
+        out_json = tmp_path / "phases.json"
+        assert main(["profile", "grid-25", "--pipeline", "evaluate",
+                     "--benchmark", "bv-4", "--mappings", "4",
+                     "--json", str(out_json)]) == 0
+        out = capsys.readouterr().out
+        assert "Evaluate phases" in out and "(wall clock)" in out
+        doc = json.loads(out_json.read_text())
+        assert (doc["pipeline"], doc["benchmark"], doc["mappings"]) == (
+            "evaluate", "bv-4", 4)
+        phases = doc["phases"]
+        top = {path for path in phases if "/" not in path}
+        # Placement and the violation table are built before the
+        # profiler opens, so no placer phase shows up.
+        assert top == {"subsets", "placement", "route", "transpile",
+                       "schedule", "score"}
+        covered = sum(phases[path] for path in top)
+        assert 0.95 * doc["runtime_s"] <= covered <= doc["runtime_s"]
+
     def test_profile_forced_detailed_pass(self, capsys):
         # grid-25 resolves dense (0 passes by default); forcing one
         # must surface the "detailed" phase in the table.
