@@ -13,8 +13,8 @@ compile results are content-addressed by circuit digest.  Three gates:
   mapping, and beat it by :data:`MIN_SUITE_SPEEDUP` on every gated
   >=100-qubit (eagle-tier) suite;
 * **zero eager decode** — compiling a suite under a ``to_circuit``
-  tripwire must never decode; explicit ``physical_circuit`` access
-  decodes once and memoizes;
+  tripwire must never decode; an explicit
+  ``physical_arrays.to_circuit()`` decodes once;
 * **circuit-digest cache, live** — two differently-named submissions
   of the same workload content to a real HTTP
   :class:`~repro.service.api.PlacementService` share one request
@@ -88,7 +88,7 @@ def _per_seed_reference(circuit, topology,
     out = []
     for k in range(num_mappings):
         mapped = map_circuit(circuit, topology, seed=k)
-        mapped.physical_circuit  # the old eager Gate materialisation
+        mapped.physical_arrays.to_circuit()  # the old eager decode
         out.append(mapped)
     return out
 
@@ -137,7 +137,7 @@ def _suite_gate(repeats: int) -> List[Dict[str, object]]:
 
 
 def _zero_decode_gate() -> Dict[str, object]:
-    """Compile under a to_circuit tripwire; decode only on access."""
+    """Compile under a to_circuit tripwire; decode only on request."""
     circuit = get_benchmark("bv-16")
     topology = get_topology("eagle-127")
     original = ArrayCircuit.to_circuit
@@ -151,8 +151,7 @@ def _zero_decode_gate() -> Dict[str, object]:
     try:
         suite = evaluation_mappings(circuit, topology, num_mappings=10)
         compile_decodes = decodes["count"]
-        first = suite[0].physical_circuit
-        memoized = suite[0].physical_circuit is first
+        suite[0].physical_arrays.to_circuit()
         access_decodes = decodes["count"] - compile_decodes
     finally:
         ArrayCircuit.to_circuit = original
@@ -160,7 +159,6 @@ def _zero_decode_gate() -> Dict[str, object]:
         "mappings_compiled": len(suite),
         "decodes_during_compile": compile_decodes,
         "decodes_on_first_access": access_decodes,
-        "memoized": memoized,
     }
 
 
@@ -241,7 +239,6 @@ def test_perf_columnar(results_dir, tmp_path):
         (f"suite compile decoded {decode['decodes_during_compile']} "
          f"circuits (want 0)")
     assert decode["decodes_on_first_access"] == 1
-    assert decode["memoized"]
 
     cache = report["digest_cache"]
     assert cache["digests_match"], \

@@ -5,10 +5,10 @@ and the vectorized detailed placer — against the in-tree references:
 
 * **bit identity** on the paper tiers and at condor scale: the
   hash-screened legalizer must reproduce the preserved seed legalizer
-  (:mod:`repro.core.legalizer_reference`) exactly;
+  (:mod:`tests.oracles.legalizer`) exactly;
 * **combined speedup**: hash-screened legalize + batched detailed
   placement must beat the seed legalizer + the scalar reference
-  detailed placer (:mod:`repro.core.detailed_reference`) by at least
+  detailed placer (:mod:`tests.oracles.detailed`) by at least
   :data:`MIN_COMBINED_SPEEDUP` on the condor tier;
 * **quality parity**: the batched detailed placer's final wirelength
   must stay within :data:`MAX_HPWL_RATIO` of the scalar reference's;
@@ -30,13 +30,14 @@ from typing import Dict
 import numpy as np
 
 from repro import profiling
-from repro.core import detailed, detailed_reference, legalizer
-from repro.core import legalizer_reference
+from repro.core import detailed, legalizer
 from repro.core.config import PlacerConfig
 from repro.core.engine import GlobalPlacer
 from repro.core.preprocess import build_problem
 from repro.devices.netlist import build_netlist
 from repro.devices.topology import get_topology
+from tests.oracles import detailed as detailed_reference
+from tests.oracles import legalizer as legalizer_reference
 
 from conftest import FULL, emit
 

@@ -5,7 +5,7 @@ greedy ``initial_placement`` scan became one vectorized argmin per
 logical qubit against the dense hop matrix, the basic router walks a
 canonical next-hop table with batched emission, and the ASAP schedule
 is computed straight from the transpiled columns.  The seed per-gate
-implementations survive in :mod:`repro.circuits.mapping_reference`.
+implementations survive in :mod:`tests.oracles.mapping`.
 This harness records the trajectory and enforces the contract:
 
 * **placement/router identity**: on the Table I benchmarks the
@@ -39,10 +39,10 @@ from repro.circuits.library import PAPER_BENCHMARKS, get_benchmark
 from repro.circuits.mapping import (MappedCircuit, evaluation_mappings,
                                     initial_placement, route_basic_arrays,
                                     sample_connected_subset)
-from repro.circuits.mapping_reference import (initial_placement_reference,
-                                              route_reference)
 from repro.devices.topology import get_topology
 from repro.workloads import get_workload
+from tests.oracles.circuit import asap_schedule
+from tests.oracles.mapping import initial_placement_reference, route_reference
 
 from conftest import FULL, emit
 
@@ -109,13 +109,14 @@ def _reference_evaluation_mappings(circuit, topology, num_mappings: int,
             physical_arrays=ArrayCircuit.from_circuit(physical),
             topology=topology,
             initial_mapping=mapping, final_mapping=final, swap_count=swaps,
-            schedule=physical.asap_schedule()))
+            schedule=asap_schedule(physical)))
     return out
 
 
 def _mapped_equal(a: MappedCircuit, b: MappedCircuit) -> bool:
     """Bit-identity of everything the fidelity model consumes."""
-    return (a.physical_circuit.gates == b.physical_circuit.gates
+    return (a.physical_arrays.to_circuit().gates
+            == b.physical_arrays.to_circuit().gates
             and a.initial_mapping == b.initial_mapping
             and a.final_mapping == b.final_mapping
             and a.swap_count == b.swap_count

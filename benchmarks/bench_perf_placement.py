@@ -5,7 +5,7 @@ numbers.  It times
 
 * legalization on ``grid-25`` — vectorized (:mod:`repro.core.legalizer`)
   against the preserved seed implementation
-  (:mod:`repro.core.legalizer_reference`), same problem, same global
+  (:mod:`tests.oracles.legalizer`), same problem, same global
   placement;
 * end-to-end suite builds per topology;
 * :func:`repro.analysis.run_full_evaluation` at default settings, with
@@ -31,12 +31,13 @@ import numpy as np
 
 from repro.analysis import run_full_evaluation
 from repro.analysis.experiments import build_suite
-from repro.core import legalizer, legalizer_reference
+from repro.core import legalizer
 from repro.core.config import PlacerConfig
 from repro.core.engine import GlobalPlacer
 from repro.core.preprocess import build_problem
 from repro.devices.netlist import build_netlist
 from repro.devices.topology import get_topology
+from tests.oracles import legalizer as legalizer_reference
 
 from conftest import BENCH_TOPOLOGIES, FULL, emit
 

@@ -10,7 +10,7 @@ harness records the trajectory and enforces the contract:
   counts and depth) exactly;
 * **SABRE identity**: the vectorized router must emit the same swaps,
   same routed gate order, and same final mapping as the preserved seed
-  implementation (:mod:`repro.circuits.sabre_reference`);
+  implementation (:mod:`tests.oracles.sabre`);
 * **>=3x on >=100-qubit workloads**: the batched transpiler must beat
   the legacy path by :data:`MIN_TRANSPILE_SPEEDUP` on every recorded
   routed workload at least 100 qubits wide;
@@ -39,10 +39,11 @@ from repro.circuits.library import PAPER_BENCHMARKS, get_benchmark
 from repro.circuits.mapping import (initial_placement,
                                     sample_connected_subset)
 from repro.circuits.sabre import route_sabre_arrays
-from repro.circuits.sabre_reference import route_sabre_reference
-from repro.circuits.transpile import transpile
 from repro.devices.topology import get_topology
 from repro.workloads import get_workload
+from tests.oracles.circuit import count_ops
+from tests.oracles.sabre import route_sabre_reference
+from tests.oracles.transpile import transpile
 
 from conftest import FULL, emit
 
@@ -98,7 +99,7 @@ def _paper8_identity(repeats: int) -> Dict[str, Dict[str, object]]:
         rows[name] = {
             "gates": batched.size,
             "depth": batched.depth(),
-            "counts_identical": legacy.count_ops() == batched.count_ops(),
+            "counts_identical": count_ops(legacy) == count_ops(batched),
             "depth_identical": legacy.depth() == batched.depth(),
             "sequence_identical": legacy.gates == batched.gates,
             "legacy_s": round(legacy_s, 5),

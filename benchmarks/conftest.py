@@ -12,12 +12,20 @@ for CI while preserving every trend.
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 from typing import Dict, Tuple
 
 import pytest
 
 from repro.analysis import ParallelRunner, PlacementJob, PlacementSuite
+
+# The identity gates measure against the scalar oracles in
+# ``tests/oracles``; make the repository root importable however pytest
+# was started.
+_REPO_ROOT = str(Path(__file__).resolve().parent.parent)
+if _REPO_ROOT not in sys.path:
+    sys.path.insert(0, _REPO_ROOT)
 
 #: Paper-scale protocol toggle.
 FULL = os.environ.get("REPRO_BENCH_FULL", "0") == "1"

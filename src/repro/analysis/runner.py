@@ -99,7 +99,10 @@ from ..io.serialization import canonical_json
 #:     coupler keys, timed gate totals) beside ``physical_arrays``
 #:     (pickled mapping shape changed; every mapping and fidelity is
 #:     unchanged).
-CACHE_SCHEMA_VERSION = 12
+#: 13: Schedule holds the makespan only (``busy_ns`` gone) and
+#:     MappedCircuit lost its ``Gate``-list decode memo (pickled mapping
+#:     shape changed; every mapping and fidelity is unchanged).
+CACHE_SCHEMA_VERSION = 13
 
 #: Environment variable naming the default on-disk cache directory.
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"

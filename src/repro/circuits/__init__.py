@@ -28,9 +28,7 @@ from .mapping import (
     route_basic_arrays,
     sample_connected_subset,
 )
-from .mapping_reference import initial_placement_reference, route_reference
 from .batch import ArrayCircuit
-from .transpile import cancel_pairs, lower_to_basis, merge_rz, transpile
 
 __all__ = [
     "ArrayCircuit",
@@ -46,21 +44,15 @@ __all__ = [
     "TWO_QUBIT_GATES",
     "all_paper_benchmarks",
     "bernstein_vazirani",
-    "cancel_pairs",
     "evaluation_mappings",
     "get_benchmark",
     "initial_placement",
-    "initial_placement_reference",
     "interaction_weights",
     "ising_chain",
-    "lower_to_basis",
     "map_circuit",
     "map_suite_arrays",
-    "merge_rz",
     "qaoa",
     "qgan",
     "route_basic_arrays",
-    "route_reference",
     "sample_connected_subset",
-    "transpile",
 ]

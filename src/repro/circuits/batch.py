@@ -1,14 +1,15 @@
 """Batched transpilation: array-based circuits and vectorized passes.
 
-The legacy transpiler (:mod:`repro.circuits.transpile`) walks Python
-``Gate`` objects one at a time — fine for the paper's 16-qubit Table I
-circuits, but the dominant cost once condor-class workloads push routed
-circuits past 10^5 gates.  This module re-implements the same pipeline
-over *column arrays* (gate-code / qubit / parameter vectors):
+The seed transpiler (now the test oracle
+``tests/oracles/transpile.py``) walked Python ``Gate`` objects one at a
+time — fine for the paper's 16-qubit Table I circuits, but the dominant
+cost once condor-class workloads push routed circuits past 10^5 gates.
+This module re-implements the same pipeline over *column arrays*
+(gate-code / qubit / parameter vectors):
 
 * :class:`ArrayCircuit` — a columnar circuit representation convertible
   to and from :class:`~repro.circuits.circuit.QuantumCircuit`, with the
-  ASAP schedule and the activity and gate-total scans of Eq. 15;
+  ASAP makespan and the activity and gate-total scans of Eq. 15;
 * :func:`lower_to_basis_arrays` — one-shot template expansion of every
   IR gate into its full basis decomposition (``np.repeat`` + table
   lookup, no per-gate recursion);
@@ -24,12 +25,11 @@ over *column arrays* (gate-code / qubit / parameter vectors):
   vectorized candidate scan plus an exact automaton that reads and
   writes only the (usually tiny) candidate subset;
 * :func:`transpile_arrays` — the full pass pipeline; on
-  ``ArrayCircuit.from_circuit(c)`` it equals
-  :func:`repro.circuits.transpile.transpile` on ``c`` (``to_circuit()``
-  decodes the result).
+  ``ArrayCircuit.from_circuit(c)`` it equals the oracle's ``transpile``
+  on ``c`` (``to_circuit()`` decodes the result).
 
 Equivalence contract: for barrier-free circuits the batched pipeline
-produces the **same gate sequence** as the legacy one (pinned by
+produces the **same gate sequence** as the oracle (pinned by
 ``tests/properties/test_workload_props.py`` and
 ``tests/circuits/test_batch.py``), so gate counts, depth, schedules and
 therefore every downstream fidelity number are bit-identical.  Circuits
@@ -179,27 +179,20 @@ class ArrayCircuit:
                       single_qubit_ns: float = constants.SINGLE_QUBIT_GATE_NS,
                       two_qubit_ns: float = constants.TWO_QUBIT_GATE_NS
                       ) -> Schedule:
-        """ASAP schedule straight from the columns (no ``Gate`` decode).
+        """ASAP makespan straight from the columns (no ``Gate`` decode).
 
-        Bit-identical to ``self.to_circuit().asap_schedule(...)``: the
-        recurrence (start = max of the operands' ready times, ready =
-        start + duration) runs in the same gate order with the same
-        float additions.  Virtual rz rows are skipped outright — a zero
-        duration never changes a ready or busy value — and the
-        per-qubit state lives in flat lists instead of dicts, which is
-        what makes the mapped pipeline's scheduling step cheap at
-        condor scale.
+        Bit-identical to the ``Gate``-list schedule of
+        ``tests/oracles/circuit.py``: the recurrence (start = max of the
+        operands' ready times, ready = start + duration) runs in the
+        same gate order with the same float additions.  Virtual rz rows
+        are skipped outright — a zero duration never changes a ready
+        value — and the per-qubit ready times live in a flat list, which
+        is what makes the mapped pipeline's scheduling step cheap at
+        condor scale.  Untouched qubits stay at ``0.0``, so the maximum
+        over every qubit is the makespan.
         """
         ready = [0.0] * self.num_qubits
-        busy = [0.0] * self.num_qubits
-        used = np.zeros(self.num_qubits, dtype=bool)
-        used[self.q0] = True
-        two = self.q1 >= 0
-        used[self.q1[two]] = True
-        # Virtual rz rows never move a ready or busy value, so the
-        # recurrence loop only visits timed rows (they still mark their
-        # qubit used above, like the per-gate scan they replace).
-        timed = two | (self.codes != RZ)
+        timed = (self.q1 >= 0) | (self.codes != RZ)
         q0 = self.q0[timed].tolist()
         q1 = self.q1[timed].tolist()
         for i in range(len(q0)):
@@ -211,32 +204,22 @@ class ArrayCircuit:
                 t = (ra if ra >= rb else rb) + two_qubit_ns
                 ready[a] = t
                 ready[b] = t
-                busy[a] += two_qubit_ns
-                busy[b] += two_qubit_ns
             else:
                 ready[a] += single_qubit_ns
-                busy[a] += single_qubit_ns
-        total = 0.0
-        used_list = used.tolist()
-        for q in range(self.num_qubits):
-            if used_list[q] and ready[q] > total:
-                total = ready[q]
-        return Schedule(total_ns=total,
-                        busy_ns={q: busy[q] for q in range(self.num_qubits)
-                                 if used_list[q]})
+        return Schedule(total_ns=max(ready, default=0.0))
 
     # -- gate statistics (bincount over columns) ----------------------------
     #
-    # Column restatements of the ``QuantumCircuit`` per-gate scans the
-    # fidelity model (Eq. 15) needs, so it never materialises ``Gate``
-    # lists.  Each is value-identical to the loop version on the
-    # decoded circuit (barrier-free by construction), pinned by
+    # Column restatements of the per-gate scans the fidelity model
+    # (Eq. 15) needs, so it never materialises ``Gate`` lists.  Each is
+    # value-identical to its loop version in ``tests/oracles/circuit.py``
+    # on the decoded circuit (barrier-free by construction), pinned by
     # ``tests/circuits/test_gate_counts.py``.
 
     def used_qubit_mask(self) -> np.ndarray:
         """Boolean column (length ``num_qubits``): qubit touched by a gate.
 
-        ``mask.nonzero()`` equals ``QuantumCircuit.used_qubits()`` —
+        ``mask.nonzero()`` equals the oracle ``used_qubits(circuit)`` —
         fidelity-model consumers gather against the mask directly
         instead of building Python sets.
         """
@@ -248,7 +231,7 @@ class ArrayCircuit:
     def used_pair_keys(self) -> np.ndarray:
         """Sorted unique ``lo * num_qubits + hi`` keys of touched pairs.
 
-        The packed-integer form of ``QuantumCircuit.used_pairs()``;
+        The packed-integer form of the oracle ``used_pairs(circuit)``;
         sorted, so membership of precomputed edge/resonator key
         columns is one ``searchsorted``.
         """
@@ -272,9 +255,9 @@ class ArrayCircuit:
 # -- lowering templates --------------------------------------------------------
 #
 # Each IR gate expands into a fixed sequence of basis gates; the tables
-# below flatten the recursive decompositions of transpile._lower_gate in
-# depth-first order, so template expansion reproduces the legacy stack
-# walk gate for gate.  A template entry is
+# below flatten the recursive decompositions of the oracle's _lower_gate
+# (tests/oracles/transpile.py) in depth-first order, so template
+# expansion reproduces its stack walk gate for gate.  A template entry is
 # (code, q0_slot, q1_slot, param_mult, param_const):
 # output qubit = source gate's qubit at the slot (slot -1 = absent) and
 # output param = param_mult * source_param + param_const.
@@ -421,14 +404,13 @@ def _remainder_2pi(values: np.ndarray) -> np.ndarray:
 def merge_rz_arrays(circuit: ArrayCircuit) -> ArrayCircuit:
     """Merge consecutive per-qubit rz rotations; drop angles = 0 (mod 2pi).
 
-    Vectorized restatement of :func:`repro.circuits.transpile.merge_rz`:
-    every rz belongs to the group flushed by the next non-rz gate that
-    touches its qubit (or the end of the circuit).  Groups are maximal
-    runs of rz rows in the qubit-sorted incidence list; the row right
-    after a run flushes it when it is on the same qubit.  Angle sums
-    fold left-to-right exactly like the legacy accumulation, and the
-    mod-2pi reduction is :func:`_remainder_2pi`, so the float results
-    are bit-identical.
+    Vectorized restatement of the oracle ``merge_rz``: every rz belongs
+    to the group flushed by the next non-rz gate that touches its qubit
+    (or the end of the circuit).  Groups are maximal runs of rz rows in
+    the qubit-sorted incidence list; the row right after a run flushes
+    it when it is on the same qubit.  Angle sums fold left-to-right
+    exactly like the oracle's accumulation, and the mod-2pi reduction
+    is :func:`_remainder_2pi`, so the float results are bit-identical.
 
     Output order: the non-rz gates keep their relative order, each
     merged rz sits just before its flushing gate (slot 0 before slot
@@ -454,7 +436,7 @@ def merge_rz_arrays(circuit: ArrayCircuit) -> ArrayCircuit:
     starts = np.nonzero(starts_mask)[0]
     bounds = np.append(starts, r)
     # Per-group left-to-right fold (NOT reduceat: pairwise summation
-    # would round differently than the legacy accumulation).  One
+    # would round differently than the oracle's accumulation).  One
     # vector step per in-group position keeps it exact and fast.
     rz_params = circuit.params[g[rz_pos]]
     lens = np.diff(bounds)
@@ -782,9 +764,9 @@ def lower_to_merged_basis_arrays(circuit: ArrayCircuit) -> ArrayCircuit:
 def cancel_pairs_arrays(circuit: ArrayCircuit) -> ArrayCircuit:
     """Cancel adjacent self-inverse pairs and fuse sx.sx -> x.
 
-    Output-identical to :func:`repro.circuits.transpile.cancel_pairs`
-    (pinned by the property tests), but the sequential automaton now
-    runs only over *candidate* gates found by a vectorized scan.
+    Output-identical to the oracle ``cancel_pairs`` (pinned by the
+    property tests), but the sequential automaton runs only over
+    *candidate* gates found by a vectorized scan.
 
     A gate is a candidate when it has a stream-adjacent neighbour it
     could ever interact with: both codes in {x, sx} on a shared qubit
@@ -900,9 +882,10 @@ def cancel_pairs_arrays(circuit: ArrayCircuit) -> ArrayCircuit:
 
 def transpile_arrays(circuit: ArrayCircuit, optimization_level: int = 3,
                      max_passes: int = 8) -> ArrayCircuit:
-    """The legacy transpile pipeline over array circuits.
+    """The transpile pass pipeline over array circuits.
 
-    Output-identical to the legacy pass sequence, with two shortcuts.
+    Output-identical to the oracle's pass sequence
+    (``tests/oracles/transpile.py``), with two shortcuts.
     Lowering and the first rz merge run fused
     (:func:`lower_to_merged_basis_arrays`).  And both passes only ever
     shrink the gate list (cancellation removes two gates, fusion one,

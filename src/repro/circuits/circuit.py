@@ -1,21 +1,19 @@
-"""Quantum-circuit IR: an ordered gate list with scheduling helpers.
+"""Quantum-circuit IR: an ordered gate list.
 
-The fidelity model (Eq. 15) needs, for a mapped circuit:
-
-* gate counts per physical qubit and per coupled pair,
-* the set of *active* qubits and couplers (inactive elements do not harm
-  program fidelity, Sec. V-C),
-* an ASAP schedule giving the total duration and per-qubit idle time for
-  the decoherence term.
+Benchmark circuits are built as :class:`QuantumCircuit` gate lists; the
+mapping pipeline encodes them to the columns of
+:class:`~repro.circuits.batch.ArrayCircuit`, which scans what the
+fidelity model (Eq. 15) needs from a mapped circuit: the *active*
+qubits and couplers (inactive elements do not harm program fidelity,
+Sec. V-C), the timed gate totals, and the ASAP makespan
+(:class:`Schedule`) of the decoherence term.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List
 
-from .. import constants
 from .gates import Gate, barrier, cx, cz, h, rx, ry, rz, rzz, swap, sx, x
 
 
@@ -81,10 +79,6 @@ class QuantumCircuit:
 
     # -- statistics ------------------------------------------------------------
 
-    def count_ops(self) -> Dict[str, int]:
-        """Gate-name histogram (barriers excluded)."""
-        return dict(Counter(g.name for g in self.gates if g.name != "barrier"))
-
     @property
     def size(self) -> int:
         """Total gate count (barriers excluded)."""
@@ -94,33 +88,6 @@ class QuantumCircuit:
     def two_qubit_gate_count(self) -> int:
         """Number of two-qubit gates."""
         return sum(1 for g in self.gates if g.is_two_qubit)
-
-    def used_qubits(self) -> Set[int]:
-        """Qubits touched by at least one non-barrier gate."""
-        used: Set[int] = set()
-        for g in self.gates:
-            if g.name != "barrier":
-                used.update(g.qubits)
-        return used
-
-    def used_pairs(self) -> Set[Tuple[int, int]]:
-        """Canonical ``(lo, hi)`` pairs touched by two-qubit gates."""
-        pairs: Set[Tuple[int, int]] = set()
-        for g in self.gates:
-            if g.is_two_qubit:
-                a, b = g.qubits
-                pairs.add((min(a, b), max(a, b)))
-        return pairs
-
-    def gate_counts_per_qubit(self) -> Dict[int, Counter]:
-        """Per-qubit histogram of gate names."""
-        counts: Dict[int, Counter] = {}
-        for g in self.gates:
-            if g.name == "barrier":
-                continue
-            for q in g.qubits:
-                counts.setdefault(q, Counter())[g.name] += 1
-        return counts
 
     def depth(self) -> int:
         """Circuit depth counting every non-barrier gate as one layer unit."""
@@ -137,35 +104,6 @@ class QuantumCircuit:
                 level[q] = start + 1
             depth = max(depth, start + 1)
         return depth
-
-    # -- scheduling ---------------------------------------------------------------
-
-    def asap_schedule(self,
-                      single_qubit_ns: float = constants.SINGLE_QUBIT_GATE_NS,
-                      two_qubit_ns: float = constants.TWO_QUBIT_GATE_NS
-                      ) -> "Schedule":
-        """Greedy as-soon-as-possible schedule (rz gates are free/virtual)."""
-        ready: Dict[int, float] = {}
-        busy: Dict[int, float] = {}
-        for g in self.gates:
-            if g.name == "barrier":
-                sync = max((ready.get(q, 0.0) for q in g.qubits), default=0.0)
-                for q in g.qubits:
-                    ready[q] = sync
-                continue
-            if g.name == "rz":
-                duration = 0.0  # virtual-Z: frame update only
-            elif g.is_two_qubit:
-                duration = two_qubit_ns
-            else:
-                duration = single_qubit_ns
-            start = max(ready.get(q, 0.0) for q in g.qubits)
-            for q in g.qubits:
-                ready[q] = start + duration
-                busy[q] = busy.get(q, 0.0) + duration
-        total = max(ready.values(), default=0.0)
-        return Schedule(total_ns=total,
-                        busy_ns={q: busy.get(q, 0.0) for q in self.used_qubits()})
 
     # -- transformations -----------------------------------------------------------
 
@@ -189,16 +127,10 @@ class QuantumCircuit:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Result of :meth:`QuantumCircuit.asap_schedule`.
+    """Result of :meth:`repro.circuits.batch.ArrayCircuit.asap_schedule`.
 
     Attributes:
-        total_ns: Makespan of the circuit.
-        busy_ns: Per-qubit time spent actively gated.
+        total_ns: Makespan of the circuit, the Eq. 15 duration.
     """
 
     total_ns: float
-    busy_ns: Dict[int, float]
-
-    def idle_ns(self, qubit: int) -> float:
-        """Idle time of ``qubit`` = makespan minus its busy time."""
-        return max(0.0, self.total_ns - self.busy_ns.get(qubit, 0.0))

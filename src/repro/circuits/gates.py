@@ -4,7 +4,7 @@ The native basis matches the paper's fixed-frequency transmon platform:
 single-qubit ``rz`` (virtual), ``sx``, ``x`` plus the two-qubit ``cz``
 implemented as a resonator-induced phase (RIP) gate (Sec. II-B).
 Higher-level gates (``h``, ``cx``, ``rx``, ``ry``, ``rzz``, ``swap``) are
-accepted by the IR and lowered by :mod:`repro.circuits.transpile`.
+accepted by the IR and lowered by :mod:`repro.circuits.batch`.
 """
 
 from __future__ import annotations

@@ -15,8 +15,7 @@ columnar compile path:
    :func:`repro.circuits.sabre.route_sabre_arrays`) inserts SWAPs until
    every two-qubit gate is executable;
 4. the result is lowered to the native basis by the batched engine
-   (:mod:`repro.circuits.batch`, gate-for-gate identical to
-   :mod:`repro.circuits.transpile`) and scheduled ASAP.  Consecutive
+   (:mod:`repro.circuits.batch`) and scheduled ASAP.  Consecutive
    seeds are transpiled in chunks of stacked qubit blocks, each within
    :data:`SUITE_CHUNK_ROWS` basis rows unless it holds a single seed.
 
@@ -27,9 +26,9 @@ call compile the same circuit.  Placement scores every free candidate
 node at once against the topology's dense hop-distance matrix, and the
 basic router scans gate adjacency in column-array chunks with batched
 emission (per-gate Python touched only for blocked gates).  The seed
-per-gate implementations survive in
-:mod:`repro.circuits.mapping_reference`; the pairs are output-identical
-(pinned by ``tests/properties/test_mapping_props.py`` and the
+per-gate implementations are the test oracles in
+``tests/oracles/mapping.py``; the pairs are output-identical (pinned by
+``tests/properties/test_mapping_props.py`` and the
 ``benchmarks/bench_perf_mapping.py`` gate).
 """
 
@@ -115,13 +114,10 @@ class MappedCircuit:
     scanned from ``physical_arrays`` once, at construction, and stored
     as plain data (the arrays read-only), so scoring one mapping on
     many layouts never rescans the columns.  The scans are
-    value-identical to ``Gate``-list loops (pinned by
+    value-identical to the ``Gate``-list loops of
+    ``tests/oracles/circuit.py`` (pinned by
     ``tests/circuits/test_gate_counts.py``).
-
-    ``physical_circuit`` is a lazy, memoized compatibility property:
-    the ``Gate``-list decode runs only when a consumer explicitly asks
-    for it.  The memo is dropped on pickling, so runner cache entries
-    stay lean and deterministic.
+    ``physical_arrays.to_circuit()`` decodes the ``Gate`` list.
     """
 
     def __init__(self, physical_arrays: ArrayCircuit,
@@ -130,7 +126,6 @@ class MappedCircuit:
                  final_mapping: Optional[Dict[int, int]] = None,
                  swap_count: int = 0,
                  schedule: Optional[Schedule] = None) -> None:
-        self._physical_circuit: Optional[QuantumCircuit] = None
         self.topology = topology
         self.initial_mapping = initial_mapping
         self.final_mapping = final_mapping
@@ -146,26 +141,13 @@ class MappedCircuit:
         self._active_qubit_mask.flags.writeable = False
         self._active_pair_keys.flags.writeable = False
 
-    @property
-    def physical_circuit(self) -> QuantumCircuit:
-        """Basis-gate circuit over physical qubit indices (lazy decode)."""
-        if self._physical_circuit is None:
-            self._physical_circuit = self.physical_arrays.to_circuit()
-        return self._physical_circuit
-
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        state["_physical_circuit"] = None  # re-decode after unpickle
-        return state
-
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.__dict__.update(state)
         self._freeze()  # pickle protocols below 5 load arrays writeable
 
     def __repr__(self) -> str:
         return (f"MappedCircuit(swap_count={self.swap_count}, "
-                f"gates={self.physical_arrays.size}, "
-                f"decoded={self._physical_circuit is not None})")
+                f"gates={self.physical_arrays.size})")
 
     @property
     def active_qubit_mask(self) -> np.ndarray:
@@ -254,8 +236,8 @@ def initial_placement(circuit: QuantumCircuit, topology: Topology,
     central node; every following qubit takes the free node minimising
     the weighted distance to its already-placed interaction partners
     (ties to the lowest node index).  This is the one-row case of the
-    lock-step suite placement, bit-identical to
-    :func:`repro.circuits.mapping_reference.initial_placement_reference`.
+    lock-step suite placement, bit-identical to the per-candidate scan
+    ``initial_placement_reference`` in ``tests/oracles/mapping.py``.
 
     ``subset`` may be unsorted, repeat nodes or be wider than the
     circuit; its distinct nodes are the candidates.  ``weights`` may
@@ -388,8 +370,8 @@ def route_basic_arrays(circuit: QuantumCircuit, topology: Topology,
                        ) -> Tuple[ArrayCircuit, Dict[int, int], int]:
     """Shortest-path SWAP routing over column arrays.
 
-    Array restatement of
-    :func:`repro.circuits.mapping_reference.route_reference`: the gate
+    Array restatement of ``route_reference`` in
+    ``tests/oracles/mapping.py``: the gate
     stream is encoded once into code/qubit/parameter columns, blocked
     gates walk the topology's canonical next-hop table (the same table
     ``Topology.shortest_path`` walks, which is what pins the two
@@ -564,8 +546,7 @@ def map_circuit(circuit: QuantumCircuit, topology: Topology,
     ``map_suite_arrays(c, t, num_mappings=1, base_seed=s)[0]``.  An
     explicit ``subset`` replaces the sampled one and is validated like
     :func:`initial_placement`'s.  The pipeline stays in column arrays
-    end to end; the ``Gate``-list decode survives only behind the lazy
-    :attr:`MappedCircuit.physical_circuit` property.
+    end to end.
 
     Args:
         circuit: Logical benchmark circuit.

@@ -13,8 +13,8 @@ every candidate SWAP against the whole front layer and look-ahead
 window in one set of numpy gathers from the topology's hop-distance
 matrix, and the dependency bookkeeping is incremental (per-qubit stream
 cursors) instead of rescanning the gate list per step.  The seed
-per-gate implementation survives as
-:mod:`repro.circuits.sabre_reference`; the two are output-identical
+per-gate implementation survives as the test oracle
+``tests/oracles/sabre.py``; the two are output-identical
 (same swaps, same gate order, same final mapping — pinned by
 ``tests/circuits/test_sabre_batch.py``), but the vectorized kernel is
 orders of magnitude faster on routing-heavy ≥100-qubit workloads.

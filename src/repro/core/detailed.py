@@ -15,9 +15,9 @@ array pair, each visited instance scores all its hash-screened swap
 candidates with a single vectorized gain evaluation
 (:meth:`DetailedPlacer._swap_gains`), and per-instance wirelengths are
 maintained incrementally across accepted swaps instead of being
-recomputed every sweep.  The scalar seed implementation is preserved in
-:mod:`repro.core.detailed_reference` and the perf bench gates this
-engine against it.
+recomputed every sweep.  The scalar seed implementation is preserved as
+the test oracle ``tests/oracles/detailed.py`` and the perf bench gates
+this engine against it.
 """
 
 from __future__ import annotations

@@ -31,9 +31,9 @@ numpy, and each batch of candidate sites (a spiral ring, a segment's
 ring-1 sites, one move target) is screened in one call against the
 placed instances an array-backed slot grid returns, with array
 arithmetic instead of per-pair Python calls.  The seed's scalar
-implementation is preserved verbatim in
-:mod:`repro.core.legalizer_reference` and the equivalence tests pin
-this implementation to it.
+implementation is preserved verbatim as the test oracle
+``tests/oracles/legalizer.py`` and the equivalence tests pin this
+implementation to it.
 """
 
 from __future__ import annotations

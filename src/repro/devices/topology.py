@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 import networkx as nx
 
@@ -55,40 +55,6 @@ FALCON_27_COORDS: Tuple[Coord, ...] = (
     (6, 3), (7, 0), (7, 1), (7, 3), (7, 4), (8, 1), (8, 3), (9, 1),
     (9, 2), (9, 3), (10, 3),
 )
-
-
-#: Above this node count :meth:`Topology.hop_distances` switches from a
-#: materialised all-pairs table to lazy per-source BFS rows.
-LAZY_HOP_DISTANCE_MIN_NODES = 200
-
-
-class _LazyHopDistances(Mapping):
-    """Per-source hop-distance rows, computed on first access.
-
-    Behaves like the eager ``{src: {dst: hops}}`` table for the
-    ``table[src][dst]`` / subset-comprehension access patterns of the
-    mapper and router, but holds only the rows actually requested.
-    """
-
-    def __init__(self, graph: nx.Graph) -> None:
-        self._graph = graph
-        self._rows: Dict[int, Dict[int, int]] = {}
-
-    def __getitem__(self, src: int) -> Dict[int, int]:
-        row = self._rows.get(src)
-        if row is None:
-            if src not in self._graph:
-                raise KeyError(src)
-            row = dict(nx.single_source_shortest_path_length(
-                self._graph, src))
-            self._rows[src] = row
-        return row
-
-    def __iter__(self):
-        return iter(self._graph.nodes)
-
-    def __len__(self) -> int:
-        return self._graph.number_of_nodes()
 
 
 @dataclass(frozen=True)
@@ -148,7 +114,8 @@ class Topology:
         rather than whatever tie networkx's bidirectional search breaks
         — the basic router's array kernel reconstructs the same walks
         from the same table, which is what makes its output
-        bit-identical to the reference walker.
+        bit-identical to the reference walker in
+        ``tests/oracles/mapping.py``.
         """
         if not (0 <= src < self.num_qubits and 0 <= dst < self.num_qubits):
             raise nx.NodeNotFound(f"node {src} or {dst} not in {self.name}")
@@ -160,40 +127,14 @@ class Topology:
             path.append(int(nxt[path[-1], dst]))
         return path
 
-    def distance_matrix(self) -> Dict[int, Dict[int, int]]:
-        """All-pairs shortest-path hop distances."""
-        return {s: dict(lengths) for s, lengths in nx.all_pairs_shortest_path_length(self.graph)}
-
-    def hop_distances(self) -> Mapping[int, Dict[int, int]]:
-        """Cached hop distances, keyed by source qubit.
-
-        The mapper and SABRE router consult the same distance table for
-        every mapping subset, so it is computed once per topology.  Up
-        to :data:`LAZY_HOP_DISTANCE_MIN_NODES` nodes the full all-pairs
-        table is materialised eagerly (exactly as before); above it a
-        lazy per-source view computes and caches one BFS row on first
-        access, so condor-class graphs never pay the O(n^2) dict-of-dict
-        construction for the handful of sources a mapping touches.  Do
-        not mutate the returned dicts.
-        """
-        cached = self.__dict__.get("_hop_distances")
-        if cached is None:
-            if self.num_qubits > LAZY_HOP_DISTANCE_MIN_NODES:
-                cached = _LazyHopDistances(self.graph)
-            else:
-                cached = self.distance_matrix()
-            self.__dict__["_hop_distances"] = cached
-        return cached
-
     def hop_distance_matrix(self) -> "np.ndarray":
         """Cached dense all-pairs hop distances as an int64 matrix.
 
-        The batched SABRE kernel scores every candidate SWAP with numpy
-        gathers, which needs random access to arbitrary ``(src, dst)``
-        hop distances — a dense matrix, unlike the per-source rows of
-        :meth:`hop_distances`.  Computed once per topology via scipy's
-        C breadth-first search (condor-1121: ~1.3 M entries, 10 MB).
-        Do not mutate the returned array.
+        The placement, the basic router and the batched SABRE kernel
+        score candidates with numpy gathers, which needs random access
+        to arbitrary ``(src, dst)`` hop distances.  Computed once per
+        topology via scipy's C breadth-first search (condor-1121: ~1.3 M
+        entries, 10 MB).  Do not mutate the returned array.
         """
         cached = self.__dict__.get("_hop_distance_matrix")
         if cached is None:
@@ -215,9 +156,8 @@ class Topology:
         The vectorized mapper scores whole candidate sets at once, which
         needs the ``len(rows) x len(cols)`` block of the dense matrix
         (``cols`` defaults to ``rows``, the subset-vs-subset case).
-        Indices are validated so a bad node raises ``KeyError`` exactly
-        like the per-source :meth:`hop_distances` rows would, instead of
-        silently wrapping negative indices.
+        Indices are validated so a bad node raises ``KeyError`` instead
+        of silently wrapping negative indices.
         """
         import numpy as np
 
@@ -240,8 +180,9 @@ class Topology:
         (``next_hop[d, d] = d``).  Walking the table therefore always
         yields a shortest path, and the same deterministic one for
         every caller — the basic router's batched SWAP emission and the
-        preserved reference walker both route along it, which pins
-        their outputs to each other.  Do not mutate the returned array.
+        reference walker in ``tests/oracles/mapping.py`` both route
+        along it, which pins their outputs to each other.  Do not
+        mutate the returned array.
         """
         cached = self.__dict__.get("_shortest_path_next_hop")
         if cached is None:

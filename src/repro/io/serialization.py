@@ -89,8 +89,8 @@ GATE_CONTENT_FORMAT = "repro.gate-circuit-content.v1"
 def circuit_content(circuit: Any) -> Dict:
     """Canonical-JSON-able content document of a circuit.
 
-    Accepts an :class:`~repro.circuits.batch.ArrayCircuit` (frozen or
-    not) or a :class:`~repro.circuits.circuit.QuantumCircuit`.  The
+    Accepts an :class:`~repro.circuits.batch.ArrayCircuit` or a
+    :class:`~repro.circuits.circuit.QuantumCircuit`.  The
     document covers the circuit *content* only — width plus the gate
     columns — and deliberately excludes the circuit ``name``, so
     differently-named aliases of the same workload share one digest.

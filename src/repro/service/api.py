@@ -212,6 +212,10 @@ class _Handler(BaseHTTPRequestHandler):
 class _Server(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
+    # socketserver's default listen backlog of 5 drops the SYNs of a
+    # burst of simultaneous clients, and each dropped SYN costs a 1 s
+    # TCP retransmit before the request even reaches the queue.
+    request_queue_size = 64
 
     def __init__(self, address: Tuple[str, int],
                  service: "PlacementService") -> None:

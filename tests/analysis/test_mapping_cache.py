@@ -18,7 +18,8 @@ from repro.devices.topology import get_topology
 
 
 def _mapped_equal(a, b):
-    return (a.physical_circuit.gates == b.physical_circuit.gates
+    return (a.physical_arrays.to_circuit().gates
+            == b.physical_arrays.to_circuit().gates
             and a.initial_mapping == b.initial_mapping
             and a.final_mapping == b.final_mapping
             and a.swap_count == b.swap_count

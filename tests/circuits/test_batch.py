@@ -11,8 +11,8 @@ from repro.circuits.batch import (ArrayCircuit, cancel_pairs_arrays,
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate
 from repro.circuits.library import all_paper_benchmarks
-from repro.circuits.transpile import (cancel_pairs, lower_to_basis, merge_rz,
-                                      transpile)
+from tests.oracles.transpile import (cancel_pairs, lower_to_basis, merge_rz,
+                                     transpile)
 
 from .util_sim import circuit_unitary, unitaries_equal_up_to_phase
 

@@ -19,6 +19,7 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.library import PAPER_BENCHMARKS, get_benchmark
 from repro.circuits.mapping import map_circuit
 from repro.devices.topology import get_topology
+from tests.oracles.circuit import used_pairs, used_qubits
 
 
 def _loop_two_qubit_counts(circuit: QuantumCircuit):
@@ -43,9 +44,9 @@ def _assert_all_counts_identical(arrays: ArrayCircuit,
     n = arrays.num_qubits
     mask = arrays.used_qubit_mask()
     assert mask.shape == (n,)
-    assert set(np.nonzero(mask)[0].tolist()) == circuit.used_qubits()
+    assert set(np.nonzero(mask)[0].tolist()) == used_qubits(circuit)
     keys = arrays.used_pair_keys()
-    assert keys.tolist() == sorted(a * n + b for a, b in circuit.used_pairs())
+    assert keys.tolist() == sorted(a * n + b for a, b in used_pairs(circuit))
     assert arrays.timed_gate_totals() == (
         sum(_loop_single_qubit_counts(circuit).values()),
         sum(_loop_two_qubit_counts(circuit).values()))
@@ -88,11 +89,11 @@ class TestMappedCircuitCounts:
     def test_map_circuit_carries_arrays(self, mapped):
         assert mapped.physical_arrays is not None
         assert mapped.physical_arrays.size == len(
-            mapped.physical_circuit.gates)
+            mapped.physical_arrays.to_circuit().gates)
 
     def test_array_backed_matches_loop_backed(self, mapped):
         _assert_all_counts_identical(mapped.physical_arrays,
-                                     mapped.physical_circuit)
+                                     mapped.physical_arrays.to_circuit())
 
     def test_mapped_views_match_arrays(self, mapped):
         arrays = mapped.physical_arrays

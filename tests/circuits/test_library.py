@@ -13,6 +13,7 @@ from repro.circuits.library import (
 )
 from repro.circuits.library.bv import default_secret
 from repro.circuits.library.qaoa import maxcut_instance
+from tests.oracles.circuit import count_ops
 
 
 class TestRegistry:
@@ -53,7 +54,7 @@ class TestBV:
 
     def test_hadamard_structure(self):
         qc = bernstein_vazirani(4)
-        ops = qc.count_ops()
+        ops = count_ops(qc)
         # H on data twice (3 qubits) + H on ancilla once, X on ancilla.
         assert ops["h"] == 7
         assert ops["x"] == 1
@@ -75,14 +76,14 @@ class TestQAOA:
 
     def test_layer_structure(self):
         qc = qaoa(4, layers=1)
-        ops = qc.count_ops()
+        ops = count_ops(qc)
         assert ops["h"] == 4
         assert ops["rx"] == 4
         assert ops["rzz"] == len(maxcut_instance(4))
 
     def test_multi_layer_scales(self):
-        one = qaoa(4, layers=1).count_ops()["rzz"]
-        two = qaoa(4, layers=2).count_ops()["rzz"]
+        one = count_ops(qaoa(4, layers=1))["rzz"]
+        two = count_ops(qaoa(4, layers=2))["rzz"]
         assert two == 2 * one
 
     def test_validation(self):
@@ -95,7 +96,7 @@ class TestQAOA:
 class TestIsing:
     def test_trotter_structure(self):
         qc = ising_chain(4, steps=2)
-        ops = qc.count_ops()
+        ops = count_ops(qc)
         assert ops["rzz"] == 2 * 3  # 3 bonds per step
         assert ops["rx"] == 2 * 4
 
@@ -120,7 +121,7 @@ class TestQGAN:
     def test_final_rotation_layer(self):
         qc = qgan(3, layers=1)
         # 2 ry layers (1 per block + closing) and 1 rz layer.
-        ops = qc.count_ops()
+        ops = count_ops(qc)
         assert ops["ry"] == 6
         assert ops["rz"] == 3
 

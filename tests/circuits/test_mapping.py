@@ -16,6 +16,9 @@ from repro.circuits.mapping import (
     sample_connected_subset,
 )
 from repro.devices.topology import get_topology, grid_topology
+from tests.oracles import hop_distances
+from tests.oracles.circuit import count_ops, used_pairs
+from tests.oracles.mapping import route_reference
 
 from .util_sim import circuit_unitary, unitaries_equal_up_to_phase
 
@@ -87,7 +90,7 @@ class TestInitialPlacement:
         circuit = QuantumCircuit(4).cx(0, 1).cx(0, 1).cx(0, 1).cx(2, 3)
         subset = sample_connected_subset(grid, 4, seed=1)
         mapping = initial_placement(circuit, grid, subset)
-        dm = grid.distance_matrix()
+        dm = hop_distances(grid)
         # The heavily interacting pair must land adjacent (weight 3).
         assert dm[mapping[0]][mapping[1]] <= dm[mapping[2]][mapping[3]]
 
@@ -150,7 +153,7 @@ class TestRouting:
         circuit = QuantumCircuit(2).cx(0, 1)
         routed, _, swaps = _routed(circuit, line, {0: 0, 1: 3})
         assert swaps == 2
-        assert routed.count_ops().get("swap", 0) == 2
+        assert count_ops(routed).get("swap", 0) == 2
 
     def test_swap_walk_through_unoccupied_qubits(self):
         # Regression: SWAP walks may cross physical qubits holding no
@@ -165,7 +168,6 @@ class TestRouting:
         assert swaps == 2
         assert final == {0: 2, 1: 3}
         assert len(set(final.values())) == len(final)
-        from repro.circuits.mapping_reference import route_reference
         ref_routed, ref_final, ref_swaps = route_reference(
             circuit, line, dict(mapping))
         assert (routed.gates, final, swaps) == \
@@ -184,7 +186,6 @@ class TestRouting:
         for g in routed.gates:
             if g.is_two_qubit:
                 assert grid3.graph.has_edge(*g.qubits)
-        from repro.circuits.mapping_reference import route_reference
         ref = route_reference(circuit, grid3, dict(mapping))
         assert (routed.gates, final, swaps) == (ref[0].gates, ref[1], ref[2])
 
@@ -221,20 +222,22 @@ class TestRouting:
 class TestMapCircuit:
     def test_end_to_end_fields(self, grid):
         mapped = map_circuit(get_benchmark("bv-4"), grid, seed=0)
-        assert mapped.physical_circuit.num_qubits == grid.num_qubits
+        physical = mapped.physical_arrays.to_circuit()
+        assert physical.num_qubits == grid.num_qubits
         assert mapped.duration_ns > 0
         assert mapped.active_qubit_mask.any()
-        assert mapped.physical_circuit.used_pairs() <= set(grid.coupling_map)
+        assert used_pairs(physical) <= set(grid.coupling_map)
 
     def test_basis_only_output(self, grid):
         mapped = map_circuit(get_benchmark("qgan-4"), grid, seed=1)
         assert all(g.name in {"rz", "sx", "x", "cz"}
-                   for g in mapped.physical_circuit.gates)
+                   for g in mapped.physical_arrays.to_circuit().gates)
 
     def test_counts(self, grid):
         mapped = map_circuit(get_benchmark("bv-4"), grid, seed=0)
         _, two_q = mapped.timed_gate_totals()
-        assert two_q == mapped.physical_circuit.two_qubit_gate_count
+        assert two_q == \
+            mapped.physical_arrays.to_circuit().two_qubit_gate_count
         n = grid.num_qubits
         couplers = {a * n + b for a, b in grid.coupling_map}
         assert set(mapped.active_pair_keys.tolist()) <= couplers
@@ -252,7 +255,7 @@ class TestMapCircuit:
     def test_larger_device(self):
         topo = get_topology("falcon-27")
         mapped = map_circuit(get_benchmark("bv-9"), topo, seed=0)
-        for (a, b) in mapped.physical_circuit.used_pairs():
+        for (a, b) in used_pairs(mapped.physical_arrays.to_circuit()):
             assert topo.graph.has_edge(a, b)
 
     @pytest.mark.parametrize("router", ["basic", "sabre"])
@@ -286,11 +289,21 @@ class TestRemovedSurface:
         ("repro.circuits", "route_sabre"),
         ("repro.circuits", "transpile_batched"),
         ("repro.circuits", "FrozenArrayCircuit"),
+        ("repro.circuits", "cancel_pairs"),
+        ("repro.circuits", "lower_to_basis"),
+        ("repro.circuits", "merge_rz"),
+        ("repro.circuits", "transpile"),
+        ("repro.circuits", "initial_placement_reference"),
+        ("repro.circuits", "route_reference"),
+        ("repro.devices.topology", "LAZY_HOP_DISTANCE_MIN_NODES"),
+        ("repro.devices.topology", "_LazyHopDistances"),
     ])
     def test_module_name_removed(self, module, name):
         import importlib
 
-        assert not hasattr(importlib.import_module(module), name)
+        imported = importlib.import_module(module)
+        assert not hasattr(imported, name)
+        assert name not in getattr(imported, "__all__", ())
 
     @pytest.mark.parametrize("name", ["used_qubits", "used_pairs",
                                       "two_qubit_counts",
@@ -303,8 +316,28 @@ class TestRemovedSurface:
 
     @pytest.mark.parametrize("name", ["active_qubits", "active_edges",
                                       "two_qubit_counts",
-                                      "single_qubit_counts"])
+                                      "single_qubit_counts",
+                                      "physical_circuit"])
     def test_mapped_circuit_view_removed(self, name):
         from repro.circuits.mapping import MappedCircuit
 
         assert not hasattr(MappedCircuit, name)
+
+    @pytest.mark.parametrize("name", ["count_ops", "used_qubits",
+                                      "used_pairs", "gate_counts_per_qubit",
+                                      "asap_schedule"])
+    def test_gate_list_scan_removed(self, name):
+        assert not hasattr(QuantumCircuit, name)
+
+    @pytest.mark.parametrize("name", ["hop_distances", "distance_matrix"])
+    def test_topology_dict_distances_removed(self, name):
+        from repro.devices.topology import Topology
+
+        assert not hasattr(Topology, name)
+
+    def test_schedule_holds_makespan_only(self):
+        from dataclasses import fields
+
+        from repro.circuits.circuit import Schedule
+
+        assert [f.name for f in fields(Schedule)] == ["total_ns"]

@@ -8,6 +8,7 @@ from repro.circuits.mapping import initial_placement, map_circuit, \
     sample_connected_subset
 from repro.circuits.sabre import route_sabre_arrays
 from repro.devices.topology import get_topology, grid_topology
+from tests.oracles.circuit import count_ops
 
 from .util_sim import circuit_unitary, unitaries_equal_up_to_phase
 
@@ -53,7 +54,7 @@ class TestRoutingValidity:
         circuit = QuantumCircuit(2).h(0).x(1).rz(0, 0.5)
         routed, _, swaps = _routed(circuit, line, {0: 0, 1: 1})
         assert swaps == 0
-        assert routed.count_ops() == {"h": 1, "x": 1, "rz": 1}
+        assert count_ops(routed) == {"h": 1, "x": 1, "rz": 1}
 
     def test_semantics_preserved_small(self):
         """Routed circuit == original + induced permutation (unitary)."""
@@ -97,8 +98,8 @@ class TestEfficiency:
         subset = sample_connected_subset(grid, 9, seed=3)
         mapping = initial_placement(circuit, grid, subset)
         routed, _, swaps = _routed(circuit, grid, mapping)
-        ops = routed.count_ops()
-        original_ops = QuantumCircuit(9).extend(circuit.gates).count_ops()
+        ops = count_ops(routed)
+        original_ops = count_ops(QuantumCircuit(9).extend(circuit.gates))
         assert ops.get("swap", 0) == swaps
         for name, count in original_ops.items():
             assert ops.get(name, 0) == count
@@ -109,7 +110,7 @@ class TestMapCircuitIntegration:
         mapped = map_circuit(get_benchmark("bv-4"), grid, seed=0,
                              router="sabre")
         assert all(g.name in {"rz", "sx", "x", "cz"}
-                   for g in mapped.physical_circuit.gates)
+                   for g in mapped.physical_arrays.to_circuit().gates)
 
     def test_unknown_router_rejected(self, grid):
         with pytest.raises(ValueError, match="router"):

@@ -6,9 +6,11 @@ from repro.circuits.library import get_benchmark
 from repro.circuits.mapping import (initial_placement, map_circuit,
                                     sample_connected_subset)
 from repro.circuits.sabre import route_sabre_arrays
-from repro.circuits.sabre_reference import route_sabre_reference
 from repro.devices.topology import get_topology
 from repro.workloads import get_workload
+from tests.oracles import hop_distances
+from tests.oracles.sabre import route_sabre_reference
+from tests.oracles.transpile import transpile
 
 
 def _compare(circuit, topology_name, seed):
@@ -40,11 +42,11 @@ class TestEquivalence:
         for name in ("ghz-12", "qft-8", "clifford-10-d4-s2", "qv-8-d3"):
             _compare(get_workload(name), "grid-25", 0)
 
-    def test_distance_matrix_matches_lazy_rows(self):
+    def test_distance_matrix_matches_networkx_rows(self):
         for name in ("grid-25", "falcon-27", "xtree-53"):
             topology = get_topology(name)
             matrix = topology.hop_distance_matrix()
-            rows = topology.hop_distances()
+            rows = hop_distances(topology)
             for src in range(topology.num_qubits):
                 for dst, hops in rows[src].items():
                     assert matrix[src, dst] == hops
@@ -78,8 +80,6 @@ class TestMapCircuitPipeline:
     """map_circuit rides the batched pipeline; outputs stay pinned."""
 
     def test_sabre_mapping_matches_reference_composition(self):
-        from repro.circuits.transpile import transpile
-
         circuit = get_benchmark("qgan-9")
         topology = get_topology("falcon-27")
         subset = sample_connected_subset(topology, 9, 2)
@@ -88,13 +88,12 @@ class TestMapCircuitPipeline:
             circuit, topology, dict(mapping))
         expected = transpile(routed)
         mapped = map_circuit(circuit, topology, seed=2, router="sabre")
-        assert mapped.physical_circuit.gates == expected.gates
+        assert mapped.physical_arrays.to_circuit().gates == expected.gates
         assert mapped.final_mapping == final_mapping
         assert mapped.swap_count == swaps
 
     def test_basic_router_matches_legacy_transpile(self):
         from repro.circuits.mapping import route_basic_arrays
-        from repro.circuits.transpile import transpile
 
         circuit = get_benchmark("bv-9")
         topology = get_topology("grid-25")
@@ -103,4 +102,4 @@ class TestMapCircuitPipeline:
         routed, _, _ = route_basic_arrays(circuit, topology, mapping)
         expected = transpile(routed.to_circuit())
         mapped = map_circuit(circuit, topology, seed=1, router="basic")
-        assert mapped.physical_circuit.gates == expected.gates
+        assert mapped.physical_arrays.to_circuit().gates == expected.gates

@@ -1,4 +1,4 @@
-"""Suite-batched compile + lazy MappedCircuit decode contracts.
+"""Suite-batched compile + columnar MappedCircuit contracts.
 
 Pinned behaviours of the fully-columnar pipeline:
 
@@ -9,15 +9,13 @@ Pinned behaviours of the fully-columnar pipeline:
   unless it holds a single seed;
 * the suite compile books its stages to profiler phases that cover
   its wall time;
-* ``map_circuit`` performs **zero** eager ``Gate`` materialisation:
-  decoding happens only on explicit ``physical_circuit`` access, once,
-  and is memoized;
+* ``map_circuit`` performs **zero** ``Gate`` materialisation: only an
+  explicit ``physical_arrays.to_circuit()`` decodes;
 * the ``router`` argument is validated at entry with a choice-listing
   error on every public entry point.
 """
 
 import functools
-import pickle
 import time
 
 import numpy as np
@@ -209,26 +207,10 @@ class TestZeroEagerDecode:
         monkeypatch.setattr(ArrayCircuit, "to_circuit", boom)
         mapped = map_circuit(get_benchmark("bv-9"), get_topology("grid-25"))
         assert mapped.physical_arrays is not None
-        assert mapped._physical_circuit is None
         # columnar consumers stay decode-free too
         mapped.timed_gate_totals()
         assert mapped.active_pair_keys is not None
         assert mapped.active_qubit_mask is not None
-
-    def test_decode_is_lazy_and_memoized(self):
-        mapped = map_circuit(get_benchmark("bv-9"), get_topology("grid-25"))
-        assert mapped._physical_circuit is None
-        first = mapped.physical_circuit
-        assert mapped._physical_circuit is first
-        assert mapped.physical_circuit is first
-        assert first.gates == mapped.physical_arrays.to_circuit().gates
-
-    def test_pickle_drops_decode_memo(self):
-        mapped = map_circuit(get_benchmark("bv-9"), get_topology("grid-25"))
-        gates = mapped.physical_circuit.gates
-        back = pickle.loads(pickle.dumps(mapped))
-        assert back._physical_circuit is None
-        assert back.physical_circuit.gates == gates
 
 
 class TestRouterValidation:

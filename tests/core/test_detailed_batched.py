@@ -9,13 +9,13 @@ increased) while reaching equivalent quality.
 import numpy as np
 import pytest
 
-from repro.core import detailed_reference
 from repro.core.config import PlacerConfig
 from repro.core.detailed import DetailedPlacer, refine_placement
 from repro.core.engine import GlobalPlacer
 from repro.core.legalizer import legalize
 from repro.core.preprocess import build_problem
 from repro.devices import build_netlist, grid_topology
+from tests.oracles import detailed as detailed_reference
 
 
 @pytest.fixture(scope="module")

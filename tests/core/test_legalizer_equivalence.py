@@ -1,7 +1,7 @@
 """Golden equivalence: vectorized legalizer vs the preserved seed code.
 
 The vectorized legalizer (:mod:`repro.core.legalizer`) must reproduce
-the seed implementation (:mod:`repro.core.legalizer_reference`) on all
+the seed implementation (:mod:`tests.oracles.legalizer`) on all
 six paper topologies: overlap-free, frequency-legal layouts whose
 wirelength/area metrics match within tolerance.  In practice the two
 implementations track each other bit for bit; the assertions below
@@ -20,13 +20,14 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import legalizer, legalizer_reference
+from repro.core import legalizer
 from repro.core.config import PlacerConfig
 from repro.core.engine import GlobalPlacer
 from repro.core.preprocess import build_problem
 from repro.core.wirelength import hpwl
 from repro.devices.netlist import build_netlist
 from repro.devices.topology import PAPER_TOPOLOGY_ORDER, get_topology
+from tests.oracles import legalizer as legalizer_reference
 
 FAST = PlacerConfig(max_iterations=60, min_iterations=10)
 FAST_CLASSIC = PlacerConfig.classic(max_iterations=60, min_iterations=10)

@@ -37,6 +37,7 @@ from repro.crosstalk.violations import SpatialViolation
 from repro.devices.components import Qubit, ResonatorSegment
 from repro.devices.layout import Layout
 from repro.devices.topology import get_topology
+from tests.oracles.circuit import used_pairs, used_qubits
 
 Edge = Tuple[int, int]
 STRATEGIES = ("qplacer", "classic", "human")
@@ -74,10 +75,10 @@ def _oracle(layout: Layout, mapped, table: ViolationTable,
     The activity sets come from the decoded ``Gate`` list, not from the
     columns the production path scans.
     """
-    physical = mapped.physical_circuit
-    active_qubits = physical.used_qubits()
+    physical = mapped.physical_arrays.to_circuit()
+    active_qubits = used_qubits(physical)
     active_resonators = _active_resonator_indices(layout,
-                                                  physical.used_pairs())
+                                                  used_pairs(physical))
     duration = mapped.duration_ns
     n_single, n_two = mapped.timed_gate_totals()
     gate_factor = ((1.0 - params.single_qubit_gate_error) ** n_single
@@ -157,7 +158,7 @@ def test_reversed_resonator_endpoints(strategy):
     # Reverse the active resonator whose segments sit in the most
     # violations, so the orientation visibly changes the breakdown.
     table = ViolationTable.build(layout)
-    edges = mappings[0].physical_circuit.used_pairs()
+    edges = used_pairs(mappings[0].physical_arrays.to_circuit())
     members = np.concatenate([table.res_i, table.res_j])
     candidates = [r for r in layout.netlist.resonators if r.endpoints in edges]
     target = max(candidates,

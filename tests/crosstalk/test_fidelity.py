@@ -12,6 +12,7 @@ from repro.crosstalk.fidelity import (
 )
 from repro.crosstalk.noise_model import NoiseParams
 from repro.baselines.human import human_layout
+from tests.oracles.circuit import used_pairs, used_qubits
 
 
 @pytest.fixture(scope="module")
@@ -52,9 +53,9 @@ class TestCleanLayout:
         topo, _, layout = grid9_module
         mapped = map_circuit(get_benchmark("bv-4"), topo, seed=0)
         fb = estimate_program_fidelity(layout, mapped)
-        physical = mapped.physical_circuit
-        assert fb.active_qubits == len(physical.used_qubits())
-        assert fb.active_resonators == len(physical.used_pairs())
+        physical = mapped.physical_arrays.to_circuit()
+        assert fb.active_qubits == len(used_qubits(physical))
+        assert fb.active_resonators == len(used_pairs(physical))
 
     def test_bigger_circuit_lower_fidelity(self, grid9_module):
         topo, _, layout = grid9_module
@@ -100,7 +101,7 @@ class TestCrosstalkImpact:
             if extra not in subset:
                 subset.append(extra)
         mapped = map_circuit(get_benchmark("bv-4"), topo, subset=sorted(subset))
-        assert set(pair) <= mapped.physical_circuit.used_qubits()
+        assert set(pair) <= used_qubits(mapped.physical_arrays.to_circuit())
         clean = estimate_program_fidelity(layout, mapped).total
         dirty = estimate_program_fidelity(polluted, mapped).total
         assert dirty < 0.05 * clean
@@ -127,7 +128,7 @@ class TestCrosstalkImpact:
         if not nx.is_connected(topo.graph.subgraph(sub)):
             pytest.skip("no connected clean subset on this plan")
         mapped = map_circuit(get_benchmark("bv-4"), topo, subset=sub)
-        if mapped.physical_circuit.used_qubits() & avoid:
+        if used_qubits(mapped.physical_arrays.to_circuit()) & avoid:
             pytest.skip("routing touched the polluted qubits")
         clean = estimate_program_fidelity(layout, mapped).total
         dirty = estimate_program_fidelity(polluted, mapped).total

@@ -21,6 +21,7 @@ from repro.devices.topology import (
     octagon_topology,
     xtree_topology,
 )
+from tests.oracles import hop_distances
 
 #: (name, qubits, couplers) straight from Table I / known devices.
 PAPER_SIZES = [
@@ -183,9 +184,9 @@ class TestTopologyClass:
 
     def test_distance_matrix(self):
         topo = grid_topology(2, 2)
-        dm = topo.distance_matrix()
-        assert dm[0][3] == 2
-        assert dm[0][0] == 0
+        dm = topo.hop_distance_matrix()
+        assert dm[0, 3] == 2
+        assert dm[0, 0] == 0
 
     def test_unknown_name_raises_with_suggestions(self):
         with pytest.raises(KeyError, match="grid-25"):
@@ -215,7 +216,7 @@ class TestCanonicalPaths:
     def test_next_hop_walks_are_shortest_paths(self):
         for topo in (grid_topology(3, 3), falcon_topology()):
             nxt = topo.shortest_path_next_hop()
-            dm = topo.distance_matrix()
+            dm = hop_distances(topo)
             n = topo.num_qubits
             for s in range(n):
                 for d in range(n):
@@ -230,7 +231,7 @@ class TestCanonicalPaths:
     def test_next_hop_prefers_lowest_index_neighbour(self):
         topo = grid_topology(3, 3)
         nxt = topo.shortest_path_next_hop()
-        dm = topo.distance_matrix()
+        dm = hop_distances(topo)
         for s in range(9):
             for d in range(9):
                 if s == d:
@@ -261,7 +262,7 @@ class TestCanonicalPaths:
 class TestHopDistanceSubmatrix:
     def test_matches_distance_matrix(self):
         topo = falcon_topology()
-        dm = topo.distance_matrix()
+        dm = hop_distances(topo)
         rows = [0, 5, 26]
         cols = [1, 7, 13, 20]
         block = topo.hop_distance_submatrix(rows, cols)
@@ -274,7 +275,7 @@ class TestHopDistanceSubmatrix:
         topo = grid_topology(3, 3)
         block = topo.hop_distance_submatrix([2, 4, 8])
         assert block.shape == (3, 3)
-        assert block[0, 2] == topo.distance_matrix()[2][8]
+        assert block[0, 2] == hop_distances(topo)[2][8]
         assert (block.diagonal() == 0).all()
 
     def test_invalid_nodes_raise_keyerror(self):

@@ -1,0 +1,43 @@
+"""Executable specifications of the library's paper stages.
+
+Each module here is the seed's scalar implementation of a stage the
+library now runs vectorized; the equivalence tests and the identity
+gates of the perf benches pin the library to them:
+
+* :mod:`tests.oracles.legalizer` — Algorithm 1 legalization
+  (:mod:`repro.core.legalizer`);
+* :mod:`tests.oracles.detailed` — detailed placement
+  (:mod:`repro.core.detailed`);
+* :mod:`tests.oracles.mapping` — greedy initial placement and the basic
+  router (:mod:`repro.circuits.mapping`);
+* :mod:`tests.oracles.sabre` — the SABRE router
+  (:mod:`repro.circuits.sabre`);
+* :mod:`tests.oracles.transpile` — the ``Gate``-list transpiler
+  (:mod:`repro.circuits.batch`);
+* :mod:`tests.oracles.circuit` — the ``Gate``-list circuit scans and
+  ASAP schedule (:class:`repro.circuits.batch.ArrayCircuit`).
+
+Do not optimise these modules; they are the fixed points the fast paths
+are measured against.
+"""
+
+from __future__ import annotations
+
+import functools
+from typing import Dict
+
+import networkx as nx
+
+from repro.devices.topology import Topology
+
+
+@functools.lru_cache(maxsize=16)
+def hop_distances(topology: Topology) -> Dict[int, Dict[int, int]]:
+    """All-pairs hop distances as ``{src: {dst: hops}}`` (cached).
+
+    The scalar routers and the placement oracle look distances up per
+    pair; the library reads the dense
+    :meth:`~repro.devices.topology.Topology.hop_distance_matrix`
+    instead.  Do not mutate the returned dicts.
+    """
+    return dict(nx.all_pairs_shortest_path_length(topology.graph))

@@ -15,11 +15,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import PlacerConfig
-from .detailed import DetailedPlaceStats
-from .legalizer import Legalizer
-from .preprocess import PlacementProblem
-from .wirelength import hpwl
+from repro.core.config import PlacerConfig
+from repro.core.detailed import DetailedPlaceStats
+from repro.core.legalizer import Legalizer
+from repro.core.preprocess import PlacementProblem
+from repro.core.wirelength import hpwl
 
 
 class DetailedPlacer:

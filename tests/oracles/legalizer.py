@@ -48,14 +48,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .config import PlacerConfig
-from .preprocess import PlacementProblem
+from repro.core.config import PlacerConfig
+from repro.core.preprocess import PlacementProblem
 
 
 # The reference shares the live telemetry dataclass so the two
 # implementations stay field-compatible (``phase_seconds`` simply stays
 # empty on this unprofiled path).
-from .legalizer import LegalizeStats  # noqa: E402
+from repro.core.legalizer import LegalizeStats  # noqa: E402
 
 
 class _SpatialHash:

@@ -4,8 +4,8 @@ These are the pre-vectorization per-gate implementations of
 :func:`repro.circuits.mapping.initial_placement` and
 :func:`repro.circuits.mapping.route_basic_arrays`, preserved so the
 array kernels can be pinned against them — the same pattern as
-``core/legalizer_reference.py`` (legalizer) and
-``circuits/sabre_reference.py`` (SABRE router).  Bit-identity is
+:mod:`tests.oracles.legalizer` (legalizer) and
+:mod:`tests.oracles.sabre` (SABRE router).  Bit-identity is
 enforced by ``tests/properties/test_mapping_props.py`` and the
 ``benchmarks/bench_perf_mapping.py`` gate: same mapping, same routed
 gate sequence, same swap count, same final mapping.
@@ -23,9 +23,12 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
-from ..devices.topology import Topology
-from .circuit import QuantumCircuit
-from .gates import Gate
+from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.gates import Gate
+from repro.circuits.mapping import interaction_weights
+from repro.devices.topology import Topology
+
+from . import hop_distances
 
 
 def initial_placement_reference(circuit: QuantumCircuit, topology: Topology,
@@ -40,12 +43,11 @@ def initial_placement_reference(circuit: QuantumCircuit, topology: Topology,
     :func:`repro.circuits.mapping.initial_placement` collapses into
     per-qubit matrix gathers.
     """
-    from .mapping import interaction_weights
 
     subset = list(subset)
     if circuit.num_qubits > len(subset):
         raise ValueError("subset smaller than circuit width")
-    all_lengths = topology.hop_distances()
+    all_lengths = hop_distances(topology)
     sub_lengths = {s: all_lengths[s] for s in subset}
     weights = interaction_weights(circuit)
     degree: Dict[int, int] = {q: 0 for q in range(circuit.num_qubits)}

@@ -4,7 +4,7 @@ This is the pre-batching per-gate implementation of
 :func:`repro.circuits.sabre.route_sabre_arrays`, preserved verbatim — the
 vectorized router must reproduce its output gate for gate
 (``tests/circuits/test_sabre_batch.py`` pins the equivalence, the same
-way ``core/legalizer_reference.py`` pins the vectorized legalizer).
+way :mod:`tests.oracles.legalizer` pins the vectorized legalizer).
 """
 
 from __future__ import annotations
@@ -14,11 +14,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from ..devices.topology import Topology
-from .circuit import QuantumCircuit
-from .gates import Gate
-from .sabre import (DECAY, LOOKAHEAD_WEIGHT, LOOKAHEAD_WINDOW,
-                    MAX_SWAPS_PER_GATE)
+from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.gates import Gate
+from repro.circuits.sabre import (DECAY, LOOKAHEAD_WEIGHT, LOOKAHEAD_WINDOW,
+                                  MAX_SWAPS_PER_GATE)
+from repro.devices.topology import Topology
+
+from . import hop_distances
 
 
 class _DependencyDag:
@@ -84,7 +86,7 @@ def route_sabre_reference(circuit: QuantumCircuit, topology: Topology,
     Returns:
         ``(physical_circuit, final_mapping, swap_count)``.
     """
-    dist = topology.hop_distances()
+    dist = hop_distances(topology)
     dag = _DependencyDag(circuit)
     logical_at: Dict[int, int] = dict(mapping)
     physical_of: Dict[int, int] = {p: l for l, p in mapping.items()}

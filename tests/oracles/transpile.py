@@ -26,8 +26,8 @@ import math
 from functools import lru_cache
 from typing import List
 
-from .circuit import QuantumCircuit
-from .gates import BASIS_GATES, Gate
+from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.gates import BASIS_GATES, Gate
 
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = math.pi / 2

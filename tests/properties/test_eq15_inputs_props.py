@@ -25,17 +25,18 @@ from repro.circuits.batch import ArrayCircuit, _stream_incidence
 from repro.circuits.library import get_benchmark
 from repro.circuits.mapping import map_suite_arrays
 from repro.devices.topology import grid_topology
+from tests.oracles.circuit import used_pairs, used_qubits
 
 from .test_transpile_props import random_circuits
 
 
 def _decoded_inputs(mapped):
     """The Eq. 15 inputs by loops over the decoded ``Gate`` list."""
-    circuit = mapped.physical_circuit
+    circuit = mapped.physical_arrays.to_circuit()
     n = circuit.num_qubits
     mask = np.zeros(n, dtype=bool)
-    mask[sorted(circuit.used_qubits())] = True
-    keys = sorted(a * n + b for a, b in circuit.used_pairs())
+    mask[sorted(used_qubits(circuit))] = True
+    keys = sorted(a * n + b for a, b in used_pairs(circuit))
     single = sum(1 for g in circuit.gates if g.name in ("sx", "x"))
     two = sum(1 for g in circuit.gates if g.is_two_qubit)
     return mask, keys, (single, two)

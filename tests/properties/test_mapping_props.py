@@ -4,12 +4,12 @@ Three contracts:
 
 * ``initial_placement`` (the one-row case of the lock-step suite
   placement) reproduces the seed greedy scan
-  (``mapping_reference.initial_placement_reference``) exactly, for
+  (``tests.oracles.mapping.initial_placement_reference``) exactly, for
   arbitrary circuits and topologies and for sampled, unsorted and
   oversized subsets;
 * the array basic router emits the identical gate sequence, final
   mapping, and swap count as the seed per-gate walker
-  (``mapping_reference.route_reference``);
+  (``tests.oracles.mapping.route_reference``);
 * the fixed subset sampler deterministically covers the chip: the
   union of the paper's 50-seed batch spans every node of each
   <=50-qubit paper topology.
@@ -25,11 +25,12 @@ from repro.circuits.mapping import (
     route_basic_arrays,
     sample_connected_subset,
 )
-from repro.circuits.mapping_reference import (
+from repro.devices.topology import get_topology, grid_topology
+from tests.oracles.circuit import asap_schedule
+from tests.oracles.mapping import (
     initial_placement_reference,
     route_reference,
 )
-from repro.devices.topology import get_topology, grid_topology
 
 from .test_transpile_props import random_circuits
 
@@ -107,7 +108,7 @@ class TestRouterIdentity:
         mapping = initial_placement(circuit, topology, subset)
         arrays, _, _ = route_basic_arrays(circuit, topology, mapping)
         basis = transpile_arrays(arrays)
-        assert basis.asap_schedule() == basis.to_circuit().asap_schedule()
+        assert basis.asap_schedule() == asap_schedule(basis.to_circuit())
 
 
 class TestProtocolCoverage:

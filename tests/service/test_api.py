@@ -201,6 +201,37 @@ class TestRoutes:
         assert "kaput" in str(err.value)
 
 
+class TestConnectBurst:
+    def test_simultaneous_submits_are_not_dropped(self, service):
+        # More simultaneous connects than socketserver's default listen
+        # backlog of 5: a dropped SYN costs a 1 s TCP retransmit, so a
+        # submit answered well under 1 s was accepted on first contact.
+        clients = 16
+        barrier = threading.Barrier(clients)
+        walls = [None] * clients
+        errors = []
+
+        def submit(i):
+            client = ServiceClient(service.base_url, timeout=10.0)
+            barrier.wait()
+            start = time.perf_counter()
+            try:
+                client.submit("place", {"topology": "grid-25", "seed": i})
+            except Exception as exc:  # reported below, not swallowed
+                errors.append(exc)
+                return
+            walls[i] = time.perf_counter() - start
+
+        threads = [threading.Thread(target=submit, args=(i,))
+                   for i in range(clients)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert max(walls) < 0.5, walls
+
+
 class TestCancellation:
     def test_cancel_queued_job(self, service, client):
         release = threading.Event()

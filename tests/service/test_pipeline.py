@@ -17,6 +17,7 @@ from repro.analysis.experiments import (build_suite, fidelity_experiment,
 from repro.analysis.runner import ParallelRunner
 from repro.core import PlacerConfig
 from repro.service import PlacementService, ServiceClient
+from tests.oracles.circuit import used_qubits
 
 FAST = {"max_iterations": 60, "min_iterations": 10, "num_bins": 32}
 
@@ -90,7 +91,7 @@ class TestMapPipeline:
             assert row["swap_count"] == mapped.swap_count
             assert row["duration_ns"] == mapped.duration_ns
             assert row["active_qubits"] == len(
-                mapped.physical_circuit.used_qubits())
+                used_qubits(mapped.physical_arrays.to_circuit()))
         assert result["total_swaps"] == sum(m.swap_count for m in direct)
 
     def test_chunked_map_has_same_digest_and_result(self, client, service):
