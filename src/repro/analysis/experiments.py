@@ -24,7 +24,8 @@ fidelities at 1e-4, mirroring the paper's "<1e-4" table entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -41,6 +42,10 @@ from ..devices.netlist import QuantumNetlist, build_netlist
 from ..devices.topology import PAPER_TOPOLOGY_ORDER, Topology, get_topology
 from ..physics import capacitance, coupling
 from .metrics import LayoutMetrics, compute_layout_metrics
+
+if TYPE_CHECKING:
+    from ..service.requests import (EvaluateRequest, FidelityRequest,
+                                    MapRequest, PlaceRequest)
 
 #: The three placement strategies compared throughout the evaluation.
 STRATEGIES: Tuple[str, ...] = ("qplacer", "classic", "human")
@@ -607,45 +612,41 @@ def _accumulate_payload_phases(payload: Dict[str, object]) -> None:
             profiling.accumulate(entry["phases"])
 
 
-def run_place_request(topology: str, segment_size_mm: float,
-                      strategies: Sequence[str], seed: int,
-                      config: Optional[PlacerConfig],
-                      include_layouts: bool,
-                      runner: "ParallelRunner",
-                      warm_start: bool = False,
+def run_place_request(request: "PlaceRequest", runner: "ParallelRunner",
                       store=None) -> Dict[str, object]:
     """Execute one service place request (a cached PlacementJob).
 
-    With ``warm_start`` (and a store to scan), the engines are seeded
-    from the nearest stored placement of the topology.  The warm path
-    bypasses the runner's suite cache: its result depends on store
+    With ``request.warm_start`` (and a store to scan), the engines are
+    seeded from the nearest stored placement of the topology.  The warm
+    path bypasses the runner's suite cache: its result depends on store
     contents a :class:`~repro.analysis.runner.PlacementJob` token
     cannot describe.
     """
     from .runner import PlacementJob
 
-    if warm_start and store is not None:
+    lb = request.segment_size_mm
+    if request.warm_start and store is not None:
         seeds, source = warm_start_positions(
-            store, topology, segment_size_mm, strategies)
+            store, request.topology, lb, request.strategies)
         if seeds:
             suite = build_suite(
-                topology, segment_size_mm=segment_size_mm,
-                strategies=tuple(strategies),
-                config=_effective_config(config, seed, segment_size_mm),
+                request.topology, segment_size_mm=lb,
+                strategies=request.strategies,
+                config=_effective_config(request.config, request.seed, lb),
                 initial_positions=seeds)
-            payload = placement_payload(suite, segment_size_mm,
-                                        include_layouts=include_layouts)
+            payload = placement_payload(
+                suite, lb, include_layouts=request.include_layouts)
             payload["warm_start"] = {"seeded": True,
                                      "source_digest": source}
             _accumulate_payload_phases(payload)
             return payload
-    job = PlacementJob(topology=topology, segment_size_mm=segment_size_mm,
-                       strategies=tuple(strategies), config=config,
-                       seed=seed)
+    job = PlacementJob(topology=request.topology, segment_size_mm=lb,
+                       strategies=request.strategies, config=request.config,
+                       seed=request.seed)
     suite = runner.run_suites([job])[0]
-    payload = placement_payload(suite, segment_size_mm,
-                                include_layouts=include_layouts)
-    if warm_start:
+    payload = placement_payload(suite, lb,
+                                include_layouts=request.include_layouts)
+    if request.warm_start:
         # Requested but nothing to seed from: record the cold fallback
         # so clients can tell the two cases apart.
         payload["warm_start"] = {"seeded": False, "source_digest": None}
@@ -653,28 +654,27 @@ def run_place_request(topology: str, segment_size_mm: float,
     return payload
 
 
-def run_fidelity_request(topology: str, workloads: Sequence[str],
-                         num_mappings: int, base_seed: int,
-                         strategies: Sequence[str], segment_size_mm: float,
-                         seed: int, config: Optional[PlacerConfig],
+def run_fidelity_request(request: "FidelityRequest",
                          runner: "ParallelRunner",
                          shard_count: Optional[int] = None
                          ) -> Dict[str, object]:
     """Execute one service fidelity request (sharded over the runner)."""
     fidelity = sharded_fidelity_experiment(
-        topology, workloads=tuple(workloads), shard_count=shard_count,
-        num_mappings=num_mappings, base_seed=base_seed,
-        segment_size_mm=segment_size_mm, strategies=tuple(strategies),
-        config=_effective_config(config, seed, segment_size_mm),
+        request.topology, workloads=request.workloads,
+        shard_count=shard_count, num_mappings=request.num_mappings,
+        base_seed=request.base_seed,
+        segment_size_mm=request.segment_size_mm,
+        strategies=request.strategies,
+        config=_effective_config(request.config, request.seed,
+                                 request.segment_size_mm),
         runner=runner)
-    return {"topology": topology, "workloads": list(workloads),
-            "num_mappings": num_mappings, "base_seed": base_seed,
-            "fidelity": fidelity}
+    return {"topology": request.topology,
+            "workloads": list(request.workloads),
+            "num_mappings": request.num_mappings,
+            "base_seed": request.base_seed, "fidelity": fidelity}
 
 
-def run_map_request(benchmark: str, topology: str, num_mappings: int,
-                    base_seed: int, router: str, optimization_level: int,
-                    runner: "ParallelRunner",
+def run_map_request(request: "MapRequest", runner: "ParallelRunner",
                     chunk_size: Optional[int] = None) -> Dict[str, object]:
     """Execute one service map request.
 
@@ -689,9 +689,10 @@ def run_map_request(benchmark: str, topology: str, num_mappings: int,
                          run_mapping_job_sharded, with_circuit_digest)
 
     job = with_circuit_digest(
-        MappingJob(benchmark=benchmark, topology=topology,
-                   num_mappings=num_mappings, base_seed=base_seed,
-                   router=router, optimization_level=optimization_level))
+        MappingJob(benchmark=request.benchmark, topology=request.topology,
+                   num_mappings=request.num_mappings,
+                   base_seed=request.base_seed, router=request.router,
+                   optimization_level=request.optimization_level))
     if chunk_size is not None:
         mappings = run_mapping_job_sharded(job, runner,
                                            chunk_size=chunk_size)
@@ -702,30 +703,31 @@ def run_map_request(benchmark: str, topology: str, num_mappings: int,
     for k, mapped in enumerate(mappings):
         n_single, n_two = mapped.timed_gate_totals()
         rows.append({
-            "seed": base_seed + k,
+            "seed": request.base_seed + k,
             "swap_count": mapped.swap_count,
             "duration_ns": mapped.duration_ns,
             "active_qubits": int(mapped.active_qubit_mask.sum()),
             "two_qubit_gates": n_two,
             "timed_single_qubit_gates": n_single,
         })
-    return {"benchmark": benchmark, "topology": topology,
-            "router": router, "optimization_level": optimization_level,
-            "num_mappings": num_mappings, "base_seed": base_seed,
+    return {"benchmark": request.benchmark, "topology": request.topology,
+            "router": request.router,
+            "optimization_level": request.optimization_level,
+            "num_mappings": request.num_mappings,
+            "base_seed": request.base_seed,
             "circuit_digest": job.circuit_digest,
             "total_swaps": sum(r["swap_count"] for r in rows),
             "mappings": rows}
 
 
-def run_evaluate_request(topologies: Sequence[str],
-                         benchmarks: Sequence[str], num_mappings: int,
-                         segment_size_mm: float, seed: int,
-                         config: Optional[PlacerConfig],
+def run_evaluate_request(request: "EvaluateRequest",
                          runner: "ParallelRunner") -> Dict[str, object]:
     """Execute one service evaluate request (the whole-paper pipeline)."""
     results = run_full_evaluation(
-        topology_names=tuple(topologies), benchmarks=tuple(benchmarks),
-        num_mappings=num_mappings, segment_size_mm=segment_size_mm,
-        config=_effective_config(config, seed, segment_size_mm),
+        topology_names=request.topologies, benchmarks=request.benchmarks,
+        num_mappings=request.num_mappings,
+        segment_size_mm=request.segment_size_mm,
+        config=_effective_config(request.config, request.seed,
+                                 request.segment_size_mm),
         runner=runner)
     return evaluation_payload(results)

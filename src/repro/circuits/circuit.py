@@ -105,21 +105,6 @@ class QuantumCircuit:
             depth = max(depth, start + 1)
         return depth
 
-    # -- transformations -----------------------------------------------------------
-
-    def remapped(self, mapping: Dict[int, int], num_qubits: int) -> "QuantumCircuit":
-        """Translate qubit indices through ``mapping`` (logical -> physical)."""
-        out = QuantumCircuit(num_qubits, name=self.name)
-        for g in self.gates:
-            out.append(g.remapped(mapping))
-        return out
-
-    def copy(self) -> "QuantumCircuit":
-        """Shallow copy (gates are immutable)."""
-        out = QuantumCircuit(self.num_qubits, name=self.name)
-        out.gates = list(self.gates)
-        return out
-
     def __repr__(self) -> str:
         return (f"QuantumCircuit({self.name!r}, qubits={self.num_qubits}, "
                 f"gates={self.size}, depth={self.depth()})")

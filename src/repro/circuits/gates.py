@@ -77,14 +77,6 @@ class Gate:
         """True when the gate is hardware-native."""
         return self.name in BASIS_GATES
 
-    def remapped(self, mapping) -> "Gate":
-        """Copy with qubit indices translated through ``mapping``.
-
-        Args:
-            mapping: Anything supporting ``mapping[q]`` lookup.
-        """
-        return Gate(self.name, tuple(mapping[q] for q in self.qubits), self.params)
-
 
 # -- concise constructors -------------------------------------------------------
 

@@ -374,8 +374,8 @@ def route_basic_arrays(circuit: QuantumCircuit, topology: Topology,
     ``tests/oracles/mapping.py``: the gate
     stream is encoded once into code/qubit/parameter columns, blocked
     gates walk the topology's canonical next-hop table (the same table
-    ``Topology.shortest_path`` walks, which is what pins the two
-    routers to the identical swap sequence), and long executable runs
+    the reference walker follows, which is what pins the two routers to
+    the identical swap sequence), and long executable runs
     are detected with doubling-window scans against the dense hop
     matrix and emitted in batched remaps.  No ``Gate`` objects, no
     ``nx.shortest_path`` calls, no per-append circuit validation;

@@ -87,19 +87,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _nonnegative_float(text: str) -> float:
-    """argparse type: float >= 0, with a clear parse-time error."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative number, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative number, got {value}")
-    return value
-
-
 def _detailed_passes(text: str) -> Optional[int]:
     """argparse type: ``auto`` or an integer >= 0, parse-time checked."""
     if text == "auto":
@@ -575,33 +562,33 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sigma_list(text: str) -> List[float]:
-    """argparse type: comma-separated sigmas, each in [0, 1] GHz."""
-    sigmas: List[float] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            value = float(token)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected comma-separated numbers, got {token!r}") from None
-        if not 0.0 <= value <= 1.0:
-            raise argparse.ArgumentTypeError(
-                f"sigma must be in [0, 1] GHz, got {value}")
-        sigmas.append(value)
-    if not sigmas:
-        raise argparse.ArgumentTypeError("expected at least one sigma")
-    return sigmas
-
-
 def cmd_ensemble(args: argparse.Namespace) -> int:
-    """Run a disorder-ensemble sweep locally and print the yield curve."""
-    from .ensembles import run_ensemble_request
+    """Run a disorder-ensemble sweep locally and print the yield curve.
 
-    runner = _runner_from(args)
-    config = _config_from(args)
+    The flags are read through the service's request parser, so the
+    command accepts exactly what a POST /jobs ``ensemble`` payload
+    does, with the same messages; an omitted flag takes the request
+    default.
+    """
+    from .ensembles import run_ensemble_request
+    from .service.requests import RequestError, parse_request
+
+    fields = {"topology": args.topology,
+              "segment_size_mm": args.segment_size, "seed": args.seed,
+              "sigmas": args.sigma, "samples": args.samples,
+              "resonator_sigma_scale": args.resonator_sigma_scale,
+              "base_seed": args.base_seed, "strategy": args.strategy,
+              "repair_samples": args.repair,
+              "max_ph_percent": args.max_ph_percent,
+              "bootstrap": args.bootstrap,
+              "config": None if args.detailed_passes is None
+              else {"detailed_passes": args.detailed_passes}}
+    try:
+        request = parse_request("ensemble", {
+            name: value for name, value in fields.items()
+            if value is not None})
+    except RequestError as exc:
+        args.error(str(exc))
 
     def on_point(index: int, point) -> None:
         repair = point.get("repair")
@@ -611,16 +598,11 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
                       f"{point['yield_after_repair'] * 100:.1f}%")
         print(f"  sigma {point['sigma_qubit_ghz']:g} GHz: yield "
               f"{point['yield'] * 100:.1f}%{suffix} "
-              f"[{index + 1}/{len(args.sigma)}]", flush=True)
+              f"[{index + 1}/{len(request.sigmas)}]", flush=True)
 
-    payload = run_ensemble_request(
-        topology=args.topology, sigmas=args.sigma, samples=args.samples,
-        resonator_sigma_scale=args.resonator_sigma_scale,
-        base_seed=args.base_seed, strategy=args.strategy,
-        segment_size_mm=args.segment_size, seed=args.seed, config=config,
-        repair_samples=args.repair, max_ph_percent=args.max_ph_percent,
-        warm_start=args.warm_start, bootstrap=args.bootstrap,
-        runner=runner, chunk_size=args.chunk_size, on_point=on_point)
+    payload = run_ensemble_request(request, _runner_from(args),
+                                   chunk_size=args.chunk_size,
+                                   on_point=on_point)
 
     rows = []
     for point in payload["points"]:
@@ -644,8 +626,9 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
         ["sigma_q", "sigma_r", "yield", "yield 95% CI", "after repair",
          "mean Ph%", "hotspots", "fidelity", "fidelity 95% CI"],
         rows,
-        title=f"{args.topology}: disorder-ensemble yield curve "
-              f"({args.samples} samples/point, strategy {args.strategy})"))
+        title=f"{request.topology}: disorder-ensemble yield curve "
+              f"({request.samples} samples/point, strategy "
+              f"{request.strategy})"))
     if args.json:
         import json as _json
         from pathlib import Path
@@ -702,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate",
                        help="Fig. 11/12/13 evaluation on one topology")
     _add_common_placer_args(p)
-    p.add_argument("--mappings", type=int, default=12,
+    p.add_argument("--mappings", type=_positive_int, default=12,
                    help="mapping subsets per benchmark (paper: 50)")
     p.add_argument("--benchmarks",
                    help="comma-separated benchmark list (default: 5 of 8)")
@@ -716,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segment-size", type=float,
                    default=constants.DEFAULT_SEGMENT_SIZE_MM)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mappings", type=int, default=12,
+    p.add_argument("--mappings", type=_positive_int, default=12,
                    help="mapping subsets per benchmark (paper: 50)")
     p.add_argument("--benchmarks",
                    help="comma-separated benchmark list (default: 5 of 8)")
@@ -768,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--suite", help="named suite, e.g. condor-433")
     group.add_argument("--workloads",
                        help="comma-separated workload names")
-    w.add_argument("--mappings", type=int, default=12,
+    w.add_argument("--mappings", type=_positive_int, default=12,
                    help="mapping subsets per benchmark (paper: 50)")
     w.add_argument("--base-seed", type=int, default=0,
                    help="first mapping-subset seed (default 0)")
@@ -828,37 +811,30 @@ def build_parser() -> argparse.ArgumentParser:
                             "sigma, with optional incremental re-place "
                             "repair of failing samples")
     _add_common_placer_args(p)
-    p.add_argument("--sigma", type=_sigma_list, default=[0.01, 0.02, 0.05],
-                   metavar="S1,S2,...",
+    p.add_argument("--sigma", metavar="S1,S2,...",
                    help="comma-separated qubit-frequency sigmas in GHz "
                         "(default 0.01,0.02,0.05)")
-    p.add_argument("--samples", type=_positive_int, default=64,
+    p.add_argument("--samples", type=int,
                    help="disorder realisations per sigma point "
                         "(default 64)")
-    p.add_argument("--resonator-sigma-scale", type=_nonnegative_float,
-                   default=0.5, metavar="SCALE",
+    p.add_argument("--resonator-sigma-scale", type=float, metavar="SCALE",
                    help="resonator sigma = qubit sigma x this scale "
                         "(default 0.5)")
-    p.add_argument("--base-seed", type=int, default=0,
+    p.add_argument("--base-seed", type=int,
                    help="ensemble entropy root; sample i draws from "
                         "SeedSequence(base_seed, spawn_key=(i,)) "
                         "(default 0)")
-    p.add_argument("--strategy", default="qplacer",
-                   choices=("qplacer", "classic", "human"),
-                   help="which placement to freeze and score "
-                        "(default qplacer)")
-    p.add_argument("--repair", type=int, default=0, metavar="N",
+    p.add_argument("--strategy",
+                   help="which placement to freeze and score: qplacer, "
+                        "classic or human (default qplacer)")
+    p.add_argument("--repair", type=int, metavar="N",
                    help="incrementally re-place up to N failing samples "
                         "per sigma point (legalize + detailed repair on "
                         "the cached positions; default 0 = frozen only)")
-    p.add_argument("--max-ph-percent", type=_nonnegative_float,
-                   default=0.0,
+    p.add_argument("--max-ph-percent", type=float,
                    help="pass threshold on the hotspot poly share Ph "
                         "(default 0.0 = zero hotspots)")
-    p.add_argument("--warm-start", action="store_true",
-                   help="warm-start the base placement from the runner "
-                        "cache when available")
-    p.add_argument("--bootstrap", type=int, default=200,
+    p.add_argument("--bootstrap", type=int,
                    help="bootstrap resamples for the yield/fidelity "
                         "confidence intervals (default 200; 0 disables)")
     p.add_argument("--chunk-size", type=_positive_int, default=None,
@@ -867,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "workers, rounded up)")
     p.add_argument("--json", help="write the full payload to this path")
     _add_runner_args(p)
-    p.set_defaults(func=cmd_ensemble)
+    p.set_defaults(func=cmd_ensemble, error=p.error)
     return parser
 
 

@@ -106,27 +106,6 @@ class Topology:
         """Neighbours of ``qubit`` in the coupling graph."""
         return sorted(self.graph.neighbors(qubit))
 
-    def shortest_path(self, src: int, dst: int) -> List[int]:
-        """Canonical shortest coupler path between two qubits.
-
-        Walks the cached :meth:`shortest_path_next_hop` table, so the
-        path choice is deterministic (lowest-index neighbour first)
-        rather than whatever tie networkx's bidirectional search breaks
-        — the basic router's array kernel reconstructs the same walks
-        from the same table, which is what makes its output
-        bit-identical to the reference walker in
-        ``tests/oracles/mapping.py``.
-        """
-        if not (0 <= src < self.num_qubits and 0 <= dst < self.num_qubits):
-            raise nx.NodeNotFound(f"node {src} or {dst} not in {self.name}")
-        if src == dst:
-            return [src]
-        nxt = self.shortest_path_next_hop()
-        path = [src]
-        while path[-1] != dst:
-            path.append(int(nxt[path[-1], dst]))
-        return path
-
     def hop_distance_matrix(self) -> "np.ndarray":
         """Cached dense all-pairs hop distances as an int64 matrix.
 

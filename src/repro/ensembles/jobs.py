@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .. import constants, profiling
-from ..core.config import PlacerConfig
 from ..crosstalk.hotspots import hotspot_report
 from ..devices.disorder import netlist_with_frequencies
 from ..io.serialization import canonical_json, layout_from_dict
@@ -38,6 +37,9 @@ from .evaluation import (
 from .repair import repair_sample
 from .sampling import sample_batch
 from .spec import DisorderSpec, EnsembleSpec
+
+if TYPE_CHECKING:
+    from ..service.requests import EnsembleRequest
 
 
 @dataclass(frozen=True)
@@ -123,13 +125,7 @@ def split_ensemble(samples: int, chunk_size: int) -> List[range]:
             for s in range(0, samples, chunk_size)]
 
 
-def run_ensemble_request(topology: str, sigmas: Sequence[float],
-                         samples: int, resonator_sigma_scale: float,
-                         base_seed: int, strategy: str,
-                         segment_size_mm: float, seed: int,
-                         config: Optional[PlacerConfig],
-                         repair_samples: int, max_ph_percent: float,
-                         warm_start: bool, bootstrap: int,
+def run_ensemble_request(request: "EnsembleRequest",
                          runner: "ParallelRunner",
                          chunk_size: Optional[int] = None,
                          store=None,
@@ -149,15 +145,23 @@ def run_ensemble_request(topology: str, sigmas: Sequence[float],
     """
     from ..analysis.experiments import _effective_config, run_place_request
     from ..core.preprocess import build_problem
+    from ..service.requests import PlaceRequest
 
-    effective = _effective_config(config, seed, segment_size_mm)
+    topology, strategy = request.topology, request.strategy
+    segment_size_mm, samples = request.segment_size_mm, request.samples
+    base_seed, max_ph_percent = request.base_seed, request.max_ph_percent
+    effective = _effective_config(request.config, request.seed,
+                                  segment_size_mm)
     design_problem = None
     with profiling.PhaseProfiler() as prof:
         with profiling.phase("ensemble/layout"):
             place_payload = run_place_request(
-                topology, segment_size_mm, [strategy], seed, config,
-                include_layouts=True, runner=runner,
-                warm_start=warm_start, store=store)
+                PlaceRequest(topology=topology,
+                             segment_size_mm=segment_size_mm,
+                             strategies=(strategy,), seed=request.seed,
+                             config=request.config,
+                             warm_start=request.warm_start),
+                runner, store=store)
             layout_doc = place_payload["strategies"][strategy]["layout"]
             layout = layout_from_dict(layout_doc)
         netlist = layout.netlist
@@ -167,9 +171,9 @@ def run_ensemble_request(topology: str, sigmas: Sequence[float],
             chunk_size = max(1, -(-samples // workers))
 
         points: List[Dict[str, object]] = []
-        for k, sigma in enumerate(sigmas):
+        for k, sigma in enumerate(request.sigmas):
             sigma_q = float(sigma)
-            sigma_r = float(sigma) * float(resonator_sigma_scale)
+            sigma_r = float(sigma) * float(request.resonator_sigma_scale)
             spec = EnsembleSpec(
                 topology=topology, strategy=strategy,
                 segment_size_mm=segment_size_mm, samples=samples,
@@ -193,12 +197,13 @@ def run_ensemble_request(topology: str, sigmas: Sequence[float],
                 "chunks": len(jobs),
             }
             point.update(summarize_scores(scores, max_ph_percent,
-                                          bootstrap=bootstrap,
+                                          bootstrap=request.bootstrap,
                                           seed=base_seed))
 
             passed = scores.passed(max_ph_percent)
             failing = np.flatnonzero(~passed)
-            attempted = [int(i) for i in failing[:max(0, repair_samples)]]
+            attempted = [int(i) for i in
+                         failing[:max(0, request.repair_samples)]]
             repaired_pass = 0
             repair_rows: List[Dict[str, object]] = []
             with profiling.phase("ensemble/repair"):
@@ -243,7 +248,7 @@ def run_ensemble_request(topology: str, sigmas: Sequence[float],
         "segment_size_mm": segment_size_mm,
         "samples": samples,
         "base_seed": base_seed,
-        "resonator_sigma_scale": resonator_sigma_scale,
+        "resonator_sigma_scale": request.resonator_sigma_scale,
         "max_ph_percent": max_ph_percent,
         "chunk_size": chunk_size,
         "warm_start": place_payload.get("warm_start"),

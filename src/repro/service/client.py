@@ -123,24 +123,6 @@ class ServiceClient:
                    if self.token is not None else None)
         return self._call("POST", "/shutdown", {}, headers=headers)
 
-    def ensemble(self, topology: str, sigmas, samples: int = 64,
-                 repair_samples: int = 0, strategy: str = "qplacer",
-                 base_seed: int = 0,
-                 options: Optional[Dict[str, Any]] = None,
-                 timeout: float = 600.0, **fields: Any) -> Any:
-        """Submit a disorder-ensemble job and return its final payload.
-
-        Extra request fields (``max_ph_percent``, ``warm_start``, ...)
-        pass through ``**fields``; execution hints (``chunk_size``) go
-        in ``options``.
-        """
-        request = {"topology": topology, "sigmas": list(sigmas),
-                   "samples": samples, "repair_samples": repair_samples,
-                   "strategy": strategy, "base_seed": base_seed,
-                   **fields}
-        return self.run("ensemble", request, options=options,
-                        timeout=timeout)
-
     # -- conveniences ------------------------------------------------------
 
     def wait(self, job_id: str, timeout: float = 600.0,

@@ -10,7 +10,8 @@ count) ride in the job envelope instead (``options`` of
 :meth:`repro.service.queue.JobQueue.submit`) and never enter the
 digest.
 
-Normalisation happens in :func:`parse_request`, before digesting:
+Normalisation happens in :func:`parse_request`, before digesting, from
+one table keyed by field name (:data:`FIELDS`) that every kind shares:
 
 * defaults are materialised (an omitted field and its explicit default
   digest identically);
@@ -18,14 +19,16 @@ Normalisation happens in :func:`parse_request`, before digesting:
   (``"paper-8"`` and its eight names coalesce);
 * JSON lists become tuples, config dicts become
   :class:`~repro.core.config.PlacerConfig`;
-* unknown kinds/fields/topologies/strategies raise
+* unknown kinds/fields/topologies/strategies, wrong-typed values and
+  out-of-range numbers (a negative seed, say) raise
   :class:`RequestError` (HTTP 400), never a queued job that fails.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple, Type, Union
+from dataclasses import dataclass, fields, replace
+from typing import (Any, Callable, ClassVar, Dict, Mapping, Optional, Tuple,
+                    Type, Union)
 
 from .. import constants
 from ..circuits.mapping import ROUTER_CHOICES
@@ -194,30 +197,21 @@ REQUEST_TYPES: Dict[str, Type[Request]] = {
                 EnsembleRequest)
 }
 
-#: Fields normalised from JSON lists to tuples.
-_TUPLE_FIELDS = frozenset({"strategies", "workloads", "topologies",
-                           "benchmarks", "sigmas"})
 
-
-def _check_topology(name: Any) -> str:
+def _check_topology(name: Any) -> None:
     from ..devices.topology import TOPOLOGY_FACTORIES
 
     if not isinstance(name, str) or name not in TOPOLOGY_FACTORIES:
         known = ", ".join(sorted(TOPOLOGY_FACTORIES))
         raise RequestError(f"unknown topology {name!r}; known: {known}")
-    return name
 
 
-def _check_strategies(strategies: Tuple[str, ...]) -> Tuple[str, ...]:
-    bad = [s for s in strategies if s not in _KNOWN_STRATEGIES]
-    if bad or not strategies:
-        raise RequestError(
-            f"strategies must be a non-empty subset of "
-            f"{sorted(_KNOWN_STRATEGIES)}, got {list(strategies)}")
-    return strategies
+def _check_topologies(names: Tuple[Any, ...]) -> None:
+    for name in names:
+        _check_topology(name)
 
 
-def _check_benchmarks(names: Tuple[str, ...]) -> None:
+def _check_benchmarks(names: Tuple[Any, ...]) -> None:
     """Cheap name-level validation (no circuit is built)."""
     from ..workloads import resolve_workload_names
 
@@ -229,34 +223,178 @@ def _check_benchmarks(names: Tuple[str, ...]) -> None:
                 f"unknown benchmark {name!r}: {exc}") from None
 
 
-#: Scalar field types enforced before validation logic runs, so a
-#: wrong-typed JSON value (e.g. ``"num_mappings": "5"``) is a clean
-#: RequestError instead of a TypeError escaping mid-comparison.
-_FIELD_SCALARS = {
-    "int": (int,),
-    "float": (int, float),
-    "bool": (bool,),
-    "str": (str,),
-}
+def _check_strategies(strategies: Tuple[Any, ...]) -> None:
+    bad = [s for s in strategies
+           if not isinstance(s, str) or s not in _KNOWN_STRATEGIES]
+    if bad or not strategies:
+        raise RequestError(
+            f"strategies must be a non-empty subset of "
+            f"{sorted(_KNOWN_STRATEGIES)}, got {list(strategies)}")
 
 
-def _check_field_types(cls: type, data: Dict[str, Any], kind: str) -> None:
-    for f in fields(cls):
-        if f.name not in data:
-            continue
-        expected = _FIELD_SCALARS.get(f.type)
-        if expected is None:
-            continue
-        value = data[f.name]
-        if not isinstance(value, expected) or (
-                f.type in ("int", "float") and isinstance(value, bool)):
+def _check_strategy(strategy: str) -> None:
+    if strategy not in _KNOWN_STRATEGIES:
+        raise RequestError(
+            f"strategy must be one of {sorted(_KNOWN_STRATEGIES)}, "
+            f"got {strategy!r}")
+
+
+def _check_router(router: str) -> None:
+    if router not in _KNOWN_ROUTERS:
+        raise RequestError(f"unknown router {router!r}; known: "
+                           f"{sorted(_KNOWN_ROUTERS)}")
+
+
+def _require(predicate: Callable[[Any], bool],
+             message: str) -> Callable[[Any], None]:
+    """A check raising ``RequestError(message)`` when ``predicate``
+    fails."""
+    def check(value: Any) -> None:
+        if not predicate(value):
+            raise RequestError(message)
+    return check
+
+
+def _non_negative(name: str) -> Callable[[Any], None]:
+    return _require(lambda v: v >= 0, f"{name} must be non-negative")
+
+
+def _as_tuple(name: str) -> Callable[[Any], Tuple[Any, ...]]:
+    """JSON list, or comma-separated string, -> tuple."""
+    def normalise(value: Any) -> Tuple[Any, ...]:
+        if isinstance(value, str):
+            value = tuple(part for part in value.split(",") if part)
+        try:
+            return tuple(value)
+        except TypeError:
+            raise RequestError(f"{name} must be a list of names") from None
+    return normalise
+
+
+def _as_sigmas(value: Any) -> Tuple[float, ...]:
+    sigmas = _as_tuple("sigmas")(value)
+    try:
+        return tuple(float(s) for s in sigmas)
+    except (TypeError, ValueError):
+        raise RequestError("sigmas must be a list of numbers "
+                           "(or a comma-separated string)") from None
+
+
+def _check_sigmas(sigmas: Tuple[float, ...]) -> None:
+    if not sigmas:
+        raise RequestError("ensemble requests need at least one sigma")
+    if any(s < 0.0 or s > 1.0 for s in sigmas):
+        raise RequestError("each sigma must be in [0, 1] GHz")
+
+
+def _as_workloads(value: Any) -> Tuple[str, ...]:
+    """A suite name or a name list -> the registry's explicit names."""
+    from ..workloads import resolve_workload_names
+
+    if not isinstance(value, (str, list, tuple)) or (
+            not isinstance(value, str)
+            and not all(isinstance(name, str) for name in value)):
+        raise RequestError("workloads must be a suite name or a list of "
+                           "names")
+    try:
+        return resolve_workload_names(value)
+    except (KeyError, ValueError) as exc:
+        raise RequestError(f"invalid workloads: {exc}") from None
+
+
+def _as_config(value: Any) -> Optional[PlacerConfig]:
+    if isinstance(value, Mapping):
+        # seed / segment_size_mm are request-level fields; the
+        # executors overwrite any config-embedded values with them, so
+        # accepting them here would compute one thing while digesting
+        # another (and fragment the artifact space).
+        shadowed = {"seed", "segment_size_mm"} & set(value)
+        if shadowed:
             raise RequestError(
-                f"{kind} request field {f.name!r} must be {f.type}, "
-                f"got {type(value).__name__}")
+                f"set {sorted(shadowed)} at the request level, not "
+                f"inside config (request-level values always win)")
+        try:
+            return PlacerConfig(**value)
+        except (TypeError, ValueError) as exc:
+            raise RequestError(f"invalid placer config: {exc}") from None
+    if value is not None and not isinstance(value, PlacerConfig):
+        raise RequestError("config must be a JSON object of PlacerConfig "
+                           "fields")
+    return value
+
+
+@dataclass(frozen=True)
+class _Field:
+    """How one request field is read, for every kind that has it.
+
+    ``scalar`` is the type an explicit value must have, checked first so
+    that ``"num_mappings": "5"`` is a 400, not a TypeError mid-check
+    (``float`` admits ints; only ``bool`` admits a bool).  ``normalise``
+    maps an explicit value to its field value.  ``check`` validates the
+    built request's value, defaults included.
+    """
+
+    scalar: Optional[type] = None
+    normalise: Optional[Callable[[Any], Any]] = None
+    check: Optional[Callable[[Any], None]] = None
+
+    def read(self, kind: str, name: str, value: Any) -> Any:
+        if self.scalar is not None:
+            expected = (int, float) if self.scalar is float else self.scalar
+            if not isinstance(value, expected) or (
+                    isinstance(value, bool) and self.scalar is not bool):
+                raise RequestError(
+                    f"{kind} request field {name!r} must be "
+                    f"{self.scalar.__name__}, got {type(value).__name__}")
+        return value if self.normalise is None else self.normalise(value)
+
+
+#: Field name -> how it is read and checked, shared by every request
+#: kind that has the field.
+FIELDS: Dict[str, _Field] = {
+    "topology": _Field(str, check=_check_topology),
+    "topologies": _Field(normalise=_as_tuple("topologies"),
+                         check=_check_topologies),
+    "benchmark": _Field(str, check=lambda name: _check_benchmarks((name,))),
+    "benchmarks": _Field(normalise=_as_tuple("benchmarks"),
+                         check=_check_benchmarks),
+    "workloads": _Field(normalise=_as_workloads, check=_require(
+        bool, "fidelity requests need a non-empty workloads list (or a "
+              "suite name)")),
+    "strategies": _Field(normalise=_as_tuple("strategies"),
+                         check=_check_strategies),
+    "strategy": _Field(str, check=_check_strategy),
+    "router": _Field(str, check=_check_router),
+    "config": _Field(normalise=_as_config),
+    "segment_size_mm": _Field(float),
+    "include_layouts": _Field(bool),
+    "warm_start": _Field(bool),
+    "seed": _Field(int, check=_non_negative("seed")),
+    "base_seed": _Field(int, check=_non_negative("base_seed")),
+    "num_mappings": _Field(int, check=_require(
+        lambda n: n >= 1, "num_mappings must be >= 1")),
+    "optimization_level": _Field(int, check=_require(
+        lambda level: level in (0, 1, 2, 3),
+        "optimization_level must be 0..3")),
+    "sigmas": _Field(normalise=_as_sigmas, check=_check_sigmas),
+    "samples": _Field(int, check=_require(
+        lambda n: 1 <= n <= 100_000, "samples must be in [1, 100000]")),
+    "resonator_sigma_scale": _Field(float, check=_require(
+        lambda x: 0.0 <= x <= 10.0,
+        "resonator_sigma_scale must be in [0, 10]")),
+    "repair_samples": _Field(int, check=_non_negative("repair_samples")),
+    "max_ph_percent": _Field(float, check=_non_negative("max_ph_percent")),
+    "bootstrap": _Field(int, check=_require(
+        lambda n: 0 <= n <= 10_000, "bootstrap must be in [0, 10000]")),
+}
 
 
 def parse_request(kind: str, payload: Mapping[str, Any]) -> Request:
     """Build and validate a request from a JSON payload.
+
+    Every field is read through its :data:`FIELDS` entry; only the
+    cross-field rules (evaluate's paper defaults, ``repair_samples <=
+    samples``) are per kind.
 
     Raises:
         RequestError: unknown kind, unknown/invalid field, unknown
@@ -271,119 +409,37 @@ def parse_request(kind: str, payload: Mapping[str, Any]) -> Request:
             f"{sorted(REQUEST_TYPES)}")
     if not isinstance(payload, Mapping):
         raise RequestError("request payload must be a JSON object")
-    data = dict(payload)
 
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+    names = [f.name for f in fields(cls)]
+    unknown = set(payload) - set(names)
     if unknown:
         raise RequestError(
             f"unknown {kind} request field(s) {sorted(unknown)}; "
-            f"known: {sorted(known)}")
-    _check_field_types(cls, data, kind)
-
-    config = data.get("config")
-    if isinstance(config, Mapping):
-        # seed / segment_size_mm are request-level fields; the
-        # executors overwrite any config-embedded values with them, so
-        # accepting them here would compute one thing while digesting
-        # another (and fragment the artifact space).
-        shadowed = {"seed", "segment_size_mm"} & set(config)
-        if shadowed:
-            raise RequestError(
-                f"set {sorted(shadowed)} at the request level, not "
-                f"inside config (request-level values always win)")
-        try:
-            data["config"] = PlacerConfig(**config)
-        except (TypeError, ValueError) as exc:
-            raise RequestError(f"invalid placer config: {exc}") from None
-    elif config is not None and not isinstance(config, PlacerConfig):
-        raise RequestError("config must be a JSON object of PlacerConfig "
-                           "fields")
-
-    if "workloads" in data:
-        from ..workloads import resolve_workload_names
-
-        try:
-            data["workloads"] = resolve_workload_names(data["workloads"])
-        except (KeyError, ValueError) as exc:
-            raise RequestError(f"invalid workloads: {exc}") from None
-    for name in _TUPLE_FIELDS & set(data):
-        value = data[name]
-        if isinstance(value, str):
-            value = tuple(part for part in value.split(",") if part)
-        try:
-            data[name] = tuple(value)
-        except TypeError:
-            raise RequestError(f"{name} must be a list of names") from None
-
+            f"known: {sorted(names)}")
+    data = {name: FIELDS[name].read(kind, name, payload[name])
+            for name in names if name in payload}
     try:
         request = cls(**data)
     except (TypeError, ValueError) as exc:
         raise RequestError(f"invalid {kind} request: {exc}") from None
 
-    if hasattr(request, "topology"):
-        _check_topology(request.topology)
-    if hasattr(request, "strategies"):
-        _check_strategies(request.strategies)
-    if isinstance(request, MapRequest):
-        if request.router not in _KNOWN_ROUTERS:
-            raise RequestError(f"unknown router {request.router!r}; known: "
-                               f"{sorted(_KNOWN_ROUTERS)}")
-        if request.num_mappings < 1:
-            raise RequestError("num_mappings must be >= 1")
-        if request.optimization_level not in (0, 1, 2, 3):
-            raise RequestError("optimization_level must be 0..3")
-        _check_benchmarks((request.benchmark,))
-    if isinstance(request, FidelityRequest):
-        if not request.workloads:
-            raise RequestError("fidelity requests need a non-empty "
-                               "workloads list (or a suite name)")
     if isinstance(request, EvaluateRequest):
         # Materialise the paper defaults so an omitted list and the
         # explicit equivalent coalesce to one digest.
         from ..circuits.library import PAPER_BENCHMARKS
         from ..devices.topology import PAPER_TOPOLOGY_ORDER
-        from dataclasses import replace as _replace
 
-        if not request.topologies:
-            request = _replace(request, topologies=tuple(PAPER_TOPOLOGY_ORDER))
-        if not request.benchmarks:
-            request = _replace(request, benchmarks=tuple(PAPER_BENCHMARKS))
-        for name in request.topologies:
-            _check_topology(name)
-        _check_benchmarks(request.benchmarks)
-    if isinstance(request, (FidelityRequest, EvaluateRequest)):
-        if request.num_mappings < 1:
-            raise RequestError("num_mappings must be >= 1")
-    if isinstance(request, EnsembleRequest):
-        from dataclasses import replace as _replace
-
-        try:
-            sigmas = tuple(float(s) for s in request.sigmas)
-        except (TypeError, ValueError):
-            raise RequestError("sigmas must be a list of numbers "
-                               "(or a comma-separated string)") from None
-        if not sigmas:
-            raise RequestError("ensemble requests need at least one sigma")
-        if any(s < 0.0 or s > 1.0 for s in sigmas):
-            raise RequestError("each sigma must be in [0, 1] GHz")
-        request = _replace(request, sigmas=sigmas)
-        if request.strategy not in _KNOWN_STRATEGIES:
-            raise RequestError(
-                f"strategy must be one of {sorted(_KNOWN_STRATEGIES)}, "
-                f"got {request.strategy!r}")
-        if not 1 <= request.samples <= 100_000:
-            raise RequestError("samples must be in [1, 100000]")
-        if not 0.0 <= request.resonator_sigma_scale <= 10.0:
-            raise RequestError("resonator_sigma_scale must be in [0, 10]")
-        if request.repair_samples < 0:
-            raise RequestError("repair_samples must be non-negative")
-        if request.repair_samples > request.samples:
-            raise RequestError("repair_samples cannot exceed samples")
-        if request.max_ph_percent < 0.0:
-            raise RequestError("max_ph_percent must be non-negative")
-        if not 0 <= request.bootstrap <= 10_000:
-            raise RequestError("bootstrap must be in [0, 10000]")
+        request = replace(
+            request,
+            topologies=request.topologies or tuple(PAPER_TOPOLOGY_ORDER),
+            benchmarks=request.benchmarks or tuple(PAPER_BENCHMARKS))
+    for name in names:
+        check = FIELDS[name].check
+        if check is not None:
+            check(getattr(request, name))
+    if isinstance(request, EnsembleRequest) \
+            and request.repair_samples > request.samples:
+        raise RequestError("repair_samples cannot exceed samples")
     return request
 
 

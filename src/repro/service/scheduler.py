@@ -48,13 +48,7 @@ def execute_place(request: PlaceRequest, ctx: ExecutionContext,
                   job: JobRecord) -> Dict[str, Any]:
     from ..analysis.experiments import run_place_request
 
-    return run_place_request(
-        topology=request.topology,
-        segment_size_mm=request.segment_size_mm,
-        strategies=request.strategies, seed=request.seed,
-        config=request.config, include_layouts=request.include_layouts,
-        runner=ctx.runner, warm_start=request.warm_start,
-        store=ctx.store)
+    return run_place_request(request, ctx.runner, store=ctx.store)
 
 
 def execute_fidelity(request: FidelityRequest, ctx: ExecutionContext,
@@ -62,35 +56,22 @@ def execute_fidelity(request: FidelityRequest, ctx: ExecutionContext,
     from ..analysis.experiments import run_fidelity_request
 
     return run_fidelity_request(
-        topology=request.topology, workloads=request.workloads,
-        num_mappings=request.num_mappings, base_seed=request.base_seed,
-        strategies=request.strategies,
-        segment_size_mm=request.segment_size_mm, seed=request.seed,
-        config=request.config, runner=ctx.runner,
-        shard_count=job.options.get("shard_count"))
+        request, ctx.runner, shard_count=job.options.get("shard_count"))
 
 
 def execute_map(request: MapRequest, ctx: ExecutionContext,
                 job: JobRecord) -> Dict[str, Any]:
     from ..analysis.experiments import run_map_request
 
-    return run_map_request(
-        benchmark=request.benchmark, topology=request.topology,
-        num_mappings=request.num_mappings, base_seed=request.base_seed,
-        router=request.router,
-        optimization_level=request.optimization_level,
-        runner=ctx.runner, chunk_size=job.options.get("chunk_size"))
+    return run_map_request(request, ctx.runner,
+                           chunk_size=job.options.get("chunk_size"))
 
 
 def execute_evaluate(request: EvaluateRequest, ctx: ExecutionContext,
                      job: JobRecord) -> Dict[str, Any]:
     from ..analysis.experiments import run_evaluate_request
 
-    return run_evaluate_request(
-        topologies=request.topologies, benchmarks=request.benchmarks,
-        num_mappings=request.num_mappings,
-        segment_size_mm=request.segment_size_mm, seed=request.seed,
-        config=request.config, runner=ctx.runner)
+    return run_evaluate_request(request, ctx.runner)
 
 
 def execute_ensemble(request: EnsembleRequest, ctx: ExecutionContext,
@@ -132,18 +113,9 @@ def execute_ensemble(request: EnsembleRequest, ctx: ExecutionContext,
                 "yield_after_repair": point["yield_after_repair"],
             })
 
-    payload = run_ensemble_request(
-        topology=request.topology, sigmas=request.sigmas,
-        samples=request.samples,
-        resonator_sigma_scale=request.resonator_sigma_scale,
-        base_seed=request.base_seed, strategy=request.strategy,
-        segment_size_mm=request.segment_size_mm, seed=request.seed,
-        config=request.config, repair_samples=request.repair_samples,
-        max_ph_percent=request.max_ph_percent,
-        warm_start=request.warm_start, bootstrap=request.bootstrap,
-        runner=ctx.runner, chunk_size=job.options.get("chunk_size"),
+    return run_ensemble_request(
+        request, ctx.runner, chunk_size=job.options.get("chunk_size"),
         store=ctx.store, on_point=on_point)
-    return payload
 
 
 #: Request kind -> executor.  Execution hints (chunk/shard sizes) come

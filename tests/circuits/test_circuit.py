@@ -5,9 +5,9 @@ import pytest
 from repro import constants
 from repro.circuits.batch import ArrayCircuit
 from repro.circuits.circuit import QuantumCircuit
-from tests.oracles.circuit import (asap_schedule, count_ops,
-                                   gate_counts_per_qubit, used_pairs,
-                                   used_qubits)
+from tests.oracles.circuit import (asap_schedule, copy_circuit, count_ops,
+                                   gate_counts_per_qubit, remap_circuit,
+                                   used_pairs, used_qubits)
 
 
 def schedule(qc, **durations):
@@ -111,13 +111,13 @@ class TestSchedule:
 class TestTransforms:
     def test_remapped(self):
         qc = QuantumCircuit(2).cx(0, 1)
-        phys = qc.remapped({0: 4, 1: 2}, num_qubits=5)
+        phys = remap_circuit(qc, {0: 4, 1: 2}, num_qubits=5)
         assert phys.gates[0].qubits == (4, 2)
         assert phys.num_qubits == 5
 
     def test_copy_independent(self):
         qc = QuantumCircuit(1).x(0)
-        dup = qc.copy()
+        dup = copy_circuit(qc)
         dup.x(0)
         assert qc.size == 1 and dup.size == 2
 

@@ -19,6 +19,7 @@ from repro.circuits.gates import (
     sx,
     x,
 )
+from tests.oracles.circuit import remap_gate
 
 
 class TestConstruction:
@@ -77,12 +78,12 @@ class TestProperties:
 
 class TestRemap:
     def test_remap_dict(self):
-        g = cx(0, 1).remapped({0: 5, 1: 7})
+        g = remap_gate(cx(0, 1), {0: 5, 1: 7})
         assert g.qubits == (5, 7)
         assert g.name == "cx"
 
     def test_remap_preserves_params(self):
-        g = ry(2, 0.7).remapped({2: 0})
+        g = remap_gate(ry(2, 0.7), {2: 0})
         assert g.params == (0.7,)
 
     def test_gates_hashable_and_frozen(self):

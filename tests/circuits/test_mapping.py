@@ -15,9 +15,9 @@ from repro.circuits.mapping import (
     route_basic_arrays,
     sample_connected_subset,
 )
-from repro.devices.topology import get_topology, grid_topology
+from repro.devices.topology import Topology, get_topology, grid_topology
 from tests.oracles import hop_distances
-from tests.oracles.circuit import count_ops, used_pairs
+from tests.oracles.circuit import count_ops, remap_circuit, used_pairs
 from tests.oracles.mapping import route_reference
 
 from .util_sim import circuit_unitary, unitaries_equal_up_to_phase
@@ -201,7 +201,7 @@ class TestRouting:
         # Build the expected unitary: original circuit with wires renamed
         # by the initial mapping, followed by the permutation induced by
         # the SWAPs (final vs initial mapping).
-        renamed = circuit.remapped(mapping, 3)
+        renamed = remap_circuit(circuit, mapping, 3)
         u_orig = circuit_unitary(renamed)
         perm = QuantumCircuit(3)
         # Move each logical qubit from mapping[l] to final[l] with swaps.
@@ -328,6 +328,18 @@ class TestRemovedSurface:
                                       "asap_schedule"])
     def test_gate_list_scan_removed(self, name):
         assert not hasattr(QuantumCircuit, name)
+
+    @pytest.mark.parametrize("owner,name", [
+        (QuantumCircuit, "remapped"),
+        (QuantumCircuit, "copy"),
+        (Gate, "remapped"),
+        (Topology, "shortest_path"),
+    ])
+    def test_oracle_only_method_moved_to_tests(self, owner, name):
+        """Only tests read these; they live in ``tests/oracles`` as
+        ``remap_circuit``, ``copy_circuit``, ``remap_gate`` and
+        ``shortest_path``."""
+        assert not hasattr(owner, name)
 
     @pytest.mark.parametrize("name", ["hop_distances", "distance_matrix"])
     def test_topology_dict_distances_removed(self, name):

@@ -8,7 +8,7 @@ from repro.circuits.mapping import initial_placement, map_circuit, \
     sample_connected_subset
 from repro.circuits.sabre import route_sabre_arrays
 from repro.devices.topology import get_topology, grid_topology
-from tests.oracles.circuit import count_ops
+from tests.oracles.circuit import count_ops, remap_circuit
 
 from .util_sim import circuit_unitary, unitaries_equal_up_to_phase
 
@@ -64,7 +64,7 @@ class TestRoutingValidity:
         routed, final, _ = _routed(circuit, line, mapping)
         u_routed = circuit_unitary(routed)
 
-        renamed = circuit.remapped(mapping, 3)
+        renamed = remap_circuit(circuit, mapping, 3)
         u_orig = circuit_unitary(renamed)
         perm = QuantumCircuit(3)
         current = dict(mapping)

@@ -12,6 +12,7 @@ from repro.crosstalk.fidelity import (
 )
 from repro.crosstalk.noise_model import NoiseParams
 from repro.baselines.human import human_layout
+from tests.oracles import shortest_path
 from tests.oracles.circuit import used_pairs, used_qubits
 
 
@@ -94,7 +95,7 @@ class TestCrosstalkImpact:
             polluted.positions[qi[pair[0]]] + np.array([0.55, 0.0])
 
         # Build a connected subset guaranteed to engage both qubits.
-        subset = list(topo.shortest_path(pair[0], pair[1]))
+        subset = list(shortest_path(topo, pair[0], pair[1]))
         for extra in topo.neighbors(pair[0]):
             if len(subset) >= 4:
                 break

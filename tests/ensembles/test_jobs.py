@@ -18,6 +18,7 @@ from repro.ensembles import (
     split_ensemble,
 )
 from repro.io.serialization import layout_to_dict
+from repro.service.requests import EnsembleRequest
 
 
 @pytest.fixture(scope="module")
@@ -97,13 +98,11 @@ class TestRunEnsembleRequest:
         def on_point(index, point):
             seen.append((index, point["sigma_qubit_ghz"]))
 
-        payload = run_ensemble_request(
+        request = EnsembleRequest(
             topology="grid-9", sigmas=(0.0, 0.08), samples=4,
-            resonator_sigma_scale=0.5, base_seed=0, strategy="qplacer",
-            segment_size_mm=0.3, seed=0, config=fast_config,
-            repair_samples=2, max_ph_percent=0.0, warm_start=False,
-            bootstrap=20, runner=runner, chunk_size=2,
-            on_point=on_point)
+            config=fast_config, repair_samples=2, bootstrap=20)
+        payload = run_ensemble_request(request, runner, chunk_size=2,
+                                       on_point=on_point)
         payload["_seen"] = seen
         return payload
 

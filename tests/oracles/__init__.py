@@ -14,8 +14,11 @@ gates of the perf benches pin the library to them:
   (:mod:`repro.circuits.sabre`);
 * :mod:`tests.oracles.transpile` — the ``Gate``-list transpiler
   (:mod:`repro.circuits.batch`);
-* :mod:`tests.oracles.circuit` — the ``Gate``-list circuit scans and
-  ASAP schedule (:class:`repro.circuits.batch.ArrayCircuit`).
+* :mod:`tests.oracles.circuit` — the ``Gate``-list circuit scans,
+  remaps and ASAP schedule (:class:`repro.circuits.batch.ArrayCircuit`).
+
+This package also holds the per-pair topology helpers only the oracles
+read: :func:`hop_distances` and :func:`shortest_path`.
 
 Do not optimise these modules; they are the fixed points the fast paths
 are measured against.
@@ -24,7 +27,7 @@ are measured against.
 from __future__ import annotations
 
 import functools
-from typing import Dict
+from typing import Dict, List
 
 import networkx as nx
 
@@ -41,3 +44,26 @@ def hop_distances(topology: Topology) -> Dict[int, Dict[int, int]]:
     instead.  Do not mutate the returned dicts.
     """
     return dict(nx.all_pairs_shortest_path_length(topology.graph))
+
+
+def shortest_path(topology: Topology, src: int, dst: int) -> List[int]:
+    """Canonical shortest coupler path between two qubits.
+
+    Walks the cached :meth:`~repro.devices.topology.Topology.
+    shortest_path_next_hop` table, so the path choice is deterministic
+    (lowest-index neighbour first) rather than whatever tie networkx's
+    bidirectional search breaks — the basic router's array kernel
+    reconstructs the same walks from the same table, which is what
+    makes its output bit-identical to the reference walker in
+    :mod:`tests.oracles.mapping`.
+    """
+    n = topology.num_qubits
+    if not (0 <= src < n and 0 <= dst < n):
+        raise nx.NodeNotFound(f"node {src} or {dst} not in {topology.name}")
+    if src == dst:
+        return [src]
+    nxt = topology.shortest_path_next_hop()
+    path = [src]
+    while path[-1] != dst:
+        path.append(int(nxt[path[-1], dst]))
+    return path

@@ -1,9 +1,11 @@
-"""``Gate``-list scans and ASAP schedule of a :class:`QuantumCircuit`.
+"""``Gate``-list scans, remaps and ASAP schedule of a
+:class:`QuantumCircuit`.
 
 The library computes these from the columns of
 :class:`~repro.circuits.batch.ArrayCircuit` (``used_qubit_mask``,
-``used_pair_keys``, ``timed_gate_totals``, ``asap_schedule``); the
-per-gate loops below are the specifications those scans are pinned to.
+``used_pair_keys``, ``timed_gate_totals``, ``asap_schedule``, the
+routers' column remaps); the per-gate loops below are the
+specifications those scans are pinned to.
 """
 
 from __future__ import annotations
@@ -13,6 +15,30 @@ from typing import Dict, Set, Tuple
 
 from repro import constants
 from repro.circuits.circuit import QuantumCircuit, Schedule
+from repro.circuits.gates import Gate
+
+
+def remap_gate(gate: Gate, mapping) -> Gate:
+    """Copy of ``gate`` with qubit indices translated through
+    ``mapping`` (anything supporting ``mapping[q]`` lookup)."""
+    return Gate(gate.name, tuple(mapping[q] for q in gate.qubits),
+                gate.params)
+
+
+def remap_circuit(circuit: QuantumCircuit, mapping: Dict[int, int],
+                  num_qubits: int) -> QuantumCircuit:
+    """Translate qubit indices through ``mapping`` (logical -> physical)."""
+    out = QuantumCircuit(num_qubits, name=circuit.name)
+    for g in circuit.gates:
+        out.append(remap_gate(g, mapping))
+    return out
+
+
+def copy_circuit(circuit: QuantumCircuit) -> QuantumCircuit:
+    """Shallow copy (gates are immutable)."""
+    out = QuantumCircuit(circuit.num_qubits, name=circuit.name)
+    out.gates = list(circuit.gates)
+    return out
 
 
 def count_ops(circuit: QuantumCircuit) -> Dict[str, int]:

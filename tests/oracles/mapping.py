@@ -28,7 +28,8 @@ from repro.circuits.gates import Gate
 from repro.circuits.mapping import interaction_weights
 from repro.devices.topology import Topology
 
-from . import hop_distances
+from . import hop_distances, shortest_path
+from .circuit import remap_gate
 
 
 def initial_placement_reference(circuit: QuantumCircuit, topology: Topology,
@@ -99,12 +100,12 @@ def route_reference(circuit: QuantumCircuit, topology: Topology,
         if gate.name == "barrier":
             continue
         if not gate.is_two_qubit:
-            out.append(gate.remapped(logical_at))
+            out.append(remap_gate(gate, logical_at))
             continue
         a, b = gate.qubits
         pa, pb = logical_at[a], logical_at[b]
         if not topology.graph.has_edge(pa, pb):
-            path = topology.shortest_path(pa, pb)
+            path = shortest_path(topology, pa, pb)
             # Swap logical qubit a along the path until adjacent to pb.
             for step in range(len(path) - 2):
                 u, v = path[step], path[step + 1]
@@ -127,5 +128,5 @@ def route_reference(circuit: QuantumCircuit, topology: Topology,
                 else:
                     physical_of[v] = lu
             pa, pb = logical_at[a], logical_at[b]
-        out.append(gate.remapped({a: pa, b: pb}))
+        out.append(remap_gate(gate, {a: pa, b: pb}))
     return out, logical_at, swap_count

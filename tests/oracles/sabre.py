@@ -21,6 +21,7 @@ from repro.circuits.sabre import (DECAY, LOOKAHEAD_WEIGHT, LOOKAHEAD_WINDOW,
 from repro.devices.topology import Topology
 
 from . import hop_distances
+from .circuit import remap_gate
 
 
 class _DependencyDag:
@@ -143,11 +144,11 @@ def route_sabre_reference(circuit: QuantumCircuit, topology: Topology,
         for idx in dag.ready_gates():
             gate = dag.gates[idx]
             if not gate.is_two_qubit:
-                out.append(gate.remapped(logical_at))
+                out.append(remap_gate(gate, logical_at))
                 dag.execute(idx)
                 progressed = True
             elif gate_distance(gate) == 1:
-                out.append(gate.remapped(logical_at))
+                out.append(remap_gate(gate, logical_at))
                 dag.execute(idx)
                 progressed = True
             else:

@@ -123,6 +123,20 @@ class TestRoutes:
             client.submit("place", {"topology": "grid-25", "seed": "7"})
         assert err.value.status == 400
 
+    @pytest.mark.parametrize("kind,payload", [
+        ("place", {"topology": "grid-25", "seed": -1}),
+        ("map", {"benchmark": "bv-4", "topology": "grid-25",
+                 "base_seed": -1}),
+        ("ensemble", {"topology": "grid-25", "base_seed": -1}),
+    ])
+    def test_negative_seed_rejected_with_400(self, client, kind, payload):
+        """Once queued, a negative seed failed the job inside
+        ``np.random.SeedSequence``; it is a 400 at submit now."""
+        with pytest.raises(ServiceError) as err:
+            client.submit(kind, payload)
+        assert err.value.status == 400
+        assert "must be non-negative" in str(err.value)
+
     def test_refine_kind_rejected_with_400(self, client):
         with pytest.raises(ServiceError) as err:
             client.submit("refine", {"source_digest": "ab" * 32})

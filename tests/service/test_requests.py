@@ -4,11 +4,27 @@ from __future__ import annotations
 
 import pytest
 
+from dataclasses import fields
+
 from repro.core import PlacerConfig
-from repro.service.requests import (REQUEST_TYPES, EvaluateRequest,
+from repro.service.requests import (FIELDS, REQUEST_TYPES, EvaluateRequest,
                                     FidelityRequest, MapRequest,
                                     PlaceRequest, RequestError,
                                     check_options, parse_request)
+
+#: The smallest valid payload of each kind.
+MINIMAL = {
+    "place": {"topology": "grid-25"},
+    "fidelity": {"topology": "grid-25", "workloads": ["bv-4"]},
+    "map": {"benchmark": "bv-4", "topology": "grid-25"},
+    "evaluate": {"topologies": ["grid-25"], "benchmarks": ["bv-4"]},
+    "ensemble": {"topology": "grid-25"},
+}
+
+
+def _kinds_with(field):
+    return [kind for kind, cls in sorted(REQUEST_TYPES.items())
+            if field in {f.name for f in fields(cls)}]
 
 
 class TestParsePlace:
@@ -218,3 +234,46 @@ class TestRemovedSurface:
             parse_request(kind, {**payload, "config": {key: value}})
         assert "invalid placer config" in str(err.value)
         assert key in str(err.value)
+
+
+class TestFieldTable:
+    """One rule per field name, shared by every kind that has it."""
+
+    def test_every_request_field_has_one_entry(self):
+        names = {f.name for cls in REQUEST_TYPES.values()
+                 for f in fields(cls)}
+        assert names == set(FIELDS)
+
+    @pytest.mark.parametrize("kind,field", [
+        (kind, field) for field in ("seed", "base_seed")
+        for kind in _kinds_with(field)])
+    def test_negative_seed_is_a_request_error(self, kind, field):
+        """A negative seed used to queue a job that then failed inside
+        ``np.random.SeedSequence``."""
+        with pytest.raises(RequestError) as err:
+            parse_request(kind, {**MINIMAL[kind], field: -1})
+        assert str(err.value) == f"{field} must be non-negative"
+        assert getattr(parse_request(kind, {**MINIMAL[kind], field: 0}),
+                       field) == 0
+
+    def test_seed_fields_cover_the_expected_kinds(self):
+        assert _kinds_with("seed") == ["ensemble", "evaluate", "fidelity",
+                                       "place"]
+        assert _kinds_with("base_seed") == ["ensemble", "fidelity", "map"]
+
+    @pytest.mark.parametrize("kind", _kinds_with("num_mappings"))
+    def test_num_mappings_rule_is_shared(self, kind):
+        with pytest.raises(RequestError) as err:
+            parse_request(kind, {**MINIMAL[kind], "num_mappings": 0})
+        assert str(err.value) == "num_mappings must be >= 1"
+
+    @pytest.mark.parametrize("payload", [{"strategies": [["qplacer"]]},
+                                         {"workloads": 5},
+                                         {"workloads": [5]},
+                                         {"workloads": {"bv-4": 1}}])
+    def test_malformed_lists_are_request_errors(self, payload):
+        """The lists used to escape as TypeError or AttributeError (HTTP
+        500), and a JSON object passed as its list of keys."""
+        kind = "fidelity"
+        with pytest.raises(RequestError):
+            parse_request(kind, {**MINIMAL[kind], **payload})

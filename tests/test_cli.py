@@ -326,6 +326,88 @@ class TestWorkloadCommands:
             main(["workloads", "merge", str(a), str(b)])
 
 
+class TestMappingsValidation:
+    """``--mappings 0`` used to place the whole suite first and then die
+    with ZeroDivisionError; it is a usage error now."""
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "grid-25", "--mappings", "0", "--benchmarks", "bv-4"],
+        ["evaluate-all", "--topologies", "grid-25", "--mappings", "0",
+         "--benchmarks", "bv-4"],
+        ["workloads", "evaluate", "--topology", "grid-25", "--workloads",
+         "bv-4", "--mappings", "0"],
+    ])
+    def test_zero_mappings_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
+
+class TestEnsembleCommand:
+    """``repro ensemble`` reads its flags through the service's request
+    parser: the same inputs, defaults and messages as POST /jobs."""
+
+    def test_json_points_match_the_direct_pipeline(self, capsys, tmp_path):
+        import json
+
+        from repro.analysis.runner import ParallelRunner
+        from repro.ensembles import run_ensemble_request
+        from repro.service.requests import parse_request
+
+        out = tmp_path / "ens.json"
+        assert main(["ensemble", "grid-25", "--samples", "4", "--sigma",
+                     "0.05", "--jobs", "1", "--json", str(out)]) == 0
+        assert "yield curve" in capsys.readouterr().out
+        request = parse_request("ensemble", {"topology": "grid-25",
+                                             "sigmas": [0.05],
+                                             "samples": 4})
+        direct = run_ensemble_request(request, ParallelRunner(max_workers=1))
+        assert json.loads(out.read_text())["points"] == \
+            json.loads(json.dumps(direct["points"]))
+
+    def test_omitted_flags_take_the_request_defaults(self, monkeypatch,
+                                                     capsys):
+        import repro.ensembles
+        from repro.service.requests import EnsembleRequest
+
+        seen = []
+
+        def fake(request, runner, chunk_size=None, on_point=None):
+            seen.append(request)
+            return {"points": []}
+
+        monkeypatch.setattr(repro.ensembles, "run_ensemble_request", fake)
+        assert main(["ensemble", "grid-25", "--jobs", "1"]) == 0
+        assert seen == [EnsembleRequest(topology="grid-25")]
+
+    @pytest.mark.parametrize("flags,payload", [
+        (["--bootstrap", "-5"], {"bootstrap": -5}),
+        (["--repair", "10", "--samples", "4"],
+         {"repair_samples": 10, "samples": 4}),
+        (["--seed", "-1"], {"seed": -1}),
+        (["--sigma", "2"], {"sigmas": "2"}),
+        (["--strategy", "greedy"], {"strategy": "greedy"}),
+    ])
+    def test_service_rejections_exit_2_with_its_message(self, flags,
+                                                        payload, capsys):
+        from repro.service.requests import RequestError, parse_request
+
+        with pytest.raises(RequestError) as service:
+            parse_request("ensemble", {"topology": "grid-25", **payload})
+        with pytest.raises(SystemExit) as err:
+            main(["ensemble", "grid-25", *flags])
+        assert err.value.code == 2
+        assert str(service.value) in capsys.readouterr().err
+
+    def test_warm_start_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(["ensemble", "grid-25",
+                                       "--warm-start"])
+        assert err.value.code == 2
+        assert "--warm-start" in capsys.readouterr().err
+
+
 class TestServeCommand:
     def test_serve_round_trip_subprocess(self, tmp_path):
         """`repro serve` boots, serves a job over HTTP, stops cleanly.
