@@ -16,7 +16,7 @@ Two gates keep the size rule honest:
   and the exact density recompute, legalizing the same global
   positions twice must give the same layout and stats, and the grid
   violation scan must reproduce the dense ``triu`` oracle
-  bit-identically;
+  (``tests/oracles/violations.py``) bit-identically;
 * **subquadratic growth**: the pruned peak pair count must grow with an
   exponent well below 2 between the largest exact-sum tier (eagle-127)
   and the condor tiers.
@@ -49,6 +49,7 @@ from repro.devices.netlist import build_netlist
 from repro.devices.topology import get_topology
 
 from conftest import FULL, emit
+from tests.oracles import violations as dense_oracle
 
 #: Scaling tiers, smallest first (the gate compares consecutive tiers).
 SCALE_TOPOLOGIES = (
@@ -128,8 +129,8 @@ def _eagle_exact_identity() -> Dict[str, object]:
                                                   config)
     layout = Layout(instances=problem.instances, positions=first_pos,
                     netlist=netlist, strategy="qplacer")
-    dense_viol = find_spatial_violations(layout, backend="dense")
-    sparse_viol = find_spatial_violations(layout, backend="sparse")
+    dense_viol = dense_oracle.find_spatial_violations(layout)
+    sparse_viol = find_spatial_violations(layout)
     return {
         "legalize_deterministic": bool(np.array_equal(first_pos,
                                                       second_pos)),

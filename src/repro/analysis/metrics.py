@@ -8,10 +8,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from ..crosstalk.hotspots import HotspotReport, hotspot_report
-from ..crosstalk.violations import SpatialViolation, count_by_kind, find_spatial_violations
+from ..crosstalk.hotspots import hotspot_report
+from ..crosstalk.violations import ViolationColumns, violation_columns
 from ..devices.layout import Layout
 
 
@@ -41,11 +41,11 @@ class LayoutMetrics:
 
 
 def compute_layout_metrics(layout: Layout,
-                           violations: Optional[List[SpatialViolation]] = None
+                           violations: Optional[ViolationColumns] = None
                            ) -> LayoutMetrics:
-    """Evaluate every scalar metric on a layout."""
+    """Evaluate every scalar metric on a layout (one violation scan)."""
     if violations is None:
-        violations = find_spatial_violations(layout)
+        violations = violation_columns(layout)
     report = hotspot_report(layout, violations=violations)
     return LayoutMetrics(
         strategy=layout.strategy,
@@ -55,7 +55,7 @@ def compute_layout_metrics(layout: Layout,
         ph_percent=report.ph_percent,
         num_hotspots=report.num_hotspots,
         impacted_qubits=report.num_impacted_qubits,
-        num_violations=len(violations),
+        num_violations=int(violations.pairs.i.size),
     )
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from . import constants
 from .analysis import (
@@ -64,43 +64,45 @@ from .io import save_gds, save_layout, save_svg
 from .io.serialization import canonicalize
 
 
-def _add_common_placer_args(parser: argparse.ArgumentParser) -> None:
+def _int_at_least(text: str, low: int, expected: str) -> int:
+    """Parse an integer ``>= low`` as a parse-time argparse error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected {expected}, got {text!r}") from None
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: integer >= 1."""
+    return _int_at_least(text, 1, "a positive integer (>= 1)")
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type: integer >= 0 (seeds)."""
+    return _int_at_least(text, 0, "a non-negative integer")
+
+
+def _detailed_passes(text: str) -> Optional[int]:
+    """argparse type: ``auto`` or an integer >= 0."""
+    if text == "auto":
+        return None
+    return _int_at_least(text, 0, "'auto' or a non-negative integer")
+
+
+def _add_common_placer_args(parser: argparse.ArgumentParser,
+                            seed_type: Callable[[str], int] = _nonnegative_int
+                            ) -> None:
     parser.add_argument("topology", help="topology name, e.g. falcon-27")
     parser.add_argument("--segment-size", type=float,
                         default=constants.DEFAULT_SEGMENT_SIZE_MM,
                         help="resonator segment size lb in mm (default 0.3)")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=seed_type, default=0,
                         help="placement seed (default 0)")
     _add_detailed_passes_arg(parser)
-
-
-def _positive_int(text: str) -> int:
-    """argparse type: integer >= 1, with a clear parse-time error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer (>= 1), got {value}")
-    return value
-
-
-def _detailed_passes(text: str) -> Optional[int]:
-    """argparse type: ``auto`` or an integer >= 0, parse-time checked."""
-    if text == "auto":
-        return None
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected 'auto' or a non-negative integer, "
-            f"got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected 'auto' or a non-negative integer, got {value}")
-    return value
 
 
 def _add_detailed_passes_arg(parser: argparse.ArgumentParser) -> None:
@@ -113,7 +115,7 @@ def _add_detailed_passes_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_runner_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", "-j", type=int, default=None,
+    parser.add_argument("--jobs", "-j", type=_positive_int, default=None,
                         help="worker processes (default: CPU count)")
     parser.add_argument("--cache-dir", default=None,
                         help="on-disk result cache directory "
@@ -698,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated topology list (default: all six)")
     p.add_argument("--segment-size", type=float,
                    default=constants.DEFAULT_SEGMENT_SIZE_MM)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--mappings", type=_positive_int, default=12,
                    help="mapping subsets per benchmark (paper: 50)")
     p.add_argument("--benchmarks",
@@ -709,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="Fig. 15 / Table II segment-size sweep")
     p.add_argument("topology")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     _add_runner_args(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -753,11 +755,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated workload names")
     w.add_argument("--mappings", type=_positive_int, default=12,
                    help="mapping subsets per benchmark (paper: 50)")
-    w.add_argument("--base-seed", type=int, default=0,
+    w.add_argument("--base-seed", type=_nonnegative_int, default=0,
                    help="first mapping-subset seed (default 0)")
     w.add_argument("--segment-size", type=float,
                    default=constants.DEFAULT_SEGMENT_SIZE_MM)
-    w.add_argument("--seed", type=int, default=0,
+    w.add_argument("--seed", type=_nonnegative_int, default=0,
                    help="placement seed (default 0)")
     w.add_argument("--strategies", default="qplacer,classic,human",
                    help="comma-separated strategies to score")
@@ -810,7 +812,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "yield/fidelity curves over fabrication "
                             "sigma, with optional incremental re-place "
                             "repair of failing samples")
-    _add_common_placer_args(p)
+    # Plain ints: the service's request parser range-checks them.
+    _add_common_placer_args(p, seed_type=int)
     p.add_argument("--sigma", metavar="S1,S2,...",
                    help="comma-separated qubit-frequency sigmas in GHz "
                         "(default 0.01,0.02,0.05)")

@@ -4,14 +4,12 @@ Every pairwise structure of the placement flow — the legalizer's
 required-gap lookups, the engine's frequency-collision force, the
 spatial-violation scan, and the fidelity crosstalk tables — reduces to
 the same primitive: *which instance pairs can interact within a cutoff
-distance?*  This module provides it two ways:
-
-* :func:`dense_candidate_pairs` — every pair (``triu`` index arrays),
-  O(n^2) memory/time; the oracle the grid is tested against.
-* :func:`grid_candidate_pairs` — a uniform-grid neighbor list:
-  instances are bucketed into cells of the cutoff size and only pairs
-  in adjacent cells are candidates.  O(n x local density) memory/time,
-  which is what makes condor-1121-class topologies tractable.
+distance?*  :func:`grid_candidate_pairs` answers it with a uniform-grid
+neighbor list: instances are bucketed into cells of the cutoff size and
+only pairs in adjacent cells are candidates.  O(n x local density)
+memory/time, which is what makes condor-1121-class topologies tractable;
+the all-pairs ``triu`` scan it is tested against lives in
+``tests/oracles/violations.py``.
 
 The engine's frequency force always runs through
 :class:`PrunedCollisionPairs`.  Only its cutoff depends on size:
@@ -22,8 +20,7 @@ the region diagonal up to
 is built once and equals the full collision map, so the six paper
 topologies keep their exact all-pairs sum) and to
 :data:`~repro.core.preprocess.FREQ_PAIR_CUTOFF_MM` above.  The
-spatial-violation scan returns the same pairs either way, so it uses the
-grid at every size unless the ``dense`` oracle is asked for.
+spatial-violation scan uses the grid at every size.
 
 Grid candidate generation is fully vectorized: cell keys are sorted
 once, and for each of the five half-neighborhood offsets the matching
@@ -43,11 +40,6 @@ from .. import profiling
 # ---------------------------------------------------------------------------
 # candidate-pair generation
 # ---------------------------------------------------------------------------
-
-def dense_candidate_pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """All ``i < j`` index pairs, in ``triu`` (lexicographic) order."""
-    return np.triu_indices(n, 1)
-
 
 def sort_pairs(a: np.ndarray, b: np.ndarray,
                n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -99,7 +91,7 @@ def grid_candidate_pairs(positions: np.ndarray, cutoff: float,
     Guarantee: the result is a superset of every pair whose per-axis
     (Chebyshev) centre distance is at most ``cutoff``; pairs further
     than ``2 * cutoff`` on either axis are never produced.  With
-    ``sort=True`` the ordering matches :func:`dense_candidate_pairs`
+    ``sort=True`` the ordering matches an all-pairs ``triu`` scan
     (sorted by ``(i, j)``) so downstream filters yield identical result
     sequences under either strategy; callers that filter heavily first
     pass ``sort=False`` and apply :func:`sort_pairs` to the survivors.

@@ -91,32 +91,6 @@ class PlacementProblem:
         """Footprints grown by the routing clearance (density footprint)."""
         return self.sizes + self.clearances[:, None]
 
-    def required_gap(self, i: int, j: int, resonant: bool) -> float:
-        """Minimum legal edge-to-edge gap between two instances.
-
-        Intended pairs (handled by the caller) need none; resonant pairs
-        need the full padding sum; ordinary pairs need the mean clearance.
-        """
-        if resonant:
-            return float(self.paddings[i] + self.paddings[j])
-        return float(0.5 * (self.clearances[i] + self.clearances[j]))
-
-    def is_intended_pair(self, i: int, j: int) -> bool:
-        """Pairs allowed to touch: siblings, or qubit + attached segment."""
-        ri, rj = int(self.resonator_index[i]), int(self.resonator_index[j])
-        if ri >= 0 and ri == rj:
-            return True
-        if self.is_qubit[i] and rj >= 0:
-            return rj in self.attached_resonators.get(i, ())
-        if self.is_qubit[j] and ri >= 0:
-            return ri in self.attached_resonators.get(j, ())
-        return False
-
-    def is_resonant_pair(self, i: int, j: int) -> bool:
-        """Eq. (9)'s tau: detuning within the threshold."""
-        return (abs(float(self.frequencies[i] - self.frequencies[j]))
-                <= self.config.detuning_threshold_ghz)
-
     @cached_property
     def collision_pairs(self) -> np.ndarray:
         """``(p, 2)`` int array of resonant pairs, lex-sorted.

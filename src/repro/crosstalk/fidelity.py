@@ -11,16 +11,16 @@ least one active member; the exposure time is the circuit duration
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .. import constants
 from ..circuits.mapping import MappedCircuit
-from ..devices.components import Qubit, ResonatorSegment
 from ..devices.layout import Layout
 from .noise_model import NoiseParams, decoherence_error
-from .violations import KIND_QQ, SpatialViolation, find_spatial_violations
+from .violations import KIND_QQ, violation_columns
 
 
 @dataclass
@@ -58,7 +58,7 @@ class ViolationTable:
     operations instead of a Python loop over (violation, member) pairs.
 
     Attributes:
-        violations: The source violation list (kept for reporting).
+        i, j: Instance indices of each violating pair (``i < j``).
         qubit_i, qubit_j: Topology qubit index of each member when it is
             a qubit, else -1.
         res_i, res_j: Resonator index of each member when it is a
@@ -73,9 +73,14 @@ class ViolationTable:
         gather_size: Minimum length of the activity gathers: one past
             every member and resonator index, plus a ``False`` slot that
             the ``-1`` of a non-member reads.
+        amplitude, rate: The mapping-independent Eq. (16) terms
+            ``4 g^2 / Omega^2`` and ``pi * Omega`` (``Omega^2 =
+            Delta^2 + 4 g^2``), derived from ``g_ghz`` and
+            ``detuning_ghz`` once, when the table is made.
     """
 
-    violations: List[SpatialViolation]
+    i: np.ndarray
+    j: np.ndarray
     qubit_i: np.ndarray
     qubit_j: np.ndarray
     res_i: np.ndarray
@@ -87,51 +92,44 @@ class ViolationTable:
     res_e1: np.ndarray
     res_index: np.ndarray
     gather_size: int
+    amplitude: np.ndarray = field(init=False)
+    rate: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        g, delta = self.g_ghz, self.detuning_ghz
+        rabi2 = delta * delta + 4.0 * g * g
+        object.__setattr__(self, "amplitude", np.divide(
+            4.0 * g * g, rabi2, out=np.zeros_like(g), where=rabi2 > 0))
+        object.__setattr__(self, "rate", np.pi * np.sqrt(rabi2))
 
     @classmethod
     def build(cls, layout: Layout,
-              violations: Optional[List[SpatialViolation]] = None,
-              detuning_threshold_ghz: Optional[float] = None
+              detuning_threshold_ghz: float = constants.DETUNING_THRESHOLD_GHZ
               ) -> "ViolationTable":
-        """Extract the columnar arrays from a violation list."""
-        if violations is None:
-            kwargs = {}
-            if detuning_threshold_ghz is not None:
-                kwargs["detuning_threshold_ghz"] = detuning_threshold_ghz
-            violations = find_spatial_violations(layout, **kwargs)
-        n = len(violations)
-        qubit_idx = np.full((n, 2), -1, dtype=np.int64)
-        res_idx = np.full((n, 2), -1, dtype=np.int64)
-        for row, v in enumerate(violations):
-            for col, idx in enumerate((v.i, v.j)):
-                inst = layout.instances[idx]
-                if isinstance(inst, Qubit):
-                    qubit_idx[row, col] = inst.index
-                elif isinstance(inst, ResonatorSegment):
-                    res_idx[row, col] = inst.resonator_index
+        """Scan ``layout``'s violations (:func:`violation_columns`)."""
+        cols = violation_columns(layout, detuning_threshold_ghz)
+        pairs = cols.pairs
         resonators = (layout.netlist.resonators
                       if layout.netlist is not None else [])
         res_cols = np.array([(r.endpoints[0], r.endpoints[1], r.index)
                              for r in resonators],
                             dtype=np.int64).reshape(-1, 3)
-        top = max(int(qubit_idx.max(initial=-1)), int(res_idx.max(initial=-1)),
+        top = max(int(pairs.qubit.max(initial=-1)),
+                  int(pairs.resonator.max(initial=-1)),
                   int(res_cols[:, 2].max(initial=-1)))
         return cls(
-            violations=violations,
-            qubit_i=qubit_idx[:, 0], qubit_j=qubit_idx[:, 1],
-            res_i=res_idx[:, 0], res_j=res_idx[:, 1],
-            g_ghz=np.array([v.g_ghz for v in violations], dtype=float),
-            detuning_ghz=np.array([v.detuning_ghz for v in violations],
-                                  dtype=float),
-            is_qq=np.array([v.kind == KIND_QQ for v in violations],
-                           dtype=bool),
+            i=pairs.i, j=pairs.j,
+            qubit_i=pairs.qubit[:, 0], qubit_j=pairs.qubit[:, 1],
+            res_i=pairs.resonator[:, 0], res_j=pairs.resonator[:, 1],
+            g_ghz=cols.g, detuning_ghz=cols.detuning,
+            is_qq=cols.kind == KIND_QQ,
             res_e0=res_cols[:, 0], res_e1=res_cols[:, 1],
             res_index=res_cols[:, 2],
             gather_size=top + 2,
         )
 
     def __len__(self) -> int:
-        return len(self.violations)
+        return int(self.g_ghz.shape[0])
 
     def activity(self, qubit_mask: np.ndarray,
                  pair_keys: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -175,23 +173,19 @@ class ViolationTable:
 
         Identical to calling :func:`~repro.crosstalk.noise_model.
         crosstalk_error` per violation with the bare ``g`` and the pair
-        detuning.  ``rows`` selects the violations (all by default);
-        each element goes through the same arithmetic either way.
+        detuning: only the exposure ``rate * duration``, the clipped
+        sine and the product depend on the mapping.  ``rows`` selects
+        the violations (all by default); each element goes through the
+        same arithmetic either way.
         """
-        g = self.g_ghz[rows]
-        delta = self.detuning_ghz[rows]
-        rabi2 = delta * delta + 4.0 * g * g
-        amplitude = np.divide(4.0 * g * g, rabi2,
-                              out=np.zeros_like(g), where=rabi2 > 0)
-        phase = np.pi * np.sqrt(rabi2) * duration_ns
-        return amplitude * np.sin(np.minimum(phase, np.pi / 2.0)) ** 2
+        phase = self.rate[rows] * duration_ns
+        return (self.amplitude[rows]
+                * np.sin(np.minimum(phase, np.pi / 2.0)) ** 2)
 
 
 def estimate_program_fidelity(layout: Layout, mapped: MappedCircuit,
                               params: NoiseParams = NoiseParams(),
-                              violations: Optional[Union[
-                                  List[SpatialViolation],
-                                  ViolationTable]] = None
+                              violations: Optional[ViolationTable] = None
                               ) -> FidelityBreakdown:
     """Evaluate Eq. (15) for one mapped benchmark on one layout.
 
@@ -199,17 +193,14 @@ def estimate_program_fidelity(layout: Layout, mapped: MappedCircuit,
         layout: The physical layout being scored.
         mapped: A benchmark compiled onto the layout's topology.
         params: Noise-model parameters.
-        violations: Precomputed spatial violations of ``layout`` — a
-            plain list or, when scoring many mappings against one
-            layout, a prebuilt :class:`ViolationTable` (avoids
-            re-extracting the per-violation columns every call).
+        violations: A prebuilt :class:`ViolationTable` of ``layout``,
+            when scoring many mappings against one layout (scanned here
+            when omitted).
     """
-    if isinstance(violations, ViolationTable):
-        table = violations
-    else:
+    table = violations
+    if table is None:
         table = ViolationTable.build(
-            layout, violations,
-            detuning_threshold_ghz=params.detuning_threshold_ghz)
+            layout, detuning_threshold_ghz=params.detuning_threshold_ghz)
 
     duration = mapped.duration_ns
 

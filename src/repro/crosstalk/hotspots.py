@@ -17,14 +17,14 @@ every qubit those resonators touch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Set
+
+import numpy as np
 
 from .. import constants
-from ..devices.components import Qubit, ResonatorSegment
-from ..devices.geometry import adjacency_length
 from ..devices.layout import Layout
-from .violations import SpatialViolation, find_spatial_violations
+from .violations import ViolationColumns, violation_columns
 
 
 @dataclass(frozen=True)
@@ -79,51 +79,55 @@ class HotspotReport:
         return len(self.impacted_qubits)
 
 
-def _impacted_from_pair(layout: Layout, i: int, j: int) -> Set[int]:
-    """Qubits affected by a hotspot pair (non-local resonator spread)."""
-    impacted: Set[int] = set()
-    endpoints = {}
-    if layout.netlist is not None:
-        endpoints = {r.index: r.endpoints for r in layout.netlist.resonators}
-    for idx in (i, j):
-        inst = layout.instances[idx]
-        if isinstance(inst, Qubit):
-            impacted.add(inst.index)
-        elif isinstance(inst, ResonatorSegment):
-            impacted.update(endpoints.get(inst.resonator_index, ()))
-    return impacted
-
-
 def hotspot_report(layout: Layout,
                    detuning_threshold_ghz: float = constants.DETUNING_THRESHOLD_GHZ,
-                   violations: Optional[List[SpatialViolation]] = None
+                   violations: Optional[ViolationColumns] = None
                    ) -> HotspotReport:
     """Evaluate Eq. (18) on a layout.
+
+    The padded footprints mirror :meth:`~repro.devices.geometry.Rect.
+    from_center` and :func:`~repro.devices.geometry.adjacency_length`
+    operation for operation, and the contributions add up in scan order,
+    so every number equals the per-pair ``Rect`` evaluation bit for bit.
 
     Args:
         layout: Placed layout to score.
         detuning_threshold_ghz: Resonance threshold ``Delta_c``.
-        violations: Precomputed spatial violations (recomputed if None).
+        violations: Precomputed :func:`~repro.crosstalk.violations.
+            violation_columns` of ``layout`` (scanned if None).
     """
     if violations is None:
-        violations = find_spatial_violations(
+        violations = violation_columns(
             layout, detuning_threshold_ghz=detuning_threshold_ghz)
+    p = violations.pairs
+    hot = np.flatnonzero(violations.resonant)
+    iu, ju = p.i[hot], p.j[hot]
+    # Padded rectangles as Rect.from_center builds them.
+    w = 2.0 * p.half_w + 2.0 * p.pads
+    h = 2.0 * p.half_h + 2.0 * p.pads
+    x = p.pos[:, 0] - w / 2.0
+    y = p.pos[:, 1] - h / 2.0
+    x2, y2 = x + w, y + h
+    lo_x, hi_x = np.maximum(x[iu], x[ju]), np.minimum(x2[iu], x2[ju])
+    lo_y, hi_y = np.maximum(y[iu], y[ju]), np.minimum(y2[iu], y2[ju])
+    touching = (lo_x - hi_x <= 1e-9) & (lo_y - hi_y <= 1e-9)
+    facing = np.where(touching,
+                      np.maximum(np.maximum(0.0, hi_x - lo_x),
+                                 np.maximum(0.0, hi_y - lo_y)), 0.0)
+    cx, cy = x + w / 2.0, y + h / 2.0
+    dc = np.hypot(cx[iu] - cx[ju], cy[iu] - cy[ju])
+    contribution = facing * dc
+    pairs = [HotspotPair(i=i, j=j, facing_mm=f, centroid_distance_mm=d,
+                         contribution=c)
+             for i, j, f, d, c in zip(iu.tolist(), ju.tolist(),
+                                      facing.tolist(), dc.tolist(),
+                                      contribution.tolist())]
+
+    touched = p.impacted_qubits()[hot]
+    impacted = set(touched[touched >= 0].tolist())
+
     apoly = layout.apoly()
-    pairs: List[HotspotPair] = []
-    impacted: Set[int] = set()
-    for v in violations:
-        if not v.resonant:
-            continue
-        pi = layout.padded_rect(v.i)
-        pj = layout.padded_rect(v.j)
-        facing = adjacency_length(pi, pj)
-        dc = pi.centroid_distance(pj)
-        pairs.append(HotspotPair(
-            i=v.i, j=v.j, facing_mm=facing,
-            centroid_distance_mm=dc,
-            contribution=facing * dc))
-        impacted.update(_impacted_from_pair(layout, v.i, v.j))
-    total = sum(p.contribution for p in pairs)
+    total = sum(pair.contribution for pair in pairs)
     ph = total / apoly if apoly > 0 else 0.0
     return HotspotReport(ph=ph, pairs=pairs,
                          impacted_qubits=impacted, apoly=apoly)

@@ -17,23 +17,20 @@ Intended couplings are excluded:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .. import constants
-from ..core.interactions import dense_candidate_pairs, grid_candidate_pairs
+from ..core.interactions import grid_candidate_pairs
 from ..devices.components import Qubit, ResonatorSegment
 from ..devices.layout import Layout
+from ..devices.netlist import QuantumNetlist
 from ..physics.capacitance import (
     qubit_parasitic_capacitance_ff,
     resonator_parasitic_capacitance_ff,
 )
-from ..physics.coupling import (
-    effective_coupling_ghz,
-    qubit_qubit_coupling_ghz,
-    resonator_resonator_coupling_ghz,
-)
+from ..physics.coupling import effective_coupling_ghz, qubit_qubit_coupling_ghz
 
 #: Violation kinds: qubit-qubit, resonator-resonator, qubit-resonator.
 KIND_QQ = "qq"
@@ -67,86 +64,108 @@ class SpatialViolation:
     resonant: bool
 
 
-def attached_resonators_by_qubit(layout: Layout) -> Optional[Dict[int, Set[int]]]:
-    """Map qubit index -> indices of resonators attached to it."""
-    if layout.netlist is None:
-        return None
-    attached: Dict[int, Set[int]] = {}
-    for resonator in layout.netlist.resonators:
-        for q in resonator.endpoints:
-            attached.setdefault(q, set()).add(resonator.index)
-    return attached
+def resonator_endpoints(netlist: Optional[QuantumNetlist],
+                        resonator: np.ndarray) -> np.ndarray:
+    """``(R, 2)`` endpoint qubits per resonator index, ``-1`` if unknown.
+
+    ``R`` is at least one and covers every index in the netlist and in
+    ``resonator`` (per-instance ids), so ``-1``-clipped gathers stay in
+    bounds.  Without a netlist no endpoint is known.
+    """
+    resonators = netlist.resonators if netlist is not None else []
+    ends = np.full((max([1, int(resonator.max(initial=-1)) + 1]
+                        + [r.index + 1 for r in resonators]), 2), -1,
+                   dtype=np.int64)
+    for r in resonators:
+        ends[r.index] = r.endpoints
+    return ends
+
+
+def intended_adjacency(qubit: np.ndarray, resonator: np.ndarray,
+                       ends: np.ndarray, a: np.ndarray,
+                       b: np.ndarray) -> np.ndarray:
+    """Which pairs ``(a[k], b[k])`` may touch: the intended adjacencies.
+
+    Sibling segments of one resonator, and a qubit against the segments
+    of a resonator attached to it.  ``qubit`` (a qubit key, ``-1`` for
+    segments) and ``resonator`` (``-1`` for qubits) are per instance;
+    ``ends`` holds each resonator's endpoint keys (see
+    :func:`resonator_endpoints`), in the same key space as ``qubit``.
+    """
+    ra, rb = resonator[a], resonator[b]
+    intended = (ra >= 0) & (ra == rb)
+    for q, r in ((qubit[a], rb), (qubit[b], ra)):
+        e = ends[np.maximum(r, 0)]
+        intended |= (q >= 0) & (r >= 0) & ((e[:, 0] == q) | (e[:, 1] == q))
+    return intended
 
 
 def spatial_candidate_pairs(positions: np.ndarray, half_w: np.ndarray,
-                            half_h: np.ndarray, pads: np.ndarray,
-                            backend: str = "sparse"
+                            half_h: np.ndarray, pads: np.ndarray
                             ) -> Tuple[np.ndarray, np.ndarray,
                                        np.ndarray, np.ndarray]:
     """``(i, j, |dx|, |dy|)`` of pairs whose padded footprints touch.
 
     Candidates come from a uniform grid sized to the largest possible
-    padded reach, so only nearby pairs are screened, at every size.
-    ``backend="dense"`` selects the all-pairs ``triu`` oracle instead;
-    both return the same pairs in the same lexicographic order, so every
-    downstream filter produces identical violation lists under either
-    strategy.  The per-axis centre distances come back alongside the
-    indices so the violation scan never recomputes them.  Fewer than two
+    padded reach, so only nearby pairs are screened, at every size.  The
+    pairs come back in lexicographic order, as an all-pairs ``triu``
+    scan would list them, with the per-axis centre distances alongside
+    so the violation scan never recomputes them.  Fewer than two
     instances yield empty arrays.
     """
-    if backend not in ("dense", "sparse"):
-        raise ValueError(f"unknown violation-scan backend {backend!r}")
     n = positions.shape[0]
-    if n < 2:
-        no_pairs = np.zeros(0, dtype=np.int64)
-        no_dist = np.zeros(0, dtype=np.float64)
-        return no_pairs, no_pairs, no_dist, no_dist
-    if backend == "dense":
-        iu, ju = dense_candidate_pairs(n)
-        presorted = True
-    else:
-        # pw, ph <= 2 * max(half + pad): a cutoff of that bound makes
-        # the grid candidates a superset of every touching pair.
-        reach = 2.0 * float(np.max(np.maximum(half_w, half_h) + pads))
-        iu, ju = grid_candidate_pairs(positions, max(reach, 1e-9),
-                                      sort=False)
-        presorted = False
+    # pw, ph <= 2 * max(half + pad): a cutoff of that bound makes the
+    # grid candidates a superset of every touching pair.
+    reach = 2.0 * float(np.max(np.maximum(half_w, half_h) + pads,
+                               initial=0.0))
+    iu, ju = grid_candidate_pairs(positions, max(reach, 1e-9), sort=False)
     dx = np.abs(positions[iu, 0] - positions[ju, 0])
     dy = np.abs(positions[iu, 1] - positions[ju, 1])
     pw = half_w[iu] + half_w[ju] + pads[iu] + pads[ju]
     ph = half_h[iu] + half_h[ju] + pads[iu] + pads[ju]
     cand = (dx <= pw) & (dy <= ph)
     iu, ju, dx, dy = iu[cand], ju[cand], dx[cand], dy[cand]
-    if not presorted and iu.size:
-        order = np.argsort(iu.astype(np.int64) * np.int64(n) + ju)
-        iu, ju, dx, dy = iu[order], ju[order], dx[order], dy[order]
-    return iu, ju, dx, dy
+    order = np.argsort(iu.astype(np.int64) * np.int64(n) + ju)
+    return iu[order], ju[order], dx[order], dy[order]
 
 
-def _footprints(layout: Layout) -> Tuple[np.ndarray, np.ndarray,
-                                          np.ndarray, np.ndarray]:
-    """``(centres, half widths, half heights, paddings)`` per instance."""
+def _footprints(layout: Layout) -> Tuple[np.ndarray, ...]:
+    """Per-instance columns, from one walk over the instances.
+
+    ``(centres, half widths, half heights, paddings, is-qubit mask,
+    topology qubit index or -1, resonator index or -1)``.
+    """
     insts = layout.instances
+    is_q = np.array([isinstance(it, Qubit) for it in insts], dtype=bool)
     return (np.asarray(layout.positions, dtype=float),
             np.array([0.5 * it.width for it in insts]),
             np.array([0.5 * it.height for it in insts]),
-            np.array([it.padding for it in insts]))
+            np.array([it.padding for it in insts]),
+            is_q,
+            np.array([it.index if q else -1 for it, q in zip(insts, is_q)],
+                     dtype=np.int64),
+            np.array([it.resonator_index
+                      if isinstance(it, ResonatorSegment) else -1
+                      for it in insts], dtype=np.int64))
 
 
-def count_candidate_pairs(layout: Layout, backend: str = "sparse") -> int:
+def count_candidate_pairs(layout: Layout) -> int:
     """Number of padded-footprint candidate pairs (scaling telemetry)."""
-    iu, _, _, _ = spatial_candidate_pairs(*_footprints(layout),
-                                          backend=backend)
+    iu, _, _, _ = spatial_candidate_pairs(*_footprints(layout)[:4])
     return int(iu.size)
 
 
 class ViolatingPairs(NamedTuple):
     """Columns of a layout's violating pairs, in lexicographic order.
 
-    ``pos``/``half_w``/``half_h``/``pads``/``is_q`` are per instance;
+    ``pos``/``half_w``/``half_h``/``pads``/``is_q`` are per instance,
+    and ``ends`` per resonator index (:func:`resonator_endpoints`).
     ``i``/``j`` (instance indices, ``i < j``), the centre distances
-    ``dx``/``dy``, the bare edge-to-edge ``gap`` and the bare
-    ``facing`` length are per pair.
+    ``dx``/``dy``, the bare edge-to-edge ``gap``, the bare ``facing``
+    length and the parasitic capacitance ``cp`` (fF) are per pair, and
+    so are the ``(P, 2)`` member
+    columns ``qubit`` (topology qubit index of a qubit member, else -1)
+    and ``resonator`` (resonator index of a segment member, else -1).
     """
 
     pos: np.ndarray
@@ -154,51 +173,49 @@ class ViolatingPairs(NamedTuple):
     half_h: np.ndarray
     pads: np.ndarray
     is_q: np.ndarray
+    ends: np.ndarray
     i: np.ndarray
     j: np.ndarray
     dx: np.ndarray
     dy: np.ndarray
     gap: np.ndarray
     facing: np.ndarray
+    cp: np.ndarray
+    qubit: np.ndarray
+    resonator: np.ndarray
+
+    def impacted_qubits(self) -> np.ndarray:
+        """``(P, 6)`` topology qubits each pair impacts, ``-1`` padded.
+
+        A qubit member impacts itself; a segment member impacts both
+        endpoints of its resonator (the non-local spread of resonator
+        crosstalk, Fig. 12 middle).
+        """
+        ends = np.where((self.resonator >= 0)[:, :, None],
+                        self.ends[np.maximum(self.resonator, 0)], -1)
+        return np.concatenate([self.qubit, ends.reshape(-1, 4)], axis=1)
 
 
-def violating_pairs(layout: Layout, backend: str = "sparse") -> ViolatingPairs:
+def violating_pairs(layout: Layout) -> ViolatingPairs:
     """The purely geometric half of the violation scan.
 
     Candidates (padded footprints touching), then the bare-gap filter
-    against the padding sum, then the intended-adjacency exclusion
-    (sibling segments; a qubit against the segments of a resonator
-    attached to it), then the bare facing length of the survivors.
-    :func:`find_spatial_violations` and the frozen-layout ensemble
-    scorer share it; both are frequency-dependent only after it.
+    against the padding sum, then the :func:`intended_adjacency`
+    exclusion, then the bare facing length of the survivors.
+    :func:`violation_columns` and the frozen-layout ensemble scorer
+    share it; both are frequency-dependent only after it.
     """
-    insts = layout.instances
-    pos, half_w, half_h, pads = _footprints(layout)
-    is_q = np.array([isinstance(it, Qubit) for it in insts], dtype=bool)
-    res_idx = np.array([
-        it.resonator_index if isinstance(it, ResonatorSegment) else -1
-        for it in insts], dtype=np.int64)
-
-    iu, ju, dx, dy = spatial_candidate_pairs(pos, half_w, half_h, pads,
-                                             backend=backend)
+    pos, half_w, half_h, pads, is_q, qubit, resonator = _footprints(layout)
+    ends = resonator_endpoints(layout.netlist, resonator)
+    iu, ju, dx, dy = spatial_candidate_pairs(pos, half_w, half_h, pads)
 
     # Bare edge-to-edge gap versus the padding-sum requirement.
     bgx = np.maximum(0.0, dx - (half_w[iu] + half_w[ju]))
     bgy = np.maximum(0.0, dy - (half_h[iu] + half_h[ju]))
     gaps = np.hypot(bgx, bgy)
-    viol = gaps < (pads[iu] + pads[ju]) - 1e-6
-    iu, ju, dx, dy, gaps = iu[viol], ju[viol], dx[viol], dy[viol], gaps[viol]
-
-    # Intended-adjacency exclusion (checked per surviving qubit-segment
-    # pair — few remain).
-    keep = ~((res_idx[iu] == res_idx[ju]) & (res_idx[iu] >= 0))
-    attached = attached_resonators_by_qubit(layout)
-    if attached is not None:
-        for k in np.flatnonzero((is_q[iu] ^ is_q[ju]) & keep):
-            a, b = int(iu[k]), int(ju[k])
-            q, s = (a, b) if is_q[a] else (b, a)
-            if int(res_idx[s]) in attached.get(insts[q].index, ()):
-                keep[k] = False
+    keep = gaps < (pads[iu] + pads[ju]) - 1e-6
+    keep[keep] = ~intended_adjacency(qubit, resonator, ends,
+                                     iu[keep], ju[keep])
     iu, ju, dx, dy, gaps = iu[keep], ju[keep], dx[keep], dy[keep], gaps[keep]
 
     ox = np.maximum(0.0,
@@ -207,75 +224,95 @@ def violating_pairs(layout: Layout, backend: str = "sparse") -> ViolatingPairs:
     oy = np.maximum(0.0,
                     np.minimum(pos[iu, 1] + half_h[iu], pos[ju, 1] + half_h[ju])
                     - np.maximum(pos[iu, 1] - half_h[iu], pos[ju, 1] - half_h[ju]))
+    facing = np.maximum(ox, oy)
+    # Parasitic capacitance: gap-only for qubit pairs, the facing-length
+    # model when a resonator segment is involved.
+    cp = np.where(is_q[iu] & is_q[ju], qubit_parasitic_capacitance_ff(gaps),
+                  resonator_parasitic_capacitance_ff(
+                      gaps, np.maximum(facing, 1e-3)))
     return ViolatingPairs(pos=pos, half_w=half_w, half_h=half_h, pads=pads,
-                          is_q=is_q, i=iu, j=ju, dx=dx, dy=dy, gap=gaps,
-                          facing=np.maximum(ox, oy))
+                          is_q=is_q, ends=ends, i=iu, j=ju, dx=dx, dy=dy,
+                          gap=gaps, facing=facing, cp=cp,
+                          qubit=np.stack([qubit[iu], qubit[ju]], axis=1),
+                          resonator=np.stack([resonator[iu], resonator[ju]],
+                                             axis=1))
+
+
+class ViolationColumns(NamedTuple):
+    """A layout's spatial violations as columns, one row per pair.
+
+    ``pairs`` is the geometric scan (:class:`ViolatingPairs`); the
+    per-row ``kind`` (``KIND_*``), ``detuning``, parasitic ``g``,
+    effective ``g_eff`` and ``resonant`` flag are its frequency tail.
+    :class:`SpatialViolation` row ``k`` holds the same numbers.
+    """
+
+    pairs: ViolatingPairs
+    kind: np.ndarray
+    detuning: np.ndarray
+    g: np.ndarray
+    g_eff: np.ndarray
+    resonant: np.ndarray
+
+
+def violation_columns(layout: Layout,
+                      detuning_threshold_ghz: float = constants.DETUNING_THRESHOLD_GHZ
+                      ) -> ViolationColumns:
+    """Scan a layout's spatial violations into columns.
+
+    A pair violates when the bare edge-to-edge gap is below the padding
+    sum; intended adjacencies are skipped (:func:`violating_pairs`).
+    Every layout scorer (Eq. 15 tables, Eq. 18 ``Ph``, layout metrics)
+    reads these columns; :func:`find_spatial_violations` is their
+    record view.
+    """
+    pairs = violating_pairs(layout)
+    is_q = pairs.is_q
+    iu, ju = pairs.i, pairs.j
+    freqs = np.array([it.frequency for it in layout.instances])
+    both_q = is_q[iu] & is_q[ju]
+    neither_q = ~is_q[iu] & ~is_q[ju]
+
+    detuning = np.abs(freqs[iu] - freqs[ju])
+    # Eq. (6) with each member's own shunt capacitance covers the qq,
+    # rr and qr couplings.
+    caps = np.where(is_q, constants.QUBIT_CAPACITANCE_FF,
+                    constants.RESONATOR_CAPACITANCE_FF)
+    g = qubit_qubit_coupling_ghz(freqs[iu], freqs[ju], pairs.cp, caps[iu],
+                                 caps[ju])
+    return ViolationColumns(
+        pairs=pairs,
+        kind=np.where(both_q, KIND_QQ, np.where(neither_q, KIND_RR, KIND_QR)),
+        detuning=detuning, g=g,
+        g_eff=effective_coupling_ghz(g, detuning, detuning_threshold_ghz),
+        resonant=detuning <= detuning_threshold_ghz)
 
 
 def find_spatial_violations(layout: Layout,
                             detuning_threshold_ghz: float = constants.DETUNING_THRESHOLD_GHZ,
-                            include_qr: bool = True,
-                            backend: str = "sparse") -> List[SpatialViolation]:
-    """All spatial violations in a layout.
+                            include_qr: bool = True) -> List[SpatialViolation]:
+    """All spatial violations in a layout, one record per pair.
 
-    A pair violates when the padded footprints intersect with positive
-    area.  Intended-adjacency pairs (sibling segments; a resonator's
-    segments against its own endpoint qubits) are skipped.
+    The list view of :func:`violation_columns`.
 
     Args:
         layout: The placed layout.
         detuning_threshold_ghz: Resonance threshold ``Delta_c``.
         include_qr: Also report qubit-resonator violations (these are
             deeply detuned and mostly informational).
-        backend: Candidate-pair strategy: ``"sparse"`` (the grid) or
-            the ``"dense"`` all-pairs oracle; the resulting violation
-            list is identical under either.
     """
-    pairs = violating_pairs(layout, backend=backend)
-    is_q = pairs.is_q
-    iu, ju, gaps, facing = pairs.i, pairs.j, pairs.gap, pairs.facing
-    freqs = np.array([it.frequency for it in layout.instances])
-    both_q = is_q[iu] & is_q[ju]
-    neither_q = ~is_q[iu] & ~is_q[ju]
-    if not include_qr:
-        keep = both_q | neither_q
-        iu, ju, gaps, facing = iu[keep], ju[keep], gaps[keep], facing[keep]
-        both_q, neither_q = both_q[keep], neither_q[keep]
-
-    detuning = np.abs(freqs[iu] - freqs[ju])
-    g = np.empty(iu.size)
-    if both_q.any():
-        cp = qubit_parasitic_capacitance_ff(gaps[both_q])
-        g[both_q] = qubit_qubit_coupling_ghz(
-            freqs[iu[both_q]], freqs[ju[both_q]], cp)
-    mixed = ~both_q
-    if mixed.any():
-        cp = resonator_parasitic_capacitance_ff(
-            gaps[mixed], np.maximum(facing[mixed], 1e-3))
-        qr = mixed & ~neither_q
-        rr = mixed & neither_q
-        sel_rr = neither_q[mixed]
-        g_mixed = np.empty(int(mixed.sum()))
-        if rr.any():
-            g_mixed[sel_rr] = resonator_resonator_coupling_ghz(
-                freqs[iu[rr]], freqs[ju[rr]], cp[sel_rr])
-        if qr.any():
-            g_mixed[~sel_rr] = qubit_qubit_coupling_ghz(
-                freqs[iu[qr]], freqs[ju[qr]], cp[~sel_rr],
-                constants.QUBIT_CAPACITANCE_FF,
-                constants.RESONATOR_CAPACITANCE_FF)
-        g[mixed] = g_mixed
-    g_eff = effective_coupling_ghz(g, detuning, detuning_threshold_ghz)
-    resonant = detuning <= detuning_threshold_ghz
-
-    kinds = np.where(both_q, KIND_QQ, np.where(neither_q, KIND_RR, KIND_QR))
+    cols = violation_columns(layout, detuning_threshold_ghz)
+    p = cols.pairs
+    rows = range(p.i.size) if include_qr else \
+        np.flatnonzero(cols.kind != KIND_QR)
     return [
         SpatialViolation(
-            i=int(iu[k]), j=int(ju[k]), kind=str(kinds[k]),
-            gap_mm=float(gaps[k]), facing_mm=float(facing[k]),
-            detuning_ghz=float(detuning[k]), g_ghz=float(g[k]),
-            g_eff_ghz=float(g_eff[k]), resonant=bool(resonant[k]))
-        for k in range(iu.size)
+            i=int(p.i[k]), j=int(p.j[k]), kind=str(cols.kind[k]),
+            gap_mm=float(p.gap[k]), facing_mm=float(p.facing[k]),
+            detuning_ghz=float(cols.detuning[k]), g_ghz=float(cols.g[k]),
+            g_eff_ghz=float(cols.g_eff[k]),
+            resonant=bool(cols.resonant[k]))
+        for k in rows
     ]
 
 

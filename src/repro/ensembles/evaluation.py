@@ -7,11 +7,13 @@ positional is therefore sample-invariant and computed once:
 * the violating pair set (bare gaps vs padding sums, the
   intended-adjacency exclusions) — purely geometric, from
   :func:`repro.crosstalk.violations.violating_pairs`, the same kernel
-  :func:`~repro.crosstalk.violations.find_spatial_violations` runs;
+  :func:`~repro.crosstalk.violations.violation_columns` runs;
 * each violating pair's parasitic capacitance ``cp`` (a function of the
   bare gap and facing length only);
 * each pair's Eq. (18) hotspot weight ``facing(padded) * dc`` and the
-  pair → impacted-qubit incidence matrix;
+  pair → impacted-qubit incidence matrix (from the scan's member
+  columns, :meth:`~repro.crosstalk.violations.ViolatingPairs.
+  impacted_qubits`);
 * the normalising polygon area ``Apoly``.
 
 Per sample, only the frequency-dependent tail runs, vectorized over the
@@ -20,9 +22,10 @@ whole ``(samples, pairs)`` grid at once: detunings, coupling strengths
 symmetric, so one fused evaluation with per-member capacitance arrays
 reproduces the qq/rr/qr branches exactly), resonance indicators, the
 hotspot proportion, and the Eq. (16) crosstalk-error fidelity proxy.
-:meth:`FrozenLayoutScorer.score_batch` on a one-row batch is
-numerically identical to ``hotspot_report(disordered_layout(...))`` —
-the property the ensemble tests pin.
+:meth:`FrozenLayoutScorer.score_batch` on a one-row batch matches
+``hotspot_report(disordered_layout(...))`` — the counts exactly, ``Ph``
+to rounding (the weights are formed differently) — the property the
+ensemble tests pin.
 """
 
 from __future__ import annotations
@@ -34,12 +37,7 @@ import numpy as np
 
 from .. import constants
 from ..crosstalk.violations import violating_pairs
-from ..devices.components import Qubit
 from ..devices.layout import Layout
-from ..physics.capacitance import (
-    qubit_parasitic_capacitance_ff,
-    resonator_parasitic_capacitance_ff,
-)
 
 #: Default crosstalk exposure window of the fidelity proxy: one
 #: two-qubit gate, the longest timed operation a hotspot can corrupt.
@@ -89,32 +87,15 @@ class FrozenLayoutScorer:
     def _precompute(self) -> None:
         layout = self.layout
         netlist = layout.netlist
-        insts = layout.instances
         pairs = violating_pairs(layout)
         pos, half_w, half_h, pads, is_q = (pairs.pos, pairs.half_w,
                                            pairs.half_h, pairs.pads,
                                            pairs.is_q)
-        iu, ju, gaps, facing = pairs.i, pairs.j, pairs.gap, pairs.facing
+        iu, ju, cp = pairs.i, pairs.j, pairs.cp
         self.apoly = layout.apoly()
 
         self.pair_i, self.pair_j = iu, ju
         self.num_pairs = int(iu.size)
-        if self.num_pairs == 0:
-            self._freq_col_i = self._freq_col_j = np.zeros(0, dtype=np.int64)
-            self._g_coeff = self._hotspot_weight = np.zeros(0)
-            self._impact = np.zeros((0, netlist.topology.num_qubits),
-                                    dtype=bool)
-            return
-
-        # The bare facing length (the violation record's facing_mm)
-        # feeds the mixed-pair capacitance; the *padded* facing feeds
-        # Eq. (18).
-        both_q = is_q[iu] & is_q[ju]
-        cp = np.where(
-            both_q,
-            qubit_parasitic_capacitance_ff(gaps),
-            resonator_parasitic_capacitance_ff(gaps,
-                                               np.maximum(facing, 1e-3)))
         caps = np.where(is_q, constants.QUBIT_CAPACITANCE_FF,
                         constants.RESONATOR_CAPACITANCE_FF)
         # g = 0.5 sqrt(f_i f_j) cp / sqrt((c_i+cp)(c_j+cp)); everything
@@ -122,7 +103,7 @@ class FrozenLayoutScorer:
         self._g_coeff = 0.5 * cp / np.sqrt(
             (caps[iu] + cp) * (caps[ju] + cp))
 
-        # Eq. (18) weight: padded facing length x centroid distance.
+        # Eq. (18) weight: *padded* facing length x centroid distance.
         # Violating pairs always have touching padded footprints (their
         # bare gap is below the padding sum), so the adjacency guard of
         # the scalar path is identically true here.
@@ -142,34 +123,25 @@ class FrozenLayoutScorer:
 
         # Column of each pair member in the hstacked (qubit, resonator)
         # frequency matrix.
-        qpos = {q.index: k for k, q in enumerate(netlist.qubits)}
-        rpos = {r.index: k for k, r in enumerate(netlist.resonators)}
-        nq = self.num_qubits
+        def columns(items, first: int) -> np.ndarray:
+            table = np.zeros(max((it.index for it in items), default=0) + 1,
+                             dtype=np.int64)
+            table[[it.index for it in items]] = first + np.arange(len(items))
+            return table
 
-        def col(idx: int) -> int:
-            inst = insts[idx]
-            if isinstance(inst, Qubit):
-                return qpos[inst.index]
-            return nq + rpos[inst.resonator_index]
+        cols = np.where(is_q[np.stack([iu, ju], axis=1)],
+                        columns(netlist.qubits, 0)[pairs.qubit],
+                        columns(netlist.resonators,
+                                self.num_qubits)[pairs.resonator])
+        self._freq_col_i, self._freq_col_j = cols[:, 0], cols[:, 1]
 
-        self._freq_col_i = np.array([col(int(i)) for i in iu],
-                                    dtype=np.int64)
-        self._freq_col_j = np.array([col(int(j)) for j in ju],
-                                    dtype=np.int64)
-
-        # Pair -> impacted-qubit incidence (non-local resonator spread).
-        endpoints = {r.index: r.endpoints for r in netlist.resonators}
-        impact = np.zeros((self.num_pairs, netlist.topology.num_qubits),
+        # Pair -> impacted-qubit incidence; the -1 padding lands in a
+        # spare last column.
+        impact = np.zeros((self.num_pairs, netlist.topology.num_qubits + 1),
                           dtype=bool)
-        for p in range(self.num_pairs):
-            for idx in (int(iu[p]), int(ju[p])):
-                inst = insts[idx]
-                if isinstance(inst, Qubit):
-                    impact[p, inst.index] = True
-                else:
-                    for q in endpoints.get(inst.resonator_index, ()):
-                        impact[p, q] = True
-        self._impact = impact
+        impact[np.arange(self.num_pairs)[:, None],
+               pairs.impacted_qubits()] = True
+        self._impact = impact[:, :-1]
 
     # -- per-sample scoring ---------------------------------------------
 
@@ -188,12 +160,6 @@ class FrozenLayoutScorer:
                 f"({self.num_resonators}) resonator columns, got "
                 f"{qf.shape[1]} / {rf.shape[1]}")
         n = qf.shape[0]
-        if self.num_pairs == 0:
-            return EnsembleScores(
-                ph_percent=np.zeros(n),
-                num_hotspots=np.zeros(n, dtype=np.int64),
-                impacted_qubits=np.zeros(n, dtype=np.int64),
-                fidelity_proxy=np.ones(n))
         freqs = np.hstack([qf, rf])                      # (N, nq+nr)
         fi = freqs[:, self._freq_col_i]                  # (N, P)
         fj = freqs[:, self._freq_col_j]

@@ -28,6 +28,7 @@ from ..core.interactions import grid_candidate_pairs
 from ..core.legalizer import Legalizer
 from ..core.placer import QPlacer
 from ..core.preprocess import PlacementProblem
+from ..crosstalk.violations import intended_adjacency, resonator_endpoints
 from ..devices.components import ResonatorSegment
 from ..devices.disorder import disorder_strategy_tag
 from ..devices.layout import Layout
@@ -49,21 +50,17 @@ def _pair_gaps(problem: PlacementProblem, pos: np.ndarray,
 
 def _intended_mask(problem: PlacementProblem, a: np.ndarray,
                    b: np.ndarray) -> np.ndarray:
-    """Vectorized :meth:`PlacementProblem.is_intended_pair` over pairs."""
-    res = np.asarray(problem.resonator_index, dtype=np.int64)
-    ra, rb = res[a], res[b]
-    intended = (ra >= 0) & (ra == rb)  # sibling segments
-    num_res = int(res.max(initial=-1)) + 1
-    if num_res:
-        attached = np.zeros((problem.num_instances, num_res), dtype=bool)
-        for inst, owned in problem.attached_resonators.items():
-            for r in owned:
-                attached[inst, r] = True
-        qa = np.asarray(problem.is_qubit, dtype=bool)[a] & (rb >= 0)
-        intended |= qa & attached[a, np.where(rb >= 0, rb, 0)]
-        qb = np.asarray(problem.is_qubit, dtype=bool)[b] & (ra >= 0)
-        intended |= qb & attached[b, np.where(ra >= 0, ra, 0)]
-    return intended
+    """:func:`~repro.crosstalk.violations.intended_adjacency` of pairs.
+
+    Qubits are keyed by their topology index: a problem lists the
+    netlist's qubits first, in netlist order.
+    """
+    qubit = np.full(problem.num_instances, -1, dtype=np.int64)
+    qubit[problem.is_qubit] = [q.index for q in problem.netlist.qubits]
+    res = problem.resonator_index
+    return intended_adjacency(qubit, res,
+                              resonator_endpoints(problem.netlist, res),
+                              a, b)
 
 
 def check_layout_legal(problem: PlacementProblem, positions: np.ndarray,

@@ -12,6 +12,8 @@ from repro.core.legalizer import Legalizer
 from repro.core.wirelength import hpwl
 from repro.devices import build_netlist, grid_topology
 
+from ..oracles import is_intended_pair
+
 
 @pytest.fixture(scope="module")
 def refined(grid9_placed, fast_config):
@@ -47,7 +49,7 @@ class TestRefinement:
         for i, j in itertools.combinations(range(problem.num_instances), 2):
             gap = pair_gap(problem, positions, i, j)
             assert gap >= -1e-9
-            if not problem.is_intended_pair(i, j):
+            if not is_intended_pair(problem, i, j):
                 required = 0.5 * (problem.clearances[i]
                                   + problem.clearances[j])
                 assert gap >= required - 1e-9
@@ -57,7 +59,7 @@ class TestRefinement:
         if grid9_placed.legalize_stats.resonant_relaxations:
             pytest.skip("base layout already relaxed")
         for i, j in map(tuple, problem.collision_pairs.tolist()):
-            if problem.is_intended_pair(i, j):
+            if is_intended_pair(problem, i, j):
                 continue
             required = problem.paddings[i] + problem.paddings[j]
             assert pair_gap(problem, positions, i, j) >= required - 1e-9

@@ -27,6 +27,8 @@ from repro.core.preprocess import build_problem
 from repro.core.wirelength import hpwl
 from repro.devices.netlist import build_netlist
 from repro.devices.topology import PAPER_TOPOLOGY_ORDER, get_topology
+
+from tests.oracles import is_intended_pair, is_resonant_pair
 from tests.oracles import legalizer as legalizer_reference
 
 FAST = PlacerConfig(max_iterations=60, min_iterations=10)
@@ -106,9 +108,9 @@ def test_vectorized_layout_is_overlap_free_and_frequency_legal():
     relaxations = 0
     for i in range(problem.num_instances):
         for j in range(i + 1, problem.num_instances):
-            if problem.is_intended_pair(i, j):
+            if is_intended_pair(problem, i, j):
                 continue
-            if not problem.is_resonant_pair(i, j):
+            if not is_resonant_pair(problem, i, j):
                 continue
             required = problem.paddings[i] + problem.paddings[j]
             if _pair_gap(problem, vec_pos, i, j) < required - 1e-9:

@@ -9,6 +9,8 @@ from repro.core.config import PlacerConfig
 from repro.core.preprocess import build_problem
 from repro.devices import build_netlist, grid_topology
 
+from ..oracles import is_intended_pair, is_resonant_pair, required_gap
+
 
 @pytest.fixture(scope="module")
 def problem():
@@ -132,31 +134,46 @@ class TestPairPredicates:
             if r >= 0:
                 groups.setdefault(r, []).append(i)
         chain = next(iter(groups.values()))
-        assert problem.is_intended_pair(chain[0], chain[1])
+        assert is_intended_pair(problem, chain[0], chain[1])
 
     def test_intended_qubit_attachment(self, problem):
         resonator = problem.netlist.resonators[0]
         u = resonator.endpoints[0]
         seg = next(i for i in range(problem.num_instances)
                    if problem.resonator_index[i] == resonator.index)
-        assert problem.is_intended_pair(u, seg)
-        assert problem.is_intended_pair(seg, u)
+        assert is_intended_pair(problem, u, seg)
+        assert is_intended_pair(problem, seg, u)
 
     def test_unrelated_not_intended(self, problem):
         # Two qubits are never an intended pair.
-        assert not problem.is_intended_pair(0, 1)
+        assert not is_intended_pair(problem, 0, 1)
 
     def test_required_gap(self, problem):
         seg = 9  # first segment
-        assert problem.required_gap(0, seg, resonant=True) == pytest.approx(0.5)
-        assert problem.required_gap(0, seg, resonant=False) == pytest.approx(
+        assert required_gap(problem, 0, seg, resonant=True) == pytest.approx(0.5)
+        assert required_gap(problem, 0, seg, resonant=False) == pytest.approx(
             0.5 * (problem.clearances[0] + problem.clearances[seg]))
 
     def test_is_resonant_pair(self, problem):
         freqs = problem.frequencies
         i, j = problem.collision_pairs[0]
-        assert problem.is_resonant_pair(int(i), int(j))
+        assert is_resonant_pair(problem, int(i), int(j))
         detuned = next(
             (a, b) for a, b in itertools.combinations(range(9), 2)
             if abs(freqs[a] - freqs[b]) > 0.1)
-        assert not problem.is_resonant_pair(*detuned)
+        assert not is_resonant_pair(problem, *detuned)
+
+
+class TestRemovedSurface:
+    """The per-pair predicates moved to ``tests/oracles`` as free
+    functions; the library applies the rules as vectorized kernels
+    (``repro.crosstalk.violations.intended_adjacency``)."""
+
+    @pytest.mark.parametrize("name", ["is_intended_pair", "is_resonant_pair",
+                                      "required_gap"])
+    def test_pair_method_gone(self, problem, name):
+        assert not hasattr(problem, name)
+
+    def test_dense_candidate_pairs_gone(self):
+        from repro.core import interactions
+        assert not hasattr(interactions, "dense_candidate_pairs")

@@ -33,7 +33,8 @@ from repro.crosstalk.fidelity import (
     estimate_program_fidelity,
 )
 from repro.crosstalk.noise_model import NoiseParams, decoherence_error
-from repro.crosstalk.violations import SpatialViolation
+from repro.crosstalk.violations import (SpatialViolation,
+                                       find_spatial_violations)
 from repro.devices.components import Qubit, ResonatorSegment
 from repro.devices.layout import Layout
 from repro.devices.topology import get_topology
@@ -87,7 +88,7 @@ def _oracle(layout: Layout, mapped, table: ViolationTable,
                           ** len(active_qubits))
     active = np.array([
         _violation_is_active(layout, v, active_qubits, active_resonators)
-        for v in table.violations], dtype=bool)
+        for v in find_spatial_violations(layout)], dtype=bool)
     qq_factor = rr_factor = 1.0
     pair_count = int(active.sum())
     if pair_count:
@@ -184,7 +185,7 @@ def test_endpoints_beyond_mapping_never_alias():
     n = 5
     none = np.array([-1])
     table = ViolationTable(
-        violations=[None], qubit_i=none, qubit_j=none,
+        i=np.array([0]), j=np.array([1]), qubit_i=none, qubit_j=none,
         res_i=np.array([0]), res_j=none, g_ghz=np.zeros(1),
         detuning_ghz=np.zeros(1), is_qq=np.zeros(1, dtype=bool),
         res_e0=np.array([0]), res_e1=np.array([n + 3]),
@@ -243,7 +244,7 @@ def test_activity_matches_set_scan(case):
     top, res, cols, mask, pairs, keys = case
     num_v = cols["qubit_i"].shape[0]
     table = ViolationTable(
-        violations=[None] * num_v, g_ghz=np.zeros(num_v),
+        i=np.arange(num_v), j=np.arange(num_v) + 1, g_ghz=np.zeros(num_v),
         detuning_ghz=np.zeros(num_v), is_qq=np.zeros(num_v, dtype=bool),
         res_e0=np.array([e0 for e0, _ in res], dtype=np.int64),
         res_e1=np.array([e1 for _, e1 in res], dtype=np.int64),

@@ -154,7 +154,8 @@ class TestAverage:
 
 class TestViolationTableBuild:
     def test_backend_knob_removed(self, grid9_module):
-        """The dense/sparse choice lives on find_spatial_violations."""
+        """The grid is the only violation scan; no entry point takes a
+        backend."""
         _, _, layout = grid9_module
         with pytest.raises(TypeError, match="backend"):
             ViolationTable.build(layout, backend="dense")

@@ -89,11 +89,11 @@ class TestResonatorPropagation:
 
 class TestPrecomputedViolations:
     def test_reuse_violations(self):
-        from repro.crosstalk.violations import find_spatial_violations
+        from repro.crosstalk.violations import violation_columns
         instances = [qubit(0, 5.0), qubit(1, 5.0)]
         lay = Layout(instances=instances,
                      positions=np.array([[0.0, 0.0], [0.8, 0.0]]))
-        violations = find_spatial_violations(lay)
+        violations = violation_columns(lay)
         a = hotspot_report(lay)
         b = hotspot_report(lay, violations=violations)
         assert a.ph == b.ph

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.crosstalk import violations as grid
 from repro.devices.components import Qubit, Resonator
 from repro.devices.layout import Layout
 from repro.crosstalk.violations import (
@@ -15,6 +16,13 @@ from repro.crosstalk.violations import (
     spatial_candidate_pairs,
     violating_pairs,
 )
+
+from ..oracles import violations as dense
+
+
+def _scan(backend):
+    """The library's grid scan, or the all-pairs ``triu`` oracle."""
+    return dense if backend == "dense" else grid
 
 
 def qubit(i, freq, padding=0.4):
@@ -132,9 +140,8 @@ class TestFewerThanTwoInstances:
     def test_candidate_pairs_empty(self, n, backend):
         pos = np.zeros((n, 2))
         half = np.full(n, 0.2)
-        iu, ju, dx, dy = spatial_candidate_pairs(pos, half, half,
-                                                 np.full(n, 0.4),
-                                                 backend=backend)
+        iu, ju, dx, dy = _scan(backend).spatial_candidate_pairs(
+            pos, half, half, np.full(n, 0.4))
         for arr, dtype in ((iu, np.int64), (ju, np.int64),
                            (dx, np.float64), (dy, np.float64)):
             assert arr.dtype == dtype
@@ -145,8 +152,8 @@ class TestFewerThanTwoInstances:
     def test_layout_scans_empty(self, n, backend):
         lay = Layout(instances=[qubit(0, 5.0)][:n],
                      positions=np.zeros((n, 2)))
-        assert count_candidate_pairs(lay, backend=backend) == 0
-        assert find_spatial_violations(lay, backend=backend) == []
+        assert _scan(backend).count_candidate_pairs(lay) == 0
+        assert _scan(backend).find_spatial_violations(lay) == []
 
     @pytest.mark.parametrize("include_qr", [True, False])
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
@@ -156,19 +163,24 @@ class TestFewerThanTwoInstances:
         through every filter and the physics to an empty list."""
         lay = Layout(instances=[qubit(0, 5.0)][:n],
                      positions=np.zeros((n, 2)))
-        assert find_spatial_violations(lay, include_qr=include_qr,
-                                       backend=backend) == []
-        pairs = violating_pairs(lay, backend=backend)
+        assert _scan(backend).find_spatial_violations(
+            lay, include_qr=include_qr) == []
+        pairs = violating_pairs(lay)
         assert pairs.i.shape == pairs.gap.shape == pairs.facing.shape == (0,)
         assert pairs.pos.shape == (n, 2)
 
-    @pytest.mark.parametrize("backend", ["auto", "bogus"])
     @pytest.mark.parametrize("n", [0, 2])
-    def test_unknown_backend_rejected(self, n, backend):
-        """Two behaviours only: the grid (``sparse``, the default) and
-        the dense ``triu`` oracle; the retired ``auto`` name is an
-        error like any other."""
-        with pytest.raises(ValueError, match="violation-scan backend"):
+    def test_backend_parameter_removed(self, n):
+        """The grid is the only scan; the all-pairs ``triu`` path lives
+        in ``tests/oracles/violations.py``, so no entry point takes a
+        ``backend`` any more."""
+        lay = Layout(instances=[qubit(k, 5.0) for k in range(n)],
+                     positions=np.zeros((n, 2)))
+        with pytest.raises(TypeError, match="backend"):
             spatial_candidate_pairs(np.zeros((n, 2)), np.full(n, 0.2),
                                     np.full(n, 0.2), np.full(n, 0.4),
-                                    backend=backend)
+                                    backend="dense")
+        for scan in (count_candidate_pairs, find_spatial_violations,
+                     violating_pairs):
+            with pytest.raises(TypeError, match="backend"):
+                scan(lay, backend="dense")

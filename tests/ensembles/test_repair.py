@@ -25,6 +25,7 @@ from repro.ensembles.repair import (_intended_mask, _pair_gaps,
                                     place_from_scratch)
 
 from ..core.test_placement_golden import GOLDEN
+from ..oracles import is_intended_pair, is_resonant_pair, required_gap
 
 
 def _oracle_failures(problem, positions, tol=1e-9):
@@ -156,7 +157,7 @@ class TestOneRuleBroken:
     def _pair(design, want):
         """First unintended pair ``(a, b)`` for which ``want`` holds."""
         for a, b in itertools.combinations(range(design.num_instances), 2):
-            if not design.is_intended_pair(a, b) and want(a, b):
+            if not is_intended_pair(design, a, b) and want(a, b):
                 return a, b
         raise AssertionError("no such pair")
 
@@ -174,7 +175,7 @@ class TestOneRuleBroken:
     def test_clearance_only(self, design, spread):
         seg = ~design.is_qubit
         a, b = self._pair(design, lambda a, b: seg[a] and seg[b]
-                          and not design.is_resonant_pair(a, b))
+                          and not is_resonant_pair(design, a, b))
         width = design.sizes[a, 0]
         self._assert_breaks(
             design, self._beside(spread, a, b, width + 0.02), "clearance")
@@ -182,10 +183,10 @@ class TestOneRuleBroken:
     def test_padding_only_on_resonant_pair(self, design, spread):
         seg = ~design.is_qubit
         a, b = self._pair(design, lambda a, b: seg[a] and seg[b]
-                          and design.is_resonant_pair(a, b))
+                          and is_resonant_pair(design, a, b))
         width = design.sizes[a, 0]
         gap = 0.5 * (design.paddings[a] + design.paddings[b])
-        assert design.required_gap(a, b, resonant=False) < gap
+        assert required_gap(design, a, b, resonant=False) < gap
         self._assert_breaks(
             design, self._beside(spread, a, b, 0.0, width + gap), "padding")
 
@@ -196,7 +197,7 @@ class TestOneRuleBroken:
             0.5 * design.sizes.max(axis=1) + 0.5 * design.clearances
             == 0.5 * reach)
         a, b = self._pair(design, lambda a, b: a in widest and b in widest
-                          and not design.is_resonant_pair(a, b))
+                          and not is_resonant_pair(design, a, b))
         # Slide the pair across the plane so it straddles every grid
         # cell alignment, along each axis.
         for axis, shift in itertools.product((0, 1),

@@ -15,10 +15,16 @@ gates of the perf benches pin the library to them:
 * :mod:`tests.oracles.transpile` — the ``Gate``-list transpiler
   (:mod:`repro.circuits.batch`);
 * :mod:`tests.oracles.circuit` — the ``Gate``-list circuit scans,
-  remaps and ASAP schedule (:class:`repro.circuits.batch.ArrayCircuit`).
+  remaps and ASAP schedule (:class:`repro.circuits.batch.ArrayCircuit`);
+* :mod:`tests.oracles.violations` — the all-pairs ``triu`` violation
+  scan (:mod:`repro.crosstalk.violations`);
+* :mod:`tests.oracles.hotspots` — the per-pair ``Rect`` evaluation of
+  Eq. (18) (:func:`repro.crosstalk.hotspots.hotspot_report`).
 
-This package also holds the per-pair topology helpers only the oracles
-read: :func:`hop_distances` and :func:`shortest_path`.
+This package also holds the per-pair helpers only the oracles and tests
+read: the topology's :func:`hop_distances` and :func:`shortest_path`,
+and a placement problem's :func:`is_intended_pair`,
+:func:`is_resonant_pair` and :func:`required_gap`.
 
 Do not optimise these modules; they are the fixed points the fast paths
 are measured against.
@@ -31,6 +37,7 @@ from typing import Dict, List
 
 import networkx as nx
 
+from repro.core.preprocess import PlacementProblem
 from repro.devices.topology import Topology
 
 
@@ -67,3 +74,33 @@ def shortest_path(topology: Topology, src: int, dst: int) -> List[int]:
     while path[-1] != dst:
         path.append(int(nxt[path[-1], dst]))
     return path
+
+
+def required_gap(problem: PlacementProblem, i: int, j: int,
+                 resonant: bool) -> float:
+    """Minimum legal edge-to-edge gap between two instances.
+
+    Intended pairs (handled by the caller) need none; resonant pairs
+    need the full padding sum; ordinary pairs need the mean clearance.
+    """
+    if resonant:
+        return float(problem.paddings[i] + problem.paddings[j])
+    return float(0.5 * (problem.clearances[i] + problem.clearances[j]))
+
+
+def is_intended_pair(problem: PlacementProblem, i: int, j: int) -> bool:
+    """Pairs allowed to touch: siblings, or qubit + attached segment."""
+    ri, rj = int(problem.resonator_index[i]), int(problem.resonator_index[j])
+    if ri >= 0 and ri == rj:
+        return True
+    if problem.is_qubit[i] and rj >= 0:
+        return rj in problem.attached_resonators.get(i, ())
+    if problem.is_qubit[j] and ri >= 0:
+        return ri in problem.attached_resonators.get(j, ())
+    return False
+
+
+def is_resonant_pair(problem: PlacementProblem, i: int, j: int) -> bool:
+    """Eq. (9)'s tau: detuning within the threshold."""
+    return (abs(float(problem.frequencies[i] - problem.frequencies[j]))
+            <= problem.config.detuning_threshold_ghz)

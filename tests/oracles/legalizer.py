@@ -51,6 +51,8 @@ from scipy.optimize import linear_sum_assignment
 from repro.core.config import PlacerConfig
 from repro.core.preprocess import PlacementProblem
 
+from . import is_intended_pair, is_resonant_pair
+
 
 # The reference shares the live telemetry dataclass so the two
 # implementations stay field-compatible (``phase_seconds`` simply stays
@@ -147,9 +149,9 @@ class Legalizer:
             if j == i or j in ignore or j not in self._placed:
                 continue
             gap = self._gap(i, x, y, j)
-            if p.is_intended_pair(i, j):
+            if is_intended_pair(p, i, j):
                 required = 0.0
-            elif enforce_resonant and p.is_resonant_pair(i, j):
+            elif enforce_resonant and is_resonant_pair(p, i, j):
                 required = p.paddings[i] + p.paddings[j]
             else:
                 required = 0.5 * (p.clearances[i] + p.clearances[j])

@@ -3,7 +3,8 @@
 With a cutoff covering the whole placement region the engine's neighbor
 list produces exactly the collision map's pairs, and so the same
 energies and gradients, and the grid violation scan the same violation
-sets as the ``triu`` oracle, on every paper topology and across seeds.
+sets as the ``triu`` oracle (``tests/oracles/violations.py``), on every
+paper topology and across seeds.
 The legalizer does not depend on problem size at all; its check here
 is plain determinism.  (The *pruned* cutoff above the size threshold
 intentionally truncates the frequency force — these tests always widen
@@ -22,9 +23,12 @@ from repro.core.interactions import PrunedCollisionPairs
 from repro.core.legalizer import legalize
 from repro.core.preprocess import build_problem
 from repro.crosstalk.fidelity import ViolationTable
-from repro.crosstalk.violations import find_spatial_violations
+from repro.crosstalk.violations import (count_candidate_pairs,
+                                        find_spatial_violations)
 from repro.devices.netlist import build_netlist
 from repro.devices.topology import PAPER_TOPOLOGY_ORDER, get_topology
+
+from ..oracles import violations as dense_oracle
 
 SEEDS = (0, 3)
 
@@ -69,24 +73,22 @@ class TestViolationEquivalence:
         layout = human_layout(
             build_netlist(get_topology(topology_name)),
             PlacerConfig(seed=seed))
-        dense = find_spatial_violations(layout, backend="dense")
-        sparse = find_spatial_violations(layout, backend="sparse")
-        assert dense == sparse
+        assert (dense_oracle.find_spatial_violations(layout)
+                == find_spatial_violations(layout))
+        assert (dense_oracle.count_candidate_pairs(layout)
+                == count_candidate_pairs(layout))
 
     def test_violation_tables_identical(self, topology_name, seed):
         layout = human_layout(
             build_netlist(get_topology(topology_name)),
             PlacerConfig(seed=seed))
-        dense = ViolationTable.build(
-            layout, violations=find_spatial_violations(layout,
-                                                       backend="dense"))
-        sparse = ViolationTable.build(
-            layout, violations=find_spatial_violations(layout,
-                                                       backend="sparse"))
-        assert dense.violations == sparse.violations
-        assert np.array_equal(dense.g_ghz, sparse.g_ghz)
-        assert np.array_equal(dense.detuning_ghz, sparse.detuning_ghz)
-        assert np.array_equal(dense.is_qq, sparse.is_qq)
+        dense = dense_oracle.find_spatial_violations(layout)
+        table = ViolationTable.build(layout)
+        assert table.i.tolist() == [v.i for v in dense]
+        assert table.j.tolist() == [v.j for v in dense]
+        assert table.g_ghz.tolist() == [v.g_ghz for v in dense]
+        assert table.detuning_ghz.tolist() == [v.detuning_ghz for v in dense]
+        assert table.is_qq.tolist() == [v.kind == "qq" for v in dense]
 
 
 #: Reduced-iteration engine settings so six topologies stay test-sized.

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crosstalk.hotspots import hotspot_report
-from repro.crosstalk.violations import find_spatial_violations
+from repro.crosstalk.violations import (find_spatial_violations,
+                                       violation_columns)
 from repro.devices.components import Qubit
 from repro.devices.layout import Layout
 
@@ -55,7 +56,7 @@ class TestMetricInvariances:
     def test_hotspots_subset_of_violations(self, positions, freqs):
         layout = make_layout(positions, freqs)
         violations = find_spatial_violations(layout)
-        report = hotspot_report(layout, violations=violations)
+        report = hotspot_report(layout, violations=violation_columns(layout))
         resonant = sum(1 for v in violations if v.resonant)
         assert report.num_hotspots == resonant
 

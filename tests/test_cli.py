@@ -344,6 +344,47 @@ class TestMappingsValidation:
         assert "positive integer" in capsys.readouterr().err
 
 
+class TestSeedAndJobsValidation:
+    """A negative seed used to reach ``np.random.SeedSequence`` and die
+    with a numpy traceback, and ``--jobs 0`` with ParallelRunner's
+    ValueError; both are usage errors now, raised before any work."""
+
+    @pytest.mark.parametrize("argv", [
+        ["place", "grid-25", "--seed", "-1"],
+        ["profile", "grid-25", "--seed", "-1"],
+        ["evaluate", "grid-25", "--seed", "-1", "--benchmarks", "bv-4"],
+        ["evaluate-all", "--topologies", "grid-25", "--seed", "-1",
+         "--jobs", "1"],
+        ["sweep", "grid-25", "--seed", "-1", "--jobs", "1"],
+        ["ablation", "grid-25", "--seed", "-1", "--jobs", "1"],
+        ["workloads", "evaluate", "--topology", "grid-25", "--workloads",
+         "bv-4", "--seed", "-1", "--jobs", "1"],
+        ["workloads", "evaluate", "--topology", "grid-25", "--workloads",
+         "bv-4", "--base-seed", "-1", "--jobs", "1"],
+    ], ids=["place", "profile", "evaluate", "evaluate-all", "sweep",
+            "ablation", "workloads-evaluate", "workloads-evaluate-base-seed"])
+    def test_negative_seed_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate-all", "--topologies", "grid-25"],
+        ["sweep", "grid-25"],
+        ["ablation", "grid-25"],
+        ["workloads", "evaluate", "--topology", "grid-25", "--workloads",
+         "bv-4"],
+        ["ensemble", "grid-25", "--samples", "2"],
+    ], ids=["evaluate-all", "sweep", "ablation", "workloads-evaluate",
+            "ensemble"])
+    def test_zero_jobs_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--jobs", "0"])
+        assert err.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
+
 class TestEnsembleCommand:
     """``repro ensemble`` reads its flags through the service's request
     parser: the same inputs, defaults and messages as POST /jobs."""
