@@ -43,15 +43,21 @@ class LayoutMetrics:
 def compute_layout_metrics(layout: Layout,
                            violations: Optional[ViolationColumns] = None
                            ) -> LayoutMetrics:
-    """Evaluate every scalar metric on a layout (one violation scan)."""
+    """Evaluate every scalar metric on a layout.
+
+    One violation scan, one ``Amer`` and one ``Apoly`` (the hotspot
+    report's); ``utilization`` is :meth:`Layout.utilization`'s ratio of
+    the two.
+    """
     if violations is None:
         violations = violation_columns(layout)
     report = hotspot_report(layout, violations=violations)
+    amer, apoly = layout.amer(), report.apoly
     return LayoutMetrics(
         strategy=layout.strategy,
-        amer_mm2=layout.amer(),
-        apoly_mm2=layout.apoly(),
-        utilization=layout.utilization(),
+        amer_mm2=amer,
+        apoly_mm2=apoly,
+        utilization=apoly / amer if amer > 0 else 0.0,
         ph_percent=report.ph_percent,
         num_hotspots=report.num_hotspots,
         impacted_qubits=report.num_impacted_qubits,

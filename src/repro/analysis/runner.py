@@ -90,8 +90,8 @@ from ..io.serialization import canonical_json
 #: (six fields) needs no bump either: every layout is unchanged and the
 #: smaller field set re-keys every config-bearing digest.
 #: 11: one global-placement path — PlacementProblem lost its backend
-#:     name and its ``collision_pairs`` field (now a lazily cached
-#:     accessor) and grew the size-chosen
+#:     name and its collision-map field (a lazily cached accessor
+#:     until 14) and grew the size-chosen
 #:     ``freq_pair_cutoff_mm`` / ``density_flush_interval`` /
 #:     ``auto_detailed_passes`` (pickled suite shape changed, as at 7
 #:     and 10; every layout is unchanged).
@@ -102,7 +102,11 @@ from ..io.serialization import canonical_json
 #: 13: Schedule holds the makespan only (``busy_ns`` gone) and
 #:     MappedCircuit lost its ``Gate``-list decode memo (pickled mapping
 #:     shape changed; every mapping and fidelity is unchanged).
-CACHE_SCHEMA_VERSION = 13
+#: 14: PlacementProblem keeps the intended-adjacency keys as the
+#:     ``qubit_index`` / ``resonator_ends`` columns in place of its
+#:     qubit-to-resonators dict and lost its collision-map accessor
+#:     (pickled suite shape changed; every layout is unchanged).
+CACHE_SCHEMA_VERSION = 14
 
 #: Environment variable naming the default on-disk cache directory.
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"

@@ -116,38 +116,6 @@ class DetailedPlacer:
         csum = np.concatenate([[0.0], np.cumsum(terms)])
         return csum[self._poff[1:]] - csum[self._poff[:-1]]
 
-    def _pair_wl(self, positions: np.ndarray, i: int, j: int) -> float:
-        """Combined wirelength of the nets of two instances.
-
-        Shared nets are counted twice on both sides of a comparison, so
-        deltas stay correct.
-        """
-        return self._instance_wl(positions, i) + self._instance_wl(positions, j)
-
-    def _swap_gain(self, positions: np.ndarray, i: int, j: int) -> float:
-        """Wirelength gain of swapping the sites of ``i`` and ``j``.
-
-        The scalar oracle: evaluates the same quantity as
-        ``_pair_wl(before) - _pair_wl(after-swap)`` without
-        materialising a swapped copy of the position array.  The batched
-        kernel (:meth:`_swap_gains`) is property-tested against it.
-        """
-        pi, pj = positions[i], positions[j]
-        gain = 0.0
-        for inst, other, new_pos in ((i, j, pj), (j, i, pi)):
-            partners = self._partners.get(inst)
-            if partners is None:
-                continue
-            pp = positions[partners]
-            before = np.abs(positions[inst] - pp).sum()
-            # After the swap the partner that *is* the swap peer has
-            # moved to this instance's old site.
-            pp = pp.copy()
-            pp[partners == other] = positions[inst]
-            after = np.abs(new_pos - pp).sum()
-            gain += float(before - after)
-        return gain
-
     def _swap_gains(self, positions: np.ndarray, wl: np.ndarray,
                     i: int, js: np.ndarray) -> np.ndarray:
         """Gains of swapping ``i`` with each candidate in ``js``.

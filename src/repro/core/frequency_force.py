@@ -36,11 +36,11 @@ class FrequencyForce:
     temporaries.
 
     Args:
-        collision_pairs: ``(m, 2)`` resonant pairs.
+        pairs: ``(m, 2)`` resonant pairs.
     """
 
-    def __init__(self, collision_pairs: np.ndarray) -> None:
-        pairs = np.asarray(collision_pairs)
+    def __init__(self, pairs: np.ndarray) -> None:
+        pairs = np.asarray(pairs)
         m = pairs.shape[0] if pairs.size else 0
         self.idx = (np.concatenate([pairs[:, 0], pairs[:, 1]]) if m
                     else np.zeros(0, dtype=np.int64))
@@ -99,15 +99,14 @@ class FrequencyForce:
 
 
 def frequency_energy_and_grad(positions: np.ndarray,
-                              collision_pairs: Union[np.ndarray,
-                                                     FrequencyForce],
+                              pairs: Union[np.ndarray, FrequencyForce],
                               smoothing_mm: float
                               ) -> Tuple[float, np.ndarray]:
     """Total repulsive potential and its gradient.
 
     Args:
         positions: ``(n, 2)`` instance centres.
-        collision_pairs: ``(p, 2)`` precomputed resonant pairs, or a
+        pairs: ``(p, 2)`` precomputed resonant pairs, or a
             :class:`FrequencyForce` already bound to them — the global
             placer passes its long-lived kernel here, so every force
             evaluation of a run goes through this one entry point.
@@ -116,8 +115,8 @@ def frequency_energy_and_grad(positions: np.ndarray,
     Returns:
         ``(energy, grad)`` with ``grad`` shaped ``(n, 2)``.
     """
-    kernel = (collision_pairs if isinstance(collision_pairs, FrequencyForce)
-              else FrequencyForce(collision_pairs))
+    kernel = (pairs if isinstance(pairs, FrequencyForce)
+              else FrequencyForce(pairs))
     return kernel(positions, smoothing_mm)
 
 
@@ -133,9 +132,9 @@ def repulsion_force_magnitude(distance_mm: np.ndarray,
 
 
 def resonant_pair_distances(positions: np.ndarray,
-                            collision_pairs: np.ndarray) -> np.ndarray:
+                            pairs: np.ndarray) -> np.ndarray:
     """Euclidean centre distances of every colliding pair (diagnostics)."""
-    if collision_pairs.size == 0:
+    if pairs.size == 0:
         return np.zeros(0)
-    delta = positions[collision_pairs[:, 0]] - positions[collision_pairs[:, 1]]
+    delta = positions[pairs[:, 0]] - positions[pairs[:, 1]]
     return np.sqrt((delta * delta).sum(axis=1))

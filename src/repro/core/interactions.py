@@ -26,15 +26,24 @@ Grid candidate generation is fully vectorized: cell keys are sorted
 once, and for each of the five half-neighborhood offsets the matching
 key ranges are found with ``searchsorted`` and expanded with one global
 ``arange`` — no per-bucket Python loop.
+
+Which nearby pairs may touch is one rule, :func:`intended_adjacency`,
+over the per-instance keys a
+:class:`~repro.core.preprocess.PlacementProblem` stores
+(``qubit_index``, ``resonator_index``, ``resonator_ends``): the
+violation scan, the legality check
+(:func:`~repro.ensembles.repair.check_layout_legal`) and the
+legalizer's :class:`RequiredGapTable` all read it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import profiling
+from ..devices.netlist import QuantumNetlist
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +178,46 @@ def grid_candidate_pairs(positions: np.ndarray, cutoff: float,
 
 
 # ---------------------------------------------------------------------------
+# intended adjacency
+# ---------------------------------------------------------------------------
+
+def resonator_endpoints(netlist: Optional[QuantumNetlist],
+                        resonator: np.ndarray) -> np.ndarray:
+    """``(R, 2)`` endpoint qubits per resonator index, ``-1`` if unknown.
+
+    ``R`` is at least one and covers every index in the netlist and in
+    ``resonator`` (per-instance ids), so ``-1``-clipped gathers stay in
+    bounds.  Without a netlist no endpoint is known.
+    """
+    resonators = netlist.resonators if netlist is not None else []
+    ends = np.full((max([1, int(resonator.max(initial=-1)) + 1]
+                        + [r.index + 1 for r in resonators]), 2), -1,
+                   dtype=np.int64)
+    for r in resonators:
+        ends[r.index] = r.endpoints
+    return ends
+
+
+def intended_adjacency(qubit: np.ndarray, resonator: np.ndarray,
+                       ends: np.ndarray, a: np.ndarray,
+                       b: np.ndarray) -> np.ndarray:
+    """Which pairs ``(a[k], b[k])`` may touch: the intended adjacencies.
+
+    Sibling segments of one resonator, and a qubit against the segments
+    of a resonator attached to it.  ``qubit`` (a qubit key, ``-1`` for
+    segments) and ``resonator`` (``-1`` for qubits) are per instance;
+    ``ends`` holds each resonator's endpoint keys (see
+    :func:`resonator_endpoints`), in the same key space as ``qubit``.
+    """
+    ra, rb = resonator[a], resonator[b]
+    intended = (ra >= 0) & (ra == rb)
+    for q, r in ((qubit[a], rb), (qubit[b], ra)):
+        e = ends[np.maximum(r, 0)]
+        intended |= (q >= 0) & (r >= 0) & ((e[:, 0] == q) | (e[:, 1] == q))
+    return intended
+
+
+# ---------------------------------------------------------------------------
 # required-gap lookups (legalizer)
 # ---------------------------------------------------------------------------
 
@@ -188,7 +237,7 @@ class RequiredGapTable:
 
     def __init__(self, resonator_index: np.ndarray, frequencies: np.ndarray,
                  clearances: np.ndarray, paddings: np.ndarray,
-                 attached_resonators: Mapping[int, Set[int]],
+                 qubit_index: np.ndarray, resonator_ends: np.ndarray,
                  detuning_threshold_ghz: float) -> None:
         self._res = np.asarray(resonator_index, dtype=np.int64)
         self._freqs = np.asarray(frequencies, dtype=float)
@@ -197,30 +246,30 @@ class RequiredGapTable:
         self._half_clear = 0.5 * np.asarray(clearances, dtype=float)
         self._pads = np.asarray(paddings, dtype=float)
         self._threshold = float(detuning_threshold_ghz)
-        # What each instance may abut: a segment, its siblings and the
-        # (at most two) qubits its resonator attaches to; a qubit, the
-        # segments of its attached resonators.  Siblings share one array.
+        # What each instance may abut (:func:`intended_adjacency`, as
+        # per-instance lists): a segment, its siblings and the (at most
+        # two) qubits its resonator attaches to; a qubit, the segments
+        # of its attached resonators.  Siblings share one array.
+        qubit = np.asarray(qubit_index, dtype=np.int64)
         n = self._res.shape[0]
+        instance_of = {int(qubit[i]): i
+                       for i in np.flatnonzero(qubit >= 0).tolist()}
         segments_of: Dict[int, List[int]] = {}
         for j, r in enumerate(self._res.tolist()):
             if r >= 0:
                 segments_of.setdefault(r, []).append(j)
-        qubits_of: Dict[int, List[int]] = {}
-        for qi, rset in attached_resonators.items():
-            for r in rset:
-                qubits_of.setdefault(int(r), []).append(int(qi))
+        own: Dict[int, List[int]] = {}
         self._abut: List[np.ndarray] = [_NO_IDS] * n
         for r, segs in segments_of.items():
-            ids = np.asarray(segs + sorted(qubits_of.get(r, ())),
-                             dtype=np.int64)
+            ends = np.asarray(resonator_ends[r]).tolist()
+            qubits = sorted({instance_of[e] for e in ends if e in instance_of})
+            ids = np.asarray(segs + qubits, dtype=np.int64)
             for j in segs:
                 self._abut[j] = ids
-        for qi, rset in attached_resonators.items():
-            own = [j for r in sorted(rset) for j in segments_of.get(r, ())]
-            if own:
-                qi = int(qi)
-                self._abut[qi] = np.concatenate(
-                    (self._abut[qi], np.asarray(own, dtype=np.int64)))
+            for qi in qubits:
+                own.setdefault(qi, []).extend(segs)
+        for qi, segs in own.items():
+            self._abut[qi] = np.asarray(segs, dtype=np.int64)
         # Scratch membership marks, all False between calls.
         self._mark = np.zeros(n, dtype=bool)
 
@@ -262,7 +311,7 @@ class PrunedCollisionPairs:
     ever leave the reach: the list is built once, never checks drift
     and never rebuilds, and its pair array is bit-identical (same
     contents, same lex order) to the full collision map
-    (:func:`~repro.core.preprocess._collision_pairs`).
+    (every resonant pair, sibling segments excluded).
 
     Candidate generation adds a frequency dimension to the grid
     (:func:`frequency_bands`): instances more than one

@@ -321,7 +321,8 @@ class Legalizer:
         self._hy = np.ascontiguousarray(half[:, 1])
         self._req = RequiredGapTable(
             p.resonator_index, p.frequencies, p.clearances, p.paddings,
-            p.attached_resonators, self.config.detuning_threshold_ghz)
+            p.qubit_index, p.resonator_ends,
+            self.config.detuning_threshold_ghz)
 
     # -- geometric feasibility ---------------------------------------------------
 

@@ -9,9 +9,9 @@ Turns a :class:`~repro.devices.netlist.QuantumNetlist` into a
   ``s_0..s_k`` the 2-pin chain ``q_u-s_0, s_0-s_1, ..., s_k-q_v`` — the
   wirelength objective pulls each coupler into a contiguous snake
   between its endpoints;
-* the **frequency collision map** (Sec. IV-C1): all instance pairs within
-  ``Delta_c``, excluding sibling segments (Eq. 10's Kronecker delta), so
-  the repulsive force never iterates all-to-all;
+* the **intended-adjacency keys**: each instance's topology qubit index
+  and each resonator's endpoint qubits, which the legality rules read
+  through :func:`~repro.core.interactions.intended_adjacency`;
 * the placement **region**, sized from the clearance-inflated footprint
   area and the whitespace factor.
 """
@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from ..devices.components import Instance, Qubit, ResonatorSegment
 from ..devices.geometry import Rect
 from ..devices.netlist import QuantumNetlist
 from .config import PlacerConfig
-from .interactions import sort_pairs
+from .interactions import resonator_endpoints
 
 
 @dataclass
@@ -46,11 +45,12 @@ class PlacementProblem:
         paddings: ``(n,)`` per-instance crosstalk padding (mm).
         frequencies: ``(n,)`` operating frequencies (GHz).
         resonator_index: ``(n,)`` owner resonator id, -1 for qubits.
+        qubit_index: ``(n,)`` topology qubit index, -1 for segments.
+        resonator_ends: ``(R, 2)`` endpoint qubit indices per resonator
+            id (:func:`~repro.core.interactions.resonator_endpoints`).
         is_qubit: ``(n,)`` bool mask.
         region: Placement canvas.
         initial_positions: ``(n, 2)`` deterministic starting centres.
-        attached_resonators: qubit instance index -> resonator ids whose
-            segments may legally abut that qubit.
         freq_pair_cutoff_mm: Reach of the engine's frequency force.
         density_flush_interval: Objective evaluations between density
             checkpoints (1: every evaluation is the exact recompute).
@@ -69,10 +69,11 @@ class PlacementProblem:
     paddings: np.ndarray
     frequencies: np.ndarray
     resonator_index: np.ndarray
+    qubit_index: np.ndarray
+    resonator_ends: np.ndarray
     is_qubit: np.ndarray
     region: Rect
     initial_positions: np.ndarray
-    attached_resonators: Dict[int, Set[int]]
     freq_pair_cutoff_mm: float
     density_flush_interval: int
     auto_detailed_passes: int
@@ -90,55 +91,6 @@ class PlacementProblem:
     def inflated_sizes(self) -> np.ndarray:
         """Footprints grown by the routing clearance (density footprint)."""
         return self.sizes + self.clearances[:, None]
-
-    @cached_property
-    def collision_pairs(self) -> np.ndarray:
-        """``(p, 2)`` int array of resonant pairs, lex-sorted.
-
-        Computed on first access and cached on the instance; the engine
-        never reads it (its neighbor list yields the same pairs), so a
-        placement run does not materialise it.
-        """
-        return _collision_pairs(self.frequencies, self.resonator_index,
-                                self.config.detuning_threshold_ghz)
-
-
-def _collision_pairs(frequencies: np.ndarray, resonator_index: np.ndarray,
-                     threshold: float) -> np.ndarray:
-    """Frequency collision map: resonant pairs, sibling segments excluded.
-
-    Components were assigned frequencies from a discrete comb, so pairs
-    within ``threshold`` are found by sorting: for each instance only a
-    short run of the frequency-sorted order can collide.  Every sorted
-    position pair ``a < b`` is visited once and ``order`` is a
-    permutation, so the pairs are already distinct: one packed-key sort
-    (:func:`~repro.core.interactions.sort_pairs`) orders them
-    lexicographically, as ``np.unique(axis=0)`` would.
-    """
-    n = len(frequencies)
-    order = np.argsort(frequencies, kind="stable")
-    sorted_freqs = frequencies[order]
-    # For each sorted position a, candidates extend to hi[a]-1.  The
-    # searchsorted bound is slightly widened so the exact run condition
-    # ``sorted_freqs[b] - fa <= threshold`` (applied below, matching the
-    # scalar implementation bit for bit) is always a subset of it.
-    hi = np.searchsorted(sorted_freqs, sorted_freqs + (threshold + 1e-9),
-                         side="right")
-    counts = np.maximum(hi - np.arange(n) - 1, 0)
-    if counts.max(initial=0) <= 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    a_idx = np.repeat(np.arange(n), counts)
-    # Offsets 1..count within each run, built from one global arange.
-    ends = np.cumsum(counts)
-    b_idx = a_idx + (np.arange(ends[-1]) - (ends - counts)[a_idx]) + 1
-    keep = sorted_freqs[b_idx] - sorted_freqs[a_idx] <= threshold
-    i = order[a_idx[keep]]
-    j = order[b_idx[keep]]
-    ri, rj = resonator_index[i], resonator_index[j]
-    keep = ~((ri >= 0) & (ri == rj))
-    i, j = i[keep], j[keep]
-    i, j = sort_pairs(np.minimum(i, j), np.maximum(i, j), n)
-    return np.stack([i, j], axis=1).astype(np.int64)
 
 
 #: The size rule, run only by :func:`build_problem`.  Up to this many
@@ -163,7 +115,6 @@ def build_problem(netlist: QuantumNetlist,
     qubits: List[Instance] = list(netlist.qubits)
     segments: List[Instance] = []
     chain_nets: List[Tuple[int, int]] = []
-    attached: Dict[int, Set[int]] = {}
 
     qubit_instance_index = {q.index: i for i, q in enumerate(netlist.qubits)}
     next_index = len(qubits)
@@ -177,8 +128,6 @@ def build_problem(netlist: QuantumNetlist,
         iu, iv = qubit_instance_index[u], qubit_instance_index[v]
         chain = [iu, *seg_indices, iv]
         chain_nets.extend((chain[k], chain[k + 1]) for k in range(len(chain) - 1))
-        attached.setdefault(iu, set()).add(resonator.index)
-        attached.setdefault(iv, set()).add(resonator.index)
 
     instances: List[Instance] = qubits + segments
     n = len(instances)
@@ -190,6 +139,8 @@ def build_problem(netlist: QuantumNetlist,
         inst.resonator_index if isinstance(inst, ResonatorSegment) else -1
         for inst in instances
     ], dtype=np.int64)
+    qubit_index = np.full(n, -1, dtype=np.int64)
+    qubit_index[:len(qubits)] = [q.index for q in netlist.qubits]
     clearances = np.where(is_qubit, config.qubit_clearance_mm,
                           config.segment_clearance_mm)
 
@@ -211,10 +162,11 @@ def build_problem(netlist: QuantumNetlist,
         paddings=paddings,
         frequencies=frequencies,
         resonator_index=resonator_index,
+        qubit_index=qubit_index,
+        resonator_ends=resonator_endpoints(netlist, resonator_index),
         is_qubit=is_qubit,
         region=region,
         initial_positions=initial,
-        attached_resonators=attached,
         freq_pair_cutoff_mm=(FREQ_PAIR_CUTOFF_MM if large
                              else math.hypot(region.w, region.h)),
         density_flush_interval=DENSITY_FLUSH_INTERVAL if large else 1,

@@ -86,9 +86,10 @@ def hotspot_report(layout: Layout,
     """Evaluate Eq. (18) on a layout.
 
     The padded footprints mirror :meth:`~repro.devices.geometry.Rect.
-    from_center` and :func:`~repro.devices.geometry.adjacency_length`
-    operation for operation, and the contributions add up in scan order,
-    so every number equals the per-pair ``Rect`` evaluation bit for bit.
+    from_center` and the facing length the oracle's per-pair
+    ``adjacency_length`` (``tests/oracles/geometry.py``) operation for
+    operation, and the contributions add up in scan order, so every
+    number equals the per-pair ``Rect`` evaluation bit for bit.
 
     Args:
         layout: Placed layout to score.

@@ -17,15 +17,15 @@ Intended couplings are excluded:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
 from .. import constants
-from ..core.interactions import grid_candidate_pairs
+from ..core.interactions import (grid_candidate_pairs, intended_adjacency,
+                                 resonator_endpoints)
 from ..devices.components import Qubit, ResonatorSegment
 from ..devices.layout import Layout
-from ..devices.netlist import QuantumNetlist
 from ..physics.capacitance import (
     qubit_parasitic_capacitance_ff,
     resonator_parasitic_capacitance_ff,
@@ -62,42 +62,6 @@ class SpatialViolation:
     g_ghz: float
     g_eff_ghz: float
     resonant: bool
-
-
-def resonator_endpoints(netlist: Optional[QuantumNetlist],
-                        resonator: np.ndarray) -> np.ndarray:
-    """``(R, 2)`` endpoint qubits per resonator index, ``-1`` if unknown.
-
-    ``R`` is at least one and covers every index in the netlist and in
-    ``resonator`` (per-instance ids), so ``-1``-clipped gathers stay in
-    bounds.  Without a netlist no endpoint is known.
-    """
-    resonators = netlist.resonators if netlist is not None else []
-    ends = np.full((max([1, int(resonator.max(initial=-1)) + 1]
-                        + [r.index + 1 for r in resonators]), 2), -1,
-                   dtype=np.int64)
-    for r in resonators:
-        ends[r.index] = r.endpoints
-    return ends
-
-
-def intended_adjacency(qubit: np.ndarray, resonator: np.ndarray,
-                       ends: np.ndarray, a: np.ndarray,
-                       b: np.ndarray) -> np.ndarray:
-    """Which pairs ``(a[k], b[k])`` may touch: the intended adjacencies.
-
-    Sibling segments of one resonator, and a qubit against the segments
-    of a resonator attached to it.  ``qubit`` (a qubit key, ``-1`` for
-    segments) and ``resonator`` (``-1`` for qubits) are per instance;
-    ``ends`` holds each resonator's endpoint keys (see
-    :func:`resonator_endpoints`), in the same key space as ``qubit``.
-    """
-    ra, rb = resonator[a], resonator[b]
-    intended = (ra >= 0) & (ra == rb)
-    for q, r in ((qubit[a], rb), (qubit[b], ra)):
-        e = ends[np.maximum(r, 0)]
-        intended |= (q >= 0) & (r >= 0) & ((e[:, 0] == q) | (e[:, 1] == q))
-    return intended
 
 
 def spatial_candidate_pairs(positions: np.ndarray, half_w: np.ndarray,
@@ -159,7 +123,8 @@ class ViolatingPairs(NamedTuple):
     """Columns of a layout's violating pairs, in lexicographic order.
 
     ``pos``/``half_w``/``half_h``/``pads``/``is_q`` are per instance,
-    and ``ends`` per resonator index (:func:`resonator_endpoints`).
+    and ``ends`` per resonator index
+    (:func:`~repro.core.interactions.resonator_endpoints`).
     ``i``/``j`` (instance indices, ``i < j``), the centre distances
     ``dx``/``dy``, the bare edge-to-edge ``gap``, the bare ``facing``
     length and the parasitic capacitance ``cp`` (fF) are per pair, and
@@ -200,7 +165,8 @@ def violating_pairs(layout: Layout) -> ViolatingPairs:
     """The purely geometric half of the violation scan.
 
     Candidates (padded footprints touching), then the bare-gap filter
-    against the padding sum, then the :func:`intended_adjacency`
+    against the padding sum, then the
+    :func:`~repro.core.interactions.intended_adjacency`
     exclusion, then the bare facing length of the survivors.
     :func:`violation_columns` and the frozen-layout ensemble scorer
     share it; both are frequency-dependent only after it.

@@ -105,12 +105,6 @@ class Rect:
         """True when the interiors intersect (strictly positive area)."""
         return self.overlap_x(other) > 0 and self.overlap_y(other) > 0
 
-    def touches_or_intersects(self, other: "Rect", tol: float = 1e-9) -> bool:
-        """True when rectangles overlap or abut within ``tol``."""
-        gx = max(self.x, other.x) - min(self.x2, other.x2)
-        gy = max(self.y, other.y) - min(self.y2, other.y2)
-        return gx <= tol and gy <= tol
-
     def contains_point(self, px: float, py: float, tol: float = 1e-9) -> bool:
         """True when ``(px, py)`` lies inside (or on the border of) the rect."""
         return self.x - tol <= px <= self.x2 + tol and self.y - tol <= py <= self.y2 + tol
@@ -123,10 +117,6 @@ class Rect:
             and other.x2 <= self.x2 + tol
             and other.y2 <= self.y2 + tol
         )
-
-    def centroid_distance(self, other: "Rect") -> float:
-        """Euclidean distance between the two centroids."""
-        return float(np.hypot(self.cx - other.cx, self.cy - other.cy))
 
     def gap(self, other: "Rect") -> float:
         """Minimum edge-to-edge separation between the two rectangles.
@@ -144,18 +134,6 @@ class Rect:
         x2 = max(self.x2, other.x2)
         y2 = max(self.y2, other.y2)
         return Rect(x1, y1, x2 - x1, y2 - y1)
-
-
-def adjacency_length(a: Rect, b: Rect) -> float:
-    """Shared-boundary length between two overlapping/abutting rectangles.
-
-    This is the ``p_i ∩ p_j`` term of Eq. (18): for two rectangles that
-    overlap (or abut) the facing-edge length is the larger of the x-extent
-    and y-extent overlaps.  Disjoint rectangles return 0.
-    """
-    if not a.touches_or_intersects(b):
-        return 0.0
-    return max(a.overlap_x(b), a.overlap_y(b))
 
 
 def minimum_enclosing_rect(rects: Sequence[Rect]) -> Rect:

@@ -5,10 +5,10 @@ when a disorder realisation pushes a frozen layout out of spec, the
 cheap fix is not a from-scratch global placement of the noisy netlist
 but a repair of the cached design (qGDP's observation): reload the
 stored positions, re-run legalization against the noisy frequencies'
-collision pairs, and polish with the transactional detailed placer.
+resonant pairs, and polish with the transactional detailed placer.
 Geometry is frequency-independent, so the cached position array aligns
 index-for-index with a problem built from the noisy netlist — only
-``frequencies`` and ``collision_pairs`` differ.
+``frequencies`` differs, and with it which pairs are resonant.
 
 Yield-after-repair dominates frozen yield by construction: samples that
 already pass are kept untouched, and repaired samples are legal by the
@@ -24,11 +24,10 @@ import numpy as np
 from .. import profiling
 from ..core.config import PlacerConfig
 from ..core.detailed import refine_placement
-from ..core.interactions import grid_candidate_pairs
+from ..core.interactions import grid_candidate_pairs, intended_adjacency
 from ..core.legalizer import Legalizer
 from ..core.placer import QPlacer
 from ..core.preprocess import PlacementProblem
-from ..crosstalk.violations import intended_adjacency, resonator_endpoints
 from ..devices.components import ResonatorSegment
 from ..devices.disorder import disorder_strategy_tag
 from ..devices.layout import Layout
@@ -48,66 +47,51 @@ def _pair_gaps(problem: PlacementProblem, pos: np.ndarray,
                     np.maximum(gx, gy))
 
 
-def _intended_mask(problem: PlacementProblem, a: np.ndarray,
-                   b: np.ndarray) -> np.ndarray:
-    """:func:`~repro.crosstalk.violations.intended_adjacency` of pairs.
-
-    Qubits are keyed by their topology index: a problem lists the
-    netlist's qubits first, in netlist order.
-    """
-    qubit = np.full(problem.num_instances, -1, dtype=np.int64)
-    qubit[problem.is_qubit] = [q.index for q in problem.netlist.qubits]
-    res = problem.resonator_index
-    return intended_adjacency(qubit, res,
-                              resonator_endpoints(problem.netlist, res),
-                              a, b)
-
-
 def check_layout_legal(problem: PlacementProblem, positions: np.ndarray,
                        tol: float = 1e-9) -> bool:
     """Vectorized legality verdict mirroring the legalizer's contract.
 
-    Checks, over all instance pairs: no bare-footprint overlap;
-    clearance separation for non-intended pairs; and the padding-sum
-    spacing over the problem's resonant collision pairs.
+    Three rules, checked on one set of nearby pairs: no bare-footprint
+    overlap; clearance separation for non-intended pairs; and the
+    padding-sum spacing for resonant (``|df| <= Delta_c``) non-intended
+    pairs.
 
-    The overlap and clearance checks screen only grid candidates
+    The pairs are grid candidates
     (:func:`~repro.core.interactions.grid_candidate_pairs`) within a
-    per-axis reach of ``2 * max(max(w, h) / 2 + clearance / 2)``.  A
-    pair beyond it has an edge gap above its clearance requirement on
-    some axis, so it passes both checks by construction and the verdict
-    equals the all-pairs one at O(n x local density) cost.
+    per-axis reach of ``2 * max(max(w, h) / 2 + max(pad, clearance /
+    2))``.  A pair beyond it has an edge gap above both its clearance
+    and its padding-sum requirement on some axis, so it passes every
+    rule by construction and the verdict equals the all-pairs one at
+    O(n x local density) cost.
     """
     pos = np.asarray(positions, dtype=float)
     n = problem.num_instances
     if pos.shape != (n, 2):
         raise ValueError("position array shape mismatch")
-    # A negative ``tol`` tightens both checks by ``|tol|``; widen to match.
+    # A negative ``tol`` tightens the overlap and clearance rules by
+    # ``|tol|``; widen to match.
     reach = 2.0 * float(np.max(0.5 * problem.sizes.max(axis=1)
-                               + 0.5 * problem.clearances, initial=0.0)) \
-        - min(tol, 0.0)
+                               + np.maximum(problem.paddings,
+                                            0.5 * problem.clearances),
+                               initial=0.0)) - min(tol, 0.0)
     iu, ju = grid_candidate_pairs(pos, max(reach, 1e-9), sort=False)
     gap = _pair_gaps(problem, pos, iu, ju)
     if bool((gap < -tol).any()):
         return False
 
-    intended = _intended_mask(problem, iu, ju)
-    required = 0.5 * (problem.clearances[iu] + problem.clearances[ju])
-    if bool((gap[~intended] < required[~intended] - tol).any()):
-        return False
-
-    collision_pairs = problem.collision_pairs
-    if collision_pairs.size:
-        a = collision_pairs[:, 0].astype(np.int64)
-        b = collision_pairs[:, 1].astype(np.int64)
-        unintended = ~_intended_mask(problem, a, b)
-        a, b = a[unintended], b[unintended]
-        if a.size:
-            spacing = problem.paddings[a] + problem.paddings[b]
-            if bool((_pair_gaps(problem, pos, a, b)
-                     < spacing - 1e-6).any()):
-                return False
-    return True
+    # A pair closer than its clearance, or a resonant pair closer than
+    # its padding sum, is illegal unless it is intended.
+    clear = problem.clearances
+    pads = problem.paddings
+    freqs = problem.frequencies
+    close = ((gap < 0.5 * (clear[iu] + clear[ju]) - tol)
+             | ((gap < pads[iu] + pads[ju] - 1e-6)
+                & (np.abs(freqs[iu] - freqs[ju])
+                   <= problem.config.detuning_threshold_ghz)))
+    return bool(intended_adjacency(problem.qubit_index,
+                                   problem.resonator_index,
+                                   problem.resonator_ends,
+                                   iu[close], ju[close]).all())
 
 
 @dataclass(frozen=True)
@@ -138,7 +122,7 @@ def problem_with_frequencies(design_problem: PlacementProblem,
     partitioning derives from the design target frequency (``L = v0 /
     2f``), not the realised one — so the repair problem must keep the
     clean problem's instances, sizes, and region, and swap in only the
-    realised frequencies plus the collision pairs they induce.  This is
+    realised frequencies (which decide the resonant pairs).  This is
     also what keeps cached design positions index-aligned with the
     repair problem.
     """
@@ -153,8 +137,6 @@ def problem_with_frequencies(design_problem: PlacementProblem,
         for inst in design_problem.instances
     ]
     frequencies = np.array([inst.frequency for inst in instances])
-    # The collision map is a lazy accessor, so the copy recomputes it
-    # from the realised frequencies on first use.
     return replace(design_problem, netlist=noisy_netlist,
                    instances=instances, frequencies=frequencies)
 
@@ -164,7 +146,7 @@ def repair_positions(problem: PlacementProblem, cached_positions: np.ndarray,
     """Legalize + detailed-refine cached positions against a noisy problem.
 
     This is the incremental path: no global placement.  The legalizer
-    re-seats instances against the realisation's collision pairs, then
+    re-seats instances against the realisation's resonant pairs, then
     at least one transactional detailed pass (``try_moves``/``commit``)
     polishes wirelength without breaking legality.  The polish sweep is
     restricted to the instances the legalizer actually disturbed —

@@ -35,7 +35,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 from ..analysis import runner as _runner
 from ..io.atomic import atomic_write_bytes
@@ -287,41 +287,6 @@ class ArtifactStore:
                                       metadata=metadata, result=result)
                 best_created = created
         return best
-
-    def artifacts_for_circuit(self, circuit_digest: str
-                              ) -> List[ArtifactRecord]:
-        """All stored artifacts stamped with one circuit content digest.
-
-        The content-addressed view of the store: map results carry the
-        compiled circuit's digest in their metadata (see the scheduler),
-        so the same workload submitted under any benchmark name is
-        discoverable here.  Newest first; torn or foreign files are
-        skipped, and like :meth:`nearest_placement` the scan bypasses
-        :meth:`get` so it never skews the hit/miss metrics.
-        """
-        objects = self.root / "objects"
-        if not objects.is_dir():
-            return []
-        found: List[Tuple[float, ArtifactRecord]] = []
-        for path in objects.glob("*/*.json"):
-            try:
-                document = json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue
-            if (not isinstance(document, dict)
-                    or document.get("format") != ARTIFACT_FORMAT):
-                continue
-            metadata = document.get("metadata")
-            if not isinstance(metadata, dict) \
-                    or metadata.get("circuit_digest") != circuit_digest:
-                continue
-            created = metadata.get("created_at")
-            created = created if isinstance(created, (int, float)) else 0.0
-            found.append((created, ArtifactRecord(
-                digest=document.get("digest", ""),
-                metadata=metadata, result=document.get("result"))))
-        found.sort(key=lambda item: item[0], reverse=True)
-        return [record for _, record in found]
 
     def metrics(self) -> Dict[str, Any]:
         """Hit/miss counters for ``GET /metrics``."""

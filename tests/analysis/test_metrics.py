@@ -40,6 +40,22 @@ class TestComputeMetrics:
         assert m.impacted_qubits == 2
         assert m.ph_percent > 0
 
+    def test_areas_from_one_rect_list_each(self, monkeypatch):
+        """``Amer``, ``Apoly`` and utilisation equal the layout's own
+        methods bit for bit, from one footprint list each."""
+        from repro.baselines.human import human_layout
+        from repro.devices import build_netlist, get_topology
+
+        lay = human_layout(build_netlist(get_topology("grid-25")))
+        expected = (lay.amer(), lay.apoly(), lay.utilization())
+        calls = []
+        rects = Layout.rects
+        monkeypatch.setattr(Layout, "rects",
+                            lambda self: calls.append(1) or rects(self))
+        m = compute_layout_metrics(lay)
+        assert (m.amer_mm2, m.apoly_mm2, m.utilization) == expected
+        assert len(calls) == 2
+
     def test_violation_count_includes_detuned(self):
         lay = qubit_layout([(0, 0), (0.8, 0)], [4.8, 5.2])
         m = compute_layout_metrics(lay)

@@ -6,7 +6,8 @@ and deduplicated the stacked pair rows with ``np.unique(axis=0)``, and
 require identical bytes, dtype and shape on the paper tiers, a grid
 above the size threshold, disorder realisations and synthetic frequency
 combs with ties and detunings at exactly the threshold.  The map is a
-lazily cached accessor: building a problem never materialises it.
+test oracle (``tests/oracles/legality.py``); the library keeps no
+chip-wide collision map.
 """
 
 import numpy as np
@@ -16,10 +17,12 @@ from hypothesis import strategies as st
 
 from repro.core import preprocess
 from repro.core.config import PlacerConfig
-from repro.core.preprocess import _collision_pairs, build_problem
+from repro.core.preprocess import build_problem
 from repro.devices import build_netlist, get_topology, netlist_with_frequencies
 from repro.devices.topology import PAPER_TOPOLOGY_ORDER
 from repro.ensembles import DisorderSpec, problem_with_frequencies, sample_batch
+
+from ..oracles.legality import collision_map, collision_pairs
 
 
 def _unique_rows_collision_pairs(frequencies, resonator_index, threshold):
@@ -55,7 +58,7 @@ def _problem_map_matches(problem):
     threshold = problem.config.detuning_threshold_ghz
     old = _unique_rows_collision_pairs(problem.frequencies,
                                        problem.resonator_index, threshold)
-    _assert_same(problem.collision_pairs, old)
+    _assert_same(collision_pairs(problem), old)
     return old
 
 
@@ -66,7 +69,7 @@ def test_paper_tiers(name):
     assert _problem_map_matches(problem).shape[0] > 0
 
 
-def test_sparse_grid_lazy_map():
+def test_sparse_grid():
     problem = build_problem(build_netlist(get_topology("grid-121")),
                             PlacerConfig())
     assert problem.num_instances > preprocess.SPARSE_MIN_INSTANCES
@@ -74,23 +77,12 @@ def test_sparse_grid_lazy_map():
     assert _problem_map_matches(problem).shape[0] > 0
 
 
-def test_sparse_small_tier_lazy_map(monkeypatch):
+def test_sparse_small_tier(monkeypatch):
     monkeypatch.setattr(preprocess, "SPARSE_MIN_INSTANCES", 0)
     problem = build_problem(build_netlist(get_topology("falcon-27")),
                             PlacerConfig())
     assert problem.freq_pair_cutoff_mm == preprocess.FREQ_PAIR_CUTOFF_MM
-    assert "collision_pairs" not in vars(problem)
     assert _problem_map_matches(problem).shape[0] > 0
-
-
-def test_paper_tier_lazy_map():
-    # Below the size threshold too, the build defers the map and the
-    # first access computes and caches it.
-    problem = build_problem(build_netlist(get_topology("falcon-27")),
-                            PlacerConfig())
-    assert "collision_pairs" not in vars(problem)
-    assert _problem_map_matches(problem).shape[0] > 0
-    assert problem.collision_pairs is problem.collision_pairs
 
 
 def test_resonant_collision_pairs_twin_removed():
@@ -131,5 +123,5 @@ def frequency_combs(draw):
 @settings(max_examples=200, deadline=None)
 def test_comb_property(case):
     frequencies, owners, threshold = case
-    _assert_same(_collision_pairs(frequencies, owners, threshold),
+    _assert_same(collision_map(frequencies, owners, threshold),
                  _unique_rows_collision_pairs(frequencies, owners, threshold))

@@ -13,6 +13,7 @@ from repro.core.wirelength import hpwl
 from repro.devices import build_netlist, grid_topology
 
 from ..oracles import is_intended_pair
+from ..oracles.legality import collision_pairs
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +59,7 @@ class TestRefinement:
         problem, positions, _ = refined
         if grid9_placed.legalize_stats.resonant_relaxations:
             pytest.skip("base layout already relaxed")
-        for i, j in map(tuple, problem.collision_pairs.tolist()):
+        for i, j in map(tuple, collision_pairs(problem).tolist()):
             if is_intended_pair(problem, i, j):
                 continue
             required = problem.paddings[i] + problem.paddings[j]

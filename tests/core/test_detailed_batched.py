@@ -1,7 +1,7 @@
 """Tests for the batched detailed-placement engine vs the scalar seed.
 
-The batched swap-gain kernel must agree with the preserved scalar
-oracle everywhere, and the full batched refinement must match the
+The batched swap-gain kernel must agree with the scalar oracle's
+``_swap_gain`` (``tests/oracles/detailed.py``) everywhere, and the full batched refinement must match the
 reference implementation's invariants (legality kept, wirelength never
 increased) while reaching equivalent quality.
 """
@@ -30,6 +30,7 @@ class TestSwapGainKernel:
     def test_batched_matches_scalar_oracle(self, legal_grid16, fast_config):
         problem, legal = legal_grid16
         placer = DetailedPlacer(problem, fast_config)
+        oracle = detailed_reference.DetailedPlacer(problem, fast_config)
         rng = np.random.default_rng(7)
         n = problem.num_instances
         wl = placer._instance_wl_all(legal)
@@ -40,17 +41,18 @@ class TestSwapGainKernel:
             if js.size == 0:
                 continue
             gains = placer._swap_gains(legal, wl, i, js)
-            expected = [placer._swap_gain(legal, i, int(j)) for j in js]
+            expected = [oracle._swap_gain(legal, i, int(j)) for j in js]
             np.testing.assert_allclose(gains, expected, atol=1e-9)
 
     def test_shared_net_partner_correction(self, legal_grid16, fast_config):
         """Swapping two *connected* instances must use post-swap geometry."""
         problem, legal = legal_grid16
         placer = DetailedPlacer(problem, fast_config)
+        oracle = detailed_reference.DetailedPlacer(problem, fast_config)
         wl = placer._instance_wl_all(legal)
         a, b = map(int, problem.nets[0])
         gains = placer._swap_gains(legal, wl, a, np.array([b]))
-        assert gains[0] == pytest.approx(placer._swap_gain(legal, a, b),
+        assert gains[0] == pytest.approx(oracle._swap_gain(legal, a, b),
                                          abs=1e-9)
 
     def test_instance_wl_all_matches_scalar(self, legal_grid16, fast_config):
@@ -90,3 +92,9 @@ class TestBatchedRefinement:
         for private in ("_placed", "_unplace(", "_place(", "_can_place",
                         "_grid", "_segments_by_resonator", "_clusters"):
             assert ("legalizer." + private) not in source, private
+
+
+@pytest.mark.parametrize("name", ["_swap_gain", "_pair_wl"])
+def test_scalar_gain_oracle_left_src(name):
+    assert not hasattr(DetailedPlacer, name)
+    assert hasattr(detailed_reference.DetailedPlacer, name)

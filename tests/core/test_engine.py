@@ -11,6 +11,8 @@ from repro.core.frequency_force import resonant_pair_distances
 from repro.core.preprocess import build_problem
 from repro.devices import build_netlist, get_topology, grid_topology
 
+from ..oracles.legality import collision_pairs
+
 
 @pytest.fixture(scope="module")
 def small_problem(fast_config):
@@ -70,7 +72,7 @@ class TestFrequencyAwareness:
         # collision map is non-empty and the F term must be live.
         problem = build_problem(build_netlist(grid_topology(3, 3)),
                                 fast_config)
-        assert problem.collision_pairs.size > 0
+        assert collision_pairs(problem).size > 0
         result = GlobalPlacer(problem).run()
         assert any(h.frequency_energy > 0.0 for h in result.history)
 
@@ -83,7 +85,7 @@ class TestFrequencyAwareness:
         problem_c = build_problem(netlist, fast_classic_config)
         pos_q = GlobalPlacer(problem_q).run().positions
         pos_c = GlobalPlacer(problem_c).run().positions
-        pairs = problem_q.collision_pairs
+        pairs = collision_pairs(problem_q)
         d_q = resonant_pair_distances(pos_q, pairs).mean()
         d_c = resonant_pair_distances(pos_c, pairs).mean()
         assert d_q > d_c
@@ -139,12 +141,7 @@ class TestOneFrequencyPath:
         assert eagle.global_result.freq_list_rebuilds == 1
         assert eagle.global_result.freq_list_reuses > 0
         assert eagle.global_result.peak_collision_pairs == \
-            eagle.problem.collision_pairs.shape[0]
-
-    def test_engine_never_reads_the_collision_map(self, small_problem):
-        problem = replace(small_problem)  # a fresh, uncached copy
-        GlobalPlacer(problem).run()
-        assert "collision_pairs" not in vars(problem)
+            collision_pairs(eagle.problem).shape[0]
 
     def test_eagle_profile_books_the_list_build(self, eagle):
         phases, wall = eagle.phase_profile, eagle.runtime_s

@@ -17,9 +17,12 @@ from repro.core.interactions import (
     grid_candidate_pairs,
     sort_pairs,
 )
-from repro.core.preprocess import _collision_pairs, build_problem
+from repro.core.preprocess import build_problem
 from repro.devices.netlist import build_netlist
 from repro.devices.topology import get_topology
+
+from ..oracles import attached_resonators
+from ..oracles.legality import collision_map, collision_pairs
 
 
 class TestSizeRule:
@@ -52,13 +55,16 @@ class TestSizeRule:
         monkeypatch.setattr(preprocess, "SPARSE_MIN_INSTANCES", n - 1)
         assert self._pruned(build_problem(netlist))
 
-    def test_build_defers_the_collision_map(self, netlist, monkeypatch):
+    def test_size_rule_keeps_the_pair_columns(self, netlist, monkeypatch):
         exact = build_problem(netlist)
         monkeypatch.setattr(preprocess, "SPARSE_MIN_INSTANCES", 0)
         pruned = build_problem(netlist)
-        for problem in (exact, pruned):
-            assert "collision_pairs" not in vars(problem)
-        assert np.array_equal(pruned.collision_pairs, exact.collision_pairs)
+        for name in ("frequencies", "resonator_index", "qubit_index",
+                     "resonator_ends"):
+            assert np.array_equal(getattr(pruned, name),
+                                  getattr(exact, name)), name
+        assert np.array_equal(collision_pairs(pruned),
+                              collision_pairs(exact))
 
     def test_paper_tiers_exact_grid_121_pruned(self):
         assert preprocess.SPARSE_MIN_INSTANCES == 2048
@@ -93,7 +99,7 @@ class TestSizeRule:
         names = {f.name for f in
                  dataclasses.fields(preprocess.PlacementProblem)}
         assert "interaction_backend" not in names
-        assert "collision_pairs" not in names  # a cached accessor now
+        assert "collision_pairs" not in names
 
 
 class TestGridCandidatePairs:
@@ -156,7 +162,7 @@ class TestGridCandidatePairs:
 def _gap_table_args(problem):
     return (problem.resonator_index, problem.frequencies,
             problem.clearances, problem.paddings,
-            problem.attached_resonators,
+            problem.qubit_index, problem.resonator_ends,
             problem.config.detuning_threshold_ghz)
 
 
@@ -172,7 +178,7 @@ def _dense_required_gaps(problem, rows):
     rows = np.asarray(rows, dtype=np.int64)
     same_res = (res[rows, None] == res[None, :]) & (res[rows, None] >= 0)
     attach = np.zeros((n, n), dtype=bool)
-    for qi, rids in problem.attached_resonators.items():
+    for qi, rids in attached_resonators(problem).items():
         if rids:
             attach[qi] = np.isin(res, np.fromiter(rids, dtype=np.int64))
     intended = same_res | attach[rows] | attach.T[rows]
@@ -244,7 +250,7 @@ class TestRequiredGapTable:
         # A qubit and the segments of a resonator attached to it, both
         # ways round.
         qi, rids = next((q, r) for q, r in
-                        problem.attached_resonators.items() if r)
+                        attached_resonators(problem).items() if r)
         attached = np.flatnonzero(np.isin(res, list(rids)))
         for strict in (True, False):
             assert np.all(table.pairs(qi, attached, strict) == 0.0)
@@ -264,7 +270,7 @@ class TestPrunedCollisionPairs:
             problem.config.detuning_threshold_ghz,
             cutoff_mm=1e6, skin_mm=1.0)
         pairs = provider.pairs(problem.initial_positions)
-        assert np.array_equal(pairs, problem.collision_pairs)
+        assert np.array_equal(pairs, collision_pairs(problem))
 
     def test_rebuild_only_after_drift(self, problem):
         provider = PrunedCollisionPairs(
@@ -318,7 +324,7 @@ class TestPrunedCollisionPairs:
             cutoff_mm=0.5, skin_mm=0.25)
         pos = problem.initial_positions
         pairs = provider.pairs(pos)
-        assert pairs.shape[0] < problem.collision_pairs.shape[0]
+        assert pairs.shape[0] < collision_pairs(problem).shape[0]
         if pairs.size:
             delta = pos[pairs[:, 0]] - pos[pairs[:, 1]]
             dist = np.sqrt((delta * delta).sum(axis=1))
@@ -369,8 +375,8 @@ def test_region_reach_list_is_the_collision_map(case):
     problem, sets = case
     region = problem.region
     threshold = problem.config.detuning_threshold_ghz
-    expected = _collision_pairs(problem.frequencies,
-                                problem.resonator_index, threshold)
+    expected = collision_map(problem.frequencies, problem.resonator_index,
+                             threshold)
     provider = PrunedCollisionPairs(
         problem.frequencies, problem.resonator_index, threshold,
         cutoff_mm=problem.freq_pair_cutoff_mm, skin_mm=1.5,

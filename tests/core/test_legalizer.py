@@ -13,6 +13,7 @@ from repro.core.preprocess import build_problem
 from repro.devices import build_netlist, grid_topology
 
 from ..oracles import is_intended_pair
+from ..oracles.legality import collision_pairs
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +68,7 @@ class TestLegality:
         problem, positions, stats = placed_grid9
         if stats.resonant_relaxations:
             pytest.skip("legalizer reported relaxations on this instance")
-        for i, j in map(tuple, problem.collision_pairs.tolist()):
+        for i, j in map(tuple, collision_pairs(problem).tolist()):
             if is_intended_pair(problem, i, j):
                 continue
             required = problem.paddings[i] + problem.paddings[j]

@@ -10,6 +10,7 @@ from repro.core.preprocess import build_problem
 from repro.devices import build_netlist, grid_topology
 
 from ..oracles import is_intended_pair, is_resonant_pair, required_gap
+from ..oracles.legality import collision_pairs
 
 
 @pytest.fixture(scope="module")
@@ -86,16 +87,16 @@ class TestCollisionMap:
             if ri >= 0 and ri == rj:
                 continue
             expected.add((i, j))
-        got = {tuple(p) for p in problem.collision_pairs.tolist()}
+        got = {tuple(p) for p in collision_pairs(problem).tolist()}
         assert got == expected
 
     def test_no_sibling_pairs(self, problem):
-        for i, j in problem.collision_pairs:
+        for i, j in collision_pairs(problem):
             ri, rj = problem.resonator_index[i], problem.resonator_index[j]
             assert not (ri >= 0 and ri == rj)
 
     def test_pairs_sorted_unique(self, problem):
-        pairs = [tuple(p) for p in problem.collision_pairs.tolist()]
+        pairs = [tuple(p) for p in collision_pairs(problem).tolist()]
         assert pairs == sorted(set(pairs))
         assert all(i < j for i, j in pairs)
 
@@ -156,7 +157,7 @@ class TestPairPredicates:
 
     def test_is_resonant_pair(self, problem):
         freqs = problem.frequencies
-        i, j = problem.collision_pairs[0]
+        i, j = collision_pairs(problem)[0]
         assert is_resonant_pair(problem, int(i), int(j))
         detuned = next(
             (a, b) for a, b in itertools.combinations(range(9), 2)
@@ -167,7 +168,7 @@ class TestPairPredicates:
 class TestRemovedSurface:
     """The per-pair predicates moved to ``tests/oracles`` as free
     functions; the library applies the rules as vectorized kernels
-    (``repro.crosstalk.violations.intended_adjacency``)."""
+    (``repro.core.interactions.intended_adjacency``)."""
 
     @pytest.mark.parametrize("name", ["is_intended_pair", "is_resonant_pair",
                                       "required_gap"])

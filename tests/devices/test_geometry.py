@@ -4,9 +4,9 @@ import math
 
 import pytest
 
+from repro.devices import geometry
 from repro.devices.geometry import (
     Rect,
-    adjacency_length,
     area_utilization,
     has_overlaps,
     minimum_enclosing_rect,
@@ -14,6 +14,9 @@ from repro.devices.geometry import (
     pairwise_overlap_area,
     total_polygon_area,
 )
+
+from ..oracles.geometry import (adjacency_length, centroid_distance,
+                                touches_or_intersects)
 
 
 class TestRectBasics:
@@ -76,7 +79,7 @@ class TestRectRelations:
         a = Rect(0, 0, 1, 1)
         b = Rect(1, 0, 1, 1)
         assert not a.intersects(b)
-        assert a.touches_or_intersects(b)
+        assert touches_or_intersects(a, b)
 
     def test_contains_point(self):
         r = Rect(0, 0, 2, 2)
@@ -92,7 +95,7 @@ class TestRectRelations:
     def test_centroid_distance(self):
         a = Rect(0, 0, 2, 2)
         b = Rect(3, 4, 2, 2)
-        assert a.centroid_distance(b) == pytest.approx(5.0)
+        assert centroid_distance(a, b) == pytest.approx(5.0)
 
     def test_gap_disjoint_orthogonal(self):
         a = Rect(0, 0, 1, 1)
@@ -134,6 +137,16 @@ class TestAdjacencyLength:
         a = Rect(0, 0, 1, 1)
         b = Rect(1, 1, 1, 1)
         assert adjacency_length(a, b) == 0.0
+
+
+class TestRemovedSurface:
+    """Pair relations only the oracles read live in ``tests/oracles``."""
+
+    @pytest.mark.parametrize("owner,name", [
+        (geometry, "adjacency_length"), (Rect, "centroid_distance"),
+        (Rect, "touches_or_intersects")])
+    def test_moved_to_oracles(self, owner, name):
+        assert not hasattr(owner, name)
 
 
 class TestAggregates:

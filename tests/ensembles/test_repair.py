@@ -21,40 +21,16 @@ from repro.ensembles import (
     repair_sample,
     sample_batch,
 )
-from repro.ensembles.repair import (_intended_mask, _pair_gaps,
-                                    place_from_scratch)
+from repro.ensembles.repair import place_from_scratch
 
 from ..core.test_placement_golden import GOLDEN
 from ..oracles import is_intended_pair, is_resonant_pair, required_gap
+from ..oracles.legality import legality_failures
 
 
 def _oracle_failures(problem, positions, tol=1e-9):
-    """Rules an all-pairs ``triu`` scan finds broken.
-
-    The legality check as it stood before its candidates came from a
-    grid: every ``i < j`` pair is screened for bare overlap and
-    clearance, and the resonant collision pairs for padding.  The
-    layout is legal exactly when the returned set is empty.
-    """
-    pos = np.asarray(positions, dtype=float)
-    iu, ju = np.triu_indices(problem.num_instances, k=1)
-    gap = _pair_gaps(problem, pos, iu, ju)
-    failures = set()
-    if (gap < -tol).any():
-        failures.add("overlap")
-    intended = _intended_mask(problem, iu, ju)
-    required = 0.5 * (problem.clearances[iu] + problem.clearances[ju])
-    if (gap[~intended] < required[~intended] - tol).any():
-        failures.add("clearance")
-    pairs = np.asarray(problem.collision_pairs, dtype=np.int64)
-    if pairs.size:
-        a, b = pairs[:, 0], pairs[:, 1]
-        unintended = ~_intended_mask(problem, a, b)
-        a, b = a[unintended], b[unintended]
-        spacing = problem.paddings[a] + problem.paddings[b]
-        if (_pair_gaps(problem, pos, a, b) < spacing - 1e-6).any():
-            failures.add("padding")
-    return failures
+    """Rules an all-pairs ``triu`` scan finds broken (empty: legal)."""
+    return legality_failures(problem, positions, tol, all_pairs=True)
 
 
 @functools.lru_cache(maxsize=None)
@@ -190,7 +166,7 @@ class TestOneRuleBroken:
         self._assert_breaks(
             design, self._beside(spread, a, b, 0.0, width + gap), "padding")
 
-    def test_pair_exactly_at_grid_reach(self, design, spread):
+    def test_pair_exactly_at_clearance_reach(self, design, spread):
         reach = 2.0 * float(np.max(0.5 * design.sizes.max(axis=1)
                                    + 0.5 * design.clearances))
         widest = np.flatnonzero(
@@ -217,6 +193,32 @@ class TestOneRuleBroken:
             pos = beside(reach + 5e-4)
             assert _oracle_failures(design, pos, tol=-1e-3) == {"clearance"}
             assert not check_layout_legal(design, pos, tol=-1e-3)
+
+    def test_resonant_pair_exactly_at_grid_reach(self, design, spread):
+        """The grid reach is set by the padding rule: a resonant pair of
+        the widest padded instances, one reach apart, is legal, and a
+        hair closer breaks the padding sum alone."""
+        half = 0.5 * design.sizes.max(axis=1) \
+            + np.maximum(design.paddings, 0.5 * design.clearances)
+        reach = 2.0 * float(half.max())
+        assert reach > 2.0 * float(np.max(0.5 * design.sizes.max(axis=1)
+                                          + 0.5 * design.clearances))
+        widest = np.flatnonzero(half == 0.5 * reach)
+        a, b = self._pair(design, lambda a, b: a in widest and b in widest
+                          and is_resonant_pair(design, a, b))
+        for axis, shift in itertools.product((0, 1),
+                                             np.linspace(0.0, 1.0, 41)):
+            def beside(distance):
+                offset = [0.0, 0.0]
+                offset[axis] = distance
+                pos = self._beside(spread, a, b, *offset)
+                pos[[a, b], axis] += shift
+                return pos
+
+            pos = beside(reach)
+            assert _oracle_failures(design, pos) == set()
+            assert check_layout_legal(design, pos)
+            self._assert_breaks(design, beside(reach - 2e-6), "padding")
 
 
 class TestProblemWithFrequencies:

@@ -19,12 +19,16 @@ gates of the perf benches pin the library to them:
 * :mod:`tests.oracles.violations` — the all-pairs ``triu`` violation
   scan (:mod:`repro.crosstalk.violations`);
 * :mod:`tests.oracles.hotspots` — the per-pair ``Rect`` evaluation of
-  Eq. (18) (:func:`repro.crosstalk.hotspots.hotspot_report`).
+  Eq. (18) (:func:`repro.crosstalk.hotspots.hotspot_report`);
+* :mod:`tests.oracles.legality` — the two-pass legality check and the
+  chip-wide collision map
+  (:func:`repro.ensembles.repair.check_layout_legal`).
 
 This package also holds the per-pair helpers only the oracles and tests
 read: the topology's :func:`hop_distances` and :func:`shortest_path`,
-and a placement problem's :func:`is_intended_pair`,
-:func:`is_resonant_pair` and :func:`required_gap`.
+and a placement problem's :func:`attached_resonators`,
+:func:`is_intended_pair`, :func:`is_resonant_pair` and
+:func:`required_gap`.
 
 Do not optimise these modules; they are the fixed points the fast paths
 are measured against.
@@ -33,11 +37,12 @@ are measured against.
 from __future__ import annotations
 
 import functools
-from typing import Dict, List
+from typing import Dict, List, Set
 
 import networkx as nx
 
 from repro.core.preprocess import PlacementProblem
+from repro.devices.components import Qubit
 from repro.devices.topology import Topology
 
 
@@ -88,15 +93,38 @@ def required_gap(problem: PlacementProblem, i: int, j: int,
     return float(0.5 * (problem.clearances[i] + problem.clearances[j]))
 
 
+def attached_resonators(problem: PlacementProblem) -> Dict[int, Set[int]]:
+    """Qubit instance index -> ids of the resonators attached to it.
+
+    Derived from the netlist's resonator endpoints, as
+    :mod:`tests.oracles.violations` does, not from the problem's
+    ``qubit_index`` / ``resonator_ends`` columns.
+    """
+    instance_of = {inst.index: i for i, inst in enumerate(problem.instances)
+                   if isinstance(inst, Qubit)}
+    attached: Dict[int, Set[int]] = {}
+    for resonator in problem.netlist.resonators:
+        for q in resonator.endpoints:
+            attached.setdefault(instance_of[q], set()).add(resonator.index)
+    return attached
+
+
+def _attached(problem: PlacementProblem, qi: int, r: int) -> bool:
+    """Whether resonator ``r`` attaches to the qubit at instance ``qi``."""
+    key = problem.instances[qi].index
+    return any(res.index == r and key in res.endpoints
+               for res in problem.netlist.resonators)
+
+
 def is_intended_pair(problem: PlacementProblem, i: int, j: int) -> bool:
     """Pairs allowed to touch: siblings, or qubit + attached segment."""
     ri, rj = int(problem.resonator_index[i]), int(problem.resonator_index[j])
     if ri >= 0 and ri == rj:
         return True
     if problem.is_qubit[i] and rj >= 0:
-        return rj in problem.attached_resonators.get(i, ())
+        return _attached(problem, i, rj)
     if problem.is_qubit[j] and ri >= 0:
-        return ri in problem.attached_resonators.get(j, ())
+        return _attached(problem, j, ri)
     return False
 
 

@@ -15,8 +15,9 @@ from repro import constants
 from repro.crosstalk.hotspots import HotspotPair, HotspotReport
 from repro.crosstalk.violations import find_spatial_violations
 from repro.devices.components import Qubit, ResonatorSegment
-from repro.devices.geometry import adjacency_length
 from repro.devices.layout import Layout
+
+from .geometry import adjacency_length, centroid_distance
 
 
 def _impacted_from_pair(layout: Layout, i: int, j: int) -> Set[int]:
@@ -49,7 +50,7 @@ def hotspot_report(layout: Layout,
         pi = layout.padded_rect(v.i)
         pj = layout.padded_rect(v.j)
         facing = adjacency_length(pi, pj)
-        dc = pi.centroid_distance(pj)
+        dc = centroid_distance(pi, pj)
         pairs.append(HotspotPair(
             i=v.i, j=v.j, facing_mm=facing,
             centroid_distance_mm=dc,

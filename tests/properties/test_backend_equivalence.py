@@ -29,6 +29,7 @@ from repro.devices.netlist import build_netlist
 from repro.devices.topology import PAPER_TOPOLOGY_ORDER, get_topology
 
 from ..oracles import violations as dense_oracle
+from ..oracles.legality import collision_pairs
 
 SEEDS = (0, 3)
 
@@ -56,8 +57,8 @@ class TestFrequencyForceEquivalence:
         positions = problem.initial_positions + rng.normal(
             0.0, 0.3, size=problem.initial_positions.shape)
         sparse_pairs = provider.pairs(positions)
-        assert np.array_equal(sparse_pairs, problem.collision_pairs)
-        dense_pairs = problem.collision_pairs
+        dense_pairs = collision_pairs(problem)
+        assert np.array_equal(sparse_pairs, dense_pairs)
         e_dense, g_dense = frequency_energy_and_grad(
             positions, dense_pairs, problem.config.freq_force_smoothing_mm)
         e_sparse, g_sparse = frequency_energy_and_grad(

@@ -19,6 +19,7 @@ from repro.devices import build_netlist
 from repro.devices.topology import Topology
 
 from ..oracles import is_intended_pair
+from ..oracles.legality import collision_pairs
 
 
 @st.composite
@@ -92,7 +93,7 @@ class TestPlacementInvariants:
             return  # relaxations are counted, not silent
         problem = result.problem
         positions = result.layout.positions
-        for i, j in map(tuple, problem.collision_pairs.tolist()):
+        for i, j in map(tuple, collision_pairs(problem).tolist()):
             if is_intended_pair(problem, i, j):
                 continue
             required = problem.paddings[i] + problem.paddings[j]

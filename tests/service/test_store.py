@@ -159,6 +159,12 @@ class TestSchemaInvalidation:
         assert store.get(new_digest) is None
 
 
+def test_circuit_scan_removed():
+    """Artifacts carry their circuit digest in metadata; the store has
+    no per-circuit scan (nothing called it)."""
+    assert not hasattr(ArtifactStore, "artifacts_for_circuit")
+
+
 class TestNearestPlacement:
     """The warm-start lookup scanning stored place artifacts."""
 
