@@ -17,14 +17,16 @@ Subpackages:
 * :mod:`repro.circuits` — NISQ benchmarks, transpiler, mapper.
 * :mod:`repro.core` — the frequency-aware electrostatic placer.
 * :mod:`repro.crosstalk` — violations, hotspots, fidelity estimation.
-* :mod:`repro.baselines` — Classic and Human comparison layouts.
+* :mod:`repro.baselines` — the Human comparison layout.  The Classic
+  baseline is ``QPlacer(PlacerConfig.classic(config))``: the same config
+  with the frequency-aware mechanisms switched off.
 * :mod:`repro.analysis` — per-figure experiment pipelines and reports.
 * :mod:`repro.io` — JSON/SVG/GDSII export.
 """
 
 from . import constants
 from .analysis import build_suite, run_full_evaluation
-from .baselines import ClassicPlacer, human_layout
+from .baselines import human_layout
 from .core import PlacementResult, PlacerConfig, QPlacer, place_topology
 from .devices import (
     FrequencyPlan,
@@ -39,7 +41,6 @@ from .devices import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "ClassicPlacer",
     "FrequencyPlan",
     "Layout",
     "PlacementResult",

@@ -77,13 +77,7 @@ def _variant_config(base: PlacerConfig, variant: str) -> PlacerConfig:
     if variant == "no-chain-tetris":
         return replace(base, chain_aware_tetris=False)
     if variant == "classic":
-        return PlacerConfig.classic(
-            segment_size_mm=base.segment_size_mm,
-            num_bins=base.num_bins,
-            max_iterations=base.max_iterations,
-            min_iterations=base.min_iterations,
-            seed=base.seed,
-        )
+        return PlacerConfig.classic(base)
     raise ValueError(f"unknown ablation variant {variant!r}")
 
 
@@ -190,11 +184,7 @@ def disorder_robustness(topology_name: str,
     netlist = build_netlist(get_topology(topology_name))
     layouts = {
         "qplacer": QPlacer(base).place(netlist).layout,
-        "classic": QPlacer(PlacerConfig.classic(
-            segment_size_mm=base.segment_size_mm,
-            num_bins=base.num_bins,
-            max_iterations=base.max_iterations,
-            min_iterations=base.min_iterations)).place(netlist).layout,
+        "classic": QPlacer(PlacerConfig.classic(base)).place(netlist).layout,
     }
     rows: List[DisorderRow] = []
     for strategy, layout in layouts.items():

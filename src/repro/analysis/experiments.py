@@ -85,7 +85,8 @@ def build_suite(topology_name: str,
     """Place one topology with every requested strategy.
 
     All strategies share the netlist (hence the frequency plan), matching
-    the paper's controlled comparison.
+    the paper's controlled comparison; Classic places with
+    :meth:`PlacerConfig.classic` of the same config.
 
     Args:
         initial_positions: Optional per-strategy ``(n, 2)`` warm-start
@@ -101,22 +102,10 @@ def build_suite(topology_name: str,
     layouts: Dict[str, Layout] = {}
     results: Dict[str, Optional[PlacementResult]] = {}
     for strategy in strategies:
-        if strategy == "qplacer":
-            result = QPlacer(base).place(
-                netlist, initial_positions=seeds.get(strategy))
-            layouts[strategy] = result.layout
-            results[strategy] = result
-        elif strategy == "classic":
-            classic_cfg = PlacerConfig.classic(
-                segment_size_mm=base.segment_size_mm,
-                qubit_clearance_mm=base.qubit_clearance_mm,
-                segment_clearance_mm=base.segment_clearance_mm,
-                whitespace_factor=base.whitespace_factor,
-                num_bins=base.num_bins,
-                max_iterations=base.max_iterations,
-                seed=base.seed,
-            )
-            result = QPlacer(classic_cfg).place(
+        if strategy in ("qplacer", "classic"):
+            config = base if strategy == "qplacer" \
+                else PlacerConfig.classic(base)
+            result = QPlacer(config).place(
                 netlist, initial_positions=seeds.get(strategy))
             layouts[strategy] = result.layout
             results[strategy] = result

@@ -46,6 +46,7 @@ from .. import constants
 from ..core.config import PlacerConfig
 from ..io.atomic import atomic_write_bytes
 from ..io.serialization import canonical_json
+from .experiments import STRATEGIES
 
 #: Bump when placement/evaluation semantics change so stale cached
 #: results are never returned.  The version is hashed into every runner
@@ -106,7 +107,10 @@ from ..io.serialization import canonical_json
 #:     ``qubit_index`` / ``resonator_ends`` columns in place of its
 #:     qubit-to-resonators dict and lost its collision-map accessor
 #:     (pickled suite shape changed; every layout is unchanged).
-CACHE_SCHEMA_VERSION = 14
+#: 15: Classic keeps every field of a non-default config except the
+#:     three frequency switches (Classic layouts of non-default configs
+#:     changed; every default-config layout is unchanged).
+CACHE_SCHEMA_VERSION = 15
 
 #: Environment variable naming the default on-disk cache directory.
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"
@@ -152,16 +156,15 @@ class PlacementJob:
     Attributes:
         topology: Registered topology name.
         segment_size_mm: Resonator segment size ``lb``.
-        strategies: Strategy names to place ("qplacer", "classic",
-            "human" — the :data:`~repro.analysis.experiments.STRATEGIES`
-            subset to run).
+        strategies: The :data:`~repro.analysis.experiments.STRATEGIES`
+            subset to place.
         config: Base placer configuration (``None`` = defaults).
         seed: Optional seed override applied to the config.
     """
 
     topology: str
     segment_size_mm: float = constants.DEFAULT_SEGMENT_SIZE_MM
-    strategies: Tuple[str, ...] = ("qplacer", "classic", "human")
+    strategies: Tuple[str, ...] = STRATEGIES
     config: Optional[PlacerConfig] = None
     seed: Optional[int] = None
 

@@ -52,7 +52,7 @@ from .analysis import (
     sweep_table,
 )
 from .analysis.ablation import ablation_experiment
-from .analysis.experiments import run_full_evaluation
+from .analysis.experiments import STRATEGIES, run_full_evaluation
 from .analysis.runner import ParallelRunner
 from .core import PlacerConfig, QPlacer
 
@@ -132,11 +132,12 @@ def _config_from(args: argparse.Namespace) -> PlacerConfig:
     ``--classic`` (``place`` / ``profile``) selects the Classic baseline
     with the same overrides.
     """
-    kw = dict(segment_size_mm=args.segment_size, seed=args.seed,
-              detailed_passes=getattr(args, "detailed_passes", None))
+    config = PlacerConfig(segment_size_mm=args.segment_size, seed=args.seed,
+                          detailed_passes=getattr(args, "detailed_passes",
+                                                  None))
     if getattr(args, "classic", False):
-        return PlacerConfig.classic(**kw)
-    return PlacerConfig(**kw)
+        return PlacerConfig.classic(config)
+    return config
 
 
 def cmd_topologies(_args: argparse.Namespace) -> int:
@@ -761,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=constants.DEFAULT_SEGMENT_SIZE_MM)
     w.add_argument("--seed", type=_nonnegative_int, default=0,
                    help="placement seed (default 0)")
-    w.add_argument("--strategies", default="qplacer,classic,human",
+    w.add_argument("--strategies", default=",".join(STRATEGIES),
                    help="comma-separated strategies to score")
     w.add_argument("--shard-index", type=int, default=None,
                    help="run only this shard (cross-machine contract; "
@@ -828,8 +829,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "SeedSequence(base_seed, spawn_key=(i,)) "
                         "(default 0)")
     p.add_argument("--strategy",
-                   help="which placement to freeze and score: qplacer, "
-                        "classic or human (default qplacer)")
+                   help="which placement to freeze and score: "
+                        f"{', '.join(STRATEGIES)} (default qplacer)")
     p.add_argument("--repair", type=int, metavar="N",
                    help="incrementally re-place up to N failing samples "
                         "per sigma point (legalize + detailed repair on "

@@ -2,8 +2,9 @@
 
 One :class:`PlacerConfig` drives preprocessing, the electrostatic global
 placement, and legalization.  ``Classic`` (the baseline of Sec. V-B) is
-the *identical* configuration with the frequency-awareness switched off:
-``PlacerConfig.classic()``.
+the *identical* configuration with the frequency-awareness switched off,
+and :meth:`PlacerConfig.classic` is the one place that derives it from a
+design config.
 
 The frequency-pair cutoff, density flush interval and auto detailed
 passes are not settings: :func:`~repro.core.preprocess.build_problem`
@@ -121,17 +122,21 @@ class PlacerConfig:
                              f"{self.spiral_max_radius_sites}")
 
     @staticmethod
-    def classic(**overrides) -> "PlacerConfig":
-        """The Classic baseline: same hyper-parameters, frequency off.
+    def classic(base: Optional["PlacerConfig"] = None,
+                **overrides) -> "PlacerConfig":
+        """The Classic baseline of ``base``: same settings, frequency off.
 
         Mirrors Sec. V-B: the classical engine shares every setting with
         Qplacer but has no frequency repulsive force, no resonant checks
         during legalization, no chain-aware Tetris ordering, and no
-        integration-aware repair.
+        integration-aware repair.  Every field of ``base`` (default:
+        ``PlacerConfig()``) is kept except those three switches;
+        ``overrides`` then apply on top.
         """
-        base = PlacerConfig(frequency_aware=False, legalize_integration=False,
-                            chain_aware_tetris=False)
-        return replace(base, **overrides) if overrides else base
+        base = base if base is not None else PlacerConfig()
+        return replace(base, **{"frequency_aware": False,
+                                "legalize_integration": False,
+                                "chain_aware_tetris": False, **overrides})
 
     def with_segment_size(self, lb_mm: float) -> "PlacerConfig":
         """Copy with a different resonator segment size (Fig. 15 sweep)."""

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -227,32 +227,18 @@ class _SlotGrid:
                            math.floor(y0 / cell) - span,
                            math.floor(y1 / cell) + span)
 
-    def near_many(self, xs: np.ndarray, ys: np.ndarray,
-                  radius: float) -> np.ndarray:
-        """Instances within ``radius`` (per axis) of ANY query point.
-
-        A superset, each id once: :meth:`near_box` over the points'
-        bounding box.
-        """
-        return self.near_box(float(np.min(xs)), float(np.max(xs)),
-                             float(np.min(ys)), float(np.max(ys)), radius)
-
     def near_array(self, x: float, y: float, radius: float) -> np.ndarray:
         """Single-point :meth:`near_box` (superset of true neighbours)."""
         return self.near_box(x, x, y, y, radius)
-
-    def near(self, x: float, y: float, radius: float) -> Iterable[int]:
-        """Indices of instances whose centres may lie within ``radius``."""
-        yield from self.near_array(x, y, radius).tolist()
 
 
 @lru_cache(maxsize=16)
 def _spiral_offsets_array(max_radius: int) -> np.ndarray:
     """``(N, 2)`` lattice offsets ordered by ring, then Euclidean distance.
 
-    The ordering matches the seed's :func:`_spiral_offsets` exactly:
-    ring (Chebyshev radius) ascending, then squared Euclidean distance,
-    then ``(dx, dy)`` lexicographically.  Cached per radius — generating
+    Ring (Chebyshev radius) ascending, then squared Euclidean distance,
+    then ``(dx, dy)`` lexicographically: exactly the order of the scalar
+    spiral in ``tests/oracles/legalizer.py``.  Cached per radius — generating
     the ~16k offsets of the default radius dominated the seed legalizer's
     construction time.
     """
@@ -276,11 +262,6 @@ def _ring_bounds(ring: int) -> Tuple[int, int]:
     """Slice of :func:`_spiral_offsets_array` holding one Chebyshev ring."""
     lo = (2 * ring - 1) ** 2 if ring > 0 else 0
     return lo, (2 * ring + 1) ** 2
-
-
-def _spiral_offsets(max_radius: int) -> List[Tuple[int, int]]:
-    """Lattice offsets ordered by ring, then by Euclidean distance."""
-    return [(int(dx), int(dy)) for dx, dy in _spiral_offsets_array(max_radius)]
 
 
 class Legalizer:

@@ -54,7 +54,10 @@ def check_layout_legal(problem: PlacementProblem, positions: np.ndarray,
     Three rules, checked on one set of nearby pairs: no bare-footprint
     overlap; clearance separation for non-intended pairs; and the
     padding-sum spacing for resonant (``|df| <= Delta_c``) non-intended
-    pairs.
+    pairs.  The padding rule applies only when
+    ``problem.config.frequency_aware``, the switch under which the
+    legalizer enforces it (a Classic problem is checked for overlap and
+    clearance alone).
 
     The pairs are grid candidates
     (:func:`~repro.core.interactions.grid_candidate_pairs`) within a
@@ -79,15 +82,17 @@ def check_layout_legal(problem: PlacementProblem, positions: np.ndarray,
     if bool((gap < -tol).any()):
         return False
 
-    # A pair closer than its clearance, or a resonant pair closer than
-    # its padding sum, is illegal unless it is intended.
+    # A pair closer than its clearance, or (under a frequency-aware
+    # config) a resonant pair closer than its padding sum, is illegal
+    # unless it is intended.
     clear = problem.clearances
-    pads = problem.paddings
-    freqs = problem.frequencies
-    close = ((gap < 0.5 * (clear[iu] + clear[ju]) - tol)
-             | ((gap < pads[iu] + pads[ju] - 1e-6)
-                & (np.abs(freqs[iu] - freqs[ju])
-                   <= problem.config.detuning_threshold_ghz)))
+    close = gap < 0.5 * (clear[iu] + clear[ju]) - tol
+    if problem.config.frequency_aware:
+        pads = problem.paddings
+        freqs = problem.frequencies
+        close |= ((gap < pads[iu] + pads[ju] - 1e-6)
+                  & (np.abs(freqs[iu] - freqs[ju])
+                     <= problem.config.detuning_threshold_ghz))
     return bool(intended_adjacency(problem.qubit_index,
                                    problem.resonator_index,
                                    problem.resonator_ends,

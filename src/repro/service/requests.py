@@ -31,11 +31,9 @@ from typing import (Any, Callable, ClassVar, Dict, Mapping, Optional, Tuple,
                     Type, Union)
 
 from .. import constants
+from ..analysis.experiments import STRATEGIES
 from ..circuits.mapping import ROUTER_CHOICES
 from ..core.config import PlacerConfig
-
-#: The three placement strategies a request may score.
-_KNOWN_STRATEGIES = frozenset({"qplacer", "classic", "human"})
 
 #: Routers understood by the mapping pipeline — the single source of
 #: truth is :data:`repro.circuits.mapping.ROUTER_CHOICES`, so the
@@ -67,7 +65,7 @@ class PlaceRequest:
 
     topology: str
     segment_size_mm: float = constants.DEFAULT_SEGMENT_SIZE_MM
-    strategies: Tuple[str, ...] = ("qplacer", "classic", "human")
+    strategies: Tuple[str, ...] = STRATEGIES
     seed: int = 0
     config: Optional[PlacerConfig] = None
     include_layouts: bool = True
@@ -84,7 +82,7 @@ class FidelityRequest:
     workloads: Tuple[str, ...] = ()
     num_mappings: int = 12
     base_seed: int = 0
-    strategies: Tuple[str, ...] = ("qplacer", "classic", "human")
+    strategies: Tuple[str, ...] = STRATEGIES
     segment_size_mm: float = constants.DEFAULT_SEGMENT_SIZE_MM
     seed: int = 0
     config: Optional[PlacerConfig] = None
@@ -225,17 +223,17 @@ def _check_benchmarks(names: Tuple[Any, ...]) -> None:
 
 def _check_strategies(strategies: Tuple[Any, ...]) -> None:
     bad = [s for s in strategies
-           if not isinstance(s, str) or s not in _KNOWN_STRATEGIES]
+           if not isinstance(s, str) or s not in STRATEGIES]
     if bad or not strategies:
         raise RequestError(
             f"strategies must be a non-empty subset of "
-            f"{sorted(_KNOWN_STRATEGIES)}, got {list(strategies)}")
+            f"{sorted(STRATEGIES)}, got {list(strategies)}")
 
 
 def _check_strategy(strategy: str) -> None:
-    if strategy not in _KNOWN_STRATEGIES:
+    if strategy not in STRATEGIES:
         raise RequestError(
-            f"strategy must be one of {sorted(_KNOWN_STRATEGIES)}, "
+            f"strategy must be one of {sorted(STRATEGIES)}, "
             f"got {strategy!r}")
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.config import PlacerConfig
 from repro.core.engine import GlobalPlacer
-from repro.core.legalizer import Legalizer, _spiral_offsets, legalize
+from repro.core.legalizer import Legalizer, _spiral_offsets_array, legalize
 from repro.core.preprocess import build_problem
 from repro.devices import build_netlist, grid_topology
 
@@ -36,14 +36,14 @@ def pair_gap(problem, positions, i, j):
 
 class TestSpiralOffsets:
     def test_starts_at_origin(self):
-        assert _spiral_offsets(3)[0] == (0, 0)
+        assert _spiral_offsets_array(3)[0].tolist() == [0, 0]
 
     def test_ring_counts(self):
-        offsets = _spiral_offsets(2)
+        offsets = _spiral_offsets_array(2)
         assert len(offsets) == 1 + 8 + 16
 
     def test_sorted_by_ring(self):
-        offsets = _spiral_offsets(3)
+        offsets = _spiral_offsets_array(3).tolist()
         rings = [max(abs(dx), abs(dy)) for dx, dy in offsets]
         assert rings == sorted(rings)
 

@@ -7,7 +7,9 @@ adjacencies read from the problem's key columns.
 clearance-reach grid pass, then the padding rule over the chip-wide
 collision map, with the attachment derived from the netlist.  The two
 must agree on placed, jittered and disordered layouts of three paper
-tiers at every tolerance.
+tiers at every tolerance.  Both apply the padding rule under a
+frequency-aware config only, the switch under which the legalizer
+enforces it.
 """
 
 from __future__ import annotations
@@ -96,6 +98,20 @@ def test_cases_cover_every_rule():
     assert legality.legality_failures(human_problem, human_pos) \
         == {"overlap", "clearance"}
     assert not check_layout_legal(human_problem, human_pos)
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_classic_layouts_are_legal(topology):
+    """Classic legalizes without the resonant checker, and the check
+    reads the same switch: its layout is legal under its own config, and
+    breaks the padding rule alone under the frequency-aware one."""
+    problem, pos = _layout(topology, "classic")
+    assert not problem.config.frequency_aware
+    assert check_layout_legal(problem, pos)
+    assert legality.check_layout_legal(problem, pos)
+    aware = preprocess.build_problem(problem.netlist, PlacerConfig())
+    assert legality.legality_failures(aware, pos) == {"padding"}
+    assert not check_layout_legal(aware, pos)
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)

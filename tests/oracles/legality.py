@@ -4,7 +4,8 @@
 three spacing rules in one pass over nearby pairs.  This module keeps
 the check as it stood before: a grid pass for the overlap and clearance
 rules, then a second pass over the frequency collision map — every
-resonant pair on the chip, near or far — for the padding sum.  Intended
+resonant pair on the chip, near or far — for the padding sum, which
+applies under a frequency-aware config only.  Intended
 adjacency comes from the netlist's resonator endpoints
 (:func:`tests.oracles.attached_resonators`), not from the problem's key
 columns.
@@ -102,7 +103,8 @@ def legality_failures(problem: PlacementProblem, positions: np.ndarray,
     ``"overlap"`` and ``"clearance"`` are screened over grid candidates
     within a per-axis reach of ``2 * max(max(w, h) / 2 + clearance /
     2)`` (or, with ``all_pairs``, over every ``i < j`` pair);
-    ``"padding"`` over the whole collision map.
+    ``"padding"`` over the whole collision map, under a frequency-aware
+    config only.
     """
     pos = np.asarray(positions, dtype=float)
     if all_pairs:
@@ -121,7 +123,7 @@ def legality_failures(problem: PlacementProblem, positions: np.ndarray,
     if (gap[~intended] < required[~intended] - tol).any():
         failures.add("clearance")
     pairs = collision_pairs(problem)
-    if pairs.size:
+    if pairs.size and problem.config.frequency_aware:
         a, b = pairs[:, 0], pairs[:, 1]
         unintended = ~intended_mask(problem, a, b)
         a, b = a[unintended], b[unintended]

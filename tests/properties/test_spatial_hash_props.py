@@ -16,7 +16,6 @@ its initial extent in every direction and past its initial slot depth.
 
 import math
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,12 +81,12 @@ class TestSupersetScreen:
            st.lists(st.tuples(COORD, COORD), min_size=1, max_size=6),
            st.floats(min_value=0.0, max_value=3.0, allow_nan=False))
     @settings(max_examples=120, deadline=None)
-    def test_near_many_superset(self, seq, points, radius):
+    def test_near_box_superset(self, seq, points, radius):
         capacity, ops = seq
         hash_, oracle = _apply(capacity, ops)
-        xs = np.array([p[0] for p in points])
-        ys = np.array([p[1] for p in points])
-        result = hash_.near_many(xs, ys, radius)
+        xs = [p[0] for p in points]
+        ys = [p[1] for p in points]
+        result = hash_.near_box(min(xs), max(xs), min(ys), max(ys), radius)
         got = set(result.tolist())
         for idx, (x, y) in oracle.items():
             if any(abs(x - qx) <= radius and abs(y - qy) <= radius
@@ -109,11 +108,11 @@ class TestSupersetScreen:
 
     @given(op_sequences())
     @settings(max_examples=60, deadline=None)
-    def test_near_generator_matches_array(self, seq):
+    def test_near_array_is_the_point_box(self, seq):
         capacity, ops = seq
         hash_, _ = _apply(capacity, ops)
-        assert set(hash_.near(1.0, -1.0, 2.0)) == \
-            set(hash_.near_array(1.0, -1.0, 2.0).tolist())
+        assert hash_.near_array(1.0, -1.0, 2.0).tolist() == \
+            hash_.near_box(1.0, 1.0, -1.0, -1.0, 2.0).tolist()
 
     @given(op_sequences())
     @settings(max_examples=60, deadline=None)
@@ -159,7 +158,7 @@ class LinkedCells:
         kx, ky = self._key(x, y)
         return self.block(kx - span, kx + span, ky - span, ky + span)
 
-    def near_many(self, xs, ys, radius):
+    def near_box(self, xs, ys, radius):
         span = math.ceil(radius / self.cell)
         lo = self._key(min(xs), min(ys))
         hi = self._key(max(xs), max(ys))
@@ -210,19 +209,19 @@ class TestOrderMatchesLinkedCells:
         grid, oracle = _apply_both(capacity, ops)
         assert grid.near_array(qx, qy, radius).tolist() == \
             oracle.near(qx, qy, radius)
-        assert list(grid.near(qx, qy, radius)) == oracle.near(qx, qy, radius)
 
     @given(st.one_of(op_sequences(), crowded_sequences()),
            st.lists(st.tuples(COORD, COORD), min_size=1, max_size=6),
            st.floats(min_value=0.0, max_value=3.0, allow_nan=False))
     @settings(max_examples=120, deadline=None)
-    def test_near_many_matches_oracle(self, seq, points, radius):
+    def test_near_box_matches_oracle(self, seq, points, radius):
         capacity, ops = seq
         grid, oracle = _apply_both(capacity, ops)
         xs = [p[0] for p in points]
         ys = [p[1] for p in points]
-        assert grid.near_many(np.array(xs), np.array(ys), radius).tolist() \
-            == oracle.near_many(xs, ys, radius)
+        assert grid.near_box(min(xs), max(xs), min(ys), max(ys),
+                             radius).tolist() \
+            == oracle.near_box(xs, ys, radius)
 
     def test_grows_in_every_direction(self):
         grid = _SlotGrid(1.0, 8, lo=(0.0, 0.0), hi=(2.0, 2.0))

@@ -6,9 +6,10 @@ parsing moved to the shared field table; any change to normalisation
 (suite expansion, CSV splitting, float sigmas, config dicts, materialised
 defaults) that alters one of them orphans every existing store, and must
 come with a ``CACHE_SCHEMA_VERSION`` bump and re-recorded values.
-The values below were re-recorded at schema 14, whose bump changed the
-pickled placement problem, not request parsing: at schema 13 the same
-payloads give the values first recorded.
+The values below were re-recorded at schema 15, whose bump changed the
+Classic layouts of non-default configs, not request parsing: at schema
+14 the same payloads give the values recorded there (and at schema 13
+the values first recorded).
 """
 
 from __future__ import annotations
@@ -22,17 +23,17 @@ from repro.service.requests import parse_request
 from repro.service.store import request_digest
 
 PLACE_DEFAULT = \
-    "5fad175f5cbcbc55563fd60e2002bc405b3ed0bb6f238a805b8e0d53a75ab53c"
+    "e19b841fcd4c73b12ae4a069a533da6f97a602551bfe9cc5bd0734e2e97fb118"
 PLACE_TWO = \
-    "b08ab1483b398690b144b507c45336449d92323c6caa656bbcc5d2b6d984967a"
+    "71fe79f3bc0a1b5e2d3ba9d0070e53f38daba5dc72e7034d76c8ace74b4644b4"
 FIDELITY_PAPER8 = \
-    "6acdc0b231e538324fbaed9b714fc1953dd4af2740ed1d0adfbaa4e9261c685c"
+    "72412da26392795df583f421c705857cb472f432af4aa2d2f4d1ccc6ba287e56"
 MAP_DEFAULT = \
-    "d3eaad977e4d210ab1340bba107ac92c857311e67335c901ca196a621c0314d9"
+    "31fead5b6c3bb85d1848b6019d5206ea46a6ec9b17c60a1b77e90cc664877024"
 EVALUATE_PAPER = \
-    "9371e05371ec7174afe5462e20fccb0d867a485b136fc1f487ef497ac559fc0d"
+    "11119d7a29de7f954f924fd9f706e4f462c0eb5270e815da7c12a741ca8ffef4"
 ENSEMBLE_DEFAULT = \
-    "0a8466e052683958df771097b37145911d107a5b46dbd975a663f7feb53377d1"
+    "f5d4067f071bb2f3a0134272e443299dcc1761a1252f7c0999eacb5161394a9d"
 
 GOLDEN = [
     # An omitted field and its explicit default digest identically.
@@ -56,7 +57,7 @@ GOLDEN = [
     ("fidelity", {"topology": "grid-25", "workloads": ["bv-4", "qaoa-9"],
                   "strategies": "qplacer", "num_mappings": 5,
                   "base_seed": 2, "config": {"detailed_passes": 1}},
-     "d28ce11d8c009a7ece80c1bb067a18e4b6eece639dad0b2e2cad1bf21cbbaee0"),
+     "3c538ff4f4f8c701c1d25883da989d512130b3bfe713ad855306b9eaa4561727"),
     ("map", {"benchmark": "bv-4", "topology": "grid-25"}, MAP_DEFAULT),
     ("map", {"benchmark": "bv-4", "topology": "grid-25", "num_mappings": 50,
              "base_seed": 0, "router": "basic", "optimization_level": 3},
@@ -64,7 +65,7 @@ GOLDEN = [
     ("map", {"benchmark": "ghz-8", "topology": "falcon-27",
              "router": "sabre", "num_mappings": 7, "base_seed": 4,
              "optimization_level": 1},
-     "e2a224215586dda76e08664c7a680c0945ea49ede8f85600fda954b17c5adf8a"),
+     "d64c484bbfb554ac0bf7a2d0f7fb08f40ce40e21e3db04b779dc22da4d507a58"),
     # Evaluate's omitted lists become the paper defaults.
     ("evaluate", {}, EVALUATE_PAPER),
     ("evaluate", {"topologies": list(PAPER_TOPOLOGY_ORDER),
@@ -72,7 +73,7 @@ GOLDEN = [
     ("evaluate", {"topologies": "grid-25,falcon-27",
                   "benchmarks": ["bv-4", "qaoa-9"], "num_mappings": 4,
                   "seed": 1, "config": {"num_bins": 32}},
-     "d24ec24088f5d44a9e098bf9188170dc18ded99a4418a8772d059785ca375fe1"),
+     "7680cd3127407f917fdb89234080ca98c322e5461ede67464338681eb7e10c28"),
     ("ensemble", {"topology": "grid-25"}, ENSEMBLE_DEFAULT),
     ("ensemble", {"topology": "grid-25", "sigmas": [0.01, 0.02, 0.05],
                   "samples": 64, "bootstrap": 200, "repair_samples": 0},
@@ -82,16 +83,16 @@ GOLDEN = [
     ("ensemble", {"topology": "grid-25", "sigmas": "0,0.05", "samples": 16,
                   "repair_samples": 2, "strategy": "classic",
                   "max_ph_percent": 1, "resonator_sigma_scale": 1},
-     "a18a05f78bcae0c716c71585aafeae58fd3df5adb8d5cc3ec02ac787e2c1deda"),
+     "d892abac39fd52e6ad567ffdbb7acacd2f9ccf6e60d322a74f7a06015858aa53"),
     ("ensemble", {"topology": "grid-25", "sigmas": [0, 0.05], "samples": 16,
                   "repair_samples": 2, "strategy": "classic",
                   "max_ph_percent": 1.0, "resonator_sigma_scale": 1.0},
-     "e5375903aa52418b0a968648c0023383e2fc0e252e572f83a0e8f58af4e3a0c3"),
+     "4a844ca3390e1b6c9362aa42ba4bc5b057e966f0243edb643ffedb2248027b7f"),
 ]
 
 
 def test_schema_version_of_the_golden():
-    assert CACHE_SCHEMA_VERSION == 14
+    assert CACHE_SCHEMA_VERSION == 15
 
 
 @pytest.mark.parametrize("kind,payload,digest", GOLDEN,

@@ -441,6 +441,53 @@ class TestEnsembleCommand:
         assert err.value.code == 2
         assert str(service.value) in capsys.readouterr().err
 
+    #: ``repro ensemble`` flag dest -> the ``EnsembleRequest`` field.
+    FLAG_FIELDS = {"segment_size": "segment_size_mm", "seed": "seed",
+                   "sigma": "sigmas", "samples": "samples",
+                   "resonator_sigma_scale": "resonator_sigma_scale",
+                   "base_seed": "base_seed", "strategy": "strategy",
+                   "repair": "repair_samples",
+                   "max_ph_percent": "max_ph_percent",
+                   "bootstrap": "bootstrap"}
+
+    def test_help_defaults_are_the_request_defaults(self):
+        """The help text restates the request defaults; every one it
+        states must equal the dataclass field it stands for."""
+        import argparse
+        import dataclasses
+
+        from repro.service.requests import EnsembleRequest
+
+        defaults = {f.name: f.default
+                    for f in dataclasses.fields(EnsembleRequest)}
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        stated = {}
+        for action in sub.choices["ensemble"]._actions:
+            match = re.search(r"[(;] ?default ([^;=)\s]+)",
+                              action.help or "")
+            if match and action.dest in self.FLAG_FIELDS:
+                field = self.FLAG_FIELDS[action.dest]
+                default = defaults[field]
+                text = match.group(1)
+                stated[field] = (tuple(float(v) for v in text.split(","))
+                                 if isinstance(default, tuple)
+                                 else type(default)(text))
+        assert set(stated) == set(self.FLAG_FIELDS.values())
+        assert stated == {name: defaults[name] for name in stated}
+
+    def test_parser_does_not_import_the_service(self):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        code = ("import sys; from repro.cli import build_parser; "
+                "build_parser(); "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('repro.service')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
     def test_warm_start_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as err:
             build_parser().parse_args(["ensemble", "grid-25",

@@ -46,3 +46,27 @@ def test_no_reference_modules_in_package():
     assert not [n for n in names if n.endswith("_reference.py")]
     assert "circuits/transpile.py" not in names
 
+
+
+def _classic_keyword_calls(path: Path):
+    """Line numbers of ``PlacerConfig.classic(...)`` calls with keywords."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and node.keywords
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "classic"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "PlacerConfig"):
+            yield node.lineno
+
+
+def test_classic_config_derived_in_one_place():
+    """Classic is ``PlacerConfig.classic(config)`` of the design config:
+    a module that hand-copies fields into it drifts from the QPlacer
+    side as fields are added."""
+    offenders = [f"{p.relative_to(PACKAGE_ROOT).as_posix()}:{line}"
+                 for p in _modules()
+                 if p.relative_to(PACKAGE_ROOT).as_posix()
+                 != "core/config.py"
+                 for line in _classic_keyword_calls(p)]
+    assert offenders == []
