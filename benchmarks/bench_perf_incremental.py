@@ -15,7 +15,9 @@ This harness pins the contracts that make them safe:
   flush-1 *is* the exact recompute plus a live divergence assertion;
 * **banding**: at the condor tier's converged positions, frequency-
   banded candidate generation must screen fewer spatial candidates than
-  the unbanded grid;
+  the unbanded grid, and the compacted band labels (which step over
+  gaps no resonant pair can cross) at most half as many as plain
+  ``floor(f / w)`` bands — a deterministic count, not a timing;
 * **condor wall clock**: under ``REPRO_BENCH_FULL=1``, condor-1121
   global placement lands in single-digit seconds.
 
@@ -48,6 +50,10 @@ from conftest import FULL, emit
 MAX_CONDOR_1121_PLACE_S = 10.0
 
 CONDOR_TOPOLOGY = "condor-1121" if FULL else "condor-sm-433"
+
+#: Compacted band labels must screen at most this share of the
+#: candidates plain ``floor(f / w)`` bands screen on the condor tier.
+MAX_COMPACT_CANDIDATE_RATIO = 0.5
 
 
 def _run(topology: str, density: str = "engine") -> Dict[str, object]:
@@ -93,18 +99,30 @@ def _strip(row: Dict[str, object]) -> Dict[str, object]:
             if k not in ("positions", "problem")}
 
 
+def _plain_bands(frequencies: np.ndarray, threshold: float) -> np.ndarray:
+    """Reference labels: plain ``floor(f / w)`` bands, no gap compaction
+    (``w`` is the guarded width of :func:`frequency_bands`)."""
+    width = max(float(threshold), 0.0) * (1.0 + 1e-9) + 1e-12
+    return np.floor(frequencies / width).astype(np.int64)
+
+
 def _candidate_counts(row: Dict[str, object]) -> Dict[str, int]:
-    """Neighbor-list candidates at a run's final positions, with and
-    without frequency banding (same reach as the engine's rebuilds)."""
+    """Neighbor-list candidates at a run's final positions: with the
+    engine's band labels, with plain floor bands, and without banding
+    (same reach as the engine's rebuilds)."""
     problem = row["problem"]
     reach = problem.freq_pair_cutoff_mm + engine.FREQ_PAIR_SKIN_MM
-    bands = frequency_bands(problem.frequencies,
-                            problem.config.detuning_threshold_ghz)
+    threshold = problem.config.detuning_threshold_ghz
     positions = row["positions"]
-    banded, _ = grid_candidate_pairs(positions, reach, sort=False,
-                                     bands=bands)
-    unbanded, _ = grid_candidate_pairs(positions, reach, sort=False)
-    return {"banded": int(banded.size), "unbanded": int(unbanded.size)}
+    counts = {}
+    for name, bands in (
+            ("banded", frequency_bands(problem.frequencies, threshold)),
+            ("plain_bands", _plain_bands(problem.frequencies, threshold)),
+            ("unbanded", None)):
+        a, _ = grid_candidate_pairs(positions, reach, sort=False,
+                                    bands=bands)
+        counts[name] = int(a.size)
+    return counts
 
 
 def test_perf_incremental(results_dir, monkeypatch):
@@ -157,3 +175,6 @@ def test_perf_incremental(results_dir, monkeypatch):
     assert condor["density_rescattered"] > 0
     # banding must shrink the candidate screening set
     assert candidates["banded"] < candidates["unbanded"], candidates
+    # compacted labels skip the band gaps no resonant pair can cross
+    assert candidates["banded"] <= \
+        MAX_COMPACT_CANDIDATE_RATIO * candidates["plain_bands"], candidates

@@ -17,7 +17,7 @@ headline metrics (Ph, impacted qubits, area, integrity).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 

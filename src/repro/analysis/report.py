@@ -7,7 +7,7 @@ notation for fidelities).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import List, Mapping, Sequence
 
 from .experiments import FIDELITY_FLOOR, ParetoPoint, SummaryRow, SweepRow
 

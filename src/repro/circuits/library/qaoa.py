@@ -8,7 +8,6 @@ graph while staying deterministic across runs.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence, Tuple
 
 from ..circuit import QuantumCircuit

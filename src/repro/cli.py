@@ -59,7 +59,7 @@ from .core import PlacerConfig, QPlacer
 #: Default benchmark subset for the evaluate commands (5 of the 8).
 DEFAULT_CLI_BENCHMARKS = ("bv-4", "bv-16", "qaoa-9", "ising-4", "qgan-4")
 from .devices import (PAPER_TOPOLOGY_ORDER, SCALE_TOPOLOGY_ORDER,
-                      TOPOLOGY_FACTORIES, build_netlist, get_topology)
+                      build_netlist, get_topology)
 from .io import save_gds, save_layout, save_svg
 from .io.serialization import canonicalize
 

@@ -17,8 +17,6 @@ constants they serve.
 
 from __future__ import annotations
 
-import math
-
 # ---------------------------------------------------------------------------
 # Fundamental constants
 # ---------------------------------------------------------------------------
@@ -148,16 +146,3 @@ DEFAULT_NUM_MAPPINGS = 50
 
 #: Target density used by the electrostatic placement region sizing.
 DEFAULT_TARGET_DENSITY = 1.0
-
-
-def ghz_to_angular(freq_ghz: float) -> float:
-    """Convert a plain frequency in GHz to angular frequency in rad/ns.
-
-    1 GHz = 2*pi rad/ns in this unit system (1 GHz = 1 cycle/ns).
-    """
-    return 2.0 * math.pi * freq_ghz
-
-
-def angular_to_ghz(omega_rad_per_ns: float) -> float:
-    """Convert an angular frequency in rad/ns back to GHz."""
-    return omega_rad_per_ns / (2.0 * math.pi)

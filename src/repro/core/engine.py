@@ -25,7 +25,7 @@ from .frequency_force import FrequencyForce, frequency_energy_and_grad
 from .interactions import PrunedCollisionPairs
 from .optimizer import NesterovOptimizer
 from .preprocess import PlacementProblem
-from .wirelength import hpwl, wirelength_and_grad
+from .wirelength import wirelength_and_grad
 
 #: Slack (mm) the frequency neighbor list adds to the problem's pair
 #: cutoff; the list is rebuilt once any instance drifts more than half

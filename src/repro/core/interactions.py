@@ -79,16 +79,34 @@ _BAND_OFFSETS: Tuple[Tuple[int, int], ...] = (
 
 
 def frequency_bands(frequencies: np.ndarray, threshold: float) -> np.ndarray:
-    """Integer band labels such that resonant pairs differ by <= 1 band.
+    """Integer band labels such that resonant pairs differ by <= 1 label.
 
-    Bands are ``floor(f / w)`` with a band width ``w`` slightly above
-    the detuning threshold — the same guard-band trick as the grid cell
-    size, so a pair at exactly the threshold detuning can never end up
-    two bands apart through float rounding.
+    Floor bands are ``floor(f / w)`` with a band width ``w`` slightly
+    above the detuning threshold — the same guard-band trick as the grid
+    cell size, so a pair at exactly the threshold detuning can never end
+    up two floor bands apart through float rounding.
+
+    Occupied floor bands are then relabelled in order, and the label
+    steps by 2 across every gap no resonant pair can cross: two floor
+    bands ``b`` and ``b + 1`` keep adjacent labels only when the lowest
+    frequency of ``b + 1`` is within ``w`` of the highest of ``b``.
+    Float subtraction is monotone, so for a resonant pair that gap is at
+    most ``f_j - f_i <= threshold <= w``.  Frequency palettes whose
+    levels sit further apart than the threshold thus get no adjacent
+    labels at all, and :func:`grid_candidate_pairs` never pairs up
+    neighbouring levels.
     """
     width = max(float(threshold), 0.0) * (1.0 + 1e-9) + 1e-12
-    return np.floor(np.asarray(frequencies, dtype=float)
-                    / width).astype(np.int64)
+    freqs = np.asarray(frequencies, dtype=float)
+    floor = np.floor(freqs / width).astype(np.int64)
+    occupied, inverse = np.unique(floor, return_inverse=True)
+    lo = np.full(occupied.size, np.inf)
+    hi = np.full(occupied.size, -np.inf)
+    np.minimum.at(lo, inverse, freqs)
+    np.maximum.at(hi, inverse, freqs)
+    near = (np.diff(occupied) == 1) & (lo[1:] - hi[:-1] <= width)
+    labels = np.concatenate(([0], np.cumsum(np.where(near, 1, 2))))
+    return labels[inverse]
 
 
 def grid_candidate_pairs(positions: np.ndarray, cutoff: float,
@@ -111,6 +129,7 @@ def grid_candidate_pairs(positions: np.ndarray, cutoff: float,
     band difference of at most one (resonance under the banding
     threshold) get a candidate set smaller by roughly the occupied band
     count — the spatial guarantee then holds per band neighborhood.
+    When no two labels are adjacent, the band-above offsets are skipped.
 
     Args:
         positions: ``(n, 2)`` instance centres.
@@ -141,8 +160,9 @@ def grid_candidate_pairs(positions: np.ndarray, cutoff: float,
         key = (bands - bands.min()) * plane + key
         # Same band: half neighborhood; band above: full 3x3 (a pair in
         # adjacent bands is seen only from its lower band).
-        offsets = tuple((0, dx * width + dy) for dx, dy in _PLANE_OFFSETS) \
-            + tuple((1, dx * width + dy) for dx, dy in _BAND_OFFSETS)
+        offsets = tuple((0, dx * width + dy) for dx, dy in _PLANE_OFFSETS)
+        if (np.diff(np.unique(bands)) == 1).any():
+            offsets += tuple((1, dx * width + dy) for dx, dy in _BAND_OFFSETS)
         offsets = tuple(db * plane + d for db, d in offsets)
     else:
         offsets = tuple(dx * width + dy for dx, dy in _PLANE_OFFSETS)
@@ -314,9 +334,9 @@ class PrunedCollisionPairs:
     (every resonant pair, sibling segments excluded).
 
     Candidate generation adds a frequency dimension to the grid
-    (:func:`frequency_bands`): instances more than one
-    detuning-threshold band apart can never be resonant, so their
-    spatial pairs are never materialised.  Profiling condor-sm-433
+    (:func:`frequency_bands`): instances more than one band label
+    apart can never be resonant, so their spatial pairs are never
+    materialised.  Profiling condor-sm-433
     placement showed the rebuild filter — millions of spatially-near
     but non-resonant candidates — at >90% of the run; banding removes
     them at the source while the exact resonance filter keeps the final
@@ -377,7 +397,7 @@ class PrunedCollisionPairs:
             sibling = (ra >= 0) & (ra == rb)
             keep = within & resonant & ~sibling
             a, b = sort_pairs(a[keep], b[keep], positions.shape[0])
-        self._pairs = np.stack([a, b], axis=1).astype(np.int64)
+        self._pairs = np.stack([a, b], axis=1).astype(np.int64, copy=False)
         self._ref_positions = positions.copy()
         self.rebuilds += 1
         self.peak_pairs = max(self.peak_pairs, int(a.size))

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .. import constants
 from ..physics.hamiltonian import worst_case_swap_probability

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .. import constants
 from ..physics.resonator_em import resonator_length_mm
@@ -179,11 +179,6 @@ class ResonatorSegment(Instance):
 
     resonator_index: int = -1
     segment_index: int = 0
-
-    @property
-    def sibling_key(self) -> int:
-        """Resonator index shared by sibling segments (Eq. 10 delta)."""
-        return self.resonator_index
 
 
 def same_resonator(a: Instance, b: Instance) -> bool:

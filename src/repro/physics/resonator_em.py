@@ -35,11 +35,6 @@ def resonator_frequency_ghz(length_mm: float,
     return phase_velocity_mm_per_ns / (2.0 * length_mm)
 
 
-def fundamental_mode_ghz(length_mm: float) -> float:
-    """Alias of :func:`resonator_frequency_ghz` for the lambda/2 fundamental."""
-    return resonator_frequency_ghz(length_mm)
-
-
 def harmonic_ghz(length_mm: float, n: int) -> float:
     """Frequency of the ``n``-th harmonic of a half-wave resonator.
 

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.config import PlacerConfig
 from repro.core.engine import GlobalPlacer
 from repro.core.legalizer import Legalizer, _spiral_offsets_array, legalize
 from repro.core.preprocess import build_problem

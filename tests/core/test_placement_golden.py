@@ -13,7 +13,9 @@ rebuilds and the incremental density map with its flush checkpoints
 the numbers are picked from problem size, not configured).  The
 eagle-127 pair pins the largest exact-sum tier: the biggest
 required-gap table and the most legalizer neighbourhood queries of any
-paper topology.
+paper topology.  grid-121 is above the size threshold unpatched, so
+its digest pins the default sparse path with its 42 neighbor-list
+rebuilds.
 """
 
 import hashlib
@@ -38,6 +40,8 @@ GOLDEN = [
      "6ec8bb25a8449a078f571a4d5cbcc2972332220ac955daf41a53208f7dd7a8c2"),
     ("eagle-127", "classic", False,
      "14f3626c276f652a1564f7bda5f83c645520736b1b6450974d6b350086f5eb86"),
+    ("grid-121", "qplacer", True,
+     "c15ff714f224ab700966d343f956b89f05b6b0337d26c165e0f7af601e408127"),
 ]
 
 

@@ -12,13 +12,25 @@ placer breaks gain ties by it.  :class:`LinkedCells` is a dict-of-lists
 oracle with linked-cell semantics (cells in key order, newest member
 first) that the grid must match exactly, including after growing past
 its initial extent in every direction and past its initial slot depth.
+
+The engine's frequency neighbor list screens candidates through the
+same kind of grid with a band dimension added
+(:func:`~repro.core.interactions.frequency_bands`).  Its properties:
+every resonant pair is at most one band label apart, on palette-like
+frequency sets (levels with gaps just below, at and just above the
+threshold, including decimal gaps such as 5.0/5.2 at 0.2 that floats
+cannot hold exactly) and on continuous (disordered) ones, and the
+:class:`~repro.core.interactions.PrunedCollisionPairs` pair array equals
+a brute-force scan byte for byte.
 """
 
 import math
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.interactions import PrunedCollisionPairs, frequency_bands
 from repro.core.legalizer import _INITIAL_SLOTS, _SlotGrid
 
 CELL = 0.35
@@ -257,3 +269,97 @@ class TestOrderMatchesLinkedCells:
         oracle.add(depth, 0.9, 0.9)
         assert grid.near_array(0.5, 0.5, 0.0).tolist() == \
             oracle.near(0.5, 0.5, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# frequency band labels and the banded neighbor list
+# ---------------------------------------------------------------------------
+
+THRESHOLDS = st.sampled_from((0.05, 0.1, 0.125, 0.15, 0.2, 0.25, 0.3))
+
+
+@st.composite
+def palette_frequencies(draw):
+    """Threshold plus instance frequencies drawn from a level palette.
+
+    Level gaps sit just below, at or just above the threshold, or well
+    beyond it; levels are rounded to decimals, so gaps "at" the
+    threshold land on either side of it in binary floating point.
+    """
+    threshold = draw(THRESHOLDS)
+    gaps = draw(st.lists(st.sampled_from(("below", "at", "above", "far")),
+                         min_size=0, max_size=8))
+    level = draw(st.sampled_from((4.8, 5.0, 5.13, 6.2)))
+    levels = [level]
+    for kind in gaps:
+        level += {"below": threshold - 1e-6, "at": threshold,
+                  "above": threshold + 1e-6,
+                  "far": threshold * draw(st.sampled_from((1.11, 1.33, 2.5)))
+                  }[kind]
+        levels.append(round(level, 9))
+    n = draw(st.integers(min_value=2, max_value=40))
+    freqs = [draw(st.sampled_from(levels)) for _ in range(n)]
+    return threshold, np.asarray(freqs)
+
+
+@st.composite
+def disordered_frequencies(draw):
+    """Threshold plus continuous frequencies (a disordered chip)."""
+    threshold = draw(THRESHOLDS)
+    n = draw(st.integers(min_value=2, max_value=40))
+    freq = st.floats(min_value=4.5, max_value=6.5, allow_nan=False)
+    return threshold, np.asarray(draw(st.lists(freq, min_size=n,
+                                               max_size=n)))
+
+
+FREQUENCY_SETS = st.one_of(palette_frequencies(), disordered_frequencies())
+
+
+def _brute_force_pairs(positions, freqs, res, threshold, reach):
+    """Every resonant, non-sibling ``i < j`` pair within ``reach``, by an
+    all-pairs ``triu`` scan (lex order)."""
+    i, j = np.triu_indices(freqs.size, k=1)
+    dx = positions[i, 0] - positions[j, 0]
+    dy = positions[i, 1] - positions[j, 1]
+    keep = ((np.abs(freqs[i] - freqs[j]) <= threshold)
+            & ~((res[i] >= 0) & (res[i] == res[j]))
+            & (dx * dx + dy * dy <= reach * reach))
+    return np.stack([i[keep], j[keep]], axis=1).astype(np.int64)
+
+
+class TestFrequencyBandLabels:
+    @given(FREQUENCY_SETS)
+    # Gaps at the threshold: 5.2 - 5.0 rounds above 0.2, 5.25 - 5.0 is
+    # exactly 0.25.
+    @example((0.2, np.array([5.0, 5.2, 5.4])))
+    @example((0.25, np.array([5.0, 5.25, 5.5, 5.0])))
+    @settings(max_examples=200, deadline=None)
+    def test_resonant_pairs_at_most_one_label_apart(self, case):
+        threshold, freqs = case
+        bands = frequency_bands(freqs, threshold)
+        for a in range(freqs.size):
+            for b in range(freqs.size):
+                if abs(freqs[a] - freqs[b]) <= threshold:
+                    assert abs(int(bands[a]) - int(bands[b])) <= 1, \
+                        (freqs[a], freqs[b], bands[a], bands[b])
+
+    @given(FREQUENCY_SETS, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_neighbor_list_matches_brute_force(self, case, data):
+        threshold, freqs = case
+        n = freqs.size
+        positions = np.asarray(data.draw(st.lists(
+            st.tuples(st.floats(0.0, 8.0), st.floats(0.0, 8.0)),
+            min_size=n, max_size=n)), dtype=float)
+        res = np.asarray(data.draw(st.lists(
+            st.integers(min_value=-1, max_value=3), min_size=n, max_size=n)),
+            dtype=np.int64)
+        cutoff, skin = 1.5, 0.5
+        provider = PrunedCollisionPairs(freqs, res, threshold,
+                                        cutoff_mm=cutoff, skin_mm=skin)
+        got = provider.pairs(positions)
+        expected = _brute_force_pairs(positions, freqs, res, threshold,
+                                      cutoff + skin)
+        assert got.dtype == expected.dtype
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
