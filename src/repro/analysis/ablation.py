@@ -11,7 +11,10 @@ independently in this reproduction:
 * robustness to **fabrication frequency disorder** (extension).
 
 Each ablation quantifies how much a single mechanism contributes to the
-headline metrics (Ph, impacted qubits, area, integrity).
+headline metrics (Ph, impacted qubits, area, integrity).  Every variant
+runs the one placement flow, :meth:`QPlacer.place`; a variant is only a
+config for it plus the ``legalize_config`` its legalize and detailed
+stages run under.
 """
 
 from __future__ import annotations
@@ -24,11 +27,10 @@ import numpy as np
 from ..circuits.library import get_benchmark
 from ..circuits.mapping import evaluation_mappings
 from ..core.config import PlacerConfig
-from ..core.detailed import refine_placement
 from ..core.placer import QPlacer
 from ..crosstalk.hotspots import hotspot_report
 from ..devices.disorder import disordered_layout
-from ..devices.netlist import QuantumNetlist, build_netlist
+from ..devices.netlist import build_netlist
 from ..devices.topology import get_topology
 from .metrics import compute_layout_metrics, resonator_integrity
 
@@ -56,63 +58,36 @@ class AblationRow:
     runtime_s: float
 
 
-def _variant_config(base: PlacerConfig, variant: str) -> PlacerConfig:
-    """Translate an ablation label into a concrete configuration.
+def _variant_config(base: PlacerConfig, variant: str
+                    ) -> Tuple[PlacerConfig, PlacerConfig]:
+    """Translate an ablation label into ``(config, legalize_config)``.
 
-    ``frequency_aware`` gates *both* the force and the legalizer checker
-    in the main flow, so force-only / legalizer-only ablations are built
-    from dedicated combinations.
+    ``config`` drives preprocess and global placement, and
+    ``legalize_config`` the legalize and detailed stages of the same
+    :meth:`QPlacer.place` flow.  ``frequency_aware`` gates *both* the
+    force and the legalizer checker, so the force-only ablation zeroes
+    the force weight, and the legalizer-only ablation legalizes under
+    ``frequency_aware=False``; every other variant uses one config.
     """
     if variant == "full":
-        return base
-    if variant == "no-freq-force":
+        cfg = base
+    elif variant == "no-freq-force":
         # Keep the frequency-aware legalizer but zero the global force.
-        return replace(base, initial_freq_weight=0.0)
-    if variant == "no-freq-legalizer":
-        # Keep the force, legalize like the Classic baseline.
-        return replace(base, chain_aware_tetris=True,
-                       legalize_integration=True)
-    if variant == "no-integration":
-        return replace(base, legalize_integration=False)
-    if variant == "no-chain-tetris":
-        return replace(base, chain_aware_tetris=False)
-    if variant == "classic":
-        return PlacerConfig.classic(base)
-    raise ValueError(f"unknown ablation variant {variant!r}")
-
-
-class _LegalizerOblivousQPlacer(QPlacer):
-    """Qplacer variant whose legalizer ignores resonant spacing.
-
-    Used by the ``no-freq-legalizer`` ablation: the global frequency
-    force still separates resonant instances, but legalization applies
-    only the plain clearance rule.
-    """
-
-    def place(self, netlist: QuantumNetlist):
-        from ..core.engine import GlobalPlacer
-        from ..core.legalizer import legalize
-        from ..core.preprocess import build_problem
-        from ..devices.layout import Layout
-        from ..core.placer import PlacementResult
-        import time
-
-        start = time.perf_counter()
-        problem = build_problem(netlist, self.config)
-        global_result = GlobalPlacer(problem, self.config).run()
-        blind_config = replace(self.config, frequency_aware=False)
-        legal_positions, stats = legalize(problem, global_result.positions,
-                                          blind_config)
-        runtime = time.perf_counter() - start
-        layout = Layout(instances=problem.instances,
-                        positions=legal_positions, netlist=netlist,
-                        strategy="qplacer-noleg").translated_to_origin()
-        global_layout = Layout(instances=problem.instances,
-                               positions=global_result.positions,
-                               netlist=netlist, strategy="global")
-        return PlacementResult(layout=layout, global_layout=global_layout,
-                               problem=problem, global_result=global_result,
-                               legalize_stats=stats, runtime_s=runtime)
+        cfg = replace(base, initial_freq_weight=0.0)
+    elif variant == "no-freq-legalizer":
+        # Keep the force, legalize with the plain clearance rule only.
+        cfg = replace(base, chain_aware_tetris=True,
+                      legalize_integration=True)
+        return cfg, replace(cfg, frequency_aware=False)
+    elif variant == "no-integration":
+        cfg = replace(base, legalize_integration=False)
+    elif variant == "no-chain-tetris":
+        cfg = replace(base, chain_aware_tetris=False)
+    elif variant == "classic":
+        cfg = PlacerConfig.classic(base)
+    else:
+        raise ValueError(f"unknown ablation variant {variant!r}")
+    return cfg, cfg
 
 
 def evaluate_ablation_variant(topology_name: str, variant: str,
@@ -121,12 +96,8 @@ def evaluate_ablation_variant(topology_name: str, variant: str,
     """Place and score one ablation variant (one parallelisable job)."""
     base = config if config is not None else PlacerConfig()
     netlist = build_netlist(get_topology(topology_name))
-    cfg = _variant_config(base, variant)
-    if variant == "no-freq-legalizer":
-        placer: QPlacer = _LegalizerOblivousQPlacer(cfg)
-    else:
-        placer = QPlacer(cfg)
-    result = placer.place(netlist)
+    cfg, legalize_config = _variant_config(base, variant)
+    result = QPlacer(cfg).place(netlist, legalize_config=legalize_config)
     metrics = compute_layout_metrics(result.layout)
     return AblationRow(
         topology=topology_name,
@@ -251,12 +222,16 @@ def detailed_placement_gain(topology_name: str,
                             max_passes: int = 3) -> Tuple[float, float, int]:
     """Wirelength improvement of the detailed-placement extension.
 
+    Reads the placement flow's own detailed stage, run for
+    ``max_passes`` passes on the legalized layout.
+
     Returns:
         ``(hpwl_before, hpwl_after, swaps_applied)``.
     """
+    if max_passes < 1:
+        raise ValueError(f"max_passes must be >= 1, got {max_passes}")
     base = config if config is not None else PlacerConfig()
     netlist = build_netlist(get_topology(topology_name))
-    result = QPlacer(base).place(netlist)
-    _, stats = refine_placement(result.problem, result.layout.positions,
-                                base, max_passes=max_passes)
+    stats = QPlacer(replace(base, detailed_passes=max_passes)
+                    ).place(netlist).detailed_stats
     return stats.hpwl_before, stats.hpwl_after, stats.swaps_applied

@@ -23,7 +23,7 @@ fidelities at 1e-4, mirroring the paper's "<1e-4" table entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np

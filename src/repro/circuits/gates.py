@@ -9,7 +9,7 @@ accepted by the IR and lowered by :mod:`repro.circuits.batch`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 #: Hardware-native gate names (IBM fixed-frequency basis with RIP CZ).

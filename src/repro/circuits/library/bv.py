@@ -7,7 +7,7 @@ with a single query.  The paper evaluates bv-4, bv-9 and bv-16.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..circuit import QuantumCircuit
 

@@ -13,7 +13,7 @@ balance").  ``lambda_f = 0`` turns the engine into the Classic baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np

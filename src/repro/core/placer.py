@@ -1,6 +1,6 @@
 """Qplacer orchestrator (Fig. 7): the public placement entry point.
 
-``QPlacer.place(netlist)`` runs the full flow of the paper:
+``QPlacer.place(netlist)`` is the one code path that runs the flow:
 
 1. frequency assignment is already part of the netlist (Fig. 7-a);
 2. preprocessing pads the instances and partitions the resonators
@@ -8,7 +8,13 @@
 3. the frequency-aware electrostatic engine optimises positions
    (Fig. 7-c, :mod:`repro.core.engine`);
 4. the integration-aware legalizer finalises the layout (Fig. 7-d,
-   :mod:`repro.core.legalizer`).
+   :mod:`repro.core.legalizer`);
+5. the transactional detailed placer polishes wirelength
+   (:mod:`repro.core.detailed`) for the config's pass count, which
+   ``None`` resolves from the problem size.
+
+Stages 4 and 5 run under one legalize config, so the detailed pass keeps
+the rules the legalizer applied; it defaults to the placer's own.
 """
 
 from __future__ import annotations
@@ -35,10 +41,9 @@ class PlacementResult:
 
     Attributes:
         layout: The final legalized layout.
-        global_layout: The (illegal) global-placement layout, useful for
-            diagnostics and the engine benchmarks.
         problem: The preprocessed placement problem.
-        global_result: Optimizer telemetry.
+        global_result: Optimizer telemetry; its ``positions`` are the
+            (illegal) global-placement centres.
         legalize_stats: Legalizer telemetry.
         runtime_s: Wall-clock duration of the whole flow.
         detailed_stats: Detailed-placement telemetry (None when the
@@ -51,7 +56,6 @@ class PlacementResult:
     """
 
     layout: Layout
-    global_layout: Layout
     problem: PlacementProblem
     global_result: GlobalPlaceResult
     legalize_stats: LegalizeStats
@@ -87,7 +91,8 @@ class QPlacer:
         return "qplacer" if self.config.frequency_aware else "classic"
 
     def place(self, netlist: QuantumNetlist,
-              initial_positions: Optional[np.ndarray] = None
+              initial_positions: Optional[np.ndarray] = None, *,
+              legalize_config: Optional[PlacerConfig] = None
               ) -> PlacementResult:
         """Run the full placement flow on a netlist.
 
@@ -96,7 +101,12 @@ class QPlacer:
             initial_positions: Optional ``(n, 2)`` warm-start centres
                 for the global placement (e.g. a cached layout of the
                 same topology); ``None`` uses the seeded default.
+            legalize_config: Config of the legalize and detailed stages
+                (``None``: ``self.config``); preprocess and global
+                placement always run under ``self.config``.
         """
+        legal_config = (legalize_config if legalize_config is not None
+                        else self.config)
         start = time.perf_counter()
         detailed_stats: Optional[DetailedPlaceStats] = None
         with profiling.PhaseProfiler() as prof:
@@ -107,13 +117,13 @@ class QPlacer:
                     problem, self.config,
                     initial_positions=initial_positions).run()
             legal_positions, legalize_stats = legalize(
-                problem, global_result.positions, self.config)
-            passes = self.config.resolved_detailed_passes(
+                problem, global_result.positions, legal_config)
+            passes = legal_config.resolved_detailed_passes(
                 problem.auto_detailed_passes)
             if passes > 0:
                 from .detailed import refine_placement
                 legal_positions, detailed_stats = refine_placement(
-                    problem, legal_positions, self.config,
+                    problem, legal_positions, legal_config,
                     max_passes=passes)
         runtime = time.perf_counter() - start
 
@@ -123,15 +133,8 @@ class QPlacer:
             netlist=netlist,
             strategy=self.strategy_name,
         ).translated_to_origin()
-        global_layout = Layout(
-            instances=problem.instances,
-            positions=global_result.positions,
-            netlist=netlist,
-            strategy=f"{self.strategy_name}-global",
-        )
         return PlacementResult(
             layout=layout,
-            global_layout=global_layout,
             problem=problem,
             global_result=global_result,
             legalize_stats=legalize_stats,

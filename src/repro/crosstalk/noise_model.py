@@ -18,7 +18,7 @@ once ``g_eff * t`` exceeds a quarter period).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import constants
 from ..physics.hamiltonian import worst_case_swap_probability

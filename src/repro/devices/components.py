@@ -16,7 +16,7 @@ kinds exist (Sec. IV-B of the paper):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from .. import constants

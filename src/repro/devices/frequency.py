@@ -18,7 +18,7 @@ detuned, and reports any conflicts it could not resolve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import networkx as nx
 

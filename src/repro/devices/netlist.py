@@ -9,7 +9,7 @@ later, in :mod:`repro.core.preprocess`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .. import constants

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import colorsys
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Union
 
 from ..devices.components import Qubit
 from ..devices.layout import Layout

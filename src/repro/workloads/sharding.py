@@ -15,7 +15,7 @@ single-process run (pinned by ``tests/analysis/test_sharding.py``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, Optional, Sequence, Tuple, TypeVar
 
 Item = TypeVar("Item")
 

@@ -1,12 +1,16 @@
 """Unit tests for the ablation experiments."""
 
+import hashlib
+
 import pytest
 
+from repro.analysis import ablation
 from repro.analysis.ablation import (
     ABLATION_VARIANTS,
     ablation_experiment,
     detailed_placement_gain,
     disorder_robustness,
+    evaluate_ablation_variant,
     router_comparison,
 )
 from repro.core import PlacerConfig
@@ -39,6 +43,20 @@ class TestAblation:
         by_variant = {r.variant: r for r in ablation_rows}
         classic = by_variant["classic"]
         assert classic.ph_percent > 0 or classic.integrity < 1.0
+
+    def test_blind_legalizer_layout_pinned(self, monkeypatch):
+        """The ``no-freq-legalizer`` layout is pinned byte for byte: the
+        variant legalizes the frequency-aware global placement under the
+        plain clearance rule."""
+        scored = []
+        metrics = ablation.compute_layout_metrics
+        monkeypatch.setattr(ablation, "compute_layout_metrics",
+                            lambda layout: scored.append(layout)
+                            or metrics(layout))
+        evaluate_ablation_variant("grid-25", "no-freq-legalizer", config=FAST)
+        digest = hashlib.sha256(scored[0].positions.tobytes()).hexdigest()
+        assert digest == ("842c4d423e0cfea0395d15a35aac6cb65ba6447e"
+                          "c9ea3dd74bfc26cfed697a93")
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
@@ -92,3 +110,12 @@ class TestDetailedGain:
                                                        max_passes=2)
         assert after <= before + 1e-9
         assert swaps >= 0
+
+    def test_zero_passes_rejected(self):
+        with pytest.raises(ValueError):
+            detailed_placement_gain("grid-25", config=FAST, max_passes=0)
+
+    def test_gain_pinned(self):
+        assert detailed_placement_gain("grid-25", config=FAST,
+                                       max_passes=2) == \
+            (418.3999999999999, 400.9, 28)

@@ -16,12 +16,9 @@ from __future__ import annotations
 import pickle
 import threading
 
-import pytest
-
 from repro.analysis import runner as runner_mod
 from repro.analysis.runner import (MappingJob, ParallelRunner, PlacementJob,
-                                   job_token, run_mapping_job,
-                                   run_placement_job)
+                                   job_token, run_mapping_job)
 from repro.core import PlacerConfig
 from repro.io.atomic import atomic_write_bytes
 

@@ -2,7 +2,6 @@
 
 import hashlib
 
-import numpy as np
 import pytest
 
 from repro.analysis.experiments import (

@@ -1,6 +1,5 @@
 """On-disk caching of evaluation-mapping batches (MappingJob)."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.experiments import build_suite, fidelity_experiment

@@ -1,7 +1,5 @@
 """Unit tests for report-table formatting."""
 
-import pytest
-
 from repro.analysis.experiments import ParetoPoint, SummaryRow, SweepRow
 from repro.analysis.report import (
     area_table,

@@ -12,7 +12,6 @@ The contract under test (ISSUE 1):
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.analysis.runner import (
     CACHE_SCHEMA_VERSION,
@@ -22,7 +21,6 @@ from repro.analysis.runner import (
     derive_seed,
     job_token,
     run_ablation_job,
-    run_placement_job,
 )
 from repro.core import PlacerConfig
 

@@ -72,7 +72,7 @@ def test_build_suite(monkeypatch, recorder):
 
 
 def test_ablation_classic_variant():
-    assert ablation._variant_config(BASE, "classic") == EXPECTED
+    assert ablation._variant_config(BASE, "classic") == (EXPECTED, EXPECTED)
 
 
 def test_disorder_robustness(monkeypatch, recorder):

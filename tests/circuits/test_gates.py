@@ -1,7 +1,5 @@
 """Unit tests for the gate IR."""
 
-import math
-
 import pytest
 
 from repro.circuits.gates import (

@@ -2,11 +2,10 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.gates import BASIS_GATES, Gate
+from repro.circuits.gates import BASIS_GATES
 from repro.circuits.library import get_benchmark
 from tests.oracles.circuit import count_ops
 from tests.oracles.transpile import (

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from repro.core import PlacerConfig, QPlacer
-from repro.core.detailed import DetailedPlacer, refine_placement
+from repro.core.detailed import refine_placement
 from repro.core.legalizer import Legalizer
 from repro.core.wirelength import hpwl
-from repro.devices import build_netlist, grid_topology
 
 from ..oracles import is_intended_pair
 from ..oracles.legality import collision_pairs

@@ -9,7 +9,6 @@ increased) while reaching equivalent quality.
 import numpy as np
 import pytest
 
-from repro.core.config import PlacerConfig
 from repro.core.detailed import DetailedPlacer, refine_placement
 from repro.core.engine import GlobalPlacer
 from repro.core.legalizer import legalize

@@ -8,7 +8,6 @@ drives, and the enriched spiral-exhaustion error.
 import numpy as np
 import pytest
 
-from repro.core.config import PlacerConfig
 from repro.core.engine import GlobalPlacer
 from repro.core.legalizer import Legalizer, SpiralExhaustedError, legalize
 from repro.core.preprocess import build_problem

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.placer import QPlacer, place_topology
-from repro.devices import build_netlist, grid_topology
 from repro.devices.components import Qubit
 
 
@@ -26,11 +25,6 @@ class TestPlacementResult:
         mer = grid9_placed.layout.enclosing_rect()
         assert mer.x == pytest.approx(0.0)
         assert mer.y == pytest.approx(0.0)
-
-    def test_global_layout_kept(self, grid9_placed):
-        assert grid9_placed.global_layout.strategy == "qplacer-global"
-        assert grid9_placed.global_layout.num_instances == \
-            grid9_placed.num_cells
 
     def test_qubit_count_preserved(self, grid9_placed):
         qubits = [i for i in grid9_placed.layout.instances

@@ -9,7 +9,6 @@ from repro.devices.components import (
     Instance,
     Qubit,
     Resonator,
-    ResonatorSegment,
     same_resonator,
 )
 

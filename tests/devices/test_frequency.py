@@ -6,7 +6,6 @@ import networkx as nx
 import pytest
 
 from repro.devices.frequency import (
-    FrequencyPlan,
     assign_frequencies,
     frequency_levels,
     qubit_conflict_graph,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.analysis.runner import ParallelRunner

@@ -4,7 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
 
 EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
 

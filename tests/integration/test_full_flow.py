@@ -6,7 +6,6 @@ fidelity/hotspot evaluation — and assert the *relationships* the paper's
 evaluation rests on.
 """
 
-import numpy as np
 import pytest
 
 from repro.analysis import compute_layout_metrics, resonator_integrity

@@ -8,8 +8,6 @@ resonator contiguous and are legal, while Classic layouts are not
 hotspot-free.
 """
 
-import math
-
 import pytest
 
 from repro import constants

@@ -2,8 +2,6 @@
 
 import re
 
-import pytest
-
 from repro.io.svg import frequency_color, layout_to_svg, save_svg
 
 

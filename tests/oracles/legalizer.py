@@ -42,7 +42,6 @@ clearance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np

@@ -10,7 +10,7 @@ way :mod:`tests.oracles.legalizer` pins the vectorized legalizer).
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import networkx as nx
 

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.crosstalk.violations import find_spatial_violations
-from repro.devices.netlist import build_netlist
 from repro.physics.coupling import (
     effective_coupling_ghz,
     qubit_qubit_coupling_ghz,

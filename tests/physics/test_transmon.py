@@ -1,7 +1,5 @@
 """Unit tests for the transmon energy model."""
 
-import math
-
 import pytest
 
 from repro import constants

@@ -1,7 +1,7 @@
 """Property-based tests for frequency combs and conflict colouring."""
 
 import networkx as nx
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.devices.frequency import (

@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.devices.geometry import (

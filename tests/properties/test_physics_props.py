@@ -1,7 +1,6 @@
 """Property-based tests for physics-model invariants."""
 
-import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.physics.capacitance import qubit_parasitic_capacitance_ff

@@ -14,7 +14,6 @@ import pytest
 
 from repro.analysis.experiments import (build_suite, fidelity_experiment,
                                         _effective_config)
-from repro.analysis.runner import ParallelRunner
 from repro.core import PlacerConfig
 from repro.service import PlacementService, ServiceClient
 from tests.oracles.circuit import used_qubits

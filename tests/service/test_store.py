@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import json
 import threading
 
 import pytest
 
 from repro.analysis import runner as runner_mod
-from repro.core import PlacerConfig
 from repro.service.requests import parse_request
 from repro.service.store import ArtifactStore, request_digest
 

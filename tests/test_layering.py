@@ -8,11 +8,13 @@ no reference twin may reappear beside the code it specifies.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import repro
 
 PACKAGE_ROOT = Path(repro.__file__).resolve().parent
+TESTS_ROOT = Path(__file__).resolve().parent
 
 
 def _modules():
@@ -27,6 +29,57 @@ def _imported_roots(path: Path):
                 yield alias.name.split(".")[0]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             yield (node.module or "").split(".")[0]
+
+
+def _docstrings(tree: ast.AST):
+    """Ids of the docstring constants of ``tree``'s module, classes and
+    functions (prose, so a word in one does not use an import)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                yield id(first.value)
+
+
+def _unused_imports(path: Path):
+    """``(line, name)`` of every imported name the module never reads.
+
+    A name read only inside a string (an ``__all__`` entry, a quoted
+    annotation) counts as read.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    docstrings = set(_docstrings(tree))
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            used.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_unused_imports():
+    """Package modules (``__init__`` re-exports aside) and tests import
+    only what they read."""
+    paths = [p for p in _modules() if p.name != "__init__.py"]
+    paths += sorted(TESTS_ROOT.rglob("*.py"))
+    offenders = [f"{p}:{line}: {name}" for p in paths
+                 for line, name in _unused_imports(p)]
+    assert offenders == []
 
 
 def test_package_modules_found():
