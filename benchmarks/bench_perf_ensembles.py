@@ -130,11 +130,11 @@ def _repair_race(report_samples: int = REPAIR_RACE_SAMPLES
 
     Each leg times only the placement work: the repair leg re-tunes the
     design problem to the noisy frequencies and runs re-legalization
-    plus the dirty-set detailed polish on the cached positions; the
-    scratch leg runs the full placer on the noisy netlist.  The legs
-    take turns per sample, and each leg's time is the sum over its
-    samples.  Legality of every repaired layout is verified afterwards,
-    outside the timing.
+    plus the dirty-set detailed polish on the cached problem-frame
+    positions; the scratch leg runs the full placer on the noisy
+    netlist.  The legs take turns per sample, and each leg's time is
+    the sum over its samples.  Legality of every repaired layout is
+    verified afterwards, outside the timing.
     """
     effective = _effective_config(PlacerConfig(**RACE_CONFIG), 0, 0.3)
     netlist = build_netlist(get_topology("eagle-127"))
@@ -146,7 +146,10 @@ def _repair_race(report_samples: int = REPAIR_RACE_SAMPLES
                          count=report_samples)
     noisy = [netlist_with_frequencies(netlist, *batch.row(i))
              for i in range(report_samples)]
-    cached = design.positions
+    # The repair starts from the design in the problem's frame, where
+    # the legalizer's lattices are anchored, and ``moved`` below
+    # subtracts two arrays in that frame.
+    cached = design.problem_positions
 
     # Time the legs sample by sample, alternating which leg goes first,
     # so a burst of host load lands on both legs alike.

@@ -110,7 +110,12 @@ from .experiments import STRATEGIES
 #: 15: Classic keeps every field of a non-default config except the
 #:     three frequency switches (Classic layouts of non-default configs
 #:     changed; every default-config layout is unchanged).
-CACHE_SCHEMA_VERSION = 15
+#: 16: layouts carry the origin offset ``translated_to_origin`` took
+#:     off (a new layout-document field), and ensemble repair starts
+#:     from problem-frame positions (every repair row and
+#:     ``yield_after_repair`` can change; every layout and frozen
+#:     ensemble score is unchanged).
+CACHE_SCHEMA_VERSION = 16
 
 #: Environment variable naming the default on-disk cache directory.
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"

@@ -189,4 +189,5 @@ def layout_with_netlist_frequencies(layout: Layout,
     return Layout(instances=instances,
                   positions=layout.positions.copy(),
                   netlist=noisy_netlist,
-                  strategy=disorder_strategy_tag(layout.strategy))
+                  strategy=disorder_strategy_tag(layout.strategy),
+                  origin_offset=layout.origin_offset)

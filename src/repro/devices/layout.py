@@ -10,7 +10,7 @@ pairs within a small cutoff distance without an O(n^2) scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -31,12 +31,17 @@ class Layout:
         netlist: Optional back-reference to the source netlist.
         strategy: Name of the placement strategy that produced this
             layout ("qplacer", "classic", "human", ...).
+        origin_offset: Translation that :meth:`translated_to_origin`
+            took off the positions: ``positions + origin_offset`` are
+            the centres in the placement problem's frame, where the
+            legalizer's lattices are anchored.
     """
 
     instances: List[Instance]
     positions: np.ndarray
     netlist: Optional[QuantumNetlist] = None
     strategy: str = "unknown"
+    origin_offset: Tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
         self.positions = np.asarray(self.positions, dtype=float)
@@ -152,15 +157,19 @@ class Layout:
                     if gap <= cutoff_mm:
                         yield (i, j, gap)
 
-    def moved(self, positions: np.ndarray) -> "Layout":
-        """Copy of this layout with new positions (instances shared)."""
-        return Layout(instances=self.instances,
-                      positions=np.array(positions, dtype=float),
-                      netlist=self.netlist,
-                      strategy=self.strategy)
+    @property
+    def problem_positions(self) -> np.ndarray:
+        """Instance centres in the placement problem's frame."""
+        return self.positions + np.asarray(self.origin_offset)[None, :]
 
     def translated_to_origin(self) -> "Layout":
-        """Copy shifted so the enclosing rectangle starts at (0, 0)."""
+        """Copy shifted so the enclosing rectangle starts at (0, 0).
+
+        The shift is added to ``origin_offset``, so
+        :attr:`problem_positions` is unchanged (to rounding).
+        """
         mer = self.enclosing_rect()
-        shift = np.array([mer.x, mer.y])
-        return self.moved(self.positions - shift[None, :])
+        return replace(self,
+                       positions=self.positions - np.array([[mer.x, mer.y]]),
+                       origin_offset=(float(self.origin_offset[0] + mer.x),
+                                      float(self.origin_offset[1] + mer.y)))

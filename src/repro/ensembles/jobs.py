@@ -14,13 +14,22 @@ A chunk's cache key deliberately omits the ensemble's *total* sample
 count: sample ``i`` is fully defined by ``(layout, disorder, base_seed,
 i)``, so growing an ensemble from 64 to 256 samples re-uses every
 cached chunk of the first 64.
+
+The frozen layout is prepared once per request: the request hashes its
+layout document once, every chunk job carries that digest, and
+:func:`frozen_scorer` keeps the last parsed layout and its
+:class:`FrozenLayoutScorer`, so the chunks of a request (and later
+requests on the same layout) share one parse and one positional
+precompute.  The request fills the entry before it fans out, so
+in-process chunks and forked pool workers both find it.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -42,6 +51,11 @@ if TYPE_CHECKING:
     from ..service.requests import EnsembleRequest
 
 
+def layout_doc_digest(layout_doc: Dict) -> str:
+    """sha256 over the canonical JSON of a serialised layout."""
+    return hashlib.sha256(canonical_json(layout_doc).encode()).hexdigest()
+
+
 @dataclass(frozen=True)
 class EnsembleChunkJob:
     """Score samples ``[start, start+count)`` of one disorder setting.
@@ -49,10 +63,13 @@ class EnsembleChunkJob:
     ``layout_doc`` is the serialised frozen layout
     (:func:`~repro.io.serialization.layout_to_dict` output) so the job
     pickles cleanly into worker processes and the runner cache; the
-    cache key swaps it for its content digest.
+    cache key swaps it for ``layout_digest``, which must be its
+    :func:`layout_doc_digest` (hashed once for all the jobs over one
+    layout).
     """
 
     layout_doc: Dict
+    layout_digest: str
     sigma_qubit_ghz: float
     sigma_resonator_ghz: float
     base_seed: int
@@ -63,11 +80,9 @@ class EnsembleChunkJob:
 
     def cache_key(self) -> Dict:
         """Content-addressed identity for the runner's pickle cache."""
-        layout_digest = hashlib.sha256(
-            canonical_json(self.layout_doc).encode()).hexdigest()
         return {
             "kind": "ensemble-chunk",
-            "layout_digest": layout_digest,
+            "layout_digest": self.layout_digest,
             "sigma_qubit_ghz": self.sigma_qubit_ghz,
             "sigma_resonator_ghz": self.sigma_resonator_ghz,
             "base_seed": self.base_seed,
@@ -78,15 +93,46 @@ class EnsembleChunkJob:
         }
 
 
+#: The last frozen-layout scorer this process built, keyed by
+#: ``(layout digest, detuning threshold, exposure window)``.  One entry
+#: holds the layout of the request in flight; it takes no lock, so
+#: concurrent cold callers may each build one (the last write wins) and
+#: a forked worker never inherits a held lock.
+_LAST_SCORER: Optional[Tuple[Tuple[str, float, float],
+                             FrozenLayoutScorer]] = None
+
+
+def frozen_scorer(layout_doc: Dict, layout_digest: str,
+                  detuning_threshold_ghz: float =
+                  constants.DETUNING_THRESHOLD_GHZ,
+                  duration_ns: float = DEFAULT_EXPOSURE_NS
+                  ) -> FrozenLayoutScorer:
+    """The parsed layout's scorer, re-used while the digest repeats.
+
+    ``layout_digest`` must be :func:`layout_doc_digest` of
+    ``layout_doc``.  The scorer and its ``layout`` are shared between
+    callers (and the service's worker threads), so they are read-only.
+    """
+    global _LAST_SCORER
+    key = (layout_digest, float(detuning_threshold_ghz), float(duration_ns))
+    last = _LAST_SCORER
+    if last is not None and last[0] == key:
+        return last[1]
+    scorer = FrozenLayoutScorer(
+        layout_from_dict(layout_doc),
+        detuning_threshold_ghz=detuning_threshold_ghz,
+        duration_ns=duration_ns)
+    _LAST_SCORER = (key, scorer)
+    return scorer
+
+
 def run_ensemble_chunk(job: EnsembleChunkJob) -> Dict[str, List]:
     """Evaluate one chunk; returns JSON-able per-sample score lists."""
-    layout = layout_from_dict(job.layout_doc)
-    scorer = FrozenLayoutScorer(
-        layout, detuning_threshold_ghz=job.detuning_threshold_ghz,
-        duration_ns=job.duration_ns)
+    scorer = frozen_scorer(job.layout_doc, job.layout_digest,
+                           job.detuning_threshold_ghz, job.duration_ns)
     with profiling.phase("sample"):
         batch = sample_batch(
-            layout.netlist,
+            scorer.layout.netlist,
             DisorderSpec(job.sigma_qubit_ghz, job.sigma_resonator_ghz),
             job.base_seed, start=job.start, count=job.count)
     scores = scorer.score_batch(batch.qubit_freqs, batch.resonator_freqs)
@@ -137,7 +183,8 @@ def run_ensemble_request(request: "EnsembleRequest",
     cached :class:`EnsembleChunkJob` chunks, summarise into a yield /
     fidelity curve point with bootstrap intervals, then incrementally
     repair up to ``repair_samples`` failing realisations (cached
-    positions -> legalize -> transactional detailed pass) and report
+    problem-frame positions -> legalize -> transactional detailed pass,
+    :func:`~repro.ensembles.repair.repair_sample`) and report
     yield-after-repair next to the frozen yield.  ``on_point`` fires
     after each completed point — the service executor uses it to stream
     progress and publish partial artifacts; it may raise (e.g.
@@ -163,8 +210,10 @@ def run_ensemble_request(request: "EnsembleRequest",
                              warm_start=request.warm_start),
                 runner, store=store)
             layout_doc = place_payload["strategies"][strategy]["layout"]
-            layout = layout_from_dict(layout_doc)
+            layout_digest = layout_doc_digest(layout_doc)
+            layout = frozen_scorer(layout_doc, layout_digest).layout
         netlist = layout.netlist
+        cached_positions = layout.problem_positions
 
         if chunk_size is None:
             workers = max(1, int(getattr(runner, "max_workers", 1) or 1))
@@ -181,9 +230,9 @@ def run_ensemble_request(request: "EnsembleRequest",
                 disorder=DisorderSpec(sigma_q, sigma_r))
             jobs = [
                 EnsembleChunkJob(
-                    layout_doc=layout_doc, sigma_qubit_ghz=sigma_q,
-                    sigma_resonator_ghz=sigma_r, base_seed=base_seed,
-                    start=r.start, count=len(r))
+                    layout_doc=layout_doc, layout_digest=layout_digest,
+                    sigma_qubit_ghz=sigma_q, sigma_resonator_ghz=sigma_r,
+                    base_seed=base_seed, start=r.start, count=len(r))
                 for r in split_ensemble(samples, chunk_size)
             ]
             with profiling.phase("ensemble/score"):
@@ -215,7 +264,7 @@ def run_ensemble_request(request: "EnsembleRequest",
                     noisy = netlist_with_frequencies(
                         netlist, row.qubit_freqs[0], row.resonator_freqs[0])
                     result = repair_sample(design_problem, noisy,
-                                           layout.positions,
+                                           cached_positions,
                                            effective, strategy=strategy)
                     ph_after = hotspot_report(result.layout).ph_percent
                     ok = ph_after <= max_ph_percent + 1e-12

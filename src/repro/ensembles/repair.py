@@ -10,6 +10,12 @@ Geometry is frequency-independent, so the cached position array aligns
 index-for-index with a problem built from the noisy netlist — only
 ``frequencies`` differs, and with it which pairs are resonant.
 
+The cached positions must be in the problem's frame
+(:attr:`~repro.devices.layout.Layout.problem_positions`), where the
+legalizer's lattices are anchored.  From the origin-translated stored
+positions every instance sits off its lattice, so the legalizer would
+re-seat all of them.
+
 Yield-after-repair dominates frozen yield by construction: samples that
 already pass are kept untouched, and repaired samples are legal by the
 legalizer's contract.
@@ -107,8 +113,9 @@ class RepairResult:
         layout: The repaired (or from-scratch) legal layout, tuned to
             the noisy netlist.
         positions: Final position array in problem instance order.
-        moved_mm: Total absolute displacement from the cached positions
-            (0 when the sample needed no repair).
+        moved_mm: Total absolute displacement of ``positions`` from
+            the cached positions, both in the problem's frame (0 when
+            the repair moved nothing).
         legal: Verdict of :func:`check_layout_legal` on the result.
     """
 
@@ -154,11 +161,20 @@ def repair_positions(problem: PlacementProblem, cached_positions: np.ndarray,
     re-seats instances against the realisation's resonant pairs, then
     at least one transactional detailed pass (``try_moves``/``commit``)
     polishes wirelength without breaking legality.  The polish sweep is
-    restricted to the instances the legalizer actually disturbed —
-    displaced beyond the median snap distance, a self-calibrating
-    threshold — since everything else already sits where the clean
-    design's detailed pass left it (swap partners still come from the
-    full layout, so the restriction cannot strand a good swap).
+    restricted to the dirty set, the instances the legalizer moved by
+    more than the median displacement (at least 1e-9 mm).  From
+    problem-frame positions the legalizer usually moves fewer than half
+    the instances, so the median is 0 and the dirty set is every
+    instance it moved; when it moved none, nothing is polished.
+    Everything else already sits where the clean design's detailed pass
+    left it (swap partners still come from the full layout, so the
+    restriction cannot strand a good swap).
+
+    Args:
+        problem: The repair problem (the design re-tuned to the
+            realisation, :func:`problem_with_frequencies`).
+        cached_positions: Clean design positions in the problem's frame.
+        config: Effective placement config of the design.
     """
     cached = np.asarray(cached_positions, dtype=float)
     with profiling.phase("relegalize"):
@@ -172,7 +188,7 @@ def repair_positions(problem: PlacementProblem, cached_positions: np.ndarray,
     with profiling.phase("repolish"):
         positions, _ = refine_placement(problem, positions, config,
                                         max_passes=passes,
-                                        only=dirty if dirty.size else None)
+                                        only=dirty)
     return positions
 
 
@@ -188,7 +204,8 @@ def repair_sample(design_problem: PlacementProblem,
             once per ensemble; its geometry is shared by all samples).
         noisy_netlist: The realisation's netlist (same topology as the
             design; frequencies perturbed).
-        cached_positions: Stored positions of the clean design, in the
+        cached_positions: Positions of the clean design in the
+            problem's frame (``Layout.problem_positions``), in the
             deterministic ``build_problem`` instance order.
         config: Effective placement config of the design.
         strategy: Strategy tag of the source layout (for provenance).
@@ -219,4 +236,5 @@ def place_from_scratch(noisy_netlist: QuantumNetlist,
     layout = result.layout
     return Layout(instances=layout.instances, positions=layout.positions,
                   netlist=noisy_netlist,
-                  strategy=disorder_strategy_tag(strategy) + "+scratch")
+                  strategy=disorder_strategy_tag(strategy) + "+scratch",
+                  origin_offset=layout.origin_offset)

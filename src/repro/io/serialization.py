@@ -1,8 +1,9 @@
 """Layout and frequency-plan JSON round-trips, plus canonical JSON.
 
 Layouts are stored with their topology name, segment size, strategy,
-frequency plan, and instance positions; loading rebuilds the netlist and
-placement problem deterministically and re-attaches the positions.
+frequency plan, instance positions and origin offset; loading rebuilds
+the netlist and placement problem deterministically and re-attaches the
+positions.
 
 This module also owns the repo's **canonical JSON** encoding
 (:func:`canonicalize` / :func:`canonical_json`): the single
@@ -181,11 +182,15 @@ def layout_to_dict(layout: Layout, segment_size_mm: float) -> Dict:
         "plan": plan_to_dict(layout.netlist.plan),
         "instances": [inst.name for inst in layout.instances],
         "positions": [[float(x), float(y)] for x, y in layout.positions],
+        "origin_offset": [float(v) for v in layout.origin_offset],
     }
 
 
 def layout_from_dict(data: Dict) -> Layout:
-    """Rebuild a layout from :func:`layout_to_dict` output."""
+    """Rebuild a layout from :func:`layout_to_dict` output.
+
+    A document without ``origin_offset`` loads with a zero offset.
+    """
     if data.get("format") != "repro.layout.v1":
         raise ValueError(f"unsupported layout format {data.get('format')!r}")
     topology = get_topology(data["topology"])
@@ -198,8 +203,10 @@ def layout_from_dict(data: Dict) -> Layout:
         raise ValueError("serialised instance list does not match rebuild; "
                          "was the layout produced with different parameters?")
     positions = np.array(data["positions"], dtype=float)
+    x, y = data.get("origin_offset", (0.0, 0.0))
     return Layout(instances=problem.instances, positions=positions,
-                  netlist=netlist, strategy=data["strategy"])
+                  netlist=netlist, strategy=data["strategy"],
+                  origin_offset=(float(x), float(y)))
 
 
 def save_layout(layout: Layout, path: PathLike, segment_size_mm: float) -> None:

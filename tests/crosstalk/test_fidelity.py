@@ -1,5 +1,7 @@
 """Unit tests for the Eq. 15 program-fidelity estimator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -87,7 +89,7 @@ class TestCrosstalkImpact:
             same.setdefault(round(f, 6), []).append(q)
         pair = next(qs for qs in same.values() if len(qs) >= 2)[:2]
 
-        polluted = layout.moved(layout.positions.copy())
+        polluted = replace(layout, positions=layout.positions.copy())
         qi = polluted.qubit_indices
         # Centre distance 0.55 mm -> bare gap 0.15 mm, the clearance-scale
         # adjacency at which classic layouts create hotspots.
@@ -116,7 +118,7 @@ class TestCrosstalkImpact:
             same.setdefault(round(f, 6), []).append(q)
         pair = next(qs for qs in same.values() if len(qs) >= 2)[:2]
 
-        polluted = layout.moved(layout.positions.copy())
+        polluted = replace(layout, positions=layout.positions.copy())
         qi = polluted.qubit_indices
         polluted.positions[qi[pair[1]]] = \
             polluted.positions[qi[pair[0]]] + np.array([0.8, 0.0])

@@ -66,12 +66,15 @@ class TestGeometry:
         assert mer.x == pytest.approx(0.0)
         assert mer.y == pytest.approx(0.0)
 
-    def test_moved_shares_instances(self):
-        layout = make_layout([(0, 0)])
-        moved = layout.moved(np.array([[5.0, 5.0]]))
-        assert moved.instances is layout.instances
-        assert moved.positions[0, 0] == 5.0
-        assert layout.positions[0, 0] == 0.0
+    def test_translation_is_kept_as_origin_offset(self):
+        layout = make_layout([(10.25, 20), (12, 20.5)])
+        shifted = layout.translated_to_origin()
+        assert shifted.origin_offset == (9.75, 19.5)
+        assert np.array_equal(shifted.problem_positions, layout.positions)
+        # A second translation is a no-op on the offset.
+        again = shifted.translated_to_origin()
+        assert again.origin_offset == shifted.origin_offset
+        assert np.array_equal(again.positions, shifted.positions)
 
 
 class TestNeighborPairs:

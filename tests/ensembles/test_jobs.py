@@ -2,21 +2,31 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import multiprocessing
+import sys
+import threading
 
+import numpy as np
 import pytest
 
 from repro.analysis.runner import ParallelRunner
+from repro.core import PlacerConfig
 from repro.ensembles import (
     DisorderSpec,
     EnsembleChunkJob,
     FrozenLayoutScorer,
+    repair_sample,
     run_ensemble_chunk,
     run_ensemble_request,
     sample_batch,
     split_ensemble,
 )
-from repro.io.serialization import layout_to_dict
+from repro.ensembles import jobs
+from repro.ensembles.jobs import layout_doc_digest
+from repro.io.serialization import (canonical_json, layout_from_dict,
+                                    layout_to_dict)
 from repro.service.requests import EnsembleRequest
 
 
@@ -27,8 +37,10 @@ def layout_doc(grid9_placed, fast_config):
 
 
 def _job(layout_doc, **over):
-    fields = dict(layout_doc=layout_doc, sigma_qubit_ghz=0.05,
-                  sigma_resonator_ghz=0.02, base_seed=0, start=0, count=3)
+    fields = dict(layout_doc=layout_doc,
+                  layout_digest=layout_doc_digest(layout_doc),
+                  sigma_qubit_ghz=0.05, sigma_resonator_ghz=0.02,
+                  base_seed=0, start=0, count=3)
     fields.update(over)
     return EnsembleChunkJob(**fields)
 
@@ -52,7 +64,8 @@ class TestChunkCacheKey:
     def test_layout_doc_replaced_by_digest(self, layout_doc):
         key = _job(layout_doc).cache_key()
         assert "layout_doc" not in key
-        assert len(key["layout_digest"]) == 64
+        assert key["layout_digest"] == hashlib.sha256(
+            canonical_json(layout_doc).encode()).hexdigest()
 
     def test_key_is_stable_and_sensitive(self, layout_doc):
         base = _job(layout_doc).cache_key()
@@ -161,3 +174,181 @@ class TestChunkReuseAcrossEnsembleGrowth:
         second = runner.map(run_ensemble_chunk, jobs_grown,
                             namespace="ensembles")
         assert second[:2] == first
+
+
+#: Grid-25 FAST ensemble of the frame and bit-identity tests: two sigma
+#: points of two chunks each, every sample failing ``max_ph_percent`` 0.
+FRAME_REQUEST = EnsembleRequest(
+    topology="grid-25", sigmas=(0.02, 0.05), samples=8,
+    config=PlacerConfig(max_iterations=60, min_iterations=10, num_bins=32),
+    repair_samples=2, bootstrap=20)
+
+#: sha256 over the canonical JSON of FRAME_REQUEST's points without
+#: their ``repair`` and ``yield_after_repair`` fields.  Recorded before
+#: the repair moved to the problem frame; the frozen scoring must not
+#: move with it.
+FROZEN_POINTS_DIGEST = \
+    "fb2fef2b17d196b2f4f5f2e099043c0af038d6cfa1867835fd67df815f6b7f4b"
+
+
+class TestRepairInTheProblemFrame:
+    @pytest.fixture(scope="class")
+    def run(self):
+        seen = []
+
+        def spy(design_problem, noisy, cached_positions, config,
+                strategy="qplacer"):
+            seen.append((design_problem, config,
+                         np.array(cached_positions)))
+            return repair_sample(design_problem, noisy, cached_positions,
+                                 config, strategy=strategy)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jobs, "repair_sample", spy)
+            payload = run_ensemble_request(
+                FRAME_REQUEST, ParallelRunner(max_workers=1), chunk_size=4)
+        return payload, seen
+
+    def test_cached_qubits_sit_on_the_legalizer_lattice(self, run):
+        payload, seen = run
+        assert len(seen) == 4
+        for problem, config, cached in seen:
+            qubits = cached[problem.is_qubit]
+            pitch = config.qubit_site_pitch_mm(
+                float(problem.sizes[problem.is_qubit][:, 0].max()))
+            off = np.abs(qubits - np.round(qubits / pitch) * pitch)
+            assert off.max() <= 1e-9
+
+    def test_frozen_scores_unchanged(self, run):
+        payload, _ = run
+        frozen = [{k: v for k, v in point.items()
+                   if k not in ("repair", "yield_after_repair")}
+                  for point in payload["points"]]
+        assert "fidelity_ci" in frozen[0]
+        digest = hashlib.sha256(canonical_json(frozen).encode()).hexdigest()
+        assert digest == FROZEN_POINTS_DIGEST
+
+    def test_repaired_rows_are_legal(self, run):
+        payload, _ = run
+        for point in payload["points"]:
+            assert point["repair"]["attempted"] == 2
+            assert point["repair"]["legal_all"]
+
+
+class TestFrozenScorerMemo:
+    def test_two_chunks_parse_the_layout_once(self, layout_doc,
+                                              monkeypatch):
+        parses = []
+
+        def counting(doc):
+            parses.append(doc)
+            return layout_from_dict(doc)
+
+        monkeypatch.setattr(jobs, "layout_from_dict", counting)
+        monkeypatch.setattr(jobs, "_LAST_SCORER", None)
+        first = run_ensemble_chunk(_job(layout_doc, start=0, count=3))
+        second = run_ensemble_chunk(_job(layout_doc, start=3, count=3))
+        assert len(parses) == 1
+        assert first["start"] == 0 and second["start"] == 3
+
+    def test_memo_scores_equal_a_fresh_parse(self, layout_doc,
+                                             monkeypatch):
+        monkeypatch.setattr(jobs, "_LAST_SCORER", None)
+        job = _job(layout_doc, start=1, count=4)
+        run_ensemble_chunk(job)  # fills the memo
+        memo = run_ensemble_chunk(job)
+        fresh = FrozenLayoutScorer(layout_from_dict(layout_doc))
+        batch = sample_batch(fresh.layout.netlist, DisorderSpec(0.05, 0.02),
+                             0, start=1, count=4)
+        scores = fresh.score_batch(batch.qubit_freqs, batch.resonator_freqs)
+        assert np.array(memo["ph_percent"]).tobytes() \
+            == scores.ph_percent.tobytes()
+        assert np.array(memo["fidelity_proxy"]).tobytes() \
+            == scores.fidelity_proxy.tobytes()
+        assert memo["num_hotspots"] == scores.num_hotspots.tolist()
+        assert memo["impacted_qubits"] == scores.impacted_qubits.tolist()
+
+    def test_memo_keeps_one_layout(self, layout_doc, monkeypatch):
+        monkeypatch.setattr(jobs, "_LAST_SCORER", None)
+        first = jobs.frozen_scorer(layout_doc, "digest-a")
+        assert jobs.frozen_scorer(layout_doc, "digest-a") is first
+        other = jobs.frozen_scorer(layout_doc, "digest-b")
+        assert other is not first
+        assert jobs._LAST_SCORER == (
+            ("digest-b", other.detuning_threshold_ghz, other.duration_ns),
+            other)
+        assert jobs.frozen_scorer(layout_doc, "digest-a") is not first
+
+    def test_concurrent_callers_get_their_own_layout(self, layout_doc,
+                                                     monkeypatch):
+        """Service worker threads share the memo: whatever the
+        interleaving, each caller gets a scorer of the document it
+        asked for."""
+        docs = {"digest-a": layout_doc,
+                "digest-b": dict(layout_doc, strategy="other")}
+        monkeypatch.setattr(jobs, "_LAST_SCORER", None)
+        wrong = []
+        barrier = threading.Barrier(8)
+
+        def call(k):
+            barrier.wait()
+            for d in ("digest-a", "digest-b")[k % 2:] * 6:
+                scorer = jobs.frozen_scorer(docs[d], d)
+                if scorer.layout.strategy != docs[d]["strategy"]:
+                    wrong.append(d)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(k,))
+                       for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method")
+    def test_fork_during_a_cold_build_does_not_hang(self, layout_doc,
+                                                    monkeypatch):
+        """A pool worker forked while another thread is building a
+        scorer still builds its own."""
+        building, release = threading.Event(), threading.Event()
+
+        def slow(doc):
+            if threading.current_thread().name == "cold-build":
+                building.set()
+                release.wait(timeout=60)
+            return layout_from_dict(doc)
+
+        monkeypatch.setattr(jobs, "layout_from_dict", slow)
+        monkeypatch.setattr(jobs, "_LAST_SCORER", None)
+        builder = threading.Thread(
+            target=jobs.frozen_scorer, args=(layout_doc, "digest-a"),
+            name="cold-build")
+        builder.start()
+        try:
+            assert building.wait(timeout=60)
+            ctx = multiprocessing.get_context("fork")
+            parent_end, child_end = ctx.Pipe(duplex=False)
+
+            def child():
+                child_end.send(run_ensemble_chunk(
+                    _job(layout_doc, start=0, count=2))["start"])
+
+            proc = ctx.Process(target=child)
+            proc.start()
+            done = parent_end.poll(timeout=60)
+            proc.join(timeout=10)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+            assert done and parent_end.recv() == 0
+        finally:
+            release.set()
+            builder.join(timeout=60)

@@ -12,15 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PlacerConfig, QPlacer
+from repro.core.detailed import refine_placement
+from repro.core.legalizer import Legalizer
 from repro.core.preprocess import build_problem
 from repro.devices import build_netlist, get_topology, netlist_with_frequencies
 from repro.ensembles import (
     DisorderSpec,
     check_layout_legal,
     problem_with_frequencies,
+    repair_positions,
     repair_sample,
     sample_batch,
 )
+from repro.ensembles import repair
 from repro.ensembles.repair import place_from_scratch
 
 from ..core.test_placement_golden import GOLDEN
@@ -249,7 +253,8 @@ class TestRepairSample:
     def test_repair_is_legal_and_tagged(self, design, noisy_netlist,
                                         grid9_placed, fast_config):
         result = repair_sample(design, noisy_netlist,
-                               grid9_placed.layout.positions, fast_config)
+                               grid9_placed.layout.problem_positions,
+                               fast_config)
         assert result.legal
         assert result.layout.strategy == "qplacer+disorder+repair"
         assert result.moved_mm >= 0.0
@@ -265,10 +270,38 @@ class TestRepairSample:
     def test_repair_is_deterministic(self, design, noisy_netlist,
                                      grid9_placed, fast_config):
         a = repair_sample(design, noisy_netlist,
-                          grid9_placed.layout.positions, fast_config)
+                          grid9_placed.layout.problem_positions, fast_config)
         b = repair_sample(design, noisy_netlist,
-                          grid9_placed.layout.positions, fast_config)
+                          grid9_placed.layout.problem_positions, fast_config)
         assert np.array_equal(a.positions, b.positions)
+
+
+class TestRepairPositions:
+    def test_nothing_disturbed_nothing_polished(self, design, fast_config,
+                                                monkeypatch):
+        """A legalizer fixpoint: the repair moves no instance and the
+        detailed pass visits none."""
+        side = int(np.ceil(np.sqrt(design.num_instances)))
+        k = np.arange(design.num_instances)
+        spread = 5.0 * np.stack([k % side, k // side], axis=1).astype(float)
+        settled, _ = Legalizer(design, fast_config).run(spread)
+        assert np.array_equal(
+            Legalizer(design, fast_config).run(settled)[0], settled)
+
+        polished = []
+
+        def spy(problem, positions, config=None, max_passes=3, only=None):
+            out, stats = refine_placement(problem, positions, config,
+                                          max_passes=max_passes, only=only)
+            polished.append((only, stats))
+            return out, stats
+
+        monkeypatch.setattr(repair, "refine_placement", spy)
+        positions = repair_positions(design, settled, fast_config)
+        assert np.array_equal(positions, settled)
+        (only, stats), = polished
+        assert only is not None and only.size == 0
+        assert stats.candidates_scored == 0
 
 
 class TestPlaceFromScratch:

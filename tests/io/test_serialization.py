@@ -48,6 +48,27 @@ class TestLayoutRoundtrip:
         assert hotspot_report(rebuilt).ph == pytest.approx(
             hotspot_report(layout).ph)
 
+    @pytest.mark.parametrize("strategy", ["qplacer", "classic", "human"])
+    def test_roundtrip_origin_offset(self, strategy, grid9_placed,
+                                     grid9_classic, grid9_netlist):
+        from repro.baselines.human import human_layout
+        layout = {"qplacer": lambda: grid9_placed.layout,
+                  "classic": lambda: grid9_classic.layout,
+                  "human": lambda: human_layout(grid9_netlist)}[strategy]()
+        assert layout.origin_offset != (0.0, 0.0)
+        data = json.loads(json.dumps(layout_to_dict(layout, 0.3)))
+        rebuilt = layout_from_dict(data)
+        assert rebuilt.origin_offset == layout.origin_offset
+        assert np.array_equal(rebuilt.problem_positions,
+                              layout.problem_positions)
+
+    def test_document_without_offset_loads_unshifted(self, grid9_placed):
+        data = layout_to_dict(grid9_placed.layout, 0.3)
+        del data["origin_offset"]
+        rebuilt = layout_from_dict(data)
+        assert rebuilt.origin_offset == (0.0, 0.0)
+        assert np.array_equal(rebuilt.problem_positions, rebuilt.positions)
+
     def test_file_roundtrip(self, grid9_placed, tmp_path):
         path = tmp_path / "layout.json"
         save_layout(grid9_placed.layout, path, segment_size_mm=0.3)

@@ -1,5 +1,7 @@
 """Property-based tests for metric invariances on random layouts."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,7 +48,8 @@ class TestMetricInvariances:
     @settings(max_examples=50, deadline=None)
     def test_metrics_translation_invariant(self, positions, freqs, dx, dy):
         layout = make_layout(positions, freqs)
-        shifted = layout.moved(layout.positions + np.array([dx, dy]))
+        shifted = replace(layout,
+                          positions=layout.positions + np.array([dx, dy]))
         assert np.isclose(layout.amer(), shifted.amer())
         assert np.isclose(hotspot_report(layout).ph,
                           hotspot_report(shifted).ph)
@@ -67,7 +70,8 @@ class TestMetricInvariances:
         layout = make_layout(positions, freqs)
         before = len(find_spatial_violations(layout))
         centre = layout.positions.mean(axis=0)
-        spread = layout.moved(centre + 3.0 * (layout.positions - centre))
+        spread = replace(layout,
+                         positions=centre + 3.0 * (layout.positions - centre))
         after = len(find_spatial_violations(spread))
         assert after <= before
 

@@ -6,10 +6,11 @@ parsing moved to the shared field table; any change to normalisation
 (suite expansion, CSV splitting, float sigmas, config dicts, materialised
 defaults) that alters one of them orphans every existing store, and must
 come with a ``CACHE_SCHEMA_VERSION`` bump and re-recorded values.
-The values below were re-recorded at schema 15, whose bump changed the
-Classic layouts of non-default configs, not request parsing: at schema
-14 the same payloads give the values recorded there (and at schema 13
-the values first recorded).
+The values below were re-recorded at schema 16, whose bump moved the
+ensemble repair into the problem frame, not request parsing: at schema
+15 the same payloads give the values recorded there (and at schemas 14
+and 13 the values recorded at those).  Each schema-15 value maps to
+exactly one schema-16 value, so the payloads that coalesced still do.
 """
 
 from __future__ import annotations
@@ -23,17 +24,17 @@ from repro.service.requests import parse_request
 from repro.service.store import request_digest
 
 PLACE_DEFAULT = \
-    "e19b841fcd4c73b12ae4a069a533da6f97a602551bfe9cc5bd0734e2e97fb118"
+    "81009396484f628dec9ecb8de4876d42a6096baead862e4a2166570e1d4c4a47"
 PLACE_TWO = \
-    "71fe79f3bc0a1b5e2d3ba9d0070e53f38daba5dc72e7034d76c8ace74b4644b4"
+    "33b9156864d629a78013e06b5a5371f3ab9b9c09047b4dc1b15bca826f58682e"
 FIDELITY_PAPER8 = \
-    "72412da26392795df583f421c705857cb472f432af4aa2d2f4d1ccc6ba287e56"
+    "9ddb5c786a3e8a4f69d9f47c4cfc825f1e7dae99c4fa63add84a8794acf3bbfe"
 MAP_DEFAULT = \
-    "31fead5b6c3bb85d1848b6019d5206ea46a6ec9b17c60a1b77e90cc664877024"
+    "f7720fc16c4a0e9b812c6f81bae177b255f8b78a6964550c561468e56d8e6239"
 EVALUATE_PAPER = \
-    "11119d7a29de7f954f924fd9f706e4f462c0eb5270e815da7c12a741ca8ffef4"
+    "4eac2b25e10f0995d4c69d0add38eb69272ccce4a787e04d492a66823556bbd1"
 ENSEMBLE_DEFAULT = \
-    "f5d4067f071bb2f3a0134272e443299dcc1761a1252f7c0999eacb5161394a9d"
+    "5fdf069fe44b9e93d3c7f65328cc87c57f9fe3a01a23dbcd88cc2df9dd4e4624"
 
 GOLDEN = [
     # An omitted field and its explicit default digest identically.
@@ -57,7 +58,7 @@ GOLDEN = [
     ("fidelity", {"topology": "grid-25", "workloads": ["bv-4", "qaoa-9"],
                   "strategies": "qplacer", "num_mappings": 5,
                   "base_seed": 2, "config": {"detailed_passes": 1}},
-     "3c538ff4f4f8c701c1d25883da989d512130b3bfe713ad855306b9eaa4561727"),
+     "066e76f2464b4c8c390fcaf6e8a6e4c0b9fb01faaf73fd0961e99b9a3542b093"),
     ("map", {"benchmark": "bv-4", "topology": "grid-25"}, MAP_DEFAULT),
     ("map", {"benchmark": "bv-4", "topology": "grid-25", "num_mappings": 50,
              "base_seed": 0, "router": "basic", "optimization_level": 3},
@@ -65,7 +66,7 @@ GOLDEN = [
     ("map", {"benchmark": "ghz-8", "topology": "falcon-27",
              "router": "sabre", "num_mappings": 7, "base_seed": 4,
              "optimization_level": 1},
-     "d64c484bbfb554ac0bf7a2d0f7fb08f40ce40e21e3db04b779dc22da4d507a58"),
+     "1e3066986926dd298b24bf9a357fbfd96681b71601bdc0d03dfb6d8770e0c6a1"),
     # Evaluate's omitted lists become the paper defaults.
     ("evaluate", {}, EVALUATE_PAPER),
     ("evaluate", {"topologies": list(PAPER_TOPOLOGY_ORDER),
@@ -73,7 +74,7 @@ GOLDEN = [
     ("evaluate", {"topologies": "grid-25,falcon-27",
                   "benchmarks": ["bv-4", "qaoa-9"], "num_mappings": 4,
                   "seed": 1, "config": {"num_bins": 32}},
-     "7680cd3127407f917fdb89234080ca98c322e5461ede67464338681eb7e10c28"),
+     "14caf78b9c5a84aae2b7fa366abef80c9e08766fc5bb1d351c83090438fd236d"),
     ("ensemble", {"topology": "grid-25"}, ENSEMBLE_DEFAULT),
     ("ensemble", {"topology": "grid-25", "sigmas": [0.01, 0.02, 0.05],
                   "samples": 64, "bootstrap": 200, "repair_samples": 0},
@@ -83,16 +84,16 @@ GOLDEN = [
     ("ensemble", {"topology": "grid-25", "sigmas": "0,0.05", "samples": 16,
                   "repair_samples": 2, "strategy": "classic",
                   "max_ph_percent": 1, "resonator_sigma_scale": 1},
-     "d892abac39fd52e6ad567ffdbb7acacd2f9ccf6e60d322a74f7a06015858aa53"),
+     "c2a4248d19614ab543ce0d7bcf3e7e5fb73a17aa7e75ceb05d1a93d1300ae079"),
     ("ensemble", {"topology": "grid-25", "sigmas": [0, 0.05], "samples": 16,
                   "repair_samples": 2, "strategy": "classic",
                   "max_ph_percent": 1.0, "resonator_sigma_scale": 1.0},
-     "4a844ca3390e1b6c9362aa42ba4bc5b057e966f0243edb643ffedb2248027b7f"),
+     "019105d5611e2832239484a4607d412d13293e4ca5da184388d65356e2d8761d"),
 ]
 
 
 def test_schema_version_of_the_golden():
-    assert CACHE_SCHEMA_VERSION == 15
+    assert CACHE_SCHEMA_VERSION == 16
 
 
 @pytest.mark.parametrize("kind,payload,digest", GOLDEN,
