@@ -21,8 +21,8 @@ compile results are content-addressed by circuit digest.  Three gates:
   digest, so they run as **one** computation: the second is answered
   from the artifact store (``cache_hit``) with the identical artifact.
   The runner's circuit-digest cache is proven on a path that cannot
-  coalesce: a second service with a fresh artifact store but the same
-  runner cache directory computes the aliased request, and its
+  coalesce: a second service with a fresh artifact store but a runner
+  on the same runner store computes the aliased request, and its
   ``MappingJob`` replays the first service's compile
   (``circuit_cache_hits`` in ``/metrics``).
 
@@ -43,7 +43,9 @@ from repro.circuits.library import get_benchmark
 from repro.circuits.mapping import (MappedCircuit, evaluation_mappings,
                                     map_circuit)
 from repro.devices.topology import get_topology
+from repro.analysis.runner import ParallelRunner
 from repro.io.serialization import circuit_content_digest
+from repro.io.store import Store
 from repro.service import PlacementService, ServiceClient
 from repro.workloads import get_workload
 
@@ -173,9 +175,12 @@ def _digest_cache_gate(tmp_path) -> Dict[str, object]:
                 "num_mappings": ALIAS_MAPPINGS}
 
     def service(store: str) -> PlacementService:
+        # Each service counts in its own runner store; both stores share
+        # one directory.
+        runner = ParallelRunner(max_workers=1,
+                                store=Store(tmp_path / "cache"))
         return PlacementService(store_dir=tmp_path / store, port=0,
-                                workers=2, runner_workers=1,
-                                cache_dir=tmp_path / "cache")
+                                workers=2, runner=runner)
 
     with service("store") as live:
         client = ServiceClient(live.base_url, timeout=60.0)
@@ -197,12 +202,8 @@ def _digest_cache_gate(tmp_path) -> Dict[str, object]:
         "computations": metrics["computations"],
         "identical_artifact": alias_payload == payload,
         "fresh_store_computations": fresh_metrics["computations"],
-        # /metrics reports process-wide counters; the fresh service's
-        # share is the difference.
-        "circuit_cache_hits": (fresh_metrics["circuit_cache_hits"]
-                               - metrics["circuit_cache_hits"]),
-        "circuit_cache_misses": (fresh_metrics["circuit_cache_misses"]
-                                 - metrics["circuit_cache_misses"]),
+        "circuit_cache_hits": fresh_metrics["circuit_cache_hits"],
+        "circuit_cache_misses": fresh_metrics["circuit_cache_misses"],
         "identical_replay": replay["mappings"] == payload["mappings"],
     }
 

@@ -40,6 +40,7 @@ from repro.circuits.mapping import (MappedCircuit, evaluation_mappings,
                                     initial_placement, route_basic_arrays,
                                     sample_connected_subset)
 from repro.devices.topology import get_topology
+from repro.io.store import Store
 from repro.workloads import get_workload
 from tests.oracles.circuit import asap_schedule
 from tests.oracles.mapping import initial_placement_reference, route_reference
@@ -209,7 +210,7 @@ def _mapping_job_roundtrip(tmp_dir) -> Dict[str, object]:
     """Gate: MappingJob results replay bit-identically from the cache."""
     job = MappingJob(benchmark="bv-16", topology="falcon-27",
                      num_mappings=4, base_seed=0)
-    runner = ParallelRunner(max_workers=1, cache_dir=tmp_dir)
+    runner = ParallelRunner(max_workers=1, store=Store(tmp_dir))
     first = runner.map(run_mapping_job, [job], namespace="mappings")[0]
     replay = runner.map(run_mapping_job, [job], namespace="mappings")[0]
     direct = evaluation_mappings(get_benchmark("bv-16"),

@@ -19,6 +19,7 @@ from typing import Dict, Tuple
 import pytest
 
 from repro.analysis import ParallelRunner, PlacementJob, PlacementSuite
+from repro.io.store import Store
 
 # The identity gates measure against the scalar oracles in
 # ``tests/oracles``; make the repository root importable however pytest
@@ -49,10 +50,11 @@ BENCH_CIRCUITS = (
 
 _SUITE_CACHE: Dict[Tuple[str, float], PlacementSuite] = {}
 
-#: Placement jobs route through the parallel runner; the on-disk cache
-#: (``$REPRO_CACHE_DIR``, off by default) persists suites across bench
+#: Placement jobs route through the parallel runner; a store at
+#: ``$REPRO_CACHE_DIR`` (off by default) persists suites across bench
 #: sessions, on top of this in-memory per-session cache.
-_RUNNER = ParallelRunner()
+_CACHE_DIR = os.environ.get("REPRO_CACHE_DIR")
+_RUNNER = ParallelRunner(store=Store(_CACHE_DIR) if _CACHE_DIR else None)
 
 
 def get_suite(topology_name: str, segment_size_mm: float = 0.3) -> PlacementSuite:

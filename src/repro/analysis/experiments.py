@@ -23,6 +23,7 @@ fidelities at 1e-4, mirroring the paper's "<1e-4" table entries.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -125,17 +126,16 @@ def _suite_mappings(suite: PlacementSuite, benchmarks: Sequence[str],
                     num_mappings: int, base_seed: int,
                     runner: Optional["ParallelRunner"]
                     ) -> Dict[str, List[MappedCircuit]]:
-    """Evaluation mappings per benchmark, cached when a cache exists.
+    """Evaluation mappings per benchmark, cached when a store exists.
 
     Mapping batches depend only on (circuit, topology, seeds, transpiler
-    config), so they route through the runner's on-disk cache as
+    config), so they route through the runner's store as
     :class:`~repro.analysis.runner.MappingJob` units — repeated fidelity
-    studies then skip routing entirely.  Without a cache directory (and
-    without an explicit runner) the direct computation is kept: the job
-    detour would change nothing and the mapping results are identical
-    either way.
+    studies then skip routing entirely.  Without a store (and without
+    a pool) the direct computation is kept: the job detour would change
+    nothing and the mapping results are identical either way.
     """
-    from .runner import MappingJob, default_runner, run_mapping_job
+    from .runner import MappingJob, run_mapping_job
     from ..devices.topology import TOPOLOGY_FACTORIES
     from ..io.serialization import circuit_content_digest
 
@@ -145,11 +145,10 @@ def _suite_mappings(suite: PlacementSuite, benchmarks: Sequence[str],
         if circuit.num_qubits > suite.topology.num_qubits:
             continue
         wanted.append((bench_name, circuit))
-    if runner is None:
-        runner = default_runner(max_workers=1)
     # Jobs rebuild the topology by registry name; fall back to direct
     # computation for unregistered custom topologies.
-    use_jobs = (runner.cache_dir is not None or runner.max_workers > 1) \
+    use_jobs = runner is not None \
+        and (runner.store is not None or runner.max_workers > 1) \
         and suite.topology.name in TOPOLOGY_FACTORIES
     if use_jobs:
         # The circuit is already in hand, so content-address each job
@@ -182,9 +181,8 @@ def fidelity_experiment(suite: PlacementSuite,
 
     Benchmarks wider than the device are skipped (every Table I
     benchmark fits every Table I topology).  Mapping batches go through
-    the ``runner``'s on-disk cache when one is configured (explicitly or
-    via ``$REPRO_CACHE_DIR``), so re-running a fidelity study recomputes
-    no routing.
+    the ``runner``'s store when it has one, so re-running a fidelity
+    study recomputes no routing.
 
     Passing ``shard_index``/``shard_count`` restricts the run to the
     deterministic ``benchmarks[shard_index::shard_count]`` slice — the
@@ -236,9 +234,9 @@ def sharded_fidelity_experiment(
     The workload list (a suite name like ``"condor-433"`` or explicit
     registry names) splits into ``shard_count`` round-robin
     :class:`~repro.analysis.runner.WorkloadShardJob` units; each worker
-    rebuilds the placement suite from its description (one on-disk
-    cache hit per worker when the runner has a cache) and scores only
-    its slice.  The merged table is bit-identical to a single-process
+    rebuilds the placement suite from its description (one store hit
+    per worker when the runner has a store) and scores only its
+    slice.  The merged table is bit-identical to a single-process
     :func:`fidelity_experiment` over the same list — sharding changes
     wall-clock, never results.
 
@@ -252,7 +250,7 @@ def sharded_fidelity_experiment(
         segment_size_mm: Resonator segment size for the placement.
         strategies: Placement strategies to score.
         config: Base placer configuration.
-        runner: Job runner (process pool + cache); default-constructed
+        runner: Job runner (process pool + store); default-constructed
             when omitted.
     """
     from ..workloads import merge_fidelity_shards, resolve_workload_names
@@ -270,16 +268,17 @@ def sharded_fidelity_experiment(
     placement = PlacementJob(topology=topology_name,
                              segment_size_mm=segment_size_mm,
                              strategies=tuple(strategies), config=config)
-    if runner.cache_dir is not None:
-        # Pre-place once so pool workers hit the cache instead of each
+    if runner.store is not None:
+        # Pre-place once so pool workers hit the store instead of each
         # redoing the (dominant) placement.
         runner.run_suites([placement])
     jobs = [WorkloadShardJob(placement=placement, workloads=names,
                              shard_index=index, shard_count=shard_count,
                              num_mappings=num_mappings, base_seed=base_seed)
             for index in range(shard_count)]
-    partials = runner.map(run_workload_shard, jobs,
-                          namespace="workload_shard")
+    partials = runner.map(
+        functools.partial(run_workload_shard, store=runner.store), jobs,
+        namespace="workload_shard")
     return merge_fidelity_shards(partials, order=names)
 
 
@@ -464,7 +463,7 @@ def run_full_evaluation(topology_names: Sequence[str] = PAPER_TOPOLOGY_ORDER,
     """The paper's whole evaluation: Figs. 11-13 for every topology.
 
     Each topology is one :class:`~repro.analysis.runner.EvaluationJob`
-    dispatched through the ``runner`` (process pool + on-disk cache);
+    dispatched through the ``runner`` (process pool + store);
     results are assembled in topology order, so the output is identical
     to a serial evaluation regardless of worker count.
 
@@ -486,7 +485,9 @@ def run_full_evaluation(topology_names: Sequence[str] = PAPER_TOPOLOGY_ORDER,
         )
         for name in topology_names
     ]
-    results = runner.map(run_topology_evaluation, jobs, namespace="evaluation")
+    results = runner.map(
+        functools.partial(run_topology_evaluation, store=runner.store),
+        jobs, namespace="evaluation")
     return dict(zip(topology_names, results))
 
 

@@ -9,8 +9,8 @@ subsystem:
   placement unit of work with deterministic per-job seeding;
 * :class:`ParallelRunner` — fans job lists across a
   ``concurrent.futures`` process pool (falling back to in-process
-  execution for single workers) with an optional on-disk result cache
-  keyed by a config/topology hash;
+  execution for single workers), caching results in an optional
+  :class:`~repro.io.store.Store` keyed by a config/topology hash;
 * module-level worker functions (:func:`run_placement_job`,
   :func:`run_topology_evaluation`, ...) that the experiment pipelines
   submit, picklable by construction.
@@ -21,31 +21,32 @@ parallel run is bit-identical to a serial run of the same jobs, and a
 cache hit returns exactly what the original execution produced (results
 round-trip through pickle, which preserves float64 bit patterns).
 
-Cache layout: ``<cache_dir>/<namespace>/<sha256-of-job>.pkl``.  The
-cache directory defaults to the ``REPRO_CACHE_DIR`` environment
-variable; caching is disabled when neither that variable nor the
-``cache_dir`` argument is set.  Hashes cover the job fields, the full
-placer configuration, and :data:`CACHE_SCHEMA_VERSION` — bump the
-version whenever an algorithm change invalidates previous results.
+Cache: a runner given a :class:`~repro.io.store.Store` pickles each
+result to ``<root>/<namespace>/<token[:2]>/<token>.pkl``; without one
+it computes everything.  Tokens (:func:`job_token`) cover the job
+fields, the full placer configuration, and
+:data:`CACHE_SCHEMA_VERSION` — bump the version whenever an algorithm
+change invalidates previous results — but never where the store lives.
+The two workers that run nested runners, :func:`run_topology_evaluation`
+and :func:`run_workload_shard`, take the store as an argument; callers
+bind it with :func:`functools.partial`, which pickles into pool
+workers.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import os
-import pickle
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import constants
 from ..core.config import PlacerConfig
-from ..io.atomic import atomic_write_bytes
 from ..io.serialization import canonical_json
+from ..io.store import Store
 from .experiments import STRATEGIES
 
 #: Bump when placement/evaluation semantics change so stale cached
@@ -116,9 +117,6 @@ from .experiments import STRATEGIES
 #:     ``yield_after_repair`` can change; every layout and frozen
 #:     ensemble score is unchanged).
 CACHE_SCHEMA_VERSION = 16
-
-#: Environment variable naming the default on-disk cache directory.
-CACHE_ENV_VAR = "REPRO_CACHE_DIR"
 
 
 def job_token(job: Any, namespace: str = "") -> str:
@@ -205,14 +203,20 @@ class EvaluationJob:
     base_seed: int = 0
 
 
-def run_topology_evaluation(job: EvaluationJob) -> Dict[str, object]:
-    """Worker: suite + fidelity + summary + area for one topology."""
+def run_topology_evaluation(job: EvaluationJob,
+                            store: Optional[Store] = None
+                            ) -> Dict[str, object]:
+    """Worker: suite + fidelity + summary + area for one topology.
+
+    The mapping batches go through a runner on ``store``.
+    """
     from .experiments import (area_experiment, fidelity_experiment,
                               summary_experiment)
 
     suite = run_placement_job(job.placement)
-    fidelity = fidelity_experiment(suite, job.benchmarks, job.num_mappings,
-                                   base_seed=job.base_seed)
+    fidelity = fidelity_experiment(
+        suite, job.benchmarks, job.num_mappings, base_seed=job.base_seed,
+        runner=ParallelRunner(max_workers=1, store=store))
     return {
         "fidelity": fidelity,
         "summary": summary_experiment(suite, job.benchmarks,
@@ -414,34 +418,39 @@ class WorkloadShardJob:
 
 
 @functools.lru_cache(maxsize=1)
-def _shard_suite(placement: PlacementJob):
+def _shard_suite(placement: PlacementJob, store: Optional[Store]):
     """Process-local placement reuse across a worker's shard jobs.
 
     Shards of one evaluation share the placement, so the worker loads
-    it through the runner's on-disk cache (``$REPRO_CACHE_DIR``, which
-    pool workers inherit from the parent runner) — one disk read per
-    worker when the parent pre-placed, one computation otherwise — and
-    memoizes the result so further shard jobs in this process reuse it
-    directly.  One entry is enough: shard batches score a single
+    it through ``store`` — one read per worker when the parent
+    pre-placed, one computation otherwise — and memoizes the result so
+    further shard jobs in this process reuse it directly.  The memo
+    keys on the store's root as well as the placement (stores compare
+    by root).  One entry is enough: shard batches score a single
     placement.
     """
-    return default_runner(max_workers=1).run_suites([placement])[0]
+    return ParallelRunner(max_workers=1, store=store).run_suites(
+        [placement])[0]
 
 
-def run_workload_shard(job: WorkloadShardJob):
+def run_workload_shard(job: WorkloadShardJob,
+                       store: Optional[Store] = None):
     """Worker: score one workload shard against its placement suite.
 
     Returns the partial ``{benchmark: {strategy: fidelity}}`` table for
-    the shard's slice of the workload list.
+    the shard's slice of the workload list.  The suite and the mapping
+    batches go through runners on ``store``.
     """
     from ..workloads.sharding import shard_items
     from .experiments import fidelity_experiment
 
-    suite = _shard_suite(job.placement)
+    suite = _shard_suite(job.placement, store)
     names = shard_items(job.workloads, job.shard_index, job.shard_count)
     return fidelity_experiment(suite, benchmarks=names,
                                num_mappings=job.num_mappings,
-                               base_seed=job.base_seed)
+                               base_seed=job.base_seed,
+                               runner=ParallelRunner(max_workers=1,
+                                                     store=store))
 
 
 @dataclass(frozen=True)
@@ -460,153 +469,27 @@ def run_ablation_job(job: AblationJob):
     return evaluate_ablation_variant(job.topology, job.variant, job.config)
 
 
-def _worker_cache_init(cache_dir: str) -> None:
-    """Pool-worker initializer: inherit the parent runner's cache dir."""
-    os.environ[CACHE_ENV_VAR] = cache_dir
-
-
 class ParallelRunner:
-    """Fan homogeneous jobs across workers with an optional disk cache.
+    """Fan homogeneous jobs across workers, caching results in a store.
 
     Args:
         max_workers: Process-pool size.  ``None`` uses ``os.cpu_count()``;
             values <= 1 run jobs in-process (no pool, no pickling).
-        cache_dir: Directory for the on-disk result cache.  ``None``
-            falls back to ``$REPRO_CACHE_DIR``; caching is off when both
-            are unset.
+        store: :class:`~repro.io.store.Store` results are pickled into,
+            one namespace per kind of job; ``None`` caches nothing.
     """
 
-    #: Process-wide reference count guarding the ``$REPRO_CACHE_DIR``
-    #: publication of :meth:`_cache_env` — the service's scheduler
-    #: threads drive one shared runner concurrently, so save/restore
-    #: must nest instead of racing.
-    _env_lock = threading.Lock()
-    _env_depth = 0
-    _env_previous: Optional[str] = None
-
-    #: Process-wide per-namespace hit/miss tallies, aggregated across
-    #: every runner instance.  Experiment pipelines construct fresh
-    #: :func:`default_runner` instances deep inside worker functions, so
-    #: instance counters alone cannot answer "did the mapping-suite
-    #: cache hit anywhere this process?" — the question the service's
-    #: ``/metrics`` circuit-cache counters report.
-    _namespace_lock = threading.Lock()
-    _namespace_stats: Dict[str, Dict[str, int]] = {}
-
-    @classmethod
-    def global_namespace_stats(cls) -> Dict[str, Dict[str, int]]:
-        """Snapshot of process-wide ``{namespace: {hits, misses}}``."""
-        with cls._namespace_lock:
-            return {ns: dict(stats)
-                    for ns, stats in cls._namespace_stats.items()}
-
-    @classmethod
-    def _record_namespace(cls, namespace: str, hit: bool) -> None:
-        with cls._namespace_lock:
-            stats = cls._namespace_stats.setdefault(
-                namespace, {"hits": 0, "misses": 0})
-            stats["hits" if hit else "misses"] += 1
-
     def __init__(self, max_workers: Optional[int] = None,
-                 cache_dir: Optional[os.PathLike] = None) -> None:
+                 store: Optional[Store] = None) -> None:
         if max_workers is None:
             max_workers = os.cpu_count() or 1
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.max_workers = max_workers
-        if cache_dir is None:
-            env = os.environ.get(CACHE_ENV_VAR, "")
-            cache_dir = Path(env) if env else None
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
+        self.store = store
         self.cache_hits = 0
         self.cache_misses = 0
         self._stats_lock = threading.Lock()
-
-    # -- cache -----------------------------------------------------------------
-
-    def _cache_path(self, namespace: str, token: str) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / namespace / f"{token}.pkl"
-
-    def _cache_load(self, path: Optional[Path]) -> Tuple[bool, Any]:
-        if path is None or not path.exists():
-            return False, None
-        try:
-            with open(path, "rb") as fh:
-                return True, pickle.load(fh)
-        except Exception:
-            # Torn/stale cache entries are recomputed, never fatal —
-            # and deleted, so a permanently corrupt file (e.g. a
-            # truncated write that survived a crash) cannot force a
-            # parse-and-fail on every future lookup.  The recompute
-            # below rewrites the entry atomically.
-            try:
-                path.unlink()
-            except OSError:
-                pass  # racing unlink/readonly dir: still a plain miss
-            return False, None
-
-    @contextlib.contextmanager
-    def _cache_env(self):
-        """Expose this runner's cache dir to nested default runners.
-
-        Workers (and in-process jobs) may themselves route sub-units of
-        work — e.g. :func:`run_topology_evaluation` caches its mapping
-        batches — through :func:`default_runner`, which discovers the
-        cache via ``$REPRO_CACHE_DIR``.  Publishing the directory for
-        the duration of a ``map`` call makes an explicit ``cache_dir``
-        (CLI ``--cache-dir``) transitive without threading it through
-        every job description (cache keys must not depend on cache
-        location).
-
-        Concurrent ``map`` calls (the service scheduler's worker
-        threads share one runner) nest through a process-wide reference
-        count: the first entry saves the previous value, the last exit
-        restores it, so one thread's exit can never unset the variable
-        while another thread's jobs are still computing.  Runners with
-        *different* cache directories racing this guard last-write-win
-        on the value — the service always shares one directory.
-        """
-        if self.cache_dir is None:
-            yield
-            return
-        cls = ParallelRunner
-        with cls._env_lock:
-            if cls._env_depth == 0:
-                cls._env_previous = os.environ.get(CACHE_ENV_VAR)
-            cls._env_depth += 1
-            os.environ[CACHE_ENV_VAR] = str(self.cache_dir)
-        try:
-            yield
-        finally:
-            with cls._env_lock:
-                cls._env_depth -= 1
-                if cls._env_depth == 0:
-                    if cls._env_previous is None:
-                        os.environ.pop(CACHE_ENV_VAR, None)
-                    else:
-                        os.environ[CACHE_ENV_VAR] = cls._env_previous
-
-    def _cache_store(self, path: Optional[Path], value: Any) -> None:
-        """Persist one entry; losing a write race is never fatal.
-
-        Goes through :func:`repro.io.atomic.atomic_write_bytes` — temp
-        names are unique per process *and thread*, so the service's
-        threaded scheduler workers racing on one token can no longer
-        interleave writes into a shared temp file (the old per-pid temp
-        name allowed exactly that), and readers only ever see complete
-        entries.
-        """
-        if path is None:
-            return
-        try:
-            atomic_write_bytes(
-                path, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-        except Exception:
-            pass
-
-    # -- execution --------------------------------------------------------------
 
     def map(self, fn: Callable[[Any], Any], jobs: Sequence[Any],
             namespace: Optional[str] = None) -> List[Any]:
@@ -616,56 +499,46 @@ class ParallelRunner:
             fn: Module-level worker function (picklable).
             jobs: Job descriptions (frozen dataclasses of primitives).
             namespace: Cache namespace; defaults to the worker's name.
-                Results are cached on disk when the runner has a cache
-                directory.
+                Results are cached when the runner has a store.
         """
         if namespace is None:
             namespace = getattr(fn, "__name__", "jobs")
         results: List[Any] = [None] * len(jobs)
-        paths: List[Optional[Path]] = [None] * len(jobs)
+        tokens: List[Optional[str]] = [None] * len(jobs)
         pending: List[int] = []
         for k, job in enumerate(jobs):
-            path = None
-            if self.cache_dir is not None:
-                path = self._cache_path(namespace, job_token(job, namespace))
-                hit, value = self._cache_load(path)
-                if hit:
-                    with self._stats_lock:
-                        self.cache_hits += 1
-                    self._record_namespace(namespace, hit=True)
-                    results[k] = value
-                    continue
+            if self.store is not None:
+                tokens[k] = job_token(job, namespace)
+                hit, results[k] = self.store.load(namespace, tokens[k])
                 with self._stats_lock:
-                    self.cache_misses += 1
-                self._record_namespace(namespace, hit=False)
-            paths[k] = path
+                    self.cache_hits += hit
+                    self.cache_misses += not hit
+                if hit:
+                    continue
             pending.append(k)
 
         if pending:
             todo = [jobs[k] for k in pending]
             if self.max_workers <= 1 or len(pending) == 1:
-                with self._cache_env():
-                    computed = [fn(job) for job in todo]
+                computed = [fn(job) for job in todo]
             else:
                 workers = min(self.max_workers, len(pending))
-                init_args = ((_worker_cache_init, (str(self.cache_dir),))
-                             if self.cache_dir is not None else (None, ()))
-                with ProcessPoolExecutor(
-                        max_workers=workers,
-                        initializer=init_args[0],
-                        initargs=init_args[1]) as pool:
+                with ProcessPoolExecutor(max_workers=workers) as pool:
                     computed = list(pool.map(fn, todo))
             for k, value in zip(pending, computed):
                 results[k] = value
-                self._cache_store(paths[k], value)
+                if tokens[k] is not None:
+                    self._keep(namespace, tokens[k], value)
         return results
+
+    def _keep(self, namespace: str, token: str, value: Any) -> None:
+        """Store one result; a failed write costs a later recompute,
+        never this run."""
+        try:
+            self.store.save(namespace, token, value)
+        except Exception:
+            pass
 
     def run_suites(self, jobs: Sequence[PlacementJob]) -> List[Any]:
         """Place every job; returns the suites in job order."""
         return self.map(run_placement_job, jobs, namespace="suite")
-
-
-def default_runner(max_workers: Optional[int] = None,
-                   cache_dir: Optional[os.PathLike] = None) -> ParallelRunner:
-    """A runner with environment-driven defaults (one per call site)."""
-    return ParallelRunner(max_workers=max_workers, cache_dir=cache_dir)

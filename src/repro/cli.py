@@ -34,6 +34,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, List, Optional
 
@@ -62,6 +63,7 @@ from .devices import (PAPER_TOPOLOGY_ORDER, SCALE_TOPOLOGY_ORDER,
                       build_netlist, get_topology)
 from .io import save_gds, save_layout, save_svg
 from .io.serialization import canonicalize
+from .io.store import Store
 
 
 def _int_at_least(text: str, low: int, expected: str) -> int:
@@ -114,16 +116,28 @@ def _add_detailed_passes_arg(parser: argparse.ArgumentParser) -> None:
                              "on the paper tiers (default auto)")
 
 
-def _add_runner_args(parser: argparse.ArgumentParser) -> None:
+def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", "-j", type=_positive_int, default=None,
                         help="worker processes (default: CPU count)")
-    parser.add_argument("--cache-dir", default=None,
+
+
+def _add_runner_args(parser: argparse.ArgumentParser,
+                     cache_dir: Optional[str]) -> None:
+    _add_jobs_arg(parser)
+    parser.add_argument("--cache-dir", default=cache_dir,
                         help="on-disk result cache directory "
                              "(default: $REPRO_CACHE_DIR, unset = off)")
 
 
 def _runner_from(args: argparse.Namespace) -> ParallelRunner:
-    return ParallelRunner(max_workers=args.jobs, cache_dir=args.cache_dir)
+    store = Store(args.cache_dir) if args.cache_dir else None
+    return ParallelRunner(max_workers=args.jobs, store=store)
+
+
+def _print_cache_line(runner: ParallelRunner) -> None:
+    if runner.store is not None:
+        print(f"cache: {runner.cache_hits} hits, {runner.cache_misses} "
+              f"misses under {runner.store.root}")
 
 
 def _config_from(args: argparse.Namespace) -> PlacerConfig:
@@ -307,9 +321,7 @@ def cmd_evaluate_all(args: argparse.Namespace) -> int:
         print(format_table(["strategy", "Amer ratio"], rows,
                            title=f"Fig.13 area ratios — {name}"))
         print()
-    if runner.cache_dir is not None:
-        print(f"cache: {runner.cache_hits} hits, {runner.cache_misses} "
-              f"misses under {runner.cache_dir}")
+    _print_cache_line(runner)
     return 0
 
 
@@ -486,9 +498,7 @@ def cmd_workloads_evaluate(args: argparse.Namespace) -> int:
             json.dump({"topology": args.topology, "workloads": list(names),
                        "fidelity": fidelity}, fh, indent=2)
         print(f"wrote {args.json}")
-    if runner.cache_dir is not None:
-        print(f"cache: {runner.cache_hits} hits, {runner.cache_misses} "
-              f"misses under {runner.cache_dir}")
+    _print_cache_line(runner)
     return 0
 
 
@@ -536,22 +546,15 @@ def cmd_workloads_merge(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    import os
-
-    from .analysis.runner import CACHE_ENV_VAR
     from .service import PlacementService
 
-    # Honour the documented --cache-dir fallback chain: explicit flag,
-    # then $REPRO_CACHE_DIR, then the service default
-    # (<store-dir>/runner-cache).
-    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR) or None
     token = args.shutdown_token \
         or os.environ.get("REPRO_SHUTDOWN_TOKEN") or None
     service = PlacementService(
         store_dir=args.store_dir, host=args.host, port=args.port,
         workers=args.workers, runner_workers=args.jobs,
-        cache_dir=cache_dir, verbose=args.verbose,
-        shutdown_token=token, store_max_bytes=args.store_max_bytes)
+        verbose=args.verbose, shutdown_token=token,
+        store_max_bytes=args.store_max_bytes)
     service.start()
     print(f"repro service listening on {service.base_url} "
           f"(store: {service.store.root}, workers: {args.workers})",
@@ -643,6 +646,8 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The one place the cache directory comes from the environment.
+    cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Qplacer reproduction: frequency-aware quantum-chip "
@@ -707,18 +712,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--benchmarks",
                    help="comma-separated benchmark list (default: 5 of 8)")
     _add_detailed_passes_arg(p)
-    _add_runner_args(p)
+    _add_runner_args(p, cache_dir)
     p.set_defaults(func=cmd_evaluate_all)
 
     p = sub.add_parser("sweep", help="Fig. 15 / Table II segment-size sweep")
     p.add_argument("topology")
     p.add_argument("--seed", type=_nonnegative_int, default=0)
-    _add_runner_args(p)
+    _add_runner_args(p, cache_dir)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("ablation", help="design-choice ablation table")
     _add_common_placer_args(p)
-    _add_runner_args(p)
+    _add_runner_args(p, cache_dir)
     p.set_defaults(func=cmd_ablation)
 
     p = sub.add_parser("physics", help="Fig. 4/5/6 physics tables")
@@ -773,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "cross-machine split; alone: local pool fan-out)")
     w.add_argument("--json", help="write results to this JSON path")
     _add_detailed_passes_arg(w)
-    _add_runner_args(w)
+    _add_runner_args(w, cache_dir)
     w.set_defaults(func=cmd_workloads_evaluate)
 
     w = wsub.add_parser("merge",
@@ -803,9 +808,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "the route open)")
     p.add_argument("--store-max-bytes", type=_positive_int, default=None,
                    metavar="BYTES",
-                   help="artifact-store size cap with oldest-first "
-                        "eviction on write (default unbounded)")
-    _add_runner_args(p)
+                   help="store size cap over artifacts and runner "
+                        "entries, with oldest-first eviction on write "
+                        "(default unbounded)")
+    _add_jobs_arg(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("ensemble",
@@ -846,7 +852,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="samples per runner chunk (default: samples / "
                         "workers, rounded up)")
     p.add_argument("--json", help="write the full payload to this path")
-    _add_runner_args(p)
+    _add_runner_args(p, cache_dir)
     p.set_defaults(func=cmd_ensemble, error=p.error)
     return parser
 

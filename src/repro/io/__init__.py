@@ -1,4 +1,5 @@
-"""Layout serialisation and export (JSON, SVG, GDSII), atomic writes."""
+"""Layout serialisation and export (JSON, SVG, GDSII), atomic writes,
+and the content-addressed store (:mod:`repro.io.store`)."""
 
 from .atomic import atomic_write_bytes, atomic_write_text
 from .gds import layout_to_gds_bytes, parse_gds_records, save_gds

@@ -1,14 +1,15 @@
-"""Crash- and race-safe file writes shared by every on-disk cache.
+"""Crash- and race-safe file writes.
 
-Both the parallel runner's pickle cache and the service artifact store
-persist entries that several writers may produce concurrently: pool
-workers racing on the same job token, and — since the service runs its
+The content-addressed store (:mod:`repro.io.store`), which holds both
+the runner's pickled results and the service's artifacts, persists
+entries that several writers may produce concurrently: pool workers
+racing on the same job token, and — since the service runs its
 scheduler workers as *threads* — multiple writers inside one process.
 A write-in-place ``open(path, "wb")`` truncates the destination before
 the new bytes land, so a reader (or a second writer) racing the call
 can observe a torn entry.
 
-Every cache therefore writes through :func:`atomic_write_bytes`: the
+The store therefore writes through :func:`atomic_write_bytes`: the
 payload goes to a temporary file in the destination directory — unique
 per process, thread, *and* call, so even same-pid threads never share a
 temp file — and is moved over the destination with :func:`os.replace`,

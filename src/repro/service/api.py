@@ -232,25 +232,21 @@ class PlacementService:
             back from :attr:`port` / :attr:`base_url`).
         workers: Scheduler worker threads (concurrent distinct jobs).
         runner: Shared :class:`~repro.analysis.runner.ParallelRunner`;
-            default-constructed when omitted (``runner_workers`` /
-            ``cache_dir`` then configure it).
+            when omitted, one of ``runner_workers`` processes that
+            caches in the artifact store itself.
         runner_workers: Process-pool size of the default runner.
-        cache_dir: Runner pickle-cache directory (defaults to
-            ``<store_dir>/runner-cache`` so sub-unit dedup works out of
-            the box; pass ``None`` explicitly via a prebuilt runner to
-            disable).
         verbose: Log HTTP requests to stderr.
         shutdown_token: Bearer token required by ``POST /shutdown``;
             ``None`` leaves the route open (local/dev default).
-        store_max_bytes: Artifact-store size cap (oldest-mtime eviction
-            on write); ``None`` means unbounded.
+        store_max_bytes: Store size cap over artifacts and the default
+            runner's entries (oldest-mtime eviction on write); ``None``
+            means unbounded.
     """
 
     def __init__(self, store_dir: PathLike, host: str = "127.0.0.1",
                  port: int = 8754, workers: int = 2,
                  runner: Optional[ParallelRunner] = None,
                  runner_workers: Optional[int] = None,
-                 cache_dir: Optional[PathLike] = None,
                  verbose: bool = False,
                  shutdown_token: Optional[str] = None,
                  store_max_bytes: Optional[int] = None) -> None:
@@ -258,10 +254,8 @@ class PlacementService:
         self.store = ArtifactStore(store_dir, max_bytes=store_max_bytes)
         self.queue = JobQueue(self.store)
         if runner is None:
-            if cache_dir is None:
-                cache_dir = Path(store_dir) / "runner-cache"
             runner = ParallelRunner(max_workers=runner_workers,
-                                    cache_dir=cache_dir)
+                                    store=self.store)
         self.scheduler = Scheduler(self.queue, self.store, workers=workers,
                                    runner=runner)
         self.verbose = verbose
@@ -356,14 +350,15 @@ class PlacementService:
             "runner_cache_hits": runner.cache_hits,
             "runner_cache_misses": runner.cache_misses,
         })
-        # Content-addressed circuit-compile cache activity ("mappings"
-        # namespace, process-wide): identical workload suites submitted
-        # under any name compile once; re-submissions show up as hits.
-        circuit_stats = ParallelRunner.global_namespace_stats().get(
-            "mappings", {})
+        # Content-addressed circuit-compile cache activity (the
+        # "mappings" namespace of the runner's store): identical
+        # workload suites submitted under any name compile once;
+        # re-submissions show up as hits.
+        store = runner.store
         merged.update({
-            "circuit_cache_hits": circuit_stats.get("hits", 0),
-            "circuit_cache_misses": circuit_stats.get("misses", 0),
+            f"circuit_cache_{event}": (store.count(event, "mappings")
+                                       if store is not None else 0)
+            for event in ("hits", "misses")
         })
         # Per-phase placement seconds accumulated by every place request
         # this process has executed (see :mod:`repro.profiling`).

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..io.serialization import canonicalize
-from .store import ArtifactStore
+from .store import ArtifactStore, request_digest
 
 #: Job states.
 QUEUED = "queued"
@@ -169,7 +169,7 @@ class JobQueue:
         if priority not in PRIORITIES:
             raise ValueError(f"unknown priority {priority!r}; known: "
                              f"{sorted(PRIORITIES)}")
-        digest = self.store.digest_request(kind, request)
+        digest = request_digest(kind, request)
         # The validating artifact read (disk I/O, possibly multi-MB)
         # happens OUTSIDE the queue lock; one submit must never block
         # claim/finish/metrics on a file parse.  The cheap existence

@@ -10,8 +10,8 @@ pipelines (:mod:`repro.analysis.experiments`), which in turn fan work
 over the shared :class:`~repro.analysis.runner.ParallelRunner` — so
 one service process composes three levels of concurrency: API threads,
 scheduler workers, and the runner's process pool, with the runner's
-on-disk cache deduplicating *sub*-units (placements, mapping chunks,
-workload shards) across distinct requests.
+store deduplicating *sub*-units (placements, mapping chunks, workload
+shards) across distinct requests.
 
 Worker threads are deliberately few (default 2): jobs are heavyweight
 and the real parallelism lives in the runner's process pool; the

@@ -6,13 +6,17 @@ the normalised request fields, and
 :data:`~repro.analysis.runner.CACHE_SCHEMA_VERSION` — and the store
 maps digests to persisted results + metadata.  This is the same
 canonical-JSON/schema-version scheme the parallel runner's
-:func:`~repro.analysis.runner.job_token` pickle cache uses, lifted to
-whole requests: one schema bump invalidates both layers, and equal
-digests are the service's licence to dedupe (the queue coalesces
-in-flight digests; the store serves finished ones).
+:func:`~repro.analysis.runner.job_token` uses, lifted to whole
+requests: one schema bump invalidates both layers, and equal digests
+are the service's licence to dedupe (the queue coalesces in-flight
+digests; the store serves finished ones).
 
-Layout: ``<root>/objects/<digest[:2]>/<digest>.json``, one JSON
-document per artifact::
+:class:`ArtifactStore` is a :class:`~repro.io.store.Store`, and the
+service hands that one object to its runner too, so artifacts and
+runner entries share one directory, one size cap, one eviction policy
+and one counter table.  Artifacts are the ``objects`` namespace,
+``<root>/objects/<digest[:2]>/<digest>.json``, one JSON document
+each::
 
     {"format": "repro.artifact.v1",
      "digest": "...",
@@ -22,29 +26,34 @@ document per artifact::
 
 Results are stored as JSON (not pickle) so ``GET /artifacts/<digest>``
 can stream them verbatim and so float results survive bit-exactly
-(Python's JSON float round-trip is lossless).  Writes are atomic
-(:func:`repro.io.atomic.atomic_write_bytes`); torn or foreign files
-read as misses, never as errors.
+(Python's JSON float round-trip is lossless).  A torn or foreign
+document reads as a miss and is deleted, like any undecodable entry.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from ..analysis import runner as _runner
-from ..io.atomic import atomic_write_bytes
 from ..io.serialization import canonical_json
+from ..io.store import Store
 
 PathLike = Union[str, Path]
 
 #: On-disk artifact document format tag.
 ARTIFACT_FORMAT = "repro.artifact.v1"
+
+#: Store namespace of the artifact documents.
+OBJECTS = "objects"
+
+
+def _json_bytes(document: Dict[str, Any]) -> bytes:
+    return json.dumps(document, separators=(",", ":")).encode()
 
 
 def request_digest(kind: str, request: Any) -> str:
@@ -83,27 +92,21 @@ class ArtifactRecord:
                 "metadata": self.metadata, "result": self.result}
 
 
-class ArtifactStore:
-    """Digest-addressed persistence of request results.
+class ArtifactStore(Store):
+    """Artifact documents in the ``objects`` namespace of a store.
+
+    The service hands this same store to its runner, so runner entries
+    share the root, the ``max_bytes`` cap and the counter table.
 
     Args:
         root: Store directory (created on first write).
-        max_bytes: Optional size cap over all stored artifacts.  Every
-            :meth:`put` that pushes the total above the cap evicts the
-            oldest-mtime artifacts (never the one just written) until
-            the store fits; evictions are counted for ``/metrics``.
+        max_bytes: Optional size cap over artifacts *and* runner entries
+            (see :class:`~repro.io.store.Store`).
     """
 
     def __init__(self, root: PathLike,
                  max_bytes: Optional[int] = None) -> None:
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be a positive byte count")
-        self.root = Path(root)
-        self.max_bytes = max_bytes
-        self.evictions = 0
-        self.hits = 0
-        self.misses = 0
-        self._stats_lock = threading.Lock()
+        super().__init__(root, max_bytes=max_bytes)
         #: Digests this process has validated (successful get) or
         #: written (put) — lets hot-path callers skip re-parsing a
         #: known-good artifact.  Bounded; validity still requires the
@@ -113,30 +116,23 @@ class ArtifactStore:
 
     def path(self, digest: str) -> Path:
         """On-disk location of one artifact document."""
-        return self.root / "objects" / digest[:2] / f"{digest}.json"
-
-    def digest_request(self, kind: str, request: Any) -> str:
-        """Alias of :func:`request_digest` (kept on the store for DI)."""
-        return request_digest(kind, request)
+        return self.entry(OBJECTS, digest, ".json")
 
     def get(self, digest: str) -> Optional[ArtifactRecord]:
         """Load one artifact; ``None`` (a miss) when absent or torn."""
-        path = self.path(digest)
-        try:
-            document = json.loads(path.read_text())
-        except (OSError, ValueError):
-            with self._stats_lock:
-                self.misses += 1
-            return None
-        if (not isinstance(document, dict)
-                or document.get("format") != ARTIFACT_FORMAT
-                or document.get("digest") != digest):
-            with self._stats_lock:
-                self.misses += 1
+        def decode(data: bytes) -> Dict[str, Any]:
+            document = json.loads(data)
+            if (not isinstance(document, dict)
+                    or document.get("format") != ARTIFACT_FORMAT
+                    or document.get("digest") != digest):
+                raise ValueError(f"no artifact document for {digest}")
+            return document
+
+        found, document = self.load(OBJECTS, digest, ".json", decode)
+        with self._lock:
+            if not found:
                 self._validated.discard(digest)
-            return None
-        with self._stats_lock:
-            self.hits += 1
+                return None
             self._remember_locked(digest)
         return ArtifactRecord(digest=digest,
                               metadata=document.get("metadata", {}),
@@ -158,8 +154,7 @@ class ArtifactStore:
         hit-rate metric, or a fully warm service would report a cold
         cache.
         """
-        with self._stats_lock:
-            self.hits += 1
+        self._count(OBJECTS, "hits")
 
     def remembers(self, digest: str) -> bool:
         """True when this process already validated/wrote the digest.
@@ -168,7 +163,7 @@ class ArtifactStore:
         of :meth:`get` on hot paths; pair it with :meth:`contains` so a
         deleted file still reads as a miss.
         """
-        with self._stats_lock:
+        with self._lock:
             return digest in self._validated
 
     def put(self, digest: str, result: Any,
@@ -184,53 +179,11 @@ class ArtifactStore:
         metadata.setdefault("created_at", time.time())
         record = ArtifactRecord(digest=digest, metadata=metadata,
                                 result=result)
-        atomic_write_bytes(
-            self.path(digest),
-            json.dumps(record.to_document(),
-                       separators=(",", ":")).encode())
-        with self._stats_lock:
+        self.save(OBJECTS, digest, record.to_document(), ".json",
+                  encode=_json_bytes)
+        with self._lock:
             self._remember_locked(digest)
-        self._evict_over_cap(keep=digest)
         return record
-
-    def _evict_over_cap(self, keep: str) -> None:
-        """Drop oldest-mtime artifacts until the store fits the cap.
-
-        The just-written ``keep`` digest is never evicted, so a single
-        artifact larger than the cap still persists (the cap bounds
-        steady-state growth, not one write).  Unlink races read as
-        already-evicted, never as errors.
-        """
-        if self.max_bytes is None:
-            return
-        objects = self.root / "objects"
-        if not objects.is_dir():
-            return
-        entries = []
-        total = 0
-        for path in objects.glob("*/*.json"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-            total += stat.st_size
-        if total <= self.max_bytes:
-            return
-        entries.sort(key=lambda e: (e[0], e[2].name))
-        for _, size, path in entries:
-            if path.stem == keep:
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            with self._stats_lock:
-                self.evictions += 1
-                self._validated.discard(path.stem)
-            total -= size
-            if total <= self.max_bytes:
-                break
 
     def nearest_placement(self, topology: str,
                           segment_size_mm: Optional[float] = None
@@ -245,15 +198,12 @@ class ArtifactStore:
         skipped, and the scan bypasses :meth:`get` so it never skews
         the hit/miss metrics.
         """
-        objects = self.root / "objects"
-        if not objects.is_dir():
-            return None
         best: Optional[ArtifactRecord] = None
         best_created = float("-inf")
-        for path in objects.glob("*/*.json"):
+        for data in self.scan(OBJECTS, ".json"):
             try:
-                document = json.loads(path.read_text())
-            except (OSError, ValueError):
+                document = json.loads(data)
+            except ValueError:
                 continue
             if (not isinstance(document, dict)
                     or document.get("format") != ARTIFACT_FORMAT):
@@ -289,11 +239,14 @@ class ArtifactStore:
         return best
 
     def metrics(self) -> Dict[str, Any]:
-        """Hit/miss counters for ``GET /metrics``."""
-        total = self.hits + self.misses
+        """Artifact hit/miss counters and store-wide evictions for
+        ``GET /metrics``."""
+        hits = self.count("hits", OBJECTS)
+        misses = self.count("misses", OBJECTS)
+        total = hits + misses
         return {
-            "artifact_hits": self.hits,
-            "artifact_misses": self.misses,
-            "artifact_hit_rate": (self.hits / total) if total else 0.0,
-            "artifact_evictions": self.evictions,
+            "artifact_hits": hits,
+            "artifact_misses": misses,
+            "artifact_hit_rate": (hits / total) if total else 0.0,
+            "artifact_evictions": self.count("evictions"),
         }

@@ -13,14 +13,17 @@ Two satellite guarantees of ISSUE 5:
 
 from __future__ import annotations
 
+import functools
 import pickle
 import threading
 
 from repro.analysis import runner as runner_mod
-from repro.analysis.runner import (MappingJob, ParallelRunner, PlacementJob,
-                                   job_token, run_mapping_job)
+from repro.analysis.runner import (EvaluationJob, MappingJob, ParallelRunner,
+                                   PlacementJob, job_token, run_mapping_job,
+                                   run_topology_evaluation)
 from repro.core import PlacerConfig
 from repro.io.atomic import atomic_write_bytes
+from repro.io.store import Store
 
 FAST = PlacerConfig(max_iterations=60, min_iterations=10, num_bins=32)
 
@@ -69,8 +72,8 @@ class TestAtomicCacheWrites:
         assert leftovers == []
 
     def test_runner_store_goes_through_atomic_writer(self, tmp_path):
-        """_cache_store leaves no temp droppings and a loadable entry."""
-        runner = ParallelRunner(max_workers=1, cache_dir=tmp_path)
+        """A runner write leaves no temp droppings and a loadable entry."""
+        runner = ParallelRunner(max_workers=1, store=Store(tmp_path))
         job = MappingJob(benchmark="bv-4", topology="grid-25",
                          num_mappings=2)
         runner.map(run_mapping_job, [job], namespace="mappings")
@@ -79,50 +82,68 @@ class TestAtomicCacheWrites:
         pickle.loads(entries[0].read_bytes())
         assert not [p for p in tmp_path.rglob("*") if ".tmp." in p.name]
 
-    def test_cache_env_refcounts_across_threads(self, tmp_path,
-                                                monkeypatch):
-        """A fast thread's exit must not unset the var under a slow one.
+    def test_threads_share_one_runner_and_store(self, tmp_path):
+        """Two threads map through one runner and one store at once.
 
-        The service's scheduler threads drive one shared runner; the
-        ``$REPRO_CACHE_DIR`` publication is reference-counted so the
-        last exit restores, not the first.
+        Both see cache hits: the runner nested in
+        :func:`run_topology_evaluation` finds the mapping batch in the
+        store it was handed, and each thread's repeat finds its own
+        evaluation entry.
         """
-        import os
-        import time
+        store = Store(tmp_path)
+        runner = ParallelRunner(max_workers=1, store=store)
+        evaluate = functools.partial(run_topology_evaluation, store=store)
 
-        from repro.analysis.runner import CACHE_ENV_VAR
+        def job(seed):
+            return EvaluationJob(
+                placement=PlacementJob(topology="grid-25",
+                                       strategies=("qplacer",),
+                                       config=FAST, seed=seed),
+                benchmarks=("bv-4",), num_mappings=2)
 
-        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-        runner = ParallelRunner(max_workers=1, cache_dir=tmp_path)
+        # The mapping batch depends on the circuit and the topology, not
+        # on the placement seed, so this run warms it for both threads.
+        runner.map(evaluate, [job(0)], namespace="evaluation")
+        assert store.count("misses", "mappings") == 1
         barrier = threading.Barrier(2)
-        observed = []
+        results = {}
+        errors = []
 
-        def use(delay):
-            with runner._cache_env():
+        def use(seed):
+            try:
                 barrier.wait()
-                time.sleep(delay)
-                observed.append(os.environ.get(CACHE_ENV_VAR))
+                results[seed] = [
+                    runner.map(evaluate, [job(seed)],
+                               namespace="evaluation")[0]
+                    for _ in range(2)]
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
 
-        threads = [threading.Thread(target=use, args=(d,))
-                   for d in (0.0, 0.3)]
+        threads = [threading.Thread(target=use, args=(seed,))
+                   for seed in (1, 2)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        # the slow thread still saw the directory after the fast exit
-        assert observed == [str(tmp_path), str(tmp_path)]
-        assert CACHE_ENV_VAR not in os.environ  # last exit restored
+            t.join(timeout=120)
+        assert not errors
+        assert store.count("hits", "mappings") == 2
+        assert store.count("misses", "mappings") == 1
+        assert store.count("hits", "evaluation") == 2
+        assert runner.cache_hits == 2 and runner.cache_misses == 3
+        for first, again in results.values():
+            assert first == again
 
     def test_interrupted_write_preserves_previous_entry(self, tmp_path):
-        path = tmp_path / "entry.pkl"
+        store = Store(tmp_path)
+        path = store.entry("ns", "entry")
         atomic_write_bytes(path, b"old-complete-entry")
 
         class Explodes:
             def __reduce__(self):
                 raise RuntimeError("mid-serialisation failure")
 
-        runner = ParallelRunner(max_workers=1, cache_dir=tmp_path)
-        runner._cache_store(path, Explodes())  # swallowed, non-fatal
+        runner = ParallelRunner(max_workers=1, store=store)
+        runner._keep("ns", "entry", Explodes())  # swallowed, non-fatal
         assert path.read_bytes() == b"old-complete-entry"
 
 
@@ -134,12 +155,12 @@ class TestSchemaVersionInvalidation:
     def test_placement_cache_misses_after_bump(self, tmp_path, monkeypatch):
         job = PlacementJob(topology="grid-25", strategies=("qplacer",),
                            config=FAST)
-        first = ParallelRunner(max_workers=1, cache_dir=tmp_path)
+        first = ParallelRunner(max_workers=1, store=Store(tmp_path))
         before = first.run_suites([job])[0]
         assert first.cache_misses == 1
 
         self._bump(monkeypatch)
-        after_runner = ParallelRunner(max_workers=1, cache_dir=tmp_path)
+        after_runner = ParallelRunner(max_workers=1, store=Store(tmp_path))
         after = after_runner.run_suites([job])[0]
         # clean miss and recompute: no crash, no stale read
         assert after_runner.cache_hits == 0
@@ -150,12 +171,12 @@ class TestSchemaVersionInvalidation:
     def test_mapping_cache_misses_after_bump(self, tmp_path, monkeypatch):
         job = MappingJob(benchmark="bv-4", topology="grid-25",
                          num_mappings=2)
-        first = ParallelRunner(max_workers=1, cache_dir=tmp_path)
+        first = ParallelRunner(max_workers=1, store=Store(tmp_path))
         first.map(run_mapping_job, [job], namespace="mappings")
         assert first.cache_misses == 1
 
         self._bump(monkeypatch)
-        again = ParallelRunner(max_workers=1, cache_dir=tmp_path)
+        again = ParallelRunner(max_workers=1, store=Store(tmp_path))
         again.map(run_mapping_job, [job], namespace="mappings")
         assert again.cache_hits == 0 and again.cache_misses == 1
         # both versions' entries now coexist under distinct tokens
@@ -173,31 +194,30 @@ class TestCorruptEntryRecovery:
         """A truncated entry is a clean miss AND gets evicted from disk."""
         job = PlacementJob(topology="grid-25", strategies=("qplacer",),
                            config=FAST)
-        first = ParallelRunner(max_workers=1, cache_dir=tmp_path)
+        first = ParallelRunner(max_workers=1, store=Store(tmp_path))
         good = first.run_suites([job])[0]
         entry = next(tmp_path.rglob("*.pkl"))
         data = entry.read_bytes()
         entry.write_bytes(data[:len(data) // 2])  # a torn write survived
 
-        again = ParallelRunner(max_workers=1, cache_dir=tmp_path)
+        again = ParallelRunner(max_workers=1, store=Store(tmp_path))
         suite = again.run_suites([job])[0]
         assert again.cache_hits == 0 and again.cache_misses == 1
         assert (suite.layouts["qplacer"].positions
                 == good.layouts["qplacer"].positions).all()
         # the recompute replaced the corrupt file with a loadable entry
-        third = ParallelRunner(max_workers=1, cache_dir=tmp_path)
+        third = ParallelRunner(max_workers=1, store=Store(tmp_path))
         third.run_suites([job])
         assert third.cache_hits == 1 and third.cache_misses == 0
 
     def test_cache_load_unlinks_corrupt_file(self, tmp_path):
-        path = tmp_path / "ns" / "deadbeef.pkl"
+        store = Store(tmp_path)
+        path = store.entry("ns", "deadbeef")
         path.parent.mkdir(parents=True)
         path.write_bytes(b"\x80\x04not really a pickle")
-        runner = ParallelRunner(max_workers=1, cache_dir=tmp_path)
-        assert runner._cache_load(path) == (False, None)
+        assert store.load("ns", "deadbeef") == (False, None)
         assert not path.exists()
 
     def test_missing_entry_is_a_plain_miss(self, tmp_path):
-        runner = ParallelRunner(max_workers=1, cache_dir=tmp_path)
-        assert runner._cache_load(tmp_path / "ns" / "absent.pkl") \
-            == (False, None)
+        store = Store(tmp_path)
+        assert store.load("ns", "absent") == (False, None)

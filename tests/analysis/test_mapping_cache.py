@@ -14,6 +14,7 @@ from repro.analysis.runner import (
 from repro.circuits.library import get_benchmark
 from repro.circuits.mapping import evaluation_mappings
 from repro.devices.topology import get_topology
+from repro.io.store import Store
 
 
 def _mapped_equal(a, b):
@@ -59,7 +60,7 @@ class TestMappingJob:
     def test_cache_skips_recomputation(self, tmp_path):
         job = MappingJob(benchmark="bv-4", topology="grid-25",
                          num_mappings=2)
-        runner = ParallelRunner(max_workers=1, cache_dir=tmp_path)
+        runner = ParallelRunner(max_workers=1, store=Store(tmp_path))
         first = runner.map(run_mapping_job, [job], namespace="mappings")[0]
         assert runner.cache_misses == 1
         second = runner.map(run_mapping_job, [job], namespace="mappings")[0]
@@ -106,7 +107,7 @@ class TestSeedRangeSharding:
 
     def test_chunks_replay_from_cache_and_compose(self, tmp_path):
         """Partial batches cache independently and re-assemble."""
-        runner = ParallelRunner(max_workers=1, cache_dir=tmp_path)
+        runner = ParallelRunner(max_workers=1, store=Store(tmp_path))
         first = run_mapping_job_sharded(self.JOB, runner, chunk_size=3)
         assert runner.cache_misses == 3  # one per chunk
         replay = run_mapping_job_sharded(self.JOB, runner, chunk_size=3)
@@ -137,7 +138,7 @@ class TestFidelityExperimentCache:
     def test_cached_run_matches_uncached(self, suite, tmp_path):
         benchmarks = ("bv-4", "ising-4")
         plain = fidelity_experiment(suite, benchmarks, num_mappings=3)
-        runner = ParallelRunner(max_workers=1, cache_dir=tmp_path)
+        runner = ParallelRunner(max_workers=1, store=Store(tmp_path))
         cached = fidelity_experiment(suite, benchmarks, num_mappings=3,
                                      runner=runner)
         assert runner.cache_misses == len(benchmarks)
@@ -148,7 +149,7 @@ class TestFidelityExperimentCache:
 
     def test_second_run_hits_cache(self, suite, tmp_path):
         benchmarks = ("bv-4",)
-        runner = ParallelRunner(max_workers=1, cache_dir=tmp_path)
+        runner = ParallelRunner(max_workers=1, store=Store(tmp_path))
         first = fidelity_experiment(suite, benchmarks, num_mappings=3,
                                     runner=runner)
         second = fidelity_experiment(suite, benchmarks, num_mappings=3,
@@ -157,7 +158,7 @@ class TestFidelityExperimentCache:
         assert first == second
 
     def test_wide_benchmarks_still_skipped(self, suite, tmp_path):
-        runner = ParallelRunner(max_workers=1, cache_dir=tmp_path)
+        runner = ParallelRunner(max_workers=1, store=Store(tmp_path))
         table = fidelity_experiment(suite, ("bv-4", "qgan-9"),
                                     num_mappings=2, runner=runner)
         # qgan-9 fits grid-25; both rows present, none crash.

@@ -23,6 +23,7 @@ from repro.analysis.runner import (
     run_ablation_job,
 )
 from repro.core import PlacerConfig
+from repro.io.store import Store
 
 FAST = PlacerConfig(max_iterations=60, min_iterations=10, num_bins=32)
 
@@ -75,46 +76,52 @@ class TestParallelDeterminism:
 
 class TestDiskCache:
     def test_second_run_hits_cache_and_matches(self, tmp_path):
-        first = ParallelRunner(max_workers=1, cache_dir=tmp_path)
+        first = ParallelRunner(max_workers=1, store=Store(tmp_path))
         a = first.run_suites(JOBS[:2])
         assert first.cache_hits == 0 and first.cache_misses == 2
 
-        second = ParallelRunner(max_workers=1, cache_dir=tmp_path)
+        second = ParallelRunner(max_workers=1, store=Store(tmp_path))
         b = second.run_suites(JOBS[:2])
         assert second.cache_hits == 2 and second.cache_misses == 0
         for x, y in zip(a, b):
             _assert_signatures_equal(_suite_signature(x), _suite_signature(y))
 
     def test_cache_distinguishes_jobs(self, tmp_path):
-        runner = ParallelRunner(max_workers=1, cache_dir=tmp_path)
+        runner = ParallelRunner(max_workers=1, store=Store(tmp_path))
         runner.run_suites([JOBS[0]])
         runner.run_suites([JOBS[2]])  # same topology, different seed
         assert runner.cache_misses == 2
 
     def test_corrupt_cache_entry_recomputed(self, tmp_path):
-        runner = ParallelRunner(max_workers=1, cache_dir=tmp_path)
+        runner = ParallelRunner(max_workers=1, store=Store(tmp_path))
         runner.run_suites([JOBS[0]])
         victims = list(tmp_path.rglob("*.pkl"))
         assert victims
         victims[0].write_bytes(b"not a pickle")
-        again = ParallelRunner(max_workers=1, cache_dir=tmp_path)
+        again = ParallelRunner(max_workers=1, store=Store(tmp_path))
         suites = again.run_suites([JOBS[0]])
         assert again.cache_misses == 1
         assert suites[0].layouts["qplacer"].positions.shape[1] == 2
 
-    def test_no_cache_dir_never_writes(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    def test_no_store_never_writes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         runner = ParallelRunner(max_workers=1)
-        assert runner.cache_dir is None
+        assert runner.store is None
         runner.map(run_ablation_job,
                    [AblationJob(topology="grid-25", variant="classic",
                                 config=FAST)])
         assert not list(tmp_path.rglob("*.pkl"))
 
-    def test_env_var_sets_cache_dir(self, tmp_path, monkeypatch):
+    def test_library_ignores_cache_env_var(self, tmp_path, monkeypatch):
+        """Only the CLI reads ``$REPRO_CACHE_DIR`` (as ``--cache-dir``'s
+        default); a runner caches where its store says, or nowhere."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         runner = ParallelRunner(max_workers=1)
-        assert runner.cache_dir == tmp_path
+        assert runner.store is None
+        runner.map(run_ablation_job,
+                   [AblationJob(topology="grid-25", variant="classic",
+                                config=FAST)])
+        assert not list(tmp_path.rglob("*"))
 
 
 class TestTokensAndSeeds:
@@ -165,13 +172,13 @@ class TestParallelEvaluationPipelines:
     def test_sweep_runs_through_runner(self, tmp_path):
         from repro.analysis.experiments import segment_sweep
 
-        runner = ParallelRunner(max_workers=1, cache_dir=tmp_path)
+        runner = ParallelRunner(max_workers=1, store=Store(tmp_path))
         rows = segment_sweep("grid-25", segment_sizes=(0.3,), config=FAST,
                              runner=runner)
         assert len(rows) == 1 and rows[0].segment_size_mm == 0.3
         assert runner.cache_misses == 1
         rows2 = segment_sweep("grid-25", segment_sizes=(0.3,), config=FAST,
                               runner=ParallelRunner(max_workers=1,
-                                                    cache_dir=tmp_path))
+                                                    store=Store(tmp_path)))
         assert rows2[0].ph_percent == rows[0].ph_percent
         assert rows2[0].num_cells == rows[0].num_cells

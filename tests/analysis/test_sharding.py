@@ -6,6 +6,7 @@ from repro.analysis.experiments import (build_suite, fidelity_experiment,
                                         sharded_fidelity_experiment)
 from repro.analysis.runner import (ParallelRunner, PlacementJob,
                                    WorkloadShardJob, run_workload_shard)
+from repro.io.store import Store
 from repro.workloads import merge_fidelity_shards, shard_items
 
 WORKLOADS = ("bv-9", "ghz-9", "qaoa-9", "clifford-9-d4-s1")
@@ -106,11 +107,11 @@ class TestShardIdentity:
         assert merged == expected
 
     def test_cached_rerun_is_identical(self, single_run, tmp_path):
-        runner = ParallelRunner(max_workers=1, cache_dir=tmp_path)
+        runner = ParallelRunner(max_workers=1, store=Store(tmp_path))
         first = sharded_fidelity_experiment(
             "grid-25", workloads=WORKLOADS, shard_count=2,
             num_mappings=3, strategies=("qplacer",), runner=runner)
-        warm = ParallelRunner(max_workers=1, cache_dir=tmp_path)
+        warm = ParallelRunner(max_workers=1, store=Store(tmp_path))
         second = sharded_fidelity_experiment(
             "grid-25", workloads=WORKLOADS, shard_count=2,
             num_mappings=3, strategies=("qplacer",), runner=warm)

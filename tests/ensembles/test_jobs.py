@@ -27,6 +27,7 @@ from repro.ensembles import jobs
 from repro.ensembles.jobs import layout_doc_digest
 from repro.io.serialization import (canonical_json, layout_from_dict,
                                     layout_to_dict)
+from repro.io.store import Store
 from repro.service.requests import EnsembleRequest
 
 
@@ -164,7 +165,7 @@ class TestChunkReuseAcrossEnsembleGrowth:
         """64 -> 256 style growth: the first chunks' cache entries are
         byte-identical keys, so the runner serves them without
         recomputation."""
-        runner = ParallelRunner(max_workers=1, cache_dir=tmp_path)
+        runner = ParallelRunner(max_workers=1, store=Store(tmp_path))
         jobs_small = [_job(layout_doc, start=r.start, count=len(r))
                       for r in split_ensemble(4, 2)]
         first = runner.map(run_ensemble_chunk, jobs_small,

@@ -9,7 +9,7 @@ import pytest
 from repro.service.queue import (CANCELLED, DONE, FAILED, QUEUED, RUNNING,
                                  JobQueue)
 from repro.service.requests import parse_request
-from repro.service.store import ArtifactStore
+from repro.service.store import ArtifactStore, request_digest
 
 
 @pytest.fixture
@@ -78,14 +78,14 @@ class TestDedup:
             return found
 
         monkeypatch.setattr(queue.store, "contains", probe_then_finish)
-        hits = queue.store.hits
+        hits = queue.store.count("hits", "objects")
         record, disp = queue.submit("place", _place())
         assert disp == "cache_hit"
         assert record.state == DONE and record.cache_hit
         assert record.job_id != first.job_id
         assert queue.depth() == 0
         assert queue.claim(timeout=0.01) is None
-        assert queue.store.hits == hits + 1
+        assert queue.store.count("hits", "objects") == hits + 1
 
     def test_deleted_artifact_recomputes(self, queue):
         queue.submit("place", _place())
@@ -266,7 +266,7 @@ class TestPriorityUpgrade:
 class TestRecordRetention:
     def test_finished_records_evicted_past_cap(self, tmp_path):
         queue = JobQueue(ArtifactStore(tmp_path), max_records=5)
-        digest = queue.store.digest_request("place", _place())
+        digest = request_digest("place", _place())
         queue.store.put(digest, {"ok": True})
         hits = [queue.submit("place", _place())[0] for _ in range(12)]
         assert all(job.cache_hit for job in hits)
@@ -285,7 +285,7 @@ class TestRecordRetention:
         queue = JobQueue(ArtifactStore(tmp_path), max_records=4)
         slow, _ = queue.submit("place", _place(seed=99))  # inserted first
         running = queue.claim(timeout=0.1)
-        digest = queue.store.digest_request("place", _place(seed=1))
+        digest = request_digest("place", _place(seed=1))
         queue.store.put(digest, {"ok": True})
         for _ in range(4):  # finished records piling up after it
             queue.submit("place", _place(seed=1))
@@ -308,7 +308,7 @@ class TestRecordRetention:
         job, _ = queue.submit("place", _place())
         assert queue.cancel(job.job_id) is True  # leaves a stale entry
         # flood with cache hits so the cancelled record is evicted
-        digest = queue.store.digest_request("place", _place(seed=9))
+        digest = request_digest("place", _place(seed=9))
         queue.store.put(digest, {"ok": True})
         for _ in range(3):
             queue.submit("place", _place(seed=9))

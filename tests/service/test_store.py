@@ -67,12 +67,12 @@ class TestArtifactStore:
         assert record.result == {"value": [1.5, 2.25]}
         assert record.metadata["kind"] == "test"
         assert record.metadata["schema"] == runner_mod.CACHE_SCHEMA_VERSION
-        assert store.hits == 1
+        assert store.count("hits", "objects") == 1
 
     def test_missing_is_a_miss(self, tmp_path):
         store = ArtifactStore(tmp_path)
         assert store.get("cd" * 32) is None
-        assert store.misses == 1
+        assert store.count("misses", "objects") == 1
         assert not store.contains("cd" * 32)
 
     def test_torn_document_is_a_miss(self, tmp_path):
@@ -130,7 +130,7 @@ class TestSchemaInvalidation:
     """A store populated at version N must miss after a bump (ISSUE 5)."""
 
     def _digest_roundtrip(self, store, kind, request):
-        digest = store.digest_request(kind, request)
+        digest = request_digest(kind, request)
         store.put(digest, {"computed_at_schema":
                            runner_mod.CACHE_SCHEMA_VERSION})
         return digest
@@ -150,7 +150,7 @@ class TestSchemaInvalidation:
 
         monkeypatch.setattr(runner_mod, "CACHE_SCHEMA_VERSION",
                             runner_mod.CACHE_SCHEMA_VERSION + 1)
-        new_digest = store.digest_request(kind, request)
+        new_digest = request_digest(kind, request)
         assert new_digest != old_digest
         # The lookup under the new version is a clean miss — no crash,
         # no stale data.
@@ -217,9 +217,10 @@ class TestNearestPlacement:
     def test_scan_does_not_skew_hit_metrics(self, tmp_path):
         store = ArtifactStore(tmp_path)
         self._place_artifact(store, "aa" * 32, "grid-25", 100.0)
-        hits, misses = store.hits, store.misses
+        counts = [store.count(event) for event in ("hits", "misses")]
         store.nearest_placement("grid-25")
-        assert (store.hits, store.misses) == (hits, misses)
+        assert [store.count(event) for event in ("hits", "misses")] \
+            == counts
 
 
 class TestSizeCap:
@@ -235,7 +236,7 @@ class TestSizeCap:
     def test_unbounded_by_default(self, tmp_path):
         store = ArtifactStore(tmp_path)
         self._fill(store, [f"{k:02x}" * 32 for k in range(5)])
-        assert store.evictions == 0
+        assert store.count("evictions") == 0
         assert all(store.contains(f"{k:02x}" * 32) for k in range(5))
 
     def test_rejects_nonpositive_cap(self, tmp_path):
@@ -254,7 +255,7 @@ class TestSizeCap:
         assert not capped.contains(digests[0])
         assert not capped.contains(digests[1])
         assert capped.contains(digests[3])
-        assert capped.evictions == 2
+        assert capped.count("evictions") == 2
 
     def test_just_written_never_evicted_even_if_oversized(self, tmp_path):
         store = ArtifactStore(tmp_path, max_bytes=100)
@@ -267,8 +268,8 @@ class TestSizeCap:
         store = ArtifactStore(tmp_path, max_bytes=1)
         self._fill(store, digests)
         metrics = store.metrics()
-        assert metrics["artifact_evictions"] == store.evictions
-        assert store.evictions == 2  # each write evicts the previous
+        assert metrics["artifact_evictions"] == store.count("evictions")
+        assert store.count("evictions") == 2  # each write evicts the previous
 
     def test_evicted_artifact_reads_as_miss(self, tmp_path):
         digests = ["aa" * 32, "bb" * 32]

@@ -30,6 +30,26 @@ class TestParser:
         assert args.mappings == 7
         assert args.benchmarks == "bv-4,qgan-4"
 
+    def test_cache_dir_defaults_to_the_environment(self, tmp_path,
+                                                   monkeypatch):
+        from repro.cli import _runner_from
+
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        assert build_parser().parse_args(["evaluate-all"]).cache_dir is None
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        args = build_parser().parse_args(["evaluate-all"])
+        assert _runner_from(args).store.root == tmp_path
+        flag = build_parser().parse_args(
+            ["evaluate-all", "--cache-dir", str(tmp_path / "flag")])
+        assert _runner_from(flag).store.root == tmp_path / "flag"
+
+    def test_serve_cache_dir_flag_removed(self, capsys):
+        """The service caches runner entries in its own store."""
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(["serve", "--cache-dir", "x"])
+        assert err.value.code == 2
+        assert "--cache-dir" in capsys.readouterr().err
+
 
     def test_refine_command_removed(self, capsys):
         with pytest.raises(SystemExit) as err:

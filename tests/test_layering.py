@@ -123,3 +123,34 @@ def test_classic_config_derived_in_one_place():
                  != "core/config.py"
                  for line in _classic_keyword_calls(p)]
     assert offenders == []
+
+
+#: ``os`` names that read or write the process environment.
+_ENV_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv",
+              "unsetenv"}
+
+
+def _environment_uses(path: Path):
+    """Line numbers where a module reads or writes ``os.environ`` or
+    calls ``os.getenv`` (and kin), by attribute or by import."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in _ENV_NAMES
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"):
+            yield node.lineno
+        elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+              and any(alias.name in _ENV_NAMES for alias in node.names)):
+            yield node.lineno
+
+
+def test_only_the_cli_touches_the_environment():
+    """Configuration reaches the library as arguments: a cache path or a
+    token passed through ``os.environ`` reaches every runner in the
+    process, whichever asked for it."""
+    offenders = [f"{p.relative_to(PACKAGE_ROOT).as_posix()}:{line}"
+                 for p in _modules()
+                 if p.relative_to(PACKAGE_ROOT).as_posix() != "cli.py"
+                 for line in _environment_uses(p)]
+    assert offenders == []
+    assert list(_environment_uses(PACKAGE_ROOT / "cli.py"))
